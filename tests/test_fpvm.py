@@ -2,8 +2,11 @@
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from opml import fpvm, merkle
 from opml.fpvm import (
@@ -338,6 +341,250 @@ def test_verify_step_exited_identity():
     other = bytearray(root)
     other[5] ^= 4
     assert not verify_step(root, bytes(other), w, scheme=SCHEME).accepted
+
+
+NOP = encode("ADD")  # ADD r0, r0, r0
+
+
+def _scenario(name: str):
+    """(pre-state, oracle, honest witness) for one kind of step."""
+    oracle = None
+    if name == "add":
+        pre = set_regs(boot(encode("ADD", rd=1, rs=2, rt=3), encode("HALT")), r2=5, r3=7)
+    elif name == "halted":
+        pre = step(boot(encode("HALT", imm=3)))
+    elif name == "li-straddle":  # LI on the last word of leaf 0
+        pre = snapshot_at(boot(*[NOP] * 7, encode("LI", rd=1), 0xCAFE, encode("HALT")), None, 7)
+    elif name == "lw":
+        pre = snapshot_at(boot(encode("LI", rd=1), HEAP_BASE + 0x40, encode("LW", rd=3, rs=1)), None, 1)
+    elif name == "sw":
+        pre = snapshot_at(boot(encode("LI", rd=1), HEAP_BASE, encode("LI", rd=2), 0x12345678,
+                               encode("SW", rs=1, rt=2)), None, 2)
+    else:  # "preimage": chunk 2 of an 80-byte value into oracle-value leaf 1
+        oracle = PreimageOracle(SCHEME)
+        st = boot(encode("LI", rd=1), 1, encode("LI", rd=2), 2, encode("PREIMAGE", rd=1, rs=2))
+        st.memory = fpvm.write_bytes(st.memory, ORACLE_KEY_BASE, oracle.put(bytes(range(80))))
+        pre = snapshot_at(st, oracle, 2)
+    witness = fpvm.StepWitness(pre.fields()) if pre.exited else gen_step_witness(pre, oracle)
+    return pre, oracle, witness
+
+
+def _flip(data: bytes, i: int = 31) -> bytes:
+    out = bytearray(data)
+    out[i] ^= 1
+    return bytes(out)
+
+
+def _leaf_record(pre, base: int):
+    return base, pre.memory.get_leaf(base // 32), pre.memory.prove(base // 32)
+
+
+def _fields(**kw):
+    return lambda w, pre: replace(w, pre_fields=replace(w.pre_fields, **kw))
+
+
+def _reads(f):
+    return lambda w, pre: replace(w, mem_reads=f(w.mem_reads, pre))
+
+
+def _writes(f):
+    return lambda w, pre: replace(w, mem_writes=f(w.mem_writes))
+
+
+def _first_write(f):
+    return _writes(lambda ws: [f(*ws[0])])
+
+
+def _chunk(**kw):
+    return lambda w, pre: replace(w, preimage_chunk=replace(w.preimage_chunk, **kw) if kw else None)
+
+
+def _keep(w, pre):
+    return w
+
+
+REJECT_TABLE = [
+    pytest.param("bad-register-file", "add", _fields(regs=(1,) + (0,) * 15), {}, id="r0-nonzero"),
+    pytest.param("pre-fields-mismatch", "add", _fields(pc=4), {}, id="pc-changed"),
+    pytest.param("witness-not-minimal", "halted", _reads(lambda r, pre: [_leaf_record(pre, 0)]), {},
+                 id="read-after-exit"),
+    pytest.param("witness-not-minimal", "add", _reads(lambda r, pre: r + [_leaf_record(pre, HEAP_BASE)]), {},
+                 id="unused-read"),
+    pytest.param("witness-not-minimal", "add",
+                 lambda w, pre: replace(w, preimage_chunk=fpvm.PreimageChunk(bytes(32), 0, bytes(32))), {},
+                 id="chunk-without-preimage"),
+    pytest.param("witness-not-minimal", "add",
+                 lambda w, pre: replace(w, mem_writes=[_leaf_record(pre, 0)[:2] + _leaf_record(pre, 0)[1:]]), {},
+                 id="write-without-store"),
+    pytest.param("bad-read-record", "add", _reads(lambda r, pre: [(4,) + r[0][1:]]), {}, id="unaligned-addr"),
+    pytest.param("read-proof-wrong-slot", "add",
+                 _reads(lambda r, pre: [(0, r[0][1], replace(r[0][2], leaf_index=1))]), {}, id="proof-index"),
+    pytest.param("duplicate-read", "add", _reads(lambda r, pre: r + r), {}, id="fetch-twice"),
+    pytest.param("read-proof-invalid", "add", _reads(lambda r, pre: [(0, _flip(r[0][1]), r[0][2])]), {},
+                 id="leaf-flipped"),
+    pytest.param("missing-fetch-leaf", "add", _reads(lambda r, pre: []), {}, id="no-reads"),
+    pytest.param("missing-li-leaf", "li-straddle", _reads(lambda r, pre: r[:1]), {}, id="second-leaf"),
+    pytest.param("missing-load-leaf", "lw", _reads(lambda r, pre: r[:1]), {}, id="data-leaf"),
+    pytest.param("missing-key-leaf", "preimage", _reads(lambda r, pre: r[:1]), {}, id="key-leaf"),
+    pytest.param("missing-write-record", "sw", _writes(lambda ws: []), {}, id="sw-no-write"),
+    pytest.param("missing-write-record", "sw", _writes(lambda ws: ws + ws), {}, id="sw-two-writes"),
+    pytest.param("missing-write-record", "preimage", _writes(lambda ws: []), {}, id="preimage-no-write"),
+    pytest.param("missing-write-record", "sw",
+                 lambda w, pre: replace(w, mem_reads=w.mem_reads + [_leaf_record(pre, 0x40)], mem_writes=[]), {},
+                 id="before-minimality"),
+    pytest.param("missing-preimage-chunk", "preimage", _chunk(), {}, id="no-chunk"),
+    pytest.param("preimage-chunk-wrong-slot", "preimage", _chunk(index=3), {}, id="chunk-index"),
+    pytest.param("preimage-unavailable", "preimage", _keep, {"preimages": None}, id="no-oracle"),
+    pytest.param("preimage-chunk-mismatch", "preimage", _chunk(data=_flip(bytes(32))), {}, id="chunk-data"),
+    pytest.param("write-value-mismatch", "preimage", _chunk(data=_flip(bytes(32))), {"chunk_check": False},
+                 id="unchecked-chunk-data"),
+    pytest.param("write-record-wrong-slot", "sw", _first_write(lambda a, old, new, p: (a, old, new + b"\0", p)), {},
+                 id="long-new-leaf"),
+    pytest.param("write-proof-wrong-slot", "sw",
+                 _first_write(lambda a, old, new, p: (a, old, new, replace(p, leaf_index=p.leaf_index + 1))), {},
+                 id="proof-index"),
+    pytest.param("write-proof-invalid", "sw", _first_write(lambda a, old, new, p: (a, _flip(old), new, p)), {},
+                 id="old-flipped"),
+    pytest.param("write-value-mismatch", "sw", _first_write(lambda a, old, new, p: (a, old, _flip(new), p)), {},
+                 id="new-flipped"),
+    pytest.param("post-root-mismatch", "add", _keep, {"flip_claim": True}, id="wrong-claim"),
+    pytest.param("post-root-mismatch", "halted", _keep, {"flip_claim": True}, id="exited-wrong-claim"),
+]
+
+
+@pytest.mark.parametrize("reason, scenario, mutate, opts", REJECT_TABLE)
+def test_verify_step_reject_reasons(reason, scenario, mutate, opts):
+    """Each reject reason, its precedence, and who it is charged to: only a
+    wrong claim leaves witness_ok set."""
+    pre, oracle, witness = _scenario(scenario)
+    post_root = state_root(step(pre, oracle))
+    if opts.get("flip_claim"):
+        post_root = _flip(post_root, 0)
+    verdict = verify_step(state_root(pre), post_root, mutate(witness, pre),
+                          preimage_chunk_check=opts.get("chunk_check", True),
+                          preimages=opts.get("preimages", oracle), scheme=SCHEME)
+    assert (verdict.accepted, verdict.reason) == (False, reason)
+    assert verdict.witness_ok == (reason == "post-root-mismatch")
+
+
+# Generated programs for the prover/verifier agreement property. r8 holds
+# the heap pointer; r9-r11 are scratch for the jump and PREIMAGE blocks.
+_REG = hst.integers(0, 7)
+_ALU_OPS = ["ADD", "SUB", "MUL", "MULFX", "AND"]
+_ORACLE_VALUE_LEAVES = (fpvm.MODEL_BASE - ORACLE_VALUE_BASE) // 32
+_PREIMAGE_VALUE = bytes(range(200))  # 7 chunks, the last one zero padded
+
+
+def _program_words(blocks) -> list[int]:
+    words = [encode("LI", rd=8), HEAP_BASE]
+    for kind, *args in blocks:
+        if kind == "alu":
+            op, rd, rs, rt = args
+            words.append(encode(op, rd=rd, rs=rs, rt=rt))
+        elif kind == "sra":
+            rd, rs, imm = args
+            words.append(encode("SRA", rd=rd, rs=rs, imm=imm))
+        elif kind == "li":  # optionally on a leaf's last word: immediate in the next leaf
+            rd, value, straddle = args
+            if straddle:
+                words += [NOP] * (-(len(words) + 1) % 8)
+            words += [encode("LI", rd=rd), value]
+        elif kind in ("LW", "SW"):  # base r8 (heap) or r0 (code); a misaligned imm traps
+            reg, base, imm = args
+            words.append(encode(kind, rd=reg, rs=base, rt=reg, imm=imm))
+        elif kind == "branch":  # forward over `skip` no-ops, taken or not
+            op, rs, rt, skip = args
+            words += [encode(op, rs=rs, rt=rt, imm=skip)] + [NOP] * skip
+        elif kind == "jmp":  # absolute through r0, over `skip` no-ops
+            rd, skip = args
+            words += [encode("JMP", rd=rd, imm=len(words) + 1 + skip)] + [NOP] * skip
+        elif kind == "jmp-to":  # through r9 to any target, e.g. a misaligned pc
+            rd, target = args
+            words += [encode("LI", rd=9), target, encode("JMP", rd=rd, rs=9)]
+        elif kind == "preimage":  # chunk `index` into oracle-value leaf `dest`
+            dest, index = args
+            words += [encode("LI", rd=10), dest, encode("LI", rd=11), index,
+                      encode("PREIMAGE", rd=10, rs=11)]
+        elif kind == "halt":
+            words.append(encode("HALT", imm=args[0]))
+        else:  # "raw": one literal word, e.g. an unknown opcode
+            words.append(args[0])
+    return words
+
+
+_BODY_BLOCKS = hst.one_of(
+    hst.tuples(hst.just("alu"), hst.sampled_from(_ALU_OPS), _REG, _REG, _REG),
+    hst.tuples(hst.just("sra"), _REG, _REG, hst.integers(-0x800, 0x7FF)),
+    hst.tuples(hst.just("li"), _REG, hst.integers(0, fpvm.MASK32), hst.booleans()),
+    hst.tuples(hst.sampled_from(["LW", "SW"]), _REG, hst.sampled_from([8, 8, 8, 0]),
+               hst.integers(-16, 127).map(lambda k: 4 * k)),
+    hst.tuples(hst.just("branch"), hst.sampled_from(["BEQ", "BLT"]), _REG, _REG, hst.integers(0, 3)),
+    hst.tuples(hst.just("jmp"), _REG, hst.integers(0, 3)),
+    hst.tuples(hst.just("preimage"), hst.sampled_from([0, 1, 7, _ORACLE_VALUE_LEAVES - 1]),
+               hst.integers(0, 8)),
+)
+_END_BLOCKS = hst.one_of(
+    hst.tuples(hst.just("halt"), hst.integers(-0x800, 0x7FF)),
+    hst.tuples(hst.just("raw"), hst.integers(0, fpvm.MASK32).filter(lambda w: fpvm.decode(w) is None)),
+    hst.tuples(hst.sampled_from(["LW", "SW"]), _REG, hst.just(8),
+               hst.integers(-0x800, 0x7FF).filter(lambda imm: imm % 4)),
+    hst.tuples(hst.just("jmp-to"), _REG, hst.integers(0, fpvm.MASK32).filter(lambda t: t % 4)),
+    hst.tuples(hst.just("preimage"), hst.integers(_ORACLE_VALUE_LEAVES, fpvm.MASK32), hst.integers(0, 8)),
+)
+_PROGRAMS = hst.builds(lambda body, end: _program_words(body + [end]),
+                       hst.lists(_BODY_BLOCKS, min_size=4, max_size=24), _END_BLOCKS)
+
+
+def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int | None]:
+    """verify_step(root(s), root(step(s)), gen_step_witness(s)) accepts and
+    recomputes root(step(s)) at every state reached; returns the opcodes
+    executed (None for an unknown one) and the exit code."""
+    oracle = PreimageOracle(SCHEME)
+    state = boot(*words)
+    state.memory = fpvm.write_bytes(state.memory, ORACLE_KEY_BASE, oracle.put(_PREIMAGE_VALUE))
+    ops = set()
+    for _ in range(max_steps):
+        if state.exited:
+            break
+        if state.pc % 4 == 0:
+            instr = fpvm.decode(struct.unpack("<I", fpvm.read_bytes(state.memory, state.pc, 4))[0])
+            ops.add(instr and instr.op)
+        post = step(state, oracle)
+        blob = gen_step_witness(state, oracle).to_bytes()
+        verdict = verify_step(state_root(state), state_root(post), fpvm.StepWitness.from_bytes(blob),
+                              preimages=oracle, scheme=SCHEME)
+        assert verdict.accepted, verdict.reason
+        assert verdict.recomputed_post == state_root(post)
+        state = post
+    return ops, state.exit_code if state.exited else None
+
+
+@given(_PROGRAMS)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_prover_verifier_agree_on_generated_programs(words):
+    _assert_agreement(words)
+
+
+def test_agreement_generator_reaches_every_opcode_and_trap():
+    body = [("alu", op, 1, 2, 3) for op in _ALU_OPS] + [
+        ("sra", 4, 1, 3), ("li", 2, 0x8000_0001, True), ("SW", 2, 8, 12), ("LW", 5, 8, 12),
+        ("SW", 0, 0, 0), ("branch", "BEQ", 0, 0, 2), ("branch", "BLT", 2, 0, 1), ("jmp", 6, 2),
+        ("preimage", 1, 3), ("preimage", _ORACLE_VALUE_LEAVES - 1, 9),
+    ]
+    ends = {
+        ("halt", 7): 7,
+        ("raw", 0x99 << 24): fpvm.TRAP_BAD_OPCODE,
+        ("LW", 1, 8, 2): fpvm.TRAP_BAD_ALIGN,
+        ("SW", 1, 8, -3): fpvm.TRAP_BAD_ALIGN,
+        ("jmp-to", 3, 0x1002): fpvm.TRAP_BAD_PC,
+        ("preimage", _ORACLE_VALUE_LEAVES, 0): fpvm.TRAP_BAD_REGION,
+    }
+    seen = set()
+    for end, code in ends.items():
+        ops, exit_code = _assert_agreement(_program_words(body + [end]))
+        assert exit_code == code
+        seen |= ops
+    assert seen == set(fpvm.OPCODES) | {None}
 
 
 def test_fault_injection_diverges_persistently():
