@@ -24,6 +24,12 @@ Instruction set (14 opcodes, all arithmetic two's-complement wrapping):
 
 Unknown opcodes and misaligned accesses trap (exit with a trap code),
 never raise: hostile programs must still be arbitrable.
+
+The step semantics live only in `_execute`. It runs over one of three
+memory views: the persistent tree (`step`), a view that records every
+accessed leaf with its proof (`gen_step_witness`), and a view that serves
+only the leaves a witness proves (`verify_step`). So the prover and the
+verifier execute the same instruction by construction.
 """
 
 from __future__ import annotations
@@ -274,17 +280,10 @@ def assemble(instructions: list[int]) -> bytes:
     return b"".join(struct.pack("<I", w) for w in instructions)
 
 
-def _read_word(tree: merkle.MemTree, addr: int) -> int:
-    leaf = tree.get_leaf(addr >> 5)
-    off = addr & 31
-    return struct.unpack_from("<I", leaf, off)[0]
-
-
-def _write_word(tree: merkle.MemTree, addr: int, value: int) -> merkle.MemTree:
-    leaf_index = addr >> 5
-    leaf = bytearray(tree.get_leaf(leaf_index))
-    struct.pack_into("<I", leaf, addr & 31, value & MASK32)
-    return tree.update_leaf(leaf_index, bytes(leaf))
+def _with_word(leaf: bytes, addr: int, value: int) -> bytes:
+    out = bytearray(leaf)
+    struct.pack_into("<I", out, addr & 31, value & MASK32)
+    return bytes(out)
 
 
 def _set_reg(regs: tuple[int, ...], idx: int, value: int) -> tuple[int, ...]:
@@ -293,43 +292,43 @@ def _set_reg(regs: tuple[int, ...], idx: int, value: int) -> tuple[int, ...]:
     return regs[:idx] + (wrap32(value),) + regs[idx + 1 :]
 
 
-def _trap(state: VmState, code: int) -> VmState:
-    return VmState(
-        pc=state.pc,
-        regs=state.regs,
-        memory=state.memory,
-        exited=True,
-        exit_code=code,
-        step_count=state.step_count + 1,
-    )
+def _word(mem, addr: int, miss: str) -> int:
+    return struct.unpack_from("<I", mem.read_leaf(addr & ~31, miss), addr & 31)[0]
 
 
-def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
-    """Execute exactly one instruction; identity once exited."""
-    if state.exited:
-        return state
-    pc, regs, tree = state.pc, state.regs, state.memory
+def _execute(
+    pc: int, regs: tuple[int, ...], mem
+) -> tuple[int, tuple[int, ...], bool, int]:
+    """The step semantics: (pc, regs, exited, exit_code) after the
+    instruction at `pc`, touching memory only through the view `mem`.
+
+    A view reads a leaf by base address (`read_leaf(base, miss)`, where
+    `miss` is the reject reason the witness-backed view gives when it does
+    not hold that leaf), stores a word (`store_word`), fetches a preimage
+    chunk (`chunk`) and writes a whole leaf (`put_leaf`). A write is always
+    the step's last memory access. Traps leave pc and regs unchanged.
+    """
     if pc % 4 != 0:
-        return _trap(state, TRAP_BAD_PC)
-    instr = decode(_read_word(tree, pc))
+        return pc, regs, True, TRAP_BAD_PC
+    instr = decode(_word(mem, pc, "missing-fetch-leaf"))
     if instr is None:
-        return _trap(state, TRAP_BAD_OPCODE)
+        return pc, regs, True, TRAP_BAD_OPCODE
 
     next_pc = wrap32(pc + 4)
     op = instr.op
     if op == "LI":
-        regs = _set_reg(regs, instr.rd, _read_word(tree, next_pc))
+        regs = _set_reg(regs, instr.rd, _word(mem, next_pc, "missing-li-leaf"))
         next_pc = wrap32(pc + 8)
     elif op == "LW":
         addr = wrap32(regs[instr.rs] + instr.imm)
         if addr % 4 != 0:
-            return _trap(state, TRAP_BAD_ALIGN)
-        regs = _set_reg(regs, instr.rd, _read_word(tree, addr))
+            return pc, regs, True, TRAP_BAD_ALIGN
+        regs = _set_reg(regs, instr.rd, _word(mem, addr, "missing-load-leaf"))
     elif op == "SW":
         addr = wrap32(regs[instr.rs] + instr.imm)
         if addr % 4 != 0:
-            return _trap(state, TRAP_BAD_ALIGN)
-        tree = _write_word(tree, addr, regs[instr.rt])
+            return pc, regs, True, TRAP_BAD_ALIGN
+        mem.store_word(addr, regs[instr.rt])
     elif op == "ADD":
         regs = _set_reg(regs, instr.rd, regs[instr.rs] + regs[instr.rt])
     elif op == "SUB":
@@ -354,31 +353,135 @@ def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
         regs = _set_reg(regs, instr.rd, pc + 4)
         next_pc = target
     elif op == "PREIMAGE":
-        if oracle is None:
-            raise MissingPreimageError("no oracle attached to this machine")
-        key = tree.get_leaf(ORACLE_KEY_BASE // 32)
-        value_chunk = oracle.chunk(key, regs[instr.rs])
-        dest_leaf = ORACLE_VALUE_BASE // 32 + regs[instr.rd]
+        key = mem.read_leaf(ORACLE_KEY_BASE, "missing-key-leaf")
+        value_chunk = mem.chunk(key, regs[instr.rs])
         if regs[instr.rd] >= _ORACLE_VALUE_LEAVES:
-            return _trap(state, TRAP_BAD_REGION)
-        tree = tree.update_leaf(dest_leaf, value_chunk)
+            return pc, regs, True, TRAP_BAD_REGION
+        mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[instr.rd], value_chunk)
     elif op == "HALT":
-        return VmState(
-            pc=pc,
-            regs=regs,
-            memory=tree,
-            exited=True,
-            exit_code=instr.imm & 0xFF,
-            step_count=state.step_count + 1,
-        )
-    return VmState(
-        pc=next_pc,
-        regs=regs,
-        memory=tree,
-        exited=False,
-        exit_code=0,
-        step_count=state.step_count + 1,
-    )
+        return pc, regs, True, instr.imm & 0xFF
+    return next_pc, regs, False, 0
+
+
+class _TreeMemory:
+    """Execution view: the persistent memory tree plus the host oracle."""
+
+    __slots__ = ("tree", "oracle")
+
+    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
+        self.tree = tree
+        self.oracle = oracle
+
+    def read_leaf(self, base: int, miss: str) -> bytes:
+        return self.tree.get_leaf(base >> 5)
+
+    def store_word(self, addr: int, value: int) -> None:
+        self.put_leaf(addr & ~31, _with_word(self.tree.get_leaf(addr >> 5), addr, value))
+
+    def chunk(self, key: bytes, index: int) -> bytes:
+        if self.oracle is None:
+            raise MissingPreimageError("no oracle attached to this machine")
+        return self.oracle.chunk(key, index)
+
+    def put_leaf(self, base: int, leaf: bytes) -> None:
+        self.tree = self.tree.update_leaf(base >> 5, leaf)
+
+
+class _RecordingMemory(_TreeMemory):
+    """Witness view: executes on the tree and records every leaf read (once,
+    in access order), the leaf write and the preimage chunk, each with its
+    proof against the pre-state memory root."""
+
+    __slots__ = ("reads", "writes", "preimage_chunk")
+
+    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
+        super().__init__(tree, oracle)
+        self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
+        self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
+        self.preimage_chunk: PreimageChunk | None = None
+
+    def read_leaf(self, base: int, miss: str) -> bytes:
+        leaf = self.tree.get_leaf(base >> 5)
+        if all(addr != base for addr, _, _ in self.reads):
+            self.reads.append((base, leaf, self.tree.prove(base >> 5)))
+        return leaf
+
+    def chunk(self, key: bytes, index: int) -> bytes:
+        if self.oracle is None:
+            raise MissingPreimageError("witness generation needs the oracle")
+        self.preimage_chunk = PreimageChunk(key, index, self.oracle.chunk(key, index))
+        return self.preimage_chunk.data
+
+    def put_leaf(self, base: int, leaf: bytes) -> None:
+        # Recorded, not applied: nothing reads memory after the write, and
+        # the proof must be against the pre-state root.
+        old = self.tree.get_leaf(base >> 5)
+        self.writes.append((base, old, leaf, self.tree.prove(base >> 5)))
+
+
+class _Rejected(Exception):
+    """A witness-backed access the witness cannot serve; the message is the
+    reject reason."""
+
+
+class _WitnessMemory:
+    """Verifier view: serves only the leaves the witness proved, the write
+    record's old leaf and the witnessed chunk; anything else rejects."""
+
+    __slots__ = ("leaves", "witness", "preimages", "check_chunk", "used", "chunk_served", "write")
+
+    def __init__(self, leaves: dict[int, bytes], witness: StepWitness,
+                 preimages: PreimageOracle | None, check_chunk: bool):
+        self.leaves = leaves
+        self.witness = witness
+        self.preimages = preimages
+        self.check_chunk = check_chunk
+        self.used: set[int] = set()
+        self.chunk_served = False
+        self.write: tuple[int, bytes] | None = None  # (leaf base, new leaf)
+
+    def read_leaf(self, base: int, miss: str) -> bytes:
+        if base not in self.leaves:
+            raise _Rejected(miss)
+        self.used.add(base)
+        return self.leaves[base]
+
+    def store_word(self, addr: int, value: int) -> None:
+        base = addr & ~31
+        self.put_leaf(base, _with_word(self._old_leaf(base), addr, value))
+
+    def chunk(self, key: bytes, index: int) -> bytes:
+        chunk = self.witness.preimage_chunk
+        if chunk is None or len(chunk.data) != 32:
+            raise _Rejected("missing-preimage-chunk")
+        if chunk.key != key or chunk.index != index:
+            raise _Rejected("preimage-chunk-wrong-slot")
+        if self.check_chunk:
+            if self.preimages is None or chunk.key not in self.preimages:
+                raise _Rejected("preimage-unavailable")
+            if self.preimages.chunk(chunk.key, chunk.index) != chunk.data:
+                raise _Rejected("preimage-chunk-mismatch")
+        self.chunk_served = True
+        return chunk.data
+
+    def put_leaf(self, base: int, leaf: bytes) -> None:
+        self._old_leaf(base)
+        self.write = (base, leaf)
+
+    def _old_leaf(self, base: int) -> bytes:
+        for addr, old, _new, _proof in self.witness.mem_writes:
+            if addr == base:
+                return old
+        raise _Rejected("missing-write-record")
+
+
+def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
+    """Execute exactly one instruction; identity once exited."""
+    if state.exited:
+        return state
+    mem = _TreeMemory(state.memory, oracle)
+    pc, regs, exited, exit_code = _execute(state.pc, state.regs, mem)
+    return VmState(pc, regs, mem.tree, exited, exit_code, state.step_count + 1)
 
 
 def run(
@@ -463,7 +566,7 @@ def find_store_step(trace: Trace, addr: int) -> int:
         pre = trace.states[s - 1]
         if pre.exited or pre.pc % 4 != 0:
             continue
-        instr = decode(_read_word(pre.memory, pre.pc))
+        instr = decode(_word(_TreeMemory(pre.memory, None), pre.pc, "missing-fetch-leaf"))
         if instr is None or instr.op != "SW":
             continue
         if wrap32(pre.regs[instr.rs] + instr.imm) == addr:
@@ -587,61 +690,13 @@ class StepWitness:
         return cls(fields_, reads, writes, chunk)
 
 
-def _required_accesses(state: VmState) -> tuple[list[int], Instruction | None]:
-    """Leaf addresses the next step will read (fetch first)."""
-    if state.pc % 4 != 0:
-        return [], None  # misaligned-pc trap touches nothing
-    reads = [state.pc & ~31]
-    instr = decode(_read_word(state.memory, state.pc))
-    if instr is None:
-        return reads, None
-    if instr.op == "LI":
-        second = wrap32(state.pc + 4) & ~31
-        if second not in reads:
-            reads.append(second)
-    elif instr.op == "LW":
-        addr = wrap32(state.regs[instr.rs] + instr.imm)
-        if addr % 4 == 0:
-            leaf_base = addr & ~31
-            if leaf_base not in reads:
-                reads.append(leaf_base)
-    elif instr.op == "PREIMAGE":
-        reads.append(ORACLE_KEY_BASE)
-    return reads, instr
-
-
 def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:
     """Witness for the step about to execute from `state` (pre-state)."""
     if state.exited:
         raise ValueError("no step witness for an exited state")
-    tree = state.memory
-    read_bases, instr = _required_accesses(state)
-    reads = [
-        (base, tree.get_leaf(base // 32), tree.prove(base // 32))
-        for base in read_bases
-    ]
-    writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
-    chunk: PreimageChunk | None = None
-    if instr is not None:
-        if instr.op == "SW":
-            addr = wrap32(state.regs[instr.rs] + instr.imm)
-            if addr % 4 == 0:
-                base = addr & ~31
-                old = tree.get_leaf(base // 32)
-                new = bytearray(old)
-                struct.pack_into("<I", new, addr & 31, state.regs[instr.rt])
-                writes.append((base, old, bytes(new), tree.prove(base // 32)))
-        elif instr.op == "PREIMAGE":
-            if oracle is None:
-                raise MissingPreimageError("witness generation needs the oracle")
-            key = tree.get_leaf(ORACLE_KEY_BASE // 32)
-            data = oracle.chunk(key, state.regs[instr.rs])
-            chunk = PreimageChunk(key, state.regs[instr.rs], data)
-            if state.regs[instr.rd] < _ORACLE_VALUE_LEAVES:
-                dest = ORACLE_VALUE_BASE // 32 + state.regs[instr.rd]
-                old = tree.get_leaf(dest)
-                writes.append((dest * 32, old, data, tree.prove(dest)))
-    return StepWitness(state.fields(), reads, writes, chunk)
+    mem = _RecordingMemory(state.memory, oracle)
+    _execute(state.pc, state.regs, mem)
+    return StepWitness(state.fields(), mem.reads, mem.writes, mem.preimage_chunk)
 
 
 @dataclass(frozen=True)
@@ -657,8 +712,8 @@ class Verdict:
         return self.accepted
 
 
-def _reject(reason: str, witness_ok: bool = False) -> Verdict:
-    return Verdict(False, reason, None, witness_ok)
+def _reject(reason: str) -> Verdict:
+    return Verdict(False, reason, None, False)
 
 
 def verify_step(
@@ -702,133 +757,27 @@ def verify_step(
             return _reject("read-proof-invalid")
         leaves[addr] = leaf
 
-    def fetch_word(addr: int) -> int | None:
-        base = addr & ~31
-        if base not in leaves:
-            return None
-        return struct.unpack_from("<I", leaves[base], addr & 31)[0]
-
-    pc, regs = f.pc, f.regs
-    next_pc = wrap32(pc + 4)
-    exited, exit_code = False, 0
-    want_write: tuple[int, bytes] | None = None  # (leaf base, new leaf)
-    used_reads = set()
-
-    def trap(code: int) -> None:
-        nonlocal exited, exit_code, next_pc
-        exited, exit_code, next_pc = True, code, pc
-
-    if pc % 4 != 0:
-        trap(TRAP_BAD_PC)
-        instr = None
-    else:
-        word = fetch_word(pc)
-        if word is None:
-            return _reject("missing-fetch-leaf")
-        used_reads.add(pc & ~31)
-        instr = decode(word)
-        if instr is None:
-            trap(TRAP_BAD_OPCODE)
-
-    if instr is not None and not exited:
-        op = instr.op
-        if op == "LI":
-            word2 = fetch_word(wrap32(pc + 4))
-            if word2 is None:
-                return _reject("missing-li-leaf")
-            used_reads.add(wrap32(pc + 4) & ~31)
-            regs = _set_reg(regs, instr.rd, word2)
-            next_pc = wrap32(pc + 8)
-        elif op == "LW":
-            addr = wrap32(regs[instr.rs] + instr.imm)
-            if addr % 4 != 0:
-                trap(TRAP_BAD_ALIGN)
-            else:
-                word = fetch_word(addr)
-                if word is None:
-                    return _reject("missing-load-leaf")
-                used_reads.add(addr & ~31)
-                regs = _set_reg(regs, instr.rd, word)
-        elif op == "SW":
-            addr = wrap32(regs[instr.rs] + instr.imm)
-            if addr % 4 != 0:
-                trap(TRAP_BAD_ALIGN)
-            else:
-                base = addr & ~31
-                old = _witness_old_leaf(witness, base)
-                if old is None:
-                    return _reject("missing-write-record")
-                new = bytearray(old)
-                struct.pack_into("<I", new, addr & 31, regs[instr.rt])
-                want_write = (base, bytes(new))
-        elif op == "ADD":
-            regs = _set_reg(regs, instr.rd, regs[instr.rs] + regs[instr.rt])
-        elif op == "SUB":
-            regs = _set_reg(regs, instr.rd, regs[instr.rs] - regs[instr.rt])
-        elif op == "MUL":
-            regs = _set_reg(regs, instr.rd, regs[instr.rs] * regs[instr.rt])
-        elif op == "MULFX":
-            prod = sign32(regs[instr.rs]) * sign32(regs[instr.rt])
-            regs = _set_reg(regs, instr.rd, prod >> MULFX_SHIFT)
-        elif op == "SRA":
-            regs = _set_reg(regs, instr.rd, sign32(regs[instr.rs]) >> (instr.imm & 31))
-        elif op == "AND":
-            regs = _set_reg(regs, instr.rd, regs[instr.rs] & regs[instr.rt])
-        elif op == "BEQ":
-            if regs[instr.rs] == regs[instr.rt]:
-                next_pc = wrap32(pc + 4 + 4 * instr.imm)
-        elif op == "BLT":
-            if sign32(regs[instr.rs]) < sign32(regs[instr.rt]):
-                next_pc = wrap32(pc + 4 + 4 * instr.imm)
-        elif op == "JMP":
-            target = wrap32(regs[instr.rs] + 4 * instr.imm)
-            regs = _set_reg(regs, instr.rd, pc + 4)
-            next_pc = target
-        elif op == "PREIMAGE":
-            key_leaf = leaves.get(ORACLE_KEY_BASE)
-            if key_leaf is None:
-                return _reject("missing-key-leaf")
-            used_reads.add(ORACLE_KEY_BASE)
-            chunk = witness.preimage_chunk
-            if chunk is None or len(chunk.data) != 32:
-                return _reject("missing-preimage-chunk")
-            if chunk.key != key_leaf or chunk.index != regs[instr.rs]:
-                return _reject("preimage-chunk-wrong-slot")
-            if preimage_chunk_check:
-                if preimages is None:
-                    return _reject("preimage-unavailable")
-                try:
-                    expect = preimages.chunk(chunk.key, chunk.index)
-                except MissingPreimageError:
-                    return _reject("preimage-unavailable")
-                if expect != chunk.data:
-                    return _reject("preimage-chunk-mismatch")
-            if regs[instr.rd] >= _ORACLE_VALUE_LEAVES:
-                trap(TRAP_BAD_REGION)
-            else:
-                base = (ORACLE_VALUE_BASE // 32 + regs[instr.rd]) * 32
-                old = _witness_old_leaf(witness, base)
-                if old is None:
-                    return _reject("missing-write-record")
-                want_write = (base, chunk.data)
-        elif op == "HALT":
-            exited, exit_code, next_pc = True, instr.imm & 0xFF, pc
+    mem = _WitnessMemory(leaves, witness, preimages, preimage_chunk_check)
+    try:
+        pc, regs, exited, exit_code = _execute(f.pc, f.regs, mem)
+    except _Rejected as exc:
+        return _reject(str(exc))
 
     # The witness must be exactly the required access set, nothing more.
-    if used_reads != set(leaves):
+    if mem.used != set(leaves):
         return _reject("witness-not-minimal")
-    if witness.preimage_chunk is not None and (instr is None or instr.op != "PREIMAGE"):
+    if witness.preimage_chunk is not None and not mem.chunk_served:
         return _reject("witness-not-minimal")
 
     post_mem_root = f.memory_root
-    if want_write is None:
+    if mem.write is None:
         if witness.mem_writes:
             return _reject("witness-not-minimal")
     else:
         if len(witness.mem_writes) != 1:
             return _reject("missing-write-record")
         addr, old, new, proof = witness.mem_writes[0]
-        base, computed_new = want_write
+        base, computed_new = mem.write
         if addr != base or len(old) != 32 or len(new) != 32:
             return _reject("write-record-wrong-slot")
         if proof.leaf_index != base // 32 or proof.subtree_level != 0:
@@ -839,21 +788,7 @@ def verify_step(
             return _reject("write-value-mismatch")
         post_mem_root = merkle.recompute_root(scheme.leaf_hash(computed_new), proof, scheme)
 
-    post_fields = VmFields(
-        pc=next_pc if not exited else pc,
-        regs=regs,
-        exited=exited,
-        exit_code=exit_code,
-        memory_root=post_mem_root,
-    )
-    post_root = post_fields.state_root(scheme)
+    post_root = VmFields(pc, regs, exited, exit_code, post_mem_root).state_root(scheme)
     if post_root != claimed_post_root:
         return Verdict(False, "post-root-mismatch", post_root, True)
     return Verdict(True, "", post_root, True)
-
-
-def _witness_old_leaf(witness: StepWitness, base: int) -> bytes | None:
-    for addr, old, _new, _proof in witness.mem_writes:
-        if addr == base:
-            return old
-    return None

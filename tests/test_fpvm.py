@@ -587,6 +587,28 @@ def test_agreement_generator_reaches_every_opcode_and_trap():
     assert seen == set(fpvm.OPCODES) | {None}
 
 
+def test_preimage_fetched_from_the_oracle_key_leaf():
+    """PREIMAGE executed from the oracle-key leaf reads that leaf twice, as
+    fetch and as key; the witness proves it once and verifies."""
+    oracle = PreimageOracle(SCHEME)
+    n = 0
+    while True:  # a key with a word that decodes as PREIMAGE
+        key = oracle.put(struct.pack("<I", n))
+        offsets = [o for o in range(0, 32, 4) if key[o + 3] == fpvm.OPCODES["PREIMAGE"]]
+        if offsets:
+            break
+        n += 1
+    st = boot(encode("LI", rd=9), ORACLE_KEY_BASE + offsets[0], encode("JMP", rs=9))
+    st.memory = fpvm.write_bytes(st.memory, ORACLE_KEY_BASE, key)
+    pre = snapshot_at(st, oracle, 2)
+    post = step(pre, oracle)
+    w = gen_step_witness(pre, oracle)
+    assert [addr for addr, _, _ in w.mem_reads] == [ORACLE_KEY_BASE]
+    verdict = verify_step(state_root(pre), state_root(post), w, preimages=oracle, scheme=SCHEME)
+    assert verdict.accepted, verdict.reason
+    assert verdict.recomputed_post == state_root(post)
+
+
 def test_fault_injection_diverges_persistently():
     rng = random.Random(24)
     program = _random_program(rng, 60)
