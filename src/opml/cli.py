@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import struct
 import sys
@@ -209,9 +210,7 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
     if graph.nodes[node_id].op in ("input", "const"):
         raise ConfigError(f"node {node_id} has no computation to corrupt")
     shapes = graph.infer_shapes()
-    numel = 1
-    for d in shapes[node_id]:
-        numel *= d
+    numel = math.prod(shapes[node_id])
     element = scenario["fault_element"]
     bit = scenario["fault_bit"]
     return ml.GraphFault(

@@ -255,25 +255,6 @@ def emulate_span(
     return current, ""
 
 
-def arbitrate(
-    pre_root: bytes,
-    submitter_post_root: bytes,
-    witness: fpvm.StepWitness,
-    preimages: fpvm.PreimageOracle | None = None,
-    scheme: HashScheme | None = None,
-    supplier: str = CHALLENGER,
-) -> tuple[str, str]:
-    """One-step on-chain arbitration; returns (winner, reason).
-
-    The challenger wins exactly when the re-executed step contradicts the
-    submitter's claimed post root. A witness that fails its own integrity
-    checks loses for its supplier instead.
-    """
-    return arbitrate_span(
-        pre_root, submitter_post_root, [witness], preimages, scheme, supplier
-    )
-
-
 def arbitrate_span(
     pre_root: bytes,
     submitter_end_claim: bytes,
@@ -282,7 +263,12 @@ def arbitrate_span(
     scheme: HashScheme | None = None,
     supplier: str = CHALLENGER,
 ) -> tuple[str, str]:
-    """m-step arbitration: re-execute the span and compare the end root."""
+    """m-step on-chain arbitration; returns (winner, reason).
+
+    The challenger wins exactly when re-executing the span from its
+    witnesses contradicts the submitter's claimed end root. A witness that
+    fails its own integrity checks loses for its supplier instead.
+    """
     scheme = scheme or active_scheme()
     end_root, reason = emulate_span(pre_root, witnesses, preimages, scheme)
     if end_root is None:
@@ -510,6 +496,12 @@ def run_dispute(
     chain.open_dispute(claim.claim_id)
 
     transcript: list[dict] = []
+
+    def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
+        settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
+                       rounds, pinned, slash=settle)
+        return DisputeResult(winner, rounds, pinned, reason, transcript)
+
     n_padded = padded_length(claim.trace_len, k, m)
     session = DisputeSession(i=0, j=n_padded, k_checkpoints=k,
                              deadline_per_move=deadline_per_move)
@@ -518,15 +510,13 @@ def run_dispute(
     challenger_end_claim = challenger.claimed_root(n_padded)
     if challenger_end_claim == claim.final_root:
         # No actual disagreement: the challenge cannot open.
-        return _settle(SUBMITTER, "challenger has no counterclaim", chain, claim,
-                       submitter, challenger, 0, None, transcript, settle)
+        return verdict(SUBMITTER, "challenger has no counterclaim", 0)
 
     outcome = drive_rounds(session, submitter, challenger, claim.initial_root,
                            challenger_end_claim, m, chain, transcript, phase)
     session = outcome.session
     if outcome.forfeit_winner is not None:
-        return _settle(outcome.forfeit_winner, outcome.reason, chain, claim, submitter,
-                       challenger, session.round, None, transcript, settle)
+        return verdict(outcome.forfeit_winner, outcome.reason, session.round)
 
     # Arbitration over [i, i+j]; pinned step indices are 1-based.
     pinned = session.i + 1
@@ -534,27 +524,26 @@ def run_dispute(
     witnesses = challenger.witnesses(session.i, session.j, oracle, arb_round)
     chain.tick(1)
     if witnesses is None:
-        return _settle(SUBMITTER, "challenger missed arbitration", chain, claim,
-                       submitter, challenger, session.round, pinned, transcript, settle)
+        return verdict(SUBMITTER, "challenger missed arbitration", session.round, pinned)
     if submitter._silent(arb_round):
-        return _settle(CHALLENGER, "submitter missed arbitration", chain, claim,
-                       submitter, challenger, session.round, pinned, transcript, settle)
+        return verdict(CHALLENGER, "submitter missed arbitration", session.round, pinned)
     submitter_end = submitter.claimed_root(session.i + session.j)
     if submitter_end == outcome.challenger_end_claim:
         # Posting the value one just disputed concedes the span.
-        return _settle(CHALLENGER, "submitter conceded the disputed span", chain, claim,
-                       submitter, challenger, session.round, pinned, transcript, settle)
+        return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
     winner, why = arbitrate_span(
         outcome.agreed_root, submitter_end, witnesses, preimages=oracle,
         scheme=scheme, supplier=CHALLENGER,
     )
-    return _settle(winner, why, chain, claim, submitter, challenger,
-                   session.round, pinned, transcript, settle)
+    return verdict(winner, why, session.round, pinned)
 
 
-def _settle(winner, reason, chain, claim, submitter, challenger, rounds, pinned,
-            transcript, settle=True):
-    if settle:
+def settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
+                   rounds, pinned_step, pinned_node=None, slash=True) -> None:
+    """Close a game, single- or two-phase: unless it is an inner phase
+    (slash=False), slash the loser's stake to the winner and close the
+    dispute; then log the verdict record."""
+    if slash:
         winner_id = submitter.party_id if winner == SUBMITTER else challenger.party_id
         loser_id = challenger.party_id if winner == SUBMITTER else submitter.party_id
         chain.slash(loser_id, winner_id)
@@ -562,9 +551,8 @@ def _settle(winner, reason, chain, claim, submitter, challenger, rounds, pinned,
         chain.close_dispute(claim.claim_id)
     transcript.append({
         "event": "verdict", "winner": winner, "reason": reason,
-        "pinned_step": pinned, "rounds": rounds,
+        "pinned_node": pinned_node, "pinned_step": pinned_step, "rounds": rounds,
     })
-    return DisputeResult(winner, rounds, pinned, reason, transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,6 @@ class PreimageOracle:
     def __contains__(self, key: bytes) -> bool:
         return key in self._map
 
-    def merge(self, other: "PreimageOracle") -> None:
-        self._map.update(other._map)
-
 
 @dataclass(frozen=True)
 class VmFields:

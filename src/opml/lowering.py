@@ -24,6 +24,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import fpvm, ml
@@ -134,24 +135,17 @@ def _payload_offset(rank: int) -> int:
     return 4 + 4 * rank
 
 
-def _numel(shape) -> int:
-    size = 1
-    for d in shape:
-        size *= d
-    return size
-
-
 def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base):
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
         _emit_matmul(words, operand_bases[0], operand_bases[1], dst_base, r, n, p)
     elif op == "bias_add":
         _emit_bias_add(words, operand_bases[0], operand_bases[1], dst_base,
-                       _numel(operand_shapes[0]), operand_shapes[1][0])
+                       math.prod(operand_shapes[0]), operand_shapes[1][0])
     elif op == "relu":
-        _emit_relu(words, operand_bases[0], dst_base, _numel(operand_shapes[0]))
+        _emit_relu(words, operand_bases[0], dst_base, math.prod(operand_shapes[0]))
     elif op == "argmax":
-        _emit_argmax(words, operand_bases[0], _numel(operand_shapes[0]), dst_base)
+        _emit_argmax(words, operand_bases[0], math.prod(operand_shapes[0]), dst_base)
     else:
         raise LoweringError(f"op {op!r} has no lowering")
 
@@ -265,7 +259,7 @@ def _region_numel(shape_bytes: bytes, rank: int) -> int:
     import struct
 
     dims = struct.unpack_from(f"<{rank}I", shape_bytes, 4)
-    return _numel(dims)
+    return math.prod(dims)
 
 
 def execute_via_vm(
@@ -343,7 +337,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
         if node.op in ("input", "const"):
             continue
         heap_offsets[node.id] = off
-        off += 32 * -(-(4 * _numel(shapes[node.id])) // 32)
+        off += 32 * -(-(4 * math.prod(shapes[node.id])) // 32)
 
     def payload_base(node_id: int) -> int:
         node = graph.nodes[node_id]
@@ -371,7 +365,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
     _emit_header(words, OUTPUT_BASE, out_shape)
     src = HEAP_BASE + heap_offsets[graph.output_id]
     dst = OUTPUT_BASE + _payload_offset(len(out_shape))
-    for e in range(_numel(out_shape)):
+    for e in range(math.prod(out_shape)):
         _li(words, 1, src + 4 * e)
         words.append(encode("LW", rd=2, rs=1, imm=0))
         _li(words, 1, dst + 4 * e)
@@ -393,7 +387,7 @@ def graph_fault_to_step_fault(
     wrong tensor as the natively corrupted graph run.
     """
     shapes = graph.infer_shapes()
-    numel = _numel(shapes[fault.node_id])
+    numel = math.prod(shapes[fault.node_id])
     element = fault.element % numel
     addr = HEAP_BASE + lowered.heap_offsets[fault.node_id] + 4 * element
     step_no = fpvm.find_store_step(honest_trace, addr)

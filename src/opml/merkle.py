@@ -137,21 +137,6 @@ class MemTree:
                 f"index {index} not aligned to subtree level {subtree_level}"
             )
 
-    def leaves(self) -> dict[int, bytes]:
-        """All explicitly stored (nonzero) leaves; mainly for inspection."""
-        out: dict[int, bytes] = {}
-        stack = [(self._root, TREE_DEPTH, 0)]
-        while stack:
-            node, level, index = stack.pop()
-            if node is None:
-                continue
-            if level == 0:
-                out[index] = node
-                continue
-            stack.append((node.left, level - 1, index))
-            stack.append((node.right, level - 1, index | (1 << (level - 1))))
-        return out
-
 
 @dataclass(frozen=True)
 class MerkleProof:

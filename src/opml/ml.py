@@ -14,6 +14,7 @@ coarse-grained dispute game bisects over.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -74,12 +75,6 @@ class FixedTensor:
             if not INT32_MIN <= v <= INT32_MAX:
                 raise QuantizationRangeError(f"raw value {v} outside int32")
 
-    def at(self, *idx: int) -> int:
-        flat = 0
-        for dim, i in zip(self.shape, idx):
-            flat = flat * dim + i
-        return self.data[flat]
-
 
 def _flatten(values) -> tuple[tuple[int, ...], list]:
     if not isinstance(values, (list, tuple)):
@@ -97,8 +92,6 @@ def _flatten(values) -> tuple[tuple[int, ...], list]:
 
 
 def _round_half_away(x: float) -> int:
-    import math
-
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
 
 
@@ -200,9 +193,7 @@ def deserialize_tensor(data: bytes, offset: int = 0, frac: int = FRAC) -> tuple[
         raise ModelParseError(offset, "truncated tensor dims")
     shape = struct.unpack_from(f"<{rank}I", data, offset)
     offset += 4 * rank
-    size = 1
-    for d in shape:
-        size *= d
+    size = math.prod(shape)
     if len(data) - offset < 4 * size:
         raise ModelParseError(offset, "truncated tensor data")
     values = struct.unpack_from(f"<{size}i", data, offset)

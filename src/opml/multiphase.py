@@ -15,6 +15,7 @@ they never trust structure supplied by the counterparty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import dispute, fpvm, lowering, merkle, ml
@@ -24,7 +25,6 @@ from .dispute import (
     ChainSim,
     Claim,
     DisputeSession,
-    interaction_count_bound,  # noqa: F401  (part of this module's surface)
     padded_length,
 )
 from .hashing import HashScheme, active_scheme
@@ -100,19 +100,12 @@ def node_program_root(
     key = (op, operand_shapes, scheme.name)
     if key not in _program_root_cache:
         dummies = [
-            ml.FixedTensor(shape, (0,) * _numel(shape)) for shape in operand_shapes
+            ml.FixedTensor(shape, (0,) * math.prod(shape)) for shape in operand_shapes
         ]
         node = ml.GraphNode(len(dummies), op, tuple(range(len(dummies))))
         lowered = lowering.lower_node(node, dummies, scheme)
         _program_root_cache[key] = lowered.program_root(scheme)
     return _program_root_cache[key]
-
-
-def _numel(shape) -> int:
-    size = 1
-    for d in shape:
-        size *= d
-    return size
 
 
 def operand_keys_blob(keys: list[bytes]) -> bytes:
@@ -355,14 +348,20 @@ def run_two_phase_dispute(
     chain.open_dispute(claim.claim_id)
     transcript: list[dict] = []
 
+    def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
+                pinned_node: int | None = None, pinned_step: int | None = None) -> TwoPhaseResult:
+        dispute.settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
+                               p1_rounds + p2_rounds, pinned_step, pinned_node)
+        return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step,
+                              reason, transcript)
+
     sub_actor = GraphCommitActor(submitter.party_id, submitter.run, submitter.strategy, scheme)
     chal_actor = GraphCommitActor(challenger.party_id, challenger.run, challenger.strategy, scheme)
 
     n_padded = padded_length(n_nodes, cfg.k_phase1, 1)
     challenger_end = chal_actor.claimed_root(n_padded)
     if challenger_end == claim.final_root:
-        return _finish(SUBMITTER, "challenger has no counterclaim", 0, 0, None, None,
-                       chain, claim, submitter, challenger, transcript)
+        return verdict(SUBMITTER, "challenger has no counterclaim")
 
     session = DisputeSession(i=0, j=n_padded, k_checkpoints=cfg.k_phase1,
                              deadline_per_move=cfg.deadline_per_move)
@@ -370,21 +369,20 @@ def run_two_phase_dispute(
                                    challenger_end, 1, chain, transcript, phase=1)
     phase1_rounds = outcome.session.round
     if outcome.forfeit_winner is not None:
-        return _finish(outcome.forfeit_winner, outcome.reason, phase1_rounds, 0, None, None,
-                       chain, claim, submitter, challenger, transcript)
+        return verdict(outcome.forfeit_winner, outcome.reason, phase1_rounds)
 
     pinned_node = outcome.session.i
 
     # Entrance: the submitter supplies the descent evidence.
     m0, oracle, bundle, lowered = build_entrance_state(submitter.run, pinned_node, scheme)
     if bundle.s_prev_root != outcome.agreed_root:
-        return _finish(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
-                       0, pinned_node, None, chain, claim, submitter, challenger, transcript)
+        return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
+                       0, pinned_node)
     ok, why = entrance_check(bundle, graph, scheme)
     transcript.append({"phase": "transition", "check": "entrance", "accepted": ok, "reason": why})
     if not ok:
-        return _finish(CHALLENGER, f"entrance check failed: {why}", phase1_rounds, 0,
-                       pinned_node, None, chain, claim, submitter, challenger, transcript)
+        return verdict(CHALLENGER, f"entrance check failed: {why}", phase1_rounds, 0,
+                       pinned_node)
 
     honest_trace = fpvm.run_trace(m0, oracle, max_steps=2_000_000)
     sub_trace = _phase2_trace(submitter, m0, oracle, pinned_node, honest_trace)
@@ -419,21 +417,4 @@ def run_two_phase_dispute(
         winner = CHALLENGER if winner == SUBMITTER else SUBMITTER
         reason = f"exit check failed for the phase-2 winner: {why}"
 
-    return _finish(winner, reason, phase1_rounds, inner.rounds, pinned_node,
-                   inner.pinned_step, chain, claim, submitter, challenger, transcript)
-
-
-def _finish(winner, reason, p1_rounds, p2_rounds, pinned_node, pinned_step,
-            chain, claim, submitter, challenger, transcript):
-    winner_id = submitter.party_id if winner == SUBMITTER else challenger.party_id
-    loser_id = challenger.party_id if winner == SUBMITTER else submitter.party_id
-    chain.slash(loser_id, winner_id)
-    chain.release(winner_id)
-    chain.close_dispute(claim.claim_id)
-    transcript.append({
-        "event": "verdict", "winner": winner, "reason": reason,
-        "pinned_node": pinned_node, "pinned_step": pinned_step,
-        "rounds": p1_rounds + p2_rounds,
-    })
-    return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step,
-                          reason, transcript)
+    return verdict(winner, reason, phase1_rounds, inner.rounds, pinned_node, inner.pinned_step)

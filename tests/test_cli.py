@@ -94,6 +94,22 @@ def test_dispute_single_fault_step(capsys, model_files, tmp_path):
     assert rounds == n
 
 
+@pytest.mark.parametrize("protocol, fault", [("single", "--fault-step"), ("two-phase", "--fault-node")])
+def test_dispute_verdict_record_has_the_documented_keys(capsys, model_files, tmp_path, protocol, fault):
+    model, inp, _, _ = model_files
+    transcript = tmp_path / "t.jsonl"
+    code, out, _ = run_cli(
+        capsys, "dispute", "--model", model, "--input", inp, "--protocol", protocol,
+        fault, "2", "--seed", "7", "--transcript", str(transcript),
+    )
+    assert code == 0
+    verdict = json.loads(transcript.read_text().splitlines()[-1])
+    assert list(verdict) == ["event", "winner", "reason", "pinned_node", "pinned_step", "rounds"]
+    shown = {key: "-" if verdict[key] is None else verdict[key] for key in ("pinned_node", "pinned_step")}
+    assert out == (f"winner={verdict['winner']} rounds={verdict['rounds']} "
+                   f"pinned_node={shown['pinned_node']} pinned_step={shown['pinned_step']}\n")
+
+
 def test_dispute_round_count_matches_log(capsys, model_files):
     model, inp, _, _ = model_files
     code, out, _ = run_cli(

@@ -247,15 +247,15 @@ def test_arbitrate_direct():
     trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     k = 6
     w = fpvm.gen_step_witness(trace.states[k])
-    winner, _ = dispute.arbitrate(trace.roots[k], trace.roots[k + 1], w, scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.roots[k], trace.roots[k + 1], [w], scheme=SCHEME)
     assert winner == "submitter"
     bad = bytearray(trace.roots[k + 1])
     bad[3] ^= 1
-    winner, _ = dispute.arbitrate(trace.roots[k], bytes(bad), w, scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.roots[k], bytes(bad), [w], scheme=SCHEME)
     assert winner == "challenger"
     # malformed witness loses for its author (the challenger here)
     broken = fpvm.StepWitness(trace.states[k].fields(), [], [], None)
-    winner, reason = dispute.arbitrate(trace.roots[k], trace.roots[k + 1], broken, scheme=SCHEME)
+    winner, reason = dispute.arbitrate_span(trace.roots[k], trace.roots[k + 1], [broken], scheme=SCHEME)
     assert winner == "submitter" and "invalid witness" in reason
 
 

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 from opml import dispute, fpvm, lowering, ml, multiphase
-from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor
+from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
 from opml.hashing import get_scheme
 from opml.multiphase import (
     EntranceBundle,
@@ -16,7 +16,6 @@ from opml.multiphase import (
     build_exit_bundle,
     entrance_check,
     exit_check,
-    interaction_count_bound,
     make_party,
     phase1_commitments,
     run_two_phase_dispute,
