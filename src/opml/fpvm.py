@@ -289,12 +289,12 @@ def _set_reg(regs: tuple[int, ...], idx: int, value: int) -> tuple[int, ...]:
     return regs[:idx] + (wrap32(value),) + regs[idx + 1 :]
 
 
-def _word(mem, addr: int, miss: str) -> int:
+def _word(mem: _TreeMemory | _WitnessMemory, addr: int, miss: str) -> int:
     return struct.unpack_from("<I", mem.read_leaf(addr & ~31, miss), addr & 31)[0]
 
 
 def _execute(
-    pc: int, regs: tuple[int, ...], mem
+    pc: int, regs: tuple[int, ...], mem: _TreeMemory | _WitnessMemory
 ) -> tuple[int, tuple[int, ...], bool, int]:
     """The step semantics: (pc, regs, exited, exit_code) after the
     instruction at `pc`, touching memory only through the view `mem`.
@@ -563,7 +563,7 @@ def find_store_step(trace: Trace, addr: int) -> int:
         pre = trace.states[s - 1]
         if pre.exited or pre.pc % 4 != 0:
             continue
-        instr = decode(_word(_TreeMemory(pre.memory, None), pre.pc, "missing-fetch-leaf"))
+        instr = decode(struct.unpack_from("<I", pre.memory.get_leaf(pre.pc >> 5), pre.pc & 31)[0])
         if instr is None or instr.op != "SW":
             continue
         if wrap32(pre.regs[instr.rs] + instr.imm) == addr:
