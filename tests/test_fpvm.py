@@ -403,6 +403,11 @@ def _keep(w, pre):
     return w
 
 
+def _writes_unchanged_fetch_leaf(w, pre):
+    base, leaf, proof = _leaf_record(pre, 0)
+    return replace(w, mem_writes=[(base, leaf, leaf, proof)])
+
+
 REJECT_TABLE = [
     pytest.param("bad-register-file", "add", _fields(regs=(1,) + (0,) * 15), {}, id="r0-nonzero"),
     pytest.param("pre-fields-mismatch", "add", _fields(pc=4), {}, id="pc-changed"),
@@ -413,9 +418,7 @@ REJECT_TABLE = [
     pytest.param("witness-not-minimal", "add",
                  lambda w, pre: replace(w, preimage_chunk=fpvm.PreimageChunk(bytes(32), 0, bytes(32))), {},
                  id="chunk-without-preimage"),
-    pytest.param("witness-not-minimal", "add",
-                 lambda w, pre: replace(w, mem_writes=[_leaf_record(pre, 0)[:2] + _leaf_record(pre, 0)[1:]]), {},
-                 id="write-without-store"),
+    pytest.param("witness-not-minimal", "add", _writes_unchanged_fetch_leaf, {}, id="write-without-store"),
     pytest.param("bad-read-record", "add", _reads(lambda r, pre: [(4,) + r[0][1:]]), {}, id="unaligned-addr"),
     pytest.param("read-proof-wrong-slot", "add",
                  _reads(lambda r, pre: [(0, r[0][1], replace(r[0][2], leaf_index=1))]), {}, id="proof-index"),
