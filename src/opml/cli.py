@@ -22,7 +22,7 @@ import os
 import struct
 import sys
 
-from . import dispute, economics, fpvm, hashing, lowering, ml, multiphase, rng
+from . import dispute, economics, fpvm, hashing, lowering, merkle, ml, multiphase, rng
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,7 +53,7 @@ def _read_file(path: str) -> bytes:
 def _load_model(path: str) -> ml.CompGraph:
     try:
         return ml.load_model_bytes(_read_file(path))
-    except ml.ModelParseError as exc:
+    except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
 
 
@@ -61,7 +61,7 @@ def _load_tensor(path: str) -> ml.FixedTensor:
     data = _read_file(path)
     try:
         tensor, offset = ml.deserialize_tensor(data)
-    except ml.ModelParseError as exc:
+    except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
     if offset != len(data):
         raise IoError(f"{path}: trailing bytes after tensor")
@@ -70,8 +70,12 @@ def _load_tensor(path: str) -> ml.FixedTensor:
 
 def read_config(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and #-comments ignored."""
+    try:
+        text = _read_file(path).decode()
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_file(path).decode().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -94,7 +98,10 @@ def cmd_run(args) -> int:
 
     native, commitments = ml.execute_native(graph, input_tensor, scheme)
     lowered = lowering.lower_graph(graph)
-    state0 = lowered.initial_state(input_tensor, scheme)
+    try:
+        state0 = lowered.initial_state(input_tensor, scheme)
+    except merkle.RangeError as exc:
+        raise IoError(f"{args.model}: {exc}") from exc
     trace = fpvm.run_trace(state0, None, max_steps=args.max_steps)
     vm_out = lowering.read_output_tensor(trace.states[-1])
     if vm_out != native:
@@ -107,14 +114,14 @@ def cmd_run(args) -> int:
     if args.dump_trace:
         with open(args.dump_trace, "w") as fh:
             for i, state in enumerate(trace.states):
-                fh.write(f"{i}, {state.pc:#010x}, {trace.roots[i].hex()}\n")
+                fh.write(f"{i}, {state.pc:#010x}, {trace.root_at(i).hex()}\n")
 
     print(f"hash={scheme.name}")
     print(f"input_digest={scheme.digest(ml.serialize_tensor(input_tensor)).hex()}")
     print(f"output_digest={scheme.digest(ml.serialize_tensor(native)).hex()}")
     print(f"output_region_root={ml.tensor_region_root(native, scheme).hex()}")
     print(f"trace_len={len(trace)}")
-    print(f"final_state_root={trace.roots[-1].hex()}")
+    print(f"final_state_root={trace.root_at(len(trace)).hex()}")
     print(f"graph_commitment={commitments[-1].hex()}")
     return EXIT_OK
 
@@ -265,7 +272,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         witness_source = submitter.trace if not faulty_submitter else challenger.trace
 
     claim = dispute.Claim(
-        initial_root=submitter.trace.roots[0],
+        initial_root=submitter.trace.root_at(0),
         final_root=submitter.claimed_root(
             dispute.padded_length(len(submitter.trace), scenario["k"], scenario["m"])
         ),
@@ -329,16 +336,20 @@ def cmd_dispute(args) -> int:
         "k": scenario["k"],
         "m": scenario["m"],
     }]
+    try:
+        if scenario["protocol"] == "single":
+            result = _run_single(scenario, scheme, records)
+        else:
+            result = _run_two_phase(scenario, scheme, records)
+    except merkle.RangeError as exc:  # a program or image too large for its region
+        raise IoError(str(exc)) from exc
     if scenario["protocol"] == "single":
-        result = _run_single(scenario, scheme, records)
         pinned_node = "-"
-        pinned_step = result.pinned_step if result.pinned_step is not None else "-"
         rounds = result.rounds
     else:
-        result = _run_two_phase(scenario, scheme, records)
         pinned_node = result.pinned_node if result.pinned_node is not None else "-"
-        pinned_step = result.pinned_step if result.pinned_step is not None else "-"
         rounds = result.phase1_rounds + result.phase2_rounds
+    pinned_step = result.pinned_step if result.pinned_step is not None else "-"
     if scenario["transcript"]:
         with open(scenario["transcript"], "w") as fh:
             for record in records:

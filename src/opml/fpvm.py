@@ -34,6 +34,7 @@ verifier execute the same instruction by construction.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -126,7 +127,7 @@ def encode(op: str, rd: int = 0, rs: int = 0, rt: int = 0, imm: int = 0) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     op: str
     rd: int
@@ -135,8 +136,12 @@ class Instruction:
     imm: int
 
 
+@functools.lru_cache(maxsize=1024)
 def decode(word: int) -> Instruction | None:
-    """Decode a word; None for unknown opcodes (the step logic traps)."""
+    """Decode a word; None for unknown opcodes (the step logic traps).
+
+    Memoised by word: decoding is pure and an Instruction is immutable, so a
+    cached result is safe even when a program rewrites its own code."""
     op = OPNAMES.get((word >> 24) & 0xFF)
     if op is None:
         return None
@@ -263,13 +268,25 @@ def load_program(
     model_blob: bytes = b"",
     scheme: HashScheme | None = None,
 ) -> VmState:
-    """Fresh machine with code, input and model images in their regions."""
+    """Fresh machine with code, input and model images in their regions.
+
+    Each image is built bottom-up as its region's subtree and spliced in;
+    the memory equals writing the images leaf by leaf with `write_bytes`.
+    Raises merkle.RangeError, before hashing anything, when an image does
+    not fit its region.
+    """
+    regions = (
+        (PROGRAM_BASE, PROGRAM_LEVEL, program),
+        (INPUT_BASE, INPUT_LEVEL, input_blob),
+        (MODEL_BASE, MODEL_LEVEL, model_blob),
+    )
+    for base, level, image in regions:
+        if len(image) > 32 << level:
+            raise merkle.RangeError(f"{len(image)}-byte image exceeds the region at {base:#x}")
     tree = merkle.MemTree(scheme)
-    tree = write_bytes(tree, PROGRAM_BASE, program)
-    if input_blob:
-        tree = write_bytes(tree, INPUT_BASE, input_blob)
-    if model_blob:
-        tree = write_bytes(tree, MODEL_BASE, model_blob)
+    for base, level, image in regions:
+        subtree, _ = merkle.build_region(image, level, tree.scheme)
+        tree = tree.splice(base // 32, level, subtree)
     return VmState(pc=0, regs=(0,) * 16, memory=tree)
 
 
@@ -468,6 +485,8 @@ class _WitnessMemory:
     def _old_leaf(self, base: int) -> bytes:
         for addr, old, _new, _proof in self.witness.mem_writes:
             if addr == base:
+                if len(old) != 32:
+                    raise _Rejected("write-record-wrong-slot")
                 return old
         raise _Rejected("missing-write-record")
 
@@ -533,23 +552,26 @@ class Trace:
     """A full execution trace: states[i] is the machine after i steps.
 
     States share memory structurally, so holding a few thousand of them is
-    cheap. `roots` is the per-index state-root sequence the dispute game
-    bisects over.
+    cheap. State roots are hashed only when asked for: a dispute game opens
+    a handful of the indices it bisects over, and `opml run` only the last.
     """
 
     def __init__(self, states: list[VmState], scheme: HashScheme):
         self.states = states
         self.scheme = scheme
-        self.roots = [state_root(s) for s in states]
+        self._roots: dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.states) - 1
 
     def root_at(self, index: int) -> bytes:
-        """Root at `index`, extending past HALT by the exit fixpoint."""
-        if index < len(self.roots):
-            return self.roots[index]
-        return self.roots[-1]
+        """Root at `index`, extending past HALT by the exit fixpoint;
+        hashed on first request and memoised."""
+        index = min(index, len(self.states) - 1)
+        root = self._roots.get(index)
+        if root is None:
+            root = self._roots[index] = state_root(self.states[index])
+        return root
 
     def state_at(self, index: int) -> VmState:
         if index < len(self.states):
@@ -730,7 +752,8 @@ def verify_step(
     """
     scheme = scheme or active_scheme()
     f = witness.pre_fields
-    if len(f.regs) != 16 or f.regs[0] != 0:
+    if (len(f.regs) != 16 or f.regs[0] != 0 or not 0 <= f.pc <= MASK32
+            or not all(0 <= r <= MASK32 for r in f.regs) or not 0 <= f.exit_code <= 0xFF):
         return _reject("bad-register-file")
     if f.state_root(scheme) != pre_root:
         return _reject("pre-fields-mismatch")
@@ -775,7 +798,7 @@ def verify_step(
             return _reject("missing-write-record")
         addr, old, new, proof = witness.mem_writes[0]
         base, computed_new = mem.write
-        if addr != base or len(old) != 32 or len(new) != 32:
+        if addr != base or len(new) != 32:  # the old leaf was checked at the write
             return _reject("write-record-wrong-slot")
         if proof.leaf_index != base // 32 or proof.subtree_level != 0:
             return _reject("write-proof-wrong-slot")

@@ -6,8 +6,11 @@ leaves read as all zeros, and all-zero subtrees collapse to memoized digests,
 so a tree touching a few pages stays small.
 
 Updates are persistent: `update_leaf` rebuilds the 27-node path and shares
-everything else, so any snapshot can be kept and hashed in O(1) while a
-successor version evolves. That is what makes per-step state roots cheap.
+everything else, so any snapshot can be kept in O(1) while a successor
+version evolves, and its root read later without rehashing. A whole image is
+loaded bottom-up: `build_region` hashes each leaf and each internal node of a
+region once, and `MemTree.splice` hangs that subtree in at its aligned place
+with one path of hashes.
 """
 
 from __future__ import annotations
@@ -75,18 +78,24 @@ class MemTree:
             raise RangeError(f"leaf index {index} out of range")
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
-        new_root = self._set(self._root, TREE_DEPTH, index, leaf)
+        new_root = self._set(self._root, TREE_DEPTH, index, None if leaf == ZERO_LEAF else leaf, 0)
         return MemTree(self.scheme, new_root)
 
-    def _set(self, node, level: int, index: int, leaf: bytes):
-        if level == 0:
-            return None if leaf == ZERO_LEAF else leaf
+    def splice(self, index: int, level: int, subtree) -> "MemTree":
+        """Return a new tree with the region of 2**level leaves at `index`
+        replaced by `subtree` (from `build_region`); self is unchanged."""
+        self._check_aligned(index, level)
+        return MemTree(self.scheme, self._set(self._root, TREE_DEPTH, index, subtree, level))
+
+    def _set(self, node, level: int, index: int, subtree, stop: int):
+        if level == stop:
+            return subtree
         left = node.left if node is not None else None
         right = node.right if node is not None else None
         if (index >> (level - 1)) & 1:
-            right = self._set(right, level - 1, index, leaf)
+            right = self._set(right, level - 1, index, subtree, stop)
         else:
-            left = self._set(left, level - 1, index, leaf)
+            left = self._set(left, level - 1, index, subtree, stop)
         if left is None and right is None:
             return None
         digest = self.scheme.node_hash(
@@ -201,32 +210,58 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
     return acc
 
 
-def region_root(data: bytes, region_level: int, scheme: HashScheme | None = None) -> bytes:
-    """Digest of a 2**region_level-leaf region holding `data` left-aligned, zero padded.
+def build_region(data: bytes, region_level: int, scheme: HashScheme | None = None):
+    """(subtree, digest) of a 2**region_level-leaf region holding `data`
+    left-aligned and zero padded, built bottom-up.
 
-    Equivalent to writing `data` from the region base into an empty tree and
-    asking for that region's subtree root, but computed directly.
+    Each leaf and each internal node is hashed once; all-zero subtrees stay
+    None, as in a tree built by `update_leaf`. Raises RangeError before
+    hashing anything when `data` does not fit the region.
     """
     scheme = scheme or active_scheme()
     if len(data) > 32 << region_level:
         raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
-    if not data:
-        return scheme.zero_hashes[region_level]
-    padded = data + b"\x00" * (-len(data) % 32)
-    level_digests = [
-        scheme.leaf_hash(padded[i : i + 32]) for i in range(0, len(padded), 32)
-    ]
+    zeros = scheme.zero_hashes
+    nodes: list = []
+    digests: list[bytes] = []
+    for i in range(0, len(data), 32):
+        leaf = data[i : i + 32]
+        if len(leaf) < 32:
+            leaf += b"\x00" * (32 - len(leaf))
+        if leaf == ZERO_LEAF:
+            nodes.append(None)
+            digests.append(zeros[0])
+        else:
+            nodes.append(leaf)
+            digests.append(scheme.leaf_hash(leaf))
+    if not nodes:
+        return None, zeros[region_level]
     for level in range(region_level):
-        if len(level_digests) == 1 and level_digests[0] == scheme.zero_hashes[level]:
-            level_digests = [scheme.zero_hashes[level + 1]]
-            continue
-        if len(level_digests) % 2:
-            level_digests.append(scheme.zero_hashes[level])
-        level_digests = [
-            scheme.node_hash(level_digests[i], level_digests[i + 1])
-            for i in range(0, len(level_digests), 2)
-        ]
-    return level_digests[0]
+        if len(nodes) % 2:
+            nodes.append(None)
+            digests.append(zeros[level])
+        parents: list = []
+        parent_digests: list[bytes] = []
+        for i in range(0, len(nodes), 2):
+            left, right = nodes[i], nodes[i + 1]
+            if left is None and right is None:
+                parents.append(None)
+                parent_digests.append(zeros[level + 1])
+            else:
+                digest = scheme.node_hash(digests[i], digests[i + 1])
+                parents.append(_Node(digest, left, right))
+                parent_digests.append(digest)
+        nodes, digests = parents, parent_digests
+    return nodes[0], digests[0]
+
+
+def region_root(data: bytes, region_level: int, scheme: HashScheme | None = None) -> bytes:
+    """Digest of a 2**region_level-leaf region holding `data` left-aligned, zero padded.
+
+    Equivalent to writing `data` from the region base into an empty tree and
+    asking for that region's subtree root.
+    """
+    return build_region(data, region_level, scheme)[1]
 
 
 def root_from_regions(

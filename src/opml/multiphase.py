@@ -391,7 +391,7 @@ def run_two_phase_dispute(
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)
     inner_claim = Claim(
-        initial_root=fpvm.state_root(m0),
+        initial_root=sub_trace.root_at(0),
         final_root=sub_trace.root_at(padded_length(len(sub_trace), cfg.k_phase2, cfg.m)),
         trace_len=len(sub_trace),
         submitter_id=submitter.party_id,

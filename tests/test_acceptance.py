@@ -52,7 +52,7 @@ def _single_phase_game(rng):
     submitter = build_trace_actor("sub", state0, adversary if faulty_submitter else honest)
     challenger = build_trace_actor("chal", state0, honest if faulty_submitter else adversary)
     claim = Claim(
-        initial_root=submitter.trace.roots[0],
+        initial_root=submitter.trace.root_at(0),
         # the posted claim is whatever the submitter asserts, junk included
         final_root=submitter.claimed_root(dispute.padded_length(n, k, m)),
         trace_len=len(submitter.trace),
@@ -172,13 +172,13 @@ def test_criterion_3_one_step_arbitration():
         witness = fpvm.gen_step_witness(trace.states[k], orc)
         blob = witness.to_bytes()
         max_witness = max(max_witness, len(blob))
-        verdict = fpvm.verify_step(trace.roots[k], trace.roots[k + 1], witness,
+        verdict = fpvm.verify_step(trace.root_at(k), trace.root_at(k + 1), witness,
                                    preimages=orc, scheme=SCHEME)
         assert verdict.accepted, (trial, verdict.reason)
         checked += 1
 
         # one random single-bit mutation of the full proof bundle
-        bundle = bytearray(trace.roots[k] + trace.roots[k + 1] + blob)
+        bundle = bytearray(trace.root_at(k) + trace.root_at(k + 1) + blob)
         bundle[rng.randrange(len(bundle))] ^= 1 << rng.randrange(8)
         pre = bytes(bundle[:32])
         post = bytes(bundle[32:64])
@@ -215,7 +215,7 @@ def test_criterion_3_one_step_arbitration():
         trace = traces[0]
         w = fpvm.gen_step_witness(trace.states[0], None)
         calls["n"] = 0
-        assert fpvm.verify_step(trace.roots[0], trace.roots[1], w, scheme=SCHEME).accepted
+        assert fpvm.verify_step(trace.root_at(0), trace.root_at(1), w, scheme=SCHEME).accepted
         assert calls["n"] == 0, "verify_step touched the memory tree"
     finally:
         merkle.MemTree.root, merkle.MemTree.update_leaf, merkle.MemTree.prove = originals

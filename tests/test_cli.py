@@ -3,10 +3,11 @@ reproducibility."""
 
 import json
 import math
+import struct
 
 import pytest
 
-from opml import ml
+from opml import fpvm, ml
 from opml.cli import main, read_witness_bundle
 
 from fixtures import build_mlp, rand_tensor
@@ -67,11 +68,41 @@ def test_run_dump_trace(capsys, model_files, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--model", model, "--input", inp,
                            "--dump-trace", str(trace_path))
     assert code == 0
-    lines = trace_path.read_text().splitlines()
+    lines = [line.split(", ") for line in trace_path.read_text().splitlines()]
     n = int(out.split("trace_len=")[1].split()[0])
-    assert len(lines) == n + 1
-    step, pc, root = lines[0].split(", ")
-    assert step == "0" and pc.startswith("0x") and len(root) == 64
+    assert [int(step) for step, _, _ in lines] == list(range(n + 1))
+    assert all(pc.startswith("0x") and len(root) == 64 for _, pc, root in lines)
+    assert lines[-1][2] == out.split("final_state_root=")[1].split()[0]
+
+
+def test_run_zero_dimension_tensor_exits_3(capsys, model_files, tmp_path):
+    model, _, _, _ = model_files
+    bad = tmp_path / "zero.tensor"
+    bad.write_bytes(struct.pack("<III", 2, 1, 0))  # rank 2, shape (1, 0), no data
+    code, _, err = run_cli(capsys, "run", "--model", model, "--input", str(bad))
+    assert code == 3
+    assert err.startswith("error:") and "bad dimension 0" in err
+
+
+def test_dispute_config_not_utf8_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe k=1\n")
+    code, _, err = run_cli(capsys, "dispute", "--config", str(cfg))
+    assert code == 3
+    assert err.startswith("error:") and str(cfg) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["dispute", "--protocol", "single", "--fault-step", "2"],
+    ["dispute", "--protocol", "two-phase", "--fault-node", "2"],
+], ids=["run", "single", "two-phase"])
+def test_program_too_large_for_its_region_exits_3(capsys, model_files, monkeypatch, argv):
+    model, inp, _, _ = model_files
+    monkeypatch.setattr(fpvm, "PROGRAM_LEVEL", 2)  # a 128-byte program region
+    code, _, err = run_cli(capsys, *argv, "--model", model, "--input", inp)
+    assert code == 3
+    assert err.startswith("error:") and "exceed" in err
 
 
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):

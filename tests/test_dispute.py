@@ -110,7 +110,7 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     submitter = build_trace_actor("alice", state0, sub_strategy)
     challenger = build_trace_actor("bob", state0, chal_strategy)
     claim = Claim(
-        initial_root=submitter.trace.roots[0],
+        initial_root=submitter.trace.root_at(0),
         final_root=submitter.claimed_root(padded_length(n, k, m)),
         trace_len=len(submitter.trace),
         submitter_id="alice",
@@ -232,7 +232,7 @@ def test_unstaked_party_cannot_play():
     state0 = fpvm.load_program(program, scheme=SCHEME)
     submitter = build_trace_actor("alice", state0, ActorStrategy(kind="honest"))
     challenger = build_trace_actor("bob", state0, ActorStrategy(kind="fault", fault_step=2))
-    claim = Claim(submitter.trace.roots[0], submitter.trace.roots[-1],
+    claim = Claim(submitter.trace.root_at(0), submitter.trace.root_at(len(submitter.trace)),
                   len(submitter.trace), "alice", 100)
     chain = ChainSim()
     chain.deposit("alice", 100)
@@ -247,15 +247,15 @@ def test_arbitrate_direct():
     trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     k = 6
     w = fpvm.gen_step_witness(trace.states[k])
-    winner, _ = dispute.arbitrate_span(trace.roots[k], trace.roots[k + 1], [w], scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [w], scheme=SCHEME)
     assert winner == "submitter"
-    bad = bytearray(trace.roots[k + 1])
+    bad = bytearray(trace.root_at(k + 1))
     bad[3] ^= 1
-    winner, _ = dispute.arbitrate_span(trace.roots[k], bytes(bad), [w], scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.root_at(k), bytes(bad), [w], scheme=SCHEME)
     assert winner == "challenger"
     # malformed witness loses for its author (the challenger here)
     broken = fpvm.StepWitness(trace.states[k].fields(), [], [], None)
-    winner, reason = dispute.arbitrate_span(trace.roots[k], trace.roots[k + 1], [broken], scheme=SCHEME)
+    winner, reason = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [broken], scheme=SCHEME)
     assert winner == "submitter" and "invalid witness" in reason
 
 

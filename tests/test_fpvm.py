@@ -1,5 +1,6 @@
 """MiniVM semantics, determinism, witnesses and the one-step verifier."""
 
+import hashlib
 import random
 import struct
 from dataclasses import replace
@@ -26,7 +27,7 @@ from opml.fpvm import (
     step,
     verify_step,
 )
-from opml.hashing import get_scheme
+from opml.hashing import VM_STATE_PREFIX, ZERO_LEAF, HashScheme, get_scheme, scheme_names
 
 SCHEME = get_scheme("sha256")
 
@@ -235,6 +236,32 @@ def test_snapshot_matches_folding():
         assert state_root(snap) == trace.root_at(min(k, len(trace)))
 
 
+def _counting_scheme() -> tuple[HashScheme, list[bytes]]:
+    """A sha256 scheme that logs every hash input made after its zero-hash
+    table is built."""
+    calls: list[bytes] = []
+    scheme = HashScheme("sha256", lambda data: calls.append(data) or hashlib.sha256(data).digest())
+    calls.clear()
+    return scheme, calls
+
+
+def _state_hashes(calls: list[bytes]) -> int:
+    # Node inputs are 64 bytes and may start with any byte; state inputs are not.
+    return sum(1 for data in calls if len(data) != 64 and data[:1] == VM_STATE_PREFIX)
+
+
+def test_trace_roots_are_hashed_on_demand():
+    scheme, calls = _counting_scheme()
+    trace = run_trace(load_program(_random_program(random.Random(25), 50), scheme=scheme), max_steps=1000)
+    assert _state_hashes(calls) == 0  # run_trace itself hashes no state root
+    for i in range(len(trace.states)):
+        assert trace.root_at(i) == state_root(trace.states[i])
+    assert trace.root_at(len(trace) + 5) == trace.root_at(len(trace)) == state_root(trace.states[-1])
+    state_hashes = _state_hashes(calls)
+    assert trace.root_at(3) == state_root(trace.states[3])
+    assert _state_hashes(calls) == state_hashes + 1  # only the direct state_root call
+
+
 def _random_program(rng: random.Random, n_steps: int) -> bytes:
     """Straight-line program with exactly n_steps steps (incl. HALT)."""
     from opml.dispute import synthetic_program
@@ -285,9 +312,9 @@ def test_verify_step_fuzz_against_vm():
         for k in rng.sample(range(len(trace)), min(8, len(trace))):
             pre = trace.states[k]
             w = gen_step_witness(pre)
-            verdict = verify_step(trace.roots[k], trace.roots[k + 1], w, scheme=SCHEME)
+            verdict = verify_step(trace.root_at(k), trace.root_at(k + 1), w, scheme=SCHEME)
             assert verdict.accepted, verdict.reason
-            assert verdict.recomputed_post == trace.roots[k + 1]
+            assert verdict.recomputed_post == trace.root_at(k + 1)
             checked += 1
     assert checked >= 60
 
@@ -320,7 +347,7 @@ def test_verify_step_mutation_sample():
     w = gen_step_witness(trace.states[k])
     blob = w.to_bytes()
     assert len(blob) <= 4096
-    assert verify_step(trace.roots[k], trace.roots[k + 1], w, scheme=SCHEME).accepted
+    assert verify_step(trace.root_at(k), trace.root_at(k + 1), w, scheme=SCHEME).accepted
     for _ in range(300):
         mutated = bytearray(blob)
         mutated[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
@@ -328,7 +355,7 @@ def test_verify_step_mutation_sample():
             bad = fpvm.StepWitness.from_bytes(bytes(mutated))
         except ValueError:
             continue
-        verdict = verify_step(trace.roots[k], trace.roots[k + 1], bad, scheme=SCHEME)
+        verdict = verify_step(trace.root_at(k), trace.root_at(k + 1), bad, scheme=SCHEME)
         assert not verdict.accepted
 
 
@@ -410,6 +437,9 @@ def _writes_unchanged_fetch_leaf(w, pre):
 
 REJECT_TABLE = [
     pytest.param("bad-register-file", "add", _fields(regs=(1,) + (0,) * 15), {}, id="r0-nonzero"),
+    pytest.param("bad-register-file", "add", _fields(regs=(0, 1 << 32) + (0,) * 14), {}, id="register-above-u32"),
+    pytest.param("bad-register-file", "add", _fields(pc=-4), {}, id="negative-pc"),
+    pytest.param("bad-register-file", "halted", _fields(exit_code=0x100), {}, id="exit-code-above-u8"),
     pytest.param("pre-fields-mismatch", "add", _fields(pc=4), {}, id="pc-changed"),
     pytest.param("witness-not-minimal", "halted", _reads(lambda r, pre: [_leaf_record(pre, 0)]), {},
                  id="read-after-exit"),
@@ -443,6 +473,8 @@ REJECT_TABLE = [
                  id="unchecked-chunk-data"),
     pytest.param("write-record-wrong-slot", "sw", _first_write(lambda a, old, new, p: (a, old, new + b"\0", p)), {},
                  id="long-new-leaf"),
+    pytest.param("write-record-wrong-slot", "sw", _first_write(lambda a, old, new, p: (a, old[:2], new, p)), {},
+                 id="short-old-leaf"),
     pytest.param("write-proof-wrong-slot", "sw",
                  _first_write(lambda a, old, new, p: (a, old, new, replace(p, leaf_index=p.leaf_index + 1))), {},
                  id="proof-index"),
@@ -619,8 +651,8 @@ def test_fault_injection_diverges_persistently():
     honest = run_trace(st, max_steps=2000)
     fault = StepFault(step=20, leaf_index=(HEAP_BASE + 0x100000) // 32, bit=5)
     corrupt = run_trace(st, max_steps=2000, fault=fault)
-    assert honest.roots[:20] == corrupt.roots[:20]
-    assert all(honest.roots[i] != corrupt.roots[i] for i in range(20, len(honest.roots)))
+    assert [honest.root_at(i) for i in range(20)] == [corrupt.root_at(i) for i in range(20)]
+    assert all(honest.root_at(i) != corrupt.root_at(i) for i in range(20, len(honest.states)))
 
 
 def test_load_program_golden_root():
@@ -636,3 +668,54 @@ def test_load_program_golden_root():
 
 
 GOLDEN_BOOT_ROOT = "18f91adae8d17a5accf04f639d014832dca7c9e2d5dfd9f536a29bd7def17199"
+
+
+# Images for the loader equivalence property: whole leaves, some all zero,
+# then a cut of up to 31 bytes so lengths need not be multiples of 32.
+_LEAF = hst.one_of(hst.just(ZERO_LEAF), hst.binary(min_size=32, max_size=32))
+_IMAGE = hst.builds(lambda leaves, cut: b"".join(leaves)[: max(0, 32 * len(leaves) - cut)],
+                    hst.lists(_LEAF, max_size=9), hst.integers(0, 31))
+
+
+def _same_tree(a, b) -> bool:
+    """Same nodes, digests and leaves, with all-zero subtrees None in both."""
+    if a is None or b is None or isinstance(a, bytes):
+        return a == b
+    return (isinstance(b, merkle._Node) and a.digest == b.digest
+            and _same_tree(a.left, b.left) and _same_tree(a.right, b.right))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(program=_IMAGE, input_blob=_IMAGE, model_blob=_IMAGE, scheme_name=hst.sampled_from(scheme_names()))
+def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blob, scheme_name):
+    scheme = get_scheme(scheme_name)
+    regions = ((fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL, program),
+               (fpvm.INPUT_BASE, fpvm.INPUT_LEVEL, input_blob),
+               (fpvm.MODEL_BASE, fpvm.MODEL_LEVEL, model_blob))
+    loaded = load_program(program, input_blob, model_blob, scheme).memory
+    ref = merkle.MemTree(scheme)
+    for base, _, image in regions:
+        ref = fpvm.write_bytes(ref, base, image)
+    assert loaded.root() == ref.root()
+    assert _same_tree(loaded._root, ref._root)
+    for base, level, image in regions:
+        first = base // 32
+        for index in range(first, first + len(image) // 32 + 2):
+            assert loaded.get_leaf(index) == ref.get_leaf(index)
+        assert loaded.prove(first, level) == ref.prove(first, level)
+        assert loaded.prove(first) == ref.prove(first)
+        assert loaded.subtree_root(base, level) == ref.subtree_root(base, level)
+        assert merkle.region_root(image, level, scheme) == loaded.subtree_root(base, level)
+    for index, leaf in ((fpvm.PROGRAM_BASE // 32 + 1, b"\x01" * 32), (fpvm.INPUT_BASE // 32, ZERO_LEAF)):
+        loaded, ref = loaded.update_leaf(index, leaf), ref.update_leaf(index, leaf)
+        assert loaded.root() == ref.root()
+        assert _same_tree(loaded._root, ref._root)
+
+
+def test_load_program_rejects_an_image_larger_than_its_region_before_hashing():
+    scheme, calls = _counting_scheme()
+    with pytest.raises(merkle.RangeError):
+        load_program(bytes((32 << fpvm.PROGRAM_LEVEL) + 4), scheme=scheme)
+    with pytest.raises(merkle.RangeError):
+        load_program(b"\x01", bytes((32 << fpvm.INPUT_LEVEL) + 1), scheme=scheme)
+    assert calls == []

@@ -149,7 +149,7 @@ def test_matmul_trace_witness_sizes():
         w = fpvm.gen_step_witness(trace.states[k], oracle)
         blob = w.to_bytes()
         max_size = max(max_size, len(blob))
-        verdict = fpvm.verify_step(trace.roots[k], trace.roots[k + 1], w,
+        verdict = fpvm.verify_step(trace.root_at(k), trace.root_at(k + 1), w,
                                    preimages=oracle, scheme=SCHEME)
         assert verdict.accepted, (k, verdict.reason)
     assert max_size <= 4096

@@ -226,7 +226,7 @@ def test_single_and_two_phase_agree_on_every_fault():
                                     fault_leaf=step_fault.leaf_index, fault_bit=step_fault.bit)
         sub_actor = build_trace_actor("alice", state0, strat_fault if faulty_submitter else ActorStrategy())
         chal_actor = build_trace_actor("bob", state0, ActorStrategy() if faulty_submitter else strat_fault)
-        claim = Claim(sub_actor.trace.roots[0],
+        claim = Claim(sub_actor.trace.root_at(0),
                       sub_actor.trace.root_at(dispute.padded_length(len(sub_actor.trace), 1, 1)),
                       len(sub_actor.trace), "alice", 100, claim_id=trial)
         chain2 = fresh_chain("alice", "bob")
