@@ -221,38 +221,25 @@ def build_region(data: bytes, region_level: int, scheme: HashScheme | None = Non
     scheme = scheme or active_scheme()
     if len(data) > 32 << region_level:
         raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
-    zeros = scheme.zero_hashes
-    nodes: list = []
-    digests: list[bytes] = []
+    nodes = []
     for i in range(0, len(data), 32):
-        leaf = data[i : i + 32]
-        if len(leaf) < 32:
-            leaf += b"\x00" * (32 - len(leaf))
-        if leaf == ZERO_LEAF:
-            nodes.append(None)
-            digests.append(zeros[0])
-        else:
-            nodes.append(leaf)
-            digests.append(scheme.leaf_hash(leaf))
+        leaf = data[i : i + 32].ljust(32, b"\x00")
+        nodes.append(None if leaf == ZERO_LEAF else leaf)
     if not nodes:
-        return None, zeros[region_level]
+        return None, scheme.zero_hashes[region_level]
     for level in range(region_level):
         if len(nodes) % 2:
             nodes.append(None)
-            digests.append(zeros[level])
-        parents: list = []
-        parent_digests: list[bytes] = []
-        for i in range(0, len(nodes), 2):
-            left, right = nodes[i], nodes[i + 1]
+        parents = []
+        for left, right in zip(nodes[::2], nodes[1::2]):
             if left is None and right is None:
                 parents.append(None)
-                parent_digests.append(zeros[level + 1])
             else:
-                digest = scheme.node_hash(digests[i], digests[i + 1])
+                digest = scheme.node_hash(_child_digest(left, level, scheme),
+                                          _child_digest(right, level, scheme))
                 parents.append(_Node(digest, left, right))
-                parent_digests.append(digest)
-        nodes, digests = parents, parent_digests
-    return nodes[0], digests[0]
+        nodes = parents
+    return nodes[0], _child_digest(nodes[0], region_level, scheme)
 
 
 def region_root(data: bytes, region_level: int, scheme: HashScheme | None = None) -> bytes:
