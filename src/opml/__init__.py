@@ -6,7 +6,7 @@ and multi-phase dispute games (`dispute`, `multiphase`), incentive and
 security analytics (`economics`), and the scenario CLI (`cli`).
 """
 
-from .hashing import active_scheme, get_scheme, set_active_scheme
+from .hashing import get_scheme
 
-__all__ = ["active_scheme", "get_scheme", "set_active_scheme"]
+__all__ = ["get_scheme"]
 __version__ = "0.1.0"

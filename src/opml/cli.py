@@ -11,6 +11,10 @@ Every command that takes --seed is bit-reproducible: all randomness flows
 through named streams derived from that one seed. Exit codes: 0 success,
 2 usage or configuration, 3 I/O or parse failure, 4 internal invariant
 violation (a dual-path mismatch is a bug, never a user error).
+
+The hash scheme is read from the OPML_HASH environment variable (default
+sha256) on each invocation and passed to the command; an unknown name exits
+2. verify-witness checks a bundle under the scheme the bundle names.
 """
 
 from __future__ import annotations
@@ -91,12 +95,12 @@ def read_config(path: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
-    scheme = hashing.active_scheme()
+def cmd_run(args, scheme: hashing.HashScheme) -> int:
     graph = _load_model(args.model)
     input_tensor = _load_tensor(args.input)
 
-    native, commitments = ml.execute_native(graph, input_tensor, scheme)
+    native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
+    native = native_run.output
     lowered = lowering.lower_graph(graph)
     try:
         state0 = lowered.initial_state(input_tensor, scheme)
@@ -122,7 +126,7 @@ def cmd_run(args) -> int:
     print(f"output_region_root={ml.tensor_region_root(native, scheme).hex()}")
     print(f"trace_len={len(trace)}")
     print(f"final_state_root={trace.root_at(len(trace)).hex()}")
-    print(f"graph_commitment={commitments[-1].hex()}")
+    print(f"graph_commitment={native_run.commitments[-1].hex()}")
     return EXIT_OK
 
 
@@ -150,8 +154,8 @@ def _scenario_from_args(args) -> dict:
         "model": pick(args.model, "model"),
         "input": pick(args.input, "input"),
         "protocol": pick(args.protocol, "protocol", default_protocol),
-        "k": int(pick(args.k, "k", 1)),
-        "m": int(pick(args.m, "m", 1)),
+        "k": pick(args.k, "k", 1),
+        "m": pick(args.m, "m", 1),
         "fault_node": pick(args.fault_node, "fault.node"),
         "fault_step": pick(args.fault_step, "fault.step"),
         "fault_element": pick(args.fault_element, "fault.element"),
@@ -160,20 +164,25 @@ def _scenario_from_args(args) -> dict:
         "strategy": pick(args.strategy, "strategy"),
         "silent_after": pick(args.silent_after, "silent.after"),
         "wrong_round": pick(args.wrong_round, "wrong.round"),
-        "seed": int(pick(args.seed, "seed", 0)),
+        "seed": pick(args.seed, "seed", 0),
         "synthetic_n": pick(args.synthetic_n, "synthetic.n"),
-        "challenge_period": int(pick(args.challenge_period, "challenge_period", 100)),
+        "challenge_period": pick(args.challenge_period, "challenge_period", 100),
         "transcript": pick(args.transcript, "transcript"),
         "witness_out": pick(args.witness_out, "witness.out"),
     }
-    for key in ("fault_node", "fault_step", "fault_element", "fault_bit",
-                "silent_after", "wrong_round", "synthetic_n"):
+    for key in ("k", "m", "seed", "challenge_period", "fault_node", "fault_step",
+                "fault_element", "fault_bit", "silent_after", "wrong_round", "synthetic_n"):
         if scenario[key] is not None:
-            scenario[key] = int(scenario[key])
+            try:
+                scenario[key] = int(scenario[key])
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got {scenario[key]!r}") from None
     if scenario["protocol"] not in ("single", "two-phase"):
         raise ConfigError(f"unknown protocol {scenario['protocol']!r}")
     if scenario["k"] < 1 or scenario["m"] < 1:
         raise ConfigError("k and m must be >= 1")
+    if scenario["synthetic_n"] is not None and scenario["synthetic_n"] < 2:
+        raise ConfigError("a synthetic program needs at least 2 steps")
     if scenario["faulty"] not in ("submitter", "challenger"):
         raise ConfigError("faulty must be submitter or challenger")
     return scenario
@@ -282,19 +291,17 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     )
     result = dispute.run_dispute(
         claim, submitter, challenger, k=scenario["k"], chain=chain,
-        m=scenario["m"], oracle=oracle, scheme=scheme,
+        m=scenario["m"], oracle=oracle,
     )
     transcript_records.extend(result.transcript)
 
     if scenario["witness_out"]:
         step_no = result.pinned_step or 1
         pre = witness_source.states[min(step_no - 1, len(witness_source.states) - 1)]
-        witness = (fpvm.StepWitness(pre.fields()) if pre.exited
-                   else fpvm.gen_step_witness(pre, oracle))
         write_witness_bundle(
             scenario["witness_out"], scheme.name,
             witness_source.root_at(step_no - 1), witness_source.root_at(step_no),
-            witness, [],
+            fpvm.gen_step_witness(pre, oracle), [],
         )
     return result
 
@@ -319,14 +326,13 @@ def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseR
     cfg = multiphase.PhaseConfig(k_phase1=scenario["k"], k_phase2=scenario["k"],
                                  m=scenario["m"])
     result = multiphase.run_two_phase_dispute(
-        graph, input_tensor, submitter, challenger, cfg, chain, scheme,
+        graph, input_tensor, submitter, challenger, cfg, chain, scheme=scheme,
     )
     transcript_records.extend(result.transcript)
     return result
 
 
-def cmd_dispute(args) -> int:
-    scheme = hashing.active_scheme()
+def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
     scenario = _scenario_from_args(args)
     records: list[dict] = [{
         "event": "scenario",
@@ -371,7 +377,7 @@ def _parse_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def cmd_security(args) -> int:
+def cmd_security(args, _scheme: hashing.HashScheme) -> int:
     try:
         ms = _parse_range(args.m)
     except ValueError as exc:
@@ -384,7 +390,7 @@ def cmd_security(args) -> int:
     return EXIT_OK
 
 
-def cmd_economics(args) -> int:
+def cmd_economics(args, scheme: hashing.HashScheme) -> int:
     if args.kind == "equilibrium":
         payoffs = economics.GamePayoffs(C=args.C, R=args.R, L=args.L, B=args.B, S=args.S)
         table = economics.payoff_matrix(payoffs)
@@ -409,6 +415,7 @@ def cmd_economics(args) -> int:
             lazy_fraction=args.lazy_fraction,
             seed=args.seed,
             penalty=args.penalty,
+            scheme=scheme,
         )
         print(f"rounds={report.rounds} samples={report.samples} "
               f"selected={report.selections} empirical_rate={report.empirical_rate!r} "
@@ -439,38 +446,39 @@ def write_witness_bundle(path, scheme_name, pre_root, claimed_post, witness, pre
 
 
 def read_witness_bundle(data: bytes):
+    """(scheme name, pre root, claimed post root, witness, preimages);
+    ValueError when a field runs past the end or bytes trail the last one."""
     if data[:4] != WITNESS_MAGIC:
         raise IoError("bad witness bundle magic")
     off = 4
-    name_len = data[off]
-    off += 1
-    scheme_name = data[off : off + name_len].decode()
-    off += name_len
-    pre_root = data[off : off + 32]
-    claimed = data[off + 32 : off + 64]
-    off += 64
-    (blob_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    witness = fpvm.StepWitness.from_bytes(data[off : off + blob_len])
-    off += blob_len
-    (n_pre,) = struct.unpack_from("<I", data, off)
-    off += 4
-    preimages = []
-    for _ in range(n_pre):
-        (vlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        preimages.append(data[off : off + vlen])
-        off += vlen
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if len(data) - off < n:
+            raise ValueError(f"witness bundle truncated at byte {off}")
+        off += n
+        return data[off - n : off]
+
+    def u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    scheme_name = take(take(1)[0]).decode()
+    pre_root, claimed = take(32), take(32)
+    witness = fpvm.StepWitness.from_bytes(take(u32()))
+    preimages = [take(u32()) for _ in range(u32())]
+    if off != len(data):
+        raise ValueError("trailing bytes after witness bundle")
     return scheme_name, pre_root, claimed, witness, preimages
 
 
-def cmd_verify_witness(args) -> int:
+def cmd_verify_witness(args, _scheme: hashing.HashScheme) -> int:
+    """Checks the bundle under the scheme it names, not the invocation's."""
     data = _read_file(args.file)
     try:
         scheme_name, pre_root, claimed, witness, values = read_witness_bundle(data)
-    except (ValueError, struct.error) as exc:
+        scheme = hashing.get_scheme(scheme_name)
+    except (ValueError, KeyError, struct.error) as exc:
         raise IoError(f"{args.file}: {exc}") from exc
-    scheme = hashing.get_scheme(scheme_name)
     oracle = fpvm.PreimageOracle(scheme)
     for value in values:
         oracle.put(value)
@@ -508,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--protocol", choices=["single", "two-phase"])
     p_disp.add_argument("--k", type=int)
     p_disp.add_argument("--m", type=int)
-    p_disp.add_argument("--n-from-model", action="store_true",
-                        help="derive the trace from the model (default when --model given)")
     p_disp.add_argument("--synthetic-n", type=int,
                         help="use a synthetic program with this many steps instead of a model")
     p_disp.add_argument("--fault-node", type=int)
@@ -561,16 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if "OPML_HASH" in os.environ:
-        try:
-            hashing.set_active_scheme(os.environ["OPML_HASH"])
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        scheme = hashing.get_scheme(os.environ.get("OPML_HASH", "sha256"))
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, scheme)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

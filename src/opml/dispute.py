@@ -19,10 +19,10 @@ in-process chain simulation with exact integer conservation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fpvm
-from .hashing import HashScheme, active_scheme
+from .hashing import HashScheme
 
 SUBMITTER = "submitter"
 CHALLENGER = "challenger"
@@ -188,7 +188,6 @@ class DisputeSession:
     k_checkpoints: int
     round: int = 0
     deadline_per_move: int = 10
-    history: list[tuple[int, list[tuple[int, bytes]], int]] = field(default_factory=list)
 
     @property
     def finished(self) -> bool:
@@ -220,15 +219,13 @@ def bisection_round(
     new_j = bounds[submitter_response] - new_i
     if new_j >= session.j:
         raise ProtocolViolation("span did not shrink")
-    new = DisputeSession(
+    return DisputeSession(
         i=new_i,
         j=new_j,
         k_checkpoints=session.k_checkpoints,
         round=session.round + 1,
         deadline_per_move=session.deadline_per_move,
-        history=session.history + [(session.round + 1, challenger_claims, submitter_response)],
     )
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,8 @@ def arbitrate_span(
     submitter_end_claim: bytes,
     witnesses: list[fpvm.StepWitness],
     preimages: fpvm.PreimageOracle | None = None,
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
     supplier: str = CHALLENGER,
 ) -> tuple[str, str]:
     """m-step on-chain arbitration; returns (winner, reason).
@@ -269,7 +267,6 @@ def arbitrate_span(
     witnesses contradicts the submitter's claimed end root. A witness that
     fails its own integrity checks loses for its supplier instead.
     """
-    scheme = scheme or active_scheme()
     end_root, reason = emulate_span(pre_root, witnesses, preimages, scheme)
     if end_root is None:
         winner = SUBMITTER if supplier == CHALLENGER else CHALLENGER
@@ -385,14 +382,8 @@ class VmTraceActor(BisectionActor):
     ) -> list[fpvm.StepWitness] | None:
         if self._silent(round_no):
             return None
-        out = []
-        for t in range(count):
-            state = self.trace.state_at(start_index + t)
-            if state.exited:
-                out.append(fpvm.StepWitness(state.fields()))
-            else:
-                out.append(fpvm.gen_step_witness(state, oracle))
-        return out
+        return [fpvm.gen_step_witness(self.trace.state_at(start_index + t), oracle)
+                for t in range(count)]
 
 
 @dataclass
@@ -476,7 +467,6 @@ def run_dispute(
     chain: ChainSim | None = None,
     m: int = 1,
     oracle: fpvm.PreimageOracle | None = None,
-    scheme: HashScheme | None = None,
     phase: int = 2,
     settle: bool = True,
     deadline_per_move: int = 10,
@@ -486,9 +476,9 @@ def run_dispute(
     Both parties must hold stakes in `chain`; the loser's stake is slashed
     (half to the winner, half burned) and a missed move forfeits. With
     settle=False the verdict is returned without touching stakes (used when
-    this game is the inner phase of a larger one).
+    this game is the inner phase of a larger one). Witnesses are checked
+    under the submitter's hash scheme.
     """
-    scheme = scheme or active_scheme()
     chain = chain if chain is not None else ChainSim()
     for party in (submitter.party_id, challenger.party_id):
         if chain.stakes.get(party, 0) <= 0:
@@ -533,7 +523,7 @@ def run_dispute(
         return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
     winner, why = arbitrate_span(
         outcome.agreed_root, submitter_end, witnesses, preimages=oracle,
-        scheme=scheme, supplier=CHALLENGER,
+        scheme=submitter.scheme, supplier=CHALLENGER,
     )
     return verdict(winner, why, session.round, pinned)
 

@@ -15,7 +15,7 @@ from math import comb, sqrt
 from typing import NamedTuple
 
 from .dispute import ChainSim
-from .hashing import HashScheme, active_scheme
+from .hashing import HashScheme
 from . import rng as rng_mod
 
 _EXACT_LIMIT = 64
@@ -165,9 +165,7 @@ def selection_threshold(p_t: float) -> int:
     return int(Fraction(p_t) * 2**256)
 
 
-def is_selected(address: bytes, result_digest: bytes, threshold: int,
-                scheme: HashScheme | None = None) -> bool:
-    scheme = scheme or active_scheme()
+def is_selected(address: bytes, result_digest: bytes, threshold: int, scheme: HashScheme) -> bool:
     h = int.from_bytes(scheme.digest(address + result_digest), "big")
     return h < threshold
 
@@ -192,9 +190,8 @@ class AttentionRound:
     commit, response window, reveal, acceptance, then accusations."""
 
     def __init__(self, submitter_id: str, submitter_address: bytes,
-                 result_digest: bytes, threshold: int,
-                 scheme: HashScheme | None = None):
-        self.scheme = scheme or active_scheme()
+                 result_digest: bytes, threshold: int, scheme: HashScheme):
+        self.scheme = scheme
         self.submitter_id = submitter_id
         self.commit = self.scheme.digest(submitter_address + result_digest)
         self.result_digest = result_digest
@@ -242,7 +239,7 @@ def attention_round(
     att: AttentionParams,
     chain: ChainSim,
     penalty: int,
-    scheme: HashScheme | None = None,
+    scheme: HashScheme,
 ) -> RoundReport:
     """Drive one full round: commit, responses, reveal, accept, accusations."""
     rnd = AttentionRound(submitter_id, submitter_address, result_digest,
@@ -281,12 +278,12 @@ def simulate_attention_rounds(
     seed: int = 0,
     penalty: int = 10,
     chain: ChainSim | None = None,
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
 ) -> SimulationReport:
     """Repeated lottery rounds with fresh result digests; selection events
     across rounds are independent, so the empirical must-respond rate
     converges to p_t."""
-    scheme = scheme or active_scheme()
     chain = chain if chain is not None else ChainSim(challenge_period=1)
     draws = rng_mod.stream(seed, "attention")
     submitter_addr = draws.randbytes(20)

@@ -39,7 +39,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import merkle
-from .hashing import HashScheme, VM_STATE_PREFIX, active_scheme
+from .hashing import HashScheme, VM_STATE_PREFIX
 
 # Fixed memory map. Regions are leaf-aligned and power-of-two sized so each
 # one is a single Merkle subtree.
@@ -157,8 +157,8 @@ def decode(word: int) -> Instruction | None:
 class PreimageOracle:
     """Content-addressed host store: key = H(value), checked on insertion."""
 
-    def __init__(self, scheme: HashScheme | None = None):
-        self.scheme = scheme or active_scheme()
+    def __init__(self, scheme: HashScheme):
+        self.scheme = scheme
         self._map: dict[bytes, bytes] = {}
 
     def put(self, value: bytes) -> bytes:
@@ -210,8 +210,7 @@ class VmFields:
         root = bytes(data[offset + 70 : offset + 102])
         return cls(pc, tuple(regs), bool(exited), exit_code, root), offset + 102
 
-    def state_root(self, scheme: HashScheme | None = None) -> bytes:
-        scheme = scheme or active_scheme()
+    def state_root(self, scheme: HashScheme) -> bytes:
         return scheme.digest(VM_STATE_PREFIX + self.to_bytes())
 
 
@@ -230,10 +229,6 @@ class VmState:
 
     def fields(self) -> VmFields:
         return VmFields(self.pc, self.regs, self.exited, self.exit_code, self.memory.root())
-
-
-def fresh_state(scheme: HashScheme | None = None) -> VmState:
-    return VmState(pc=0, regs=(0,) * 16, memory=merkle.MemTree(scheme))
 
 
 def state_root(state: VmState) -> bytes:
@@ -266,7 +261,8 @@ def load_program(
     program: bytes,
     input_blob: bytes = b"",
     model_blob: bytes = b"",
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
 ) -> VmState:
     """Fresh machine with code, input and model images in their regions.
 
@@ -710,9 +706,11 @@ class StepWitness:
 
 
 def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:
-    """Witness for the step about to execute from `state` (pre-state)."""
+    """Witness for the step about to execute from `state` (pre-state).
+
+    An exited state does not step, so its witness is the fields alone."""
     if state.exited:
-        raise ValueError("no step witness for an exited state")
+        return StepWitness(state.fields())
     mem = _RecordingMemory(state.memory, oracle)
     _execute(state.pc, state.regs, mem)
     return StepWitness(state.fields(), mem.reads, mem.writes, mem.preimage_chunk)
@@ -741,7 +739,8 @@ def verify_step(
     witness: StepWitness,
     preimage_chunk_check: bool = True,
     preimages: PreimageOracle | None = None,
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
 ) -> Verdict:
     """Contract-side one-step check: O(1) work, no tree ever materialized.
 
@@ -750,7 +749,6 @@ def verify_step(
     instruction over the witnessed leaves lands exactly on
     `claimed_post_root`. All inputs are treated as hostile.
     """
-    scheme = scheme or active_scheme()
     f = witness.pre_fields
     if (len(f.regs) != 16 or f.regs[0] != 0 or not 0 <= f.pc <= MASK32
             or not all(0 <= r <= MASK32 for r in f.regs) or not 0 <= f.exit_code <= 0xFF):

@@ -2,22 +2,24 @@
 
 All Merkle nodes, state roots and selection lotteries hash through one
 scheme so that a whole run is reproducible from (inputs, seed, scheme name).
-The scheme is fixed here and recorded in serialized artifacts that depend
-on it (witness bundles, transcripts). Domain separation:
+Its name is recorded in serialized artifacts that depend on it (witness
+bundles, transcripts). Domain separation:
 
   leaf digest      H(0x00 || 32-byte leaf)
   internal node    H(left || right)          (64-byte input, length-distinct)
   vm state root    H(0x02 || fields || memory root)
   graph state      H(0x03 || header || field entries)
 
-The OPML_HASH environment variable selects among the compiled-in schemes
-(default "sha256").
+There is no process-wide default: every component that hashes takes a
+`HashScheme` (from `get_scheme`) from its caller or from an argument that
+already carries one. The `opml` command reads the OPML_HASH environment
+variable (default "sha256") on each invocation and passes that scheme down.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
+from types import MappingProxyType
 
 DIGEST_SIZE = 32
 ZERO_LEAF = b"\x00" * 32
@@ -70,35 +72,17 @@ def _sha3_256(data: bytes) -> bytes:
     return hashlib.sha3_256(data).digest()
 
 
-_SCHEMES = {
-    "sha256": _sha256,
-    "blake2b": _blake2b_256,
-    "sha3": _sha3_256,
-}
-
-_cache: dict[str, HashScheme] = {}
+_SCHEMES = MappingProxyType({
+    name: HashScheme(name, fn)
+    for name, fn in (("sha256", _sha256), ("blake2b", _blake2b_256), ("sha3", _sha3_256))
+})
 
 
 def get_scheme(name: str) -> HashScheme:
+    """The compiled-in scheme called `name`; the same object on every call."""
     if name not in _SCHEMES:
         raise KeyError(f"unknown hash scheme {name!r}; choices: {sorted(_SCHEMES)}")
-    if name not in _cache:
-        _cache[name] = HashScheme(name, _SCHEMES[name])
-    return _cache[name]
-
-
-_active = os.environ.get("OPML_HASH", "sha256")
-
-
-def active_scheme() -> HashScheme:
-    """Scheme used when a component is constructed without an explicit one."""
-    return get_scheme(_active)
-
-
-def set_active_scheme(name: str) -> None:
-    global _active
-    get_scheme(name)  # validate eagerly
-    _active = name
+    return _SCHEMES[name]
 
 
 def scheme_names() -> list[str]:

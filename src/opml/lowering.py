@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import fpvm, ml
 from .fpvm import INPUT_BASE, MODEL_BASE, HEAP_BASE, ORACLE_KEY_BASE, ORACLE_VALUE_BASE, OUTPUT_BASE, encode
-from .hashing import HashScheme, active_scheme
+from .hashing import HashScheme
 
 
 class LoweringError(ValueError):
@@ -164,17 +164,16 @@ class LoweredNode:
     def input_blob(self) -> bytes:
         return b"".join(self.operand_keys)
 
-    def program_root(self, scheme: HashScheme | None = None) -> bytes:
+    def program_root(self, scheme: HashScheme) -> bytes:
         from . import merkle
 
-        scheme = scheme or active_scheme()
         return merkle.region_root(self.program, fpvm.PROGRAM_LEVEL, scheme)
 
 
 def lower_node(
     node: ml.GraphNode,
     operands: list[ml.FixedTensor],
-    scheme: HashScheme | None = None,
+    scheme: HashScheme,
 ) -> LoweredNode:
     """Compile one graph node into a self-contained MiniVM program.
 
@@ -182,7 +181,6 @@ def lower_node(
     operand payloads through the preimage oracle, and writes the serialized
     result tensor into the output region.
     """
-    scheme = scheme or active_scheme()
     if node.op not in ("matmul", "bias_add", "relu", "argmax"):
         raise LoweringError(f"op {node.op!r} has no lowering")
     out_shape = _node_out_shape(node.op, [t.shape for t in operands])
@@ -226,18 +224,16 @@ def _node_out_shape(op, operand_shapes):
     raise LoweringError(op)
 
 
-def node_initial_state(lowered: LoweredNode, scheme: HashScheme | None = None) -> fpvm.VmState:
+def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState:
     """Fresh VM image for a lowered node: program + operand keys, rest zero."""
-    return fpvm.load_program(lowered.program, lowered.input_blob, b"", scheme)
+    return fpvm.load_program(lowered.program, lowered.input_blob, scheme=scheme)
 
 
 def run_lowered_node(
-    lowered: LoweredNode,
-    oracle: fpvm.PreimageOracle,
-    scheme: HashScheme | None = None,
-    max_steps: int = 2_000_000,
+    lowered: LoweredNode, oracle: fpvm.PreimageOracle, max_steps: int = 2_000_000
 ) -> ml.FixedTensor:
-    state = node_initial_state(lowered, scheme)
+    """Run a lowered node under the oracle's hash scheme; returns its output."""
+    state = node_initial_state(lowered, oracle.scheme)
     final, _ = fpvm.run(state, oracle, max_steps)
     if final.exit_code != 0:
         raise LoweringError(f"node program trapped with code {final.exit_code}")
@@ -263,18 +259,14 @@ def _region_numel(shape_bytes: bytes, rank: int) -> int:
 
 
 def execute_via_vm(
-    graph: ml.CompGraph,
-    input_tensor: ml.FixedTensor,
-    oracle: fpvm.PreimageOracle | None = None,
-    scheme: HashScheme | None = None,
+    graph: ml.CompGraph, input_tensor: ml.FixedTensor, scheme: HashScheme
 ) -> ml.FixedTensor:
     """Prove-path execution: every compute node runs as its own VM program.
 
     Bit-identical to `ml.execute_native` by construction; the pair is the
     system's core determinism contract.
     """
-    scheme = scheme or active_scheme()
-    oracle = oracle if oracle is not None else fpvm.PreimageOracle(scheme)
+    oracle = fpvm.PreimageOracle(scheme)
     outputs: list[ml.FixedTensor] = []
     for node in graph.nodes:
         if node.op == "input":
@@ -289,7 +281,7 @@ def execute_via_vm(
         lowered = lower_node(node, operands, scheme)
         for value in lowered.preimages.values():
             oracle.put(value)
-        outputs.append(run_lowered_node(lowered, oracle, scheme))
+        outputs.append(run_lowered_node(lowered, oracle))
     return outputs[graph.output_id]
 
 
@@ -305,11 +297,9 @@ class LoweredGraph:
     out_shape: tuple[int, ...]
     heap_offsets: dict[int, int]
 
-    def initial_state(
-        self, input_tensor: ml.FixedTensor, scheme: HashScheme | None = None
-    ) -> fpvm.VmState:
+    def initial_state(self, input_tensor: ml.FixedTensor, scheme: HashScheme) -> fpvm.VmState:
         return fpvm.load_program(
-            self.program, ml.serialize_tensor(input_tensor), self.model_blob, scheme
+            self.program, ml.serialize_tensor(input_tensor), self.model_blob, scheme=scheme
         )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .hashing import HashScheme, TREE_DEPTH, ZERO_LEAF, active_scheme
+from .hashing import HashScheme, TREE_DEPTH, ZERO_LEAF
 
 NUM_LEAVES = 1 << TREE_DEPTH
 
@@ -55,8 +55,8 @@ class MemTree:
 
     __slots__ = ("scheme", "_root")
 
-    def __init__(self, scheme: HashScheme | None = None, _root=None):
-        self.scheme = scheme or active_scheme()
+    def __init__(self, scheme: HashScheme, _root=None):
+        self.scheme = scheme
         self._root = _root
 
     def root(self) -> bytes:
@@ -170,13 +170,12 @@ class MerkleProof:
         return cls(index, level, siblings), offset + 32 * count
 
 
-def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme | None = None) -> bool:
+def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) -> bool:
     """Check that `claimed` is the subtree digest at the proof's position.
 
     Pure function of its arguments: the proof carries every sibling, so no
     tree or zero-hash table is consulted.
     """
-    scheme = scheme or active_scheme()
     if len(proof.siblings) != TREE_DEPTH - proof.subtree_level:
         return False
     if not 0 <= proof.leaf_index < NUM_LEAVES:
@@ -196,9 +195,8 @@ def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme |
     return acc == root
 
 
-def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashScheme | None = None) -> bytes:
+def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashScheme) -> bytes:
     """Root that results from replacing the proven position with a new digest."""
-    scheme = scheme or active_scheme()
     acc = new_leaf_digest
     index = proof.leaf_index >> proof.subtree_level
     for sibling in proof.siblings:
@@ -210,7 +208,7 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
     return acc
 
 
-def build_region(data: bytes, region_level: int, scheme: HashScheme | None = None):
+def build_region(data: bytes, region_level: int, scheme: HashScheme):
     """(subtree, digest) of a 2**region_level-leaf region holding `data`
     left-aligned and zero padded, built bottom-up.
 
@@ -218,7 +216,6 @@ def build_region(data: bytes, region_level: int, scheme: HashScheme | None = Non
     None, as in a tree built by `update_leaf`. Raises RangeError before
     hashing anything when `data` does not fit the region.
     """
-    scheme = scheme or active_scheme()
     if len(data) > 32 << region_level:
         raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
     nodes = []
@@ -242,7 +239,7 @@ def build_region(data: bytes, region_level: int, scheme: HashScheme | None = Non
     return nodes[0], _child_digest(nodes[0], region_level, scheme)
 
 
-def region_root(data: bytes, region_level: int, scheme: HashScheme | None = None) -> bytes:
+def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
     """Digest of a 2**region_level-leaf region holding `data` left-aligned, zero padded.
 
     Equivalent to writing `data` from the region base into an empty tree and
@@ -251,16 +248,13 @@ def region_root(data: bytes, region_level: int, scheme: HashScheme | None = None
     return build_region(data, region_level, scheme)[1]
 
 
-def root_from_regions(
-    regions: list[tuple[int, int, bytes]], scheme: HashScheme | None = None
-) -> bytes:
+def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:
     """Full-tree root given (leaf_index, level, digest) subtree anchors, rest zero.
 
     The anchors must be disjoint and aligned. This is the reconstruction the
     arbitration side runs when it rebuilds an initial VM memory root from the
     public program/model digests plus the disputed operand field.
     """
-    scheme = scheme or active_scheme()
     pending: dict[tuple[int, int], bytes] = {}
     for leaf_index, level, digest in regions:
         MemTree._check_aligned(leaf_index, level)

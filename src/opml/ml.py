@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from . import merkle
-from .hashing import GRAPH_STATE_PREFIX, HashScheme, active_scheme
+from .hashing import GRAPH_STATE_PREFIX, HashScheme
 
 FRAC = 16
 SCALE = 1 << FRAC
@@ -206,16 +206,14 @@ def tensor_blob(t: FixedTensor) -> bytes:
     return struct.pack("<I", len(payload)) + payload
 
 
-def tensor_key(t: FixedTensor, scheme: HashScheme | None = None) -> bytes:
+def tensor_key(t: FixedTensor, scheme: HashScheme) -> bytes:
     """Preimage key (content hash of the length-prefixed serialization)."""
-    scheme = scheme or active_scheme()
     return scheme.digest(tensor_blob(t))
 
 
-def tensor_region_root(t: FixedTensor, scheme: HashScheme | None = None) -> bytes:
+def tensor_region_root(t: FixedTensor, scheme: HashScheme) -> bytes:
     """Commitment to the tensor as a memory-region image (what a VM's output
     region holding exactly this tensor hashes to)."""
-    scheme = scheme or active_scheme()
     return merkle.region_root(serialize_tensor(t), TENSOR_REGION_LEVEL, scheme)
 
 
@@ -295,8 +293,7 @@ class CompGraph:
                 shapes.append((1,))
         return shapes
 
-    def model_digest(self, scheme: HashScheme | None = None) -> bytes:
-        scheme = scheme or active_scheme()
+    def model_digest(self, scheme: HashScheme) -> bytes:
         return scheme.digest(save_model_bytes(self))
 
 
@@ -500,17 +497,37 @@ def _compute_node(node: GraphNode, operands: list[FixedTensor], input_tensor: Fi
     raise ShapeError(f"unknown op {node.op}")
 
 
+def _node_outputs(
+    graph: CompGraph, input_tensor: FixedTensor, fault: GraphFault | None
+) -> list[FixedTensor]:
+    graph.infer_shapes()
+    if input_tensor.frac != FRAC:
+        raise ShapeError(f"input frac {input_tensor.frac} != engine frac {FRAC}")
+    outputs: list[FixedTensor] = []
+    for node in graph.nodes:
+        out = _compute_node(node, [outputs[i] for i in node.input_ids], input_tensor)
+        if fault is not None and fault.node_id == node.id:
+            out = fault.apply(out)
+        outputs.append(out)
+    return outputs
+
+
+def execute_native(graph: CompGraph, input_tensor: FixedTensor) -> tuple[FixedTensor, list[FixedTensor]]:
+    """Fast path: the graph output and every node's output, hashing nothing.
+    `run_graph` adds the per-node commitments."""
+    outputs = _node_outputs(graph, input_tensor, None)
+    return outputs[graph.output_id], outputs
+
+
 def run_graph(
     graph: CompGraph,
     input_tensor: FixedTensor,
     fault: GraphFault | None = None,
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
 ) -> GraphRun:
     """Node-by-node execution producing the n+1 graph states."""
-    scheme = scheme or active_scheme()
-    graph.infer_shapes()
-    if input_tensor.frac != FRAC:
-        raise ShapeError(f"input frac {input_tensor.frac} != engine frac {FRAC}")
+    outputs = _node_outputs(graph, input_tensor, fault)
     model_digest = graph.model_digest(scheme)
     input_key = tensor_key(input_tensor, scheme)
     entries: list[tuple[bytes, bytes]] = [_EMPTY_ENTRY] * len(graph.nodes)
@@ -518,13 +535,7 @@ def run_graph(
         GraphState(0, model_digest, input_key, tuple(entries),
                    GraphState.commit(model_digest, input_key, tuple(entries), scheme))
     ]
-    outputs: list[FixedTensor] = []
-    for node in graph.nodes:
-        operands = [outputs[i] for i in node.input_ids]
-        out = _compute_node(node, operands, input_tensor)
-        if fault is not None and fault.node_id == node.id:
-            out = fault.apply(out)
-        outputs.append(out)
+    for node, out in zip(graph.nodes, outputs):
         entries[node.id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
         snapshot = tuple(entries)
         states.append(
@@ -532,11 +543,3 @@ def run_graph(
                        GraphState.commit(model_digest, input_key, snapshot, scheme))
         )
     return GraphRun(graph, input_tensor, outputs, states)
-
-
-def execute_native(
-    graph: CompGraph, input_tensor: FixedTensor, scheme: HashScheme | None = None
-) -> tuple[FixedTensor, list[bytes]]:
-    """Fast path: compute the output and the per-node commitment sequence."""
-    record = run_graph(graph, input_tensor, scheme=scheme)
-    return record.output, record.commitments

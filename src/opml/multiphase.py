@@ -15,6 +15,7 @@ they never trust structure supplied by the counterparty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .dispute import (
     DisputeSession,
     padded_length,
 )
-from .hashing import HashScheme, active_scheme
+from .hashing import HashScheme
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,10 @@ class PhaseConfig:
 
 
 def phase1_commitments(
-    graph: ml.CompGraph, input_tensor: ml.FixedTensor, scheme: HashScheme | None = None
+    graph: ml.CompGraph, input_tensor: ml.FixedTensor, scheme: HashScheme
 ) -> list[bytes]:
     """The node-granular state roots a phase-1 game is played over."""
-    _, commitments = ml.execute_native(graph, input_tensor, scheme)
-    return commitments
+    return ml.run_graph(graph, input_tensor, scheme=scheme).commitments
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ class ExitBundle:
     opening: FieldOpening  # proves r_v against s_post_root
 
 
-_program_root_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=128)
 def node_program_root(
     op: str, operand_shapes: tuple[tuple[int, ...], ...], scheme: HashScheme
 ) -> bytes:
@@ -96,24 +94,15 @@ def node_program_root(
 
     The program text depends only on the op and the operand shapes, so it is
     recomputable by anyone from the public model; values never enter it.
+    Pure, so its results are memoised.
     """
-    key = (op, operand_shapes, scheme.name)
-    if key not in _program_root_cache:
-        dummies = [
-            ml.FixedTensor(shape, (0,) * math.prod(shape)) for shape in operand_shapes
-        ]
-        node = ml.GraphNode(len(dummies), op, tuple(range(len(dummies))))
-        lowered = lowering.lower_node(node, dummies, scheme)
-        _program_root_cache[key] = lowered.program_root(scheme)
-    return _program_root_cache[key]
-
-
-def operand_keys_blob(keys: list[bytes]) -> bytes:
-    return b"".join(keys)
+    dummies = [ml.FixedTensor(shape, (0,) * math.prod(shape)) for shape in operand_shapes]
+    node = ml.GraphNode(len(dummies), op, tuple(range(len(dummies))))
+    return lowering.lower_node(node, dummies, scheme).program_root(scheme)
 
 
 def build_entrance_state(
-    run: ml.GraphRun, node_id: int, scheme: HashScheme | None = None
+    run: ml.GraphRun, node_id: int, scheme: HashScheme
 ) -> tuple[fpvm.VmState, fpvm.PreimageOracle, EntranceBundle, lowering.LoweredNode]:
     """Construct the phase-2 initial machine and its entrance evidence.
 
@@ -121,7 +110,6 @@ def build_entrance_state(
     region (lazy-loading handles), and nothing else; the oracle carries the
     operand payloads.
     """
-    scheme = scheme or active_scheme()
     node = run.graph.nodes[node_id]
     operands = [run.outputs[i] for i in node.input_ids]
     lowered = lowering.lower_node(node, operands, scheme)
@@ -134,9 +122,7 @@ def build_entrance_state(
         s_prev_root=s_prev.commitment,
         m0_root=m0.memory.root(),
         node_id=node_id,
-        operand_keys_root=merkle.region_root(
-            operand_keys_blob(lowered.operand_keys), fpvm.INPUT_LEVEL, scheme
-        ),
+        operand_keys_root=merkle.region_root(lowered.input_blob, fpvm.INPUT_LEVEL, scheme),
         opening=FieldOpening(s_prev.model_digest, s_prev.input_key, s_prev.entries),
         program_root=lowered.program_root(scheme),
         model_root=scheme.zero_hashes[fpvm.MODEL_LEVEL],
@@ -145,7 +131,7 @@ def build_entrance_state(
 
 
 def entrance_check(
-    bundle: EntranceBundle, graph: ml.CompGraph, scheme: HashScheme | None = None
+    bundle: EntranceBundle, graph: ml.CompGraph, scheme: HashScheme
 ) -> tuple[bool, str]:
     """Validate the descent from the agreed phase-1 state into the VM.
 
@@ -154,7 +140,6 @@ def entrance_check(
     and model roots with that field (all other regions zero) reproduces the
     claimed initial memory root.
     """
-    scheme = scheme or active_scheme()
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
     node = graph.nodes[bundle.node_id]
@@ -172,7 +157,7 @@ def entrance_check(
         if key == b"\x00" * 32:
             return False, "operand entry empty in the agreed state"
         keys.append(key)
-    if merkle.region_root(operand_keys_blob(keys), fpvm.INPUT_LEVEL, scheme) != bundle.operand_keys_root:
+    if merkle.region_root(b"".join(keys), fpvm.INPUT_LEVEL, scheme) != bundle.operand_keys_root:
         return False, "operand key field mismatch"
     shapes = graph.infer_shapes()
     operand_shapes = tuple(shapes[i] for i in node.input_ids)
@@ -193,19 +178,13 @@ def entrance_check(
     return True, ""
 
 
-def build_exit_bundle(
-    run: ml.GraphRun,
-    node_id: int,
-    final_state: fpvm.VmState,
-    scheme: HashScheme | None = None,
-) -> ExitBundle:
+def build_exit_bundle(run: ml.GraphRun, node_id: int, final_state: fpvm.VmState) -> ExitBundle:
     """Evidence tying the phase-2 final machine to the phase-1 node output."""
-    scheme = scheme or active_scheme()
     s_post = run.states[node_id + 1]
     fields = final_state.fields()
     return ExitBundle(
         s_post_root=s_post.commitment,
-        final_state_root=fields.state_root(scheme),
+        final_state_root=fields.state_root(final_state.scheme),
         vm_fields=fields,
         output_region_root=final_state.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL),
         output_proof=final_state.memory.prove(fpvm.OUTPUT_BASE // 32, fpvm.OUTPUT_LEVEL),
@@ -215,12 +194,9 @@ def build_exit_bundle(
     )
 
 
-def exit_check(
-    bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme | None = None
-) -> tuple[bool, str]:
+def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> tuple[bool, str]:
     """Require the VM's output field and the phase-1 node-output field to be
     one and the same commitment."""
-    scheme = scheme or active_scheme()
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
     if bundle.vm_fields.state_root(scheme) != bundle.final_state_root:
@@ -276,7 +252,8 @@ def make_party(
     input_tensor: ml.FixedTensor,
     graph_fault: ml.GraphFault | None = None,
     strategy: dispute.ActorStrategy = dispute.ActorStrategy(),
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
 ) -> TwoPhaseParty:
     run = ml.run_graph(graph, input_tensor, fault=graph_fault, scheme=scheme)
     return TwoPhaseParty(party_id, run, graph_fault, strategy)
@@ -326,12 +303,12 @@ def run_two_phase_dispute(
     challenger: TwoPhaseParty,
     cfg: PhaseConfig = PhaseConfig(),
     chain: ChainSim | None = None,
-    scheme: HashScheme | None = None,
+    *,
+    scheme: HashScheme,
     stake: int = 100,
 ) -> TwoPhaseResult:
     """Full protocol: node-level k-section, entrance check, VM dispute,
     m-step arbitration, exit check, settlement."""
-    scheme = scheme or active_scheme()
     chain = chain if chain is not None else ChainSim()
     for party in (submitter.party_id, challenger.party_id):
         if chain.stakes.get(party, 0) <= 0:
@@ -400,7 +377,7 @@ def run_two_phase_dispute(
     )
     inner = dispute.run_dispute(
         inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
-        oracle=oracle, scheme=scheme, phase=2, settle=False,
+        oracle=oracle, phase=2, settle=False,
     )
     chain.close_dispute(inner_claim.claim_id)
     transcript.extend(inner.transcript)
@@ -409,8 +386,7 @@ def run_two_phase_dispute(
     # Exit: the phase-2 winner reconciles its VM result with its phase-1 claim.
     winner_party = submitter if winner == SUBMITTER else challenger
     winner_trace = sub_trace if winner == SUBMITTER else chal_trace
-    exit_bundle = build_exit_bundle(winner_party.run, pinned_node,
-                                    winner_trace.states[-1], scheme)
+    exit_bundle = build_exit_bundle(winner_party.run, pinned_node, winner_trace.states[-1])
     ok, why = exit_check(exit_bundle, graph, scheme)
     transcript.append({"phase": "transition", "check": "exit", "accepted": ok, "reason": why})
     if not ok:

@@ -61,8 +61,7 @@ def _single_phase_game(rng):
     )
     chain = _fresh_chain("sub", "chal")
     total = chain.total()
-    result = dispute.run_dispute(claim, submitter, challenger, k=k, chain=chain,
-                                 m=m, scheme=SCHEME)
+    result = dispute.run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)
     assert chain.total() == total, "stake conservation violated"
 
     honest_wins = result.winner == ("challenger" if faulty_submitter else "submitter")
@@ -97,7 +96,7 @@ def _two_phase_game(rng):
     total = chain.total()
     result = multiphase.run_two_phase_dispute(
         graph, x, submitter, challenger,
-        multiphase.PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, SCHEME)
+        multiphase.PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, scheme=SCHEME)
     assert chain.total() == total, "stake conservation violated"
 
     _round_measurements.append(
@@ -229,8 +228,9 @@ def test_criterion_4_determinism():
     rng = random.Random(0xD17E)
     for i in range(100):
         graph, x = random_small_mlp(rng)
-        native, commitments = ml.execute_native(graph, x, SCHEME)
-        again, commitments2 = ml.execute_native(graph, x, SCHEME)
+        (native, _), (again, _) = ml.execute_native(graph, x), ml.execute_native(graph, x)
+        commitments = ml.run_graph(graph, x, scheme=SCHEME).commitments
+        commitments2 = ml.run_graph(graph, x, scheme=SCHEME).commitments
         assert native == again and commitments == commitments2
         via_vm = lowering.execute_via_vm(graph, x, scheme=SCHEME)
         assert ml.serialize_tensor(via_vm) == ml.serialize_tensor(native), f"model {i}"
@@ -246,7 +246,7 @@ def test_criterion_4_determinism():
         "s = get_scheme('sha256');"
         "g = build_mlp(seed=0, in_dim=4, hidden=8, out_dim=3);"
         "x = rand_tensor(random.Random(1), (1, 4));"
-        "out, _ = ml.execute_native(g, x, s);"
+        "out, _ = ml.execute_native(g, x);"
         "print(g.model_digest(s).hex()); print(s.digest(ml.serialize_tensor(out)).hex())"
     )
     proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
@@ -254,7 +254,7 @@ def test_criterion_4_determinism():
     model_digest, output_digest = proc.stdout.split()
     graph = build_mlp(seed=0, in_dim=4, hidden=8, out_dim=3)
     x = rand_tensor(random.Random(1), (1, 4))
-    out, _ = ml.execute_native(graph, x, SCHEME)
+    out, _ = ml.execute_native(graph, x)
     assert model_digest == graph.model_digest(SCHEME).hex()
     assert output_digest == SCHEME.digest(ml.serialize_tensor(out)).hex()
     print("\nPASS criterion 4: 100/100 dual-path matches; goldens stable across processes")
@@ -298,7 +298,7 @@ def test_criterion_5_entrance_exit_checks():
             mutations_rejected += not ok
 
         final, _ = fpvm.run(m0, oracle, 2_000_000)
-        exit_bundle = multiphase.build_exit_bundle(run, node_id, final, SCHEME)
+        exit_bundle = multiphase.build_exit_bundle(run, node_id, final)
         ok, why = multiphase.exit_check(exit_bundle, graph, SCHEME)
         assert ok, why
         accepted += 1
@@ -310,7 +310,7 @@ def test_criterion_5_entrance_exit_checks():
         dirty_state = fpvm.VmState(final.pc, final.regs,
                                    final.memory.update_leaf(leaf, bytes(corrupted_leaf)),
                                    final.exited, final.exit_code)
-        exit_mutants.append(multiphase.build_exit_bundle(run, node_id, dirty_state, SCHEME))
+        exit_mutants.append(multiphase.build_exit_bundle(run, node_id, dirty_state))
         for field_name in ("s_post_root", "final_state_root", "output_region_root",
                            "node_output_root"):
             flipped = bytearray(getattr(exit_bundle, field_name))
@@ -395,14 +395,14 @@ def test_criterion_8_complexity_relation():
 
 def test_criterion_9_attention_simulation():
     report = economics.simulate_attention_rounds(rounds=10_000, p_t=0.1,
-                                                 n_validators=1, seed=0xFEED)
+                                                 n_validators=1, seed=0xFEED, scheme=SCHEME)
     assert report.samples == 10_000
     assert 0.091 <= report.empirical_rate <= 0.109, report.empirical_rate
 
     chain = ChainSim(challenge_period=1)
     lazy = economics.simulate_attention_rounds(rounds=2000, p_t=0.1, n_validators=3,
                                                lazy_fraction=0.4, seed=7, penalty=10,
-                                               chain=chain)
+                                               chain=chain, scheme=SCHEME)
     assert lazy.penalized > 0
     assert chain.burned == lazy.penalized * 5
     assert chain.total() == sum(chain.balances.values()) + sum(chain.stakes.values()) + chain.burned

@@ -8,7 +8,8 @@ import struct
 import pytest
 
 from opml import fpvm, ml
-from opml.cli import main, read_witness_bundle
+from opml.cli import WITNESS_MAGIC, main, read_witness_bundle
+from opml.hashing import get_scheme
 
 from fixtures import build_mlp, rand_tensor
 
@@ -110,7 +111,7 @@ def test_dispute_single_fault_step(capsys, model_files, tmp_path):
     transcript = tmp_path / "t.jsonl"
     code, out, _ = run_cli(
         capsys, "dispute", "--model", model, "--input", inp,
-        "--protocol", "single", "--n-from-model", "--fault-step", "5", "--seed", "7",
+        "--protocol", "single", "--fault-step", "5", "--seed", "7",
         "--transcript", str(transcript),
     )
     assert code == 0
@@ -217,6 +218,20 @@ def test_dispute_bad_protocol_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_dispute_non_integer_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k=abc\n")
+    code, _, err = run_cli(capsys, "dispute", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "abc" in err
+
+
+def test_dispute_synthetic_program_too_short_exits_2(capsys):
+    code, _, err = run_cli(capsys, "dispute", "--synthetic-n", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_security_report(capsys):
     code, out, _ = run_cli(capsys, "security", "--p", "0.5", "--m", "10", "--f", "0.5")
     assert code == 0
@@ -261,23 +276,28 @@ def test_economics_attention_simulation(capsys):
     assert "empirical_rate=" in out
 
 
-def test_hash_scheme_selection(capsys, model_files, monkeypatch):
-    from opml import hashing
+def test_hash_scheme_is_read_on_every_invocation(capsys, model_files, monkeypatch):
+    model, inp, _, _ = model_files
+    monkeypatch.setenv("OPML_HASH", "blake2b")
+    _, b2_out, _ = run_cli(capsys, "run", "--model", model, "--input", inp)
+    monkeypatch.delenv("OPML_HASH")
+    code, out, _ = run_cli(capsys, "run", "--model", model, "--input", inp)
+    assert "hash=blake2b" in b2_out
+    assert code == 0 and "hash=sha256" in out
 
+
+def test_hash_scheme_selection(capsys, model_files, monkeypatch):
     model, inp, _, _ = model_files
     _, sha_out, _ = run_cli(capsys, "run", "--model", model, "--input", inp)
     monkeypatch.setenv("OPML_HASH", "blake2b")
-    try:
-        code, b2_out, _ = run_cli(capsys, "run", "--model", model, "--input", inp)
-        assert code == 0
-        assert "hash=blake2b" in b2_out
-        # commitments move with the scheme, the claim fields do not vanish
-        assert b2_out.split("final_state_root=")[1] != sha_out.split("final_state_root=")[1]
-        monkeypatch.setenv("OPML_HASH", "nonesuch")
-        code, _, err = run_cli(capsys, "run", "--model", model, "--input", inp)
-        assert code == 2 and "nonesuch" in err
-    finally:
-        hashing.set_active_scheme("sha256")
+    code, b2_out, _ = run_cli(capsys, "run", "--model", model, "--input", inp)
+    assert code == 0
+    assert "hash=blake2b" in b2_out
+    # commitments move with the scheme, the claim fields do not vanish
+    assert b2_out.split("final_state_root=")[1] != sha_out.split("final_state_root=")[1]
+    monkeypatch.setenv("OPML_HASH", "nonesuch")
+    code, _, err = run_cli(capsys, "run", "--model", model, "--input", inp)
+    assert code == 2 and "nonesuch" in err
 
 
 def test_verify_witness_roundtrip(capsys, model_files, tmp_path):
@@ -303,3 +323,28 @@ def test_verify_witness_roundtrip(capsys, model_files, tmp_path):
     code, out, _ = run_cli(capsys, "verify-witness", "--file", str(bad))
     assert code == 0  # verdict is data, not an error
     assert "verdict=Reject" in out
+
+
+def _halt_bundle() -> bytes:
+    """A well-formed sha256 bundle for the one step of a HALT program."""
+    state = fpvm.load_program(fpvm.assemble([fpvm.encode("HALT")]), scheme=get_scheme("sha256"))
+    blob = fpvm.gen_step_witness(state).to_bytes()
+    return (WITNESS_MAGIC + b"\x06sha256" + fpvm.state_root(state) + fpvm.state_root(fpvm.step(state))
+            + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda good: good.replace(b"\x06sha256", b"\x06nosuch", 1),
+    lambda good: WITNESS_MAGIC,
+    lambda good: good[:-4] + struct.pack("<II", 1, 100) + bytes(10),
+    lambda good: good + b"\x00",
+], ids=["unknown-scheme", "magic-only", "preimage-past-end", "trailing-bytes"])
+def test_verify_witness_hostile_bundle_exits_3(capsys, tmp_path, mutate):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    good.write_bytes(_halt_bundle())
+    bad.write_bytes(mutate(good.read_bytes()))
+    code, out, _ = run_cli(capsys, "verify-witness", "--file", str(good))
+    assert code == 0 and "verdict=Accept" in out
+    code, _, err = run_cli(capsys, "verify-witness", "--file", str(bad))
+    assert code == 3
+    assert err.startswith("error:")

@@ -123,7 +123,7 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     chain.stake("alice", 100)
     chain.stake("bob", 100)
     total_before = chain.total()
-    result = run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m, scheme=SCHEME)
+    result = run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)
     assert chain.total() == total_before  # exact conservation
     return result, chain
 
@@ -238,7 +238,7 @@ def test_unstaked_party_cannot_play():
     chain.deposit("alice", 100)
     chain.stake("alice", 100)
     with pytest.raises(ProtocolViolation):
-        run_dispute(claim, submitter, challenger, chain=chain, scheme=SCHEME)
+        run_dispute(claim, submitter, challenger, chain=chain)
 
 
 def test_arbitrate_direct():

@@ -208,7 +208,7 @@ def test_premature_accusation_rejected():
 
 
 def test_simulation_rate_within_band():
-    report = simulate_attention_rounds(rounds=4000, p_t=0.25, seed=5)
+    report = simulate_attention_rounds(rounds=4000, p_t=0.25, seed=5, scheme=SCHEME)
     sigma = (0.25 * 0.75 / report.samples) ** 0.5
     assert abs(report.empirical_rate - 0.25) <= 3 * sigma
     assert report.samples == 4000
@@ -217,7 +217,8 @@ def test_simulation_rate_within_band():
 def test_simulation_conservation_with_lazy_validators():
     chain = ChainSim(challenge_period=1)
     report = simulate_attention_rounds(rounds=500, p_t=0.3, n_validators=3,
-                                       lazy_fraction=0.5, seed=6, penalty=10, chain=chain)
+                                       lazy_fraction=0.5, seed=6, penalty=10, chain=chain,
+                                       scheme=SCHEME)
     assert report.penalized > 0
     assert chain.burned == report.penalized * 5
     assert chain.total() == sum(chain.balances.values()) + sum(chain.stakes.values()) + chain.burned

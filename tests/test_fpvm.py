@@ -37,7 +37,7 @@ def prog(*words: int) -> bytes:
 
 
 def boot(*words: int, input_blob=b"", model_blob=b"") -> fpvm.VmState:
-    return load_program(prog(*words), input_blob, model_blob, SCHEME)
+    return load_program(prog(*words), input_blob, model_blob, scheme=SCHEME)
 
 
 def set_regs(state, **kw):
@@ -692,7 +692,7 @@ def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blo
     regions = ((fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL, program),
                (fpvm.INPUT_BASE, fpvm.INPUT_LEVEL, input_blob),
                (fpvm.MODEL_BASE, fpvm.MODEL_LEVEL, model_blob))
-    loaded = load_program(program, input_blob, model_blob, scheme).memory
+    loaded = load_program(program, input_blob, model_blob, scheme=scheme).memory
     ref = merkle.MemTree(scheme)
     for base, _, image in regions:
         ref = fpvm.write_bytes(ref, base, image)

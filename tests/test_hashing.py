@@ -1,9 +1,13 @@
 """Hash scheme registry and domain separation."""
 
 import hashlib
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import opml
 from opml import hashing, merkle
 
 
@@ -47,3 +51,26 @@ def test_proofs_work_under_alternate_scheme():
     assert merkle.verify(tree.root(), claimed, proof, scheme)
     # the same proof must fail under a different scheme
     assert not merkle.verify(tree.root(), claimed, proof, hashing.get_scheme("sha256"))
+
+
+def test_no_scheme_parameter_has_a_default():
+    """Every component takes its hash scheme from its caller or from an
+    argument that carries one; none falls back to a default."""
+    defaulted = []
+    for info in pkgutil.iter_modules(opml.__path__):
+        module = importlib.import_module(f"opml.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                            if attr == "__init__" or not attr.startswith("_")]
+            for qualname, fn in members:
+                try:
+                    param = inspect.signature(fn).parameters.get("scheme")
+                except (TypeError, ValueError):  # not a callable with a signature
+                    continue
+                if param is not None and param.default is not param.empty:
+                    defaulted.append(f"{module.__name__}.{qualname}")
+    assert defaulted == []

@@ -85,7 +85,7 @@ def test_execute_via_vm_matches_native_sample():
     rng = random.Random(42)
     for _ in range(8):
         graph, x = random_small_mlp(rng)
-        native, _ = ml.execute_native(graph, x, SCHEME)
+        native, _ = ml.execute_native(graph, x)
         via_vm = lowering.execute_via_vm(graph, x, scheme=SCHEME)
         assert via_vm == native
 
@@ -106,7 +106,7 @@ def test_one_ulp_input_difference_stays_deterministic():
     data[0] += 1
     x2 = ml.FixedTensor(x1.shape, tuple(data))
     for x in (x1, x2):
-        native, _ = ml.execute_native(graph, x, SCHEME)
+        native, _ = ml.execute_native(graph, x)
         assert lowering.execute_via_vm(graph, x, scheme=SCHEME) == native
 
 
@@ -116,7 +116,7 @@ def test_lower_graph_single_phase_program():
     lowered = lowering.lower_graph(graph)
     state = lowered.initial_state(x, SCHEME)
     final, n_steps = fpvm.run(state, None, 2_000_000)
-    native, _ = ml.execute_native(graph, x, SCHEME)
+    native, _ = ml.execute_native(graph, x)
     assert lowering.read_output_tensor(final) == native
     assert final.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL) == ml.tensor_region_root(native, SCHEME)
     assert n_steps > len(graph.nodes)

@@ -152,8 +152,9 @@ def test_tensor_serialization_roundtrip():
 def test_execute_native_commitment_count_and_determinism():
     graph = build_mlp(seed=1)
     x = rand_tensor(random.Random(2), (1, 4))
-    out1, commits1 = ml.execute_native(graph, x, SCHEME)
-    out2, commits2 = ml.execute_native(graph, x, SCHEME)
+    (out1, _), (out2, _) = ml.execute_native(graph, x), ml.execute_native(graph, x)
+    commits1 = ml.run_graph(graph, x, scheme=SCHEME).commitments
+    commits2 = ml.run_graph(graph, x, scheme=SCHEME).commitments
     assert out1 == out2
     assert commits1 == commits2
     assert len(commits1) == len(graph.nodes) + 1
@@ -167,7 +168,8 @@ def test_zero_weight_graph_all_zero_output():
         ml.GraphNode(2, "matmul", (0, 1)),
     ]
     graph = ml.CompGraph(nodes, 2)
-    out, commits = ml.execute_native(graph, rand_tensor(random.Random(3), (1, 3)), SCHEME)
+    run = ml.run_graph(graph, rand_tensor(random.Random(3), (1, 3)), scheme=SCHEME)
+    out, commits = run.output, run.commitments
     assert all(v == 0 for v in out.data)
     assert len(commits) == 4
 
@@ -223,7 +225,7 @@ def test_golden_fixture_model_digest():
 def test_golden_mlp_output_digest():
     graph = build_mlp(seed=0, in_dim=4, hidden=8, out_dim=3)
     x = rand_tensor(random.Random(1), (1, 4))
-    out, _ = ml.execute_native(graph, x, SCHEME)
+    out, _ = ml.execute_native(graph, x)
     assert SCHEME.digest(ml.serialize_tensor(out)).hex() == GOLDEN_MLP_OUTPUT_DIGEST
 
 

@@ -123,7 +123,7 @@ def exit_fixture(node_id=2, seed=65):
     run = ml.run_graph(graph, x, scheme=SCHEME)
     m0, oracle, bundle, lowered = build_entrance_state(run, node_id, SCHEME)
     final, _ = fpvm.run(m0, oracle, 2_000_000)
-    return graph, run, final, build_exit_bundle(run, node_id, final, SCHEME)
+    return graph, run, final, build_exit_bundle(run, node_id, final)
 
 
 def test_exit_honest_accepted():
@@ -140,7 +140,7 @@ def test_exit_rejects_mismatches():
     leaf = fpvm.OUTPUT_BASE // 32
     dirty = final.memory.update_leaf(leaf, b"\x07" + final.memory.get_leaf(leaf)[1:])
     dirty_state = fpvm.VmState(final.pc, final.regs, dirty, final.exited, final.exit_code)
-    rejects.append(build_exit_bundle(run, 2, dirty_state, SCHEME))
+    rejects.append(build_exit_bundle(run, 2, dirty_state))
     # proof for the wrong region (input instead of output)
     wrong_proof = final.memory.prove(fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL)
     rejects.append(replace(bundle, output_proof=wrong_proof))
@@ -172,7 +172,7 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
         graph, x,
         make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
         make_party("bob", graph, x, scheme=SCHEME),
-        PhaseConfig(), chain, SCHEME,
+        PhaseConfig(), chain, scheme=SCHEME,
     )
     assert result.winner == "challenger"
     assert result.pinned_node == 2
@@ -190,7 +190,7 @@ def test_two_phase_honest_submitter_wins():
         graph, x,
         make_party("alice", graph, x, scheme=SCHEME),
         make_party("bob", graph, x, graph_fault=fault, scheme=SCHEME),
-        PhaseConfig(k_phase1=2, k_phase2=2), chain, SCHEME,
+        PhaseConfig(k_phase1=2, k_phase2=2), chain, scheme=SCHEME,
     )
     assert result.winner == "submitter"
     assert result.pinned_node == 4
@@ -218,7 +218,7 @@ def test_single_and_two_phase_agree_on_every_fault():
         chain = fresh_chain("alice", "bob")
         sub = make_party("alice", graph, x, graph_fault=fault if faulty_submitter else None, scheme=SCHEME)
         chal = make_party("bob", graph, x, graph_fault=None if faulty_submitter else fault, scheme=SCHEME)
-        two = run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, SCHEME)
+        two = run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
 
         # single-phase game over the whole lowered computation
         step_fault = lowering.graph_fault_to_step_fault(lowered, graph, honest_trace, fault)
@@ -230,7 +230,7 @@ def test_single_and_two_phase_agree_on_every_fault():
                       sub_actor.trace.root_at(dispute.padded_length(len(sub_actor.trace), 1, 1)),
                       len(sub_actor.trace), "alice", 100, claim_id=trial)
         chain2 = fresh_chain("alice", "bob")
-        single = dispute.run_dispute(claim, sub_actor, chal_actor, k=1, chain=chain2, scheme=SCHEME)
+        single = dispute.run_dispute(claim, sub_actor, chal_actor, k=1, chain=chain2)
 
         expected = "challenger" if faulty_submitter else "submitter"
         assert two.winner == expected, (trial, two.reason)
@@ -254,7 +254,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
         graph, x,
         make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
         make_party("bob", graph, x, scheme=SCHEME),
-        PhaseConfig(), chain, SCHEME,
+        PhaseConfig(), chain, scheme=SCHEME,
     )
     assert result.winner == "challenger"
     assert "exit check failed" in result.reason
@@ -270,7 +270,7 @@ def test_phase_counts_against_bound():
             graph, x,
             make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
             make_party("bob", graph, x, scheme=SCHEME),
-            PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, SCHEME,
+            PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, scheme=SCHEME,
         )
         assert result.winner == "challenger"
         assert result.phase1_rounds == interaction_count_bound(len(graph.nodes), 1, k1)
