@@ -9,8 +9,10 @@ Commands:
 
 Every command that takes --seed is bit-reproducible: all randomness flows
 through named streams derived from that one seed. Exit codes: 0 success,
-2 usage or configuration, 3 I/O or parse failure, 4 internal invariant
-violation (a dual-path mismatch is a bug, never a user error).
+2 usage or configuration (including an out-of-range analytics parameter or a
+VM step budget that runs out before HALT), 3 I/O or parse failure (including
+a model whose shapes do not fit together or its input), 4 internal
+invariant violation (a dual-path mismatch is a bug, never a user error).
 
 The hash scheme is read from the OPML_HASH environment variable (default
 sha256) on each invocation and passed to the command; an unknown name exits
@@ -239,14 +241,13 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
 def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     streams = rng.stream(scenario["seed"], "fault")
     chain = _fresh_chain(scenario)
-    oracle = None
-    witness_source = None
 
     if scenario["synthetic_n"] is not None:
         program = dispute.synthetic_program(
             rng.stream(scenario["seed"], "program"), scenario["synthetic_n"]
         )
-        state0 = fpvm.load_program(program, scheme=scheme)
+        honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=scheme),
+                                      max_steps=10_000_000)
         fault_step = scenario["fault_step"]
         if fault_step is None and scenario["strategy"] == "fault":
             fault_step = streams.randrange(1, scenario["synthetic_n"] + 1)
@@ -258,9 +259,8 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         graph = _load_model(scenario["model"])
         input_tensor = _load_tensor(scenario["input"])
         lowered = lowering.lower_graph(graph)
-        state0 = lowered.initial_state(input_tensor, scheme)
-        honest_trace = fpvm.run_trace(state0, None, max_steps=10_000_000)
-        witness_source = honest_trace
+        honest_trace = fpvm.run_trace(lowered.initial_state(input_tensor, scheme),
+                                      max_steps=10_000_000)
         fault_step = scenario["fault_step"]
         fault_leaf, fault_bit = None, 0
         gfault = _graph_fault(scenario, graph, streams)
@@ -275,10 +275,8 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     faulty_submitter = scenario["faulty"] == "submitter"
     sub_strategy = strategy if faulty_submitter else honest
     chal_strategy = honest if faulty_submitter else strategy
-    submitter = dispute.build_trace_actor("submitter", state0, sub_strategy, oracle)
-    challenger = dispute.build_trace_actor("challenger", state0, chal_strategy, oracle)
-    if witness_source is None:
-        witness_source = submitter.trace if not faulty_submitter else challenger.trace
+    submitter = dispute.build_trace_actor("submitter", honest_trace, sub_strategy)
+    challenger = dispute.build_trace_actor("challenger", honest_trace, chal_strategy)
 
     claim = dispute.Claim(
         initial_root=submitter.trace.root_at(0),
@@ -290,18 +288,16 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         stake=100,
     )
     result = dispute.run_dispute(
-        claim, submitter, challenger, k=scenario["k"], chain=chain,
-        m=scenario["m"], oracle=oracle,
+        claim, submitter, challenger, k=scenario["k"], chain=chain, m=scenario["m"],
     )
     transcript_records.extend(result.transcript)
 
     if scenario["witness_out"]:
         step_no = result.pinned_step or 1
-        pre = witness_source.states[min(step_no - 1, len(witness_source.states) - 1)]
         write_witness_bundle(
             scenario["witness_out"], scheme.name,
-            witness_source.root_at(step_no - 1), witness_source.root_at(step_no),
-            fpvm.gen_step_witness(pre, oracle), [],
+            honest_trace.root_at(step_no - 1), honest_trace.root_at(step_no),
+            fpvm.gen_step_witness(honest_trace.state_at(step_no - 1)), [],
         )
     return result
 
@@ -382,41 +378,51 @@ def cmd_security(args, _scheme: hashing.HashScheme) -> int:
         ms = _parse_range(args.m)
     except ValueError as exc:
         raise ConfigError(f"bad m range: {exc}") from exc
+    try:
+        rows = [(m, economics.any_trust_prob(args.p, m),
+                 economics.majority_trust_prob(args.p, m, args.f)) for m in ms]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print("p,m,f,p_any_trust,p_majority_trust")
-    for m in ms:
-        p_any = economics.any_trust_prob(args.p, m)
-        p_maj = economics.majority_trust_prob(args.p, m, args.f)
+    for m, p_any, p_maj in rows:
         print(f"{args.p!r},{m},{args.f!r},{p_any!r},{p_maj!r}")
     return EXIT_OK
 
 
 def cmd_economics(args, scheme: hashing.HashScheme) -> int:
     if args.kind == "equilibrium":
-        payoffs = economics.GamePayoffs(C=args.C, R=args.R, L=args.L, B=args.B, S=args.S)
-        table = economics.payoff_matrix(payoffs)
+        try:
+            payoffs = economics.GamePayoffs(C=args.C, R=args.R, L=args.L, B=args.B, S=args.S)
+            eq = economics.verifier_equilibrium(payoffs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         print("action (validator/submitter)  validator  submitter")
-        for (va, sa), (uv, us) in table.items():
+        for (va, sa), (uv, us) in economics.payoff_matrix(payoffs).items():
             print(f"  {va}/{sa}: {uv!r} {us!r}")
-        eq = economics.verifier_equilibrium(payoffs)
         print(f"cheat_probability={eq.p_c!r}")
         print(f"check_probability={eq.p_v!r}")
         print(f"interior={eq.interior}")
         return EXIT_OK
     # attention
-    best = economics.optimal_attention(args.r, args.t, args.C)
+    try:
+        best = economics.optimal_attention(args.r, args.t, args.C)
+        report = None
+        if args.simulate:
+            report = economics.simulate_attention_rounds(
+                rounds=args.simulate,
+                p_t=args.p_t if args.p_t is not None else best.p_t,
+                n_validators=args.validators,
+                lazy_fraction=args.lazy_fraction,
+                seed=args.seed,
+                penalty=args.penalty,
+                scheme=scheme,
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"deposit={best.G!r}")
     print(f"response_probability={best.p_t!r}")
     print(f"min_cost={best.cost!r}")
-    if args.simulate:
-        report = economics.simulate_attention_rounds(
-            rounds=args.simulate,
-            p_t=args.p_t if args.p_t is not None else best.p_t,
-            n_validators=args.validators,
-            lazy_fraction=args.lazy_fraction,
-            seed=args.seed,
-            penalty=args.penalty,
-            scheme=scheme,
-        )
+    if report is not None:
         print(f"rounds={report.rounds} samples={report.samples} "
               f"selected={report.selections} empirical_rate={report.empirical_rate!r} "
               f"penalized={report.penalized} burned={report.burned}")
@@ -576,10 +582,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, scheme)
-    except ConfigError as exc:
+    except (ConfigError, fpvm.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IoError as exc:
+    except (IoError, ml.ShapeError, lowering.LoweringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (dispute.ProtocolViolation, AssertionError) as exc:

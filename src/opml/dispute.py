@@ -585,24 +585,23 @@ def synthetic_program(rng: random.Random, n_steps: int) -> bytes:
 
 def build_trace_actor(
     party_id: str,
-    initial_state: fpvm.VmState,
+    honest_trace: fpvm.Trace,
     strategy: ActorStrategy,
     oracle: fpvm.PreimageOracle | None = None,
-    max_steps: int = 2_000_000,
 ) -> VmTraceActor:
-    """Replay the trace this party believes in (honest or corrupted).
+    """The party holding the trace it believes in: the honest trace, or a
+    fork of it corrupted at the strategy's fault step.
 
     Any strategy kind may carry a fault_step: a silent or wrong-midpoint
     party still needs a corrupted trace to have a counterclaim to defend.
     """
     if strategy.kind == "fault" and strategy.fault_step is None:
         raise ValueError("fault strategy needs fault_step")
-    fault = None
+    trace = honest_trace
     if strategy.fault_step is not None:
-        fault = fpvm.StepFault(
+        trace = honest_trace.fork(fpvm.StepFault(
             step=strategy.fault_step,
             leaf_index=strategy.fault_leaf if strategy.fault_leaf is not None else SCRATCH_FAULT_LEAF,
             bit=strategy.fault_bit,
-        )
-    trace = fpvm.run_trace(initial_state, oracle, max_steps=max_steps, fault=fault)
-    return VmTraceActor(party_id, trace, strategy, initial_state.scheme)
+        ), oracle)
+    return VmTraceActor(party_id, trace, strategy, honest_trace.scheme)

@@ -30,6 +30,9 @@ memory views: the persistent tree (`step`), a view that records every
 accessed leaf with its proof (`gen_step_witness`), and a view that serves
 only the leaves a witness proves (`verify_step`). So the prover and the
 verifier execute the same instruction by construction.
+
+A faulty trace is a fork of the honest one (`Trace.fork`): it shares the
+honest states before the fault step and replays only the rest.
 """
 
 from __future__ import annotations
@@ -574,6 +577,16 @@ class Trace:
             return self.states[index]
         return self.states[-1]
 
+    def fork(self, fault: StepFault, oracle: PreimageOracle | None = None) -> Trace:
+        """This trace with `fault` injected: its own states before
+        `fault.step`, then a replay of the rest under `run_trace`'s default
+        budget. A fault outside 1..len(self) never applies: returns self."""
+        if not 1 <= fault.step <= len(self):
+            return self
+        corrupted = fault.apply(step(self.states[fault.step - 1], oracle))
+        suffix = run_trace(corrupted, oracle)
+        return Trace(self.states[: fault.step] + suffix.states, self.scheme)
+
 
 def find_store_step(trace: Trace, addr: int) -> int:
     """1-based index of the step whose SW writes the given word address."""
@@ -589,23 +602,22 @@ def find_store_step(trace: Trace, addr: int) -> int:
     raise ValueError(f"no store writes {addr:#x}")
 
 
+def store_fault(trace: Trace, addr: int, bit: int) -> StepFault:
+    """Fault that flips bit `bit % 32` of the word at `addr` right after the
+    step that stores it."""
+    return StepFault(step=find_store_step(trace, addr), leaf_index=addr // 32,
+                     bit=(addr % 32) * 8 + bit % 32)
+
+
 def run_trace(
-    state: VmState,
-    oracle: PreimageOracle | None = None,
-    max_steps: int = 1_000_000,
-    fault: StepFault | None = None,
+    state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
 ) -> Trace:
-    """Execute to HALT recording every state; optionally inject a fault."""
+    """Execute to HALT recording every state."""
     states = [state]
-    steps = 0
     while not states[-1].exited:
-        if steps >= max_steps:
-            raise BudgetExceededError(states[-1], steps)
-        nxt = step(states[-1], oracle)
-        steps += 1
-        if fault is not None and steps == fault.step:
-            nxt = fault.apply(nxt)
-        states.append(nxt)
+        if len(states) > max_steps:
+            raise BudgetExceededError(states[-1], max_steps)
+        states.append(step(states[-1], oracle))
     return Trace(states, state.scheme)
 
 

@@ -380,6 +380,4 @@ def graph_fault_to_step_fault(
     numel = math.prod(shapes[fault.node_id])
     element = fault.element % numel
     addr = HEAP_BASE + lowered.heap_offsets[fault.node_id] + 4 * element
-    step_no = fpvm.find_store_step(honest_trace, addr)
-    bit_in_leaf = (addr % 32) * 8 + (fault.bit % 32)
-    return fpvm.StepFault(step=step_no, leaf_index=addr // 32, bit=bit_in_leaf)
+    return fpvm.store_fault(honest_trace, addr, fault.bit)

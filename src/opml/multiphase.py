@@ -272,16 +272,15 @@ class TwoPhaseResult:
 
 def _phase2_trace(
     party: TwoPhaseParty,
-    m0: fpvm.VmState,
     oracle: fpvm.PreimageOracle,
     node_id: int,
     honest_trace: fpvm.Trace,
 ) -> fpvm.Trace:
     """The VM trace this party defends for the pinned node.
 
-    An honest party replays the node program. A party whose graph fault sits
-    on this node corrupts the one store that writes the faulted element, so
-    its VM trace ends in exactly the output it committed to in phase 1.
+    An honest party plays the honest node trace. A party faulting this node
+    forks it at the one store that writes the faulted element, so its VM
+    trace ends in exactly the output it committed to in phase 1.
     """
     fault = party.graph_fault
     if fault is None or fault.node_id != node_id:
@@ -290,10 +289,7 @@ def _phase2_trace(
     element = fault.element % len(out.data)
     rank = len(out.shape)
     element_addr = fpvm.OUTPUT_BASE + 4 + 4 * rank + 4 * element
-    step_no = fpvm.find_store_step(honest_trace, element_addr)
-    bit_in_leaf = (element_addr % 32) * 8 + (fault.bit % 32)
-    vm_fault = fpvm.StepFault(step=step_no, leaf_index=element_addr // 32, bit=bit_in_leaf)
-    return fpvm.run_trace(m0, oracle, max_steps=2_000_000, fault=vm_fault)
+    return honest_trace.fork(fpvm.store_fault(honest_trace, element_addr, fault.bit), oracle)
 
 
 def run_two_phase_dispute(
@@ -362,8 +358,8 @@ def run_two_phase_dispute(
                        pinned_node)
 
     honest_trace = fpvm.run_trace(m0, oracle, max_steps=2_000_000)
-    sub_trace = _phase2_trace(submitter, m0, oracle, pinned_node, honest_trace)
-    chal_trace = _phase2_trace(challenger, m0, oracle, pinned_node, honest_trace)
+    sub_trace = _phase2_trace(submitter, oracle, pinned_node, honest_trace)
+    chal_trace = _phase2_trace(challenger, oracle, pinned_node, honest_trace)
 
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)

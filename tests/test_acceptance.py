@@ -39,7 +39,7 @@ def _single_phase_game(rng):
     faulty_submitter = rng.random() < 0.5
 
     program = dispute.synthetic_program(rng, n)
-    state0 = fpvm.load_program(program, scheme=SCHEME)
+    honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     adversary = ActorStrategy(
         kind=kind,
         fault_step=fault_step if kind in ("fault", "silent") else None,
@@ -49,8 +49,8 @@ def _single_phase_game(rng):
         seed=rng.getrandbits(32),
     )
     honest = ActorStrategy()
-    submitter = build_trace_actor("sub", state0, adversary if faulty_submitter else honest)
-    challenger = build_trace_actor("chal", state0, honest if faulty_submitter else adversary)
+    submitter = build_trace_actor("sub", honest_trace, adversary if faulty_submitter else honest)
+    challenger = build_trace_actor("chal", honest_trace, honest if faulty_submitter else adversary)
     claim = Claim(
         initial_root=submitter.trace.root_at(0),
         # the posted claim is whatever the submitter asserts, junk included

@@ -106,6 +106,34 @@ def test_program_too_large_for_its_region_exits_3(capsys, model_files, monkeypat
     assert err.startswith("error:") and "exceed" in err
 
 
+def test_run_step_budget_exits_2(capsys, model_files):
+    model, inp, _, _ = model_files
+    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--max-steps", "1")
+    assert (code, out, err) == (2, "", "error: no HALT within 1 steps\n")
+
+
+def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch):
+    """A fork replays its suffix under run_trace's default budget."""
+    real = fpvm.run_trace
+    monkeypatch.setattr(fpvm, "run_trace",
+                        lambda state, oracle=None, max_steps=5: real(state, oracle, max_steps))
+    code, out, err = run_cli(capsys, "dispute", "--synthetic-n", "40", "--fault-step", "3")
+    assert (code, out, err) == (2, "", "error: no HALT within 5 steps\n")
+
+
+def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch):
+    """n honest steps, then only the faulty party's fork: the faulted step
+    and the n - s steps after it."""
+    steps = []
+    real = fpvm.step
+    monkeypatch.setattr(fpvm, "step", lambda state, oracle=None: steps.append(1) or real(state, oracle))
+    n, s = 50, 20
+    code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", str(n), "--fault-step", str(s),
+                           "--faulty", "challenger")
+    assert code == 0 and "winner=submitter" in out
+    assert len(steps) == 2 * n - s + 1
+
+
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):
     model, inp, _, _ = model_files
     transcript = tmp_path / "t.jsonl"
@@ -274,6 +302,20 @@ def test_economics_attention_simulation(capsys):
                            "--simulate", "500", "--seed", "3")
     assert code == 0
     assert "empirical_rate=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["security", "--p", "2", "--m", "3"],
+    ["economics", "attention", "--r", "0", "--t", "1", "--C", "1"],
+    ["economics", "equilibrium", "--C", "0", "--R", "0", "--L", "0", "--B", "0", "--S", "0"],
+    ["economics", "equilibrium", "--C", "1", "--R", "0", "--L", "0", "--B", "0", "--S", "0"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5", "--p-t", "2"],
+], ids=["security-p", "attention-r", "equilibrium-zero-cost", "equilibrium-degenerate",
+        "simulate-p-t"])
+def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_hash_scheme_is_read_on_every_invocation(capsys, model_files, monkeypatch):

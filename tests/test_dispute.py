@@ -106,9 +106,9 @@ def test_interaction_bound_values():
 def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     rng = random.Random(seed)
     program = synthetic_program(rng, n)
-    state0 = fpvm.load_program(program, scheme=SCHEME)
-    submitter = build_trace_actor("alice", state0, sub_strategy)
-    challenger = build_trace_actor("bob", state0, chal_strategy)
+    honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
+    submitter = build_trace_actor("alice", honest_trace, sub_strategy)
+    challenger = build_trace_actor("bob", honest_trace, chal_strategy)
     claim = Claim(
         initial_root=submitter.trace.root_at(0),
         final_root=submitter.claimed_root(padded_length(n, k, m)),
@@ -229,9 +229,9 @@ def test_frivolous_challenger_rejected_at_door():
 def test_unstaked_party_cannot_play():
     rng = random.Random(12)
     program = synthetic_program(rng, 8)
-    state0 = fpvm.load_program(program, scheme=SCHEME)
-    submitter = build_trace_actor("alice", state0, ActorStrategy(kind="honest"))
-    challenger = build_trace_actor("bob", state0, ActorStrategy(kind="fault", fault_step=2))
+    honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
+    submitter = build_trace_actor("alice", honest_trace, ActorStrategy(kind="honest"))
+    challenger = build_trace_actor("bob", honest_trace, ActorStrategy(kind="fault", fault_step=2))
     claim = Claim(submitter.trace.root_at(0), submitter.trace.root_at(len(submitter.trace)),
                   len(submitter.trace), "alice", 100)
     chain = ChainSim()

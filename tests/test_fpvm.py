@@ -650,9 +650,37 @@ def test_fault_injection_diverges_persistently():
     st = load_program(program, scheme=SCHEME)
     honest = run_trace(st, max_steps=2000)
     fault = StepFault(step=20, leaf_index=(HEAP_BASE + 0x100000) // 32, bit=5)
-    corrupt = run_trace(st, max_steps=2000, fault=fault)
+    corrupt = honest.fork(fault)
     assert [honest.root_at(i) for i in range(20)] == [corrupt.root_at(i) for i in range(20)]
     assert all(honest.root_at(i) != corrupt.root_at(i) for i in range(20, len(honest.states)))
+
+
+def _faulted_from_scratch(state, fault: StepFault) -> list:
+    """Reference: every step from `state`, with the fault applied right
+    after step `fault.step`."""
+    states = [state]
+    while not states[-1].exited:
+        nxt = step(states[-1])
+        states.append(fault.apply(nxt) if nxt.step_count == fault.step else nxt)
+    return states
+
+
+@pytest.mark.parametrize("leaf_index", [HEAP_BASE // 32, (HEAP_BASE + 0x100000) // 32],
+                         ids=["read-back-leaf", "scratch-leaf"])
+def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
+    honest = run_trace(load_program(_random_program(random.Random(26), 80), scheme=SCHEME))
+    n = len(honest)
+    for fault_step in (1, n // 2, n, n + 1, 0):
+        fault = StepFault(step=fault_step, leaf_index=leaf_index, bit=fault_step % 256)
+        forked = honest.fork(fault)
+        reference = _faulted_from_scratch(honest.states[0], fault)
+        assert len(forked) == len(reference) - 1
+        assert [forked.root_at(i) for i in range(len(reference))] == [state_root(s) for s in reference]
+        if 1 <= fault_step <= n:
+            assert all(forked.states[i] is honest.states[i] for i in range(fault_step))
+            assert forked.root_at(fault_step) != honest.root_at(fault_step)
+        else:
+            assert forked is honest
 
 
 def test_load_program_golden_root():

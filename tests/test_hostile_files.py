@@ -1,0 +1,104 @@
+"""Mutation fuzz of every file the CLI reads: model, tensor, witness bundle
+and scenario config. Each case applies bit flips, truncations and splices
+to a well-formed file and runs `opml` in-process; it must end in a
+documented exit code (0, 2 or 3), never in an exception."""
+
+import contextlib
+import io
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from opml import ml
+from opml.cli import main
+
+from fixtures import build_mlp, rand_tensor
+
+CONFIGS = {
+    "single.cfg": "protocol=single\nmodel=model.opml\ninput=input.tensor\n"
+                  "fault.node=4\nfaulty=submitter\nk=2\nm=2\nseed=3\n",
+    "two-phase.cfg": "phases=2\nmodel=model.opml\ninput=input.tensor\n"
+                     "fault.node=7\nfaulty=challenger\nk=1\nm=4\nseed=5\n",
+}
+
+#: target file -> the command that reads it (paths relative to the work dir)
+COMMANDS = {
+    "model.opml": ["run", "--model", "model.opml", "--input", "input.tensor"],
+    "input.tensor": ["run", "--model", "model.opml", "--input", "input.tensor"],
+    "w.bin": ["verify-witness", "--file", "w.bin"],
+    "single.cfg": ["dispute", "--config", "single.cfg"],
+    "two-phase.cfg": ["dispute", "--config", "two-phase.cfg"],
+}
+
+
+def _call(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@contextlib.contextmanager
+def _inside(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """The well-formed files, each one accepted by its command."""
+    work = tmp_path_factory.mktemp("hostile")
+    files = {
+        "model.opml": ml.save_model_bytes(build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2)),
+        "input.tensor": ml.serialize_tensor(rand_tensor(random.Random(91), (1, 3))),
+        **{name: text.encode() for name, text in CONFIGS.items()},
+    }
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+    with _inside(work):
+        assert _call(["dispute", "--config", "single.cfg", "--witness-out", "w.bin"])[0] == 0
+        for argv in COMMANDS.values():
+            assert _call(argv)[0] == 0, argv
+    files["w.bin"] = (work / "w.bin").read_bytes()
+    return work, files
+
+
+_MUTATION = hst.one_of(
+    hst.tuples(hst.just("flip"), hst.integers(0, 1 << 16), hst.integers(0, 7)),
+    hst.tuples(hst.just("truncate"), hst.integers(0, 1 << 16)),
+    hst.tuples(hst.just("splice"), hst.integers(0, 1 << 16), hst.integers(0, 1 << 16),
+               hst.integers(1, 16)),
+)
+
+
+def _mutate(data: bytes, ops) -> bytes:
+    buf = bytearray(data)
+    for op in ops:
+        if not buf:
+            break
+        if op[0] == "flip":
+            buf[op[1] % len(buf)] ^= 1 << op[2]
+        elif op[0] == "truncate":
+            del buf[op[1] % len(buf):]
+        else:  # insert a copy of one slice of the file at another offset
+            src, dst, n = op[1] % len(buf), op[2] % len(buf), op[3]
+            buf[dst:dst] = buf[src:src + n]
+    return bytes(buf)
+
+
+@given(target=hst.sampled_from(sorted(COMMANDS)), ops=hst.lists(_MUTATION, min_size=1, max_size=3))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
+    work, files = originals
+    for name, data in files.items():
+        (work / name).write_bytes(_mutate(data, ops) if name == target else data)
+    with _inside(work):
+        code, err = _call(COMMANDS[target])
+    assert code in (0, 2, 3), (target, ops, err)

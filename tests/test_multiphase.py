@@ -224,8 +224,8 @@ def test_single_and_two_phase_agree_on_every_fault():
         step_fault = lowering.graph_fault_to_step_fault(lowered, graph, honest_trace, fault)
         strat_fault = ActorStrategy(kind="fault", fault_step=step_fault.step,
                                     fault_leaf=step_fault.leaf_index, fault_bit=step_fault.bit)
-        sub_actor = build_trace_actor("alice", state0, strat_fault if faulty_submitter else ActorStrategy())
-        chal_actor = build_trace_actor("bob", state0, ActorStrategy() if faulty_submitter else strat_fault)
+        sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
+        chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
         claim = Claim(sub_actor.trace.root_at(0),
                       sub_actor.trace.root_at(dispute.padded_length(len(sub_actor.trace), 1, 1)),
                       len(sub_actor.trace), "alice", 100, claim_id=trial)
@@ -248,7 +248,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
 
     # both parties play an honest VM trace regardless of their graph claims
     monkeypatch.setattr(multiphase, "_phase2_trace",
-                        lambda party, m0, oracle, node_id, honest_trace: honest_trace)
+                        lambda party, oracle, node_id, honest_trace: honest_trace)
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
