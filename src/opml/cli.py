@@ -11,8 +11,9 @@ Every command that takes --seed is bit-reproducible: all randomness flows
 through named streams derived from that one seed. Exit codes: 0 success,
 2 usage or configuration (including an out-of-range analytics parameter or a
 VM step budget that runs out before HALT), 3 I/O or parse failure (including
-a model whose shapes do not fit together or its input), 4 internal
-invariant violation (a dual-path mismatch is a bug, never a user error).
+a model whose shapes do not fit together or its input, checked on load), 4
+internal invariant violation (a dual-path mismatch is a bug, never a user
+error).
 
 The hash scheme is read from the OPML_HASH environment variable (default
 sha256) on each invocation and passed to the command; an unknown name exits
@@ -57,10 +58,16 @@ def _read_file(path: str) -> bytes:
 
 
 def _load_model(path: str) -> ml.CompGraph:
+    """A model the VM can run: its shapes fit node by node and its output
+    node computes something."""
     try:
-        return ml.load_model_bytes(_read_file(path))
+        graph = ml.load_model_bytes(_read_file(path))
+        graph.infer_shapes()
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
+    if graph.nodes[graph.output_id].op in ("input", "const"):
+        raise IoError(f"{path}: output node must be a computed node")
+    return graph
 
 
 def _load_tensor(path: str) -> ml.FixedTensor:
@@ -72,6 +79,15 @@ def _load_tensor(path: str) -> ml.FixedTensor:
     if offset != len(data):
         raise IoError(f"{path}: trailing bytes after tensor")
     return tensor
+
+
+def _load_model_and_input(model_path: str, input_path: str) -> tuple[ml.CompGraph, ml.FixedTensor]:
+    graph = _load_model(model_path)
+    input_tensor = _load_tensor(input_path)
+    declared = tuple(graph.nodes[graph.input_ids[0]].shape)
+    if input_tensor.shape != declared:
+        raise IoError(f"{input_path}: shape {input_tensor.shape} != declared {declared}")
+    return graph, input_tensor
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -98,8 +114,7 @@ def read_config(path: str) -> dict[str, str]:
 
 
 def cmd_run(args, scheme: hashing.HashScheme) -> int:
-    graph = _load_model(args.model)
-    input_tensor = _load_tensor(args.input)
+    graph, input_tensor = _load_model_and_input(args.model, args.input)
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
     native = native_run.output
@@ -256,8 +271,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     else:
         if not scenario["model"] or not scenario["input"]:
             raise ConfigError("dispute needs --model/--input or --synthetic-n")
-        graph = _load_model(scenario["model"])
-        input_tensor = _load_tensor(scenario["input"])
+        graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
         lowered = lowering.lower_graph(graph)
         honest_trace = fpvm.run_trace(lowered.initial_state(input_tensor, scheme),
                                       max_steps=10_000_000)
@@ -305,8 +319,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
 def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseResult:
     if not scenario["model"] or not scenario["input"]:
         raise ConfigError("two-phase dispute needs --model and --input")
-    graph = _load_model(scenario["model"])
-    input_tensor = _load_tensor(scenario["input"])
+    graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
     streams = rng.stream(scenario["seed"], "fault")
     gfault = _graph_fault(scenario, graph, streams)
     chain = _fresh_chain(scenario)
@@ -403,22 +416,28 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
         print(f"check_probability={eq.p_v!r}")
         print(f"interior={eq.interior}")
         return EXIT_OK
-    # attention
+    # attention: inputs are checked up front, so a failure inside the
+    # simulation stays an internal error
     try:
         best = economics.optimal_attention(args.r, args.t, args.C)
-        report = None
+        p_t = args.p_t if args.p_t is not None else best.p_t
         if args.simulate:
-            report = economics.simulate_attention_rounds(
-                rounds=args.simulate,
-                p_t=args.p_t if args.p_t is not None else best.p_t,
-                n_validators=args.validators,
-                lazy_fraction=args.lazy_fraction,
-                seed=args.seed,
-                penalty=args.penalty,
-                scheme=scheme,
-            )
+            economics.AttentionParams(args.r, args.t, args.C, p_t=p_t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.simulate and args.penalty < 0:
+        raise ConfigError("--penalty must be non-negative")
+    report = None
+    if args.simulate:
+        report = economics.simulate_attention_rounds(
+            rounds=args.simulate,
+            p_t=p_t,
+            n_validators=args.validators,
+            lazy_fraction=args.lazy_fraction,
+            seed=args.seed,
+            penalty=args.penalty,
+            scheme=scheme,
+        )
     print(f"deposit={best.G!r}")
     print(f"response_probability={best.p_t!r}")
     print(f"min_cost={best.cost!r}")
@@ -585,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, fpvm.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IoError, ml.ShapeError, lowering.LoweringError) as exc:
+    except IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (dispute.ProtocolViolation, AssertionError) as exc:

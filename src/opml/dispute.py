@@ -587,7 +587,6 @@ def build_trace_actor(
     party_id: str,
     honest_trace: fpvm.Trace,
     strategy: ActorStrategy,
-    oracle: fpvm.PreimageOracle | None = None,
 ) -> VmTraceActor:
     """The party holding the trace it believes in: the honest trace, or a
     fork of it corrupted at the strategy's fault step.
@@ -603,5 +602,5 @@ def build_trace_actor(
             step=strategy.fault_step,
             leaf_index=strategy.fault_leaf if strategy.fault_leaf is not None else SCRATCH_FAULT_LEAF,
             bit=strategy.fault_bit,
-        ), oracle)
+        ))
     return VmTraceActor(party_id, trace, strategy, honest_trace.scheme)

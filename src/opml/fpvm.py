@@ -65,6 +65,8 @@ MULFX_SHIFT = 16
 
 MASK32 = 0xFFFF_FFFF
 
+FORK_MAX_STEPS = 2_000_000  # steps a forked faulty trace may take, shared prefix included
+
 # Exit codes for trap states.
 TRAP_BAD_OPCODE = 0xFE
 TRAP_BAD_ALIGN = 0xFD
@@ -555,9 +557,11 @@ class Trace:
     a handful of the indices it bisects over, and `opml run` only the last.
     """
 
-    def __init__(self, states: list[VmState], scheme: HashScheme):
+    def __init__(self, states: list[VmState], scheme: HashScheme,
+                 oracle: PreimageOracle | None = None):
         self.states = states
         self.scheme = scheme
+        self.oracle = oracle
         self._roots: dict[int, bytes] = {}
 
     def __len__(self) -> int:
@@ -577,15 +581,20 @@ class Trace:
             return self.states[index]
         return self.states[-1]
 
-    def fork(self, fault: StepFault, oracle: PreimageOracle | None = None) -> Trace:
+    def fork(self, fault: StepFault) -> Trace:
         """This trace with `fault` injected: its own states before
-        `fault.step`, then a replay of the rest under `run_trace`'s default
-        budget. A fault outside 1..len(self) never applies: returns self."""
+        `fault.step`, then a replay of the rest under its oracle and within
+        FORK_MAX_STEPS. A fault outside 1..len(self) never applies: returns self."""
         if not 1 <= fault.step <= len(self):
             return self
-        corrupted = fault.apply(step(self.states[fault.step - 1], oracle))
-        suffix = run_trace(corrupted, oracle)
-        return Trace(self.states[: fault.step] + suffix.states, self.scheme)
+        if fault.step > FORK_MAX_STEPS:
+            raise BudgetExceededError(self.states[FORK_MAX_STEPS], FORK_MAX_STEPS)
+        corrupted = fault.apply(step(self.states[fault.step - 1], self.oracle))
+        try:
+            suffix = run_trace(corrupted, self.oracle, max_steps=FORK_MAX_STEPS - fault.step)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(exc.state, FORK_MAX_STEPS) from None
+        return Trace(self.states[: fault.step] + suffix.states, self.scheme, self.oracle)
 
 
 def find_store_step(trace: Trace, addr: int) -> int:
@@ -618,7 +627,7 @@ def run_trace(
         if len(states) > max_steps:
             raise BudgetExceededError(states[-1], max_steps)
         states.append(step(states[-1], oracle))
-    return Trace(states, state.scheme)
+    return Trace(states, state.scheme, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,6 @@ class TwoPhaseResult:
 
 def _phase2_trace(
     party: TwoPhaseParty,
-    oracle: fpvm.PreimageOracle,
     node_id: int,
     honest_trace: fpvm.Trace,
 ) -> fpvm.Trace:
@@ -289,7 +288,7 @@ def _phase2_trace(
     element = fault.element % len(out.data)
     rank = len(out.shape)
     element_addr = fpvm.OUTPUT_BASE + 4 + 4 * rank + 4 * element
-    return honest_trace.fork(fpvm.store_fault(honest_trace, element_addr, fault.bit), oracle)
+    return honest_trace.fork(fpvm.store_fault(honest_trace, element_addr, fault.bit))
 
 
 def run_two_phase_dispute(
@@ -358,8 +357,8 @@ def run_two_phase_dispute(
                        pinned_node)
 
     honest_trace = fpvm.run_trace(m0, oracle, max_steps=2_000_000)
-    sub_trace = _phase2_trace(submitter, oracle, pinned_node, honest_trace)
-    chal_trace = _phase2_trace(challenger, oracle, pinned_node, honest_trace)
+    sub_trace = _phase2_trace(submitter, pinned_node, honest_trace)
+    chal_trace = _phase2_trace(challenger, pinned_node, honest_trace)
 
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)

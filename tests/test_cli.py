@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from opml import fpvm, ml
+from opml import dispute, economics, fpvm, lowering, ml
 from opml.cli import WITNESS_MAGIC, main, read_witness_bundle
 from opml.hashing import get_scheme
 
@@ -106,19 +106,49 @@ def test_program_too_large_for_its_region_exits_3(capsys, model_files, monkeypat
     assert err.startswith("error:") and "exceed" in err
 
 
+def _misfit_model_files(tmp_path, case):
+    """A model and input that parse but do not fit: operand shapes that
+    clash, an uncomputed output node, or an input of the wrong shape."""
+    rows = 4 if case == "matmul" else 3
+    nodes = [ml.GraphNode(0, "input", shape=(1, 3)),
+             ml.GraphNode(1, "const", params=ml.FixedTensor((rows, 2), tuple(range(2 * rows)))),
+             ml.GraphNode(2, "matmul", (0, 1))]
+    graph = ml.CompGraph(nodes, output_id=1 if case == "output" else 2)
+    width = 4 if case == "input" else 3
+    x = ml.FixedTensor((1, width), tuple(range(width)))
+    model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
+    ml.save_model(graph, str(model))
+    inp.write_bytes(ml.serialize_tensor(x))
+    return str(model), str(inp)
+
+
+@pytest.mark.parametrize("case", ["matmul", "output", "input"])
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["dispute", "--protocol", "single"],
+    ["dispute", "--protocol", "two-phase"],
+], ids=["run", "single", "two-phase"])
+def test_model_that_does_not_fit_exits_3_on_load(capsys, tmp_path, monkeypatch, argv, case):
+    model, inp = _misfit_model_files(tmp_path, case)
+    monkeypatch.setattr(lowering, "lower_graph", None)  # rejected before lowering
+    code, out, err = run_cli(capsys, *argv, "--model", model, "--input", inp)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and (inp if case == "input" else model) in err
+
+
 def test_run_step_budget_exits_2(capsys, model_files):
     model, inp, _, _ = model_files
     code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--max-steps", "1")
     assert (code, out, err) == (2, "", "error: no HALT within 1 steps\n")
 
 
-def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch):
-    """A fork replays its suffix under run_trace's default budget."""
-    real = fpvm.run_trace
-    monkeypatch.setattr(fpvm, "run_trace",
-                        lambda state, oracle=None, max_steps=5: real(state, oracle, max_steps))
-    code, out, err = run_cli(capsys, "dispute", "--synthetic-n", "40", "--fault-step", "3")
-    assert (code, out, err) == (2, "", "error: no HALT within 5 steps\n")
+@pytest.mark.parametrize("fault_step", [3, 25])
+def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
+    """A fork must halt within FORK_MAX_STEPS steps, its shared prefix included."""
+    monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", 30)
+    code, out, err = run_cli(capsys, "dispute", "--synthetic-n", "40",
+                             "--fault-step", str(fault_step))
+    assert (code, out, err) == (2, "", "error: no HALT within 30 steps\n")
 
 
 def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch):
@@ -310,12 +340,25 @@ def test_economics_attention_simulation(capsys):
     ["economics", "equilibrium", "--C", "0", "--R", "0", "--L", "0", "--B", "0", "--S", "0"],
     ["economics", "equilibrium", "--C", "1", "--R", "0", "--L", "0", "--B", "0", "--S", "0"],
     ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5", "--p-t", "2"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "4", "--simulate", "5"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
+     "--penalty", "-1"],
 ], ids=["security-p", "attention-r", "equilibrium-zero-cost", "equilibrium-degenerate",
-        "simulate-p-t"])
+        "simulate-p-t", "simulate-optimal-p-t", "simulate-penalty"])
 def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_attention_simulation_failure_stays_internal(capsys, monkeypatch):
+    def violate(**_):
+        raise dispute.ProtocolViolation("validator-0 cannot pay penalty 10")
+    monkeypatch.setattr(economics, "simulate_attention_rounds", violate)
+    code, out, err = run_cli(capsys, "economics", "attention", "--r", "1", "--t", "1",
+                             "--C", "1", "--simulate", "5")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:")
 
 
 def test_hash_scheme_is_read_on_every_invocation(capsys, model_files, monkeypatch):

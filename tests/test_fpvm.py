@@ -683,6 +683,23 @@ def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
             assert forked is honest
 
 
+def test_fork_is_held_to_fork_max_steps_in_total(monkeypatch):
+    """The budget counts the shared prefix: a fork of an n-step trace halts
+    under a budget of n and runs out under n - 1, wherever the fault is."""
+    honest = run_trace(load_program(_random_program(random.Random(27), 40), scheme=SCHEME))
+    n = len(honest)
+    scratch = (HEAP_BASE + 0x100000) // 32
+    for fault_step in (1, n // 2, n):
+        fault = StepFault(step=fault_step, leaf_index=scratch, bit=3)
+        monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", n)
+        assert len(honest.fork(fault)) == n
+        monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", n - 1)
+        with pytest.raises(fpvm.BudgetExceededError) as exc:
+            honest.fork(fault)
+        assert exc.value.steps == n - 1
+        assert exc.value.state.step_count == n - 1
+
+
 def test_load_program_golden_root():
     """Cross-process reproducibility anchor; recorded once from the first
     oracle run of this build and pinned."""

@@ -248,7 +248,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
 
     # both parties play an honest VM trace regardless of their graph claims
     monkeypatch.setattr(multiphase, "_phase2_trace",
-                        lambda party, oracle, node_id, honest_trace: honest_trace)
+                        lambda party, node_id, honest_trace: honest_trace)
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
