@@ -198,6 +198,8 @@ def _scenario_from_args(args) -> dict:
         raise ConfigError(f"unknown protocol {scenario['protocol']!r}")
     if scenario["k"] < 1 or scenario["m"] < 1:
         raise ConfigError("k and m must be >= 1")
+    if scenario["challenge_period"] < 0:
+        raise ConfigError("challenge_period must be non-negative")
     if scenario["synthetic_n"] is not None and scenario["synthetic_n"] < 2:
         raise ConfigError("a synthetic program needs at least 2 steps")
     if scenario["faulty"] not in ("submitter", "challenger"):
@@ -279,7 +281,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         fault_leaf, fault_bit = None, 0
         gfault = _graph_fault(scenario, graph, streams)
         if gfault is not None:
-            sf = lowering.graph_fault_to_step_fault(lowered, graph, honest_trace, gfault)
+            sf = lowering.graph_fault_to_step_fault(lowered, honest_trace, gfault)
             fault_step, fault_leaf, fault_bit = sf.step, sf.leaf_index, sf.bit
         elif fault_step is not None:
             fault_bit = streams.randrange(256)
@@ -379,11 +381,12 @@ def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+def _parse_range(spec: str) -> range:
+    lo, colon, hi = spec.partition(":")
+    ms = range(int(lo), int(hi if colon else lo) + 1)
+    if not ms:
+        raise ValueError(f"empty range {spec}")
+    return ms
 
 
 def cmd_security(args, _scheme: hashing.HashScheme) -> int:
@@ -425,8 +428,14 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
             economics.AttentionParams(args.r, args.t, args.C, p_t=p_t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.simulate is not None and args.simulate < 0:
+        raise ConfigError("--simulate must be non-negative")
     if args.simulate and args.penalty < 0:
         raise ConfigError("--penalty must be non-negative")
+    if args.simulate and args.validators < 1:
+        raise ConfigError("--validators must be >= 1")
+    if args.simulate and not 0.0 <= args.lazy_fraction <= 1.0:
+        raise ConfigError("--lazy-fraction must be in [0, 1]")
     report = None
     if args.simulate:
         report = economics.simulate_attention_rounds(

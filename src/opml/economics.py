@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, exp, lgamma, log, log1p, sqrt
 from typing import NamedTuple
 
 from .dispute import ChainSim
@@ -78,7 +78,8 @@ def majority_trust_prob(p: float, m: int, f: float) -> float:
     """Chance no more than ceil(f*m) of m validators are malicious.
 
     Binomial sum with exact coefficients; fully rational arithmetic up to
-    64 validators, floats beyond.
+    64 validators. Beyond that each term is summed as the exponent of its
+    logarithm, since the coefficient alone overflows a float past ~1,000.
     """
     SecurityParams(p, m, f)
     cutoff = -(-Fraction(f).limit_denominator(10**9) * m // 1)  # ceil(f*m), exact
@@ -89,7 +90,11 @@ def majority_trust_prob(p: float, m: int, f: float) -> float:
             comb(m, i) * pf**i * (1 - pf) ** (m - i) for i in range(0, min(cutoff, m) + 1)
         )
         return float(total)
-    return sum(comb(m, i) * p**i * (1.0 - p) ** (m - i) for i in range(0, min(cutoff, m) + 1))
+    if p in (0.0, 1.0):  # one certain outcome: no malicious, or all m
+        return 1.0 if p == 0.0 or cutoff >= m else 0.0
+    log_p, log_q = log(p), log1p(-p)
+    return min(1.0, sum(exp(lgamma(m + 1) - lgamma(i + 1) - lgamma(m - i + 1)
+                            + i * log_p + (m - i) * log_q) for i in range(0, min(cutoff, m) + 1)))
 
 
 class Equilibrium(NamedTuple):

@@ -597,25 +597,12 @@ class Trace:
         return Trace(self.states[: fault.step] + suffix.states, self.scheme, self.oracle)
 
 
-def find_store_step(trace: Trace, addr: int) -> int:
-    """1-based index of the step whose SW writes the given word address."""
-    for s in range(1, len(trace.states)):
-        pre = trace.states[s - 1]
-        if pre.exited or pre.pc % 4 != 0:
-            continue
-        instr = decode(struct.unpack_from("<I", pre.memory.get_leaf(pre.pc >> 5), pre.pc & 31)[0])
-        if instr is None or instr.op != "SW":
-            continue
-        if wrap32(pre.regs[instr.rs] + instr.imm) == addr:
+def find_store_step(trace: Trace, pc: int) -> int:
+    """1-based index of the first step that executes the instruction at `pc`."""
+    for s, pre in enumerate(trace.states[:-1], 1):
+        if pre.pc == pc and not pre.exited:
             return s
-    raise ValueError(f"no store writes {addr:#x}")
-
-
-def store_fault(trace: Trace, addr: int, bit: int) -> StepFault:
-    """Fault that flips bit `bit % 32` of the word at `addr` right after the
-    step that stores it."""
-    return StepFault(step=find_store_step(trace, addr), leaf_index=addr // 32,
-                     bit=(addr % 32) * 8 + bit % 32)
+    raise ValueError(f"no step executes pc {pc:#x}")
 
 
 def run_trace(

@@ -25,6 +25,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from . import fpvm, ml
@@ -47,6 +48,13 @@ def _li(words: list[int], rd: int, value: int) -> None:
     words.append(value & 0xFFFFFFFF)
 
 
+def _store(words: list[int], stores: list[tuple[int, int]], addr: int, rt: int, rs: int) -> None:
+    """Store register rt to `addr` through rs, and record (pc of the SW, addr)."""
+    _li(words, rs, addr)
+    stores.append((4 * len(words), addr))
+    words.append(encode("SW", rt=rt, rs=rs, imm=0))
+
+
 def _emit_key_copy(words: list[int], operand_index: int) -> None:
     """Copy a 32-byte key from the input region into the oracle-key field."""
     _li(words, 1, INPUT_BASE + 32 * operand_index)
@@ -63,7 +71,7 @@ def _emit_chunk_loads(words: list[int], slot_leaf: int, n_chunks: int) -> None:
         words.append(encode("PREIMAGE", rd=7, rs=4))
 
 
-def _emit_matmul(words, a_base, b_base, dst_base, r, n, p):
+def _emit_matmul(words, stores, a_base, b_base, dst_base, r, n, p):
     for i in range(r):
         for j in range(p):
             words.append(encode("ADD", rd=3, rs=0, rt=0))
@@ -80,33 +88,30 @@ def _emit_matmul(words, a_base, b_base, dst_base, r, n, p):
                 words.append(encode("ADD", rd=4, rs=4, rt=5))
             words.append(encode("SRA", rd=4, rs=4, imm=16))
             words.append(encode("ADD", rd=3, rs=3, rt=4))
-            _li(words, 1, dst_base + 4 * (i * p + j))
-            words.append(encode("SW", rt=3, rs=1, imm=0))
+            _store(words, stores, dst_base + 4 * (i * p + j), 3, 1)
 
 
-def _emit_bias_add(words, x_base, b_base, dst_base, count, width):
+def _emit_bias_add(words, stores, x_base, b_base, dst_base, count, width):
     for e in range(count):
         _li(words, 1, x_base + 4 * e)
         words.append(encode("LW", rd=1, rs=1, imm=0))
         _li(words, 2, b_base + 4 * (e % width))
         words.append(encode("LW", rd=2, rs=2, imm=0))
         words.append(encode("ADD", rd=3, rs=1, rt=2))
-        _li(words, 2, dst_base + 4 * e)
-        words.append(encode("SW", rt=3, rs=2, imm=0))
+        _store(words, stores, dst_base + 4 * e, 3, 2)
 
 
-def _emit_relu(words, x_base, dst_base, count):
+def _emit_relu(words, stores, x_base, dst_base, count):
     for e in range(count):
         _li(words, 1, x_base + 4 * e)
         words.append(encode("LW", rd=2, rs=1, imm=0))
         words.append(encode("ADD", rd=3, rs=0, rt=0))
         words.append(encode("BLT", rs=2, rt=0, imm=1))  # negative: keep zero
         words.append(encode("ADD", rd=3, rs=2, rt=0))
-        _li(words, 1, dst_base + 4 * e)
-        words.append(encode("SW", rt=3, rs=1, imm=0))
+        _store(words, stores, dst_base + 4 * e, 3, 1)
 
 
-def _emit_argmax(words, x_base, count, dst_base):
+def _emit_argmax(words, stores, x_base, count, dst_base):
     _li(words, 1, x_base)
     words.append(encode("LW", rd=3, rs=1, imm=0))  # best value
     words.append(encode("ADD", rd=4, rs=0, rt=0))  # best index
@@ -117,8 +122,7 @@ def _emit_argmax(words, x_base, count, dst_base):
         words.append(encode("BEQ", rs=0, rt=0, imm=3))
         words.append(encode("ADD", rd=3, rs=1, rt=0))
         _li(words, 4, e)
-    _li(words, 1, dst_base)
-    words.append(encode("SW", rt=4, rs=1, imm=0))
+    _store(words, stores, dst_base, 4, 1)
 
 
 def _emit_header(words, region_base, shape):
@@ -135,19 +139,33 @@ def _payload_offset(rank: int) -> int:
     return 4 + 4 * rank
 
 
-def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base):
+def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tuple[int, int]]:
+    """Emit one node's kernel; returns (pc of the SW, address) of each
+    output element's store, in element order."""
+    stores: list[tuple[int, int]] = []
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
-        _emit_matmul(words, operand_bases[0], operand_bases[1], dst_base, r, n, p)
+        _emit_matmul(words, stores, operand_bases[0], operand_bases[1], dst_base, r, n, p)
     elif op == "bias_add":
-        _emit_bias_add(words, operand_bases[0], operand_bases[1], dst_base,
+        _emit_bias_add(words, stores, operand_bases[0], operand_bases[1], dst_base,
                        math.prod(operand_shapes[0]), operand_shapes[1][0])
     elif op == "relu":
-        _emit_relu(words, operand_bases[0], dst_base, math.prod(operand_shapes[0]))
+        _emit_relu(words, stores, operand_bases[0], dst_base, math.prod(operand_shapes[0]))
     elif op == "argmax":
-        _emit_argmax(words, operand_bases[0], math.prod(operand_shapes[0]), dst_base)
+        _emit_argmax(words, stores, operand_bases[0], math.prod(operand_shapes[0]), dst_base)
     else:
         raise LoweringError(f"op {op!r} has no lowering")
+    return stores
+
+
+def store_fault(
+    trace: fpvm.Trace, stores: list[tuple[int, int]], element: int, bit: int
+) -> fpvm.StepFault:
+    """Fault that flips bit `bit % 32` of output element `element % len(stores)`
+    right after the SW that stores it."""
+    pc, addr = stores[element % len(stores)]
+    return fpvm.StepFault(step=fpvm.find_store_step(trace, pc), leaf_index=addr // 32,
+                          bit=(addr % 32) * 8 + bit % 32)
 
 
 @dataclass
@@ -159,6 +177,7 @@ class LoweredNode:
     operand_keys: list[bytes]
     preimages: dict[bytes, bytes]
     out_shape: tuple[int, ...]
+    stores: list[tuple[int, int]]  # (pc of the SW, address) per output element
 
     @property
     def input_blob(self) -> bytes:
@@ -183,7 +202,7 @@ def lower_node(
     """
     if node.op not in ("matmul", "bias_add", "relu", "argmax"):
         raise LoweringError(f"op {node.op!r} has no lowering")
-    out_shape = _node_out_shape(node.op, [t.shape for t in operands])
+    out_shape = ml.op_shape(node.op, [t.shape for t in operands])
 
     words: list[int] = []
     _li(words, _MASK_REG, 0xFFFF)
@@ -203,25 +222,10 @@ def lower_node(
         slot += 32 * n_chunks
 
     dst_base = OUTPUT_BASE + _payload_offset(len(out_shape))
-    _emit_kernel(words, node.op, payload_bases, [t.shape for t in operands], dst_base)
+    stores = _emit_kernel(words, node.op, payload_bases, [t.shape for t in operands], dst_base)
     _emit_header(words, OUTPUT_BASE, out_shape)
     words.append(encode("HALT"))
-    return LoweredNode(node.op, fpvm.assemble(words), keys, preimages, out_shape)
-
-
-def _node_out_shape(op, operand_shapes):
-    if op == "matmul":
-        (r, n), (n2, p) = operand_shapes
-        if n != n2:
-            raise LoweringError(f"matmul {operand_shapes}")
-        return (r, p)
-    if op == "bias_add":
-        return operand_shapes[0]
-    if op == "relu":
-        return operand_shapes[0]
-    if op == "argmax":
-        return (1,)
-    raise LoweringError(op)
+    return LoweredNode(node.op, fpvm.assemble(words), keys, preimages, out_shape, stores)
 
 
 def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState:
@@ -243,19 +247,10 @@ def run_lowered_node(
 def read_output_tensor(state: fpvm.VmState) -> ml.FixedTensor:
     header = fpvm.read_bytes(state.memory, OUTPUT_BASE, 4)
     rank = int.from_bytes(header, "little")
-    size = _payload_offset(rank)
-    shape_bytes = fpvm.read_bytes(state.memory, OUTPUT_BASE, size)
-    tensor, _ = ml.deserialize_tensor(
-        fpvm.read_bytes(state.memory, OUTPUT_BASE, size + 4 * _region_numel(shape_bytes, rank))
-    )
+    dims = struct.unpack(f"<{rank}I", fpvm.read_bytes(state.memory, OUTPUT_BASE + 4, 4 * rank))
+    size = _payload_offset(rank) + 4 * math.prod(dims)
+    tensor, _ = ml.deserialize_tensor(fpvm.read_bytes(state.memory, OUTPUT_BASE, size))
     return tensor
-
-
-def _region_numel(shape_bytes: bytes, rank: int) -> int:
-    import struct
-
-    dims = struct.unpack_from(f"<{rank}I", shape_bytes, 4)
-    return math.prod(dims)
 
 
 def execute_via_vm(
@@ -295,7 +290,7 @@ class LoweredGraph:
     program: bytes
     model_blob: bytes
     out_shape: tuple[int, ...]
-    heap_offsets: dict[int, int]
+    stores: dict[int, list[tuple[int, int]]]  # node id -> its kernel's output stores
 
     def initial_state(self, input_tensor: ml.FixedTensor, scheme: HashScheme) -> fpvm.VmState:
         return fpvm.load_program(
@@ -339,13 +334,14 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
 
     words: list[int] = []
     _li(words, _MASK_REG, 0xFFFF)
+    stores: dict[int, list[tuple[int, int]]] = {}
     for node in graph.nodes:
         if node.op in ("input", "const"):
             continue
         operand_bases = [payload_base(i) for i in node.input_ids]
         operand_shapes = [shapes[i] for i in node.input_ids]
-        _emit_kernel(words, node.op, operand_bases, operand_shapes,
-                     HEAP_BASE + heap_offsets[node.id])
+        stores[node.id] = _emit_kernel(words, node.op, operand_bases, operand_shapes,
+                                       HEAP_BASE + heap_offsets[node.id])
 
     # Serialize the designated output into the output region.
     out_shape = shapes[graph.output_id]
@@ -361,14 +357,11 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
         _li(words, 1, dst + 4 * e)
         words.append(encode("SW", rt=2, rs=1, imm=0))
     words.append(encode("HALT"))
-    return LoweredGraph(fpvm.assemble(words), model_blob, out_shape, heap_offsets)
+    return LoweredGraph(fpvm.assemble(words), model_blob, out_shape, stores)
 
 
 def graph_fault_to_step_fault(
-    lowered: LoweredGraph,
-    graph: ml.CompGraph,
-    honest_trace: "fpvm.Trace",
-    fault: ml.GraphFault,
+    lowered: LoweredGraph, honest_trace: fpvm.Trace, fault: ml.GraphFault
 ) -> fpvm.StepFault:
     """Map a node-output corruption onto the whole-graph program's trace.
 
@@ -376,8 +369,4 @@ def graph_fault_to_step_fault(
     word, so the corrupted single-phase trace commits to exactly the same
     wrong tensor as the natively corrupted graph run.
     """
-    shapes = graph.infer_shapes()
-    numel = math.prod(shapes[fault.node_id])
-    element = fault.element % numel
-    addr = HEAP_BASE + lowered.heap_offsets[fault.node_id] + 4 * element
-    return fpvm.store_fault(honest_trace, addr, fault.bit)
+    return store_fault(honest_trace, lowered.stores[fault.node_id], fault.element, fault.bit)

@@ -277,24 +277,31 @@ class CompGraph:
                 shapes.append(node.shape)
             elif node.op == "const":
                 shapes.append(node.params.shape)
-            elif node.op == "matmul":
-                a, b = (shapes[i] for i in node.input_ids)
-                if len(a) != 2 or len(b) != 2 or a[1] != b[0]:
-                    raise ShapeError(f"matmul {a} x {b}")
-                shapes.append((a[0], b[1]))
-            elif node.op == "bias_add":
-                x, b = (shapes[i] for i in node.input_ids)
-                if len(b) != 1 or x[-1] != b[0]:
-                    raise ShapeError(f"bias_add {x} + {b}")
-                shapes.append(x)
-            elif node.op == "relu":
-                shapes.append(shapes[node.input_ids[0]])
-            elif node.op == "argmax":
-                shapes.append((1,))
+            else:
+                shapes.append(op_shape(node.op, [shapes[i] for i in node.input_ids]))
         return shapes
 
     def model_digest(self, scheme: HashScheme) -> bytes:
         return scheme.digest(save_model_bytes(self))
+
+
+def op_shape(op: str, operand_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Output shape of a computed op; raises ShapeError on mismatch."""
+    if op == "matmul":
+        a, b = operand_shapes
+        if len(a) != 2 or len(b) != 2 or a[1] != b[0]:
+            raise ShapeError(f"matmul {a} x {b}")
+        return (a[0], b[1])
+    if op == "bias_add":
+        x, b = operand_shapes
+        if len(b) != 1 or x[-1] != b[0]:
+            raise ShapeError(f"bias_add {x} + {b}")
+        return x
+    if op == "relu":
+        return operand_shapes[0]
+    if op == "argmax":
+        return (1,)
+    raise ShapeError(f"unknown op {op!r}")
 
 
 _OP_CODES = {op: i for i, op in enumerate(OPS)}

@@ -122,9 +122,9 @@ def build_entrance_state(
         s_prev_root=s_prev.commitment,
         m0_root=m0.memory.root(),
         node_id=node_id,
-        operand_keys_root=merkle.region_root(lowered.input_blob, fpvm.INPUT_LEVEL, scheme),
+        operand_keys_root=m0.memory.subtree_root(fpvm.INPUT_BASE, fpvm.INPUT_LEVEL),
         opening=FieldOpening(s_prev.model_digest, s_prev.input_key, s_prev.entries),
-        program_root=lowered.program_root(scheme),
+        program_root=m0.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL),
         model_root=scheme.zero_hashes[fpvm.MODEL_LEVEL],
     )
     return m0, oracle, bundle, lowered
@@ -274,6 +274,7 @@ def _phase2_trace(
     party: TwoPhaseParty,
     node_id: int,
     honest_trace: fpvm.Trace,
+    lowered: lowering.LoweredNode,
 ) -> fpvm.Trace:
     """The VM trace this party defends for the pinned node.
 
@@ -284,11 +285,8 @@ def _phase2_trace(
     fault = party.graph_fault
     if fault is None or fault.node_id != node_id:
         return honest_trace
-    out = party.run.outputs[node_id]
-    element = fault.element % len(out.data)
-    rank = len(out.shape)
-    element_addr = fpvm.OUTPUT_BASE + 4 + 4 * rank + 4 * element
-    return honest_trace.fork(fpvm.store_fault(honest_trace, element_addr, fault.bit))
+    return honest_trace.fork(
+        lowering.store_fault(honest_trace, lowered.stores, fault.element, fault.bit))
 
 
 def run_two_phase_dispute(
@@ -357,8 +355,8 @@ def run_two_phase_dispute(
                        pinned_node)
 
     honest_trace = fpvm.run_trace(m0, oracle, max_steps=2_000_000)
-    sub_trace = _phase2_trace(submitter, pinned_node, honest_trace)
-    chal_trace = _phase2_trace(challenger, pinned_node, honest_trace)
+    sub_trace = _phase2_trace(submitter, pinned_node, honest_trace, lowered)
+    chal_trace = _phase2_trace(challenger, pinned_node, honest_trace, lowered)
 
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)

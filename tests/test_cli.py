@@ -351,6 +351,30 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "-5"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
+     "--validators", "-3"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
+     "--validators", "0"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
+     "--lazy-fraction", "1.5"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
+     "--lazy-fraction", "-0.1"],
+    ["security", "--p", "0.5", "--m", "5:1"],
+    ["dispute", "--synthetic-n", "8", "--challenge-period", "-1"],
+    ["dispute", "--config", "CONFIG"],
+], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
+        "lazy-fraction-negative", "security-empty-m-range", "challenge-period-flag",
+        "challenge-period-config"])
+def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("synthetic.n = 8\nchallenge_period = -1\n")
+    code, out, err = run_cli(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_attention_simulation_failure_stays_internal(capsys, monkeypatch):
     def violate(**_):
         raise dispute.ProtocolViolation("validator-0 cannot pay penalty 10")

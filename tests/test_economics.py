@@ -79,6 +79,16 @@ def test_large_m_float_path():
     assert any_trust_prob(0.5, 100) > v
 
 
+def test_majority_trust_where_the_coefficients_overflow_a_float():
+    """comb(m, m // 2) exceeds the float range from about m = 1,030."""
+    for m in (1030, 2001, 20_000):
+        v = majority_trust_prob(0.5, m, 0.5)
+        assert 0.5 < v < 0.52, (m, v)
+        assert majority_trust_prob(0.3, m, 0.5) <= any_trust_prob(0.3, m) == 1.0
+    assert majority_trust_prob(1.0, 2000, 0.5) == 0.0
+    assert majority_trust_prob(0.0, 2000, 0.5) == 1.0
+
+
 def test_equilibrium_closed_form():
     eq = verifier_equilibrium(GamePayoffs(C=1, R=3, L=1, B=2, S=8))
     assert eq == (0.25, 0.3, True)

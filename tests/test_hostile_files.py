@@ -1,7 +1,9 @@
 """Mutation fuzz of every file the CLI reads: model, tensor, witness bundle
 and scenario config. Each case applies bit flips, truncations and splices
 to a well-formed file and runs `opml` in-process; it must end in a
-documented exit code (0, 2 or 3), never in an exception."""
+documented exit code (0, 2 or 3), never in an exception. A second fuzz
+draws the numeric arguments of every subcommand; those cases may also end
+in 4, an internal error."""
 
 import contextlib
 import io
@@ -102,3 +104,55 @@ def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
     with _inside(work):
         code, err = _call(COMMANDS[target])
     assert code in (0, 2, 3), (target, ops, err)
+
+
+_INT = hst.integers(-(1 << 40), 1 << 40)
+_FLOAT = hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
+
+
+def _small(hi: int):
+    """A value in 1..hi half the time, else an out-of-range one; the cap
+    keeps every case short."""
+    return hst.integers(1, hi) | hst.sampled_from([-(1 << 40), -1, 0])
+
+
+def _argv(base: list[str], required: dict, optional: dict):
+    return hst.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: base + [f"{flag}={value}" for flag, value in flags.items()])
+
+
+_ARGV = hst.one_of(
+    _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {},
+          {"--max-steps": _small(10_000_000)}),
+    _argv(["dispute", "--model", "model.opml", "--input", "input.tensor"], {},
+          {"--protocol": hst.sampled_from(["single", "two-phase"]),
+           "--k": _small(8), "--m": _small(64), "--fault-node": _small(12),
+           "--fault-step": _INT, "--fault-element": _INT, "--fault-bit": _INT,
+           "--silent-after": _INT, "--wrong-round": _INT, "--seed": _INT,
+           "--challenge-period": _small(1000)}),
+    _argv(["dispute", "--strategy", "fault"], {"--synthetic-n": _small(300)},
+          {"--k": _small(8), "--m": _small(64), "--fault-step": _INT, "--seed": _INT}),
+    _argv(["security"],
+          {"--p": _FLOAT, "--m": _small(100_000) | hst.tuples(_small(100), _small(100)).map(
+              lambda r: f"{r[0]}:{r[1]}")},
+          {"--f": _FLOAT}),
+    _argv(["economics", "equilibrium"],
+          {flag: _FLOAT for flag in ("--C", "--R", "--L", "--B", "--S")}, {}),
+    _argv(["economics", "attention"], {"--r": _FLOAT, "--t": _FLOAT, "--C": _FLOAT},
+          {"--p-t": _FLOAT, "--simulate": _small(40), "--validators": _small(6),
+           "--lazy-fraction": _FLOAT, "--penalty": _small(100), "--seed": _INT}),
+)
+
+
+@given(argv=_ARGV)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_numeric_arguments_end_in_a_documented_exit_code(originals, argv):
+    work, files = originals
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+    with _inside(work):
+        try:
+            code, err = _call(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code, err = exc.code, ""
+    assert code in (0, 2, 3, 4), (argv, err)

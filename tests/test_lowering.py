@@ -8,7 +8,7 @@ import pytest
 from opml import fpvm, lowering, ml
 from opml.hashing import get_scheme
 
-from fixtures import build_mlp, rand_tensor, random_small_mlp
+from fixtures import build_mlp, fixture_models, rand_tensor, random_small_mlp
 
 SCHEME = get_scheme("sha256")
 
@@ -153,3 +153,46 @@ def test_matmul_trace_witness_sizes():
                                    preimages=oracle, scheme=SCHEME)
         assert verdict.accepted, (k, verdict.reason)
     assert max_size <= 4096
+
+
+def reference_store_step(trace: fpvm.Trace, addr: int) -> int:
+    """First step whose SW writes the word at `addr`, found by decoding every
+    pre-state's instruction: what the store map must agree with."""
+    for s in range(1, len(trace.states)):
+        pre = trace.states[s - 1]
+        if pre.exited or pre.pc % 4 != 0:
+            continue
+        word = int.from_bytes(fpvm.read_bytes(pre.memory, pre.pc, 4), "little")
+        instr = fpvm.decode(word)
+        if instr is not None and instr.op == "SW" and fpvm.wrap32(pre.regs[instr.rs] + instr.imm) == addr:
+            return s
+    raise AssertionError(f"no store writes {addr:#x}")
+
+
+def test_store_map_names_the_step_that_stores_each_element():
+    checked = 0
+    for _, graph, x in fixture_models():
+        lowered = lowering.lower_graph(graph)
+        trace = fpvm.run_trace(lowered.initial_state(x, SCHEME), None, 2_000_000)
+        run = ml.run_graph(graph, x, scheme=SCHEME)
+        for node in graph.nodes:
+            if node.op in ("input", "const"):
+                continue
+            stores = lowered.stores[node.id]
+            assert len(stores) == len(run.outputs[node.id].data)
+            for pc, addr in stores:
+                assert fpvm.find_store_step(trace, pc) == reference_store_step(trace, addr)
+
+            operands = [run.outputs[i] for i in node.input_ids]
+            node_lowered = lowering.lower_node(node, operands, SCHEME)
+            oracle = fpvm.PreimageOracle(SCHEME)
+            for blob in node_lowered.preimages.values():
+                oracle.put(blob)
+            node_trace = fpvm.run_trace(lowering.node_initial_state(node_lowered, SCHEME), oracle)
+            payload = fpvm.OUTPUT_BASE + 4 + 4 * len(node_lowered.out_shape)
+            assert [addr for _, addr in node_lowered.stores] == [
+                payload + 4 * e for e in range(len(run.outputs[node.id].data))]
+            for pc, addr in node_lowered.stores:
+                assert fpvm.find_store_step(node_trace, pc) == reference_store_step(node_trace, addr)
+            checked += 2 * len(stores)
+    assert checked == 104

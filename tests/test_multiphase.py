@@ -2,9 +2,12 @@
 adversarial mutation."""
 
 import random
+import sys
 from dataclasses import replace
 
-from opml import dispute, fpvm, lowering, ml, multiphase
+import pytest
+
+from opml import dispute, fpvm, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
 from opml.hashing import get_scheme
 from opml.multiphase import (
@@ -61,6 +64,24 @@ def test_entrance_honest_accepted_and_m0_reproducible():
     assert m0_again.memory.root() == m0.memory.root()
     assert bundle2 == bundle
     assert m0.memory.root().hex() == GOLDEN_ENTRANCE_M0_ROOT
+
+
+def test_entrance_state_builds_each_region_once(monkeypatch):
+    """The prover reads the program and operand-key roots off the image it
+    has just loaded instead of hashing those regions a second time."""
+    run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
+                       rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
+    callers = []
+    build_region = merkle.build_region
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build_region(*args, **kwargs)
+
+    monkeypatch.setattr(merkle, "build_region", spy)
+    monkeypatch.setattr(merkle, "region_root", lambda *a, **kw: pytest.fail("region_root called"))
+    build_entrance_state(run, 2, SCHEME)
+    assert callers == ["load_program"] * 3
 
 
 def test_entrance_rejects_tampering():
@@ -221,7 +242,7 @@ def test_single_and_two_phase_agree_on_every_fault():
         two = run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
 
         # single-phase game over the whole lowered computation
-        step_fault = lowering.graph_fault_to_step_fault(lowered, graph, honest_trace, fault)
+        step_fault = lowering.graph_fault_to_step_fault(lowered, honest_trace, fault)
         strat_fault = ActorStrategy(kind="fault", fault_step=step_fault.step,
                                     fault_leaf=step_fault.leaf_index, fault_bit=step_fault.bit)
         sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
@@ -248,7 +269,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
 
     # both parties play an honest VM trace regardless of their graph claims
     monkeypatch.setattr(multiphase, "_phase2_trace",
-                        lambda party, node_id, honest_trace: honest_trace)
+                        lambda party, node_id, honest_trace, lowered: honest_trace)
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
