@@ -294,15 +294,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     submitter = dispute.build_trace_actor("submitter", honest_trace, sub_strategy)
     challenger = dispute.build_trace_actor("challenger", honest_trace, chal_strategy)
 
-    claim = dispute.Claim(
-        initial_root=submitter.trace.root_at(0),
-        final_root=submitter.claimed_root(
-            dispute.padded_length(len(submitter.trace), scenario["k"], scenario["m"])
-        ),
-        trace_len=len(submitter.trace),
-        submitter_id="submitter",
-        stake=100,
-    )
+    claim = dispute.Claim.posted_by(submitter, scenario["k"], scenario["m"], stake=100)
     result = dispute.run_dispute(
         claim, submitter, challenger, k=scenario["k"], chain=chain, m=scenario["m"],
     )
@@ -321,19 +313,18 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
 def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseResult:
     if not scenario["model"] or not scenario["input"]:
         raise ConfigError("two-phase dispute needs --model and --input")
+    if scenario["fault_step"] is not None:
+        raise ConfigError("fault.step names a single-phase VM step; two-phase takes fault.node")
     graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
     streams = rng.stream(scenario["seed"], "fault")
-    gfault = _graph_fault(scenario, graph, streams)
+    adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
+                 "strategy": _adversary_strategy(scenario)}
     chain = _fresh_chain(scenario)
     faulty_submitter = scenario["faulty"] == "submitter"
-    submitter = multiphase.make_party(
-        "submitter", graph, input_tensor,
-        graph_fault=gfault if faulty_submitter else None, scheme=scheme,
-    )
-    challenger = multiphase.make_party(
-        "challenger", graph, input_tensor,
-        graph_fault=None if faulty_submitter else gfault, scheme=scheme,
-    )
+    submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,
+                                      **(adversary if faulty_submitter else {}))
+    challenger = multiphase.make_party("challenger", graph, input_tensor, scheme=scheme,
+                                       **({} if faulty_submitter else adversary))
     cfg = multiphase.PhaseConfig(k_phase1=scenario["k"], k_phase2=scenario["k"],
                                  m=scenario["m"])
     result = multiphase.run_two_phase_dispute(
@@ -406,6 +397,9 @@ def cmd_security(args, _scheme: hashing.HashScheme) -> int:
 
 
 def cmd_economics(args, scheme: hashing.HashScheme) -> int:
+    for name, value in vars(args).items():  # NaN and infinity pass any range check
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
     if args.kind == "equilibrium":
         try:
             payoffs = economics.GamePayoffs(C=args.C, R=args.R, L=args.L, B=args.B, S=args.S)

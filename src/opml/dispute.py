@@ -27,6 +27,11 @@ from .hashing import HashScheme
 SUBMITTER = "submitter"
 CHALLENGER = "challenger"
 
+#: Clock ticks a party has to make its move before it forfeits.
+DEADLINE_PER_MOVE = 10
+#: Winner's share of a slashed stake in basis points; the rest is burned.
+REWARD_BPS = 5000
+
 
 class ProtocolViolation(ValueError):
     """A move outside the protocol; the violator forfeits."""
@@ -44,15 +49,13 @@ class ChainSim:
     sum(balances) + sum(stakes) + burned is constant.
     """
 
-    def __init__(self, challenge_period: int = 100, reward_bps: int = 5000):
+    def __init__(self, challenge_period: int = 100):
         self.clock = 0
         self.balances: dict[str, int] = {}
         self.stakes: dict[str, int] = {}
         self.burned = 0
         self.events: list[tuple[int, dict]] = []
         self.challenge_period = challenge_period
-        #: winner's share of a slashed stake in basis points; rest is burned
-        self.reward_bps = reward_bps
         self.claim_posted_at: dict[int, int] = {}
         self.open_disputes: set[int] = set()
 
@@ -83,7 +86,7 @@ class ChainSim:
     def slash(self, loser: str, winner: str) -> None:
         """Loser's stake: the reward share goes to the winner, rest burns."""
         amount = self.stakes.pop(loser, 0)
-        reward = amount * self.reward_bps // 10_000
+        reward = amount * REWARD_BPS // 10_000
         self.balances[winner] = self.balances.get(winner, 0) + reward
         self.burned += amount - reward
         self.log(kind="slash", loser=loser, winner=winner, reward=reward, burned=amount - reward)
@@ -125,6 +128,18 @@ class Claim:
             raise ValueError("trace_len must be >= 1")
         if self.stake <= 0:
             raise ValueError("stake must be positive")
+
+    @classmethod
+    def posted_by(
+        cls, submitter: BisectionActor, k: int, m: int, stake: int, claim_id: int = 0
+    ) -> Claim:
+        """The claim a submitter posts for a game played with k checkpoints
+        down to m steps: the start root of its sequence, and its own claimed
+        root at the end of the padded span, by the rule every later post
+        follows."""
+        n = len(submitter.roots)
+        return cls(submitter.roots.root_at(0), submitter.claimed_root(padded_length(n, k, m)),
+                   n, submitter.party_id, stake, claim_id)
 
 
 def settle_challenge_period(chain: ChainSim, claim: Claim, elapsed: int) -> str:
@@ -187,7 +202,6 @@ class DisputeSession:
     j: int
     k_checkpoints: int
     round: int = 0
-    deadline_per_move: int = 10
 
     @property
     def finished(self) -> bool:
@@ -219,13 +233,7 @@ def bisection_round(
     new_j = bounds[submitter_response] - new_i
     if new_j >= session.j:
         raise ProtocolViolation("span did not shrink")
-    return DisputeSession(
-        i=new_i,
-        j=new_j,
-        k_checkpoints=session.k_checkpoints,
-        round=session.round + 1,
-        deadline_per_move=session.deadline_per_move,
-    )
+    return DisputeSession(new_i, new_j, session.k_checkpoints, session.round + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +267,26 @@ def arbitrate_span(
     preimages: fpvm.PreimageOracle | None = None,
     *,
     scheme: HashScheme,
+    span: int,
     supplier: str = CHALLENGER,
 ) -> tuple[str, str]:
     """m-step on-chain arbitration; returns (winner, reason).
 
     The challenger wins exactly when re-executing the span from its
-    witnesses contradicts the submitter's claimed end root. A witness that
-    fails its own integrity checks loses for its supplier instead.
+    witnesses contradicts the submitter's claimed end root. A span of
+    `span` steps takes one witness per step, or fewer when the last one is
+    of an exited machine: the rest of the span is then the exit fixpoint.
+    Any other count, or a witness that fails its own integrity checks,
+    loses for its supplier instead.
     """
+    against_supplier = SUBMITTER if supplier == CHALLENGER else CHALLENGER
+    if len(witnesses) != span and not (
+            0 < len(witnesses) < span and witnesses[-1].pre_fields.exited):
+        return against_supplier, (f"invalid witness from {supplier}: "
+                            f"{len(witnesses)} witnesses for a {span}-step span")
     end_root, reason = emulate_span(pre_root, witnesses, preimages, scheme)
     if end_root is None:
-        winner = SUBMITTER if supplier == CHALLENGER else CHALLENGER
-        return winner, f"invalid witness from {supplier}: {reason}"
+        return against_supplier, f"invalid witness from {supplier}: {reason}"
     if end_root == submitter_end_claim:
         return SUBMITTER, "one-step re-execution confirms the claim"
     return CHALLENGER, "one-step re-execution contradicts the claim"
@@ -299,20 +315,19 @@ class ActorStrategy:
 
 
 class BisectionActor:
-    """Common challenge-response behavior over some root sequence."""
+    """A party's challenge-response play over its own root sequence.
 
-    def __init__(self, party_id: str, strategy: ActorStrategy, scheme: HashScheme):
+    `roots` is any sequence with `root_at(index)`, which extends past its
+    end by the fixpoint, and `len()`, the index of its last root: a VM
+    `fpvm.Trace` or a graph `ml.GraphRun`.
+    """
+
+    def __init__(self, party_id: str, roots, strategy: ActorStrategy, scheme: HashScheme):
         self.party_id = party_id
+        self.roots = roots
         self.strategy = strategy
         self.scheme = scheme
         self._rng = random.Random(strategy.seed)
-
-    # subclasses supply the root sequence and its honest length
-    def _true_root(self, index: int) -> bytes:
-        raise NotImplementedError
-
-    def _horizon(self) -> int:
-        raise NotImplementedError
 
     def _silent(self, round_no: int) -> bool:
         after = self.strategy.silent_after
@@ -322,14 +337,14 @@ class BisectionActor:
         junk = self.strategy.kind == "random" or (
             self.strategy.kind == "wrong-midpoint"
             and self.strategy.fault_step is None
-            and index >= self._horizon()
+            and index >= len(self.roots)
         )
         if junk:
             return self.scheme.digest(
                 b"junk" + self.party_id.encode() + index.to_bytes(8, "little")
                 + self.strategy.seed.to_bytes(8, "little")
             )
-        return self._true_root(index)
+        return self.roots.root_at(index)
 
     def post_checkpoints(self, round_no: int, indices: list[int]) -> list[bytes] | None:
         if self._silent(round_no):
@@ -364,14 +379,8 @@ class VmTraceActor(BisectionActor):
         strategy: ActorStrategy,
         scheme: HashScheme,
     ):
-        super().__init__(party_id, strategy, scheme)
+        super().__init__(party_id, trace, strategy, scheme)
         self.trace = trace
-
-    def _true_root(self, index: int) -> bytes:
-        return self.trace.root_at(index)
-
-    def _horizon(self) -> int:
-        return len(self.trace)
 
     def witnesses(
         self,
@@ -380,10 +389,17 @@ class VmTraceActor(BisectionActor):
         oracle: fpvm.PreimageOracle | None,
         round_no: int = 0,
     ) -> list[fpvm.StepWitness] | None:
+        """Witnesses of the `count` steps from `start_index`, ending early
+        after the first one of an exited machine: the rest is its fixpoint."""
         if self._silent(round_no):
             return None
-        return [fpvm.gen_step_witness(self.trace.state_at(start_index + t), oracle)
-                for t in range(count)]
+        out = []
+        for index in range(start_index, start_index + count):
+            state = self.trace.state_at(index)
+            out.append(fpvm.gen_step_witness(state, oracle))
+            if state.exited:
+                break
+        return out
 
 
 @dataclass
@@ -424,7 +440,7 @@ def drive_rounds(
         indices = checkpoints(session.i, session.j, k)
         posts = challenger.post_checkpoints(round_no, indices)
         if posts is None:
-            chain.tick(session.deadline_per_move + 1)
+            chain.tick(DEADLINE_PER_MOVE + 1)
             return BisectionOutcome(session, agreed_root, challenger_end_claim,
                                     SUBMITTER, "challenger timeout")
         if len(posts) != len(indices):
@@ -439,7 +455,7 @@ def drive_rounds(
         claims = list(zip(indices, posts))
         response = submitter.choose_segment(round_no, claims)
         if response is None:
-            chain.tick(session.deadline_per_move + 1)
+            chain.tick(DEADLINE_PER_MOVE + 1)
             return BisectionOutcome(session, agreed_root, challenger_end_claim,
                                     CHALLENGER, "submitter timeout")
         chain.tick(1)
@@ -459,6 +475,37 @@ def drive_rounds(
     return BisectionOutcome(session, agreed_root, challenger_end_claim, None, "")
 
 
+def open_game(
+    claim: Claim,
+    submitter: BisectionActor,
+    challenger: BisectionActor,
+    k: int,
+    stop_span: int,
+    chain: ChainSim,
+    transcript: list[dict],
+    phase: int,
+) -> BisectionOutcome:
+    """Open a dispute on `claim` and play its k-section rounds down to
+    stop_span steps, the claim's padding unit.
+
+    Both parties must hold stakes. A challenger whose own root at the span
+    end is the claimed final root has no counterclaim and forfeits.
+    """
+    for party in (submitter.party_id, challenger.party_id):
+        if chain.stakes.get(party, 0) <= 0:
+            raise ProtocolViolation(f"{party} is not staked")
+    chain.open_dispute(claim.claim_id)
+    session = DisputeSession(0, padded_length(claim.trace_len, k, stop_span), k)
+    # The challenger-side claim at the disputed span end; starts at their
+    # counterclaim to the posted final root and follows the narrowing.
+    challenger_end_claim = challenger.claimed_root(session.j)
+    if challenger_end_claim == claim.final_root:
+        return BisectionOutcome(session, claim.initial_root, challenger_end_claim,
+                                SUBMITTER, "challenger has no counterclaim")
+    return drive_rounds(session, submitter, challenger, claim.initial_root,
+                        challenger_end_claim, stop_span, chain, transcript, phase)
+
+
 def run_dispute(
     claim: Claim,
     submitter: VmTraceActor,
@@ -469,7 +516,6 @@ def run_dispute(
     oracle: fpvm.PreimageOracle | None = None,
     phase: int = 2,
     settle: bool = True,
-    deadline_per_move: int = 10,
 ) -> DisputeResult:
     """Drive a full game: k-section rounds, then m-step arbitration.
 
@@ -480,11 +526,6 @@ def run_dispute(
     under the submitter's hash scheme.
     """
     chain = chain if chain is not None else ChainSim()
-    for party in (submitter.party_id, challenger.party_id):
-        if chain.stakes.get(party, 0) <= 0:
-            raise ProtocolViolation(f"{party} is not staked")
-    chain.open_dispute(claim.claim_id)
-
     transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
@@ -492,18 +533,7 @@ def run_dispute(
                        rounds, pinned, slash=settle)
         return DisputeResult(winner, rounds, pinned, reason, transcript)
 
-    n_padded = padded_length(claim.trace_len, k, m)
-    session = DisputeSession(i=0, j=n_padded, k_checkpoints=k,
-                             deadline_per_move=deadline_per_move)
-    # The challenger-side claim at the disputed span end; starts at their
-    # counterclaim to the posted final root and follows the narrowing.
-    challenger_end_claim = challenger.claimed_root(n_padded)
-    if challenger_end_claim == claim.final_root:
-        # No actual disagreement: the challenge cannot open.
-        return verdict(SUBMITTER, "challenger has no counterclaim", 0)
-
-    outcome = drive_rounds(session, submitter, challenger, claim.initial_root,
-                           challenger_end_claim, m, chain, transcript, phase)
+    outcome = open_game(claim, submitter, challenger, k, m, chain, transcript, phase)
     session = outcome.session
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, session.round)
@@ -523,7 +553,7 @@ def run_dispute(
         return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
     winner, why = arbitrate_span(
         outcome.agreed_root, submitter_end, witnesses, preimages=oracle,
-        scheme=submitter.scheme, supplier=CHALLENGER,
+        scheme=submitter.scheme, span=session.j, supplier=CHALLENGER,
     )
     return verdict(winner, why, session.round, pinned)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, log, log1p, sqrt
+from math import comb, exp, isfinite, lgamma, log, log1p, sqrt
 from typing import NamedTuple
 
 from .dispute import ChainSim
@@ -19,6 +19,14 @@ from .hashing import HashScheme
 from . import rng as rng_mod
 
 _EXACT_LIMIT = 64
+
+
+def _require_finite(**values: float) -> None:
+    """NaN and infinity pass every range comparison below, so they are
+    rejected by name first."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,7 @@ class GamePayoffs:
     S: float  # stake
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.C <= 0:
             raise ValueError("validation cost must be positive")
         for name in ("R", "L", "B", "S"):
@@ -61,6 +70,7 @@ class AttentionParams:
     p_t: float = 0.0  # response probability
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         for name in ("r", "t", "C"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -115,6 +125,7 @@ def verifier_equilibrium(payoffs: GamePayoffs) -> Equilibrium:
         raise ValueError("degenerate denominators: need R+L > 0 and B+S > 0")
     p_c = payoffs.C / (payoffs.R + payoffs.L)
     p_v = (payoffs.B + payoffs.C) / (payoffs.B + payoffs.S)
+    _require_finite(p_c=p_c, p_v=p_v)
     return Equilibrium(p_c, p_v, 0.0 <= p_c <= 1.0 and 0.0 <= p_v <= 1.0)
 
 
@@ -153,7 +164,9 @@ def optimal_attention(r: float, t: float, C: float) -> OptimalAttention:
     p_t = sqrt(r*C/t) and cost 2*sqrt(r*t*C) (the AM-GM tight point).
     """
     AttentionParams(r, t, C)
-    return OptimalAttention(sqrt(t * C / r), sqrt(r * C / t), 2.0 * sqrt(r * t * C))
+    best = OptimalAttention(sqrt(t * C / r), sqrt(r * C / t), 2.0 * sqrt(r * t * C))
+    _require_finite(**best._asdict())
+    return best
 
 
 # ---------------------------------------------------------------------------

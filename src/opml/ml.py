@@ -445,6 +445,14 @@ class GraphState:
             acc += oroot
         return scheme.digest(bytes(acc))
 
+    def advance(self, node_id: int, out: FixedTensor, scheme: HashScheme) -> GraphState:
+        """The state after node `node_id` computed `out`."""
+        entries = list(self.entries)
+        entries[node_id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
+        snapshot = tuple(entries)
+        return GraphState(node_id + 1, self.model_digest, self.input_key, snapshot,
+                          GraphState.commit(self.model_digest, self.input_key, snapshot, scheme))
+
 
 @dataclass(frozen=True)
 class GraphFault:
@@ -464,7 +472,10 @@ class GraphFault:
 
 @dataclass
 class GraphRun:
-    """One party's full execution record: outputs, states, commitments."""
+    """One party's full execution record: outputs, states, commitments.
+
+    As a root sequence, its last index is the node count and roots past it
+    are the final commitment (the fixpoint)."""
 
     graph: CompGraph
     input: FixedTensor
@@ -479,10 +490,13 @@ class GraphRun:
     def output(self) -> FixedTensor:
         return self.outputs[self.graph.output_id]
 
+    def __len__(self) -> int:
+        return len(self.states) - 1
+
     def state_at(self, index: int) -> GraphState:
         return self.states[min(index, len(self.states) - 1)]
 
-    def commitment_at(self, index: int) -> bytes:
+    def root_at(self, index: int) -> bytes:
         return self.state_at(index).commitment
 
 
@@ -537,16 +551,9 @@ def run_graph(
     outputs = _node_outputs(graph, input_tensor, fault)
     model_digest = graph.model_digest(scheme)
     input_key = tensor_key(input_tensor, scheme)
-    entries: list[tuple[bytes, bytes]] = [_EMPTY_ENTRY] * len(graph.nodes)
-    states = [
-        GraphState(0, model_digest, input_key, tuple(entries),
-                   GraphState.commit(model_digest, input_key, tuple(entries), scheme))
-    ]
+    entries = (_EMPTY_ENTRY,) * len(graph.nodes)
+    states = [GraphState(0, model_digest, input_key, entries,
+                         GraphState.commit(model_digest, input_key, entries, scheme))]
     for node, out in zip(graph.nodes, outputs):
-        entries[node.id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
-        snapshot = tuple(entries)
-        states.append(
-            GraphState(node.id + 1, model_digest, input_key, snapshot,
-                       GraphState.commit(model_digest, input_key, snapshot, scheme))
-        )
+        states.append(states[-1].advance(node.id, out, scheme))
     return GraphRun(graph, input_tensor, outputs, states)

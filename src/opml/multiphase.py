@@ -1,10 +1,12 @@
 """Two-phase dispute: coarse node-level bisection, then a VM sub-dispute.
 
-Phase 1 bisects the sequence of graph-state commitments (one per computed
-node) to pin a single disputed node. The descent into phase 2 is gated by
-the entrance check: the initial VM memory image for the pinned node must be
-exactly reconstructible from public data (the per-op program, an empty model
-region) plus the operand-key field proven out of the agreed phase-1 state.
+Phase 1 bisects the sequence of graph-state commitments (one per node) to
+pin a single disputed node. A pin whose next commitment public data settles
+(an input or const node, or a pin past the last node) is ruled at once.
+Otherwise the descent into phase 2 is gated by the entrance check: the
+initial VM memory image for the pinned node must be exactly reconstructible
+from public data (the per-op program, an empty model region) plus the
+operand-key field proven out of the agreed phase-1 state.
 Phase 2 is the ordinary trace dispute over the lowered node program, ending
 in m-step arbitration. The exit check then ties the winner's final VM output
 region back to their phase-1 claim for the node's output.
@@ -20,14 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import dispute, fpvm, lowering, merkle, ml
-from .dispute import (
-    CHALLENGER,
-    SUBMITTER,
-    ChainSim,
-    Claim,
-    DisputeSession,
-    padded_length,
-)
+from .dispute import CHALLENGER, SUBMITTER, ChainSim, Claim
 from .hashing import HashScheme
 
 
@@ -36,18 +31,10 @@ class PhaseConfig:
     k_phase1: int = 1
     k_phase2: int = 1
     m: int = 1  # steps the simulated contract re-executes at the base
-    deadline_per_move: int = 10
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("arbitration span must be >= 1")
-
-
-def phase1_commitments(
-    graph: ml.CompGraph, input_tensor: ml.FixedTensor, scheme: HashScheme
-) -> list[bytes]:
-    """The node-granular state roots a phase-1 game is played over."""
-    return ml.run_graph(graph, input_tensor, scheme=scheme).commitments
 
 
 @dataclass(frozen=True)
@@ -178,6 +165,27 @@ def entrance_check(
     return True, ""
 
 
+def public_next_root(
+    graph: ml.CompGraph,
+    input_tensor: ml.FixedTensor,
+    state: ml.GraphState,
+    node_id: int,
+    scheme: HashScheme,
+) -> bytes | None:
+    """The commitment after node `node_id` from the agreed `state`, when
+    public data settles it: an input node takes the game's input, a const
+    node its params, and past the last node the state is its own fixpoint.
+    None for a computed node, which needs a VM game."""
+    if node_id >= len(graph.nodes):
+        return state.commitment
+    node = graph.nodes[node_id]
+    if node.op == "input":
+        return state.advance(node_id, input_tensor, scheme).commitment
+    if node.op == "const":
+        return state.advance(node_id, node.params, scheme).commitment
+    return None
+
+
 def build_exit_bundle(run: ml.GraphRun, node_id: int, final_state: fpvm.VmState) -> ExitBundle:
     """Evidence tying the phase-2 final machine to the phase-1 node output."""
     s_post = run.states[node_id + 1]
@@ -220,20 +228,6 @@ def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> t
 # ---------------------------------------------------------------------------
 # The two-phase game
 # ---------------------------------------------------------------------------
-
-
-class GraphCommitActor(dispute.BisectionActor):
-    """Phase-1 party answering from its own graph execution record."""
-
-    def __init__(self, party_id, run: ml.GraphRun, strategy, scheme):
-        super().__init__(party_id, strategy, scheme)
-        self.run = run
-
-    def _true_root(self, index: int) -> bytes:
-        return self.run.commitment_at(index)
-
-    def _horizon(self) -> int:
-        return len(self.run.states)
 
 
 @dataclass
@@ -300,22 +294,15 @@ def run_two_phase_dispute(
     scheme: HashScheme,
     stake: int = 100,
 ) -> TwoPhaseResult:
-    """Full protocol: node-level k-section, entrance check, VM dispute,
-    m-step arbitration, exit check, settlement."""
+    """Full protocol: node-level k-section, then either a ruling from public
+    data or entrance check, VM dispute, m-step arbitration and exit check;
+    then settlement."""
     chain = chain if chain is not None else ChainSim()
-    for party in (submitter.party_id, challenger.party_id):
-        if chain.stakes.get(party, 0) <= 0:
-            raise dispute.ProtocolViolation(f"{party} is not staked")
-
-    n_nodes = len(graph.nodes)
-    claim = Claim(
-        initial_root=submitter.run.commitments[0],
-        final_root=submitter.run.commitment_at(padded_length(n_nodes, cfg.k_phase1, 1)),
-        trace_len=n_nodes,
-        submitter_id=submitter.party_id,
-        stake=stake,
-    )
-    chain.open_dispute(claim.claim_id)
+    sub_actor = dispute.BisectionActor(submitter.party_id, submitter.run, submitter.strategy,
+                                       scheme)
+    chal_actor = dispute.BisectionActor(challenger.party_id, challenger.run, challenger.strategy,
+                                        scheme)
+    claim = Claim.posted_by(sub_actor, cfg.k_phase1, 1, stake)
     transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
@@ -325,29 +312,26 @@ def run_two_phase_dispute(
         return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step,
                               reason, transcript)
 
-    sub_actor = GraphCommitActor(submitter.party_id, submitter.run, submitter.strategy, scheme)
-    chal_actor = GraphCommitActor(challenger.party_id, challenger.run, challenger.strategy, scheme)
-
-    n_padded = padded_length(n_nodes, cfg.k_phase1, 1)
-    challenger_end = chal_actor.claimed_root(n_padded)
-    if challenger_end == claim.final_root:
-        return verdict(SUBMITTER, "challenger has no counterclaim")
-
-    session = DisputeSession(i=0, j=n_padded, k_checkpoints=cfg.k_phase1,
-                             deadline_per_move=cfg.deadline_per_move)
-    outcome = dispute.drive_rounds(session, sub_actor, chal_actor, claim.initial_root,
-                                   challenger_end, 1, chain, transcript, phase=1)
+    outcome = dispute.open_game(claim, sub_actor, chal_actor, cfg.k_phase1, 1, chain,
+                                transcript, phase=1)
     phase1_rounds = outcome.session.round
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, phase1_rounds)
 
+    # The submitter opens its state before the pinned node: the agreed one.
     pinned_node = outcome.session.i
+    s_prev = submitter.run.state_at(pinned_node)
+    if s_prev.commitment != outcome.agreed_root:
+        return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
+                       0, pinned_node)
+    public = public_next_root(graph, input_tensor, s_prev, pinned_node, scheme)
+    if public is not None:
+        winner = SUBMITTER if public == sub_actor.claimed_root(pinned_node + 1) else CHALLENGER
+        return verdict(winner, "next state recomputed from public data", phase1_rounds, 0,
+                       pinned_node)
 
     # Entrance: the submitter supplies the descent evidence.
     m0, oracle, bundle, lowered = build_entrance_state(submitter.run, pinned_node, scheme)
-    if bundle.s_prev_root != outcome.agreed_root:
-        return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
-                       0, pinned_node)
     ok, why = entrance_check(bundle, graph, scheme)
     transcript.append({"phase": "transition", "check": "entrance", "accepted": ok, "reason": why})
     if not ok:
@@ -360,14 +344,7 @@ def run_two_phase_dispute(
 
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)
-    inner_claim = Claim(
-        initial_root=sub_trace.root_at(0),
-        final_root=sub_trace.root_at(padded_length(len(sub_trace), cfg.k_phase2, cfg.m)),
-        trace_len=len(sub_trace),
-        submitter_id=submitter.party_id,
-        stake=stake,
-        claim_id=claim.claim_id + 1,
-    )
+    inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, stake, claim_id=claim.claim_id + 1)
     inner = dispute.run_dispute(
         inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
         oracle=oracle, phase=2, settle=False,

@@ -51,14 +51,8 @@ def _single_phase_game(rng):
     honest = ActorStrategy()
     submitter = build_trace_actor("sub", honest_trace, adversary if faulty_submitter else honest)
     challenger = build_trace_actor("chal", honest_trace, honest if faulty_submitter else adversary)
-    claim = Claim(
-        initial_root=submitter.trace.root_at(0),
-        # the posted claim is whatever the submitter asserts, junk included
-        final_root=submitter.claimed_root(dispute.padded_length(n, k, m)),
-        trace_len=len(submitter.trace),
-        submitter_id="sub",
-        stake=100,
-    )
+    # the posted claim is whatever the submitter asserts, junk included
+    claim = Claim.posted_by(submitter, k, m, 100)
     chain = _fresh_chain("sub", "chal")
     total = chain.total()
     result = dispute.run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)

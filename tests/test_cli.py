@@ -225,6 +225,40 @@ def test_dispute_two_phase_pins_node(capsys, model_files):
     assert "pinned_node=2" in out
 
 
+def test_dispute_two_phase_plays_the_adversary_strategy(capsys, model_files):
+    """The faulty party's strategy holds in both phases: silent after round
+    1, it forfeits phase 1 instead of losing a full game."""
+    model, inp, _, _ = model_files
+    argv = ["dispute", "--model", model, "--input", inp, "--protocol", "two-phase",
+            "--fault-node", "2"]
+    _, plain, _ = run_cli(capsys, *argv)
+    code, silent, _ = run_cli(capsys, *argv, "--strategy", "silent", "--silent-after", "1")
+    assert code == 0
+    assert plain.startswith("winner=challenger") and "pinned_node=2" in plain
+    assert silent == "winner=challenger rounds=1 pinned_node=- pinned_step=-\n"
+
+
+def test_dispute_two_phase_rejects_a_vm_fault_step(capsys, model_files):
+    model, inp, _, _ = model_files
+    code, out, err = run_cli(capsys, "dispute", "--model", model, "--input", inp,
+                             "--protocol", "two-phase", "--fault-step", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_arbitration_witnesses_stop_at_halt(capsys, monkeypatch):
+    """A window far wider than the trace: witnesses stop at the first exited
+    state instead of covering the padded span."""
+    calls = []
+    real = fpvm.gen_step_witness
+    monkeypatch.setattr(fpvm, "gen_step_witness",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", "40", "--strategy", "fault",
+                           "--seed", "3", "--m", "20000")
+    assert code == 0 and out.startswith("winner=challenger rounds=0 ")
+    assert 0 < len(calls) <= 41
+
+
 def test_dispute_honest_scenario(capsys, model_files):
     model, inp, _, _ = model_files
     code, out, _ = run_cli(
@@ -343,8 +377,17 @@ def test_economics_attention_simulation(capsys):
     ["economics", "attention", "--r", "1", "--t", "1", "--C", "4", "--simulate", "5"],
     ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
      "--penalty", "-1"],
+    ["economics", "attention", "--r", "nan", "--t", "1", "--C", "1"],
+    ["economics", "attention", "--r", "1", "--t", "inf", "--C", "1"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--p-t=-inf"],
+    ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--lazy-fraction", "nan"],
+    ["economics", "attention", "--r", "1e-300", "--t", "1e300", "--C", "1e300"],
+    ["economics", "equilibrium", "--C", "nan", "--R", "1", "--L", "1", "--B", "1", "--S", "1"],
+    ["economics", "equilibrium", "--C", "1", "--R", "1", "--L", "1", "--B", "inf", "--S", "1"],
 ], ids=["security-p", "attention-r", "equilibrium-zero-cost", "equilibrium-degenerate",
-        "simulate-p-t", "simulate-optimal-p-t", "simulate-penalty"])
+        "simulate-p-t", "simulate-optimal-p-t", "simulate-penalty", "attention-r-nan",
+        "attention-t-inf", "attention-p-t-inf", "attention-lazy-fraction-nan",
+        "attention-overflow", "equilibrium-C-nan", "equilibrium-B-inf"])
 def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

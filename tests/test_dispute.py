@@ -109,14 +109,7 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     submitter = build_trace_actor("alice", honest_trace, sub_strategy)
     challenger = build_trace_actor("bob", honest_trace, chal_strategy)
-    claim = Claim(
-        initial_root=submitter.trace.root_at(0),
-        final_root=submitter.claimed_root(padded_length(n, k, m)),
-        trace_len=len(submitter.trace),
-        submitter_id="alice",
-        stake=100,
-        claim_id=seed,
-    )
+    claim = Claim.posted_by(submitter, k, m, 100, claim_id=seed)
     chain = ChainSim()
     chain.deposit("alice", 1000)
     chain.deposit("bob", 1000)
@@ -200,6 +193,28 @@ def test_m_step_span_crossing_halt():
     assert honest.winner == "submitter"
 
 
+def test_arbitration_witnesses_end_at_halt():
+    """Past HALT the machine is its own fixpoint: the witness list stops at
+    the first exited pre-state, and only a list that ends there may be
+    shorter than the span."""
+    trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(90), 6),
+                                             scheme=SCHEME))
+    witnesses = build_trace_actor("bob", trace, ActorStrategy()).witnesses(2, 16, None)
+    assert len(witnesses) == len(trace) - 1 and witnesses[-1].pre_fields.exited
+    bad_end = SCHEME.digest(b"not the end")
+
+    def arbitrate(ws, end):
+        return dispute.arbitrate_span(trace.root_at(2), end, ws, scheme=SCHEME, span=16)[0]
+
+    padded = witnesses + [witnesses[-1]] * (16 - len(witnesses))
+    for ws in (witnesses, padded):
+        assert arbitrate(ws, trace.root_at(18)) == "submitter"
+        assert arbitrate(ws, bad_end) == "challenger"
+    # a list that stops before HALT, or runs past the span, loses for its supplier
+    assert arbitrate(witnesses[:2], bad_end) == "submitter"
+    assert arbitrate(padded + padded[-1:], bad_end) == "submitter"
+
+
 def test_silent_challenger_forfeits():
     result, chain = make_game(
         9, 32, ActorStrategy(kind="honest"),
@@ -247,15 +262,17 @@ def test_arbitrate_direct():
     trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     k = 6
     w = fpvm.gen_step_witness(trace.states[k])
-    winner, _ = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [w], scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [w],
+                                       scheme=SCHEME, span=1)
     assert winner == "submitter"
     bad = bytearray(trace.root_at(k + 1))
     bad[3] ^= 1
-    winner, _ = dispute.arbitrate_span(trace.root_at(k), bytes(bad), [w], scheme=SCHEME)
+    winner, _ = dispute.arbitrate_span(trace.root_at(k), bytes(bad), [w], scheme=SCHEME, span=1)
     assert winner == "challenger"
     # malformed witness loses for its author (the challenger here)
     broken = fpvm.StepWitness(trace.states[k].fields(), [], [], None)
-    winner, reason = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [broken], scheme=SCHEME)
+    winner, reason = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [broken],
+                                            scheme=SCHEME, span=1)
     assert winner == "submitter" and "invalid witness" in reason
 
 

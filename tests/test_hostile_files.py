@@ -7,6 +7,7 @@ in 4, an internal error."""
 
 import contextlib
 import io
+import math
 import os
 import random
 
@@ -36,11 +37,11 @@ COMMANDS = {
 }
 
 
-def _call(argv: list[str]) -> tuple[int, str]:
+def _call(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @contextlib.contextmanager
@@ -102,12 +103,14 @@ def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
     for name, data in files.items():
         (work / name).write_bytes(_mutate(data, ops) if name == target else data)
     with _inside(work):
-        code, err = _call(COMMANDS[target])
+        code, _, err = _call(COMMANDS[target])
     assert code in (0, 2, 3), (target, ops, err)
 
 
 _INT = hst.integers(-(1 << 40), 1 << 40)
-_FLOAT = hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
+_FLOAT = (hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
+          | hst.sampled_from([math.nan, math.inf, -math.inf]))
+_ECONOMICS_FLOATS = {"--C", "--R", "--L", "--B", "--S", "--r", "--t", "--p-t", "--lazy-fraction"}
 
 
 def _small(hi: int):
@@ -152,7 +155,12 @@ def test_numeric_arguments_end_in_a_documented_exit_code(originals, argv):
         (work / name).write_bytes(data)
     with _inside(work):
         try:
-            code, err = _call(argv)
+            code, out, err = _call(argv)
         except SystemExit as exc:  # argparse rejects the value
-            code, err = exc.code, ""
+            code, out, err = exc.code, "", ""
     assert code in (0, 2, 3, 4), (argv, err)
+    flags = dict(arg.split("=", 1) for arg in argv if "=" in arg)
+    if argv[0] == "economics" and any(not math.isfinite(float(value))
+                                      for flag, value in flags.items()
+                                      if flag in _ECONOMICS_FLOATS):
+        assert (code, out) == (2, ""), (argv, err)

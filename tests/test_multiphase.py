@@ -1,6 +1,7 @@
 """Two-phase games, phase transitions, and the entrance/exit checks under
 adversarial mutation."""
 
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -20,11 +21,11 @@ from opml.multiphase import (
     entrance_check,
     exit_check,
     make_party,
-    phase1_commitments,
+    public_next_root,
     run_two_phase_dispute,
 )
 
-from fixtures import build_mlp, fixture_models, rand_tensor
+from fixtures import build_matmul_only, build_mlp, fixture_models, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -40,9 +41,9 @@ def fresh_chain(*parties):
 def test_phase1_commitments_shape():
     graph = build_mlp(seed=60, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(61), (1, 3))
-    roots = phase1_commitments(graph, x, SCHEME)
+    roots = ml.run_graph(graph, x, scheme=SCHEME).commitments
     assert len(roots) == len(graph.nodes) + 1
-    assert roots == phase1_commitments(graph, x, SCHEME)
+    assert roots == ml.run_graph(graph, x, scheme=SCHEME).commitments
 
 
 def entrance_fixture(node_id=2, seed=62):
@@ -247,9 +248,7 @@ def test_single_and_two_phase_agree_on_every_fault():
                                     fault_leaf=step_fault.leaf_index, fault_bit=step_fault.bit)
         sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
         chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
-        claim = Claim(sub_actor.trace.root_at(0),
-                      sub_actor.trace.root_at(dispute.padded_length(len(sub_actor.trace), 1, 1)),
-                      len(sub_actor.trace), "alice", 100, claim_id=trial)
+        claim = Claim.posted_by(sub_actor, 1, 1, 100, claim_id=trial)
         chain2 = fresh_chain("alice", "bob")
         single = dispute.run_dispute(claim, sub_actor, chal_actor, k=1, chain=chain2)
 
@@ -318,3 +317,91 @@ def test_size_complexity_relation():
 
 
 GOLDEN_ENTRANCE_M0_ROOT = "20bc65e05648e552d2f752deba04236553ebffbda9c9edc9d56f4d2c39678782"
+
+
+def play_two_phase(graph, x, adversary_side, strategy, fault=None, cfg=PhaseConfig()):
+    """One two-phase game between an honest party and an adversary that
+    plays `strategy` from a record carrying `fault`."""
+    honest_side = "challenger" if adversary_side == "submitter" else "submitter"
+    parties = {
+        adversary_side: make_party(adversary_side, graph, x, graph_fault=fault,
+                                   strategy=strategy, scheme=SCHEME),
+        honest_side: make_party(honest_side, graph, x, scheme=SCHEME),
+    }
+    chain = fresh_chain("submitter", "challenger")
+    total = chain.total()
+    result = run_two_phase_dispute(graph, x, parties["submitter"], parties["challenger"], cfg,
+                                   chain, scheme=SCHEME)
+    assert chain.total() == total
+    assert result.transcript[-1]["event"] == "verdict"
+    return result
+
+
+def three_and_four_node_graphs():
+    three = build_matmul_only(seed=80, r=1, n=3, p=2)
+    four = ml.CompGraph(three.nodes + [ml.GraphNode(3, "relu", (2,))], 3)
+    x = rand_tensor(random.Random(81), (1, 3))
+    return [(three, x), (four, x)]
+
+
+@pytest.mark.parametrize("graph, x", three_and_four_node_graphs(), ids=["3-node", "4-node"])
+def test_junk_counterclaim_plays_a_game_the_submitter_wins(graph, x):
+    """A wrong-midpoint challenger with no fault posts junk past the last
+    node, whatever the node count, and loses the game that follows."""
+    strategy = ActorStrategy(kind="wrong-midpoint", wrong_round=1)
+    result = play_two_phase(graph, x, "challenger", strategy)
+    assert result.phase1_rounds > 0
+    assert result.winner == "submitter", result.reason
+
+
+def test_random_submitter_loses_both_protocols():
+    graph = build_mlp(seed=82, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(83), (1, 3))
+    strategy = ActorStrategy(kind="random", seed=5)
+    two = play_two_phase(graph, x, "submitter", strategy)
+
+    honest_trace = fpvm.run_trace(lowering.lower_graph(graph).initial_state(x, SCHEME))
+    sub_actor = build_trace_actor("submitter", honest_trace, strategy)
+    chal_actor = build_trace_actor("challenger", honest_trace, ActorStrategy())
+    single = dispute.run_dispute(Claim.posted_by(sub_actor, 1, 1, 100), sub_actor, chal_actor,
+                                 chain=fresh_chain("submitter", "challenger"))
+    assert (two.winner, single.winner) == ("challenger", "challenger"), (two.reason, single.reason)
+
+
+def test_public_pins_are_recomputed_from_public_data():
+    """Input and const nodes and pins past the last node need no VM game:
+    their next commitment follows from the agreed state and public data."""
+    graph = build_mlp(seed=84, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(85), (1, 3))
+    run = ml.run_graph(graph, x, scheme=SCHEME)
+    for node in graph.nodes:
+        want = run.states[node.id + 1].commitment if node.op in ("input", "const") else None
+        assert public_next_root(graph, x, run.states[node.id], node.id, SCHEME) == want
+    for past in (len(graph.nodes), len(graph.nodes) + 3):
+        assert public_next_root(graph, x, run.state_at(past), past, SCHEME) == run.root_at(past)
+
+
+KINDS = ("honest", "fault", "wrong-midpoint", "silent", "random")
+
+
+@pytest.mark.parametrize("graph, x", [
+    three_and_four_node_graphs()[0],
+    (build_mlp(seed=86, in_dim=2, hidden=2, out_dim=2, with_argmax=True),
+     rand_tensor(random.Random(87), (1, 2))),
+], ids=["3-node", "11-node"])
+def test_two_phase_grid_ends_in_a_verdict_the_honest_party_wins(graph, x):
+    """Every strategy kind on either side, with no fault or a fault in each
+    computed node: each game ends in a verdict, the honest party wins
+    whenever the adversary faults or posts junk, and otherwise the
+    challenger has nothing to win."""
+    computed = [n.id for n in graph.nodes if n.op not in ("input", "const")]
+    for kind, side, node, (k, m) in itertools.product(
+            KINDS, ("submitter", "challenger"), [None] + computed, [(1, 1), (2, 4)]):
+        strategy = ActorStrategy(kind=kind, wrong_round=1,
+                                 silent_after=1 if kind == "silent" else None, seed=7)
+        fault = None if node is None else ml.GraphFault(node, 0, 3)
+        result = play_two_phase(graph, x, side, strategy, fault, PhaseConfig(k, k, m))
+        adversarial = node is not None or kind in ("wrong-midpoint", "random")
+        honest = "challenger" if side == "submitter" else "submitter"
+        want = honest if adversarial else "submitter"
+        assert result.winner == want, (kind, side, node, k, m, result.reason)
