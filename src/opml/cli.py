@@ -29,7 +29,7 @@ import os
 import struct
 import sys
 
-from . import dispute, economics, fpvm, hashing, lowering, merkle, ml, multiphase, rng
+from . import dispute, economics, fpvm, hashing, lowering, merkle, ml, multiphase, rng, wire
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,10 +74,10 @@ def _load_tensor(path: str) -> ml.FixedTensor:
     data = _read_file(path)
     try:
         tensor, offset = ml.deserialize_tensor(data)
+        if offset != len(data):
+            raise ml.ModelParseError(offset, "trailing bytes after tensor")
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
-    if offset != len(data):
-        raise IoError(f"{path}: trailing bytes after tensor")
     return tensor
 
 
@@ -90,8 +90,16 @@ def _load_model_and_input(model_path: str, input_path: str) -> tuple[ml.CompGrap
     return graph, input_tensor
 
 
+CONFIG_KEYS = frozenset((
+    "model", "input", "protocol", "phases", "k", "m", "fault.node", "fault.step",
+    "fault.element", "fault.bit", "faulty", "strategy", "silent.after", "wrong.round", "seed",
+    "synthetic.n", "challenge_period", "transcript", "witness.out",
+))
+
+
 def read_config(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and #-comments ignored."""
+    """Flat key=value lines with keys from CONFIG_KEYS; blank lines and
+    #-comments ignored."""
     try:
         text = _read_file(path).decode()
     except UnicodeDecodeError as exc:
@@ -103,8 +111,10 @@ def read_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -285,6 +295,8 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
             fault_step, fault_leaf, fault_bit = sf.step, sf.leaf_index, sf.bit
         elif fault_step is not None:
             fault_bit = streams.randrange(256)
+        elif scenario["strategy"] == "fault":
+            raise ConfigError("the fault strategy needs --fault-step or --fault-node")
         strategy = _adversary_strategy(scenario, fault_step, fault_leaf, fault_bit)
 
     honest = dispute.ActorStrategy(seed=scenario["seed"])
@@ -475,27 +487,17 @@ def write_witness_bundle(path, scheme_name, pre_root, claimed_post, witness, pre
 
 def read_witness_bundle(data: bytes):
     """(scheme name, pre root, claimed post root, witness, preimages);
-    ValueError when a field runs past the end or bytes trail the last one."""
-    if data[:4] != WITNESS_MAGIC:
-        raise IoError("bad witness bundle magic")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if len(data) - off < n:
-            raise ValueError(f"witness bundle truncated at byte {off}")
-        off += n
-        return data[off - n : off]
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    scheme_name = take(take(1)[0]).decode()
-    pre_root, claimed = take(32), take(32)
-    witness = fpvm.StepWitness.from_bytes(take(u32()))
-    preimages = [take(u32()) for _ in range(u32())]
-    if off != len(data):
-        raise ValueError("trailing bytes after witness bundle")
+    wire.ParseError when a field runs past the end or bytes trail the last one."""
+    r = wire.Reader(data)
+    if r.take(4, "magic") != WITNESS_MAGIC:
+        raise wire.ParseError(0, "bad witness bundle magic")
+    scheme_name = r.take(r.u8("scheme name"), "scheme name").decode()
+    pre_root, claimed = r.take(32, "pre root"), r.take(32, "claimed post root")
+    inner = r.part(r.u32("witness length"), "witness")
+    witness = fpvm.StepWitness.read(inner)
+    inner.end("witness")
+    preimages = [r.take(r.u32("preimage"), "preimage") for _ in range(r.u32("preimage count"))]
+    r.end("witness bundle")
     return scheme_name, pre_root, claimed, witness, preimages
 
 
@@ -505,7 +507,7 @@ def cmd_verify_witness(args, _scheme: hashing.HashScheme) -> int:
     try:
         scheme_name, pre_root, claimed, witness, values = read_witness_bundle(data)
         scheme = hashing.get_scheme(scheme_name)
-    except (ValueError, KeyError, struct.error) as exc:
+    except (ValueError, KeyError) as exc:
         raise IoError(f"{args.file}: {exc}") from exc
     oracle = fpvm.PreimageOracle(scheme)
     for value in values:

@@ -121,10 +121,13 @@ def verifier_equilibrium(payoffs: GamePayoffs) -> Equilibrium:
     equilibrium; the raw value is reported with interior=False rather than
     silently clamped.
     """
-    if payoffs.R + payoffs.L <= 0 or payoffs.B + payoffs.S <= 0:
+    r_l, b_s, b_c = payoffs.R + payoffs.L, payoffs.B + payoffs.S, payoffs.B + payoffs.C
+    # finite payoffs can still sum to infinity, which would divide to 0 or inf
+    _require_finite(**{"R+L": r_l, "B+S": b_s, "B+C": b_c})
+    if r_l <= 0 or b_s <= 0:
         raise ValueError("degenerate denominators: need R+L > 0 and B+S > 0")
-    p_c = payoffs.C / (payoffs.R + payoffs.L)
-    p_v = (payoffs.B + payoffs.C) / (payoffs.B + payoffs.S)
+    p_c = payoffs.C / r_l
+    p_v = b_c / b_s
     _require_finite(p_c=p_c, p_v=p_v)
     return Equilibrium(p_c, p_v, 0.0 <= p_c <= 1.0 and 0.0 <= p_v <= 1.0)
 

@@ -38,11 +38,14 @@ honest states before the fault step and replays only the rest.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
 from . import merkle
 from .hashing import HashScheme, VM_STATE_PREFIX
+from .wire import ParseError, Reader
 
 # Fixed memory map. Regions are leaf-aligned and power-of-two sized so each
 # one is a single Merkle subtree.
@@ -206,14 +209,10 @@ class VmFields:
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["VmFields", int]:
-        if len(data) - offset < 102:
-            raise ValueError("truncated vm fields")
-        pc = struct.unpack_from("<I", data, offset)[0]
-        regs = struct.unpack_from("<16I", data, offset + 4)
-        exited, exit_code = struct.unpack_from("<BB", data, offset + 68)
-        root = bytes(data[offset + 70 : offset + 102])
-        return cls(pc, tuple(regs), bool(exited), exit_code, root), offset + 102
+    def read(cls, r: Reader) -> "VmFields":
+        pc, *regs = r.u32s(17, "vm fields")
+        exited, exit_code = r.u8("vm fields"), r.u8("vm fields")
+        return cls(pc, tuple(regs), bool(exited), exit_code, r.take(32, "vm fields"))
 
     def state_root(self, scheme: HashScheme) -> bytes:
         return scheme.digest(VM_STATE_PREFIX + self.to_bytes())
@@ -501,27 +500,35 @@ def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
     return VmState(pc, regs, mem.tree, exited, exit_code, state.step_count + 1)
 
 
+def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float):
+    """The states after `state`, one step each, up to the exited one.
+
+    Raises BudgetExceededError at a state that has made `max_steps` steps
+    (`step_count`, counted from step 0 of its run) without exiting."""
+    while not state.exited:
+        if state.step_count >= max_steps:
+            raise BudgetExceededError(state, max_steps)
+        state = step(state, oracle)
+        yield state
+
+
 def run(
     state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
 ) -> tuple[VmState, int]:
-    """Run until HALT; returns (final state, executed step count)."""
+    """Run until HALT; returns (final state, executed step count). The
+    budget counts `step_count`, as in `_successors`."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    steps = 0
-    while not state.exited:
-        if steps >= max_steps:
-            raise BudgetExceededError(state, steps)
-        state = step(state, oracle)
-        steps += 1
-    return state, steps
+    final = state
+    for final in _successors(state, oracle, max_steps):
+        pass
+    return final, final.step_count - state.step_count
 
 
 def snapshot_at(state: VmState, oracle: PreimageOracle | None, k: int) -> VmState:
     """State after exactly k steps (clamped past HALT by the exit fixpoint)."""
-    for _ in range(k):
-        if state.exited:
-            break
-        state = step(state, oracle)
+    for state in itertools.islice(_successors(state, oracle, math.inf), k):
+        pass
     return state
 
 
@@ -583,17 +590,15 @@ class Trace:
 
     def fork(self, fault: StepFault) -> Trace:
         """This trace with `fault` injected: its own states before
-        `fault.step`, then a replay of the rest under its oracle and within
-        FORK_MAX_STEPS. A fault outside 1..len(self) never applies: returns self."""
+        `fault.step`, then a replay of the rest under its oracle, all of it
+        within FORK_MAX_STEPS. A fault outside 1..len(self) never applies:
+        returns self."""
         if not 1 <= fault.step <= len(self):
             return self
         if fault.step > FORK_MAX_STEPS:
             raise BudgetExceededError(self.states[FORK_MAX_STEPS], FORK_MAX_STEPS)
         corrupted = fault.apply(step(self.states[fault.step - 1], self.oracle))
-        try:
-            suffix = run_trace(corrupted, self.oracle, max_steps=FORK_MAX_STEPS - fault.step)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(exc.state, FORK_MAX_STEPS) from None
+        suffix = run_trace(corrupted, self.oracle, max_steps=FORK_MAX_STEPS)
         return Trace(self.states[: fault.step] + suffix.states, self.scheme, self.oracle)
 
 
@@ -608,12 +613,10 @@ def find_store_step(trace: Trace, pc: int) -> int:
 def run_trace(
     state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
 ) -> Trace:
-    """Execute to HALT recording every state."""
+    """Execute to HALT recording every state. The budget counts
+    `step_count`, as in `_successors`."""
     states = [state]
-    while not states[-1].exited:
-        if len(states) > max_steps:
-            raise BudgetExceededError(states[-1], max_steps)
-        states.append(step(states[-1], oracle))
+    states += _successors(state, oracle, max_steps)
     return Trace(states, state.scheme, oracle)
 
 
@@ -666,51 +669,27 @@ class StepWitness:
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "StepWitness":
-        fields_, off = VmFields.from_bytes(data)
-        if len(data) <= off:
-            raise ValueError("truncated witness")
-        n_reads = data[off]
-        off += 1
-        reads = []
-        for _ in range(n_reads):
-            if len(data) - off < 36:
-                raise ValueError("truncated read record")
-            addr = struct.unpack_from("<I", data, off)[0]
-            leaf = bytes(data[off + 4 : off + 36])
-            proof, off = merkle.MerkleProof.from_bytes(data, off + 36)
-            reads.append((addr, leaf, proof))
-        if len(data) <= off:
-            raise ValueError("truncated witness")
-        n_writes = data[off]
-        off += 1
-        writes = []
-        for _ in range(n_writes):
-            if len(data) - off < 68:
-                raise ValueError("truncated write record")
-            addr = struct.unpack_from("<I", data, off)[0]
-            old = bytes(data[off + 4 : off + 36])
-            new = bytes(data[off + 36 : off + 68])
-            proof, off = merkle.MerkleProof.from_bytes(data, off + 68)
-            writes.append((addr, old, new, proof))
-        if len(data) <= off:
-            raise ValueError("truncated witness")
+    def read(cls, r: Reader) -> "StepWitness":
+        fields_ = VmFields.read(r)
+        reads = [(r.u32("read record"), r.take(32, "read record"), merkle.MerkleProof.read(r))
+                 for _ in range(r.u8("read count"))]
+        writes = [(r.u32("write record"), r.take(32, "write record"), r.take(32, "write record"),
+                   merkle.MerkleProof.read(r)) for _ in range(r.u8("write count"))]
         chunk = None
-        if data[off] == 1:
-            if len(data) - off < 1 + 32 + 4 + 32:
-                raise ValueError("truncated preimage chunk")
-            key = bytes(data[off + 1 : off + 33])
-            index = struct.unpack_from("<I", data, off + 33)[0]
-            chunk_data = bytes(data[off + 37 : off + 69])
-            chunk = PreimageChunk(key, index, chunk_data)
-            off += 69
-        elif data[off] == 0:
-            off += 1
-        else:
-            raise ValueError("bad chunk flag")
-        if off != len(data):
-            raise ValueError("trailing bytes after witness")
+        flag = r.u8("chunk flag")
+        if flag == 1:
+            chunk = PreimageChunk(r.take(32, "preimage chunk"), r.u32("preimage chunk"),
+                                  r.take(32, "preimage chunk"))
+        elif flag != 0:
+            raise ParseError(r.offset - 1, "bad chunk flag")
         return cls(fields_, reads, writes, chunk)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "StepWitness":
+        r = Reader(data)
+        witness = cls.read(r)
+        r.end("witness")
+        return witness
 
 
 def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from .hashing import HashScheme, TREE_DEPTH, ZERO_LEAF
+from .wire import Reader
 
 NUM_LEAVES = 1 << TREE_DEPTH
 
@@ -159,15 +160,14 @@ class MerkleProof:
         return head + b"".join(self.siblings)
 
     @classmethod
+    def read(cls, r: Reader) -> "MerkleProof":
+        index, level, count = r.u32("proof header"), r.u8("proof header"), r.u8("proof header")
+        return cls(index, level, [r.take(32, "proof siblings") for _ in range(count)])
+
+    @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["MerkleProof", int]:
-        if len(data) - offset < 6:
-            raise ValueError("truncated proof header")
-        index, level, count = struct.unpack_from("<IBB", data, offset)
-        offset += 6
-        if len(data) - offset < 32 * count:
-            raise ValueError("truncated proof siblings")
-        siblings = [bytes(data[offset + 32 * i : offset + 32 * (i + 1)]) for i in range(count)]
-        return cls(index, level, siblings), offset + 32 * count
+        r = Reader(data, offset)
+        return cls.read(r), r.offset
 
 
 def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) -> bool:
@@ -182,17 +182,9 @@ def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) 
         return False
     if proof.leaf_index & ((1 << proof.subtree_level) - 1):
         return False
-    acc = claimed
-    index = proof.leaf_index >> proof.subtree_level
-    for sibling in proof.siblings:
-        if len(sibling) != 32:
-            return False
-        if index & 1:
-            acc = scheme.node_hash(sibling, acc)
-        else:
-            acc = scheme.node_hash(acc, sibling)
-        index >>= 1
-    return acc == root
+    if any(len(sibling) != 32 for sibling in proof.siblings):
+        return False
+    return recompute_root(claimed, proof, scheme) == root
 
 
 def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashScheme) -> bytes:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import merkle
 from .hashing import GRAPH_STATE_PREFIX, HashScheme
+from .wire import ParseError, Reader
 
 FRAC = 16
 SCALE = 1 << FRAC
@@ -42,10 +43,8 @@ class ShapeError(ValueError):
     pass
 
 
-class ModelParseError(ValueError):
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"at byte {offset}: {message}")
-        self.offset = offset
+#: What the model and tensor parsers raise; the same class as `wire.ParseError`.
+ModelParseError = ParseError
 
 
 def wrap32s(v: int) -> int:
@@ -183,21 +182,16 @@ def serialize_tensor(t: FixedTensor) -> bytes:
 
 
 def deserialize_tensor(data: bytes, offset: int = 0, frac: int = FRAC) -> tuple[FixedTensor, int]:
-    if len(data) - offset < 4:
-        raise ModelParseError(offset, "truncated tensor rank")
-    rank = struct.unpack_from("<I", data, offset)[0]
-    offset += 4
+    r = Reader(data, offset)
+    return _read_tensor(r, frac), r.offset
+
+
+def _read_tensor(r: Reader, frac: int = FRAC) -> FixedTensor:
+    rank = r.u32("tensor rank")
     if rank > 8:
-        raise ModelParseError(offset - 4, f"unreasonable rank {rank}")
-    if len(data) - offset < 4 * rank:
-        raise ModelParseError(offset, "truncated tensor dims")
-    shape = struct.unpack_from(f"<{rank}I", data, offset)
-    offset += 4 * rank
-    size = math.prod(shape)
-    if len(data) - offset < 4 * size:
-        raise ModelParseError(offset, "truncated tensor data")
-    values = struct.unpack_from(f"<{size}i", data, offset)
-    return FixedTensor(tuple(shape), tuple(values), frac), offset + 4 * size
+        raise ParseError(r.offset - 4, f"unreasonable rank {rank}")
+    shape = r.u32s(rank, "tensor dims")
+    return FixedTensor(shape, r.i32s(math.prod(shape), "tensor data"), frac)
 
 
 def tensor_blob(t: FixedTensor) -> bytes:
@@ -333,66 +327,35 @@ def save_model_bytes(graph: CompGraph) -> bytes:
 
 
 def load_model_bytes(data: bytes) -> CompGraph:
-    if data[:4] != MODEL_MAGIC:
-        raise ModelParseError(0, "bad magic")
-    if len(data) < 16:
-        raise ModelParseError(4, "truncated header")
-    version, frac = struct.unpack_from("<HH", data, 4)
+    r = Reader(data)
+    if r.take(4, "header") != MODEL_MAGIC:
+        raise ParseError(0, "bad magic")
+    version, frac = struct.unpack("<HH", r.take(4, "header"))
     if version != MODEL_VERSION:
-        raise ModelParseError(4, f"unsupported version {version}")
+        raise ParseError(4, f"unsupported version {version}")
     if frac != FRAC:
-        raise ModelParseError(6, f"unsupported frac {frac}")
-    n_nodes, output_id = struct.unpack_from("<II", data, 8)
-    offset = 16
+        raise ParseError(6, f"unsupported frac {frac}")
+    n_nodes, output_id = r.u32s(2, "header")
     records = []
     for node_id in range(n_nodes):
-        if len(data) - offset < 2:
-            raise ModelParseError(offset, "truncated node record")
-        op_code, n_inputs = struct.unpack_from("<BB", data, offset)
-        offset += 2
+        op_code = r.u8("node record")
         if op_code not in _OP_NAMES:
-            raise ModelParseError(offset - 2, f"unknown op code {op_code}")
-        if len(data) - offset < 4 * n_inputs:
-            raise ModelParseError(offset, "truncated input ids")
-        input_ids = struct.unpack_from(f"<{n_inputs}I", data, offset)
-        offset += 4 * n_inputs
+            raise ParseError(r.offset - 1, f"unknown op code {op_code}")
         op = _OP_NAMES[op_code]
-        shape = None
-        const_index = None
-        if op == "input":
-            if len(data) - offset < 4:
-                raise ModelParseError(offset, "truncated input shape")
-            rank = struct.unpack_from("<I", data, offset)[0]
-            offset += 4
-            if len(data) - offset < 4 * rank:
-                raise ModelParseError(offset, "truncated input dims")
-            shape = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-        elif op == "const":
-            if len(data) - offset < 4:
-                raise ModelParseError(offset, "truncated const index")
-            const_index = struct.unpack_from("<I", data, offset)[0]
-            offset += 4
-        records.append((node_id, op, tuple(input_ids), shape, const_index))
-    if len(data) - offset < 4:
-        raise ModelParseError(offset, "truncated const count")
-    n_consts = struct.unpack_from("<I", data, offset)[0]
-    offset += 4
-    consts = []
-    for _ in range(n_consts):
-        tensor, offset = deserialize_tensor(data, offset)
-        consts.append(tensor)
-    if offset != len(data):
-        raise ModelParseError(offset, "trailing bytes")
+        input_ids = r.u32s(r.u8("node record"), "input ids")
+        shape = r.u32s(r.u32("input shape"), "input dims") if op == "input" else None
+        const_index = r.u32("const index") if op == "const" else None
+        records.append((node_id, op, input_ids, shape, const_index, r.offset - 4))
+    consts = [_read_tensor(r) for _ in range(r.u32("const count"))]
+    r.end("model")
     nodes = []
-    for node_id, op, input_ids, shape, const_index in records:
+    for node_id, op, input_ids, shape, const_index, const_at in records:
         params = None
         if const_index is not None:
             if const_index >= len(consts):
-                raise ModelParseError(offset, f"const index {const_index} out of range")
+                raise ParseError(const_at, f"const index {const_index} out of range")
             params = consts[const_index]
-        nodes.append(GraphNode(node_id, op, input_ids, params=params,
-                               shape=tuple(shape) if shape is not None else None))
+        nodes.append(GraphNode(node_id, op, input_ids, params=params, shape=shape))
     return CompGraph(nodes, output_id)
 
 

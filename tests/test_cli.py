@@ -3,6 +3,7 @@ reproducibility."""
 
 import json
 import math
+import os
 import struct
 
 import pytest
@@ -14,6 +15,11 @@ from opml.hashing import get_scheme
 from fixtures import build_mlp, rand_tensor
 
 import random
+
+#: Committed inputs for parametrized cases: the `model_files` MLP and its
+#: input (pinned by `test_committed_model_files_are_the_fixture_mlp`) and a
+#: scenario config with a misspelt key.
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture
@@ -407,15 +413,27 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["security", "--p", "0.5", "--m", "5:1"],
     ["dispute", "--synthetic-n", "8", "--challenge-period", "-1"],
     ["dispute", "--config", "CONFIG"],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault"],
+    ["economics", "equilibrium", "--C", "1", "--R", "1", "--L", "1", "--B", "1e308", "--S", "1e308"],
+    ["dispute", "--config", os.path.join(DATA, "unknown-key.cfg")],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range", "challenge-period-flag",
-        "challenge-period-config"])
+        "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
+        "config-unknown-key"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
     config.write_text("synthetic.n = 8\nchallenge_period = -1\n")
     code, out, err = run_cli(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_committed_model_files_are_the_fixture_mlp(model_files):
+    model, inp, _, _ = model_files
+    for committed, built in (("mlp.opml", model), ("mlp-input.tensor", inp)):
+        with open(os.path.join(DATA, committed), "rb") as a, open(built, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_attention_simulation_failure_stays_internal(capsys, monkeypatch):
