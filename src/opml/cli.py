@@ -298,6 +298,9 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         elif scenario["strategy"] == "fault":
             raise ConfigError("the fault strategy needs --fault-step or --fault-node")
         strategy = _adversary_strategy(scenario, fault_step, fault_leaf, fault_bit)
+    if strategy.fault_step is not None and not 1 <= strategy.fault_step <= len(honest_trace):
+        raise ConfigError(f"fault step {strategy.fault_step} outside the trace's "
+                          f"steps 1..{len(honest_trace)}")
 
     honest = dispute.ActorStrategy(seed=scenario["seed"])
     faulty_submitter = scenario["faulty"] == "submitter"
@@ -331,6 +334,8 @@ def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseR
     streams = rng.stream(scenario["seed"], "fault")
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
+    if adversary["strategy"].kind == "fault" and adversary["graph_fault"] is None:
+        raise ConfigError("the fault strategy needs --fault-node")
     chain = _fresh_chain(scenario)
     faulty_submitter = scenario["faulty"] == "submitter"
     submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,

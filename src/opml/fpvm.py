@@ -218,7 +218,7 @@ class VmFields:
         return scheme.digest(VM_STATE_PREFIX + self.to_bytes())
 
 
-@dataclass
+@dataclass(slots=True)
 class VmState:
     pc: int
     regs: tuple[int, ...]

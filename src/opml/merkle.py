@@ -5,12 +5,19 @@ memory word group, so the leaves cover addresses 0 .. 2**32 - 1. Absent
 leaves read as all zeros, and all-zero subtrees collapse to memoized digests,
 so a tree touching a few pages stays small.
 
-Updates are persistent: `update_leaf` rebuilds the 27-node path and shares
+Updates are persistent: `update_leaf` copies the 27-node path and shares
 everything else, so any snapshot can be kept in O(1) while a successor
-version evolves, and its root read later without rehashing. A whole image is
-loaded bottom-up: `build_region` hashes each leaf and each internal node of a
-region once, and `MemTree.splice` hangs that subtree in at its aligned place
-with one path of hashes.
+version evolves. Digests are lazy: a copied node is built without one, and
+`root`, `prove` and `subtree_root` hash a missing digest on first use and
+keep it in the node. A VM run that writes on every step but opens a
+handful of roots hashes only the paths those roots cover. A whole image is
+loaded bottom-up: `build_region` hashes each leaf and each internal node of
+a region once, and `MemTree.splice` hangs that subtree in at its aligned
+place.
+
+Each version also mirrors the leaves it has read or written in a dict, which
+`update_leaf` hands on to the new version. A run that steps from version to
+version therefore reads a leaf by one dict lookup, not a 27-level walk.
 """
 
 from __future__ import annotations
@@ -33,12 +40,15 @@ class AlignmentError(ValueError):
 
 
 class _Node:
-    """Internal node; children are _Node, bytes (a leaf value) or None (zero)."""
+    """Internal node; children are _Node, bytes (a leaf value) or None (zero).
+
+    `digest` is None until `_child_digest` first needs it and then memoised:
+    a node's children never change, so a stored digest never goes stale."""
 
     __slots__ = ("digest", "left", "right")
 
-    def __init__(self, digest: bytes, left, right):
-        self.digest = digest
+    def __init__(self, left, right):
+        self.digest = None
         self.left = left
         self.right = right
 
@@ -48,62 +58,83 @@ def _child_digest(child, level: int, scheme: HashScheme) -> bytes:
         return scheme.zero_hashes[level]
     if level == 0:
         return scheme.leaf_hash(child)
+    if child.digest is None:
+        child.digest = scheme.node_hash(_child_digest(child.left, level - 1, scheme),
+                                        _child_digest(child.right, level - 1, scheme))
     return child.digest
 
 
+def _set(node, level: int, index: int, subtree, stop: int):
+    """Copy of the level-`level` `node` with its level-`stop` descendant over
+    `index` replaced by `subtree`. The copied path nodes get no digest."""
+    if level == stop:
+        return subtree
+    left = node.left if node is not None else None
+    right = node.right if node is not None else None
+    if (index >> (level - 1)) & 1:
+        right = _set(right, level - 1, index, subtree, stop)
+    else:
+        left = _set(left, level - 1, index, subtree, stop)
+    if left is None and right is None:
+        return None
+    return _Node(left, right)
+
+
 class MemTree:
-    """Persistent sparse Merkle tree with a fixed depth of 27 levels."""
+    """Persistent sparse Merkle tree with a fixed depth of 27 levels.
 
-    __slots__ = ("scheme", "_root")
+    `_leaves` mirrors the leaves this version has read or written.
+    `update_leaf` moves the dict to the new version and leaves None here,
+    so one dict serves a whole run of successive versions; a superseded
+    version, whose mirror would be stale, walks the tree instead.
+    """
 
-    def __init__(self, scheme: HashScheme, _root=None):
+    __slots__ = ("scheme", "_root", "_leaves")
+
+    def __init__(self, scheme: HashScheme, _root=None, _leaves: dict[int, bytes] | None = None):
         self.scheme = scheme
         self._root = _root
+        self._leaves = {} if _leaves is None else _leaves
 
     def root(self) -> bytes:
         return _child_digest(self._root, TREE_DEPTH, self.scheme)
 
     def get_leaf(self, index: int) -> bytes:
+        leaves = self._leaves
+        if leaves is not None:
+            leaf = leaves.get(index)
+            if leaf is not None:
+                return leaf
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         node = self._root
         for level in range(TREE_DEPTH - 1, -1, -1):
             if node is None:
-                return ZERO_LEAF
+                break
             node = node.right if (index >> level) & 1 else node.left
-        return ZERO_LEAF if node is None else node
+        leaf = ZERO_LEAF if node is None else node
+        if leaves is not None:
+            leaves[index] = leaf
+        return leaf
 
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
-        """Return a new tree with `leaf` written at `index`; self is unchanged."""
+        """Return a new tree with `leaf` written at `index`; self reads the
+        same as before."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
-        new_root = self._set(self._root, TREE_DEPTH, index, None if leaf == ZERO_LEAF else leaf, 0)
-        return MemTree(self.scheme, new_root)
+        new_root = _set(self._root, TREE_DEPTH, index, None if leaf == ZERO_LEAF else leaf, 0)
+        leaves = self._leaves if self._leaves is not None else {}
+        self._leaves = None
+        leaves[index] = leaf
+        return MemTree(self.scheme, new_root, leaves)
 
     def splice(self, index: int, level: int, subtree) -> "MemTree":
         """Return a new tree with the region of 2**level leaves at `index`
         replaced by `subtree` (from `build_region`); self is unchanged."""
         self._check_aligned(index, level)
-        return MemTree(self.scheme, self._set(self._root, TREE_DEPTH, index, subtree, level))
-
-    def _set(self, node, level: int, index: int, subtree, stop: int):
-        if level == stop:
-            return subtree
-        left = node.left if node is not None else None
-        right = node.right if node is not None else None
-        if (index >> (level - 1)) & 1:
-            right = self._set(right, level - 1, index, subtree, stop)
-        else:
-            left = self._set(left, level - 1, index, subtree, stop)
-        if left is None and right is None:
-            return None
-        digest = self.scheme.node_hash(
-            _child_digest(left, level - 1, self.scheme),
-            _child_digest(right, level - 1, self.scheme),
-        )
-        return _Node(digest, left, right)
+        return MemTree(self.scheme, _set(self._root, TREE_DEPTH, index, subtree, level))
 
     def prove(self, index: int, subtree_level: int = 0) -> "MerkleProof":
         """Membership proof for the subtree of 2**subtree_level leaves at `index`."""
@@ -219,15 +250,8 @@ def build_region(data: bytes, region_level: int, scheme: HashScheme):
     for level in range(region_level):
         if len(nodes) % 2:
             nodes.append(None)
-        parents = []
-        for left, right in zip(nodes[::2], nodes[1::2]):
-            if left is None and right is None:
-                parents.append(None)
-            else:
-                digest = scheme.node_hash(_child_digest(left, level, scheme),
-                                          _child_digest(right, level, scheme))
-                parents.append(_Node(digest, left, right))
-        nodes = parents
+        nodes = [None if left is None and right is None else _Node(left, right)
+                 for left, right in zip(nodes[::2], nodes[1::2])]
     return nodes[0], _child_digest(nodes[0], region_level, scheme)
 
 

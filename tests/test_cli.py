@@ -417,10 +417,21 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
      "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault"],
     ["economics", "equilibrium", "--C", "1", "--R", "1", "--L", "1", "--B", "1e308", "--S", "1e308"],
     ["dispute", "--config", os.path.join(DATA, "unknown-key.cfg")],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--protocol", "two-phase",
+     "--strategy", "fault"],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault",
+     "--fault-step", "99999"],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault",
+     "--fault-step", "0"],
+    ["dispute", "--synthetic-n", "5", "--strategy", "fault", "--fault-step", "0"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range", "challenge-period-flag",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
-        "config-unknown-key"])
+        "config-unknown-key", "two-phase-fault-strategy-without-target",
+        "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
     config.write_text("synthetic.n = 8\nchallenge_period = -1\n")

@@ -262,6 +262,33 @@ def test_trace_roots_are_hashed_on_demand():
     assert _state_hashes(calls) == state_hashes + 1  # only the direct state_root call
 
 
+def test_run_trace_hashes_nothing(monkeypatch):
+    """A store copies its tree path without hashing it; the last root then
+    hashes each path the run wrote once, not once per store."""
+    program = _random_program(random.Random(26), 600)
+    scheme, calls = _counting_scheme()
+    state = load_program(program, scheme=scheme)
+    written = set()
+    real_update = merkle.MemTree.update_leaf
+    monkeypatch.setattr(merkle.MemTree, "update_leaf",
+                        lambda tree, index, leaf: written.add(index) or real_update(tree, index, leaf))
+    calls.clear()
+    trace = run_trace(state, max_steps=1000)
+    assert calls == [] and len(trace) == 600
+    assert len(written) > 20  # store-heavy: the program writes many distinct leaves
+
+    final = trace.states[-1]
+    leaves = {i // 32: program[i : i + 32].ljust(32, b"\x00") for i in range(0, len(program), 32)}
+    leaves.update((index, final.memory.get_leaf(index)) for index in written)
+    memory_root = merkle.root_from_regions(
+        [(index, 0, SCHEME.leaf_hash(leaf)) for index, leaf in leaves.items() if leaf != ZERO_LEAF],
+        SCHEME)
+    reference = fpvm.VmFields(final.pc, final.regs, final.exited, final.exit_code,
+                              memory_root).state_root(SCHEME)
+    assert trace.root_at(len(trace)) == reference
+    assert len(calls) <= 27 * len(written) + 1
+
+
 def _random_program(rng: random.Random, n_steps: int) -> bytes:
     """Straight-line program with exactly n_steps steps (incl. HALT)."""
     from opml.dispute import synthetic_program

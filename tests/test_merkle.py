@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opml import merkle
-from opml.hashing import TREE_DEPTH, ZERO_LEAF, get_scheme
+from opml.hashing import TREE_DEPTH, ZERO_LEAF, get_scheme, scheme_names
 
 SCHEME = get_scheme("sha256")
 
@@ -249,3 +249,61 @@ def test_proof_serialization_roundtrip():
     back, off = merkle.MerkleProof.from_bytes(blob)
     assert off == len(blob)
     assert back == proof
+
+
+def eager_levels(leaves: dict[int, bytes], scheme) -> tuple[list[dict[int, bytes]], list[bytes]]:
+    """Independent reference: (levels, zeros), where levels[k] maps the index
+    of every non-zero subtree of 2**k leaves to its digest, hashed bottom-up
+    from the leaf values, and zeros[k] is the digest of an all-zero one."""
+    zeros = [scheme.digest(b"\x00" + ZERO_LEAF)]
+    for _ in range(TREE_DEPTH):
+        zeros.append(scheme.digest(zeros[-1] + zeros[-1]))
+    level = {i: scheme.digest(b"\x00" + leaf) for i, leaf in leaves.items() if leaf != ZERO_LEAF}
+    levels = [level]
+    for k in range(TREE_DEPTH):
+        level = {i: scheme.digest(level.get(2 * i, zeros[k]) + level.get(2 * i + 1, zeros[k]))
+                 for i in {j >> 1 for j in level}}
+        levels.append(level)
+    return levels, zeros
+
+
+_INDEX = st.sampled_from([0, 1, 2, 3, 31, 32, 1 << 20, (1 << 26) + 5, merkle.NUM_LEAVES - 1]) | st.integers(0, 63)
+_VALUE = st.sampled_from([ZERO_LEAF, b"\x01" * 32]) | st.binary(min_size=32, max_size=32)
+_OPS = st.lists(st.tuples(st.sampled_from(["update", "update-latest", "get", "check"]),
+                          st.integers(0, 1 << 16), _INDEX, _VALUE), max_size=40)
+
+
+@given(ops=_OPS, scheme_name=st.sampled_from(scheme_names()))
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
+    """Updates and reads on any version, superseded ones and one updated
+    twice included, against a dict model per version; roots, proofs and
+    subtree roots, asked for at any point, against `eager_levels`."""
+    scheme = get_scheme(scheme_name)
+    versions = [(merkle.MemTree(scheme), {})]
+
+    def check(tree, model, index):
+        levels, zeros = eager_levels(model, scheme)
+        assert tree.root() == levels[TREE_DEPTH].get(0, zeros[TREE_DEPTH])
+        proof = tree.prove(index)
+        assert proof.siblings == [levels[k].get((index >> k) ^ 1, zeros[k]) for k in range(TREE_DEPTH)]
+        level = index.bit_length() % 6
+        base = index >> level << level
+        assert tree.subtree_root(base * 32, level) == levels[level].get(index >> level, zeros[level])
+
+    for kind, pick, index, value in ops:
+        tree, model = versions[-1] if kind == "update-latest" else versions[pick % len(versions)]
+        if kind.startswith("update"):
+            versions.append((tree.update_leaf(index, value), {**model, index: value}))
+        elif kind == "get":
+            assert tree.get_leaf(index) == model.get(index, ZERO_LEAF)
+        else:
+            check(tree, model, index)
+    if len(versions) > 1:  # the oldest written version, updated twice more
+        tree, model = versions[1]
+        for value in (b"\x02" * 32, ZERO_LEAF):
+            versions.append((tree.update_leaf(3, value), {**model, 3: value}))
+    for tree, model in versions:
+        for index in {*model, 0, 5}:
+            assert tree.get_leaf(index) == model.get(index, ZERO_LEAF)
+        check(tree, model, max(model, default=7))
