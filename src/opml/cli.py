@@ -9,11 +9,12 @@ Commands:
 
 Every command that takes --seed is bit-reproducible: all randomness flows
 through named streams derived from that one seed. Exit codes: 0 success,
-2 usage or configuration (including an out-of-range analytics parameter or a
-VM step budget that runs out before HALT), 3 I/O or parse failure (including
-a model whose shapes do not fit together or its input, checked on load), 4
-internal invariant violation (a dual-path mismatch is a bug, never a user
-error).
+2 usage or configuration (including an out-of-range analytics parameter, a
+dispute option the game does not use, or a VM step budget that runs out
+before HALT), 3 I/O or parse failure (including a model whose shapes do not
+fit together or its input, checked on load, and an output path that cannot
+be written), 4 internal invariant violation (a dual-path mismatch is a bug,
+never a user error).
 
 The hash scheme is read from the OPML_HASH environment variable (default
 sha256) on each invocation and passed to the command; an unknown name exits
@@ -28,6 +29,7 @@ import math
 import os
 import struct
 import sys
+from typing import NamedTuple
 
 from . import dispute, economics, fpvm, hashing, lowering, merkle, ml, multiphase, rng, wire
 
@@ -90,21 +92,55 @@ def _load_model_and_input(model_path: str, input_path: str) -> tuple[ml.CompGrap
     return graph, input_tensor
 
 
-CONFIG_KEYS = frozenset((
-    "model", "input", "protocol", "phases", "k", "m", "fault.node", "fault.step",
-    "fault.element", "fault.bit", "faulty", "strategy", "silent.after", "wrong.round", "seed",
-    "synthetic.n", "challenge_period", "transcript", "witness.out",
-))
+SYNTHETIC, SINGLE, TWO_PHASE = "synthetic", "single", "two-phase"
+EVERY_GAME = (SYNTHETIC, SINGLE, TWO_PHASE)
+MODEL_GAMES = (SINGLE, TWO_PHASE)
 
 
-def read_config(path: str) -> dict[str, str]:
-    """Flat key=value lines with keys from CONFIG_KEYS; blank lines and
-    #-comments ignored."""
+class Option(NamedTuple):
+    kind: type | tuple[str, ...]  # int, str, or the accepted values
+    default: object
+    games: tuple[str, ...]  # the games that use it
+    lo: float = -math.inf
+    hi: float = math.inf
+
+
+#: Every `opml dispute` option, declared once for its flag and its config
+#: key. The flag is the key with "." and "_" written as "-"; `phases`, a
+#: config-file alias of `protocol`, has no flag. A two-phase game accepts
+#: `witness.out` and writes no bundle.
+DISPUTE_OPTIONS = {
+    "model": Option(str, None, MODEL_GAMES),
+    "input": Option(str, None, MODEL_GAMES),
+    "protocol": Option((SINGLE, TWO_PHASE), SINGLE, EVERY_GAME),
+    "phases": Option(("1", "2"), None, EVERY_GAME),
+    "k": Option(int, 1, EVERY_GAME, lo=1),
+    "m": Option(int, 1, EVERY_GAME, lo=1),
+    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2),
+    "fault.node": Option(int, None, MODEL_GAMES),
+    "fault.step": Option(int, None, (SYNTHETIC, SINGLE)),
+    "fault.element": Option(int, None, MODEL_GAMES),
+    "fault.bit": Option(int, None, MODEL_GAMES),
+    "faulty": Option(("submitter", "challenger"), "submitter", EVERY_GAME),
+    "strategy": Option(("honest", "fault", "wrong-midpoint", "silent", "random"), None, EVERY_GAME),
+    "silent.after": Option(int, None, EVERY_GAME),
+    "wrong.round": Option(int, 1, EVERY_GAME),
+    "seed": Option(int, 0, EVERY_GAME, lo=0, hi=2**64 - 1),
+    "challenge_period": Option(int, 100, EVERY_GAME, lo=0),
+    "transcript": Option(str, None, EVERY_GAME),
+    "witness.out": Option(str, None, EVERY_GAME),
+}
+
+
+def read_config(path: str) -> dict[str, object]:
+    """Flat key=value lines with keys from DISPUTE_OPTIONS, each value
+    converted and checked as its flag's is; blank lines and #-comments
+    ignored."""
     try:
         text = _read_file(path).decode()
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
-    out: dict[str, str] = {}
+    out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,9 +148,16 @@ def read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in DISPUTE_OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
+        kind = DISPUTE_OPTIONS[key].kind
+        try:
+            out[key] = int(value) if kind is int else value
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of {', '.join(kind)}, "
+                              f"got {value!r}")
     return out
 
 
@@ -163,57 +206,39 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
 
 
 def _scenario_from_args(args) -> dict:
-    cfg: dict[str, str] = {}
-    if args.config:
-        cfg = read_config(args.config)
-
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return cfg.get(key, default)
-
-    default_protocol = "single"
-    if "phases" in cfg:  # numeric alias for the protocol choice
-        if cfg["phases"] not in ("1", "2"):
-            raise ConfigError(f"phases must be 1 or 2, got {cfg['phases']}")
-        default_protocol = "single" if cfg["phases"] == "1" else "two-phase"
-    scenario = {
-        "model": pick(args.model, "model"),
-        "input": pick(args.input, "input"),
-        "protocol": pick(args.protocol, "protocol", default_protocol),
-        "k": pick(args.k, "k", 1),
-        "m": pick(args.m, "m", 1),
-        "fault_node": pick(args.fault_node, "fault.node"),
-        "fault_step": pick(args.fault_step, "fault.step"),
-        "fault_element": pick(args.fault_element, "fault.element"),
-        "fault_bit": pick(args.fault_bit, "fault.bit"),
-        "faulty": pick(args.faulty, "faulty", "submitter"),
-        "strategy": pick(args.strategy, "strategy"),
-        "silent_after": pick(args.silent_after, "silent.after"),
-        "wrong_round": pick(args.wrong_round, "wrong.round"),
-        "seed": pick(args.seed, "seed", 0),
-        "synthetic_n": pick(args.synthetic_n, "synthetic.n"),
-        "challenge_period": pick(args.challenge_period, "challenge_period", 100),
-        "transcript": pick(args.transcript, "transcript"),
-        "witness_out": pick(args.witness_out, "witness.out"),
-    }
-    for key in ("k", "m", "seed", "challenge_period", "fault_node", "fault_step",
-                "fault_element", "fault_bit", "silent_after", "wrong_round", "synthetic_n"):
-        if scenario[key] is not None:
-            try:
-                scenario[key] = int(scenario[key])
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {scenario[key]!r}") from None
-    if scenario["protocol"] not in ("single", "two-phase"):
-        raise ConfigError(f"unknown protocol {scenario['protocol']!r}")
-    if scenario["k"] < 1 or scenario["m"] < 1:
-        raise ConfigError("k and m must be >= 1")
-    if scenario["challenge_period"] < 0:
-        raise ConfigError("challenge_period must be non-negative")
-    if scenario["synthetic_n"] is not None and scenario["synthetic_n"] < 2:
-        raise ConfigError("a synthetic program needs at least 2 steps")
-    if scenario["faulty"] not in ("submitter", "challenger"):
-        raise ConfigError("faulty must be submitter or challenger")
+    """Each option's flag, else its config-file value, else its default, and
+    the game they resolve to. An option that game does not use exits 2."""
+    given = read_config(args.config) if args.config else {}
+    for key in DISPUTE_OPTIONS:
+        flag = getattr(args, key.replace(".", "_"), None)
+        if flag is not None:
+            given[key] = flag
+    if "phases" in given:  # a protocol key or flag wins over its alias
+        given.setdefault("protocol", SINGLE if given["phases"] == "1" else TWO_PHASE)
+    scenario = {key: given.get(key, opt.default) for key, opt in DISPUTE_OPTIONS.items()}
+    game = scenario["game"] = (TWO_PHASE if scenario["protocol"] == TWO_PHASE
+                               else SINGLE if scenario["synthetic.n"] is None else SYNTHETIC)
+    for key, value in given.items():
+        opt = DISPUTE_OPTIONS[key]
+        if game not in opt.games:
+            raise ConfigError(f"{key} is not used by a {game} game"
+                              + (", which synthetic.n selects" if game == SYNTHETIC else ""))
+        if opt.kind is int and not opt.lo <= value <= opt.hi:
+            raise ConfigError(f"{key} must be in {opt.lo}..{opt.hi}, got {value}")
+    if "fault.node" in given and "fault.step" in given:
+        raise ConfigError("fault.node and fault.step each name the fault; give one")
+    for key in ("fault.element", "fault.bit"):
+        if key in given and "fault.node" not in given:
+            raise ConfigError(f"{key} is used only with fault.node")
+    if "wrong.round" in given and scenario["strategy"] != "wrong-midpoint":
+        raise ConfigError("wrong.round is used only with strategy=wrong-midpoint")
+    if game != SYNTHETIC and not (scenario["model"] and scenario["input"]):
+        raise ConfigError("dispute needs --model/--input or --synthetic-n" if game == SINGLE
+                          else "two-phase dispute needs --model and --input")
+    if (scenario["strategy"] == "fault" and game != SYNTHETIC
+            and scenario["fault.node"] is None and scenario["fault.step"] is None):
+        raise ConfigError("the fault strategy needs --fault-step or --fault-node" if game == SINGLE
+                          else "the fault strategy needs --fault-node")
     return scenario
 
 
@@ -225,39 +250,29 @@ def _fresh_chain(scenario) -> dispute.ChainSim:
     return chain
 
 
-def _adversary_strategy(scenario, fault_step=None, fault_leaf=None, fault_bit=0):
+def _adversary_strategy(scenario, fault: fpvm.StepFault | None = None) -> dispute.ActorStrategy:
     kind = scenario["strategy"]
     if kind is None:
-        kind = "fault" if fault_step is not None else "honest"
-    wrong_round = scenario["wrong_round"]
-    if kind == "wrong-midpoint" and wrong_round is None:
-        wrong_round = 1
-    silent_after = scenario["silent_after"]
+        kind = "fault" if fault is not None else "honest"
+    silent_after = scenario["silent.after"]
     if kind == "silent" and silent_after is None:
         silent_after = 1
-    return dispute.ActorStrategy(
-        kind=kind,
-        fault_step=fault_step,
-        fault_leaf=fault_leaf,
-        fault_bit=fault_bit,
-        wrong_round=wrong_round,
-        silent_after=silent_after,
-        seed=scenario["seed"],
-    )
+    return dispute.ActorStrategy(kind=kind, fault=fault, wrong_round=scenario["wrong.round"],
+                                 silent_after=silent_after, seed=scenario["seed"])
 
 
 def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
-    if scenario["fault_node"] is None:
+    if scenario["fault.node"] is None:
         return None
-    node_id = scenario["fault_node"]
+    node_id = scenario["fault.node"]
     if not 0 <= node_id < len(graph.nodes):
         raise ConfigError(f"fault node {node_id} out of range")
     if graph.nodes[node_id].op in ("input", "const"):
         raise ConfigError(f"node {node_id} has no computation to corrupt")
     shapes = graph.infer_shapes()
     numel = math.prod(shapes[node_id])
-    element = scenario["fault_element"]
-    bit = scenario["fault_bit"]
+    element = scenario["fault.element"]
+    bit = scenario["fault.bit"]
     return ml.GraphFault(
         node_id=node_id,
         element=element if element is not None else streams.randrange(numel),
@@ -268,39 +283,30 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
 def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     streams = rng.stream(scenario["seed"], "fault")
     chain = _fresh_chain(scenario)
-
-    if scenario["synthetic_n"] is not None:
-        program = dispute.synthetic_program(
-            rng.stream(scenario["seed"], "program"), scenario["synthetic_n"]
-        )
+    step, fault = scenario["fault.step"], None
+    if scenario["game"] == SYNTHETIC:
+        n = scenario["synthetic.n"]
+        program = dispute.synthetic_program(rng.stream(scenario["seed"], "program"), n)
         honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=scheme),
                                       max_steps=10_000_000)
-        fault_step = scenario["fault_step"]
-        if fault_step is None and scenario["strategy"] == "fault":
-            fault_step = streams.randrange(1, scenario["synthetic_n"] + 1)
-        strategy = _adversary_strategy(scenario, fault_step=fault_step,
-                                       fault_bit=streams.randrange(256))
+        if step is None and scenario["strategy"] == "fault":
+            step = streams.randrange(1, n + 1)
     else:
-        if not scenario["model"] or not scenario["input"]:
-            raise ConfigError("dispute needs --model/--input or --synthetic-n")
         graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
         lowered = lowering.lower_graph(graph)
         honest_trace = fpvm.run_trace(lowered.initial_state(input_tensor, scheme),
                                       max_steps=10_000_000)
-        fault_step = scenario["fault_step"]
-        fault_leaf, fault_bit = None, 0
         gfault = _graph_fault(scenario, graph, streams)
         if gfault is not None:
-            sf = lowering.graph_fault_to_step_fault(lowered, honest_trace, gfault)
-            fault_step, fault_leaf, fault_bit = sf.step, sf.leaf_index, sf.bit
-        elif fault_step is not None:
-            fault_bit = streams.randrange(256)
-        elif scenario["strategy"] == "fault":
-            raise ConfigError("the fault strategy needs --fault-step or --fault-node")
-        strategy = _adversary_strategy(scenario, fault_step, fault_leaf, fault_bit)
-    if strategy.fault_step is not None and not 1 <= strategy.fault_step <= len(honest_trace):
-        raise ConfigError(f"fault step {strategy.fault_step} outside the trace's "
+            fault = lowering.graph_fault_to_step_fault(lowered, honest_trace, gfault)
+    if fault is None:  # the bit is drawn even when unused, so each seed keeps its draws
+        bit = streams.randrange(256)
+        if step is not None:
+            fault = fpvm.StepFault(step, dispute.SCRATCH_FAULT_LEAF, bit)
+    if fault is not None and not 1 <= fault.step <= len(honest_trace):
+        raise ConfigError(f"fault step {fault.step} outside the trace's "
                           f"steps 1..{len(honest_trace)}")
+    strategy = _adversary_strategy(scenario, fault)
 
     honest = dispute.ActorStrategy(seed=scenario["seed"])
     faulty_submitter = scenario["faulty"] == "submitter"
@@ -315,10 +321,10 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     )
     transcript_records.extend(result.transcript)
 
-    if scenario["witness_out"]:
+    if scenario["witness.out"]:
         step_no = result.pinned_step or 1
         write_witness_bundle(
-            scenario["witness_out"], scheme.name,
+            scenario["witness.out"], scheme.name,
             honest_trace.root_at(step_no - 1), honest_trace.root_at(step_no),
             fpvm.gen_step_witness(honest_trace.state_at(step_no - 1)), [],
         )
@@ -326,16 +332,10 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
 
 
 def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseResult:
-    if not scenario["model"] or not scenario["input"]:
-        raise ConfigError("two-phase dispute needs --model and --input")
-    if scenario["fault_step"] is not None:
-        raise ConfigError("fault.step names a single-phase VM step; two-phase takes fault.node")
     graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
     streams = rng.stream(scenario["seed"], "fault")
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
-    if adversary["strategy"].kind == "fault" and adversary["graph_fault"] is None:
-        raise ConfigError("the fault strategy needs --fault-node")
     chain = _fresh_chain(scenario)
     faulty_submitter = scenario["faulty"] == "submitter"
     submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,
@@ -362,13 +362,13 @@ def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
         "m": scenario["m"],
     }]
     try:
-        if scenario["protocol"] == "single":
-            result = _run_single(scenario, scheme, records)
-        else:
+        if scenario["game"] == TWO_PHASE:
             result = _run_two_phase(scenario, scheme, records)
+        else:
+            result = _run_single(scenario, scheme, records)
     except merkle.RangeError as exc:  # a program or image too large for its region
         raise IoError(str(exc)) from exc
-    if scenario["protocol"] == "single":
+    if scenario["game"] != TWO_PHASE:
         pinned_node = "-"
         rounds = result.rounds
     else:
@@ -546,25 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disp = sub.add_parser("dispute", help="play a dispute game")
     p_disp.add_argument("--config")
-    p_disp.add_argument("--model")
-    p_disp.add_argument("--input")
-    p_disp.add_argument("--protocol", choices=["single", "two-phase"])
-    p_disp.add_argument("--k", type=int)
-    p_disp.add_argument("--m", type=int)
-    p_disp.add_argument("--synthetic-n", type=int,
-                        help="use a synthetic program with this many steps instead of a model")
-    p_disp.add_argument("--fault-node", type=int)
-    p_disp.add_argument("--fault-step", type=int)
-    p_disp.add_argument("--fault-element", type=int)
-    p_disp.add_argument("--fault-bit", type=int)
-    p_disp.add_argument("--faulty", choices=["submitter", "challenger"])
-    p_disp.add_argument("--strategy", choices=["honest", "fault", "wrong-midpoint", "silent", "random"])
-    p_disp.add_argument("--silent-after", type=int)
-    p_disp.add_argument("--wrong-round", type=int)
-    p_disp.add_argument("--seed", type=int)
-    p_disp.add_argument("--challenge-period", type=int)
-    p_disp.add_argument("--transcript")
-    p_disp.add_argument("--witness-out")
+    for key, opt in DISPUTE_OPTIONS.items():
+        if key != "phases":
+            p_disp.add_argument("--" + key.replace(".", "-").replace("_", "-"),
+                                type=int if opt.kind is int else str,
+                                choices=None if opt.kind in (int, str) else opt.kind,
+                                help="used by " + ", ".join(opt.games) + " games")
     p_disp.set_defaults(fn=cmd_dispute)
 
     p_sec = sub.add_parser("security", help="trust-model probabilities (CSV)")
@@ -614,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, fpvm.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IoError as exc:
+    except (IoError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (dispute.ProtocolViolation, AssertionError) as exc:

@@ -302,13 +302,11 @@ class ActorStrategy:
     """How a party plays: honestly, from a corrupted re-execution, with a
     bad checkpoint round, going silent, or posting random junk.
 
-    fault_step composes with any kind: a silent or wrong-midpoint party
+    A fault composes with any kind: a silent or wrong-midpoint party
     still needs a corrupted trace to have something to claim."""
 
     kind: str = "honest"  # honest | fault | wrong-midpoint | silent | random
-    fault_step: int | None = None
-    fault_leaf: int | None = None
-    fault_bit: int = 0
+    fault: fpvm.StepFault | None = None
     wrong_round: int | None = None
     silent_after: int | None = None
     seed: int = 0
@@ -336,7 +334,7 @@ class BisectionActor:
     def claimed_root(self, index: int) -> bytes:
         junk = self.strategy.kind == "random" or (
             self.strategy.kind == "wrong-midpoint"
-            and self.strategy.fault_step is None
+            and self.strategy.fault is None
             and index >= len(self.roots)
         )
         if junk:
@@ -514,7 +512,6 @@ def run_dispute(
     chain: ChainSim | None = None,
     m: int = 1,
     oracle: fpvm.PreimageOracle | None = None,
-    phase: int = 2,
     settle: bool = True,
 ) -> DisputeResult:
     """Drive a full game: k-section rounds, then m-step arbitration.
@@ -523,7 +520,8 @@ def run_dispute(
     (half to the winner, half burned) and a missed move forfeits. With
     settle=False the verdict is returned without touching stakes (used when
     this game is the inner phase of a larger one). Witnesses are checked
-    under the submitter's hash scheme.
+    under the submitter's hash scheme. Rounds are logged as phase 2, the VM
+    phase, in a single-phase game too.
     """
     chain = chain if chain is not None else ChainSim()
     transcript: list[dict] = []
@@ -533,7 +531,7 @@ def run_dispute(
                        rounds, pinned, slash=settle)
         return DisputeResult(winner, rounds, pinned, reason, transcript)
 
-    outcome = open_game(claim, submitter, challenger, k, m, chain, transcript, phase)
+    outcome = open_game(claim, submitter, challenger, k, m, chain, transcript, phase=2)
     session = outcome.session
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, session.round)
@@ -618,19 +616,13 @@ def build_trace_actor(
     honest_trace: fpvm.Trace,
     strategy: ActorStrategy,
 ) -> VmTraceActor:
-    """The party holding the trace it believes in: the honest trace, or a
-    fork of it corrupted at the strategy's fault step.
+    """The party holding the trace it believes in: the honest trace, or its
+    fork at the strategy's fault.
 
-    Any strategy kind may carry a fault_step: a silent or wrong-midpoint
-    party still needs a corrupted trace to have a counterclaim to defend.
+    Any strategy kind may carry a fault: a silent or wrong-midpoint party
+    still needs a corrupted trace to have a counterclaim to defend.
     """
-    if strategy.kind == "fault" and strategy.fault_step is None:
-        raise ValueError("fault strategy needs fault_step")
-    trace = honest_trace
-    if strategy.fault_step is not None:
-        trace = honest_trace.fork(fpvm.StepFault(
-            step=strategy.fault_step,
-            leaf_index=strategy.fault_leaf if strategy.fault_leaf is not None else SCRATCH_FAULT_LEAF,
-            bit=strategy.fault_bit,
-        ))
+    if strategy.kind == "fault" and strategy.fault is None:
+        raise ValueError("fault strategy needs a fault")
+    trace = honest_trace if strategy.fault is None else honest_trace.fork(strategy.fault)
     return VmTraceActor(party_id, trace, strategy, honest_trace.scheme)

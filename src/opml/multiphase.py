@@ -347,7 +347,7 @@ def run_two_phase_dispute(
     inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, stake, claim_id=claim.claim_id + 1)
     inner = dispute.run_dispute(
         inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
-        oracle=oracle, phase=2, settle=False,
+        oracle=oracle, settle=False,
     )
     chain.close_dispute(inner_claim.claim_id)
     transcript.extend(inner.transcript)

@@ -40,10 +40,10 @@ def _single_phase_game(rng):
 
     program = dispute.synthetic_program(rng, n)
     honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
+    fault = fpvm.StepFault(fault_step, dispute.SCRATCH_FAULT_LEAF, rng.randrange(256))
     adversary = ActorStrategy(
         kind=kind,
-        fault_step=fault_step if kind in ("fault", "silent") else None,
-        fault_bit=rng.randrange(256),
+        fault=fault if kind in ("fault", "silent") else None,
         wrong_round=1 if kind == "wrong-midpoint" else None,
         silent_after=rng.randrange(0, 4) if kind == "silent" else None,
         seed=rng.getrandbits(32),

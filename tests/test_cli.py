@@ -8,7 +8,7 @@ import struct
 
 import pytest
 
-from opml import dispute, economics, fpvm, lowering, ml
+from opml import cli, dispute, economics, fpvm, lowering, ml
 from opml.cli import WITNESS_MAGIC, main, read_witness_bundle
 from opml.hashing import get_scheme
 
@@ -427,17 +427,93 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
      "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault",
      "--fault-step", "0"],
     ["dispute", "--synthetic-n", "5", "--strategy", "fault", "--fault-step", "0"],
+    ["dispute", "--config", os.path.join(DATA, "misspelt-strategy.cfg")],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--fault-node", "2", "--fault-step", "7"],
+    ["dispute", "--synthetic-n", "40", "--fault-node", "2", "--strategy", "fault"],
+    ["dispute", "--synthetic-n", "40", "--fault-element", "3"],
+    ["dispute", "--synthetic-n", "40", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor")],
+    ["dispute", "--protocol", "two-phase", "--synthetic-n", "40",
+     "--model", os.path.join(DATA, "mlp.opml"), "--input", os.path.join(DATA, "mlp-input.tensor"),
+     "--fault-node", "2"],
+    ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
+     "--input", os.path.join(DATA, "mlp-input.tensor"), "--fault-step", "7", "--fault-bit", "3"],
+    ["dispute", "--synthetic-n", "40", "--fault-step", "7", "--fault-bit", "3"],
+    ["dispute", "--synthetic-n", "40", "--wrong-round", "2"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range", "challenge-period-flag",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
         "config-unknown-key", "two-phase-fault-strategy-without-target",
-        "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero"])
+        "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero",
+        "config-misspelt-strategy", "fault-node-and-fault-step", "synthetic-fault-node",
+        "synthetic-fault-element", "synthetic-with-model", "two-phase-with-synthetic-n",
+        "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
     config.write_text("synthetic.n = 8\nchallenge_period = -1\n")
     code, out, err = run_cli(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+#: A value each game-specific option accepts, for the table-driven tests.
+_VALUES = {"model": os.path.join(DATA, "mlp.opml"), "input": os.path.join(DATA, "mlp-input.tensor"),
+           "synthetic.n": "40", "fault.node": "2", "fault.step": "5", "fault.element": "1",
+           "fault.bit": "1"}
+_GAMES = {cli.SYNTHETIC: "synthetic.n = 40\n",
+          cli.SINGLE: f"model = {_VALUES['model']}\ninput = {_VALUES['input']}\n",
+          cli.TWO_PHASE: f"protocol = two-phase\nmodel = {_VALUES['model']}\n"
+                         f"input = {_VALUES['input']}\n"}
+_UNUSED = [(game, key) for game in _GAMES for key, opt in cli.DISPUTE_OPTIONS.items()
+           if game not in opt.games]
+
+
+def _config_exits_2_naming(capsys, tmp_path, text, key):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "dispute", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("game, key", _UNUSED, ids=[f"{game}-{key}" for game, key in _UNUSED])
+def test_an_option_the_game_does_not_use_exits_2(capsys, tmp_path, game, key):
+    _config_exits_2_naming(capsys, tmp_path, f"{_GAMES[game]}{key} = {_VALUES[key]}\n", key)
+
+
+_CHOICES = [key for key, opt in cli.DISPUTE_OPTIONS.items() if isinstance(opt.kind, tuple)]
+
+
+@pytest.mark.parametrize("key", _CHOICES)
+def test_a_config_value_outside_its_choices_exits_2(capsys, tmp_path, key):
+    _config_exits_2_naming(capsys, tmp_path, f"synthetic.n = 40\n{key} = fualt\n", key)
+
+
+@pytest.mark.parametrize("strategy", cli.DISPUTE_OPTIONS["strategy"].kind)
+def test_every_strategy_takes_exactly_the_64_bit_seeds(capsys, strategy):
+    for seed in (0, 2**64 - 1, -1, 2**64):
+        code, out, err = run_cli(capsys, "dispute", "--synthetic-n", "40", "--strategy", strategy,
+                                 "--seed", str(seed))
+        if 0 <= seed < 2**64:
+            assert code == 0 and out.startswith("winner="), (seed, err)
+        else:
+            assert (code, out) == (2, ""), seed
+            assert err.startswith("error: seed ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "MODEL", "--input", "INPUT", "--out", "MISSING"],
+    ["run", "--model", "MODEL", "--input", "INPUT", "--dump-trace", "MISSING"],
+    ["dispute", "--synthetic-n", "40", "--strategy", "fault", "--transcript", "MISSING"],
+    ["dispute", "--synthetic-n", "40", "--strategy", "fault", "--witness-out", "MISSING"],
+], ids=["run-out", "run-dump-trace", "dispute-transcript", "dispute-witness-out"])
+def test_output_in_a_missing_directory_exits_3(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no-such-dir" / "output")
+    names = {"MODEL": _VALUES["model"], "INPUT": _VALUES["input"], "MISSING": missing}
+    code, out, err = run_cli(capsys, *[names.get(a, a) for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and missing in err
 
 
 def test_committed_model_files_are_the_fixture_mlp(model_files):

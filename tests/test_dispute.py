@@ -27,6 +27,12 @@ from opml.hashing import get_scheme
 SCHEME = get_scheme("sha256")
 
 
+def scratch_fault(step):
+    """Bit 0 of the scratch leaf flipped after `step`: a fault that never
+    feeds back into execution."""
+    return fpvm.StepFault(step, dispute.SCRATCH_FAULT_LEAF, 0)
+
+
 def test_checkpoints_midpoint_rule():
     assert checkpoints(0, 8, 1) == [4]
     assert checkpoints(0, 2, 1) == [1]
@@ -123,7 +129,7 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
 
 def test_fault_at_step_5_pinned_exactly():
     result, chain = make_game(
-        1, 8, ActorStrategy(kind="fault", fault_step=5), ActorStrategy(kind="honest")
+        1, 8, ActorStrategy(kind="fault", fault=scratch_fault(5)), ActorStrategy(kind="honest")
     )
     assert result.winner == "challenger"
     assert result.rounds == 3
@@ -135,10 +141,10 @@ def test_fault_at_step_5_pinned_exactly():
 def test_honest_submitter_always_wins():
     for seed, strat in enumerate(
         [
-            ActorStrategy(kind="fault", fault_step=3),
+            ActorStrategy(kind="fault", fault=scratch_fault(3)),
             ActorStrategy(kind="wrong-midpoint", wrong_round=1),
             ActorStrategy(kind="wrong-midpoint", wrong_round=2),
-            ActorStrategy(kind="silent", silent_after=1, fault_step=2),
+            ActorStrategy(kind="silent", silent_after=1, fault=scratch_fault(2)),
             ActorStrategy(kind="random", seed=9),
         ]
     ):
@@ -155,8 +161,8 @@ def test_pinpoint_matches_first_divergence_randomized():
         s = rng.randrange(1, n + 1)
         k = rng.choice([1, 2, 3])
         faulty_submitter = rng.random() < 0.5
-        sub = ActorStrategy(kind="fault", fault_step=s) if faulty_submitter else ActorStrategy(kind="honest")
-        chal = ActorStrategy(kind="honest") if faulty_submitter else ActorStrategy(kind="fault", fault_step=s)
+        faulty, honest = ActorStrategy(kind="fault", fault=scratch_fault(s)), ActorStrategy(kind="honest")
+        sub, chal = (faulty, honest) if faulty_submitter else (honest, faulty)
         result, _ = make_game(rng.getrandbits(30), n, sub, chal, k=k)
         assert result.winner == ("challenger" if faulty_submitter else "submitter")
         assert result.rounds == interaction_count_bound(padded_length(n, k), 1, k)
@@ -165,7 +171,7 @@ def test_pinpoint_matches_first_divergence_randomized():
 
 
 def test_round_count_exact_for_k3():
-    result, _ = make_game(7, 16, ActorStrategy(kind="fault", fault_step=11),
+    result, _ = make_game(7, 16, ActorStrategy(kind="fault", fault=scratch_fault(11)),
                           ActorStrategy(kind="honest"), k=3)
     assert result.winner == "challenger"
     assert result.rounds == 2  # log_4(16)
@@ -173,7 +179,7 @@ def test_round_count_exact_for_k3():
 
 def test_m_step_arbitration():
     for m in (2, 4):
-        result, _ = make_game(8, 64, ActorStrategy(kind="fault", fault_step=17),
+        result, _ = make_game(8, 64, ActorStrategy(kind="fault", fault=scratch_fault(17)),
                               ActorStrategy(kind="honest"), k=1, m=m)
         assert result.winner == "challenger"
         assert result.rounds == interaction_count_bound(64, m, 1)
@@ -182,14 +188,14 @@ def test_m_step_arbitration():
 def test_m_step_span_crossing_halt():
     """Padding may land the arbitrated span past HALT; identity witnesses
     for exited pre-states must chain cleanly."""
-    result, _ = make_game(88, 5, ActorStrategy(kind="fault", fault_step=5),
+    result, _ = make_game(88, 5, ActorStrategy(kind="fault", fault=scratch_fault(5)),
                           ActorStrategy(kind="honest"), k=1, m=4)
     # padded length 8, one round, span [4, 8) crosses the halt at step 5
     assert result.winner == "challenger"
     assert result.rounds == 1
 
     honest, _ = make_game(89, 5, ActorStrategy(kind="honest"),
-                          ActorStrategy(kind="fault", fault_step=5), k=1, m=4)
+                          ActorStrategy(kind="fault", fault=scratch_fault(5)), k=1, m=4)
     assert honest.winner == "submitter"
 
 
@@ -218,7 +224,7 @@ def test_arbitration_witnesses_end_at_halt():
 def test_silent_challenger_forfeits():
     result, chain = make_game(
         9, 32, ActorStrategy(kind="honest"),
-        ActorStrategy(kind="silent", silent_after=2, fault_step=10),
+        ActorStrategy(kind="silent", silent_after=2, fault=scratch_fault(10)),
     )
     assert result.winner == "submitter"
     assert "timeout" in result.reason
@@ -227,7 +233,7 @@ def test_silent_challenger_forfeits():
 
 def test_silent_submitter_forfeits():
     result, _ = make_game(
-        10, 32, ActorStrategy(kind="silent", silent_after=1, fault_step=4),
+        10, 32, ActorStrategy(kind="silent", silent_after=1, fault=scratch_fault(4)),
         ActorStrategy(kind="honest"),
     )
     assert result.winner == "challenger"
@@ -246,7 +252,8 @@ def test_unstaked_party_cannot_play():
     program = synthetic_program(rng, 8)
     honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     submitter = build_trace_actor("alice", honest_trace, ActorStrategy(kind="honest"))
-    challenger = build_trace_actor("bob", honest_trace, ActorStrategy(kind="fault", fault_step=2))
+    challenger = build_trace_actor("bob", honest_trace,
+                                   ActorStrategy(kind="fault", fault=scratch_fault(2)))
     claim = Claim(submitter.trace.root_at(0), submitter.trace.root_at(len(submitter.trace)),
                   len(submitter.trace), "alice", 100)
     chain = ChainSim()
@@ -289,7 +296,7 @@ def test_settle_challenge_period():
 
 
 def test_transcript_structure():
-    result, _ = make_game(14, 8, ActorStrategy(kind="fault", fault_step=2),
+    result, _ = make_game(14, 8, ActorStrategy(kind="fault", fault=scratch_fault(2)),
                           ActorStrategy(kind="honest"))
     moves = [r for r in result.transcript if "mover" in r]
     assert len(moves) == 2 * result.rounds

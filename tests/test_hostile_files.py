@@ -110,6 +110,7 @@ def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
 _INT = hst.integers(-(1 << 40), 1 << 40)
 _FLOAT = (hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
           | hst.sampled_from([math.nan, math.inf, -math.inf]))
+_STRATEGY = hst.sampled_from(["honest", "fault", "wrong-midpoint", "silent", "random"])
 _ECONOMICS_FLOATS = {"--C", "--R", "--L", "--B", "--S", "--r", "--t", "--p-t", "--lazy-fraction"}
 
 
@@ -128,12 +129,12 @@ _ARGV = hst.one_of(
     _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {},
           {"--max-steps": _small(10_000_000)}),
     _argv(["dispute", "--model", "model.opml", "--input", "input.tensor"], {},
-          {"--protocol": hst.sampled_from(["single", "two-phase"]),
+          {"--protocol": hst.sampled_from(["single", "two-phase"]), "--strategy": _STRATEGY,
            "--k": _small(8), "--m": _small(64), "--fault-node": _small(12),
            "--fault-step": _INT, "--fault-element": _INT, "--fault-bit": _INT,
            "--silent-after": _INT, "--wrong-round": _INT, "--seed": _INT,
            "--challenge-period": _small(1000)}),
-    _argv(["dispute", "--strategy", "fault"], {"--synthetic-n": _small(300)},
+    _argv(["dispute"], {"--synthetic-n": _small(300), "--strategy": _STRATEGY},
           {"--k": _small(8), "--m": _small(64), "--fault-step": _INT, "--seed": _INT}),
     _argv(["security"],
           {"--p": _FLOAT, "--m": _small(100_000) | hst.tuples(_small(100), _small(100)).map(

@@ -244,8 +244,7 @@ def test_single_and_two_phase_agree_on_every_fault():
 
         # single-phase game over the whole lowered computation
         step_fault = lowering.graph_fault_to_step_fault(lowered, honest_trace, fault)
-        strat_fault = ActorStrategy(kind="fault", fault_step=step_fault.step,
-                                    fault_leaf=step_fault.leaf_index, fault_bit=step_fault.bit)
+        strat_fault = ActorStrategy(kind="fault", fault=step_fault)
         sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
         chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
         claim = Claim.posted_by(sub_actor, 1, 1, 100, claim_id=trial)
