@@ -106,7 +106,7 @@ class Option(NamedTuple):
 
 
 #: Every `opml dispute` option, declared once for its flag and its config
-#: key. The flag is the key with "." and "_" written as "-"; `phases`, a
+#: key. The flag is the key with "." written as "-"; `phases`, a
 #: config-file alias of `protocol`, has no flag. A two-phase game accepts
 #: `witness.out` and writes no bundle.
 DISPUTE_OPTIONS = {
@@ -126,7 +126,6 @@ DISPUTE_OPTIONS = {
     "silent.after": Option(int, None, EVERY_GAME),
     "wrong.round": Option(int, 1, EVERY_GAME),
     "seed": Option(int, 0, EVERY_GAME, lo=0, hi=2**64 - 1),
-    "challenge_period": Option(int, 100, EVERY_GAME, lo=0),
     "transcript": Option(str, None, EVERY_GAME),
     "witness.out": Option(str, None, EVERY_GAME),
 }
@@ -242,8 +241,8 @@ def _scenario_from_args(args) -> dict:
     return scenario
 
 
-def _fresh_chain(scenario) -> dispute.ChainSim:
-    chain = dispute.ChainSim(challenge_period=scenario["challenge_period"])
+def _fresh_chain() -> dispute.ChainSim:
+    chain = dispute.ChainSim()
     for party in ("submitter", "challenger"):
         chain.deposit(party, 1000)
         chain.stake(party, 100)
@@ -282,7 +281,7 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
 
 def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     streams = rng.stream(scenario["seed"], "fault")
-    chain = _fresh_chain(scenario)
+    chain = _fresh_chain()
     step, fault = scenario["fault.step"], None
     if scenario["game"] == SYNTHETIC:
         n = scenario["synthetic.n"]
@@ -336,7 +335,7 @@ def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseR
     streams = rng.stream(scenario["seed"], "fault")
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
-    chain = _fresh_chain(scenario)
+    chain = _fresh_chain()
     faulty_submitter = scenario["faulty"] == "submitter"
     submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,
                                       **(adversary if faulty_submitter else {}))
@@ -548,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--config")
     for key, opt in DISPUTE_OPTIONS.items():
         if key != "phases":
-            p_disp.add_argument("--" + key.replace(".", "-").replace("_", "-"),
+            p_disp.add_argument("--" + key.replace(".", "-"),
                                 type=int if opt.kind is int else str,
                                 choices=None if opt.kind in (int, str) else opt.kind,
                                 help="used by " + ", ".join(opt.games) + " games")

@@ -26,10 +26,13 @@ Unknown opcodes and misaligned accesses trap (exit with a trap code),
 never raise: hostile programs must still be arbitrable.
 
 The step semantics live only in `_execute`. It runs over one of three
-memory views: the persistent tree (`step`), a view that records every
-accessed leaf with its proof (`gen_step_witness`), and a view that serves
-only the leaves a witness proves (`verify_step`). So the prover and the
-verifier execute the same instruction by construction.
+memory views: the run view (`_successors`, behind `step`, `run` and
+`run_trace`), a view that records every accessed leaf with its proof
+(`gen_step_witness`), and a view that serves only the leaves a witness
+proves (`verify_step`). So the prover and the verifier execute the same
+instruction by construction. The run view writes each store through to the
+persistent tree and keeps the leaves the run has touched in a dict, so a run
+reads each leaf from the tree at most once.
 
 A faulty trace is a fork of the honest one (`Trace.fork`): it shares the
 honest states before the fault step and replays only the rest.
@@ -38,10 +41,9 @@ honest states before the fault step and replays only the rest.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import merkle
 from .hashing import HashScheme, VM_STATE_PREFIX
@@ -378,19 +380,27 @@ def _execute(
 
 
 class _TreeMemory:
-    """Execution view: the persistent memory tree plus the host oracle."""
+    """Run view: the current memory tree, the leaves this view has read or
+    written (by base address) and the host oracle. `put_leaf` writes
+    through to both, so the dict never holds a stale leaf."""
 
-    __slots__ = ("tree", "oracle")
+    __slots__ = ("tree", "oracle", "leaves")
 
     def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
         self.tree = tree
         self.oracle = oracle
+        self.leaves: dict[int, bytes] = {}
 
     def read_leaf(self, base: int, miss: str) -> bytes:
-        return self.tree.get_leaf(base >> 5)
+        leaf = self.leaves.get(base)
+        if leaf is None:
+            leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
+        return leaf
 
     def store_word(self, addr: int, value: int) -> None:
-        self.put_leaf(addr & ~31, _with_word(self.tree.get_leaf(addr >> 5), addr, value))
+        # Not self.read_leaf: a store's old leaf is no witness read record.
+        base = addr & ~31
+        self.put_leaf(base, _with_word(_TreeMemory.read_leaf(self, base, ""), addr, value))
 
     def chunk(self, key: bytes, index: int) -> bytes:
         if self.oracle is None:
@@ -399,6 +409,7 @@ class _TreeMemory:
 
     def put_leaf(self, base: int, leaf: bytes) -> None:
         self.tree = self.tree.update_leaf(base >> 5, leaf)
+        self.leaves[base] = leaf
 
 
 class _RecordingMemory(_TreeMemory):
@@ -491,25 +502,24 @@ class _WitnessMemory:
         raise _Rejected("missing-write-record")
 
 
-def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
-    """Execute exactly one instruction; identity once exited."""
-    if state.exited:
-        return state
-    mem = _TreeMemory(state.memory, oracle)
-    pc, regs, exited, exit_code = _execute(state.pc, state.regs, mem)
-    return VmState(pc, regs, mem.tree, exited, exit_code, state.step_count + 1)
-
-
 def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float):
-    """The states after `state`, one step each, up to the exited one.
+    """The states after `state`, one step each, up to the exited one, all
+    executed over one run view.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting."""
+    mem = _TreeMemory(state.memory, oracle)
     while not state.exited:
         if state.step_count >= max_steps:
             raise BudgetExceededError(state, max_steps)
-        state = step(state, oracle)
+        pc, regs, exited, exit_code = _execute(state.pc, state.regs, mem)
+        state = VmState(pc, regs, mem.tree, exited, exit_code, state.step_count + 1)
         yield state
+
+
+def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
+    """Execute exactly one instruction; identity once exited."""
+    return next(_successors(state, oracle, math.inf), state)
 
 
 def run(
@@ -523,13 +533,6 @@ def run(
     for final in _successors(state, oracle, max_steps):
         pass
     return final, final.step_count - state.step_count
-
-
-def snapshot_at(state: VmState, oracle: PreimageOracle | None, k: int) -> VmState:
-    """State after exactly k steps (clamped past HALT by the exit fixpoint)."""
-    for state in itertools.islice(_successors(state, oracle, math.inf), k):
-        pass
-    return state
 
 
 @dataclass(frozen=True)
@@ -546,14 +549,7 @@ class StepFault:
     def apply(self, state: VmState) -> VmState:
         leaf = bytearray(state.memory.get_leaf(self.leaf_index))
         leaf[self.bit // 8] ^= 1 << (self.bit % 8)
-        return VmState(
-            pc=state.pc,
-            regs=state.regs,
-            memory=state.memory.update_leaf(self.leaf_index, bytes(leaf)),
-            exited=state.exited,
-            exit_code=state.exit_code,
-            step_count=state.step_count,
-        )
+        return replace(state, memory=state.memory.update_leaf(self.leaf_index, bytes(leaf)))
 
 
 class Trace:

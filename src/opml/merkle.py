@@ -15,9 +15,9 @@ loaded bottom-up: `build_region` hashes each leaf and each internal node of
 a region once, and `MemTree.splice` hangs that subtree in at its aligned
 place.
 
-Each version also mirrors the leaves it has read or written in a dict, which
-`update_leaf` hands on to the new version. A run that steps from version to
-version therefore reads a leaf by one dict lookup, not a 27-level walk.
+The tree keeps no read cache: `get_leaf` always walks from the root, so
+every version reads alike. A VM run keeps its own cache of the leaves it
+has touched (`fpvm._TreeMemory`).
 """
 
 from __future__ import annotations
@@ -81,30 +81,18 @@ def _set(node, level: int, index: int, subtree, stop: int):
 
 
 class MemTree:
-    """Persistent sparse Merkle tree with a fixed depth of 27 levels.
+    """Persistent sparse Merkle tree with a fixed depth of 27 levels."""
 
-    `_leaves` mirrors the leaves this version has read or written.
-    `update_leaf` moves the dict to the new version and leaves None here,
-    so one dict serves a whole run of successive versions; a superseded
-    version, whose mirror would be stale, walks the tree instead.
-    """
+    __slots__ = ("scheme", "_root")
 
-    __slots__ = ("scheme", "_root", "_leaves")
-
-    def __init__(self, scheme: HashScheme, _root=None, _leaves: dict[int, bytes] | None = None):
+    def __init__(self, scheme: HashScheme, _root=None):
         self.scheme = scheme
         self._root = _root
-        self._leaves = {} if _leaves is None else _leaves
 
     def root(self) -> bytes:
         return _child_digest(self._root, TREE_DEPTH, self.scheme)
 
     def get_leaf(self, index: int) -> bytes:
-        leaves = self._leaves
-        if leaves is not None:
-            leaf = leaves.get(index)
-            if leaf is not None:
-                return leaf
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         node = self._root
@@ -112,10 +100,7 @@ class MemTree:
             if node is None:
                 break
             node = node.right if (index >> level) & 1 else node.left
-        leaf = ZERO_LEAF if node is None else node
-        if leaves is not None:
-            leaves[index] = leaf
-        return leaf
+        return ZERO_LEAF if node is None else node
 
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
         """Return a new tree with `leaf` written at `index`; self reads the
@@ -125,10 +110,7 @@ class MemTree:
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
         new_root = _set(self._root, TREE_DEPTH, index, None if leaf == ZERO_LEAF else leaf, 0)
-        leaves = self._leaves if self._leaves is not None else {}
-        self._leaves = None
-        leaves[index] = leaf
-        return MemTree(self.scheme, new_root, leaves)
+        return MemTree(self.scheme, new_root)
 
     def splice(self, index: int, level: int, subtree) -> "MemTree":
         """Return a new tree with the region of 2**level leaves at `index`

@@ -161,13 +161,18 @@ def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch):
     """n honest steps, then only the faulty party's fork: the faulted step
     and the n - s steps after it."""
     steps = []
-    real = fpvm.step
-    monkeypatch.setattr(fpvm, "step", lambda state, oracle=None: steps.append(1) or real(state, oracle))
+    real = fpvm._execute
+
+    def counting(pc, regs, mem):
+        steps.append(type(mem) is fpvm._TreeMemory)
+        return real(pc, regs, mem)
+
+    monkeypatch.setattr(fpvm, "_execute", counting)
     n, s = 50, 20
     code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", str(n), "--fault-step", str(s),
                            "--faulty", "challenger")
     assert code == 0 and "winner=submitter" in out
-    assert len(steps) == 2 * n - s + 1
+    assert sum(steps) == 2 * n - s + 1
 
 
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):
@@ -411,7 +416,6 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["economics", "attention", "--r", "1", "--t", "1", "--C", "1", "--simulate", "5",
      "--lazy-fraction", "-0.1"],
     ["security", "--p", "0.5", "--m", "5:1"],
-    ["dispute", "--synthetic-n", "8", "--challenge-period", "-1"],
     ["dispute", "--config", "CONFIG"],
     ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
      "--input", os.path.join(DATA, "mlp-input.tensor"), "--strategy", "fault"],
@@ -442,7 +446,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["dispute", "--synthetic-n", "40", "--fault-step", "7", "--fault-bit", "3"],
     ["dispute", "--synthetic-n", "40", "--wrong-round", "2"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
-        "lazy-fraction-negative", "security-empty-m-range", "challenge-period-flag",
+        "lazy-fraction-negative", "security-empty-m-range",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
         "config-unknown-key", "two-phase-fault-strategy-without-target",
         "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero",
@@ -451,10 +455,18 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
         "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
-    config.write_text("synthetic.n = 8\nchallenge_period = -1\n")
+    config.write_text("synthetic.n = 8\nchallenge_period = 100\n")  # an unknown key
     code, out, err = run_cli(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_dispute_has_no_challenge_period_flag(capsys):
+    """No game reads the chain's challenge period, so argparse rejects the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dispute", "--synthetic-n", "8", "--challenge-period", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --challenge-period" in capsys.readouterr().err
 
 
 #: A value each game-specific option accepts, for the table-driven tests.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from opml import fpvm, merkle
+from opml import fpvm, lowering, merkle
 from opml.fpvm import (
     HEAP_BASE,
     ORACLE_KEY_BASE,
@@ -22,12 +22,13 @@ from opml.fpvm import (
     load_program,
     run,
     run_trace,
-    snapshot_at,
     state_root,
     step,
     verify_step,
 )
 from opml.hashing import VM_STATE_PREFIX, ZERO_LEAF, HashScheme, get_scheme, scheme_names
+
+from fixtures import build_mlp, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -209,7 +210,7 @@ def test_preimage_out_of_region_traps_and_verifies():
         encode("PREIMAGE", rd=1, rs=2),
     )
     st.memory = fpvm.write_bytes(st.memory, ORACLE_KEY_BASE, key)
-    pre = snapshot_at(st, oracle, 1)
+    pre = run_trace(st, oracle).state_at(1)
     post = step(pre, oracle)
     assert post.exited and post.exit_code == fpvm.TRAP_BAD_REGION
     w = gen_step_witness(pre, oracle)
@@ -226,14 +227,33 @@ def test_state_root_sensitivity():
     assert state_root(a) != state_root(b)
 
 
-def test_snapshot_matches_folding():
-    rng = random.Random(20)
-    program = _random_program(rng, 40)
-    st = load_program(program, scheme=SCHEME)
-    trace = run_trace(st, max_steps=1000)
-    for k in [0, 1, 7, len(trace), len(trace) + 5]:
-        snap = snapshot_at(st, None, k)
-        assert state_root(snap) == trace.root_at(min(k, len(trace)))
+def test_run_trace_matches_folding_step():
+    """`run_trace` steps over one run view, `step` over a fresh view each
+    call; a leaf the run view failed to write through would show as a root
+    mismatch at the step that stores it."""
+    program = _random_program(random.Random(20), 1200)
+    trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
+    assert len(trace) == 1200
+    state = trace.states[0]
+    for k in range(len(trace) + 3):
+        assert state_root(state) == trace.root_at(k)
+        state = step(state)
+
+
+@pytest.mark.parametrize("case", ["mlp", "synthetic"])
+def test_a_run_reads_each_leaf_from_the_tree_once(monkeypatch, case):
+    """The run view serves every later read of a leaf from its own dict."""
+    if case == "mlp":
+        graph = build_mlp(seed=13, in_dim=3, hidden=5, out_dim=4)
+        state = lowering.lower_graph(graph).initial_state(rand_tensor(random.Random(13), (1, 3)), SCHEME)
+    else:
+        state = load_program(_random_program(random.Random(27), 400), scheme=SCHEME)
+    indices = []
+    real = merkle.MemTree.get_leaf
+    monkeypatch.setattr(merkle.MemTree, "get_leaf",
+                        lambda tree, index: indices.append(index) or real(tree, index))
+    run_trace(state)
+    assert indices and len(indices) == len(set(indices))
 
 
 def _counting_scheme() -> tuple[HashScheme, list[bytes]]:
@@ -316,7 +336,7 @@ def test_witness_shape_for_add_and_sw():
         encode("LI", rd=1), HEAP_BASE,
         encode("SW", rs=1, rt=1),
     )
-    st = snapshot_at(st, None, 1)
+    st = run_trace(st).state_at(1)
     w = gen_step_witness(st)
     assert len(w.mem_reads) == 1 and len(w.mem_writes) == 1
 
@@ -408,17 +428,17 @@ def _scenario(name: str):
     elif name == "halted":
         pre = step(boot(encode("HALT", imm=3)))
     elif name == "li-straddle":  # LI on the last word of leaf 0
-        pre = snapshot_at(boot(*[NOP] * 7, encode("LI", rd=1), 0xCAFE, encode("HALT")), None, 7)
+        pre = run_trace(boot(*[NOP] * 7, encode("LI", rd=1), 0xCAFE, encode("HALT"))).state_at(7)
     elif name == "lw":
-        pre = snapshot_at(boot(encode("LI", rd=1), HEAP_BASE + 0x40, encode("LW", rd=3, rs=1)), None, 1)
+        pre = run_trace(boot(encode("LI", rd=1), HEAP_BASE + 0x40, encode("LW", rd=3, rs=1))).state_at(1)
     elif name == "sw":
-        pre = snapshot_at(boot(encode("LI", rd=1), HEAP_BASE, encode("LI", rd=2), 0x12345678,
-                               encode("SW", rs=1, rt=2)), None, 2)
+        pre = run_trace(boot(encode("LI", rd=1), HEAP_BASE, encode("LI", rd=2), 0x12345678,
+                             encode("SW", rs=1, rt=2))).state_at(2)
     else:  # "preimage": chunk 2 of an 80-byte value into oracle-value leaf 1
         oracle = PreimageOracle(SCHEME)
         st = boot(encode("LI", rd=1), 1, encode("LI", rd=2), 2, encode("PREIMAGE", rd=1, rs=2))
         st.memory = fpvm.write_bytes(st.memory, ORACLE_KEY_BASE, oracle.put(bytes(range(80))))
-        pre = snapshot_at(st, oracle, 2)
+        pre = run_trace(st, oracle).state_at(2)
     witness = fpvm.StepWitness(pre.fields()) if pre.exited else gen_step_witness(pre, oracle)
     return pre, oracle, witness
 
@@ -662,7 +682,7 @@ def test_preimage_fetched_from_the_oracle_key_leaf():
         n += 1
     st = boot(encode("LI", rd=9), ORACLE_KEY_BASE + offsets[0], encode("JMP", rs=9))
     st.memory = fpvm.write_bytes(st.memory, ORACLE_KEY_BASE, key)
-    pre = snapshot_at(st, oracle, 2)
+    pre = run_trace(st, oracle).state_at(2)
     post = step(pre, oracle)
     w = gen_step_witness(pre, oracle)
     assert [addr for addr, _, _ in w.mem_reads] == [ORACLE_KEY_BASE]

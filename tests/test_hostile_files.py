@@ -2,8 +2,9 @@
 and scenario config. Each case applies bit flips, truncations and splices
 to a well-formed file and runs `opml` in-process; it must end in a
 documented exit code (0, 2 or 3), never in an exception. A second fuzz
-draws the numeric arguments of every subcommand; those cases may also end
-in 4, an internal error."""
+draws the numeric arguments of the other subcommands; those cases may also
+end in 4, an internal error. A third plays `opml dispute` scenarios drawn
+from `cli.DISPUTE_OPTIONS`."""
 
 import contextlib
 import io
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from opml import ml
+from opml import cli, ml
 from opml.cli import main
 
 from fixtures import build_mlp, rand_tensor
+
+MODEL = build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2)
 
 CONFIGS = {
     "single.cfg": "protocol=single\nmodel=model.opml\ninput=input.tensor\n"
@@ -59,7 +62,7 @@ def originals(tmp_path_factory):
     """The well-formed files, each one accepted by its command."""
     work = tmp_path_factory.mktemp("hostile")
     files = {
-        "model.opml": ml.save_model_bytes(build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2)),
+        "model.opml": ml.save_model_bytes(MODEL),
         "input.tensor": ml.serialize_tensor(rand_tensor(random.Random(91), (1, 3))),
         **{name: text.encode() for name, text in CONFIGS.items()},
     }
@@ -110,7 +113,6 @@ def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
 _INT = hst.integers(-(1 << 40), 1 << 40)
 _FLOAT = (hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
           | hst.sampled_from([math.nan, math.inf, -math.inf]))
-_STRATEGY = hst.sampled_from(["honest", "fault", "wrong-midpoint", "silent", "random"])
 _ECONOMICS_FLOATS = {"--C", "--R", "--L", "--B", "--S", "--r", "--t", "--p-t", "--lazy-fraction"}
 
 
@@ -128,14 +130,6 @@ def _argv(base: list[str], required: dict, optional: dict):
 _ARGV = hst.one_of(
     _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {},
           {"--max-steps": _small(10_000_000)}),
-    _argv(["dispute", "--model", "model.opml", "--input", "input.tensor"], {},
-          {"--protocol": hst.sampled_from(["single", "two-phase"]), "--strategy": _STRATEGY,
-           "--k": _small(8), "--m": _small(64), "--fault-node": _small(12),
-           "--fault-step": _INT, "--fault-element": _INT, "--fault-bit": _INT,
-           "--silent-after": _INT, "--wrong-round": _INT, "--seed": _INT,
-           "--challenge-period": _small(1000)}),
-    _argv(["dispute"], {"--synthetic-n": _small(300), "--strategy": _STRATEGY},
-          {"--k": _small(8), "--m": _small(64), "--fault-step": _INT, "--seed": _INT}),
     _argv(["security"],
           {"--p": _FLOAT, "--m": _small(100_000) | hst.tuples(_small(100), _small(100)).map(
               lambda r: f"{r[0]}:{r[1]}")},
@@ -165,3 +159,126 @@ def test_numeric_arguments_end_in_a_documented_exit_code(originals, argv):
                                       for flag, value in flags.items()
                                       if flag in _ECONOMICS_FLOATS):
         assert (code, out) == (2, ""), (argv, err)
+
+
+#: The files the path options name, inside the work dir.
+_PATHS = {"model": "model.opml", "input": "input.tensor",
+          "transcript": "fuzz.jsonl", "witness.out": "fuzz-w.bin"}
+_COMPUTED_NODES = [node.id for node in MODEL.nodes if node.op not in ("input", "const")]
+_CAPS = {"k": 8, "m": 64}  # keep each game short
+_INT_BOUND = 1 << 40
+
+
+def _valid(key: str, game: str, n: int):
+    """A value `key` accepts in `game` (on an n-step program if synthetic):
+    inside its range or among its choices. An integer without a bound may
+    be anything within 2^40; a fault target names a computed node or a
+    step of the honest trace."""
+    opt = cli.DISPUTE_OPTIONS[key]
+    if key in _PATHS:
+        return hst.just(_PATHS[key])
+    if isinstance(opt.kind, tuple):
+        return hst.sampled_from(opt.kind)
+    if key == "synthetic.n":
+        return hst.just(n)
+    if key == "fault.node":
+        return hst.sampled_from(_COMPUTED_NODES)
+    if key == "fault.step":  # the model's honest trace is longer than 100 steps
+        return hst.integers(1, n if game == cli.SYNTHETIC else 100)
+    return hst.integers(max(opt.lo, -_INT_BOUND), min(opt.hi, _CAPS.get(key, _INT_BOUND)))
+
+
+# Mostly unmutated, so that most examples play a game to its verdict.
+_MUTATIONS = ["range", "unused", "choice", "contradict"] + [None] * 8
+
+
+@hst.composite
+def _dispute_case(draw):
+    """(argv, config text, mutation): one game, a valid value for every
+    option that game uses, each given as a flag or a config line, then at
+    most one mutation that must make the game exit 2."""
+    game = draw(hst.sampled_from(cli.EVERY_GAME))
+    n = draw(hst.integers(2, 300))
+    used = [key for key, opt in cli.DISPUTE_OPTIONS.items()
+            if game in opt.games and key not in ("protocol", "phases")]
+    given = draw(hst.fixed_dictionaries({key: _valid(key, game, n) for key in used}))
+    if game == cli.TWO_PHASE or draw(hst.booleans()):
+        two = game == cli.TWO_PHASE
+        given.update(draw(hst.sampled_from([{"protocol": cli.TWO_PHASE if two else cli.SINGLE},
+                                            {"phases": "2" if two else "1"}])))
+    # The rules that tie options together: at most one fault target (one
+    # is needed for the fault strategy on a model), fault.element and
+    # fault.bit only with fault.node, wrong.round only with wrong-midpoint.
+    targets = [key for key in ("fault.node", "fault.step") if key in used]
+    if given["strategy"] != "fault" or game == cli.SYNTHETIC:
+        targets.append(None)
+    keep = {"fault.node": ("fault.node", "fault.element", "fault.bit"), "fault.step": ("fault.step",),
+            None: ()}[draw(hst.sampled_from(targets))]
+    for key in ("fault.node", "fault.step", "fault.element", "fault.bit"):
+        if key not in keep:
+            given.pop(key, None)
+    if given["strategy"] != "wrong-midpoint":
+        del given["wrong.round"]
+
+    mutation = draw(hst.sampled_from(_MUTATIONS))
+    if mutation == "range":
+        key = draw(hst.sampled_from([key for key in used if cli.DISPUTE_OPTIONS[key].kind is int
+                                     and math.isfinite(cli.DISPUTE_OPTIONS[key].lo)]))
+        opt = cli.DISPUTE_OPTIONS[key]
+        given[key] = draw(hst.sampled_from([v for v in (opt.lo - 1, opt.hi + 1) if math.isfinite(v)]))
+    elif mutation == "unused":
+        key = draw(hst.sampled_from([key for key, opt in cli.DISPUTE_OPTIONS.items()
+                                     if game not in opt.games]))
+        given[key] = draw(_valid(key, game, n))
+    elif mutation == "choice":
+        given[draw(hst.sampled_from([key for key, opt in cli.DISPUTE_OPTIONS.items()
+                                     if isinstance(opt.kind, tuple)]))] = "fualt"
+    elif mutation == "contradict":
+        rules = ["wrong.round"] + (["fault.element"] if game != cli.SYNTHETIC else []) + (
+            ["fault.step"] if game == cli.SINGLE else [])
+        rule = draw(hst.sampled_from(rules))
+        if rule == "wrong.round":
+            given["wrong.round"] = 1
+            if given.get("strategy") == "wrong-midpoint":
+                given["strategy"] = "honest"
+        elif rule == "fault.element":
+            given.pop("fault.node", None)
+            given["fault.element"] = 0
+        else:
+            given.update({"fault.node": _COMPUTED_NODES[0], "fault.step": 1})
+
+    flags, lines = [], []
+    for key, value in given.items():
+        if key == "phases" or draw(hst.booleans()):
+            lines.append(f"{key} = {value}\n")
+        else:
+            flags.append(f"--{key.replace('.', '-')}={value}")
+    return ["dispute", "--config", "fuzz.cfg", *flags], "".join(lines), mutation
+
+
+def test_dispute_scenarios_end_in_a_documented_exit_code(originals):
+    """A valid scenario plays to a verdict or exits 2; a mutated one exits 2
+    with no output; neither ever raises. Most valid ones reach a verdict."""
+    work, files = originals
+    verdicts = []
+
+    @given(case=_dispute_case())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def play(case):
+        argv, config, mutation = case
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        (work / "fuzz.cfg").write_text(config)
+        with _inside(work):
+            try:
+                code, out, err = _call(argv)
+            except SystemExit as exc:  # argparse rejects a bad choice given as a flag
+                code, out, err = exc.code, "", ""
+        if mutation is None:
+            assert code in (0, 2), (argv, config, err)
+        else:
+            assert (code, out) == (2, ""), (mutation, argv, config, err)
+        verdicts.append(out.startswith("winner="))
+
+    play()
+    assert sum(verdicts) >= 100, (sum(verdicts), len(verdicts))

@@ -25,7 +25,7 @@ def _witness() -> fpvm.StepWitness:
         fpvm.encode("PREIMAGE", rd=1, rs=2), fpvm.encode("HALT"),
     ]), scheme=SCHEME)
     state.memory = fpvm.write_bytes(state.memory, fpvm.ORACLE_KEY_BASE, key)
-    witness = fpvm.gen_step_witness(fpvm.snapshot_at(state, oracle, 2), oracle)
+    witness = fpvm.gen_step_witness(fpvm.run_trace(state, oracle).state_at(2), oracle)
     assert witness.mem_reads and witness.mem_writes and witness.preimage_chunk
     return witness
 
