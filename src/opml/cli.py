@@ -186,8 +186,8 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
             fh.write(ml.serialize_tensor(native))
     if args.dump_trace:
         with open(args.dump_trace, "w") as fh:
-            for i, state in enumerate(trace.states):
-                fh.write(f"{i}, {state.pc:#010x}, {trace.root_at(i).hex()}\n")
+            for i, state in enumerate(trace.walk()):
+                fh.write(f"{i}, {state.pc:#010x}, {fpvm.state_root(state).hex()}\n")
 
     print(f"hash={scheme.name}")
     print(f"input_digest={scheme.digest(ml.serialize_tensor(input_tensor)).hex()}")

@@ -34,16 +34,27 @@ instruction by construction. The run view writes each store through to the
 persistent tree and keeps the leaves the run has touched in a dict, so a run
 reads each leaf from the tree at most once.
 
-A faulty trace is a fork of the honest one (`Trace.fork`): it shares the
-honest states before the fault step and replays only the rest.
+The stepping loop carries pc and registers as locals and builds a `VmState`
+only where one is kept. A trace (`run_trace`) keeps snapshots: the first
+state, every SNAPSHOT_EVERY-th and the final one, plus a log of the pc
+before each step, which `find_store_step` reads. Any other state is rebuilt
+by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot before it,
+through the same loop, and the replayed block is memoised in the trace. `run`
+keeps no snapshots. A faulty trace is a fork of the honest one
+(`Trace.fork`): it shares the honest snapshots before the fault step and
+runs only the rest.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from operator import attrgetter
 
 from . import merkle
 from .hashing import HashScheme, VM_STATE_PREFIX
@@ -72,6 +83,8 @@ MASK32 = 0xFFFF_FFFF
 
 FORK_MAX_STEPS = 2_000_000  # steps a forked faulty trace may take, shared prefix included
 
+SNAPSHOT_EVERY = 16  # a trace keeps the state after every this many steps
+
 # Exit codes for trap states.
 TRAP_BAD_OPCODE = 0xFE
 TRAP_BAD_ALIGN = 0xFD
@@ -94,7 +107,6 @@ OPCODES = {
     "PREIMAGE": 0x30,
     "HALT": 0x3F,
 }
-OPNAMES = {v: k for k, v in OPCODES.items()}
 
 
 class MissingPreimageError(KeyError):
@@ -137,31 +149,22 @@ def encode(op: str, rd: int = 0, rs: int = 0, rt: int = 0, imm: int = 0) -> int:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
-    op: str
-    rd: int
-    rs: int
-    rt: int
-    imm: int
+def _split(word: int) -> tuple[int, int, int, int, int]:
+    """(opcode, rd, rs, rt, imm) of an instruction word, memoised in `_SPLIT`.
+
+    The memo is cleared when full. Splitting is pure, so a hit is safe even
+    when a program rewrites its own code. A lowered MLP executes 24 distinct
+    instruction words and a synthetic dispute program a few thousand, well
+    under the bound."""
+    if len(_SPLIT) >= _SPLIT_MAX:
+        _SPLIT.clear()
+    fields = _SPLIT[word] = (word >> 24, (word >> 20) & 0xF, (word >> 16) & 0xF,
+                             (word >> 12) & 0xF, sext12(word))
+    return fields
 
 
-@functools.lru_cache(maxsize=1024)
-def decode(word: int) -> Instruction | None:
-    """Decode a word; None for unknown opcodes (the step logic traps).
-
-    Memoised by word: decoding is pure and an Instruction is immutable, so a
-    cached result is safe even when a program rewrites its own code."""
-    op = OPNAMES.get((word >> 24) & 0xFF)
-    if op is None:
-        return None
-    return Instruction(
-        op=op,
-        rd=(word >> 20) & 0xF,
-        rs=(word >> 16) & 0xF,
-        rt=(word >> 12) & 0xF,
-        imm=sext12(word),
-    )
+_SPLIT: dict[int, tuple[int, int, int, int, int]] = {}
+_SPLIT_MAX = 1 << 14
 
 
 class PreimageOracle:
@@ -302,14 +305,7 @@ def _with_word(leaf: bytes, addr: int, value: int) -> bytes:
     return bytes(out)
 
 
-def _set_reg(regs: tuple[int, ...], idx: int, value: int) -> tuple[int, ...]:
-    if idx == 0:
-        return regs  # r0 is hardwired to zero
-    return regs[:idx] + (wrap32(value),) + regs[idx + 1 :]
-
-
-def _word(mem: _TreeMemory | _WitnessMemory, addr: int, miss: str) -> int:
-    return struct.unpack_from("<I", mem.read_leaf(addr & ~31, miss), addr & 31)[0]
+_unpack_word = struct.Struct("<I").unpack_from
 
 
 def _execute(
@@ -318,64 +314,73 @@ def _execute(
     """The step semantics: (pc, regs, exited, exit_code) after the
     instruction at `pc`, touching memory only through the view `mem`.
 
-    A view reads a leaf by base address (`read_leaf(base, miss)`, where
-    `miss` is the reject reason the witness-backed view gives when it does
-    not hold that leaf), stores a word (`store_word`), fetches a preimage
-    chunk (`chunk`) and writes a whole leaf (`put_leaf`). A write is always
-    the step's last memory access. Traps leave pc and regs unchanged.
-    """
-    if pc % 4 != 0:
-        return pc, regs, True, TRAP_BAD_PC
-    instr = decode(_word(mem, pc, "missing-fetch-leaf"))
-    if instr is None:
-        return pc, regs, True, TRAP_BAD_OPCODE
+    A view reads an aligned word (`read_word(addr, miss)`) or a whole leaf by
+    base address (`read_leaf(base, miss)`), where `miss` is the reject reason
+    the witness-backed view gives when it does not hold that leaf; it stores
+    a word (`store_word`), fetches a preimage chunk (`chunk`) and writes a
+    whole leaf (`put_leaf`). A write is always the step's last memory access.
+    Traps leave pc and regs unchanged.
 
-    next_pc = wrap32(pc + 4)
-    op = instr.op
-    if op == "LI":
-        regs = _set_reg(regs, instr.rd, _word(mem, next_pc, "missing-li-leaf"))
-        next_pc = wrap32(pc + 8)
-    elif op == "LW":
-        addr = wrap32(regs[instr.rs] + instr.imm)
-        if addr % 4 != 0:
+    The opcode tests run in the order of a lowered MLP's opcode mix (LI, ADD
+    and LW about 22% of steps each, MULFX, MUL and AND 11% each); every
+    instruction that writes a register falls through to one masked write.
+    """
+    if pc & 3:
+        return pc, regs, True, TRAP_BAD_PC
+    word = mem.read_word(pc, "missing-fetch-leaf")
+    op, rd, rs, rt, imm = _SPLIT.get(word) or _split(word)
+    next_pc = (pc + 4) & MASK32
+    if op == 0x01:  # LI
+        value = mem.read_word(next_pc, "missing-li-leaf")
+        next_pc = (pc + 8) & MASK32
+    elif op == 0x10:  # ADD
+        value = regs[rs] + regs[rt]
+    elif op == 0x02:  # LW
+        addr = (regs[rs] + imm) & MASK32
+        if addr & 3:
             return pc, regs, True, TRAP_BAD_ALIGN
-        regs = _set_reg(regs, instr.rd, _word(mem, addr, "missing-load-leaf"))
-    elif op == "SW":
-        addr = wrap32(regs[instr.rs] + instr.imm)
-        if addr % 4 != 0:
+        value = mem.read_word(addr, "missing-load-leaf")
+    elif op == 0x13:  # MULFX: signed 64-bit product, arithmetic shift
+        a, b = regs[rs], regs[rt]
+        value = ((a - ((a & 0x8000_0000) << 1)) * (b - ((b & 0x8000_0000) << 1))) >> MULFX_SHIFT
+    elif op == 0x12:  # MUL
+        value = regs[rs] * regs[rt]
+    elif op == 0x15:  # AND
+        value = regs[rs] & regs[rt]
+    elif op == 0x03:  # SW
+        addr = (regs[rs] + imm) & MASK32
+        if addr & 3:
             return pc, regs, True, TRAP_BAD_ALIGN
-        mem.store_word(addr, regs[instr.rt])
-    elif op == "ADD":
-        regs = _set_reg(regs, instr.rd, regs[instr.rs] + regs[instr.rt])
-    elif op == "SUB":
-        regs = _set_reg(regs, instr.rd, regs[instr.rs] - regs[instr.rt])
-    elif op == "MUL":
-        regs = _set_reg(regs, instr.rd, regs[instr.rs] * regs[instr.rt])
-    elif op == "MULFX":
-        prod = sign32(regs[instr.rs]) * sign32(regs[instr.rt])
-        regs = _set_reg(regs, instr.rd, prod >> MULFX_SHIFT)
-    elif op == "SRA":
-        regs = _set_reg(regs, instr.rd, sign32(regs[instr.rs]) >> (instr.imm & 31))
-    elif op == "AND":
-        regs = _set_reg(regs, instr.rd, regs[instr.rs] & regs[instr.rt])
-    elif op == "BEQ":
-        if regs[instr.rs] == regs[instr.rt]:
-            next_pc = wrap32(pc + 4 + 4 * instr.imm)
-    elif op == "BLT":
-        if sign32(regs[instr.rs]) < sign32(regs[instr.rt]):
-            next_pc = wrap32(pc + 4 + 4 * instr.imm)
-    elif op == "JMP":
-        target = wrap32(regs[instr.rs] + 4 * instr.imm)
-        regs = _set_reg(regs, instr.rd, pc + 4)
-        next_pc = target
-    elif op == "PREIMAGE":
+        mem.store_word(addr, regs[rt])
+        return next_pc, regs, False, 0
+    elif op == 0x11:  # SUB
+        value = regs[rs] - regs[rt]
+    elif op == 0x14:  # SRA
+        value = sign32(regs[rs]) >> (imm & 31)
+    elif op == 0x20:  # BEQ
+        if regs[rs] == regs[rt]:
+            next_pc = (pc + 4 + 4 * imm) & MASK32
+        return next_pc, regs, False, 0
+    elif op == 0x21:  # BLT
+        if sign32(regs[rs]) < sign32(regs[rt]):
+            next_pc = (pc + 4 + 4 * imm) & MASK32
+        return next_pc, regs, False, 0
+    elif op == 0x22:  # JMP
+        value = pc + 4
+        next_pc = (regs[rs] + 4 * imm) & MASK32
+    elif op == 0x30:  # PREIMAGE
         key = mem.read_leaf(ORACLE_KEY_BASE, "missing-key-leaf")
-        value_chunk = mem.chunk(key, regs[instr.rs])
-        if regs[instr.rd] >= _ORACLE_VALUE_LEAVES:
+        value_chunk = mem.chunk(key, regs[rs])
+        if regs[rd] >= _ORACLE_VALUE_LEAVES:
             return pc, regs, True, TRAP_BAD_REGION
-        mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[instr.rd], value_chunk)
-    elif op == "HALT":
-        return pc, regs, True, instr.imm & 0xFF
+        mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[rd], value_chunk)
+        return next_pc, regs, False, 0
+    elif op == 0x3F:  # HALT
+        return pc, regs, True, imm & 0xFF
+    else:
+        return pc, regs, True, TRAP_BAD_OPCODE
+    if rd:  # r0 is hardwired to zero
+        regs = regs[:rd] + (value & MASK32,) + regs[rd + 1:]
     return next_pc, regs, False, 0
 
 
@@ -396,6 +401,12 @@ class _TreeMemory:
         if leaf is None:
             leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
         return leaf
+
+    def read_word(self, addr: int, miss: str) -> int:
+        leaf = self.leaves.get(addr & ~31)
+        if leaf is None:
+            leaf = self.leaves[addr & ~31] = self.tree.get_leaf(addr >> 5)
+        return _unpack_word(leaf, addr & 31)[0]
 
     def store_word(self, addr: int, value: int) -> None:
         # Not self.read_leaf: a store's old leaf is no witness read record.
@@ -430,6 +441,9 @@ class _RecordingMemory(_TreeMemory):
         if all(addr != base for addr, _, _ in self.reads):
             self.reads.append((base, leaf, self.tree.prove(base >> 5)))
         return leaf
+
+    def read_word(self, addr: int, miss: str) -> int:
+        return _unpack_word(self.read_leaf(addr & ~31, miss), addr & 31)[0]
 
     def chunk(self, key: bytes, index: int) -> bytes:
         if self.oracle is None:
@@ -471,6 +485,9 @@ class _WitnessMemory:
         self.used.add(base)
         return self.leaves[base]
 
+    def read_word(self, addr: int, miss: str) -> int:
+        return _unpack_word(self.read_leaf(addr & ~31, miss), addr & 31)[0]
+
     def store_word(self, addr: int, value: int) -> None:
         base = addr & ~31
         self.put_leaf(base, _with_word(self._old_leaf(base), addr, value))
@@ -502,24 +519,34 @@ class _WitnessMemory:
         raise _Rejected("missing-write-record")
 
 
-def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float):
-    """The states after `state`, one step each, up to the exited one, all
-    executed over one run view.
+def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
+                every: int, pcs: array | None = None):
+    """Steps from `state` to the exited state over one run view, yielding
+    the states whose `step_count` is a multiple of `every`, the exited one,
+    and the one at `max_steps` before the budget error below. The loop
+    carries pc, registers and flags as locals and builds a VmState only for
+    a state it yields. With `pcs`, it appends the pc before each step.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting."""
     mem = _TreeMemory(state.memory, oracle)
-    while not state.exited:
-        if state.step_count >= max_steps:
-            raise BudgetExceededError(state, max_steps)
-        pc, regs, exited, exit_code = _execute(state.pc, state.regs, mem)
-        state = VmState(pc, regs, mem.tree, exited, exit_code, state.step_count + 1)
-        yield state
+    pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
+    while not exited:
+        if n >= max_steps:
+            raise BudgetExceededError(VmState(pc, regs, mem.tree, exited, exit_code, n), max_steps)
+        for done in range(1, min(every - n % every, max_steps - n) + 1):
+            if pcs is not None:
+                pcs.append(pc)
+            pc, regs, exited, exit_code = _execute(pc, regs, mem)
+            if exited:
+                break
+        n += done
+        yield VmState(pc, regs, mem.tree, exited, exit_code, n)
 
 
 def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
     """Execute exactly one instruction; identity once exited."""
-    return next(_successors(state, oracle, math.inf), state)
+    return next(_successors(state, oracle, math.inf, 1), state)
 
 
 def run(
@@ -530,7 +557,7 @@ def run(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     final = state
-    for final in _successors(state, oracle, max_steps):
+    for final in _successors(state, oracle, max_steps, every=max_steps):  # one block
         pass
     return final, final.step_count - state.step_count
 
@@ -553,67 +580,109 @@ class StepFault:
 
 
 class Trace:
-    """A full execution trace: states[i] is the machine after i steps.
+    """An execution trace, kept as snapshots: `state_at(i)` is the machine
+    after i steps.
 
-    States share memory structurally, so holding a few thousand of them is
-    cheap. State roots are hashed only when asked for: a dispute game opens
-    a handful of the indices it bisects over, and `opml run` only the last.
+    `states` holds the first state, every state whose `step_count` is a
+    multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
+    faulted state. Snapshots share memory structurally. Any other state is
+    rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot
+    before it, through the same stepping loop as the run, and the replayed
+    block is memoised: the m witness states of an arbitration, and bisection
+    queries that land in one block, cost one replay. `pcs[i]` is the pc
+    before step i + 1, logged by the run itself.
+
+    State roots are hashed only when asked for: a dispute game opens a
+    handful of the indices it bisects over, and `opml run` only the last.
     """
 
-    def __init__(self, states: list[VmState], scheme: HashScheme,
+    def __init__(self, states: list[VmState], pcs: array, scheme: HashScheme,
                  oracle: PreimageOracle | None = None):
         self.states = states
+        self.pcs = pcs
         self.scheme = scheme
         self.oracle = oracle
         self._roots: dict[int, bytes] = {}
+        self._blocks: dict[int, list[VmState]] = {}
 
     def __len__(self) -> int:
-        return len(self.states) - 1
+        return len(self.pcs)
 
     def root_at(self, index: int) -> bytes:
         """Root at `index`, extending past HALT by the exit fixpoint;
         hashed on first request and memoised."""
-        index = min(index, len(self.states) - 1)
+        index = min(index, len(self))
         root = self._roots.get(index)
         if root is None:
-            root = self._roots[index] = state_root(self.states[index])
+            root = self._roots[index] = state_root(self._state(index))
         return root
 
     def state_at(self, index: int) -> VmState:
-        if index < len(self.states):
-            return self.states[index]
-        return self.states[-1]
+        """State at `index`, extending past HALT by the exit fixpoint."""
+        return self._state(index)
+
+    def _state(self, index: int) -> VmState:
+        target = self.states[0].step_count + min(index, len(self))
+        j = bisect_right(self.states, target, key=_step_count) - 1
+        snapshot = self.states[j]
+        if snapshot.step_count == target:
+            return snapshot
+        block = self._blocks.get(j)
+        if block is None:
+            block = self._blocks[j] = self._replay(j)
+        return block[target - snapshot.step_count - 1]
+
+    def _replay(self, j: int) -> list[VmState]:
+        """The states strictly between snapshots j and j + 1."""
+        snapshot = self.states[j]
+        between = self.states[j + 1].step_count - snapshot.step_count - 1
+        return list(islice(_successors(snapshot, self.oracle, math.inf, 1), between))
+
+    def walk(self) -> Iterator[VmState]:
+        """Every state in order, replayed one block at a time and not
+        memoised, so a walk holds at most one block."""
+        for j in range(len(self.states) - 1):
+            yield self.states[j]
+            yield from self._replay(j)
+        yield self.states[-1]
 
     def fork(self, fault: StepFault) -> Trace:
-        """This trace with `fault` injected: its own states before
-        `fault.step`, then a replay of the rest under its oracle, all of it
+        """This trace with `fault` injected: its own snapshots before
+        `fault.step`, then a run of the rest under its oracle, all of it
         within FORK_MAX_STEPS. A fault outside 1..len(self) never applies:
         returns self."""
         if not 1 <= fault.step <= len(self):
             return self
         if fault.step > FORK_MAX_STEPS:
-            raise BudgetExceededError(self.states[FORK_MAX_STEPS], FORK_MAX_STEPS)
-        corrupted = fault.apply(step(self.states[fault.step - 1], self.oracle))
+            raise BudgetExceededError(self._state(FORK_MAX_STEPS), FORK_MAX_STEPS)
+        corrupted = fault.apply(step(self._state(fault.step - 1), self.oracle))
         suffix = run_trace(corrupted, self.oracle, max_steps=FORK_MAX_STEPS)
-        return Trace(self.states[: fault.step] + suffix.states, self.scheme, self.oracle)
+        shared = bisect_left(self.states, corrupted.step_count, key=_step_count)
+        return Trace(self.states[:shared] + suffix.states, self.pcs[: fault.step] + suffix.pcs,
+                     self.scheme, self.oracle)
+
+
+_step_count = attrgetter("step_count")
 
 
 def find_store_step(trace: Trace, pc: int) -> int:
-    """1-based index of the first step that executes the instruction at `pc`."""
-    for s, pre in enumerate(trace.states[:-1], 1):
-        if pre.pc == pc and not pre.exited:
-            return s
-    raise ValueError(f"no step executes pc {pc:#x}")
+    """1-based index of the first step that executes the instruction at
+    `pc`, read from the trace's pc log."""
+    try:
+        return trace.pcs.index(pc) + 1
+    except ValueError:
+        raise ValueError(f"no step executes pc {pc:#x}") from None
 
 
 def run_trace(
     state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
 ) -> Trace:
-    """Execute to HALT recording every state. The budget counts
-    `step_count`, as in `_successors`."""
+    """Execute to HALT keeping the snapshots and the pc log. The budget
+    counts `step_count`, as in `_successors`."""
+    pcs = array("I")
     states = [state]
-    states += _successors(state, oracle, max_steps)
-    return Trace(states, state.scheme, oracle)
+    states += _successors(state, oracle, max_steps, SNAPSHOT_EVERY, pcs)
+    return Trace(states, pcs, state.scheme, oracle)
 
 
 # ---------------------------------------------------------------------------

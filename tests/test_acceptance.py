@@ -162,7 +162,7 @@ def test_criterion_3_one_step_arbitration():
         which = rng.randrange(len(traces))
         trace, orc = traces[which], oracles[which]
         k = rng.randrange(len(trace))
-        witness = fpvm.gen_step_witness(trace.states[k], orc)
+        witness = fpvm.gen_step_witness(trace.state_at(k), orc)
         blob = witness.to_bytes()
         max_witness = max(max_witness, len(blob))
         verdict = fpvm.verify_step(trace.root_at(k), trace.root_at(k + 1), witness,
@@ -206,7 +206,7 @@ def test_criterion_3_one_step_arbitration():
     merkle.MemTree.prove = counting(originals[2])
     try:
         trace = traces[0]
-        w = fpvm.gen_step_witness(trace.states[0], None)
+        w = fpvm.gen_step_witness(trace.state_at(0), None)
         calls["n"] = 0
         assert fpvm.verify_step(trace.root_at(0), trace.root_at(1), w, scheme=SCHEME).accepted
         assert calls["n"] == 0, "verify_step touched the memory tree"

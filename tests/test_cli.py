@@ -1,6 +1,7 @@
 """Command-line surface: claims, dispute scenarios, reports, exit codes,
 reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -80,6 +81,8 @@ def test_run_dump_trace(capsys, model_files, tmp_path):
     assert [int(step) for step, _, _ in lines] == list(range(n + 1))
     assert all(pc.startswith("0x") and len(root) == 64 for _, pc, root in lines)
     assert lines[-1][2] == out.split("final_state_root=")[1].split()[0]
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
+        "c2cfb8025ad6516e0cb7d252c4afca834a0af70f2e7ea1874c22c32738a7b66a")
 
 
 def test_run_zero_dimension_tensor_exits_3(capsys, model_files, tmp_path):
@@ -159,20 +162,39 @@ def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
 
 def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch):
     """n honest steps, then only the faulty party's fork: the faulted step
-    and the n - s steps after it."""
-    steps = []
-    real = fpvm._execute
+    and the n - s steps after it. Every other run-view step replays a block
+    between two snapshots, at most once per block queried."""
+    real_execute, real_replay = fpvm._execute, fpvm.Trace._replay
+    run_steps = [0]
+    replays = []  # [trace, block index, steps executed], one per replay
+    live = []  # the replay in progress
 
     def counting(pc, regs, mem):
-        steps.append(type(mem) is fpvm._TreeMemory)
-        return real(pc, regs, mem)
+        if type(mem) is fpvm._TreeMemory:
+            if live:
+                live[-1][2] += 1
+            else:
+                run_steps[0] += 1
+        return real_execute(pc, regs, mem)
+
+    def replay(trace, j):
+        live.append([trace, j, 0])
+        try:
+            return real_replay(trace, j)
+        finally:
+            replays.append(live.pop())
 
     monkeypatch.setattr(fpvm, "_execute", counting)
+    monkeypatch.setattr(fpvm.Trace, "_replay", replay)
     n, s = 50, 20
     code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", str(n), "--fault-step", str(s),
                            "--faulty", "challenger")
     assert code == 0 and "winner=submitter" in out
-    assert sum(steps) == 2 * n - s + 1
+    assert run_steps[0] == 2 * n - s + 1
+    assert replays and all(count < fpvm.SNAPSHOT_EVERY for _, _, count in replays)
+    blocks = {(id(trace), j) for trace, j, _ in replays}
+    assert len(blocks) == len(replays)  # each block is replayed once
+    assert sum(count for _, _, count in replays) <= len(blocks) * (fpvm.SNAPSHOT_EVERY - 1)
 
 
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):

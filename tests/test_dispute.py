@@ -268,7 +268,7 @@ def test_arbitrate_direct():
     program = synthetic_program(rng, 12)
     trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     k = 6
-    w = fpvm.gen_step_witness(trace.states[k])
+    w = fpvm.gen_step_witness(trace.state_at(k))
     winner, _ = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [w],
                                        scheme=SCHEME, span=1)
     assert winner == "submitter"
@@ -277,7 +277,7 @@ def test_arbitrate_direct():
     winner, _ = dispute.arbitrate_span(trace.root_at(k), bytes(bad), [w], scheme=SCHEME, span=1)
     assert winner == "challenger"
     # malformed witness loses for its author (the challenger here)
-    broken = fpvm.StepWitness(trace.states[k].fields(), [], [], None)
+    broken = fpvm.StepWitness(trace.state_at(k).fields(), [], [], None)
     winner, reason = dispute.arbitrate_span(trace.root_at(k), trace.root_at(k + 1), [broken],
                                             scheme=SCHEME, span=1)
     assert winner == "submitter" and "invalid witness" in reason

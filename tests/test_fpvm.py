@@ -234,7 +234,7 @@ def test_run_trace_matches_folding_step():
     program = _random_program(random.Random(20), 1200)
     trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
     assert len(trace) == 1200
-    state = trace.states[0]
+    state = trace.state_at(0)
     for k in range(len(trace) + 3):
         assert state_root(state) == trace.root_at(k)
         state = step(state)
@@ -274,11 +274,11 @@ def test_trace_roots_are_hashed_on_demand():
     scheme, calls = _counting_scheme()
     trace = run_trace(load_program(_random_program(random.Random(25), 50), scheme=scheme), max_steps=1000)
     assert _state_hashes(calls) == 0  # run_trace itself hashes no state root
-    for i in range(len(trace.states)):
-        assert trace.root_at(i) == state_root(trace.states[i])
-    assert trace.root_at(len(trace) + 5) == trace.root_at(len(trace)) == state_root(trace.states[-1])
+    for i in range(len(trace) + 1):
+        assert trace.root_at(i) == state_root(trace.state_at(i))
+    assert trace.root_at(len(trace) + 5) == trace.root_at(len(trace)) == state_root(trace.state_at(len(trace)))
     state_hashes = _state_hashes(calls)
-    assert trace.root_at(3) == state_root(trace.states[3])
+    assert trace.root_at(3) == state_root(trace.state_at(3))
     assert _state_hashes(calls) == state_hashes + 1  # only the direct state_root call
 
 
@@ -297,7 +297,7 @@ def test_run_trace_hashes_nothing(monkeypatch):
     assert calls == [] and len(trace) == 600
     assert len(written) > 20  # store-heavy: the program writes many distinct leaves
 
-    final = trace.states[-1]
+    final = trace.state_at(len(trace))
     leaves = {i // 32: program[i : i + 32].ljust(32, b"\x00") for i in range(0, len(program), 32)}
     leaves.update((index, final.memory.get_leaf(index)) for index in written)
     memory_root = merkle.root_from_regions(
@@ -357,7 +357,7 @@ def test_verify_step_fuzz_against_vm():
         program = _random_program(rng, rng.randrange(6, 60))
         trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
         for k in rng.sample(range(len(trace)), min(8, len(trace))):
-            pre = trace.states[k]
+            pre = trace.state_at(k)
             w = gen_step_witness(pre)
             verdict = verify_step(trace.root_at(k), trace.root_at(k + 1), w, scheme=SCHEME)
             assert verdict.accepted, verdict.reason
@@ -391,7 +391,7 @@ def test_verify_step_mutation_sample():
     program = _random_program(rng, 50)
     trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
     k = len(trace) // 2
-    w = gen_step_witness(trace.states[k])
+    w = gen_step_witness(trace.state_at(k))
     blob = w.to_bytes()
     assert len(blob) <= 4096
     assert verify_step(trace.root_at(k), trace.root_at(k + 1), w, scheme=SCHEME).accepted
@@ -594,6 +594,7 @@ def _program_words(blocks) -> list[int]:
     return words
 
 
+_OPNAMES = {code: name for name, code in fpvm.OPCODES.items()}  # by a word's top byte
 _BODY_BLOCKS = hst.one_of(
     hst.tuples(hst.just("alu"), hst.sampled_from(_ALU_OPS), _REG, _REG, _REG),
     hst.tuples(hst.just("sra"), _REG, _REG, hst.integers(-0x800, 0x7FF)),
@@ -607,7 +608,7 @@ _BODY_BLOCKS = hst.one_of(
 )
 _END_BLOCKS = hst.one_of(
     hst.tuples(hst.just("halt"), hst.integers(-0x800, 0x7FF)),
-    hst.tuples(hst.just("raw"), hst.integers(0, fpvm.MASK32).filter(lambda w: fpvm.decode(w) is None)),
+    hst.tuples(hst.just("raw"), hst.integers(0, fpvm.MASK32).filter(lambda w: w >> 24 not in _OPNAMES)),
     hst.tuples(hst.sampled_from(["LW", "SW"]), _REG, hst.just(8),
                hst.integers(-0x800, 0x7FF).filter(lambda imm: imm % 4)),
     hst.tuples(hst.just("jmp-to"), _REG, hst.integers(0, fpvm.MASK32).filter(lambda t: t % 4)),
@@ -629,8 +630,8 @@ def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int 
         if state.exited:
             break
         if state.pc % 4 == 0:
-            instr = fpvm.decode(struct.unpack("<I", fpvm.read_bytes(state.memory, state.pc, 4))[0])
-            ops.add(instr and instr.op)
+            word = struct.unpack("<I", fpvm.read_bytes(state.memory, state.pc, 4))[0]
+            ops.add(_OPNAMES.get(word >> 24))
         post = step(state, oracle)
         blob = gen_step_witness(state, oracle).to_bytes()
         verdict = verify_step(state_root(state), state_root(post), fpvm.StepWitness.from_bytes(blob),
@@ -699,7 +700,7 @@ def test_fault_injection_diverges_persistently():
     fault = StepFault(step=20, leaf_index=(HEAP_BASE + 0x100000) // 32, bit=5)
     corrupt = honest.fork(fault)
     assert [honest.root_at(i) for i in range(20)] == [corrupt.root_at(i) for i in range(20)]
-    assert all(honest.root_at(i) != corrupt.root_at(i) for i in range(20, len(honest.states)))
+    assert all(honest.root_at(i) != corrupt.root_at(i) for i in range(20, len(honest) + 1))
 
 
 def _faulted_from_scratch(state, fault: StepFault) -> list:
@@ -717,14 +718,20 @@ def _faulted_from_scratch(state, fault: StepFault) -> list:
 def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
     honest = run_trace(load_program(_random_program(random.Random(26), 80), scheme=SCHEME))
     n = len(honest)
-    for fault_step in (1, n // 2, n, n + 1, 0):
+    every = fpvm.SNAPSHOT_EVERY
+    for fault_step in (1, every - 1, every, every + 1, n // 2, n, n + 1, 0):
         fault = StepFault(step=fault_step, leaf_index=leaf_index, bit=fault_step % 256)
         forked = honest.fork(fault)
-        reference = _faulted_from_scratch(honest.states[0], fault)
+        reference = _faulted_from_scratch(honest.state_at(0), fault)
         assert len(forked) == len(reference) - 1
+        assert list(forked.pcs) == [s.pc for s in reference[:-1]]  # the log find_store_step reads
         assert [forked.root_at(i) for i in range(len(reference))] == [state_root(s) for s in reference]
         if 1 <= fault_step <= n:
-            assert all(forked.states[i] is honest.states[i] for i in range(fault_step))
+            counts = [s.step_count for s in forked.states]
+            assert counts == sorted(set(counts))
+            shared = [s for s in honest.states if s.step_count < fault_step]
+            assert all(mine is theirs for mine, theirs in zip(forked.states, shared))
+            assert forked.states[len(shared)].step_count == fault_step
             assert forked.root_at(fault_step) != honest.root_at(fault_step)
         else:
             assert forked is honest
@@ -745,6 +752,45 @@ def test_fork_is_held_to_fork_max_steps_in_total(monkeypatch):
             honest.fork(fault)
         assert exc.value.steps == n - 1
         assert exc.value.state.step_count == n - 1
+
+
+def _folded(state) -> list:
+    """Reference: every state from `state` to the exited one, one `step` each."""
+    states = [state]
+    while not states[-1].exited:
+        states.append(step(states[-1]))
+    return states
+
+
+def test_checkpointed_trace_answers_every_index_like_folding_step():
+    """A trace keeps a snapshot every SNAPSHOT_EVERY steps and replays the
+    rest. Queried in a shuffled order, so that both cold replays and cached
+    blocks serve, every state and root equals folding `step`."""
+    state0 = load_program(_random_program(random.Random(28), 1500), scheme=SCHEME)
+    folded = _folded(state0)
+    trace = run_trace(state0, max_steps=2000)
+    assert len(trace) == len(folded) - 1 == 1500
+    assert len(trace.states) <= len(trace) // fpvm.SNAPSHOT_EVERY + 2
+    assert list(trace.pcs) == [s.pc for s in folded[:-1]]
+    indices = list(range(len(folded) + 3))
+    random.Random(29).shuffle(indices)
+    for i in indices:
+        want, got = folded[min(i, len(trace))], trace.state_at(i)
+        assert (got.pc, got.regs, got.exited, got.exit_code, got.step_count, got.memory.root()) == (
+            want.pc, want.regs, want.exited, want.exit_code, want.step_count, want.memory.root())
+        assert trace.root_at(i) == state_root(want)
+
+
+@pytest.mark.parametrize("max_steps", [1, fpvm.SNAPSHOT_EVERY, 2 * fpvm.SNAPSHOT_EVERY + 5])
+def test_budget_running_out_mid_block_reports_the_state_reached(max_steps):
+    state0 = load_program(_random_program(random.Random(30), 200), scheme=SCHEME)
+    want = _folded(state0)[max_steps]
+    for runner in (run, run_trace):
+        with pytest.raises(fpvm.BudgetExceededError) as exc:
+            runner(state0, max_steps=max_steps)
+        assert exc.value.steps == max_steps
+        assert exc.value.state.step_count == max_steps
+        assert state_root(exc.value.state) == state_root(want)
 
 
 def test_load_program_golden_root():

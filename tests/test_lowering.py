@@ -18,9 +18,8 @@ def count_instructions(program: bytes) -> int:
     count = 0
     i = 0
     while i < len(words):
-        instr = fpvm.decode(words[i])
         count += 1
-        i += 2 if instr is not None and instr.op == "LI" else 1
+        i += 2 if words[i] >> 24 == fpvm.OPCODES["LI"] else 1
     return count
 
 
@@ -146,7 +145,7 @@ def test_matmul_trace_witness_sizes():
     trace = fpvm.run_trace(lowering.node_initial_state(lowered, SCHEME), oracle, 1_000_000)
     max_size = 0
     for k in range(len(trace)):
-        w = fpvm.gen_step_witness(trace.states[k], oracle)
+        w = fpvm.gen_step_witness(trace.state_at(k), oracle)
         blob = w.to_bytes()
         max_size = max(max_size, len(blob))
         verdict = fpvm.verify_step(trace.root_at(k), trace.root_at(k + 1), w,
@@ -158,13 +157,13 @@ def test_matmul_trace_witness_sizes():
 def reference_store_step(trace: fpvm.Trace, addr: int) -> int:
     """First step whose SW writes the word at `addr`, found by decoding every
     pre-state's instruction: what the store map must agree with."""
-    for s in range(1, len(trace.states)):
-        pre = trace.states[s - 1]
+    for s in range(1, len(trace) + 1):
+        pre = trace.state_at(s - 1)
         if pre.exited or pre.pc % 4 != 0:
             continue
         word = int.from_bytes(fpvm.read_bytes(pre.memory, pre.pc, 4), "little")
-        instr = fpvm.decode(word)
-        if instr is not None and instr.op == "SW" and fpvm.wrap32(pre.regs[instr.rs] + instr.imm) == addr:
+        rs, imm = (word >> 16) & 0xF, fpvm.sext12(word)
+        if word >> 24 == fpvm.OPCODES["SW"] and fpvm.wrap32(pre.regs[rs] + imm) == addr:
             return s
     raise AssertionError(f"no store writes {addr:#x}")
 
