@@ -123,8 +123,8 @@ DISPUTE_OPTIONS = {
     "fault.bit": Option(int, None, MODEL_GAMES),
     "faulty": Option(("submitter", "challenger"), "submitter", EVERY_GAME),
     "strategy": Option(("honest", "fault", "wrong-midpoint", "silent", "random"), None, EVERY_GAME),
-    "silent.after": Option(int, None, EVERY_GAME),
-    "wrong.round": Option(int, 1, EVERY_GAME),
+    "silent.after": Option(int, None, EVERY_GAME, lo=0),
+    "wrong.round": Option(int, 1, EVERY_GAME, lo=1),
     "seed": Option(int, 0, EVERY_GAME, lo=0, hi=2**64 - 1),
     "transcript": Option(str, None, EVERY_GAME),
     "witness.out": Option(str, None, EVERY_GAME),
@@ -166,6 +166,8 @@ def read_config(path: str) -> dict[str, object]:
 
 
 def cmd_run(args, scheme: hashing.HashScheme) -> int:
+    if args.max_steps < 1:
+        raise ConfigError("--max-steps must be >= 1")
     graph, input_tensor = _load_model_and_input(args.model, args.input)
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
@@ -314,7 +316,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     submitter = dispute.build_trace_actor("submitter", honest_trace, sub_strategy)
     challenger = dispute.build_trace_actor("challenger", honest_trace, chal_strategy)
 
-    claim = dispute.Claim.posted_by(submitter, scenario["k"], scenario["m"], stake=100)
+    claim = dispute.Claim.posted_by(submitter, scenario["k"], scenario["m"])
     result = dispute.run_dispute(
         claim, submitter, challenger, k=scenario["k"], chain=chain, m=scenario["m"],
     )
@@ -325,7 +327,7 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
         write_witness_bundle(
             scenario["witness.out"], scheme.name,
             honest_trace.root_at(step_no - 1), honest_trace.root_at(step_no),
-            fpvm.gen_step_witness(honest_trace.state_at(step_no - 1)), [],
+            fpvm.gen_step_witness(honest_trace.state_at(step_no - 1)),
         )
     return result
 
@@ -472,7 +474,7 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_witness_bundle(path, scheme_name, pre_root, claimed_post, witness, preimages):
+def write_witness_bundle(path, scheme_name, pre_root, claimed_post, witness):
     blob = witness.to_bytes()
     with open(path, "wb") as fh:
         fh.write(WITNESS_MAGIC)
@@ -483,10 +485,7 @@ def write_witness_bundle(path, scheme_name, pre_root, claimed_post, witness, pre
         fh.write(claimed_post)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(preimages)))
-        for value in preimages:
-            fh.write(struct.pack("<I", len(value)))
-            fh.write(value)
+        fh.write(struct.pack("<I", 0))  # preimage count
 
 
 def read_witness_bundle(data: bytes):

@@ -43,7 +43,8 @@ class ProtocolViolation(ValueError):
 
 
 class ChainSim:
-    """Toy ledger: balances, locked stakes, burn counter, event log, clock.
+    """Toy ledger: balances, locked stakes, burn counter, clock and the open
+    disputes; the only record of what each party has staked.
 
     Every operation conserves total value exactly (integers only):
     sum(balances) + sum(stakes) + burned is constant.
@@ -54,9 +55,7 @@ class ChainSim:
         self.balances: dict[str, int] = {}
         self.stakes: dict[str, int] = {}
         self.burned = 0
-        self.events: list[tuple[int, dict]] = []
         self.challenge_period = challenge_period
-        self.claim_posted_at: dict[int, int] = {}
         self.open_disputes: set[int] = set()
 
     def total(self) -> int:
@@ -64,9 +63,6 @@ class ChainSim:
 
     def tick(self, n: int = 1) -> None:
         self.clock += n
-
-    def log(self, **event) -> None:
-        self.events.append((self.clock, event))
 
     def deposit(self, party: str, amount: int) -> None:
         self.balances[party] = self.balances.get(party, 0) + amount
@@ -76,12 +72,10 @@ class ChainSim:
             raise ProtocolViolation(f"{party} cannot stake {amount}")
         self.balances[party] -= amount
         self.stakes[party] = self.stakes.get(party, 0) + amount
-        self.log(kind="stake", party=party, amount=amount)
 
     def release(self, party: str) -> None:
         amount = self.stakes.pop(party, 0)
         self.balances[party] = self.balances.get(party, 0) + amount
-        self.log(kind="release", party=party, amount=amount)
 
     def slash(self, loser: str, winner: str) -> None:
         """Loser's stake: the reward share goes to the winner, rest burns."""
@@ -89,7 +83,6 @@ class ChainSim:
         reward = amount * REWARD_BPS // 10_000
         self.balances[winner] = self.balances.get(winner, 0) + reward
         self.burned += amount - reward
-        self.log(kind="slash", loser=loser, winner=winner, reward=reward, burned=amount - reward)
 
     def penalize(self, party: str, amount: int, beneficiary: str) -> None:
         """Direct penalty: half to the beneficiary, half burned."""
@@ -99,19 +92,12 @@ class ChainSim:
         reward = amount // 2
         self.balances[beneficiary] = self.balances.get(beneficiary, 0) + reward
         self.burned += amount - reward
-        self.log(kind="penalty", party=party, amount=amount, beneficiary=beneficiary)
-
-    def post_claim(self, claim_id: int) -> None:
-        self.claim_posted_at[claim_id] = self.clock
-        self.log(kind="claim", claim=claim_id)
 
     def open_dispute(self, claim_id: int) -> None:
         self.open_disputes.add(claim_id)
-        self.log(kind="dispute-open", claim=claim_id)
 
     def close_dispute(self, claim_id: int) -> None:
         self.open_disputes.discard(claim_id)
-        self.log(kind="dispute-closed", claim=claim_id)
 
 
 @dataclass(frozen=True)
@@ -119,27 +105,21 @@ class Claim:
     initial_root: bytes
     final_root: bytes
     trace_len: int
-    submitter_id: str
-    stake: int
     claim_id: int = 0
 
     def __post_init__(self):
         if self.trace_len < 1:
             raise ValueError("trace_len must be >= 1")
-        if self.stake <= 0:
-            raise ValueError("stake must be positive")
 
     @classmethod
-    def posted_by(
-        cls, submitter: BisectionActor, k: int, m: int, stake: int, claim_id: int = 0
-    ) -> Claim:
+    def posted_by(cls, submitter: BisectionActor, k: int, m: int, claim_id: int = 0) -> Claim:
         """The claim a submitter posts for a game played with k checkpoints
         down to m steps: the start root of its sequence, and its own claimed
         root at the end of the padded span, by the rule every later post
         follows."""
         n = len(submitter.roots)
         return cls(submitter.roots.root_at(0), submitter.claimed_root(padded_length(n, k, m)),
-                   n, submitter.party_id, stake, claim_id)
+                   n, claim_id)
 
 
 def settle_challenge_period(chain: ChainSim, claim: Claim, elapsed: int) -> str:

@@ -528,7 +528,10 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     a state it yields. With `pcs`, it appends the pc before each step.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
-    (`step_count`, counted from step 0 of its run) without exiting."""
+    (`step_count`, counted from step 0 of its run) without exiting, and
+    ValueError on a budget below 1."""
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
     mem = _TreeMemory(state.memory, oracle)
     pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
     while not exited:
@@ -554,8 +557,6 @@ def run(
 ) -> tuple[VmState, int]:
     """Run until HALT; returns (final state, executed step count). The
     budget counts `step_count`, as in `_successors`."""
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
     final = state
     for final in _successors(state, oracle, max_steps, every=max_steps):  # one block
         pass
@@ -776,9 +777,6 @@ class Verdict:
     #: False when the witness itself is inconsistent (bad hashes/proofs);
     #: arbitration charges such a rejection to the witness author.
     witness_ok: bool
-
-    def __bool__(self) -> bool:
-        return self.accepted
 
 
 def _reject(reason: str) -> Verdict:

@@ -172,11 +172,9 @@ def store_fault(
 class LoweredNode:
     """A single node compiled for lazy-loading execution."""
 
-    op: str
     program: bytes
     operand_keys: list[bytes]
     preimages: dict[bytes, bytes]
-    out_shape: tuple[int, ...]
     stores: list[tuple[int, int]]  # (pc of the SW, address) per output element
 
     @property
@@ -225,7 +223,7 @@ def lower_node(
     stores = _emit_kernel(words, node.op, payload_bases, [t.shape for t in operands], dst_base)
     _emit_header(words, OUTPUT_BASE, out_shape)
     words.append(encode("HALT"))
-    return LoweredNode(node.op, fpvm.assemble(words), keys, preimages, out_shape, stores)
+    return LoweredNode(fpvm.assemble(words), keys, preimages, stores)
 
 
 def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState:
@@ -233,12 +231,10 @@ def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState
     return fpvm.load_program(lowered.program, lowered.input_blob, scheme=scheme)
 
 
-def run_lowered_node(
-    lowered: LoweredNode, oracle: fpvm.PreimageOracle, max_steps: int = 2_000_000
-) -> ml.FixedTensor:
+def run_lowered_node(lowered: LoweredNode, oracle: fpvm.PreimageOracle) -> ml.FixedTensor:
     """Run a lowered node under the oracle's hash scheme; returns its output."""
     state = node_initial_state(lowered, oracle.scheme)
-    final, _ = fpvm.run(state, oracle, max_steps)
+    final, _ = fpvm.run(state, oracle, 2_000_000)
     if final.exit_code != 0:
         raise LoweringError(f"node program trapped with code {final.exit_code}")
     return read_output_tensor(final)
@@ -289,7 +285,6 @@ def execute_via_vm(
 class LoweredGraph:
     program: bytes
     model_blob: bytes
-    out_shape: tuple[int, ...]
     stores: dict[int, list[tuple[int, int]]]  # node id -> its kernel's output stores
 
     def initial_state(self, input_tensor: ml.FixedTensor, scheme: HashScheme) -> fpvm.VmState:
@@ -357,7 +352,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
         _li(words, 1, dst + 4 * e)
         words.append(encode("SW", rt=2, rs=1, imm=0))
     words.append(encode("HALT"))
-    return LoweredGraph(fpvm.assemble(words), model_blob, out_shape, stores)
+    return LoweredGraph(fpvm.assemble(words), model_blob, stores)
 
 
 def graph_fault_to_step_fault(

@@ -1,6 +1,8 @@
 """Deterministic fixed-point inference engine.
 
-All tensors are Q15.16: signed 32-bit raw values scaled by 2**16. Matrix
+All tensors are Q15.16: signed 32-bit raw values scaled by 2**16. The
+scale is a constant of the format, not of a tensor: a tensor holds only its
+shape and raw values, and a model header must name frac=16. Matrix
 products accumulate exactly in 64-bit integers and apply a single arithmetic
 right shift at the end; everything wraps two's-complement at 32 bits. There
 is no floating point anywhere past quantization, which is what makes two
@@ -60,7 +62,6 @@ def wrap64s(v: int) -> int:
 class FixedTensor:
     shape: tuple[int, ...]
     data: tuple[int, ...]
-    frac: int = FRAC
 
     def __post_init__(self):
         size = 1
@@ -94,30 +95,30 @@ def _round_half_away(x: float) -> int:
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
 
 
-def quantize(values, frac: int = FRAC) -> FixedTensor:
-    """Reals to fixed point, rounding half away from zero.
+def quantize(values) -> FixedTensor:
+    """Reals to Q15.16, rounding half away from zero.
 
-    Raises on any value at or beyond 2**(31-frac) in magnitude rather than
+    Raises on any value at or beyond 2**15 in magnitude rather than
     wrapping: quantization is the one boundary where wrapping would silently
     change the model.
     """
     shape, flat = _flatten(values)
     if shape == ():
         shape, flat = (1,), flat
-    limit = 1 << (31 - frac)
+    limit = 1 << (31 - FRAC)
     raw = []
     for v in flat:
         if not -limit < v < limit:
             raise QuantizationRangeError(f"{v} outside (-{limit}, {limit})")
-        r = _round_half_away(v * (1 << frac))
+        r = _round_half_away(v * SCALE)
         if not INT32_MIN <= r <= INT32_MAX:
             raise QuantizationRangeError(f"{v} rounds outside int32")
         raw.append(r)
-    return FixedTensor(shape, tuple(raw), frac)
+    return FixedTensor(shape, tuple(raw))
 
 
 def dequantize(t: FixedTensor) -> list[float]:
-    return [v / (1 << t.frac) for v in t.data]
+    return [v / SCALE for v in t.data]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def matmul_fx(a: FixedTensor, b: FixedTensor) -> FixedTensor:
             for h in range(n):
                 acc += row[h] * b.data[h * p + j]
             out.append(wrap32s(wrap64s(acc) >> FRAC))
-    return FixedTensor((r, p), tuple(out), a.frac)
+    return FixedTensor((r, p), tuple(out))
 
 
 def bias_add_fx(x: FixedTensor, bias: FixedTensor) -> FixedTensor:
@@ -152,11 +153,11 @@ def bias_add_fx(x: FixedTensor, bias: FixedTensor) -> FixedTensor:
     out = tuple(
         wrap32s(v + bias.data[i % width]) for i, v in enumerate(x.data)
     )
-    return FixedTensor(x.shape, out, x.frac)
+    return FixedTensor(x.shape, out)
 
 
 def relu_fx(x: FixedTensor) -> FixedTensor:
-    return FixedTensor(x.shape, tuple(v if v > 0 else 0 for v in x.data), x.frac)
+    return FixedTensor(x.shape, tuple(v if v > 0 else 0 for v in x.data))
 
 
 def argmax(x: FixedTensor) -> int:
@@ -181,17 +182,17 @@ def serialize_tensor(t: FixedTensor) -> bytes:
     return out
 
 
-def deserialize_tensor(data: bytes, offset: int = 0, frac: int = FRAC) -> tuple[FixedTensor, int]:
-    r = Reader(data, offset)
-    return _read_tensor(r, frac), r.offset
+def deserialize_tensor(data: bytes) -> tuple[FixedTensor, int]:
+    r = Reader(data)
+    return _read_tensor(r), r.offset
 
 
-def _read_tensor(r: Reader, frac: int = FRAC) -> FixedTensor:
+def _read_tensor(r: Reader) -> FixedTensor:
     rank = r.u32("tensor rank")
     if rank > 8:
         raise ParseError(r.offset - 4, f"unreasonable rank {rank}")
     shape = r.u32s(rank, "tensor dims")
-    return FixedTensor(shape, r.i32s(math.prod(shape), "tensor data"), frac)
+    return FixedTensor(shape, r.i32s(math.prod(shape), "tensor data"))
 
 
 def tensor_blob(t: FixedTensor) -> bytes:
@@ -378,7 +379,8 @@ _EMPTY_ENTRY = (b"\x00" * 32, b"\x00" * 32)
 
 @dataclass(frozen=True)
 class GraphState:
-    """Inference state after `computed_prefix` nodes.
+    """Inference state: a commitment to the input, the model and the node
+    outputs computed so far.
 
     `entries[j]` is (preimage key, region root) of node j's serialized
     output, or zero pairs while uncomputed. The commitment hashes the full
@@ -386,7 +388,6 @@ class GraphState:
     when some node output byte moves.
     """
 
-    computed_prefix: int
     model_digest: bytes
     input_key: bytes
     entries: tuple[tuple[bytes, bytes], ...]
@@ -413,7 +414,7 @@ class GraphState:
         entries = list(self.entries)
         entries[node_id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
         snapshot = tuple(entries)
-        return GraphState(node_id + 1, self.model_digest, self.input_key, snapshot,
+        return GraphState(self.model_digest, self.input_key, snapshot,
                           GraphState.commit(self.model_digest, self.input_key, snapshot, scheme))
 
 
@@ -430,7 +431,7 @@ class GraphFault:
         data = list(t.data)
         idx = self.element % len(data)
         data[idx] = wrap32s((data[idx] & 0xFFFFFFFF) ^ (1 << (self.bit % 32)))
-        return FixedTensor(t.shape, tuple(data), t.frac)
+        return FixedTensor(t.shape, tuple(data))
 
 
 @dataclass
@@ -441,7 +442,6 @@ class GraphRun:
     are the final commitment (the fixpoint)."""
 
     graph: CompGraph
-    input: FixedTensor
     outputs: list[FixedTensor]
     states: list[GraphState]
 
@@ -485,8 +485,6 @@ def _node_outputs(
     graph: CompGraph, input_tensor: FixedTensor, fault: GraphFault | None
 ) -> list[FixedTensor]:
     graph.infer_shapes()
-    if input_tensor.frac != FRAC:
-        raise ShapeError(f"input frac {input_tensor.frac} != engine frac {FRAC}")
     outputs: list[FixedTensor] = []
     for node in graph.nodes:
         out = _compute_node(node, [outputs[i] for i in node.input_ids], input_tensor)
@@ -515,8 +513,8 @@ def run_graph(
     model_digest = graph.model_digest(scheme)
     input_key = tensor_key(input_tensor, scheme)
     entries = (_EMPTY_ENTRY,) * len(graph.nodes)
-    states = [GraphState(0, model_digest, input_key, entries,
+    states = [GraphState(model_digest, input_key, entries,
                          GraphState.commit(model_digest, input_key, entries, scheme))]
     for node, out in zip(graph.nodes, outputs):
         states.append(states[-1].advance(node.id, out, scheme))
-    return GraphRun(graph, input_tensor, outputs, states)
+    return GraphRun(graph, outputs, states)

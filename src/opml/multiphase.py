@@ -292,7 +292,6 @@ def run_two_phase_dispute(
     chain: ChainSim | None = None,
     *,
     scheme: HashScheme,
-    stake: int = 100,
 ) -> TwoPhaseResult:
     """Full protocol: node-level k-section, then either a ruling from public
     data or entrance check, VM dispute, m-step arbitration and exit check;
@@ -302,7 +301,7 @@ def run_two_phase_dispute(
                                        scheme)
     chal_actor = dispute.BisectionActor(challenger.party_id, challenger.run, challenger.strategy,
                                         scheme)
-    claim = Claim.posted_by(sub_actor, cfg.k_phase1, 1, stake)
+    claim = Claim.posted_by(sub_actor, cfg.k_phase1, 1)
     transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
@@ -344,7 +343,7 @@ def run_two_phase_dispute(
 
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)
-    inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, stake, claim_id=claim.claim_id + 1)
+    inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, claim_id=claim.claim_id + 1)
     inner = dispute.run_dispute(
         inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
         oracle=oracle, settle=False,

@@ -52,7 +52,7 @@ def _single_phase_game(rng):
     submitter = build_trace_actor("sub", honest_trace, adversary if faulty_submitter else honest)
     challenger = build_trace_actor("chal", honest_trace, honest if faulty_submitter else adversary)
     # the posted claim is whatever the submitter asserts, junk included
-    claim = Claim.posted_by(submitter, k, m, 100)
+    claim = Claim.posted_by(submitter, k, m)
     chain = _fresh_chain("sub", "chal")
     total = chain.total()
     result = dispute.run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)

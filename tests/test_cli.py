@@ -151,6 +151,13 @@ def test_run_step_budget_exits_2(capsys, model_files):
     assert (code, out, err) == (2, "", "error: no HALT within 1 steps\n")
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_run_non_positive_step_budget_exits_2_naming_the_flag(capsys, model_files, budget):
+    model, inp, _, _ = model_files
+    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--max-steps", budget)
+    assert (code, out, err) == (2, "", "error: --max-steps must be >= 1\n")
+
+
 @pytest.mark.parametrize("fault_step", [3, 25])
 def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
     """A fork must halt within FORK_MAX_STEPS steps, its shared prefix included."""
@@ -467,6 +474,8 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
      "--input", os.path.join(DATA, "mlp-input.tensor"), "--fault-step", "7", "--fault-bit", "3"],
     ["dispute", "--synthetic-n", "40", "--fault-step", "7", "--fault-bit", "3"],
     ["dispute", "--synthetic-n", "40", "--wrong-round", "2"],
+    ["dispute", "--synthetic-n", "40", "--strategy", "wrong-midpoint", "--wrong-round", "-5"],
+    ["dispute", "--synthetic-n", "40", "--strategy", "silent", "--silent-after", "-1"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
@@ -474,7 +483,8 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
         "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero",
         "config-misspelt-strategy", "fault-node-and-fault-step", "synthetic-fault-node",
         "synthetic-fault-element", "synthetic-with-model", "two-phase-with-synthetic-n",
-        "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint"])
+        "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint",
+        "wrong-round-below-1", "silent-after-negative"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
     config.write_text("synthetic.n = 8\nchallenge_period = 100\n")  # an unknown key

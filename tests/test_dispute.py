@@ -115,7 +115,7 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=SCHEME))
     submitter = build_trace_actor("alice", honest_trace, sub_strategy)
     challenger = build_trace_actor("bob", honest_trace, chal_strategy)
-    claim = Claim.posted_by(submitter, k, m, 100, claim_id=seed)
+    claim = Claim.posted_by(submitter, k, m, claim_id=seed)
     chain = ChainSim()
     chain.deposit("alice", 1000)
     chain.deposit("bob", 1000)
@@ -255,12 +255,43 @@ def test_unstaked_party_cannot_play():
     challenger = build_trace_actor("bob", honest_trace,
                                    ActorStrategy(kind="fault", fault=scratch_fault(2)))
     claim = Claim(submitter.trace.root_at(0), submitter.trace.root_at(len(submitter.trace)),
-                  len(submitter.trace), "alice", 100)
+                  len(submitter.trace))
     chain = ChainSim()
     chain.deposit("alice", 100)
     chain.stake("alice", 100)
     with pytest.raises(ProtocolViolation):
         run_dispute(claim, submitter, challenger, chain=chain)
+
+
+@pytest.mark.parametrize("unstaked", ["alice", "bob"])
+def test_open_game_refuses_an_unstaked_submitter_or_challenger(unstaked):
+    """The chain holds the only record of a stake: a party it has none for
+    cannot open a game, whichever side it plays."""
+    honest_trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(12), 8),
+                                                    scheme=SCHEME))
+    submitter = build_trace_actor("alice", honest_trace, ActorStrategy(kind="honest"))
+    challenger = build_trace_actor("bob", honest_trace,
+                                   ActorStrategy(kind="fault", fault=scratch_fault(2)))
+    chain = ChainSim()
+    for party in ("alice", "bob"):
+        chain.deposit(party, 1000)
+        if party != unstaked:
+            chain.stake(party, 100)
+    with pytest.raises(ProtocolViolation, match=f"^{unstaked} is not staked$"):
+        run_dispute(Claim.posted_by(submitter, 1, 1), submitter, challenger, chain=chain)
+    assert not chain.open_disputes
+
+
+def test_staking_above_the_balance_raises_and_moves_nothing():
+    chain = ChainSim()
+    chain.deposit("alice", 50)
+    chain.deposit("bob", 1000)
+    chain.stake("bob", 100)
+    before = (chain.total(), dict(chain.balances), dict(chain.stakes), chain.burned)
+    for party, amount in (("alice", 51), ("bob", 901), ("carol", 1)):
+        with pytest.raises(ProtocolViolation, match=f"{party} cannot stake {amount}"):
+            chain.stake(party, amount)
+        assert (chain.total(), chain.balances, chain.stakes, chain.burned) == before
 
 
 def test_arbitrate_direct():
@@ -285,8 +316,7 @@ def test_arbitrate_direct():
 
 def test_settle_challenge_period():
     chain = ChainSim(challenge_period=50)
-    claim = Claim(b"\x00" * 32, b"\x01" * 32, 4, "alice", 10, claim_id=77)
-    chain.post_claim(77)
+    claim = Claim(b"\x00" * 32, b"\x01" * 32, 4, claim_id=77)
     assert settle_challenge_period(chain, claim, 10) == "Pending"
     assert settle_challenge_period(chain, claim, 50) == "Confirmed"
     chain.open_dispute(77)

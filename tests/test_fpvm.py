@@ -793,6 +793,14 @@ def test_budget_running_out_mid_block_reports_the_state_reached(max_steps):
         assert state_root(exc.value.state) == state_root(want)
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_a_budget_below_one_is_rejected_by_run_and_run_trace(max_steps):
+    state0 = load_program(_random_program(random.Random(30), 20), scheme=SCHEME)
+    for runner in (run, run_trace):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            runner(state0, max_steps=max_steps)
+
+
 def test_load_program_golden_root():
     """Cross-process reproducibility anchor; recorded once from the first
     oracle run of this build and pinned."""

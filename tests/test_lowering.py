@@ -188,7 +188,7 @@ def test_store_map_names_the_step_that_stores_each_element():
             for blob in node_lowered.preimages.values():
                 oracle.put(blob)
             node_trace = fpvm.run_trace(lowering.node_initial_state(node_lowered, SCHEME), oracle)
-            payload = fpvm.OUTPUT_BASE + 4 + 4 * len(node_lowered.out_shape)
+            payload = fpvm.OUTPUT_BASE + 4 + 4 * len(run.outputs[node.id].shape)
             assert [addr for _, addr in node_lowered.stores] == [
                 payload + 4 * e for e in range(len(run.outputs[node.id].data))]
             for pc, addr in node_lowered.stores:

@@ -203,6 +203,19 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
     assert result.phase1_rounds <= interaction_count_bound(len(graph.nodes), 1, 1)
 
 
+@pytest.mark.parametrize("unstaked", ["alice", "bob"])
+def test_two_phase_game_refuses_an_unstaked_party(unstaked):
+    graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(67), (1, 3))
+    sub = make_party("alice", graph, x, scheme=SCHEME)
+    chal = make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 1, 4), scheme=SCHEME)
+    chain = fresh_chain(*({"alice", "bob"} - {unstaked}))
+    chain.deposit(unstaked, 1000)
+    with pytest.raises(dispute.ProtocolViolation, match=f"^{unstaked} is not staked$"):
+        run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
+    assert not chain.open_disputes
+
+
 def test_two_phase_honest_submitter_wins():
     graph = build_mlp(seed=68, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(69), (1, 3))
@@ -247,7 +260,7 @@ def test_single_and_two_phase_agree_on_every_fault():
         strat_fault = ActorStrategy(kind="fault", fault=step_fault)
         sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
         chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
-        claim = Claim.posted_by(sub_actor, 1, 1, 100, claim_id=trial)
+        claim = Claim.posted_by(sub_actor, 1, 1, claim_id=trial)
         chain2 = fresh_chain("alice", "bob")
         single = dispute.run_dispute(claim, sub_actor, chal_actor, k=1, chain=chain2)
 
@@ -362,7 +375,7 @@ def test_random_submitter_loses_both_protocols():
     honest_trace = fpvm.run_trace(lowering.lower_graph(graph).initial_state(x, SCHEME))
     sub_actor = build_trace_actor("submitter", honest_trace, strategy)
     chal_actor = build_trace_actor("challenger", honest_trace, ActorStrategy())
-    single = dispute.run_dispute(Claim.posted_by(sub_actor, 1, 1, 100), sub_actor, chal_actor,
+    single = dispute.run_dispute(Claim.posted_by(sub_actor, 1, 1), sub_actor, chal_actor,
                                  chain=fresh_chain("submitter", "challenger"))
     assert (two.winner, single.winner) == ("challenger", "challenger"), (two.reason, single.reason)
 
