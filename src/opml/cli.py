@@ -10,8 +10,9 @@ Commands:
 Every command that takes --seed is bit-reproducible: all randomness flows
 through named streams derived from that one seed. Exit codes: 0 success,
 2 usage or configuration (including an out-of-range analytics parameter, a
-dispute option the game does not use, or a VM step budget that runs out
-before HALT), 3 I/O or parse failure (including a model whose shapes do not
+dispute option the game does not use, or a VM run that reaches
+fpvm.MAX_STEPS without HALT, a guard that no program opml builds can
+reach), 3 I/O or parse failure (including a model whose shapes do not
 fit together or its input, checked on load, and an output path that cannot
 be written), 4 internal invariant violation (a dual-path mismatch is a bug,
 never a user error).
@@ -116,7 +117,7 @@ DISPUTE_OPTIONS = {
     "phases": Option(("1", "2"), None, EVERY_GAME),
     "k": Option(int, 1, EVERY_GAME, lo=1),
     "m": Option(int, 1, EVERY_GAME, lo=1),
-    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2),
+    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=(8 << fpvm.PROGRAM_LEVEL) - 1),
     "fault.node": Option(int, None, MODEL_GAMES),
     "fault.step": Option(int, None, (SYNTHETIC, SINGLE)),
     "fault.element": Option(int, None, MODEL_GAMES),
@@ -166,8 +167,6 @@ def read_config(path: str) -> dict[str, object]:
 
 
 def cmd_run(args, scheme: hashing.HashScheme) -> int:
-    if args.max_steps < 1:
-        raise ConfigError("--max-steps must be >= 1")
     graph, input_tensor = _load_model_and_input(args.model, args.input)
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
@@ -177,7 +176,7 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
         state0 = lowered.initial_state(input_tensor, scheme)
     except merkle.RangeError as exc:
         raise IoError(f"{args.model}: {exc}") from exc
-    trace = fpvm.run_trace(state0, None, max_steps=args.max_steps)
+    trace = fpvm.run_trace(state0)
     vm_out = lowering.read_output_tensor(trace.states[-1])
     if vm_out != native:
         print("internal error: native and VM outputs diverged", file=sys.stderr)
@@ -288,15 +287,13 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     if scenario["game"] == SYNTHETIC:
         n = scenario["synthetic.n"]
         program = dispute.synthetic_program(rng.stream(scenario["seed"], "program"), n)
-        honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=scheme),
-                                      max_steps=10_000_000)
+        honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=scheme))
         if step is None and scenario["strategy"] == "fault":
             step = streams.randrange(1, n + 1)
     else:
         graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
         lowered = lowering.lower_graph(graph)
-        honest_trace = fpvm.run_trace(lowered.initial_state(input_tensor, scheme),
-                                      max_steps=10_000_000)
+        honest_trace = fpvm.run_trace(lowered.initial_state(input_tensor, scheme))
         gfault = _graph_fault(scenario, graph, streams)
         if gfault is not None:
             fault = lowering.graph_fault_to_step_fault(lowered, honest_trace, gfault)
@@ -539,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True)
     p_run.add_argument("--out")
     p_run.add_argument("--dump-trace")
-    p_run.add_argument("--max-steps", type=int, default=10_000_000)
     p_run.set_defaults(fn=cmd_run)
 
     p_disp = sub.add_parser("dispute", help="play a dispute game")

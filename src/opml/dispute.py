@@ -248,7 +248,6 @@ def arbitrate_span(
     *,
     scheme: HashScheme,
     span: int,
-    supplier: str = CHALLENGER,
 ) -> tuple[str, str]:
     """m-step on-chain arbitration; returns (winner, reason).
 
@@ -257,16 +256,15 @@ def arbitrate_span(
     `span` steps takes one witness per step, or fewer when the last one is
     of an exited machine: the rest of the span is then the exit fixpoint.
     Any other count, or a witness that fails its own integrity checks,
-    loses for its supplier instead.
+    loses for the challenger, who supplies the witnesses.
     """
-    against_supplier = SUBMITTER if supplier == CHALLENGER else CHALLENGER
     if len(witnesses) != span and not (
             0 < len(witnesses) < span and witnesses[-1].pre_fields.exited):
-        return against_supplier, (f"invalid witness from {supplier}: "
-                            f"{len(witnesses)} witnesses for a {span}-step span")
+        return SUBMITTER, (f"invalid witness from challenger: {len(witnesses)} witnesses "
+                           f"for a {span}-step span")
     end_root, reason = emulate_span(pre_root, witnesses, preimages, scheme)
     if end_root is None:
-        return against_supplier, f"invalid witness from {supplier}: {reason}"
+        return SUBMITTER, f"invalid witness from challenger: {reason}"
     if end_root == submitter_end_claim:
         return SUBMITTER, "one-step re-execution confirms the claim"
     return CHALLENGER, "one-step re-execution contradicts the claim"
@@ -489,7 +487,8 @@ def run_dispute(
     submitter: VmTraceActor,
     challenger: VmTraceActor,
     k: int = 1,
-    chain: ChainSim | None = None,
+    *,
+    chain: ChainSim,
     m: int = 1,
     oracle: fpvm.PreimageOracle | None = None,
     settle: bool = True,
@@ -503,7 +502,6 @@ def run_dispute(
     under the submitter's hash scheme. Rounds are logged as phase 2, the VM
     phase, in a single-phase game too.
     """
-    chain = chain if chain is not None else ChainSim()
     transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
@@ -531,7 +529,7 @@ def run_dispute(
         return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
     winner, why = arbitrate_span(
         outcome.agreed_root, submitter_end, witnesses, preimages=oracle,
-        scheme=submitter.scheme, span=session.j, supplier=CHALLENGER,
+        scheme=submitter.scheme, span=session.j,
     )
     return verdict(winner, why, session.round, pinned)
 

@@ -81,7 +81,7 @@ MULFX_SHIFT = 16
 
 MASK32 = 0xFFFF_FFFF
 
-FORK_MAX_STEPS = 2_000_000  # steps a forked faulty trace may take, shared prefix included
+MAX_STEPS = 10_000_000  # step budget of every run and fork, above any program the region holds
 
 SNAPSHOT_EVERY = 16  # a trace keeps the state after every this many steps
 
@@ -120,10 +120,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"no HALT within {steps} steps")
         self.state = state
         self.steps = steps
-
-
-def wrap32(v: int) -> int:
-    return v & MASK32
 
 
 def sign32(v: int) -> int:
@@ -528,10 +524,9 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     a state it yields. With `pcs`, it appends the pc before each step.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
-    (`step_count`, counted from step 0 of its run) without exiting, and
-    ValueError on a budget below 1."""
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
+    (`step_count`, counted from step 0 of its run) without exiting. `run`
+    and `run_trace` pass MAX_STEPS; `step` and the replay of a block
+    between two snapshots pass no bound."""
     mem = _TreeMemory(state.memory, oracle)
     pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
     while not exited:
@@ -552,13 +547,12 @@ def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
     return next(_successors(state, oracle, math.inf, 1), state)
 
 
-def run(
-    state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
-) -> tuple[VmState, int]:
+def run(state: VmState, oracle: PreimageOracle | None = None) -> tuple[VmState, int]:
     """Run until HALT; returns (final state, executed step count). The
-    budget counts `step_count`, as in `_successors`."""
+    budget is MAX_STEPS, read on each call and counted by `step_count`, as
+    in `_successors`."""
     final = state
-    for final in _successors(state, oracle, max_steps, every=max_steps):  # one block
+    for final in _successors(state, oracle, MAX_STEPS, every=MAX_STEPS):  # one block
         pass
     return final, final.step_count - state.step_count
 
@@ -649,15 +643,14 @@ class Trace:
 
     def fork(self, fault: StepFault) -> Trace:
         """This trace with `fault` injected: its own snapshots before
-        `fault.step`, then a run of the rest under its oracle, all of it
-        within FORK_MAX_STEPS. A fault outside 1..len(self) never applies:
-        returns self."""
+        `fault.step`, then a run of the rest under its oracle. The fork is
+        held to MAX_STEPS in total, shared prefix included; the faulted
+        state counts `fault.step` steps, and an exited one takes no more. A
+        fault outside 1..len(self) never applies: returns self."""
         if not 1 <= fault.step <= len(self):
             return self
-        if fault.step > FORK_MAX_STEPS:
-            raise BudgetExceededError(self._state(FORK_MAX_STEPS), FORK_MAX_STEPS)
         corrupted = fault.apply(step(self._state(fault.step - 1), self.oracle))
-        suffix = run_trace(corrupted, self.oracle, max_steps=FORK_MAX_STEPS)
+        suffix = run_trace(corrupted, self.oracle)
         shared = bisect_left(self.states, corrupted.step_count, key=_step_count)
         return Trace(self.states[:shared] + suffix.states, self.pcs[: fault.step] + suffix.pcs,
                      self.scheme, self.oracle)
@@ -675,14 +668,12 @@ def find_store_step(trace: Trace, pc: int) -> int:
         raise ValueError(f"no step executes pc {pc:#x}") from None
 
 
-def run_trace(
-    state: VmState, oracle: PreimageOracle | None = None, max_steps: int = 1_000_000
-) -> Trace:
-    """Execute to HALT keeping the snapshots and the pc log. The budget
-    counts `step_count`, as in `_successors`."""
+def run_trace(state: VmState, oracle: PreimageOracle | None = None) -> Trace:
+    """Execute to HALT keeping the snapshots and the pc log. The budget is
+    MAX_STEPS, as in `run`."""
     pcs = array("I")
     states = [state]
-    states += _successors(state, oracle, max_steps, SNAPSHOT_EVERY, pcs)
+    states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY, pcs)
     return Trace(states, pcs, state.scheme, oracle)
 
 

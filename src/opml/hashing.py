@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from types import MappingProxyType
 
-DIGEST_SIZE = 32
 ZERO_LEAF = b"\x00" * 32
 
 LEAF_PREFIX = b"\x00"

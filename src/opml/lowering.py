@@ -234,7 +234,7 @@ def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState
 def run_lowered_node(lowered: LoweredNode, oracle: fpvm.PreimageOracle) -> ml.FixedTensor:
     """Run a lowered node under the oracle's hash scheme; returns its output."""
     state = node_initial_state(lowered, oracle.scheme)
-    final, _ = fpvm.run(state, oracle, 2_000_000)
+    final, _ = fpvm.run(state, oracle)
     if final.exit_code != 0:
         raise LoweringError(f"node program trapped with code {final.exit_code}")
     return read_output_tensor(final)

@@ -224,7 +224,6 @@ class GraphNode:
     input_ids: tuple[int, ...] = ()
     params: FixedTensor | None = None  # const payload
     shape: tuple[int, ...] | None = None  # declared shape for input nodes
-    out: FixedTensor | None = None
 
     _ARITY = {"input": 0, "const": 0, "matmul": 2, "bias_add": 2, "relu": 1, "argmax": 1}
 

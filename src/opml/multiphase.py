@@ -288,15 +288,14 @@ def run_two_phase_dispute(
     input_tensor: ml.FixedTensor,
     submitter: TwoPhaseParty,
     challenger: TwoPhaseParty,
-    cfg: PhaseConfig = PhaseConfig(),
-    chain: ChainSim | None = None,
+    cfg: PhaseConfig,
+    chain: ChainSim,
     *,
     scheme: HashScheme,
 ) -> TwoPhaseResult:
     """Full protocol: node-level k-section, then either a ruling from public
     data or entrance check, VM dispute, m-step arbitration and exit check;
     then settlement."""
-    chain = chain if chain is not None else ChainSim()
     sub_actor = dispute.BisectionActor(submitter.party_id, submitter.run, submitter.strategy,
                                        scheme)
     chal_actor = dispute.BisectionActor(challenger.party_id, challenger.run, challenger.strategy,
@@ -337,7 +336,7 @@ def run_two_phase_dispute(
         return verdict(CHALLENGER, f"entrance check failed: {why}", phase1_rounds, 0,
                        pinned_node)
 
-    honest_trace = fpvm.run_trace(m0, oracle, max_steps=2_000_000)
+    honest_trace = fpvm.run_trace(m0, oracle)
     sub_trace = _phase2_trace(submitter, pinned_node, honest_trace, lowered)
     chal_trace = _phase2_trace(challenger, pinned_node, honest_trace, lowered)
 

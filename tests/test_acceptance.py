@@ -291,7 +291,7 @@ def test_criterion_5_entrance_exit_checks():
             ok, _ = multiphase.entrance_check(mutant, graph, SCHEME)
             mutations_rejected += not ok
 
-        final, _ = fpvm.run(m0, oracle, 2_000_000)
+        final, _ = fpvm.run(m0, oracle)
         exit_bundle = multiphase.build_exit_bundle(run, node_id, final)
         ok, why = multiphase.exit_check(exit_bundle, graph, SCHEME)
         assert ok, why
@@ -371,10 +371,10 @@ def test_criterion_8_complexity_relation():
             if node.op in ("input", "const"):
                 continue
             m0, oracle, _, _ = multiphase.build_entrance_state(run, node.id, SCHEME)
-            _, steps = fpvm.run(m0, oracle, 2_000_000)
+            _, steps = fpvm.run(m0, oracle)
             per_node.append(steps)
         lowered = lowering.lower_graph(graph)
-        _, single_steps = fpvm.run(lowered.initial_state(x, SCHEME), None, 2_000_000)
+        _, single_steps = fpvm.run(lowered.initial_state(x, SCHEME), None)
         two_phase_total = sum(per_node)
         n_nodes = len(graph.nodes)
         ratio = single_steps / two_phase_total

@@ -145,23 +145,27 @@ def test_model_that_does_not_fit_exits_3_on_load(capsys, tmp_path, monkeypatch, 
     assert err.startswith("error:") and (inp if case == "input" else model) in err
 
 
-def test_run_step_budget_exits_2(capsys, model_files):
+def test_run_step_budget_exits_2(capsys, monkeypatch, model_files):
     model, inp, _, _ = model_files
-    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--max-steps", "1")
+    monkeypatch.setattr(fpvm, "MAX_STEPS", 1)
+    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp)
     assert (code, out, err) == (2, "", "error: no HALT within 1 steps\n")
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_run_non_positive_step_budget_exits_2_naming_the_flag(capsys, model_files, budget):
+def test_run_has_no_max_steps_flag(capsys, model_files):
+    """fpvm.MAX_STEPS is the one step budget, so argparse rejects the flag."""
     model, inp, _, _ = model_files
-    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--max-steps", budget)
-    assert (code, out, err) == (2, "", "error: --max-steps must be >= 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--model", model, "--input", inp, "--max-steps", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault_step", [3, 25])
 def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
-    """A fork must halt within FORK_MAX_STEPS steps, its shared prefix included."""
-    monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", 30)
+    """Every run is held to MAX_STEPS, so a program longer than the budget
+    exits 2 on the honest trace, before any fork is run."""
+    monkeypatch.setattr(fpvm, "MAX_STEPS", 30)
     code, out, err = run_cli(capsys, "dispute", "--synthetic-n", "40",
                              "--fault-step", str(fault_step))
     assert (code, out, err) == (2, "", "error: no HALT within 30 steps\n")
@@ -476,6 +480,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["dispute", "--synthetic-n", "40", "--wrong-round", "2"],
     ["dispute", "--synthetic-n", "40", "--strategy", "wrong-midpoint", "--wrong-round", "-5"],
     ["dispute", "--synthetic-n", "40", "--strategy", "silent", "--silent-after", "-1"],
+    ["dispute", "--synthetic-n", "8388608", "--strategy", "fault"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",
@@ -484,7 +489,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
         "config-misspelt-strategy", "fault-node-and-fault-step", "synthetic-fault-node",
         "synthetic-fault-element", "synthetic-with-model", "two-phase-with-synthetic-n",
         "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint",
-        "wrong-round-below-1", "silent-after-negative"])
+        "wrong-round-below-1", "silent-after-negative", "synthetic-n-past-the-program-region"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
     config.write_text("synthetic.n = 8\nchallenge_period = 100\n")  # an unknown key

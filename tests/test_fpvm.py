@@ -172,10 +172,11 @@ def test_empty_program_is_one_step():
     assert final.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL) == SCHEME.zero_hashes[fpvm.OUTPUT_LEVEL]
 
 
-def test_budget_exceeded_carries_state():
+def test_budget_exceeded_carries_state(monkeypatch):
     st = boot(encode("BEQ", rs=0, rt=0, imm=-1))  # tight infinite loop
+    monkeypatch.setattr(fpvm, "MAX_STEPS", 10)
     with pytest.raises(fpvm.BudgetExceededError) as exc:
-        run(st, max_steps=10)
+        run(st)
     assert exc.value.steps == 10
     assert not exc.value.state.exited
 
@@ -232,7 +233,7 @@ def test_run_trace_matches_folding_step():
     call; a leaf the run view failed to write through would show as a root
     mismatch at the step that stores it."""
     program = _random_program(random.Random(20), 1200)
-    trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
+    trace = run_trace(load_program(program, scheme=SCHEME))
     assert len(trace) == 1200
     state = trace.state_at(0)
     for k in range(len(trace) + 3):
@@ -272,7 +273,7 @@ def _state_hashes(calls: list[bytes]) -> int:
 
 def test_trace_roots_are_hashed_on_demand():
     scheme, calls = _counting_scheme()
-    trace = run_trace(load_program(_random_program(random.Random(25), 50), scheme=scheme), max_steps=1000)
+    trace = run_trace(load_program(_random_program(random.Random(25), 50), scheme=scheme))
     assert _state_hashes(calls) == 0  # run_trace itself hashes no state root
     for i in range(len(trace) + 1):
         assert trace.root_at(i) == state_root(trace.state_at(i))
@@ -293,7 +294,7 @@ def test_run_trace_hashes_nothing(monkeypatch):
     monkeypatch.setattr(merkle.MemTree, "update_leaf",
                         lambda tree, index, leaf: written.add(index) or real_update(tree, index, leaf))
     calls.clear()
-    trace = run_trace(state, max_steps=1000)
+    trace = run_trace(state)
     assert calls == [] and len(trace) == 600
     assert len(written) > 20  # store-heavy: the program writes many distinct leaves
 
@@ -355,7 +356,7 @@ def test_verify_step_fuzz_against_vm():
     checked = 0
     for _ in range(12):
         program = _random_program(rng, rng.randrange(6, 60))
-        trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
+        trace = run_trace(load_program(program, scheme=SCHEME))
         for k in rng.sample(range(len(trace)), min(8, len(trace))):
             pre = trace.state_at(k)
             w = gen_step_witness(pre)
@@ -389,7 +390,7 @@ def test_verify_step_rejects_wrong_claims():
 def test_verify_step_mutation_sample():
     rng = random.Random(23)
     program = _random_program(rng, 50)
-    trace = run_trace(load_program(program, scheme=SCHEME), max_steps=2000)
+    trace = run_trace(load_program(program, scheme=SCHEME))
     k = len(trace) // 2
     w = gen_step_witness(trace.state_at(k))
     blob = w.to_bytes()
@@ -696,7 +697,7 @@ def test_fault_injection_diverges_persistently():
     rng = random.Random(24)
     program = _random_program(rng, 60)
     st = load_program(program, scheme=SCHEME)
-    honest = run_trace(st, max_steps=2000)
+    honest = run_trace(st)
     fault = StepFault(step=20, leaf_index=(HEAP_BASE + 0x100000) // 32, bit=5)
     corrupt = honest.fork(fault)
     assert [honest.root_at(i) for i in range(20)] == [corrupt.root_at(i) for i in range(20)]
@@ -737,21 +738,25 @@ def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
             assert forked is honest
 
 
-def test_fork_is_held_to_fork_max_steps_in_total(monkeypatch):
+def test_fork_is_held_to_the_step_budget_in_total(monkeypatch):
     """The budget counts the shared prefix: a fork of an n-step trace halts
-    under a budget of n and runs out under n - 1, wherever the fault is."""
+    under a budget of n and runs out under n - 1, for every fault step
+    before the last one. A fault at step n leaves an exited state, which
+    takes no step."""
     honest = run_trace(load_program(_random_program(random.Random(27), 40), scheme=SCHEME))
     n = len(honest)
     scratch = (HEAP_BASE + 0x100000) // 32
-    for fault_step in (1, n // 2, n):
+    for fault_step in (1, n // 2, n - 1):
         fault = StepFault(step=fault_step, leaf_index=scratch, bit=3)
-        monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", n)
+        monkeypatch.setattr(fpvm, "MAX_STEPS", n)
         assert len(honest.fork(fault)) == n
-        monkeypatch.setattr(fpvm, "FORK_MAX_STEPS", n - 1)
+        monkeypatch.setattr(fpvm, "MAX_STEPS", n - 1)
         with pytest.raises(fpvm.BudgetExceededError) as exc:
             honest.fork(fault)
         assert exc.value.steps == n - 1
         assert exc.value.state.step_count == n - 1
+    forked = honest.fork(StepFault(step=n, leaf_index=scratch, bit=3))
+    assert len(forked) == n and forked.states[-1].exited
 
 
 def _folded(state) -> list:
@@ -768,7 +773,7 @@ def test_checkpointed_trace_answers_every_index_like_folding_step():
     blocks serve, every state and root equals folding `step`."""
     state0 = load_program(_random_program(random.Random(28), 1500), scheme=SCHEME)
     folded = _folded(state0)
-    trace = run_trace(state0, max_steps=2000)
+    trace = run_trace(state0)
     assert len(trace) == len(folded) - 1 == 1500
     assert len(trace.states) <= len(trace) // fpvm.SNAPSHOT_EVERY + 2
     assert list(trace.pcs) == [s.pc for s in folded[:-1]]
@@ -781,24 +786,17 @@ def test_checkpointed_trace_answers_every_index_like_folding_step():
         assert trace.root_at(i) == state_root(want)
 
 
-@pytest.mark.parametrize("max_steps", [1, fpvm.SNAPSHOT_EVERY, 2 * fpvm.SNAPSHOT_EVERY + 5])
-def test_budget_running_out_mid_block_reports_the_state_reached(max_steps):
+@pytest.mark.parametrize("budget", [1, fpvm.SNAPSHOT_EVERY, 2 * fpvm.SNAPSHOT_EVERY + 5])
+def test_budget_running_out_mid_block_reports_the_state_reached(monkeypatch, budget):
     state0 = load_program(_random_program(random.Random(30), 200), scheme=SCHEME)
-    want = _folded(state0)[max_steps]
+    want = _folded(state0)[budget]
+    monkeypatch.setattr(fpvm, "MAX_STEPS", budget)
     for runner in (run, run_trace):
         with pytest.raises(fpvm.BudgetExceededError) as exc:
-            runner(state0, max_steps=max_steps)
-        assert exc.value.steps == max_steps
-        assert exc.value.state.step_count == max_steps
+            runner(state0)
+        assert exc.value.steps == budget
+        assert exc.value.state.step_count == budget
         assert state_root(exc.value.state) == state_root(want)
-
-
-@pytest.mark.parametrize("max_steps", [0, -3])
-def test_a_budget_below_one_is_rejected_by_run_and_run_trace(max_steps):
-    state0 = load_program(_random_program(random.Random(30), 20), scheme=SCHEME)
-    for runner in (run, run_trace):
-        with pytest.raises(ValueError, match="max_steps must be positive"):
-            runner(state0, max_steps=max_steps)
 
 
 def test_load_program_golden_root():

@@ -128,8 +128,7 @@ def _argv(base: list[str], required: dict, optional: dict):
 
 
 _ARGV = hst.one_of(
-    _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {},
-          {"--max-steps": _small(10_000_000)}),
+    _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {}, {}),
     _argv(["security"],
           {"--p": _FLOAT, "--m": _small(100_000) | hst.tuples(_small(100), _small(100)).map(
               lambda r: f"{r[0]}:{r[1]}")},

@@ -29,7 +29,7 @@ def run_node(node, operands):
     for blob in lowered.preimages.values():
         oracle.put(blob)
     state = lowering.node_initial_state(lowered, SCHEME)
-    final, steps = fpvm.run(state, oracle, 1_000_000)
+    final, steps = fpvm.run(state, oracle)
     return lowered, final, steps
 
 
@@ -72,7 +72,7 @@ def test_missing_preimage_fails_closed():
     oracle = fpvm.PreimageOracle(SCHEME)  # deliberately empty
     state = lowering.node_initial_state(lowered, SCHEME)
     with pytest.raises(fpvm.MissingPreimageError):
-        fpvm.run(state, oracle, 1_000_000)
+        fpvm.run(state, oracle)
 
 
 def test_unsupported_op_rejected():
@@ -114,7 +114,7 @@ def test_lower_graph_single_phase_program():
     x = rand_tensor(random.Random(47), (1, 3))
     lowered = lowering.lower_graph(graph)
     state = lowered.initial_state(x, SCHEME)
-    final, n_steps = fpvm.run(state, None, 2_000_000)
+    final, n_steps = fpvm.run(state, None)
     native, _ = ml.execute_native(graph, x)
     assert lowering.read_output_tensor(final) == native
     assert final.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL) == ml.tensor_region_root(native, SCHEME)
@@ -142,7 +142,7 @@ def test_matmul_trace_witness_sizes():
     oracle = fpvm.PreimageOracle(SCHEME)
     for blob in lowered.preimages.values():
         oracle.put(blob)
-    trace = fpvm.run_trace(lowering.node_initial_state(lowered, SCHEME), oracle, 1_000_000)
+    trace = fpvm.run_trace(lowering.node_initial_state(lowered, SCHEME), oracle)
     max_size = 0
     for k in range(len(trace)):
         w = fpvm.gen_step_witness(trace.state_at(k), oracle)
@@ -163,7 +163,7 @@ def reference_store_step(trace: fpvm.Trace, addr: int) -> int:
             continue
         word = int.from_bytes(fpvm.read_bytes(pre.memory, pre.pc, 4), "little")
         rs, imm = (word >> 16) & 0xF, fpvm.sext12(word)
-        if word >> 24 == fpvm.OPCODES["SW"] and fpvm.wrap32(pre.regs[rs] + imm) == addr:
+        if word >> 24 == fpvm.OPCODES["SW"] and (pre.regs[rs] + imm) & fpvm.MASK32 == addr:
             return s
     raise AssertionError(f"no store writes {addr:#x}")
 
@@ -172,7 +172,7 @@ def test_store_map_names_the_step_that_stores_each_element():
     checked = 0
     for _, graph, x in fixture_models():
         lowered = lowering.lower_graph(graph)
-        trace = fpvm.run_trace(lowered.initial_state(x, SCHEME), None, 2_000_000)
+        trace = fpvm.run_trace(lowered.initial_state(x, SCHEME))
         run = ml.run_graph(graph, x, scheme=SCHEME)
         for node in graph.nodes:
             if node.op in ("input", "const"):

@@ -144,7 +144,7 @@ def exit_fixture(node_id=2, seed=65):
     x = rand_tensor(random.Random(seed + 1), (1, 3))
     run = ml.run_graph(graph, x, scheme=SCHEME)
     m0, oracle, bundle, lowered = build_entrance_state(run, node_id, SCHEME)
-    final, _ = fpvm.run(m0, oracle, 2_000_000)
+    final, _ = fpvm.run(m0, oracle)
     return graph, run, final, build_exit_bundle(run, node_id, final)
 
 
@@ -238,7 +238,7 @@ def test_single_and_two_phase_agree_on_every_fault():
     x = rand_tensor(random.Random(72), (1, 3))
     lowered = lowering.lower_graph(graph)
     state0 = lowered.initial_state(x, SCHEME)
-    honest_trace = fpvm.run_trace(state0, None, 2_000_000)
+    honest_trace = fpvm.run_trace(state0, None)
     shapes = graph.infer_shapes()
 
     for trial in range(6):
@@ -319,10 +319,10 @@ def test_size_complexity_relation():
             if node.op in ("input", "const"):
                 continue
             m0, oracle, _, _ = build_entrance_state(run, node.id, SCHEME)
-            _, steps = fpvm.run(m0, oracle, 2_000_000)
+            _, steps = fpvm.run(m0, oracle)
             per_node_steps.append(steps)
         lowered = lowering.lower_graph(graph)
-        _, single_steps = fpvm.run(lowered.initial_state(x, SCHEME), None, 2_000_000)
+        _, single_steps = fpvm.run(lowered.initial_state(x, SCHEME), None)
         total_two_phase = sum(per_node_steps)
         ratio = single_steps / total_two_phase
         assert 0.5 <= ratio <= 2.0, (name, single_steps, total_two_phase)
