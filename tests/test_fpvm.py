@@ -1,6 +1,7 @@
 """MiniVM semantics, determinism, witnesses and the one-step verifier."""
 
 import hashlib
+import inspect
 import random
 import struct
 from dataclasses import replace
@@ -179,6 +180,19 @@ def test_budget_exceeded_carries_state(monkeypatch):
         run(st)
     assert exc.value.steps == 10
     assert not exc.value.state.exited
+
+
+def test_run_and_run_trace_take_no_budget(monkeypatch):
+    """The budget is `fpvm.MAX_STEPS`, read on each call, not a parameter."""
+    for runner in (fpvm.run, fpvm.run_trace):
+        assert list(inspect.signature(runner).parameters) == ["state", "oracle"]
+    st = boot(encode("BEQ", rs=0, rt=0, imm=-1))
+    for budget in (3, 7):
+        monkeypatch.setattr(fpvm, "MAX_STEPS", budget)
+        for runner in (run, run_trace):
+            with pytest.raises(fpvm.BudgetExceededError) as exc:
+                runner(st)
+            assert exc.value.steps == budget
 
 
 def test_preimage_loads_chunks():

@@ -42,6 +42,20 @@ def test_relu_node_small_program_and_equality():
     assert lowering.read_output_tensor(final) == native
 
 
+def test_run_lowered_node_is_held_to_the_step_budget(monkeypatch):
+    x = ml.quantize([1.5, -2.0, 0.0, 3.25])
+    lowered, _, steps = run_node(ml.GraphNode(1, "relu", (0,)), [x])
+    oracle = fpvm.PreimageOracle(SCHEME)
+    for blob in lowered.preimages.values():
+        oracle.put(blob)
+    monkeypatch.setattr(fpvm, "MAX_STEPS", steps)
+    assert lowering.run_lowered_node(lowered, oracle) == ml.relu_fx(x)
+    monkeypatch.setattr(fpvm, "MAX_STEPS", steps - 1)
+    with pytest.raises(fpvm.BudgetExceededError) as exc:
+        lowering.run_lowered_node(lowered, oracle)
+    assert exc.value.steps == exc.value.state.step_count == steps - 1
+
+
 def test_matmul_node_output_region_bytes():
     rng = random.Random(40)
     a = rand_tensor(rng, (2, 2))

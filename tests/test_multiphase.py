@@ -203,6 +203,20 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
     assert result.phase1_rounds <= interaction_count_bound(len(graph.nodes), 1, 1)
 
 
+def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
+    graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(67), (1, 3))
+    sub = make_party("alice", graph, x, scheme=SCHEME)
+    chal = make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 1, 4), scheme=SCHEME)
+    m0, oracle, _, _ = build_entrance_state(sub.run, 2, SCHEME)
+    n = len(fpvm.run_trace(m0, oracle))
+    monkeypatch.setattr(fpvm, "MAX_STEPS", n - 1)
+    with pytest.raises(fpvm.BudgetExceededError) as exc:
+        run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), fresh_chain("alice", "bob"),
+                              scheme=SCHEME)
+    assert exc.value.steps == exc.value.state.step_count == n - 1
+
+
 @pytest.mark.parametrize("unstaked", ["alice", "bob"])
 def test_two_phase_game_refuses_an_unstaked_party(unstaked):
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
