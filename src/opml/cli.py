@@ -13,9 +13,14 @@ through named streams derived from that one seed. Exit codes: 0 success,
 dispute option the game does not use, or a VM run that reaches
 fpvm.MAX_STEPS without HALT, a guard that no program opml builds can
 reach), 3 I/O or parse failure (including a model whose shapes do not
-fit together or its input, checked on load, and an output path that cannot
-be written), 4 internal invariant violation (a dual-path mismatch is a bug,
-never a user error).
+fit together or its input, checked on load, a model whose program would
+not fit the program region, checked before it is built, and an output path
+that cannot be written), 4 internal invariant violation (a dual-path
+mismatch, or a dispute move outside the protocol, which the game's own
+actors never make, is a bug, never a user error).
+
+`opml dispute` plays its game on a fresh chain simulation and writes, to
+--transcript, the scenario record followed by the chain's transcript.
 
 The hash scheme is read from the OPML_HASH environment variable (default
 sha256) on each invocation and passed to the command; an unknown name exits
@@ -168,14 +173,13 @@ def read_config(path: str) -> dict[str, object]:
 
 def cmd_run(args, scheme: hashing.HashScheme) -> int:
     graph, input_tensor = _load_model_and_input(args.model, args.input)
+    try:
+        state0 = lowering.lower_graph(graph).initial_state(input_tensor, scheme)
+    except merkle.RangeError as exc:
+        raise IoError(f"{args.model}: {exc}") from exc
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
     native = native_run.output
-    lowered = lowering.lower_graph(graph)
-    try:
-        state0 = lowered.initial_state(input_tensor, scheme)
-    except merkle.RangeError as exc:
-        raise IoError(f"{args.model}: {exc}") from exc
     trace = fpvm.run_trace(state0)
     vm_out = lowering.read_output_tensor(trace.states[-1])
     if vm_out != native:
@@ -280,9 +284,8 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
     )
 
 
-def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
+def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
     streams = rng.stream(scenario["seed"], "fault")
-    chain = _fresh_chain()
     step, fault = scenario["fault.step"], None
     if scenario["game"] == SYNTHETIC:
         n = scenario["synthetic.n"]
@@ -317,7 +320,6 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     result = dispute.run_dispute(
         claim, submitter, challenger, k=scenario["k"], chain=chain, m=scenario["m"],
     )
-    transcript_records.extend(result.transcript)
 
     if scenario["witness.out"]:
         step_no = result.pinned_step or 1
@@ -329,12 +331,11 @@ def _run_single(scenario, scheme, transcript_records) -> dispute.DisputeResult:
     return result
 
 
-def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseResult:
+def _run_two_phase(scenario, scheme, chain) -> multiphase.TwoPhaseResult:
     graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
     streams = rng.stream(scenario["seed"], "fault")
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
-    chain = _fresh_chain()
     faulty_submitter = scenario["faulty"] == "submitter"
     submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,
                                       **(adversary if faulty_submitter else {}))
@@ -342,30 +343,21 @@ def _run_two_phase(scenario, scheme, transcript_records) -> multiphase.TwoPhaseR
                                        **({} if faulty_submitter else adversary))
     cfg = multiphase.PhaseConfig(k_phase1=scenario["k"], k_phase2=scenario["k"],
                                  m=scenario["m"])
-    result = multiphase.run_two_phase_dispute(
+    return multiphase.run_two_phase_dispute(
         graph, input_tensor, submitter, challenger, cfg, chain, scheme=scheme,
     )
-    transcript_records.extend(result.transcript)
-    return result
 
 
 def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
     scenario = _scenario_from_args(args)
-    records: list[dict] = [{
-        "event": "scenario",
-        "hash": scheme.name,
-        "seed": scenario["seed"],
-        "protocol": scenario["protocol"],
-        "k": scenario["k"],
-        "m": scenario["m"],
-    }]
+    chain = _fresh_chain()
     try:
         if scenario["game"] == TWO_PHASE:
-            result = _run_two_phase(scenario, scheme, records)
+            result = _run_two_phase(scenario, scheme, chain)
         else:
-            result = _run_single(scenario, scheme, records)
+            result = _run_single(scenario, scheme, chain)
     except merkle.RangeError as exc:  # a program or image too large for its region
-        raise IoError(str(exc)) from exc
+        raise IoError(f"{scenario['model']}: {exc}" if scenario["model"] else str(exc)) from exc
     if scenario["game"] != TWO_PHASE:
         pinned_node = "-"
         rounds = result.rounds
@@ -374,8 +366,10 @@ def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
         rounds = result.phase1_rounds + result.phase2_rounds
     pinned_step = result.pinned_step if result.pinned_step is not None else "-"
     if scenario["transcript"]:
+        header = {"event": "scenario", "hash": scheme.name, "seed": scenario["seed"],
+                  "protocol": scenario["protocol"], "k": scenario["k"], "m": scenario["m"]}
         with open(scenario["transcript"], "w") as fh:
-            for record in records:
+            for record in [header, *chain.transcript]:
                 fh.write(json.dumps(record) + "\n")
     print(f"winner={result.winner} rounds={rounds} "
           f"pinned_node={pinned_node} pinned_step={pinned_step}")

@@ -34,7 +34,8 @@ REWARD_BPS = 5000
 
 
 class ProtocolViolation(ValueError):
-    """A move outside the protocol; the violator forfeits."""
+    """A move or chain operation outside the protocol. No game catches it:
+    the game's own actors never make one, so it is a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +44,9 @@ class ProtocolViolation(ValueError):
 
 
 class ChainSim:
-    """Toy ledger: balances, locked stakes, burn counter, clock and the open
-    disputes; the only record of what each party has staked.
+    """Toy ledger: balances, locked stakes, burn counter, clock, the open
+    disputes and the transcript; the only record of what each party has
+    staked and of every move and verdict a game logged on it.
 
     Every operation conserves total value exactly (integers only):
     sum(balances) + sum(stakes) + burned is constant.
@@ -57,6 +59,7 @@ class ChainSim:
         self.burned = 0
         self.challenge_period = challenge_period
         self.open_disputes: set[int] = set()
+        self.transcript: list[dict] = []
 
     def total(self) -> int:
         return sum(self.balances.values()) + sum(self.stakes.values()) + self.burned
@@ -137,17 +140,15 @@ def settle_challenge_period(chain: ChainSim, claim: Claim, elapsed: int) -> str:
 
 
 def checkpoints(i: int, j: int, k: int) -> list[int]:
-    """Interior checkpoint indices splitting span (i, i+j) into k+1 segments.
-
-    k=1 is the classic midpoint i + floor(j/2); k>1 places points at
-    i + ceil(j*t/(k+1)), deduplicated and kept strictly interior.
+    """Interior checkpoint indices splitting span (i, i+j) into k+1 segments:
+    i + ceil(j*t/(k+1)) for t in 1..k, deduplicated and kept strictly
+    interior. For k=1 on the even spans a padded game splits, that is the
+    midpoint i + j/2.
     """
     if j < 2:
         raise ValueError("span must cover at least 2 steps to split")
     if k < 1:
         raise ValueError("need at least one checkpoint")
-    if k == 1:
-        return [i + j // 2]
     pts = sorted({i + -(-j * t // (k + 1)) for t in range(1, k + 1)})
     return [p for p in pts if i < p < i + j]
 
@@ -178,9 +179,14 @@ def padded_length(n_steps: int, k: int, m: int = 1) -> int:
 
 @dataclass
 class DisputeSession:
+    """What the contract holds of a game: the disputed span (i, i+j), the
+    agreed root at i and the challenger's root at i+j."""
+
     i: int
     j: int
     k_checkpoints: int
+    agreed_root: bytes
+    challenger_end_claim: bytes
     round: int = 0
 
     @property
@@ -198,7 +204,8 @@ def bisection_round(
     `challenger_claims` are (index, root) posts at this round's checkpoints;
     `submitter_response` is the 1-based first segment whose endpoint the
     submitter disputes (len(claims)+1 means "all checkpoints agreed", i.e.
-    the standing disagreement at the span end).
+    the standing disagreement at the span end). The chosen segment's ends
+    become the new span and its roots the new agreed and challenger roots.
     """
     if session.finished:
         raise ProtocolViolation("game already finished")
@@ -209,11 +216,11 @@ def bisection_round(
     if not 1 <= submitter_response <= n_segments:
         raise ProtocolViolation(f"segment choice {submitter_response} out of range")
     bounds = [session.i] + expected + [session.i + session.j]
-    new_i = bounds[submitter_response - 1]
-    new_j = bounds[submitter_response] - new_i
-    if new_j >= session.j:
-        raise ProtocolViolation("span did not shrink")
-    return DisputeSession(new_i, new_j, session.k_checkpoints, session.round + 1)
+    roots = ([session.agreed_root] + [root for _, root in challenger_claims]
+             + [session.challenger_end_claim])
+    r = submitter_response
+    return DisputeSession(bounds[r - 1], bounds[r] - bounds[r - 1], session.k_checkpoints,
+                          roots[r - 1], roots[r], session.round + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +353,8 @@ class BisectionActor:
 
 
 class VmTraceActor(BisectionActor):
-    """A dispute party backed by a (possibly corrupted) VM execution trace."""
-
-    def __init__(
-        self,
-        party_id: str,
-        trace: fpvm.Trace,
-        strategy: ActorStrategy,
-        scheme: HashScheme,
-    ):
-        super().__init__(party_id, trace, strategy, scheme)
-        self.trace = trace
+    """A dispute party whose `roots` is a (possibly corrupted) VM execution
+    trace, an `fpvm.Trace`."""
 
     def witnesses(
         self,
@@ -371,7 +369,7 @@ class VmTraceActor(BisectionActor):
             return None
         out = []
         for index in range(start_index, start_index + count):
-            state = self.trace.state_at(index)
+            state = self.roots.state_at(index)
             out.append(fpvm.gen_step_witness(state, oracle))
             if state.exited:
                 break
@@ -384,7 +382,6 @@ class DisputeResult:
     rounds: int
     pinned_step: int | None
     reason: str
-    transcript: list[dict]
 
 
 @dataclass
@@ -392,8 +389,6 @@ class BisectionOutcome:
     """Where the challenge-response rounds landed."""
 
     session: DisputeSession
-    agreed_root: bytes
-    challenger_end_claim: bytes
     forfeit_winner: str | None
     reason: str
 
@@ -402,53 +397,42 @@ def drive_rounds(
     session: DisputeSession,
     submitter: BisectionActor,
     challenger: BisectionActor,
-    agreed_root: bytes,
-    challenger_end_claim: bytes,
     stop_span: int,
     chain: ChainSim,
-    transcript: list[dict],
     phase: int,
 ) -> BisectionOutcome:
-    """Run k-section rounds until the span is at most stop_span wide."""
-    k = session.k_checkpoints
+    """Run k-section rounds until the span is at most stop_span wide, logging
+    each move to the chain's transcript.
+
+    A missed move forfeits the game. A move outside the protocol can only
+    come from a bug in an actor, so `bisection_round`'s ProtocolViolation
+    propagates.
+    """
     while session.j > stop_span:
         round_no = session.round + 1
-        indices = checkpoints(session.i, session.j, k)
+        indices = checkpoints(session.i, session.j, session.k_checkpoints)
         posts = challenger.post_checkpoints(round_no, indices)
         if posts is None:
             chain.tick(DEADLINE_PER_MOVE + 1)
-            return BisectionOutcome(session, agreed_root, challenger_end_claim,
-                                    SUBMITTER, "challenger timeout")
-        if len(posts) != len(indices):
-            return BisectionOutcome(session, agreed_root, challenger_end_claim,
-                                    SUBMITTER, "challenger protocol violation: wrong post count")
+            return BisectionOutcome(session, SUBMITTER, "challenger timeout")
         chain.tick(1)
-        transcript.append({
+        claims = list(zip(indices, posts))
+        chain.transcript.append({
             "phase": phase, "round": round_no, "mover": CHALLENGER,
             "i": session.i, "j": session.j,
-            "posted": [(idx, root.hex()) for idx, root in zip(indices, posts)],
+            "posted": [(idx, root.hex()) for idx, root in claims],
         })
-        claims = list(zip(indices, posts))
         response = submitter.choose_segment(round_no, claims)
         if response is None:
             chain.tick(DEADLINE_PER_MOVE + 1)
-            return BisectionOutcome(session, agreed_root, challenger_end_claim,
-                                    CHALLENGER, "submitter timeout")
+            return BisectionOutcome(session, CHALLENGER, "submitter timeout")
         chain.tick(1)
-        transcript.append({
+        chain.transcript.append({
             "phase": phase, "round": round_no, "mover": SUBMITTER, "decision": response,
             "i": session.i, "j": session.j,
         })
-        try:
-            session = bisection_round(session, claims, response)
-        except ProtocolViolation as exc:
-            return BisectionOutcome(session, agreed_root, challenger_end_claim,
-                                    CHALLENGER, f"submitter protocol violation: {exc}")
-        if response >= 2:
-            agreed_root = posts[response - 2]
-        if response <= len(posts):
-            challenger_end_claim = posts[response - 1]
-    return BisectionOutcome(session, agreed_root, challenger_end_claim, None, "")
+        session = bisection_round(session, claims, response)
+    return BisectionOutcome(session, None, "")
 
 
 def open_game(
@@ -458,28 +442,25 @@ def open_game(
     k: int,
     stop_span: int,
     chain: ChainSim,
-    transcript: list[dict],
     phase: int,
 ) -> BisectionOutcome:
     """Open a dispute on `claim` and play its k-section rounds down to
     stop_span steps, the claim's padding unit.
 
-    Both parties must hold stakes. A challenger whose own root at the span
-    end is the claimed final root has no counterclaim and forfeits.
+    Both parties must hold stakes. The session starts from the claim's
+    initial root and the challenger's counterclaim at the padded span end;
+    a challenger whose counterclaim is the claimed final root has none and
+    forfeits.
     """
     for party in (submitter.party_id, challenger.party_id):
         if chain.stakes.get(party, 0) <= 0:
             raise ProtocolViolation(f"{party} is not staked")
     chain.open_dispute(claim.claim_id)
-    session = DisputeSession(0, padded_length(claim.trace_len, k, stop_span), k)
-    # The challenger-side claim at the disputed span end; starts at their
-    # counterclaim to the posted final root and follows the narrowing.
-    challenger_end_claim = challenger.claimed_root(session.j)
-    if challenger_end_claim == claim.final_root:
-        return BisectionOutcome(session, claim.initial_root, challenger_end_claim,
-                                SUBMITTER, "challenger has no counterclaim")
-    return drive_rounds(session, submitter, challenger, claim.initial_root,
-                        challenger_end_claim, stop_span, chain, transcript, phase)
+    j = padded_length(claim.trace_len, k, stop_span)
+    session = DisputeSession(0, j, k, claim.initial_root, challenger.claimed_root(j))
+    if session.challenger_end_claim == claim.final_root:
+        return BisectionOutcome(session, SUBMITTER, "challenger has no counterclaim")
+    return drive_rounds(session, submitter, challenger, stop_span, chain, phase)
 
 
 def run_dispute(
@@ -502,14 +483,13 @@ def run_dispute(
     under the submitter's hash scheme. Rounds are logged as phase 2, the VM
     phase, in a single-phase game too.
     """
-    transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
-        settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
-                       rounds, pinned, slash=settle)
-        return DisputeResult(winner, rounds, pinned, reason, transcript)
+        settle_verdict(winner, reason, chain, claim, submitter, challenger, rounds, pinned,
+                       slash=settle)
+        return DisputeResult(winner, rounds, pinned, reason)
 
-    outcome = open_game(claim, submitter, challenger, k, m, chain, transcript, phase=2)
+    outcome = open_game(claim, submitter, challenger, k, m, chain, phase=2)
     session = outcome.session
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, session.round)
@@ -524,28 +504,28 @@ def run_dispute(
     if submitter._silent(arb_round):
         return verdict(CHALLENGER, "submitter missed arbitration", session.round, pinned)
     submitter_end = submitter.claimed_root(session.i + session.j)
-    if submitter_end == outcome.challenger_end_claim:
+    if submitter_end == session.challenger_end_claim:
         # Posting the value one just disputed concedes the span.
         return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
     winner, why = arbitrate_span(
-        outcome.agreed_root, submitter_end, witnesses, preimages=oracle,
+        session.agreed_root, submitter_end, witnesses, preimages=oracle,
         scheme=submitter.scheme, span=session.j,
     )
     return verdict(winner, why, session.round, pinned)
 
 
-def settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
-                   rounds, pinned_step, pinned_node=None, slash=True) -> None:
+def settle_verdict(winner, reason, chain, claim, submitter, challenger, rounds, pinned_step,
+                   pinned_node=None, slash=True) -> None:
     """Close a game, single- or two-phase: unless it is an inner phase
     (slash=False), slash the loser's stake to the winner and close the
-    dispute; then log the verdict record."""
+    dispute; then log the verdict record to the chain's transcript."""
     if slash:
         winner_id = submitter.party_id if winner == SUBMITTER else challenger.party_id
         loser_id = challenger.party_id if winner == SUBMITTER else submitter.party_id
         chain.slash(loser_id, winner_id)
         chain.release(winner_id)
         chain.close_dispute(claim.claim_id)
-    transcript.append({
+    chain.transcript.append({
         "event": "verdict", "winner": winner, "reason": reason,
         "pinned_node": pinned_node, "pinned_step": pinned_step, "rounds": rounds,
     })

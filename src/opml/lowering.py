@@ -28,7 +28,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from . import fpvm, ml
+from . import fpvm, merkle, ml
 from .fpvm import INPUT_BASE, MODEL_BASE, HEAP_BASE, ORACLE_KEY_BASE, ORACLE_VALUE_BASE, OUTPUT_BASE, encode
 from .hashing import HashScheme
 
@@ -139,9 +139,22 @@ def _payload_offset(rank: int) -> int:
     return 4 + 4 * rank
 
 
+def kernel_words(op: str, operand_shapes) -> int:
+    """Words `_emit_kernel` emits for `op` on operands of these shapes."""
+    count = math.prod(operand_shapes[0])
+    if op == "matmul":
+        (r, n), (_, p) = operand_shapes
+        return r * p * (11 * n + 7)
+    return {"bias_add": 10 * count, "relu": 9 * count, "argmax": 8 * count - 1}.get(op, 0)
+
+
 def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tuple[int, int]]:
     """Emit one node's kernel; returns (pc of the SW, address) of each
-    output element's store, in element order."""
+    output element's store, in element order. Raises merkle.RangeError
+    before emitting anything when the program would outgrow its region."""
+    limit = 8 << fpvm.PROGRAM_LEVEL
+    if len(words) + kernel_words(op, operand_shapes) > limit:
+        raise merkle.RangeError(f"program exceeds the {limit}-word program region")
     stores: list[tuple[int, int]] = []
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
@@ -182,8 +195,6 @@ class LoweredNode:
         return b"".join(self.operand_keys)
 
     def program_root(self, scheme: HashScheme) -> bytes:
-        from . import merkle
-
         return merkle.region_root(self.program, fpvm.PROGRAM_LEVEL, scheme)
 
 

@@ -43,7 +43,9 @@ class _Node:
     """Internal node; children are _Node, bytes (a leaf value) or None (zero).
 
     `digest` is None until `_child_digest` first needs it and then memoised:
-    a node's children never change, so a stored digest never goes stale."""
+    a node's children never change, so a stored digest never goes stale.
+    An anchor of `root_from_regions` is a _Node with only a preset digest,
+    at any level, the leaf level included."""
 
     __slots__ = ("digest", "left", "right")
 
@@ -57,7 +59,7 @@ def _child_digest(child, level: int, scheme: HashScheme) -> bytes:
     if child is None:
         return scheme.zero_hashes[level]
     if level == 0:
-        return scheme.leaf_hash(child)
+        return child.digest if child.__class__ is _Node else scheme.leaf_hash(child)
     if child.digest is None:
         child.digest = scheme.node_hash(_child_digest(child.left, level - 1, scheme),
                                         _child_digest(child.right, level - 1, scheme))
@@ -249,31 +251,15 @@ def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
 def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:
     """Full-tree root given (leaf_index, level, digest) subtree anchors, rest zero.
 
-    The anchors must be disjoint and aligned. This is the reconstruction the
-    arbitration side runs when it rebuilds an initial VM memory root from the
-    public program/model digests plus the disputed operand field.
+    Each anchor is spliced into an empty tree as a node whose only content
+    is its digest, so the tree hashes over it but cannot read through it.
+    This is the reconstruction the arbitration side runs when it rebuilds an
+    initial VM memory root from the public program/model digests plus the
+    disputed operand field.
     """
-    pending: dict[tuple[int, int], bytes] = {}
+    tree = MemTree(scheme)
     for leaf_index, level, digest in regions:
-        MemTree._check_aligned(leaf_index, level)
-        key = (level, leaf_index >> level)
-        if key in pending:
-            raise ValueError(f"duplicate region anchor at level {level}")
-        pending[key] = digest
-    for level in range(TREE_DEPTH):
-        indices = sorted(idx for (lvl, idx) in pending if lvl == level)
-        for idx in indices:
-            key = (level, idx)
-            if key not in pending:
-                continue  # already merged with its pair
-            digest = pending.pop(key)
-            partner = pending.pop((level, idx ^ 1), None)
-            if partner is None:
-                partner = scheme.zero_hashes[level]
-            parent_key = (level + 1, idx >> 1)
-            if parent_key in pending:
-                raise ValueError("overlapping region anchors")
-            left, right = (digest, partner) if idx % 2 == 0 else (partner, digest)
-            pending[parent_key] = scheme.node_hash(left, right)
-    [(_, root)] = pending.items() or [((TREE_DEPTH, 0), scheme.zero_hashes[TREE_DEPTH])]
-    return root
+        anchor = _Node(None, None)
+        anchor.digest = digest
+        tree = tree.splice(leaf_index, level, anchor)
+    return tree.root()

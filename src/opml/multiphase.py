@@ -261,7 +261,6 @@ class TwoPhaseResult:
     pinned_node: int | None
     pinned_step: int | None
     reason: str
-    transcript: list[dict]
 
 
 def _phase2_trace(
@@ -295,23 +294,21 @@ def run_two_phase_dispute(
 ) -> TwoPhaseResult:
     """Full protocol: node-level k-section, then either a ruling from public
     data or entrance check, VM dispute, m-step arbitration and exit check;
-    then settlement."""
+    then settlement. Every move, check and verdict is logged to the chain's
+    transcript."""
     sub_actor = dispute.BisectionActor(submitter.party_id, submitter.run, submitter.strategy,
                                        scheme)
     chal_actor = dispute.BisectionActor(challenger.party_id, challenger.run, challenger.strategy,
                                         scheme)
     claim = Claim.posted_by(sub_actor, cfg.k_phase1, 1)
-    transcript: list[dict] = []
 
     def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
                 pinned_node: int | None = None, pinned_step: int | None = None) -> TwoPhaseResult:
-        dispute.settle_verdict(winner, reason, chain, claim, submitter, challenger, transcript,
+        dispute.settle_verdict(winner, reason, chain, claim, submitter, challenger,
                                p1_rounds + p2_rounds, pinned_step, pinned_node)
-        return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step,
-                              reason, transcript)
+        return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step, reason)
 
-    outcome = dispute.open_game(claim, sub_actor, chal_actor, cfg.k_phase1, 1, chain,
-                                transcript, phase=1)
+    outcome = dispute.open_game(claim, sub_actor, chal_actor, cfg.k_phase1, 1, chain, phase=1)
     phase1_rounds = outcome.session.round
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, phase1_rounds)
@@ -319,7 +316,7 @@ def run_two_phase_dispute(
     # The submitter opens its state before the pinned node: the agreed one.
     pinned_node = outcome.session.i
     s_prev = submitter.run.state_at(pinned_node)
-    if s_prev.commitment != outcome.agreed_root:
+    if s_prev.commitment != outcome.session.agreed_root:
         return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
                        0, pinned_node)
     public = public_next_root(graph, input_tensor, s_prev, pinned_node, scheme)
@@ -331,7 +328,8 @@ def run_two_phase_dispute(
     # Entrance: the submitter supplies the descent evidence.
     m0, oracle, bundle, lowered = build_entrance_state(submitter.run, pinned_node, scheme)
     ok, why = entrance_check(bundle, graph, scheme)
-    transcript.append({"phase": "transition", "check": "entrance", "accepted": ok, "reason": why})
+    chain.transcript.append({"phase": "transition", "check": "entrance", "accepted": ok,
+                             "reason": why})
     if not ok:
         return verdict(CHALLENGER, f"entrance check failed: {why}", phase1_rounds, 0,
                        pinned_node)
@@ -348,7 +346,6 @@ def run_two_phase_dispute(
         oracle=oracle, settle=False,
     )
     chain.close_dispute(inner_claim.claim_id)
-    transcript.extend(inner.transcript)
     winner, reason = inner.winner, inner.reason
 
     # Exit: the phase-2 winner reconciles its VM result with its phase-1 claim.
@@ -356,7 +353,8 @@ def run_two_phase_dispute(
     winner_trace = sub_trace if winner == SUBMITTER else chal_trace
     exit_bundle = build_exit_bundle(winner_party.run, pinned_node, winner_trace.states[-1])
     ok, why = exit_check(exit_bundle, graph, scheme)
-    transcript.append({"phase": "transition", "check": "exit", "accepted": ok, "reason": why})
+    chain.transcript.append({"phase": "transition", "check": "exit", "accepted": ok,
+                             "reason": why})
     if not ok:
         winner = CHALLENGER if winner == SUBMITTER else SUBMITTER
         reason = f"exit check failed for the phase-2 winner: {why}"

@@ -115,6 +115,49 @@ def test_program_too_large_for_its_region_exits_3(capsys, model_files, monkeypat
     assert err.startswith("error:") and "exceed" in err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["dispute", "--fault-step", "2"]],
+                         ids=["run", "single"])
+def test_oversized_program_exits_3_before_it_is_built(capsys, tmp_path, monkeypatch, argv):
+    """A (100, 100) input under one matmul with a (100, 100) const lowers to
+    about 11M words, past the 8M-word program region: the kernel's size is
+    known from the shapes, so no word of it and no native run happens."""
+    rng = random.Random(92)
+    graph = ml.CompGraph([ml.GraphNode(0, "input", shape=(100, 100)),
+                          ml.GraphNode(1, "const", params=rand_tensor(rng, (100, 100))),
+                          ml.GraphNode(2, "matmul", (0, 1))], 2)
+    model, inp = tmp_path / "big.opml", tmp_path / "big.tensor"
+    ml.save_model(graph, str(model))
+    inp.write_bytes(ml.serialize_tensor(rand_tensor(rng, (100, 100))))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the native engine ran")
+
+    monkeypatch.setattr(ml, "run_graph", fail)
+    monkeypatch.setattr(fpvm, "assemble", fail)
+    code, out, err = run_cli(capsys, *argv, "--model", str(model), "--input", str(inp))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {model}: ") and "exceeds" in err
+
+
+def test_run_exits_4_when_the_vm_output_diverges(capsys, model_files, monkeypatch):
+    model, inp, _, _ = model_files
+    monkeypatch.setattr(lowering, "read_output_tensor",
+                        lambda state: ml.FixedTensor((1,), (12345,)))
+    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and "diverged" in err
+
+
+@pytest.mark.parametrize("protocol", ["single", "two-phase"])
+@pytest.mark.parametrize("node, message", [("99", "fault node 99 out of range"),
+                                           ("0", "node 0 has no computation to corrupt")])
+def test_fault_node_without_a_computation_exits_2(capsys, protocol, node, message):
+    code, out, err = run_cli(capsys, "dispute", "--model", os.path.join(DATA, "mlp.opml"),
+                             "--input", os.path.join(DATA, "mlp-input.tensor"),
+                             "--protocol", protocol, "--fault-node", node)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _misfit_model_files(tmp_path, case):
     """A model and input that parse but do not fit: operand shapes that
     clash, an uncomputed output node, or an input of the wrong shape."""
@@ -301,6 +344,14 @@ def test_arbitration_witnesses_stop_at_halt(capsys, monkeypatch):
                            "--seed", "3", "--m", "20000")
     assert code == 0 and out.startswith("winner=challenger rounds=0 ")
     assert 0 < len(calls) <= 41
+
+
+def test_challenger_silent_at_arbitration_loses(capsys):
+    code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", "40", "--strategy", "silent",
+                           "--silent-after", "6", "--fault-step", "7", "--faulty", "challenger",
+                           "--seed", "5")
+    assert code == 0
+    assert out == "winner=submitter rounds=6 pinned_node=- pinned_step=7\n"
 
 
 def test_dispute_honest_scenario(capsys, model_files):

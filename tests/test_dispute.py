@@ -1,5 +1,6 @@
 """Bisection games: geometry, adversaries, arbitration, stakes."""
 
+import inspect
 import random
 
 import pytest
@@ -75,28 +76,83 @@ def test_padding_and_bound_consistency(n, k, m):
 
 
 def test_bisection_round_cases():
-    session = DisputeSession(i=0, j=8, k_checkpoints=1)
+    session = DisputeSession(i=0, j=8, k_checkpoints=1, agreed_root=b"\xaa" * 32,
+                             challenger_end_claim=b"\xbb" * 32)
     claims = [(4, b"\x01" * 32)]
     agreed = bisection_round(session, claims, 2)  # agrees with midpoint
     assert (agreed.i, agreed.j) == (4, 4)
     disagreed = bisection_round(session, claims, 1)
     assert (disagreed.i, disagreed.j) == (0, 4)
 
-    session = DisputeSession(i=0, j=9, k_checkpoints=2)
+    session = DisputeSession(i=0, j=9, k_checkpoints=2, agreed_root=b"\xaa" * 32,
+                             challenger_end_claim=b"\xbb" * 32)
     claims = [(3, b"\x01" * 32), (6, b"\x02" * 32)]
     third = bisection_round(session, claims, 3)
     assert (third.i, third.j) == (6, 3)
 
 
 def test_bisection_round_validations():
-    session = DisputeSession(i=0, j=8, k_checkpoints=1)
+    session = DisputeSession(i=0, j=8, k_checkpoints=1, agreed_root=b"\xaa" * 32,
+                             challenger_end_claim=b"\xbb" * 32)
     with pytest.raises(ProtocolViolation):
         bisection_round(session, [(3, b"\x00" * 32)], 1)  # wrong index
     with pytest.raises(ProtocolViolation):
         bisection_round(session, [(4, b"\x00" * 32)], 5)  # out of range
-    done = DisputeSession(i=3, j=1, k_checkpoints=1)
+    done = DisputeSession(i=3, j=1, k_checkpoints=1, agreed_root=b"\xaa" * 32,
+                          challenger_end_claim=b"\xbb" * 32)
     with pytest.raises(ProtocolViolation):
         bisection_round(done, [], 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bisection_round_moves_the_roots_with_the_chosen_segment(k):
+    """The chosen segment's end roots, out of [agreed] + posts + [end],
+    become the session's agreed root and challenger claim."""
+    agreed, end = b"\xaa" * 32, b"\xbb" * 32
+    session = DisputeSession(i=4, j=2 * (k + 1), k_checkpoints=k, agreed_root=agreed,
+                             challenger_end_claim=end)
+    indices = checkpoints(session.i, session.j, k)
+    assert len(indices) == k
+    posts = [bytes([t]) * 32 for t in range(1, k + 1)]
+    bounds, roots = [4] + indices + [4 + session.j], [agreed] + posts + [end]
+    for r in range(1, k + 2):
+        after = bisection_round(session, list(zip(indices, posts)), r)
+        assert (after.i, after.j, after.round) == (bounds[r - 1], bounds[r] - bounds[r - 1], 1)
+        assert (after.agreed_root, after.challenger_end_claim) == (roots[r - 1], roots[r])
+
+
+@pytest.mark.parametrize("side, move, message", [
+    ("challenger", "post_checkpoints", "checkpoint posts at wrong indices"),
+    ("submitter", "choose_segment", "segment choice 0 out of range"),
+], ids=["one-post-too-few", "segment-0"])
+def test_a_move_outside_the_protocol_raises(side, move, message):
+    """No actor breaks the protocol, so one that does is a bug: the game
+    raises instead of ending in a verdict."""
+    honest_trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(15), 16),
+                                                    scheme=SCHEME))
+    actors = {
+        "submitter": build_trace_actor("alice", honest_trace,
+                                       ActorStrategy(kind="fault", fault=scratch_fault(5))),
+        "challenger": build_trace_actor("bob", honest_trace, ActorStrategy()),
+    }
+    broken = {
+        "post_checkpoints": lambda round_no, indices:
+            [actors["challenger"].claimed_root(idx) for idx in indices[1:]],
+        "choose_segment": lambda round_no, posts: 0,
+    }
+    setattr(actors[side], move, broken[move])
+    chain = ChainSim()
+    for party in ("alice", "bob"):
+        chain.deposit(party, 1000)
+        chain.stake(party, 100)
+    with pytest.raises(ProtocolViolation, match=message):
+        run_dispute(Claim.posted_by(actors["submitter"], 1, 1), actors["submitter"],
+                    actors["challenger"], chain=chain)
+
+
+def test_drive_rounds_reads_the_roots_from_the_session():
+    assert list(inspect.signature(dispute.drive_rounds).parameters) == [
+        "session", "submitter", "challenger", "stop_span", "chain", "phase"]
 
 
 def test_interaction_bound_values():
@@ -254,8 +310,8 @@ def test_unstaked_party_cannot_play():
     submitter = build_trace_actor("alice", honest_trace, ActorStrategy(kind="honest"))
     challenger = build_trace_actor("bob", honest_trace,
                                    ActorStrategy(kind="fault", fault=scratch_fault(2)))
-    claim = Claim(submitter.trace.root_at(0), submitter.trace.root_at(len(submitter.trace)),
-                  len(submitter.trace))
+    claim = Claim(submitter.roots.root_at(0), submitter.roots.root_at(len(submitter.roots)),
+                  len(submitter.roots))
     chain = ChainSim()
     chain.deposit("alice", 100)
     chain.stake("alice", 100)
@@ -326,11 +382,11 @@ def test_settle_challenge_period():
 
 
 def test_transcript_structure():
-    result, _ = make_game(14, 8, ActorStrategy(kind="fault", fault=scratch_fault(2)),
-                          ActorStrategy(kind="honest"))
-    moves = [r for r in result.transcript if "mover" in r]
+    result, chain = make_game(14, 8, ActorStrategy(kind="fault", fault=scratch_fault(2)),
+                              ActorStrategy(kind="honest"))
+    moves = [r for r in chain.transcript if "mover" in r]
     assert len(moves) == 2 * result.rounds
-    final = result.transcript[-1]
+    final = chain.transcript[-1]
     assert final["event"] == "verdict"
     assert final["winner"] == "challenger"
     assert final["pinned_step"] == 2

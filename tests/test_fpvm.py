@@ -421,6 +421,17 @@ def test_verify_step_mutation_sample():
         assert not verdict.accepted
 
 
+def test_verify_step_rejects_a_short_read_proof():
+    trace = run_trace(boot(encode("LI", rd=1), HEAP_BASE, encode("LW", rd=2, rs=1)))
+    w = gen_step_witness(trace.state_at(1))  # the LW: a fetch read and a data read
+    assert verify_step(trace.root_at(1), trace.root_at(2), w, scheme=SCHEME).accepted
+    addr, leaf, proof = w.mem_reads[-1]
+    short = merkle.MerkleProof(proof.leaf_index, 0, proof.siblings[:26])
+    bad = replace(w, mem_reads=w.mem_reads[:-1] + [(addr, leaf, short)])
+    verdict = verify_step(trace.root_at(1), trace.root_at(2), bad, scheme=SCHEME)
+    assert (verdict.accepted, verdict.reason) == (False, "read-proof-invalid")
+
+
 def test_verify_step_exited_identity():
     st = boot(encode("HALT"))
     halted = step(st)

@@ -56,6 +56,19 @@ def test_run_lowered_node_is_held_to_the_step_budget(monkeypatch):
     assert exc.value.steps == exc.value.state.step_count == steps - 1
 
 
+def test_kernel_words_predicts_each_emitted_kernel():
+    for _, graph, _ in fixture_models():
+        shapes = graph.infer_shapes()
+        for node in graph.nodes:
+            if node.op in ("input", "const"):
+                continue
+            operand_shapes = [shapes[i] for i in node.input_ids]
+            words = [0] * 5  # a kernel may start anywhere in the program
+            lowering._emit_kernel(words, node.op, [fpvm.HEAP_BASE] * len(node.input_ids),
+                                  operand_shapes, fpvm.OUTPUT_BASE)
+            assert len(words) - 5 == lowering.kernel_words(node.op, operand_shapes)
+
+
 def test_matmul_node_output_region_bytes():
     rng = random.Random(40)
     a = rand_tensor(rng, (2, 2))

@@ -160,6 +160,25 @@ def test_single_bit_mutations_fail_verification():
             assert not merkle.verify(root, claimed, bad, SCHEME)
 
 
+def test_malformed_proofs_fail_verification():
+    """Each structural guard of `verify`: the misaligned and out-of-range
+    indices would recompute the true root without theirs."""
+    tree = merkle.MemTree(SCHEME).update_leaf(8, b"\x05" * 32).update_leaf(300, b"\x06" * 32)
+    root, claimed = tree.root(), tree.subtree_root(8 * 32, 3)
+    proof = tree.prove(8, 3)
+    assert merkle.verify(root, claimed, proof, SCHEME)
+    sibs = proof.siblings
+    for bad in (
+        merkle.MerkleProof(8, 3, sibs[:-1]),
+        merkle.MerkleProof(8, 3, sibs + [sibs[0]]),
+        merkle.MerkleProof(8 + merkle.NUM_LEAVES, 3, sibs),
+        merkle.MerkleProof(-8, 3, sibs),
+        merkle.MerkleProof(9, 3, sibs),
+        merkle.MerkleProof(8, 3, [sibs[0][:31]] + sibs[1:]),
+    ):
+        assert not merkle.verify(root, claimed, bad, SCHEME)
+
+
 def test_whole_tree_proof_degenerates_to_equality():
     tree = merkle.MemTree(SCHEME).update_leaf(0, b"\x07" * 32)
     proof = tree.prove(0, TREE_DEPTH)

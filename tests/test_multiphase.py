@@ -359,7 +359,7 @@ def play_two_phase(graph, x, adversary_side, strategy, fault=None, cfg=PhaseConf
     result = run_two_phase_dispute(graph, x, parties["submitter"], parties["challenger"], cfg,
                                    chain, scheme=SCHEME)
     assert chain.total() == total
-    assert result.transcript[-1]["event"] == "verdict"
+    assert chain.transcript[-1]["event"] == "verdict"
     return result
 
 
