@@ -292,7 +292,7 @@ def load_program(
 
 
 def assemble(instructions: list[int]) -> bytes:
-    return b"".join(struct.pack("<I", w) for w in instructions)
+    return struct.pack(f"<{len(instructions)}I", *instructions)
 
 
 def _with_word(leaf: bytes, addr: int, value: int) -> bytes:

@@ -2,10 +2,12 @@
 
 Two targets share the same unrolled kernels:
 
-* per-node programs (`lower_node`): operands arrive as preimage keys in the
-  input region, get pulled chunk-by-chunk through the oracle (lazy loading),
-  and the serialized result lands in the output region. This is the program
-  a phase-2 dispute runs over.
+* per-node programs (`node_program`): operands arrive as preimage keys in
+  the input region, get pulled chunk-by-chunk through the oracle (lazy
+  loading), and the serialized result lands in the output region. The
+  program depends on the op and operand shapes alone and is built once per
+  pair; `lower_node` binds a node's operand values to it. This is the
+  program a phase-2 dispute runs over.
 * a whole-graph program (`lower_graph`): input and constants sit in their
   memory regions, intermediates live on the heap, and the final output is
   serialized to the output region. This is the single-phase target.
@@ -24,6 +26,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -53,22 +56,6 @@ def _store(words: list[int], stores: list[tuple[int, int]], addr: int, rt: int, 
     _li(words, rs, addr)
     stores.append((4 * len(words), addr))
     words.append(encode("SW", rt=rt, rs=rs, imm=0))
-
-
-def _emit_key_copy(words: list[int], operand_index: int) -> None:
-    """Copy a 32-byte key from the input region into the oracle-key field."""
-    _li(words, 1, INPUT_BASE + 32 * operand_index)
-    _li(words, 2, ORACLE_KEY_BASE)
-    for w in range(8):
-        words.append(encode("LW", rd=3, rs=1, imm=4 * w))
-        words.append(encode("SW", rt=3, rs=2, imm=4 * w))
-
-
-def _emit_chunk_loads(words: list[int], slot_leaf: int, n_chunks: int) -> None:
-    for ci in range(n_chunks):
-        _li(words, 4, ci)
-        _li(words, 7, slot_leaf + ci)
-        words.append(encode("PREIMAGE", rd=7, rs=4))
 
 
 def _emit_matmul(words, stores, a_base, b_base, dst_base, r, n, p):
@@ -156,18 +143,16 @@ def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tup
     if len(words) + kernel_words(op, operand_shapes) > limit:
         raise merkle.RangeError(f"program exceeds the {limit}-word program region")
     stores: list[tuple[int, int]] = []
+    x, count = operand_bases[0], math.prod(operand_shapes[0])
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
-        _emit_matmul(words, stores, operand_bases[0], operand_bases[1], dst_base, r, n, p)
+        _emit_matmul(words, stores, x, operand_bases[1], dst_base, r, n, p)
     elif op == "bias_add":
-        _emit_bias_add(words, stores, operand_bases[0], operand_bases[1], dst_base,
-                       math.prod(operand_shapes[0]), operand_shapes[1][0])
+        _emit_bias_add(words, stores, x, operand_bases[1], dst_base, count, operand_shapes[1][0])
     elif op == "relu":
-        _emit_relu(words, stores, operand_bases[0], dst_base, math.prod(operand_shapes[0]))
+        _emit_relu(words, stores, x, dst_base, count)
     elif op == "argmax":
-        _emit_argmax(words, stores, operand_bases[0], math.prod(operand_shapes[0]), dst_base)
-    else:
-        raise LoweringError(f"op {op!r} has no lowering")
+        _emit_argmax(words, stores, x, count, dst_base)
     return stores
 
 
@@ -181,6 +166,54 @@ def store_fault(
                           bit=(addr % 32) * 8 + bit % 32)
 
 
+# Bounded: a program may take up to 32 MiB, and a long-lived process should
+# not keep every one it has lowered. 16 entries hold all 11 computed nodes
+# (10 distinct keys) of the two models the benchmark's two-phase games fault.
+@functools.lru_cache(maxsize=16)
+def node_program(
+    op: str, operand_shapes: tuple[tuple[int, ...], ...]
+) -> tuple[bytes, tuple[tuple[int, int], ...]]:
+    """Compile a node of this op and operand shapes into a MiniVM program;
+    returns the program and (pc of the SW, address) per output element.
+
+    The program expects the operand keys in the input region, fetches the
+    operand payloads through the preimage oracle, and writes the serialized
+    result tensor into the output region. Operand values never enter it, so
+    it is memoised on exactly its arguments, and its result is immutable.
+    """
+    if op not in ("matmul", "bias_add", "relu", "argmax"):
+        raise LoweringError(f"op {op!r} has no lowering")
+    out_shape = ml.op_shape(op, operand_shapes)
+
+    words: list[int] = []
+    _li(words, _MASK_REG, 0xFFFF)
+
+    payload_bases, slot = [], 0
+    for oi, shape in enumerate(operand_shapes):
+        # Copy the operand's 32-byte key from the input region into the
+        # oracle-key field, then pull its blob (`ml.tensor_blob`: u32 length,
+        # rank, dims, payload) chunk by chunk into its oracle-value slot.
+        _li(words, 1, INPUT_BASE + 32 * oi)
+        _li(words, 2, ORACLE_KEY_BASE)
+        for w in range(8):
+            words.append(encode("LW", rd=3, rs=1, imm=4 * w))
+            words.append(encode("SW", rt=3, rs=2, imm=4 * w))
+        head = 4 + _payload_offset(len(shape))
+        n_chunks = -(-(head + 4 * math.prod(shape)) // 32)
+        for ci in range(n_chunks):
+            _li(words, 4, ci)
+            _li(words, 7, slot // 32 + ci)
+            words.append(encode("PREIMAGE", rd=7, rs=4))
+        payload_bases.append(ORACLE_VALUE_BASE + slot + head)
+        slot += 32 * n_chunks
+
+    dst_base = OUTPUT_BASE + _payload_offset(len(out_shape))
+    stores = _emit_kernel(words, op, payload_bases, operand_shapes, dst_base)
+    _emit_header(words, OUTPUT_BASE, out_shape)
+    words.append(encode("HALT"))
+    return fpvm.assemble(words), tuple(stores)
+
+
 @dataclass
 class LoweredNode:
     """A single node compiled for lazy-loading execution."""
@@ -188,11 +221,7 @@ class LoweredNode:
     program: bytes
     operand_keys: list[bytes]
     preimages: dict[bytes, bytes]
-    stores: list[tuple[int, int]]  # (pc of the SW, address) per output element
-
-    @property
-    def input_blob(self) -> bytes:
-        return b"".join(self.operand_keys)
+    stores: tuple[tuple[int, int], ...]  # (pc of the SW, address) per output element
 
     def program_root(self, scheme: HashScheme) -> bytes:
         return merkle.region_root(self.program, fpvm.PROGRAM_LEVEL, scheme)
@@ -203,43 +232,17 @@ def lower_node(
     operands: list[ml.FixedTensor],
     scheme: HashScheme,
 ) -> LoweredNode:
-    """Compile one graph node into a self-contained MiniVM program.
-
-    The program expects the operand keys in the input region, fetches the
-    operand payloads through the preimage oracle, and writes the serialized
-    result tensor into the output region.
-    """
-    if node.op not in ("matmul", "bias_add", "relu", "argmax"):
-        raise LoweringError(f"op {node.op!r} has no lowering")
-    out_shape = ml.op_shape(node.op, [t.shape for t in operands])
-
-    words: list[int] = []
-    _li(words, _MASK_REG, 0xFFFF)
-
-    keys, preimages, payload_bases = [], {}, []
-    slot = 0
-    for oi, tensor in enumerate(operands):
-        blob = ml.tensor_blob(tensor)
-        key = scheme.digest(blob)
-        keys.append(key)
-        preimages[key] = blob
-        _emit_key_copy(words, oi)
-        n_chunks = -(-len(blob) // 32)
-        _emit_chunk_loads(words, slot // 32, n_chunks)
-        # payload: skip the length prefix, the rank word and the dims
-        payload_bases.append(ORACLE_VALUE_BASE + slot + 4 + _payload_offset(len(tensor.shape)))
-        slot += 32 * n_chunks
-
-    dst_base = OUTPUT_BASE + _payload_offset(len(out_shape))
-    stores = _emit_kernel(words, node.op, payload_bases, [t.shape for t in operands], dst_base)
-    _emit_header(words, OUTPUT_BASE, out_shape)
-    words.append(encode("HALT"))
-    return LoweredNode(fpvm.assemble(words), keys, preimages, stores)
+    """Bind one graph node's operands to its program (`node_program`): each
+    operand's key goes into the input region and its blob into the oracle."""
+    program, stores = node_program(node.op, tuple(t.shape for t in operands))
+    blobs = [ml.tensor_blob(t) for t in operands]
+    keys = [scheme.digest(blob) for blob in blobs]
+    return LoweredNode(program, keys, dict(zip(keys, blobs)), stores)
 
 
 def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState:
     """Fresh VM image for a lowered node: program + operand keys, rest zero."""
-    return fpvm.load_program(lowered.program, lowered.input_blob, scheme=scheme)
+    return fpvm.load_program(lowered.program, b"".join(lowered.operand_keys), scheme=scheme)
 
 
 def run_lowered_node(lowered: LoweredNode, oracle: fpvm.PreimageOracle) -> ml.FixedTensor:

@@ -18,7 +18,6 @@ they never trust structure supplied by the counterparty.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from . import dispute, fpvm, lowering, merkle, ml
@@ -77,15 +76,12 @@ class ExitBundle:
 def node_program_root(
     op: str, operand_shapes: tuple[tuple[int, ...], ...], scheme: HashScheme
 ) -> bytes:
-    """Public registry of lowered-program roots, keyed by op and shapes.
-
-    The program text depends only on the op and the operand shapes, so it is
-    recomputable by anyone from the public model; values never enter it.
-    Pure, so its results are memoised.
+    """Public registry of lowered-program roots, keyed by op and shapes: the
+    root of `lowering.node_program`, which anyone can rebuild from the public
+    model. Pure, so its results are memoised.
     """
-    dummies = [ml.FixedTensor(shape, (0,) * math.prod(shape)) for shape in operand_shapes]
-    node = ml.GraphNode(len(dummies), op, tuple(range(len(dummies))))
-    return lowering.lower_node(node, dummies, scheme).program_root(scheme)
+    program, _ = lowering.node_program(op, operand_shapes)
+    return merkle.region_root(program, fpvm.PROGRAM_LEVEL, scheme)
 
 
 def build_entrance_state(

@@ -102,6 +102,23 @@ def test_missing_preimage_fails_closed():
         fpvm.run(state, oracle)
 
 
+@pytest.mark.parametrize("op, shapes", [
+    ("matmul", [(2, 3), (3, 4)]), ("bias_add", [(2, 5), (5,)]), ("relu", [(3, 2)]),
+    ("argmax", [(1, 7)]),
+])
+def test_a_node_program_depends_on_its_op_and_operand_shapes_alone(op, shapes):
+    rng = random.Random(43)
+    node = ml.GraphNode(len(shapes), op, tuple(range(len(shapes))))
+    lowered = []
+    for _ in range(2):
+        lowering.node_program.cache_clear()  # emit it again, from other values
+        lowered.append(lowering.lower_node(node, [rand_tensor(rng, s) for s in shapes], SCHEME))
+    one, two = lowered
+    assert (one.program, one.stores) == (two.program, two.stores)
+    assert one.operand_keys != two.operand_keys
+    assert (one.program, one.stores) == lowering.node_program(op, tuple(shapes))
+
+
 def test_unsupported_op_rejected():
     with pytest.raises(lowering.LoweringError):
         lowering.lower_node(ml.GraphNode(0, "input", shape=(1,)), [], SCHEME)

@@ -10,7 +10,7 @@ import pytest
 
 from opml import dispute, fpvm, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
-from opml.hashing import get_scheme
+from opml.hashing import get_scheme, scheme_names
 from opml.multiphase import (
     EntranceBundle,
     ExitBundle,
@@ -182,6 +182,48 @@ def test_exit_rejects_mismatches():
     for i, bad in enumerate(rejects):
         ok, why = exit_check(bad, graph, SCHEME)
         assert not ok, f"mutation {i} accepted: {why}"
+
+
+def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
+    """The entrance image and the registered program root come from the one
+    program of the pinned node's op and shapes."""
+    lowering.node_program.cache_clear()
+    multiphase.node_program_root.cache_clear()
+    emitted = []
+    emit_kernel = lowering._emit_kernel
+
+    def spy(words, op, operand_bases, operand_shapes, dst_base):
+        emitted.append((op, tuple(operand_shapes)))
+        return emit_kernel(words, op, operand_bases, operand_shapes, dst_base)
+
+    monkeypatch.setattr(lowering, "_emit_kernel", spy)
+    graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(67), (1, 3))
+    result = play_two_phase(graph, x, "submitter", ActorStrategy(),
+                            fault=ml.GraphFault(node_id=2, element=1, bit=4))
+    assert (result.winner, result.pinned_node) == ("challenger", 2)
+    assert result.pinned_step is not None
+    assert emitted == [("matmul", ((1, 3), (3, 4)))]
+
+
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_registered_program_root_is_the_entrance_program_root(scheme_name):
+    """The registry's root, rebuilt from the op and shapes alone, is the root
+    of the program the prover loads with the real operands."""
+    scheme = get_scheme(scheme_name)
+    checked = 0
+    for _, graph, x in fixture_models():
+        run = ml.run_graph(graph, x, scheme=scheme)
+        shapes = graph.infer_shapes()
+        for node in graph.nodes:
+            if node.op in ("input", "const"):
+                continue
+            _, _, bundle, _ = build_entrance_state(run, node.id, scheme)
+            operand_shapes = tuple(shapes[i] for i in node.input_ids)
+            assert bundle.program_root == multiphase.node_program_root(node.op, operand_shapes,
+                                                                       scheme)
+            checked += 1
+    assert checked == 12
 
 
 def test_two_phase_fault_pins_node_and_challenger_wins():
