@@ -73,7 +73,7 @@ def _load_model(path: str) -> ml.CompGraph:
         graph.infer_shapes()
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
-    if graph.nodes[graph.output_id].op in ("input", "const"):
+    if graph.nodes[graph.output_id].op not in ml.COMPUTED_OPS:
         raise IoError(f"{path}: output node must be a computed node")
     return graph
 
@@ -120,7 +120,9 @@ DISPUTE_OPTIONS = {
     "input": Option(str, None, MODEL_GAMES),
     "protocol": Option((SINGLE, TWO_PHASE), SINGLE, EVERY_GAME),
     "phases": Option(("1", "2"), None, EVERY_GAME),
-    "k": Option(int, 1, EVERY_GAME, lo=1),
+    # One round posts k roots and the transcript logs every one, so k bounds
+    # a round's memory and output; 1024 is far above any useful section count.
+    "k": Option(int, 1, EVERY_GAME, lo=1, hi=1024),
     "m": Option(int, 1, EVERY_GAME, lo=1),
     "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=(8 << fpvm.PROGRAM_LEVEL) - 1),
     "fault.node": Option(int, None, MODEL_GAMES),
@@ -271,7 +273,7 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
     node_id = scenario["fault.node"]
     if not 0 <= node_id < len(graph.nodes):
         raise ConfigError(f"fault node {node_id} out of range")
-    if graph.nodes[node_id].op in ("input", "const"):
+    if graph.nodes[node_id].op not in ml.COMPUTED_OPS:
         raise ConfigError(f"node {node_id} has no computation to corrupt")
     shapes = graph.infer_shapes()
     numel = math.prod(shapes[node_id])

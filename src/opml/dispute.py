@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from . import fpvm
 from .hashing import HashScheme
@@ -357,20 +358,16 @@ class VmTraceActor(BisectionActor):
     trace, an `fpvm.Trace`."""
 
     def witnesses(
-        self,
-        start_index: int,
-        count: int,
-        oracle: fpvm.PreimageOracle | None,
-        round_no: int = 0,
+        self, start_index: int, count: int, round_no: int = 0
     ) -> list[fpvm.StepWitness] | None:
-        """Witnesses of the `count` steps from `start_index`, ending early
-        after the first one of an exited machine: the rest is its fixpoint."""
+        """Witnesses of the `count` steps from `start_index`, walked from the
+        trace and generated under its oracle, ending early after the first
+        one of an exited machine: the rest is its fixpoint."""
         if self._silent(round_no):
             return None
         out = []
-        for index in range(start_index, start_index + count):
-            state = self.roots.state_at(index)
-            out.append(fpvm.gen_step_witness(state, oracle))
+        for state in islice(self.roots.walk(start_index), count):
+            out.append(fpvm.gen_step_witness(state, self.roots.oracle))
             if state.exited:
                 break
         return out
@@ -480,8 +477,9 @@ def run_dispute(
     (half to the winner, half burned) and a missed move forfeits. With
     settle=False the verdict is returned without touching stakes (used when
     this game is the inner phase of a larger one). Witnesses are checked
-    under the submitter's hash scheme. Rounds are logged as phase 2, the VM
-    phase, in a single-phase game too.
+    under the submitter's hash scheme, against `oracle`, the arbiter's
+    preimage store. Rounds are logged as phase 2, the VM phase, in a
+    single-phase game too.
     """
 
     def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
@@ -497,7 +495,7 @@ def run_dispute(
     # Arbitration over [i, i+j]; pinned step indices are 1-based.
     pinned = session.i + 1
     arb_round = session.round + 1
-    witnesses = challenger.witnesses(session.i, session.j, oracle, arb_round)
+    witnesses = challenger.witnesses(session.i, session.j, arb_round)
     chain.tick(1)
     if witnesses is None:
         return verdict(SUBMITTER, "challenger missed arbitration", session.round, pinned)
@@ -583,4 +581,4 @@ def build_trace_actor(
     if strategy.kind == "fault" and strategy.fault is None:
         raise ValueError("fault strategy needs a fault")
     trace = honest_trace if strategy.fault is None else honest_trace.fork(strategy.fault)
-    return VmTraceActor(party_id, trace, strategy, honest_trace.scheme)
+    return VmTraceActor(party_id, trace, strategy, honest_trace.states[0].scheme)

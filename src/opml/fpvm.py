@@ -39,7 +39,7 @@ only where one is kept. A trace (`run_trace`) keeps snapshots: the first
 state, every SNAPSHOT_EVERY-th and the final one, plus a log of the pc
 before each step, which `find_store_step` reads. Any other state is rebuilt
 by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot before it,
-through the same loop, and the replayed block is memoised in the trace. `run`
+through the same loop (`Trace.walk`), and nothing replayed is kept. `run`
 keeps no snapshots. A faulty trace is a fork of the honest one
 (`Trace.fork`): it shares the honest snapshots before the fault step and
 runs only the rest.
@@ -53,7 +53,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 
 from . import merkle
@@ -581,24 +581,20 @@ class Trace:
     `states` holds the first state, every state whose `step_count` is a
     multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
     faulted state. Snapshots share memory structurally. Any other state is
-    rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot
-    before it, through the same stepping loop as the run, and the replayed
-    block is memoised: the m witness states of an arbitration, and bisection
-    queries that land in one block, cost one replay. `pcs[i]` is the pc
-    before step i + 1, logged by the run itself.
+    rebuilt by `walk`, which replays from the snapshot before it through the
+    same stepping loop as the run; nothing replayed is kept. `pcs[i]` is the
+    pc before step i + 1, logged by the run itself.
 
-    State roots are hashed only when asked for: a dispute game opens a
-    handful of the indices it bisects over, and `opml run` only the last.
+    State roots are hashed only when asked for and memoised: a dispute game
+    opens a handful of the indices it bisects over, and `opml run` only the
+    last.
     """
 
-    def __init__(self, states: list[VmState], pcs: array, scheme: HashScheme,
-                 oracle: PreimageOracle | None = None):
+    def __init__(self, states: list[VmState], pcs: array, oracle: PreimageOracle | None = None):
         self.states = states
         self.pcs = pcs
-        self.scheme = scheme
         self.oracle = oracle
         self._roots: dict[int, bytes] = {}
-        self._blocks: dict[int, list[VmState]] = {}
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -609,37 +605,29 @@ class Trace:
         index = min(index, len(self))
         root = self._roots.get(index)
         if root is None:
-            root = self._roots[index] = state_root(self._state(index))
+            root = self._roots[index] = state_root(next(self.walk(index)))
         return root
 
     def state_at(self, index: int) -> VmState:
         """State at `index`, extending past HALT by the exit fixpoint."""
-        return self._state(index)
+        return next(self.walk(index))
 
-    def _state(self, index: int) -> VmState:
-        target = self.states[0].step_count + min(index, len(self))
-        j = bisect_right(self.states, target, key=_step_count) - 1
-        snapshot = self.states[j]
-        if snapshot.step_count == target:
-            return snapshot
-        block = self._blocks.get(j)
-        if block is None:
-            block = self._blocks[j] = self._replay(j)
-        return block[target - snapshot.step_count - 1]
+    def walk(self, start: int = 0) -> Iterator[VmState]:
+        """Every state from `start` (clamped to `len`) to the final one.
 
-    def _replay(self, j: int) -> list[VmState]:
-        """The states strictly between snapshots j and j + 1."""
-        snapshot = self.states[j]
-        between = self.states[j + 1].step_count - snapshot.step_count - 1
-        return list(islice(_successors(snapshot, self.oracle, math.inf, 1), between))
-
-    def walk(self) -> Iterator[VmState]:
-        """Every state in order, replayed one block at a time and not
-        memoised, so a walk holds at most one block."""
-        for j in range(len(self.states) - 1):
-            yield self.states[j]
-            yield from self._replay(j)
-        yield self.states[-1]
+        Replays from the snapshot at or before `start`, block by block,
+        restarting at each snapshot, so a fork's faulted snapshot stays in
+        force. Yielding m states replays at most m + SNAPSHOT_EVERY - 1
+        steps, and nothing replayed is kept."""
+        states = self.states
+        target = states[0].step_count + min(start, len(self))
+        for j in range(bisect_right(states, target, key=_step_count) - 1, len(states) - 1):
+            snapshot, between = states[j], states[j + 1].step_count - states[j].step_count - 1
+            replay = islice(_successors(snapshot, self.oracle, math.inf, 1), between)
+            for state in chain((snapshot,), replay):
+                if state.step_count >= target:
+                    yield state
+        yield states[-1]
 
     def fork(self, fault: StepFault) -> Trace:
         """This trace with `fault` injected: its own snapshots before
@@ -649,11 +637,11 @@ class Trace:
         fault outside 1..len(self) never applies: returns self."""
         if not 1 <= fault.step <= len(self):
             return self
-        corrupted = fault.apply(step(self._state(fault.step - 1), self.oracle))
+        corrupted = fault.apply(step(self.state_at(fault.step - 1), self.oracle))
         suffix = run_trace(corrupted, self.oracle)
         shared = bisect_left(self.states, corrupted.step_count, key=_step_count)
         return Trace(self.states[:shared] + suffix.states, self.pcs[: fault.step] + suffix.pcs,
-                     self.scheme, self.oracle)
+                     self.oracle)
 
 
 _step_count = attrgetter("step_count")
@@ -674,7 +662,7 @@ def run_trace(state: VmState, oracle: PreimageOracle | None = None) -> Trace:
     pcs = array("I")
     states = [state]
     states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY, pcs)
-    return Trace(states, pcs, state.scheme, oracle)
+    return Trace(states, pcs, oracle)
 
 
 # ---------------------------------------------------------------------------

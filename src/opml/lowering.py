@@ -181,7 +181,7 @@ def node_program(
     result tensor into the output region. Operand values never enter it, so
     it is memoised on exactly its arguments, and its result is immutable.
     """
-    if op not in ("matmul", "bias_add", "relu", "argmax"):
+    if op not in ml.COMPUTED_OPS:
         raise LoweringError(f"op {op!r} has no lowering")
     out_shape = ml.op_shape(op, operand_shapes)
 
@@ -328,7 +328,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
     heap_offsets: dict[int, int] = {}
     off = 0
     for node in graph.nodes:
-        if node.op in ("input", "const"):
+        if node.op not in ml.COMPUTED_OPS:
             continue
         heap_offsets[node.id] = off
         off += 32 * -(-(4 * math.prod(shapes[node.id])) // 32)
@@ -345,7 +345,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
     _li(words, _MASK_REG, 0xFFFF)
     stores: dict[int, list[tuple[int, int]]] = {}
     for node in graph.nodes:
-        if node.op in ("input", "const"):
+        if node.op not in ml.COMPUTED_OPS:
             continue
         operand_bases = [payload_base(i) for i in node.input_ids]
         operand_shapes = [shapes[i] for i in node.input_ids]
@@ -355,7 +355,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
     # Serialize the designated output into the output region.
     out_shape = shapes[graph.output_id]
     out_node = graph.nodes[graph.output_id]
-    if out_node.op in ("input", "const"):
+    if out_node.op not in ml.COMPUTED_OPS:
         raise LoweringError("output node must be a computed node")
     _emit_header(words, OUTPUT_BASE, out_shape)
     src = HEAP_BASE + heap_offsets[graph.output_id]

@@ -34,7 +34,10 @@ INT32_MAX = (1 << 31) - 1
 #: directly comparable).
 TENSOR_REGION_LEVEL = 19
 
-OPS = ("input", "const", "matmul", "bias_add", "relu", "argmax")
+#: The ops a node computes, as opposed to the graph inputs and constants it
+#: is given: only these lower to VM code and can be faulted or disputed.
+COMPUTED_OPS = ("matmul", "bias_add", "relu", "argmax")
+OPS = ("input", "const") + COMPUTED_OPS
 
 
 class QuantizationRangeError(ValueError):

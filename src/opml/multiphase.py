@@ -126,7 +126,7 @@ def entrance_check(
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
     node = graph.nodes[bundle.node_id]
-    if node.op in ("input", "const"):
+    if node.op not in ml.COMPUTED_OPS:
         return False, "node has no phase-2 computation"
     if len(bundle.opening.entries) != len(graph.nodes):
         return False, "opening has wrong arity"

@@ -214,41 +214,49 @@ def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
     assert (code, out, err) == (2, "", "error: no HALT within 30 steps\n")
 
 
-def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch):
+@pytest.mark.parametrize("m", [1, 16])
+def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch, m):
     """n honest steps, then only the faulty party's fork: the faulted step
-    and the n - s steps after it. Every other run-view step replays a block
-    between two snapshots, at most once per block queried."""
-    real_execute, real_replay = fpvm._execute, fpvm.Trace._replay
+    and the n - s steps after it. Every other run-view step is a replay in
+    `Trace.walk`: fewer than SNAPSHOT_EVERY for a root or state query, which
+    takes one state, and at most j + SNAPSHOT_EVERY - 1 for a walk that
+    yields j states, as the m witnesses of the arbitration do."""
+    real_execute, real_walk = fpvm._execute, fpvm.Trace.walk
     run_steps = [0]
-    replays = []  # [trace, block index, steps executed], one per replay
-    live = []  # the replay in progress
+    walks = []  # [states yielded, steps replayed], one per walk
+    live = []  # the walk whose replay is running
 
     def counting(pc, regs, mem):
         if type(mem) is fpvm._TreeMemory:
             if live:
-                live[-1][2] += 1
+                live[-1][1] += 1
             else:
                 run_steps[0] += 1
         return real_execute(pc, regs, mem)
 
-    def replay(trace, j):
-        live.append([trace, j, 0])
-        try:
-            return real_replay(trace, j)
-        finally:
-            replays.append(live.pop())
+    def walk(trace, start=0):
+        record = [0, 0]
+        walks.append(record)
+        states = real_walk(trace, start)
+        while True:
+            live.append(record)
+            state = next(states, None)
+            live.pop()
+            if state is None:
+                return
+            record[0] += 1
+            yield state
 
     monkeypatch.setattr(fpvm, "_execute", counting)
-    monkeypatch.setattr(fpvm.Trace, "_replay", replay)
+    monkeypatch.setattr(fpvm.Trace, "walk", walk)
     n, s = 50, 20
     code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", str(n), "--fault-step", str(s),
-                           "--faulty", "challenger")
+                           "--faulty", "challenger", "--m", str(m))
     assert code == 0 and "winner=submitter" in out
     assert run_steps[0] == 2 * n - s + 1
-    assert replays and all(count < fpvm.SNAPSHOT_EVERY for _, _, count in replays)
-    blocks = {(id(trace), j) for trace, j, _ in replays}
-    assert len(blocks) == len(replays)  # each block is replayed once
-    assert sum(count for _, _, count in replays) <= len(blocks) * (fpvm.SNAPSHOT_EVERY - 1)
+    assert max(yielded for yielded, _ in walks) == m
+    assert all(replayed < fpvm.SNAPSHOT_EVERY for yielded, replayed in walks if yielded == 1)
+    assert all(replayed <= yielded + fpvm.SNAPSHOT_EVERY - 1 for yielded, replayed in walks)
 
 
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):
@@ -547,6 +555,18 @@ def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv)
     code, out, err = run_cli(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_k_past_1024_exits_2_before_anything_runs(capsys, tmp_path, monkeypatch, source):
+    """One round posts k roots, so k is bounded: k = 1025 exits 2 with the
+    range error, from a flag or a config file, before a program is loaded."""
+    monkeypatch.setattr(fpvm, "load_program", lambda *a, **kw: pytest.fail("a program was loaded"))
+    config = tmp_path / "scenario.cfg"
+    config.write_text("synthetic.n = 40\nstrategy = fault\n" + ("k = 1025\n" if source == "config" else ""))
+    flag = ["--k", "1025"] if source == "flag" else []
+    code, out, err = run_cli(capsys, "dispute", "--config", str(config), *flag)
+    assert (code, out, err) == (2, "", "error: k must be in 1..1024, got 1025\n")
 
 
 def test_dispute_has_no_challenge_period_flag(capsys):

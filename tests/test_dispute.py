@@ -261,7 +261,7 @@ def test_arbitration_witnesses_end_at_halt():
     shorter than the span."""
     trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(90), 6),
                                              scheme=SCHEME))
-    witnesses = build_trace_actor("bob", trace, ActorStrategy()).witnesses(2, 16, None)
+    witnesses = build_trace_actor("bob", trace, ActorStrategy()).witnesses(2, 16)
     assert len(witnesses) == len(trace) - 1 and witnesses[-1].pre_fields.exited
     bad_end = SCHEME.digest(b"not the end")
 

@@ -1,5 +1,6 @@
 """MiniVM semantics, determinism, witnesses and the one-step verifier."""
 
+import gc
 import hashlib
 import inspect
 import random
@@ -751,7 +752,9 @@ def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
         reference = _faulted_from_scratch(honest.state_at(0), fault)
         assert len(forked) == len(reference) - 1
         assert list(forked.pcs) == [s.pc for s in reference[:-1]]  # the log find_store_step reads
-        assert [forked.root_at(i) for i in range(len(reference))] == [state_root(s) for s in reference]
+        roots = [state_root(s) for s in reference]
+        assert [forked.root_at(i) for i in range(len(reference))] == roots
+        assert [state_root(s) for s in forked.walk(1)] == roots[1:]  # across the faulted snapshot
         if 1 <= fault_step <= n:
             counts = [s.step_count for s in forked.states]
             assert counts == sorted(set(counts))
@@ -794,8 +797,8 @@ def _folded(state) -> list:
 
 def test_checkpointed_trace_answers_every_index_like_folding_step():
     """A trace keeps a snapshot every SNAPSHOT_EVERY steps and replays the
-    rest. Queried in a shuffled order, so that both cold replays and cached
-    blocks serve, every state and root equals folding `step`."""
+    rest. Queried in a shuffled order, every state and root equals folding
+    `step`, and a walk from any index yields the folded states from it."""
     state0 = load_program(_random_program(random.Random(28), 1500), scheme=SCHEME)
     folded = _folded(state0)
     trace = run_trace(state0)
@@ -809,6 +812,24 @@ def test_checkpointed_trace_answers_every_index_like_folding_step():
         assert (got.pc, got.regs, got.exited, got.exit_code, got.step_count, got.memory.root()) == (
             want.pc, want.regs, want.exited, want.exit_code, want.step_count, want.memory.root())
         assert trace.root_at(i) == state_root(want)
+    for start in (0, 7, fpvm.SNAPSHOT_EVERY, 1499, 1500, 1503):
+        want = folded[min(start, len(trace)):]
+        assert [(s.pc, s.regs, s.exited, s.step_count) for s in trace.walk(start)] == [
+            (s.pc, s.regs, s.exited, s.step_count) for s in want]
+
+
+def test_a_trace_queried_at_every_index_keeps_only_its_snapshots():
+    """Replayed states are rebuilt on each query and never kept: after a
+    root query at every index, the only live states are the snapshots."""
+    def live_states():
+        gc.collect()
+        return sum(type(obj) is fpvm.VmState for obj in gc.get_objects())
+
+    before = live_states()
+    trace = run_trace(load_program(_random_program(random.Random(7), 3000), scheme=SCHEME))
+    for i in range(len(trace) + 1):
+        trace.root_at(i)
+    assert live_states() - before == len(trace.states) < len(trace)
 
 
 @pytest.mark.parametrize("budget", [1, fpvm.SNAPSHOT_EVERY, 2 * fpvm.SNAPSHOT_EVERY + 5])
