@@ -123,7 +123,9 @@ DISPUTE_OPTIONS = {
     # One round posts k roots and the transcript logs every one, so k bounds
     # a round's memory and output; 1024 is far above any useful section count.
     "k": Option(int, 1, EVERY_GAME, lo=1, hi=1024),
-    "m": Option(int, 1, EVERY_GAME, lo=1),
+    # Programs opml builds branch only forward, so none runs more steps than
+    # its 2^23-word region holds words: a wider window arbitrates nothing more.
+    "m": Option(int, 1, EVERY_GAME, lo=1, hi=8 << fpvm.PROGRAM_LEVEL),
     "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=(8 << fpvm.PROGRAM_LEVEL) - 1),
     "fault.node": Option(int, None, MODEL_GAMES),
     "fault.step": Option(int, None, (SYNTHETIC, SINGLE)),

@@ -35,21 +35,19 @@ persistent tree and keeps the leaves the run has touched in a dict, so a run
 reads each leaf from the tree at most once.
 
 The stepping loop carries pc and registers as locals and builds a `VmState`
-only where one is kept. A trace (`run_trace`) keeps snapshots: the first
-state, every SNAPSHOT_EVERY-th and the final one, plus a log of the pc
-before each step, which `find_store_step` reads. Any other state is rebuilt
-by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot before it,
-through the same loop (`Trace.walk`), and nothing replayed is kept. `run`
-keeps no snapshots. A faulty trace is a fork of the honest one
-(`Trace.fork`): it shares the honest snapshots before the fault step and
-runs only the rest.
+only where one is kept. A trace (`run_trace`) is its snapshots: the first
+state, every SNAPSHOT_EVERY-th and the final one, and nothing per step. Any
+other state is rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from
+the snapshot before it, through the same loop (`Trace.walk`), and nothing
+replayed is kept. `run` keeps no snapshots. A faulty trace is a fork of the
+honest one (`Trace.fork`): it shares the honest snapshots before the fault
+step and runs only the rest.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -515,13 +513,12 @@ class _WitnessMemory:
         raise _Rejected("missing-write-record")
 
 
-def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
-                every: int, pcs: array | None = None):
+def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float, every: int):
     """Steps from `state` to the exited state over one run view, yielding
     the states whose `step_count` is a multiple of `every`, the exited one,
     and the one at `max_steps` before the budget error below. The loop
     carries pc, registers and flags as locals and builds a VmState only for
-    a state it yields. With `pcs`, it appends the pc before each step.
+    a state it yields.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting. `run`
@@ -533,8 +530,6 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
         if n >= max_steps:
             raise BudgetExceededError(VmState(pc, regs, mem.tree, exited, exit_code, n), max_steps)
         for done in range(1, min(every - n % every, max_steps - n) + 1):
-            if pcs is not None:
-                pcs.append(pc)
             pc, regs, exited, exit_code = _execute(pc, regs, mem)
             if exited:
                 break
@@ -582,22 +577,21 @@ class Trace:
     multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
     faulted state. Snapshots share memory structurally. Any other state is
     rebuilt by `walk`, which replays from the snapshot before it through the
-    same stepping loop as the run; nothing replayed is kept. `pcs[i]` is the
-    pc before step i + 1, logged by the run itself.
+    same stepping loop as the run; nothing replayed is kept, and nothing is
+    kept per step.
 
     State roots are hashed only when asked for and memoised: a dispute game
     opens a handful of the indices it bisects over, and `opml run` only the
     last.
     """
 
-    def __init__(self, states: list[VmState], pcs: array, oracle: PreimageOracle | None = None):
+    def __init__(self, states: list[VmState], oracle: PreimageOracle | None = None):
         self.states = states
-        self.pcs = pcs
         self.oracle = oracle
         self._roots: dict[int, bytes] = {}
 
     def __len__(self) -> int:
-        return len(self.pcs)
+        return self.states[-1].step_count - self.states[0].step_count
 
     def root_at(self, index: int) -> bytes:
         """Root at `index`, extending past HALT by the exit fixpoint;
@@ -640,29 +634,32 @@ class Trace:
         corrupted = fault.apply(step(self.state_at(fault.step - 1), self.oracle))
         suffix = run_trace(corrupted, self.oracle)
         shared = bisect_left(self.states, corrupted.step_count, key=_step_count)
-        return Trace(self.states[:shared] + suffix.states, self.pcs[: fault.step] + suffix.pcs,
-                     self.oracle)
+        return Trace(self.states[:shared] + suffix.states, self.oracle)
 
 
 _step_count = attrgetter("step_count")
 
 
 def find_store_step(trace: Trace, pc: int) -> int:
-    """1-based index of the first step that executes the instruction at
-    `pc`, read from the trace's pc log."""
-    try:
-        return trace.pcs.index(pc) + 1
-    except ValueError:
-        raise ValueError(f"no step executes pc {pc:#x}") from None
+    """First step (1-based) that executes the instruction at `pc`. Programs
+    opml builds branch only forward, so pc never falls before exit: replay
+    from the last snapshot below `pc`, at most SNAPSHOT_EVERY - 1 steps."""
+    states = trace.states
+    below = states[max(bisect_left(states, pc, key=attrgetter("pc")) - 1, 0)]
+    for state in trace.walk(below.step_count - states[0].step_count):
+        if state.exited or state.pc > pc:
+            break
+        if state.pc == pc:
+            return state.step_count - states[0].step_count + 1
+    raise ValueError(f"no step executes pc {pc:#x}")
 
 
 def run_trace(state: VmState, oracle: PreimageOracle | None = None) -> Trace:
-    """Execute to HALT keeping the snapshots and the pc log. The budget is
-    MAX_STEPS, as in `run`."""
-    pcs = array("I")
+    """Execute to HALT keeping the snapshots. The budget is MAX_STEPS, as
+    in `run`."""
     states = [state]
-    states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY, pcs)
-    return Trace(states, pcs, oracle)
+    states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY)
+    return Trace(states, oracle)
 
 
 # ---------------------------------------------------------------------------

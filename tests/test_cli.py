@@ -569,6 +569,27 @@ def test_k_past_1024_exits_2_before_anything_runs(capsys, tmp_path, monkeypatch,
     assert (code, out, err) == (2, "", "error: k must be in 1..1024, got 1025\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("game", ["synthetic.n = 40\nstrategy = fault\n",
+                                  "protocol = two-phase\nfault.node = 4\nstrategy = fault\n"
+                                  f"model = {DATA}/mlp.opml\ninput = {DATA}/mlp-input.tensor\n"],
+                         ids=["single", "two-phase"])
+def test_m_past_the_program_region_exits_2_before_anything_runs(capsys, tmp_path, monkeypatch,
+                                                                 source, game):
+    """No program opml builds runs more steps than its 2^23-word program
+    region holds words, so m is bounded there: a window of 10^20 steps,
+    past what a witness walk can slice, exits 2 from a flag or a config
+    file under either protocol, before a program is loaded."""
+    monkeypatch.setattr(fpvm, "load_program", lambda *a, **kw: pytest.fail("a program was loaded"))
+    config = tmp_path / "scenario.cfg"
+    config.write_text(game + (f"m = {10**20}\n" if source == "config" else ""))
+    flag = ["--m", str(10**20)] if source == "flag" else []
+    code, out, err = run_cli(capsys, "dispute", "--config", str(config), *flag)
+    assert (code, out, err) == (2, "", f"error: m must be in 1..8388608, got {10**20}\n")
+    code, out, err = run_cli(capsys, "dispute", "--config", str(config), "--m", "8388609")
+    assert (code, out, err) == (2, "", "error: m must be in 1..8388608, got 8388609\n")
+
+
 def test_dispute_has_no_challenge_period_flag(capsys):
     """No game reads the chain's challenge period, so argparse rejects the flag."""
     with pytest.raises(SystemExit) as exc:
@@ -702,12 +723,47 @@ def test_verify_witness_roundtrip(capsys, model_files, tmp_path):
     assert "verdict=Reject" in out
 
 
+def _bundle(pre, post, witness, preimages=()) -> bytes:
+    """A sha256 witness bundle, laid out as docs/formats.md gives it."""
+    blob = witness.to_bytes()
+    return (WITNESS_MAGIC + b"\x06sha256" + fpvm.state_root(pre) + fpvm.state_root(post)
+            + struct.pack("<I", len(blob)) + blob + struct.pack("<I", len(preimages))
+            + b"".join(struct.pack("<I", len(value)) + value for value in preimages))
+
+
 def _halt_bundle() -> bytes:
     """A well-formed sha256 bundle for the one step of a HALT program."""
     state = fpvm.load_program(fpvm.assemble([fpvm.encode("HALT")]), scheme=get_scheme("sha256"))
-    blob = fpvm.gen_step_witness(state).to_bytes()
-    return (WITNESS_MAGIC + b"\x06sha256" + fpvm.state_root(state) + fpvm.state_root(fpvm.step(state))
-            + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
+    return _bundle(state, fpvm.step(state), fpvm.gen_step_witness(state))
+
+
+@pytest.mark.parametrize("with_preimage, flags, verdict", [
+    (True, [], "verdict=Accept\n"),
+    (False, [], "verdict=Reject reason=preimage-unavailable\n"),
+    (False, ["--skip-preimage-check"], "verdict=Accept\n"),
+], ids=["operand-blob", "no-preimage", "no-preimage-skip-check"])
+def test_verify_witness_checks_a_preimage_step_against_the_bundled_preimages(
+        capsys, tmp_path, with_preimage, flags, verdict):
+    """The first PREIMAGE step of a lowered node trace: its chunk is checked
+    against the bundle's preimages unless --skip-preimage-check is given."""
+    scheme = get_scheme("sha256")
+    graph, x = build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2), rand_tensor(random.Random(91), (1, 3))
+    node = next(node for node in graph.nodes if node.op == "matmul")
+    run = ml.run_graph(graph, x, scheme=scheme)
+    lowered = lowering.lower_node(node, [run.outputs[i] for i in node.input_ids], scheme)
+    oracle = fpvm.PreimageOracle(scheme)
+    for blob in lowered.preimages.values():
+        oracle.put(blob)
+    trace = fpvm.run_trace(lowering.node_initial_state(lowered, scheme), oracle)
+    pre = next(state for state in trace.walk() if int.from_bytes(
+        fpvm.read_bytes(state.memory, state.pc, 4), "little") >> 24 == fpvm.OPCODES["PREIMAGE"])
+    witness = fpvm.gen_step_witness(pre, oracle)
+    blob = lowered.preimages[witness.preimage_chunk.key]
+    bundle = tmp_path / "w.bin"
+    bundle.write_bytes(_bundle(pre, fpvm.step(pre, oracle), witness, [blob] if with_preimage else []))
+    assert len(read_witness_bundle(bundle.read_bytes())[4]) == with_preimage
+    code, out, _ = run_cli(capsys, "verify-witness", "--file", str(bundle), *flags)
+    assert (code, out) == (0, verdict)
 
 
 @pytest.mark.parametrize("mutate", [

@@ -390,3 +390,30 @@ def test_transcript_structure():
     assert final["event"] == "verdict"
     assert final["winner"] == "challenger"
     assert final["pinned_step"] == 2
+
+
+def test_submitter_that_posts_the_disputed_root_concedes():
+    """A submitter that names segment 1 every round narrows the game onto a
+    span whose end it then claims with the challenger's own disputed root:
+    posting the value it disputed concedes the span, before any witness is
+    checked."""
+
+    class FirstSegment(dispute.VmTraceActor):
+        def choose_segment(self, round_no, posts):
+            return 1
+
+    honest = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(1), 200), scheme=SCHEME))
+    submitter = FirstSegment("alice", honest, ActorStrategy(kind="honest"), SCHEME)
+    challenger = build_trace_actor(
+        "bob", honest, ActorStrategy(kind="fault", fault=fpvm.StepFault(190, dispute.SCRATCH_FAULT_LEAF, 3)))
+    claim = Claim.posted_by(submitter, 1, 1, claim_id=1)
+    chain = ChainSim()
+    for party in ("alice", "bob"):
+        chain.deposit(party, 1000)
+        chain.stake(party, 100)
+    result = run_dispute(claim, submitter, challenger, k=1, chain=chain, m=1)
+    reason = "submitter conceded the disputed span"
+    assert (result.winner, result.rounds, result.pinned_step, result.reason) == ("challenger", 8, 1, reason)
+    assert chain.transcript[-1] == {"event": "verdict", "winner": "challenger", "reason": reason,
+                                    "pinned_node": None, "pinned_step": 1, "rounds": 8}
+    assert chain.balances["bob"] == 900 + 100 + 50 and chain.burned == 50

@@ -751,7 +751,7 @@ def test_fork_matches_a_from_scratch_faulty_run(leaf_index):
         forked = honest.fork(fault)
         reference = _faulted_from_scratch(honest.state_at(0), fault)
         assert len(forked) == len(reference) - 1
-        assert list(forked.pcs) == [s.pc for s in reference[:-1]]  # the log find_store_step reads
+        assert [s.pc for s in forked.walk()][:-1] == [s.pc for s in reference[:-1]]  # what find_store_step reads
         roots = [state_root(s) for s in reference]
         assert [forked.root_at(i) for i in range(len(reference))] == roots
         assert [state_root(s) for s in forked.walk(1)] == roots[1:]  # across the faulted snapshot
@@ -804,7 +804,11 @@ def test_checkpointed_trace_answers_every_index_like_folding_step():
     trace = run_trace(state0)
     assert len(trace) == len(folded) - 1 == 1500
     assert len(trace.states) <= len(trace) // fpvm.SNAPSHOT_EVERY + 2
-    assert list(trace.pcs) == [s.pc for s in folded[:-1]]
+    assert [s.pc for s in trace.walk()][:-1] == [s.pc for s in folded[:-1]]
+    assert [fpvm.find_store_step(trace, s.pc) for s in folded[:-1]] == list(range(1, 1501))
+    suffix = run_trace(folded[37])  # a trace that starts mid-run counts from its first state
+    assert len(suffix) == 1500 - 37
+    assert fpvm.find_store_step(suffix, folded[100].pc) == 100 - 37 + 1
     indices = list(range(len(folded) + 3))
     random.Random(29).shuffle(indices)
     for i in indices:

@@ -239,3 +239,25 @@ def test_store_map_names_the_step_that_stores_each_element():
                 assert fpvm.find_store_step(node_trace, pc) == reference_store_step(node_trace, addr)
             checked += 2 * len(stores)
     assert checked == 104
+
+
+def test_find_store_step_names_no_step_for_a_pc_the_trace_never_executes():
+    """A pc past HALT, the immediate word of an LI and the ADD that a ReLU's
+    BLT skips for a negative element are never executed: each raises. The
+    same ADD of a non-negative element runs two steps before its SW."""
+    _, graph, x = fixture_models()[1]
+    lowered = lowering.lower_graph(graph)
+    trace = fpvm.run_trace(lowered.initial_state(x, SCHEME))
+    run = ml.run_graph(graph, x, scheme=SCHEME)
+    final = trace.state_at(len(trace))
+    relu = next(node for node in graph.nodes if node.op == "relu")
+    stores = lowered.stores[relu.id]
+    operand = run.outputs[relu.input_ids[0]].data
+    negative = [pc for (pc, _), v in zip(stores, operand) if v < 0]
+    kept = [pc for (pc, _), v in zip(stores, operand) if v >= 0]
+    assert negative and kept
+    for pc in kept:  # ADD rd=3 at sw - 12, then LI (8 bytes), then SW
+        assert fpvm.find_store_step(trace, pc - 12) == fpvm.find_store_step(trace, pc) - 2
+    for pc in (final.pc + 4, stores[0][0] - 4, negative[0] - 12):
+        with pytest.raises(ValueError, match=f"no step executes pc {pc:#x}"):
+            fpvm.find_store_step(trace, pc)
