@@ -25,14 +25,15 @@ Instruction set (14 opcodes, all arithmetic two's-complement wrapping):
 Unknown opcodes and misaligned accesses trap (exit with a trap code),
 never raise: hostile programs must still be arbitrable.
 
-The step semantics live only in `_execute`. It runs over one of three
-memory views: the run view (`_successors`, behind `step`, `run` and
-`run_trace`), a view that records every accessed leaf with its proof
-(`gen_step_witness`), and a view that serves only the leaves a witness
-proves (`verify_step`). So the prover and the verifier execute the same
-instruction by construction. The run view writes each store through to the
-persistent tree and keeps the leaves the run has touched in a dict, so a run
-reads each leaf from the tree at most once.
+The step semantics, word access included, live only in `_execute`. It runs
+over one of three memory views, which serve whole leaves only: the run view
+(`_successors`, behind `step`, `run` and `run_trace`), a view that records
+every accessed leaf with its proof (`gen_step_witness`), and a view that
+serves only the leaves a witness proves (`verify_step`). So the prover and
+the verifier execute the same instruction by construction. The run view
+writes each store through to the persistent tree and keeps the leaves the
+run has touched in a dict, so a run reads each leaf from the tree at most
+once.
 
 The stepping loop carries pc and registers as locals and builds a `VmState`
 only where one is kept. A trace (`run_trace`) is its snapshots: the first
@@ -303,17 +304,19 @@ _unpack_word = struct.Struct("<I").unpack_from
 
 
 def _execute(
-    pc: int, regs: tuple[int, ...], mem: _TreeMemory | _WitnessMemory
+    pc: int, regs: tuple[int, ...], mem: _TreeMemory | _RecordingMemory | _WitnessMemory
 ) -> tuple[int, tuple[int, ...], bool, int]:
     """The step semantics: (pc, regs, exited, exit_code) after the
     instruction at `pc`, touching memory only through the view `mem`.
 
-    A view reads an aligned word (`read_word(addr, miss)`) or a whole leaf by
-    base address (`read_leaf(base, miss)`), where `miss` is the reject reason
-    the witness-backed view gives when it does not hold that leaf; it stores
-    a word (`store_word`), fetches a preimage chunk (`chunk`) and writes a
-    whole leaf (`put_leaf`). A write is always the step's last memory access.
-    Traps leave pc and regs unchanged.
+    A view serves whole leaves by base address: it reads one
+    (`read_leaf(base, miss)`, where `miss` is the reject reason the
+    witness-backed view gives when it does not hold that leaf), gives the
+    leaf a store overwrites (`old_leaf`, carried in the witness's write
+    record, not as a read), writes one (`put_leaf`) and fetches a preimage
+    chunk (`chunk`). Words are read and stored here, within leaves. A write
+    is always the step's last memory access. Traps leave pc and regs
+    unchanged.
 
     The opcode tests run in the order of a lowered MLP's opcode mix (LI, ADD
     and LW about 22% of steps each, MULFX, MUL and AND 11% each); every
@@ -321,11 +324,11 @@ def _execute(
     """
     if pc & 3:
         return pc, regs, True, TRAP_BAD_PC
-    word = mem.read_word(pc, "missing-fetch-leaf")
+    word = _unpack_word(mem.read_leaf(pc & ~31, "missing-fetch-leaf"), pc & 31)[0]
     op, rd, rs, rt, imm = _SPLIT.get(word) or _split(word)
     next_pc = (pc + 4) & MASK32
     if op == 0x01:  # LI
-        value = mem.read_word(next_pc, "missing-li-leaf")
+        value = _unpack_word(mem.read_leaf(next_pc & ~31, "missing-li-leaf"), next_pc & 31)[0]
         next_pc = (pc + 8) & MASK32
     elif op == 0x10:  # ADD
         value = regs[rs] + regs[rt]
@@ -333,7 +336,7 @@ def _execute(
         addr = (regs[rs] + imm) & MASK32
         if addr & 3:
             return pc, regs, True, TRAP_BAD_ALIGN
-        value = mem.read_word(addr, "missing-load-leaf")
+        value = _unpack_word(mem.read_leaf(addr & ~31, "missing-load-leaf"), addr & 31)[0]
     elif op == 0x13:  # MULFX: signed 64-bit product, arithmetic shift
         a, b = regs[rs], regs[rt]
         value = ((a - ((a & 0x8000_0000) << 1)) * (b - ((b & 0x8000_0000) << 1))) >> MULFX_SHIFT
@@ -345,7 +348,8 @@ def _execute(
         addr = (regs[rs] + imm) & MASK32
         if addr & 3:
             return pc, regs, True, TRAP_BAD_ALIGN
-        mem.store_word(addr, regs[rt])
+        base = addr & ~31
+        mem.put_leaf(base, _with_word(mem.old_leaf(base), addr, regs[rt]))
         return next_pc, regs, False, 0
     elif op == 0x11:  # SUB
         value = regs[rs] - regs[rt]
@@ -396,16 +400,8 @@ class _TreeMemory:
             leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
         return leaf
 
-    def read_word(self, addr: int, miss: str) -> int:
-        leaf = self.leaves.get(addr & ~31)
-        if leaf is None:
-            leaf = self.leaves[addr & ~31] = self.tree.get_leaf(addr >> 5)
-        return _unpack_word(leaf, addr & 31)[0]
-
-    def store_word(self, addr: int, value: int) -> None:
-        # Not self.read_leaf: a store's old leaf is no witness read record.
-        base = addr & ~31
-        self.put_leaf(base, _with_word(_TreeMemory.read_leaf(self, base, ""), addr, value))
+    def old_leaf(self, base: int) -> bytes:
+        return self.read_leaf(base, "")
 
     def chunk(self, key: bytes, index: int) -> bytes:
         if self.oracle is None:
@@ -417,15 +413,16 @@ class _TreeMemory:
         self.leaves[base] = leaf
 
 
-class _RecordingMemory(_TreeMemory):
+class _RecordingMemory:
     """Witness view: executes on the tree and records every leaf read (once,
     in access order), the leaf write and the preimage chunk, each with its
     proof against the pre-state memory root."""
 
-    __slots__ = ("reads", "writes", "preimage_chunk")
+    __slots__ = ("tree", "oracle", "reads", "writes", "preimage_chunk")
 
     def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
-        super().__init__(tree, oracle)
+        self.tree = tree
+        self.oracle = oracle
         self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
         self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
         self.preimage_chunk: PreimageChunk | None = None
@@ -436,8 +433,9 @@ class _RecordingMemory(_TreeMemory):
             self.reads.append((base, leaf, self.tree.prove(base >> 5)))
         return leaf
 
-    def read_word(self, addr: int, miss: str) -> int:
-        return _unpack_word(self.read_leaf(addr & ~31, miss), addr & 31)[0]
+    def old_leaf(self, base: int) -> bytes:
+        # A store's old leaf goes into its write record, not a read record.
+        return self.tree.get_leaf(base >> 5)
 
     def chunk(self, key: bytes, index: int) -> bytes:
         if self.oracle is None:
@@ -448,8 +446,7 @@ class _RecordingMemory(_TreeMemory):
     def put_leaf(self, base: int, leaf: bytes) -> None:
         # Recorded, not applied: nothing reads memory after the write, and
         # the proof must be against the pre-state root.
-        old = self.tree.get_leaf(base >> 5)
-        self.writes.append((base, old, leaf, self.tree.prove(base >> 5)))
+        self.writes.append((base, self.old_leaf(base), leaf, self.tree.prove(base >> 5)))
 
 
 class _Rejected(Exception):
@@ -479,13 +476,6 @@ class _WitnessMemory:
         self.used.add(base)
         return self.leaves[base]
 
-    def read_word(self, addr: int, miss: str) -> int:
-        return _unpack_word(self.read_leaf(addr & ~31, miss), addr & 31)[0]
-
-    def store_word(self, addr: int, value: int) -> None:
-        base = addr & ~31
-        self.put_leaf(base, _with_word(self._old_leaf(base), addr, value))
-
     def chunk(self, key: bytes, index: int) -> bytes:
         chunk = self.witness.preimage_chunk
         if chunk is None or len(chunk.data) != 32:
@@ -501,10 +491,10 @@ class _WitnessMemory:
         return chunk.data
 
     def put_leaf(self, base: int, leaf: bytes) -> None:
-        self._old_leaf(base)
+        self.old_leaf(base)
         self.write = (base, leaf)
 
-    def _old_leaf(self, base: int) -> bytes:
+    def old_leaf(self, base: int) -> bytes:
         for addr, old, _new, _proof in self.witness.mem_writes:
             if addr == base:
                 if len(old) != 32:

@@ -150,7 +150,7 @@ def matmul_fx(a: FixedTensor, b: FixedTensor) -> FixedTensor:
 
 def bias_add_fx(x: FixedTensor, bias: FixedTensor) -> FixedTensor:
     """Broadcast bias over the last dimension; wrapping add."""
-    if len(bias.shape) != 1 or x.shape[-1] != bias.shape[0]:
+    if len(bias.shape) != 1 or not x.shape or x.shape[-1] != bias.shape[0]:
         raise ShapeError(f"bias {bias.shape} does not broadcast over {x.shape}")
     width = bias.shape[0]
     out = tuple(
@@ -291,7 +291,7 @@ def op_shape(op: str, operand_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
         return (a[0], b[1])
     if op == "bias_add":
         x, b = operand_shapes
-        if len(b) != 1 or x[-1] != b[0]:
+        if len(b) != 1 or not x or x[-1] != b[0]:
             raise ShapeError(f"bias_add {x} + {b}")
         return x
     if op == "relu":

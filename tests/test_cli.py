@@ -160,21 +160,27 @@ def test_fault_node_without_a_computation_exits_2(capsys, protocol, node, messag
 
 def _misfit_model_files(tmp_path, case):
     """A model and input that parse but do not fit: operand shapes that
-    clash, an uncomputed output node, or an input of the wrong shape."""
+    clash, a bias added over a rank-0 input, which has no last dimension,
+    an uncomputed output node, or an input of the wrong shape."""
     rows = 4 if case == "matmul" else 3
     nodes = [ml.GraphNode(0, "input", shape=(1, 3)),
              ml.GraphNode(1, "const", params=ml.FixedTensor((rows, 2), tuple(range(2 * rows)))),
              ml.GraphNode(2, "matmul", (0, 1))]
-    graph = ml.CompGraph(nodes, output_id=1 if case == "output" else 2)
     width = 4 if case == "input" else 3
     x = ml.FixedTensor((1, width), tuple(range(width)))
+    if case == "rank-0":
+        nodes = [ml.GraphNode(0, "input", shape=()),
+                 ml.GraphNode(1, "const", params=ml.FixedTensor((1,), (5,))),
+                 ml.GraphNode(2, "bias_add", (0, 1))]
+        x = ml.FixedTensor((), (1 << 16,))
+    graph = ml.CompGraph(nodes, output_id=1 if case == "output" else 2)
     model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
     ml.save_model(graph, str(model))
     inp.write_bytes(ml.serialize_tensor(x))
     return str(model), str(inp)
 
 
-@pytest.mark.parametrize("case", ["matmul", "output", "input"])
+@pytest.mark.parametrize("case", ["matmul", "rank-0", "output", "input"])
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["dispute", "--protocol", "single"],

@@ -332,6 +332,26 @@ def _random_program(rng: random.Random, n_steps: int) -> bytes:
     return synthetic_program(rng, n_steps)
 
 
+def test_decode_memo_evicts_when_full_and_the_run_is_unchanged(monkeypatch):
+    """A program with more distinct words than the memo holds clears it
+    again and again; every root stays the one an unbounded memo gives."""
+    program = _random_program(random.Random(28), 1000)
+    expected = run_trace(load_program(program, scheme=SCHEME))
+    sizes = []
+
+    class Memo(dict):
+        def __setitem__(self, word, fields):
+            super().__setitem__(word, fields)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(fpvm, "_SPLIT_MAX", 8)
+    monkeypatch.setattr(fpvm, "_SPLIT", Memo())
+    trace = run_trace(load_program(program, scheme=SCHEME))
+    assert len(trace) == len(expected) == 1000
+    assert [trace.root_at(i) for i in range(1001)] == [expected.root_at(i) for i in range(1001)]
+    assert max(sizes) == 8 and sizes.count(1) > 10  # filled and cleared many times
+
+
 def test_determinism_over_random_programs():
     rng = random.Random(21)
     for _ in range(100):

@@ -7,6 +7,7 @@ end in 4, an internal error. A third plays `opml dispute` scenarios drawn
 from `cli.DISPUTE_OPTIONS`."""
 
 import contextlib
+import copy
 import io
 import math
 import os
@@ -281,3 +282,57 @@ def test_dispute_scenarios_end_in_a_documented_exit_code(originals):
 
     play()
     assert sum(verdicts) >= 100, (sum(verdicts), len(verdicts))
+
+
+def _misbuilt(case: str) -> bytes:
+    """The fixture model with one structural rule broken; the file still
+    parses, and `CompGraph.validate` rejects it."""
+    graph = copy.deepcopy(MODEL)
+    nodes = graph.nodes
+    if case == "input-count":
+        nodes[2].input_ids = (0,)
+    elif case == "later-dependency":
+        nodes[2].input_ids = (0, 3)
+    elif case == "output-id":
+        graph.output_id = len(nodes)
+    elif case == "no-input":
+        nodes[0] = ml.GraphNode(0, "const", params=ml.FixedTensor((1, 3), (1, 2, 3)))
+    else:  # two inputs
+        nodes[1] = ml.GraphNode(1, "input", shape=(3, 4))
+    return ml.save_model_bytes(graph)
+
+
+_MISBUILT = {"input-count": "matmul takes 2 inputs",
+             "later-dependency": "node 2 depends on non-preceding 3",
+             "output-id": "bad output node",
+             "no-input": "exactly one input node is supported",
+             "two-inputs": "exactly one input node is supported"}
+
+
+@pytest.mark.parametrize("command", [["run"], ["dispute", "--fault-node", "4"],
+                                     ["dispute", "--protocol", "two-phase", "--fault-node", "4"]],
+                         ids=["run", "single", "two-phase"])
+@pytest.mark.parametrize("case", sorted(_MISBUILT))
+def test_model_that_breaks_a_structural_rule_exits_3(originals, case, command):
+    work, _ = originals
+    (work / f"{case}.opml").write_bytes(_misbuilt(case))
+    with _inside(work):
+        code, out, err = _call([*command, "--model", f"{case}.opml", "--input", "input.tensor"])
+    assert (code, out, err) == (3, "", f"error: {case}.opml: {_MISBUILT[case]}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "a-dir", "--input", "input.tensor"],
+    ["run", "--model", "model.opml", "--input", "a-dir"],
+    ["dispute", "--config", "a-dir"],
+    ["verify-witness", "--file", "a-dir"],
+], ids=["model", "input", "config", "witness"])
+def test_a_directory_given_as_a_file_exits_3(originals, argv):
+    work, files = originals
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+    (work / "a-dir").mkdir(exist_ok=True)
+    with _inside(work):
+        code, out, err = _call(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "a-dir" in err and err.count("\n") == 1

@@ -103,6 +103,15 @@ def test_matmul_shape_error():
         ml.matmul_fx(ml.quantize([[1.0, 2.0]]), ml.quantize([[1.0, 2.0]]))
 
 
+def test_bias_over_a_rank_0_tensor_is_a_shape_error():
+    """A rank-0 tensor has no last dimension for a bias to broadcast over."""
+    scalar, bias = ml.FixedTensor((), (1 << 16,)), ml.FixedTensor((1,), (5,))
+    with pytest.raises(ml.ShapeError, match=r"\(\)"):
+        ml.bias_add_fx(scalar, bias)
+    with pytest.raises(ml.ShapeError, match=r"bias_add \(\) \+ \(1,\)"):
+        ml.op_shape("bias_add", [(), (1,)])
+
+
 def test_chunked_reduction_matches_sequential():
     """Wrapped 64-bit addition is order-insensitive, so a parallel reduction
     lands on the same result as the sequential loop."""

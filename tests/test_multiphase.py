@@ -87,34 +87,41 @@ def test_entrance_state_builds_each_region_once(monkeypatch):
 
 def test_entrance_rejects_tampering():
     graph, run, m0, oracle, bundle, lowered = entrance_fixture()
-    rejects = []
+    rejects = []  # (reason, bundle)
 
     # extra nonzero scratch leaf in the claimed initial memory
     dirty = m0.memory.update_leaf((fpvm.HEAP_BASE // 32) + 5, b"\x01" * 32)
-    rejects.append(replace(bundle, m0_root=dirty.root()))
+    rejects.append(("initial memory root not reconstructible", replace(bundle, m0_root=dirty.root())))
     # flipped a bit of the claimed root
     flipped = bytearray(bundle.m0_root)
     flipped[0] ^= 1
-    rejects.append(replace(bundle, m0_root=bytes(flipped)))
+    rejects.append(("initial memory root not reconstructible", replace(bundle, m0_root=bytes(flipped))))
     # wrong program root (not the registered program for this node)
-    rejects.append(replace(bundle, program_root=SCHEME.digest(b"not-a-program")))
+    rejects.append(("program root not the registered one",
+                    replace(bundle, program_root=SCHEME.digest(b"not-a-program"))))
     # nonzero model region claimed
-    rejects.append(replace(bundle, model_root=SCHEME.digest(b"model")))
+    rejects.append(("model field must be empty", replace(bundle, model_root=SCHEME.digest(b"model"))))
     # operand key field relocated / recomputed wrongly
-    rejects.append(replace(bundle, operand_keys_root=SCHEME.zero_hashes[fpvm.INPUT_LEVEL]))
+    rejects.append(("operand key field mismatch",
+                    replace(bundle, operand_keys_root=SCHEME.zero_hashes[fpvm.INPUT_LEVEL])))
     # opening that does not hash to the agreed state
     fake_entries = list(bundle.opening.entries)
     fake_entries[0] = (SCHEME.digest(b"x"), SCHEME.digest(b"y"))
-    rejects.append(replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake_entries))))
+    rejects.append(("opening does not match the agreed state", replace(bundle, opening=FieldOpening(
+        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake_entries)))))
     # wrong node id (field address in the agreed state)
-    rejects.append(replace(bundle, node_id=4))
+    rejects.append(("operand entry empty in the agreed state", replace(bundle, node_id=4)))
     # node with no lowering
-    rejects.append(replace(bundle, node_id=0))
+    rejects.append(("node has no phase-2 computation", replace(bundle, node_id=0)))
+    # node id outside the graph, past either end
+    rejects.append(("node id out of range", replace(bundle, node_id=len(graph.nodes))))
+    rejects.append(("node id out of range", replace(bundle, node_id=-1)))
+    # opening one entry short of the graph
+    rejects.append(("opening has wrong arity", replace(bundle, opening=FieldOpening(
+        bundle.opening.model_digest, bundle.opening.input_key, bundle.opening.entries[:-1]))))
 
-    for i, bad in enumerate(rejects):
-        ok, why = entrance_check(bad, graph, SCHEME)
-        assert not ok, f"mutation {i} accepted: {why}"
+    for i, (reason, bad) in enumerate(rejects):
+        assert entrance_check(bad, graph, SCHEME) == (False, reason), f"mutation {i}"
 
 
 def test_entrance_from_tampered_state_rejected():
@@ -156,32 +163,39 @@ def test_exit_honest_accepted():
 
 def test_exit_rejects_mismatches():
     graph, run, final, bundle = exit_fixture()
-    rejects = []
+    rejects = []  # (reason, bundle)
 
     # corrupted output leaf in the final machine
     leaf = fpvm.OUTPUT_BASE // 32
     dirty = final.memory.update_leaf(leaf, b"\x07" + final.memory.get_leaf(leaf)[1:])
     dirty_state = fpvm.VmState(final.pc, final.regs, dirty, final.exited, final.exit_code)
-    rejects.append(build_exit_bundle(run, 2, dirty_state))
+    rejects.append(("vm output differs from the claimed node output",
+                    build_exit_bundle(run, 2, dirty_state)))
     # proof for the wrong region (input instead of output)
     wrong_proof = final.memory.prove(fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL)
-    rejects.append(replace(bundle, output_proof=wrong_proof))
+    rejects.append(("output proof aimed at the wrong field", replace(bundle, output_proof=wrong_proof)))
     # r_v tampered
-    rejects.append(replace(bundle, node_output_root=SCHEME.digest(b"claim")))
+    rejects.append(("node output field mismatch",
+                    replace(bundle, node_output_root=SCHEME.digest(b"claim"))))
     # opening not matching the phase-1 root
     fake = list(bundle.opening.entries)
     fake[2] = (fake[2][0], SCHEME.digest(b"other"))
-    rejects.append(replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake))))
+    rejects.append(("opening does not match the claimed state", replace(bundle, opening=FieldOpening(
+        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake)))))
     # vm fields not opening the final state root
     bad_fields = fpvm.VmFields(bundle.vm_fields.pc + 4, bundle.vm_fields.regs,
                                bundle.vm_fields.exited, bundle.vm_fields.exit_code,
                                bundle.vm_fields.memory_root)
-    rejects.append(replace(bundle, vm_fields=bad_fields))
+    rejects.append(("vm fields do not open the final state root", replace(bundle, vm_fields=bad_fields)))
+    # node id outside the graph, past either end
+    rejects.append(("node id out of range", replace(bundle, node_id=len(graph.nodes))))
+    rejects.append(("node id out of range", replace(bundle, node_id=-1)))
+    # opening one entry short of the graph
+    rejects.append(("opening has wrong arity", replace(bundle, opening=FieldOpening(
+        bundle.opening.model_digest, bundle.opening.input_key, bundle.opening.entries[:-1]))))
 
-    for i, bad in enumerate(rejects):
-        ok, why = exit_check(bad, graph, SCHEME)
-        assert not ok, f"mutation {i} accepted: {why}"
+    for i, (reason, bad) in enumerate(rejects):
+        assert exit_check(bad, graph, SCHEME) == (False, reason), f"mutation {i}"
 
 
 def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
@@ -346,6 +360,40 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
     )
     assert result.winner == "challenger"
     assert "exit check failed" in result.reason
+
+
+def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
+    """The submitter supplies the entrance evidence: a bundle whose initial
+    memory root does not rebuild loses, before any VM step is played, even
+    when the submitter's phase-1 claim is honest."""
+    graph = build_mlp(seed=75, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(76), (1, 3))
+    real = multiphase.build_entrance_state
+
+    def flipped_m0_root(run, node_id, scheme):
+        m0, oracle, bundle, lowered = real(run, node_id, scheme)
+        root = bytes([bundle.m0_root[0] ^ 1]) + bundle.m0_root[1:]
+        return m0, oracle, replace(bundle, m0_root=root), lowered
+
+    monkeypatch.setattr(multiphase, "build_entrance_state", flipped_m0_root)
+    monkeypatch.setattr(fpvm, "run_trace", lambda *a: pytest.fail("a VM trace was run"))
+    chain = fresh_chain("alice", "bob")
+    result = run_two_phase_dispute(
+        graph, x,
+        make_party("alice", graph, x, scheme=SCHEME),
+        make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 0, 5), scheme=SCHEME),
+        PhaseConfig(), chain, scheme=SCHEME,
+    )
+    assert (result.winner, result.pinned_node, result.pinned_step, result.phase2_rounds) == (
+        "challenger", 2, None, 0)
+    assert result.reason == "entrance check failed: initial memory root not reconstructible"
+    assert {"phase": "transition", "check": "entrance", "accepted": False,
+            "reason": "initial memory root not reconstructible"} in chain.transcript
+    assert chain.transcript[-1]["event"] == "verdict"
+    assert chain.transcript[-1]["reason"] == result.reason
+    # alice's stake is slashed, half to bob and half burned; bob's is returned
+    assert (chain.balances, chain.stakes, chain.burned) == ({"alice": 900, "bob": 1050}, {}, 50)
+    assert not chain.open_disputes
 
 
 def test_phase_counts_against_bound():
