@@ -29,6 +29,17 @@ _SYNTHETIC = [
     for n in (40, 257) for k, m in ((1, 1), (3, 64)) for faulty in ("submitter", "challenger")
 ]
 
+# The strategies other than `fault`. Without a fault both actors play one
+# honest trace, so its roots are queried more than once.
+_STRATEGIES = ("wrong-midpoint", "silent", "random")
+
+_SYNTHETIC += [
+    (f"synthetic-n257-k3-m4-{strategy}-{faulty}",
+     ["--synthetic-n", "257", "--strategy", strategy, "--faulty", faulty,
+      "--k", "3", "--m", "4", "--seed", "5"])
+    for strategy in _STRATEGIES for faulty in ("submitter", "challenger")
+]
+
 _MODEL_NAME = "mlp-argmax-3-5-4"
 
 
@@ -48,6 +59,15 @@ def _model_scenarios():
         for node_id in computed
         for protocol in ("single", "two-phase")
         for faulty in ("submitter", "challenger")
+    ] + [
+        (f"{_MODEL_NAME}-{strategy}-{fault or 'nofault'}-{protocol}-{faulty}",
+         ["--model", "MODEL", "--input", "INPUT", "--protocol", protocol, "--strategy", strategy,
+          "--faulty", faulty, "--k", "2", "--m", "4", "--seed", "3"]
+         + (["--fault-node", "5"] if fault else []))
+        for strategy in _STRATEGIES
+        for fault in (None, "node5")
+        for protocol in ("single", "two-phase")
+        for faulty in ("submitter", "challenger")
     ]
 
 
@@ -62,6 +82,12 @@ GOLDENS = {
     "synthetic-n257-k1-m1-challenger": "afb1404a70c982c2adab67bbdb09ab47c321e05dfe1ac8fc4d71b630ee48433d",
     "synthetic-n257-k3-m64-submitter": "b7e99d3ed9bb9805afbd58a9f205e430ee7028e35b2a21eb1ca3bad78f85d514",
     "synthetic-n257-k3-m64-challenger": "779503d7835958248b33a10139e36cfe3ea1903123b681713b4240409c5262ea",
+    "synthetic-n257-k3-m4-wrong-midpoint-submitter": "1033eb9699e23d48eadca4aacb5a52443222f15a15a47c5403331ca78ae1f214",
+    "synthetic-n257-k3-m4-wrong-midpoint-challenger": "1520d9e0297d7eb6922ef26bb27457bab1f71b6efa4dc5a5f9cb694ee4bf3bb0",
+    "synthetic-n257-k3-m4-silent-submitter": "66f623bdb172dbd7e005ab15c9aebdf92381058eab6d893d695bf67c408d3ef7",
+    "synthetic-n257-k3-m4-silent-challenger": "66f623bdb172dbd7e005ab15c9aebdf92381058eab6d893d695bf67c408d3ef7",
+    "synthetic-n257-k3-m4-random-submitter": "1f35620c5bcc77372e3380c8fd004c739dbd54bf3eba014cd9eed051dfb6f594",
+    "synthetic-n257-k3-m4-random-challenger": "86e168841ad81cc3565ff025e06ad25b82bfdf82e99ed13dd466f390025c9122",
     "mlp-argmax-3-5-4-node2-single-submitter": "8f96a11cd85d4c00d25b8020eb3a088f9d6bbf46ee03989f6c7c276f017032f6",
     "mlp-argmax-3-5-4-node2-single-challenger": "6393a41119b12ac0da62e122944c128c80a5600ec847e39ce7fe490b9497e2f6",
     "mlp-argmax-3-5-4-node2-two-phase-submitter": "7907f2ad391847b919fa4c077fa52fcfc3e5b2d336ff08e6c3c77d0edfc36a6d",
@@ -86,6 +112,30 @@ GOLDENS = {
     "mlp-argmax-3-5-4-node10-single-challenger": "deca18ddded909997c28243dba4aabc1cb0404893e54cc96f52183af8331c838",
     "mlp-argmax-3-5-4-node10-two-phase-submitter": "a9674e27a9d4f90968978eda19f909b103caf0f6c2bf8b8e614cdfb7aef40caa",
     "mlp-argmax-3-5-4-node10-two-phase-challenger": "dd035148cde82c71669ca5ad6c442466b39c76ef98cfa04f4863ebd35733c9af",
+    "mlp-argmax-3-5-4-wrong-midpoint-nofault-single-submitter": "636551f6a15a6b87b82fae08f107c8ba93eed9e2e35626a31d69c1fde7112acc",
+    "mlp-argmax-3-5-4-wrong-midpoint-nofault-single-challenger": "d32b419090c13b040182a9aef0002682f5a213c69c91631baf07cc11df257247",
+    "mlp-argmax-3-5-4-wrong-midpoint-nofault-two-phase-submitter": "99cf10dba95dcad6f159a5bef9013a701cddfd3301de1f663fe226cec9e5de46",
+    "mlp-argmax-3-5-4-wrong-midpoint-nofault-two-phase-challenger": "2994fa21ae981059e1b42589935bdd05a97c20e4a192db955b30eff66fc79418",
+    "mlp-argmax-3-5-4-wrong-midpoint-node5-single-submitter": "2c36bb5e8bd10891876b003cb7e299be99d5a4e5969036de119797bb7f5f86d1",
+    "mlp-argmax-3-5-4-wrong-midpoint-node5-single-challenger": "951c3c8a1d4d78e56a793ad37b09935d13ce73b98315e5c08c994791b2ec68d3",
+    "mlp-argmax-3-5-4-wrong-midpoint-node5-two-phase-submitter": "a5d7cec3cc43d4347ea2795eae903556c30251f62013365c38e7ef70f318f232",
+    "mlp-argmax-3-5-4-wrong-midpoint-node5-two-phase-challenger": "f44882f135caabf2b5be0510ecf8ba66cfe20d7ce42f98d61e6465442b2644b8",
+    "mlp-argmax-3-5-4-silent-nofault-single-submitter": "0b4c86c3c45530cac51387a6c4dc0eeb8698f0a61a2e8ec746e46abffa8e28ec",
+    "mlp-argmax-3-5-4-silent-nofault-single-challenger": "0b4c86c3c45530cac51387a6c4dc0eeb8698f0a61a2e8ec746e46abffa8e28ec",
+    "mlp-argmax-3-5-4-silent-nofault-two-phase-submitter": "215a0c8a30ba89bc30badf351bc8911fe66651bb57850ca8d5418017d9728e12",
+    "mlp-argmax-3-5-4-silent-nofault-two-phase-challenger": "215a0c8a30ba89bc30badf351bc8911fe66651bb57850ca8d5418017d9728e12",
+    "mlp-argmax-3-5-4-silent-node5-single-submitter": "3d3bc90971870066bff81b036a7e8fda2474cf5d1be5c2fc163d635e9b220e96",
+    "mlp-argmax-3-5-4-silent-node5-single-challenger": "5c53c6e19249a1651a1882eee83b0e017721aef78b677289a3690a2f173630a3",
+    "mlp-argmax-3-5-4-silent-node5-two-phase-submitter": "e511bfbdc8ba44839e565bd0346fa6fe06f1ec59aa025835d74149afc613f161",
+    "mlp-argmax-3-5-4-silent-node5-two-phase-challenger": "79a9d1dffe190031aa4f8ea5751e98d7e8db8dd75645648aa99f9aa4fa1703d8",
+    "mlp-argmax-3-5-4-random-nofault-single-submitter": "29d265a97e1b9ebf804923dcfa5699661544708fb079c24347f6bbf679562af6",
+    "mlp-argmax-3-5-4-random-nofault-single-challenger": "c6c5f0f9974bbe47d69e766fc2640fa0e27cfa88917bcdf265975a136a0c0ea5",
+    "mlp-argmax-3-5-4-random-nofault-two-phase-submitter": "122d9df552b001c0efee0476e96688aa3b8804a83b7cb6d134b05e7266d4d014",
+    "mlp-argmax-3-5-4-random-nofault-two-phase-challenger": "134cbccb6869a87e0a6e34e0c5f6238cd13b96153bc2a48bcc89212bd54a356f",
+    "mlp-argmax-3-5-4-random-node5-single-submitter": "29d265a97e1b9ebf804923dcfa5699661544708fb079c24347f6bbf679562af6",
+    "mlp-argmax-3-5-4-random-node5-single-challenger": "c6c5f0f9974bbe47d69e766fc2640fa0e27cfa88917bcdf265975a136a0c0ea5",
+    "mlp-argmax-3-5-4-random-node5-two-phase-submitter": "e35ce26bf48426f0717eb4d8645c55b0b202a7819c8cf508efd72cf7bd7d40f7",
+    "mlp-argmax-3-5-4-random-node5-two-phase-challenger": "134cbccb6869a87e0a6e34e0c5f6238cd13b96153bc2a48bcc89212bd54a356f",
 }
 
 
