@@ -58,11 +58,8 @@ class IoError(Exception):
 def _read_file(path: str) -> bytes:
     if not os.path.exists(path):
         raise ConfigError(f"file not found: {path}")
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _load_model(path: str) -> ml.CompGraph:
@@ -125,8 +122,8 @@ DISPUTE_OPTIONS = {
     "k": Option(int, 1, EVERY_GAME, lo=1, hi=1024),
     # Programs opml builds branch only forward, so none runs more steps than
     # its 2^23-word region holds words: a wider window arbitrates nothing more.
-    "m": Option(int, 1, EVERY_GAME, lo=1, hi=8 << fpvm.PROGRAM_LEVEL),
-    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=(8 << fpvm.PROGRAM_LEVEL) - 1),
+    "m": Option(int, 1, EVERY_GAME, lo=1, hi=fpvm.PROGRAM_WORDS),
+    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=fpvm.PROGRAM_WORDS - 1),
     "fault.node": Option(int, None, MODEL_GAMES),
     "fault.step": Option(int, None, (SYNTHETIC, SINGLE)),
     "fault.element": Option(int, None, MODEL_GAMES),
@@ -593,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, fpvm.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IoError, OSError) as exc:  # OSError: an output path that cannot be written
+    except (IoError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (dispute.ProtocolViolation, AssertionError) as exc:

@@ -70,6 +70,7 @@ MODEL_BASE = 0x0800_0000
 HEAP_BASE = 0x1000_0000
 
 PROGRAM_LEVEL = 20  # 2**20 leaves = 32 MiB
+PROGRAM_WORDS = 8 << PROGRAM_LEVEL  # 32-bit words the program region holds
 INPUT_LEVEL = 19  # 16 MiB
 OUTPUT_LEVEL = 19
 MODEL_LEVEL = 22  # 128 MiB
@@ -285,8 +286,7 @@ def load_program(
             raise merkle.RangeError(f"{len(image)}-byte image exceeds the region at {base:#x}")
     tree = merkle.MemTree(scheme)
     for base, level, image in regions:
-        subtree, _ = merkle.build_region(image, level, tree.scheme)
-        tree = tree.splice(base // 32, level, subtree)
+        tree = tree.splice(base // 32, level, merkle.build_region(image, level))
     return VmState(pc=0, regs=(0,) * 16, memory=tree)
 
 
@@ -570,27 +570,21 @@ class Trace:
     same stepping loop as the run; nothing replayed is kept, and nothing is
     kept per step.
 
-    State roots are hashed only when asked for and memoised: a dispute game
-    opens a handful of the indices it bisects over, and `opml run` only the
-    last.
+    State roots are hashed only when asked for, and the trace keeps none:
+    a snapshot's memory tree keeps the digests it has hashed, so asking
+    again costs one state hash and a replay of under SNAPSHOT_EVERY steps.
     """
 
     def __init__(self, states: list[VmState], oracle: PreimageOracle | None = None):
         self.states = states
         self.oracle = oracle
-        self._roots: dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return self.states[-1].step_count - self.states[0].step_count
 
     def root_at(self, index: int) -> bytes:
-        """Root at `index`, extending past HALT by the exit fixpoint;
-        hashed on first request and memoised."""
-        index = min(index, len(self))
-        root = self._roots.get(index)
-        if root is None:
-            root = self._roots[index] = state_root(next(self.walk(index)))
-        return root
+        """State root at `index`, extending past HALT by the exit fixpoint."""
+        return state_root(self.state_at(index))
 
     def state_at(self, index: int) -> VmState:
         """State at `index`, extending past HALT by the exit fixpoint."""

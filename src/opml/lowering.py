@@ -6,8 +6,9 @@ Two targets share the same unrolled kernels:
   the input region, get pulled chunk-by-chunk through the oracle (lazy
   loading), and the serialized result lands in the output region. The
   program depends on the op and operand shapes alone and is built once per
-  pair; `lower_node` binds a node's operand values to it. This is the
-  program a phase-2 dispute runs over.
+  pair; `lower_node` pairs it with a node's operand blobs, and
+  `node_initial_state` keys each blob by putting it into the oracle. This
+  is the program a phase-2 dispute runs over.
 * a whole-graph program (`lower_graph`): input and constants sit in their
   memory regions, intermediates live on the heap, and the final output is
   serialized to the output region. This is the single-phase target.
@@ -139,9 +140,8 @@ def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tup
     """Emit one node's kernel; returns (pc of the SW, address) of each
     output element's store, in element order. Raises merkle.RangeError
     before emitting anything when the program would outgrow its region."""
-    limit = 8 << fpvm.PROGRAM_LEVEL
-    if len(words) + kernel_words(op, operand_shapes) > limit:
-        raise merkle.RangeError(f"program exceeds the {limit}-word program region")
+    if len(words) + kernel_words(op, operand_shapes) > fpvm.PROGRAM_WORDS:
+        raise merkle.RangeError(f"program exceeds the {fpvm.PROGRAM_WORDS}-word program region")
     stores: list[tuple[int, int]] = []
     x, count = operand_bases[0], math.prod(operand_shapes[0])
     if op == "matmul":
@@ -216,39 +216,35 @@ def node_program(
 
 @dataclass
 class LoweredNode:
-    """A single node compiled for lazy-loading execution."""
+    """A single node compiled for lazy-loading execution: its program and
+    its operands' oracle values (`ml.tensor_blob`), in operand order."""
 
     program: bytes
-    operand_keys: list[bytes]
-    preimages: dict[bytes, bytes]
+    operand_blobs: list[bytes]
     stores: tuple[tuple[int, int], ...]  # (pc of the SW, address) per output element
 
     def program_root(self, scheme: HashScheme) -> bytes:
         return merkle.region_root(self.program, fpvm.PROGRAM_LEVEL, scheme)
 
 
-def lower_node(
-    node: ml.GraphNode,
-    operands: list[ml.FixedTensor],
-    scheme: HashScheme,
-) -> LoweredNode:
-    """Bind one graph node's operands to its program (`node_program`): each
-    operand's key goes into the input region and its blob into the oracle."""
+def lower_node(node: ml.GraphNode, operands: list[ml.FixedTensor]) -> LoweredNode:
+    """Bind one graph node's operand values to its program (`node_program`);
+    nothing is hashed until `node_initial_state` keys them."""
     program, stores = node_program(node.op, tuple(t.shape for t in operands))
-    blobs = [ml.tensor_blob(t) for t in operands]
-    keys = [scheme.digest(blob) for blob in blobs]
-    return LoweredNode(program, keys, dict(zip(keys, blobs)), stores)
+    return LoweredNode(program, [ml.tensor_blob(t) for t in operands], stores)
 
 
-def node_initial_state(lowered: LoweredNode, scheme: HashScheme) -> fpvm.VmState:
-    """Fresh VM image for a lowered node: program + operand keys, rest zero."""
-    return fpvm.load_program(lowered.program, b"".join(lowered.operand_keys), scheme=scheme)
+def node_initial_state(lowered: LoweredNode, oracle: fpvm.PreimageOracle) -> fpvm.VmState:
+    """Fresh VM image for a lowered node under the oracle's hash scheme: each
+    operand blob goes into the oracle, the key `put` returns for it into the
+    input region, and the program into its region; the rest is zero."""
+    keys = b"".join(oracle.put(blob) for blob in lowered.operand_blobs)
+    return fpvm.load_program(lowered.program, keys, scheme=oracle.scheme)
 
 
 def run_lowered_node(lowered: LoweredNode, oracle: fpvm.PreimageOracle) -> ml.FixedTensor:
-    """Run a lowered node under the oracle's hash scheme; returns its output."""
-    state = node_initial_state(lowered, oracle.scheme)
-    final, _ = fpvm.run(state, oracle)
+    """Run a lowered node, its operands put into `oracle`; returns its output."""
+    final, _ = fpvm.run(node_initial_state(lowered, oracle), oracle)
     if final.exit_code != 0:
         raise LoweringError(f"node program trapped with code {final.exit_code}")
     return read_output_tensor(final)
@@ -283,10 +279,7 @@ def execute_via_vm(
             outputs.append(node.params)
             continue
         operands = [outputs[i] for i in node.input_ids]
-        lowered = lower_node(node, operands, scheme)
-        for value in lowered.preimages.values():
-            oracle.put(value)
-        outputs.append(run_lowered_node(lowered, oracle))
+        outputs.append(run_lowered_node(lower_node(node, operands), oracle))
     return outputs[graph.output_id]
 
 

@@ -11,9 +11,9 @@ version evolves. Digests are lazy: a copied node is built without one, and
 `root`, `prove` and `subtree_root` hash a missing digest on first use and
 keep it in the node. A VM run that writes on every step but opens a
 handful of roots hashes only the paths those roots cover. A whole image is
-loaded bottom-up: `build_region` hashes each leaf and each internal node of
-a region once, and `MemTree.splice` hangs that subtree in at its aligned
-place.
+loaded bottom-up: `build_region` builds a region's subtree, unhashed like
+any path copy, and `MemTree.splice` hangs it in at its aligned place;
+`region_root` hashes one on its own.
 
 The tree keeps no read cache: `get_leaf` always walks from the root, so
 every version reads alike. A VM run keeps its own cache of the leaves it
@@ -215,13 +215,14 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
     return acc
 
 
-def build_region(data: bytes, region_level: int, scheme: HashScheme):
-    """(subtree, digest) of a 2**region_level-leaf region holding `data`
-    left-aligned and zero padded, built bottom-up.
+def build_region(data: bytes, region_level: int):
+    """Subtree of a 2**region_level-leaf region holding `data` left-aligned
+    and zero padded, built bottom-up and, like a path `update_leaf` copies,
+    not yet hashed.
 
-    Each leaf and each internal node is hashed once; all-zero subtrees stay
-    None, as in a tree built by `update_leaf`. Raises RangeError before
-    hashing anything when `data` does not fit the region.
+    All-zero subtrees stay None, as in a tree built by `update_leaf`.
+    Raises RangeError before building anything when `data` does not fit
+    the region.
     """
     if len(data) > 32 << region_level:
         raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
@@ -230,13 +231,13 @@ def build_region(data: bytes, region_level: int, scheme: HashScheme):
         leaf = data[i : i + 32].ljust(32, b"\x00")
         nodes.append(None if leaf == ZERO_LEAF else leaf)
     if not nodes:
-        return None, scheme.zero_hashes[region_level]
+        return None
     for level in range(region_level):
         if len(nodes) % 2:
             nodes.append(None)
         nodes = [None if left is None and right is None else _Node(left, right)
                  for left, right in zip(nodes[::2], nodes[1::2])]
-    return nodes[0], _child_digest(nodes[0], region_level, scheme)
+    return nodes[0]
 
 
 def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
@@ -245,7 +246,7 @@ def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
     Equivalent to writing `data` from the region base into an empty tree and
     asking for that region's subtree root.
     """
-    return build_region(data, region_level, scheme)[1]
+    return _child_digest(build_region(data, region_level), region_level, scheme)
 
 
 def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:

@@ -95,11 +95,9 @@ def build_entrance_state(
     """
     node = run.graph.nodes[node_id]
     operands = [run.outputs[i] for i in node.input_ids]
-    lowered = lowering.lower_node(node, operands, scheme)
+    lowered = lowering.lower_node(node, operands)
     oracle = fpvm.PreimageOracle(scheme)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
-    m0 = lowering.node_initial_state(lowered, scheme)
+    m0 = lowering.node_initial_state(lowered, oracle)
     s_prev = run.states[node_id]
     bundle = EntranceBundle(
         s_prev_root=s_prev.commitment,

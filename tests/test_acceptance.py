@@ -145,11 +145,9 @@ def test_criterion_3_one_step_arbitration():
         oracles.append(None)
     mm_node = ml.GraphNode(2, "matmul", (0, 1))
     a, b = rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2))
-    lowered = lowering.lower_node(mm_node, [a, b], SCHEME)
+    lowered = lowering.lower_node(mm_node, [a, b])
     oracle = fpvm.PreimageOracle(SCHEME)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
-    traces.append(fpvm.run_trace(lowering.node_initial_state(lowered, SCHEME), oracle))
+    traces.append(fpvm.run_trace(lowering.node_initial_state(lowered, oracle), oracle))
     oracles.append(oracle)
     graph = build_mlp(seed=5, in_dim=3, hidden=4, out_dim=2)
     lg = lowering.lower_graph(graph)
@@ -207,8 +205,9 @@ def test_criterion_3_one_step_arbitration():
     try:
         trace = traces[0]
         w = fpvm.gen_step_witness(trace.state_at(0), None)
+        pre, post = trace.root_at(0), trace.root_at(1)
         calls["n"] = 0
-        assert fpvm.verify_step(trace.root_at(0), trace.root_at(1), w, scheme=SCHEME).accepted
+        assert fpvm.verify_step(pre, post, w, scheme=SCHEME).accepted
         assert calls["n"] == 0, "verify_step touched the memory tree"
     finally:
         merkle.MemTree.root, merkle.MemTree.update_leaf, merkle.MemTree.prove = originals

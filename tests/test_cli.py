@@ -110,6 +110,7 @@ def test_dispute_config_not_utf8_exits_3(capsys, tmp_path):
 def test_program_too_large_for_its_region_exits_3(capsys, model_files, monkeypatch, argv):
     model, inp, _, _ = model_files
     monkeypatch.setattr(fpvm, "PROGRAM_LEVEL", 2)  # a 128-byte program region
+    monkeypatch.setattr(fpvm, "PROGRAM_WORDS", 32)
     code, _, err = run_cli(capsys, *argv, "--model", model, "--input", inp)
     assert code == 3
     assert err.startswith("error:") and "exceed" in err
@@ -756,15 +757,13 @@ def test_verify_witness_checks_a_preimage_step_against_the_bundled_preimages(
     graph, x = build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2), rand_tensor(random.Random(91), (1, 3))
     node = next(node for node in graph.nodes if node.op == "matmul")
     run = ml.run_graph(graph, x, scheme=scheme)
-    lowered = lowering.lower_node(node, [run.outputs[i] for i in node.input_ids], scheme)
+    lowered = lowering.lower_node(node, [run.outputs[i] for i in node.input_ids])
     oracle = fpvm.PreimageOracle(scheme)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
-    trace = fpvm.run_trace(lowering.node_initial_state(lowered, scheme), oracle)
+    trace = fpvm.run_trace(lowering.node_initial_state(lowered, oracle), oracle)
     pre = next(state for state in trace.walk() if int.from_bytes(
         fpvm.read_bytes(state.memory, state.pc, 4), "little") >> 24 == fpvm.OPCODES["PREIMAGE"])
     witness = fpvm.gen_step_witness(pre, oracle)
-    blob = lowered.preimages[witness.preimage_chunk.key]
+    blob = oracle.get(witness.preimage_chunk.key)
     bundle = tmp_path / "w.bin"
     bundle.write_bytes(_bundle(pre, fpvm.step(pre, oracle), witness, [blob] if with_preimage else []))
     assert len(read_witness_bundle(bundle.read_bytes())[4]) == with_preimage

@@ -295,7 +295,7 @@ def test_trace_roots_are_hashed_on_demand():
     assert trace.root_at(len(trace) + 5) == trace.root_at(len(trace)) == state_root(trace.state_at(len(trace)))
     state_hashes = _state_hashes(calls)
     assert trace.root_at(3) == state_root(trace.state_at(3))
-    assert _state_hashes(calls) == state_hashes + 1  # only the direct state_root call
+    assert _state_hashes(calls) == state_hashes + 2  # root_at hashes it again: a trace keeps no roots
 
 
 def test_run_trace_hashes_nothing(monkeypatch):

@@ -24,12 +24,9 @@ def count_instructions(program: bytes) -> int:
 
 
 def run_node(node, operands):
-    lowered = lowering.lower_node(node, operands, SCHEME)
+    lowered = lowering.lower_node(node, operands)
     oracle = fpvm.PreimageOracle(SCHEME)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
-    state = lowering.node_initial_state(lowered, SCHEME)
-    final, steps = fpvm.run(state, oracle)
+    final, steps = fpvm.run(lowering.node_initial_state(lowered, oracle), oracle)
     return lowered, final, steps
 
 
@@ -46,8 +43,6 @@ def test_run_lowered_node_is_held_to_the_step_budget(monkeypatch):
     x = ml.quantize([1.5, -2.0, 0.0, 3.25])
     lowered, _, steps = run_node(ml.GraphNode(1, "relu", (0,)), [x])
     oracle = fpvm.PreimageOracle(SCHEME)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
     monkeypatch.setattr(fpvm, "MAX_STEPS", steps)
     assert lowering.run_lowered_node(lowered, oracle) == ml.relu_fx(x)
     monkeypatch.setattr(fpvm, "MAX_STEPS", steps - 1)
@@ -95,11 +90,10 @@ def test_bias_and_argmax_nodes():
 
 def test_missing_preimage_fails_closed():
     x = ml.quantize([1.0, 2.0])
-    lowered = lowering.lower_node(ml.GraphNode(1, "relu", (0,)), [x], SCHEME)
-    oracle = fpvm.PreimageOracle(SCHEME)  # deliberately empty
-    state = lowering.node_initial_state(lowered, SCHEME)
+    lowered = lowering.lower_node(ml.GraphNode(1, "relu", (0,)), [x])
+    state = lowering.node_initial_state(lowered, fpvm.PreimageOracle(SCHEME))
     with pytest.raises(fpvm.MissingPreimageError):
-        fpvm.run(state, oracle)
+        fpvm.run(state, fpvm.PreimageOracle(SCHEME))  # deliberately empty
 
 
 @pytest.mark.parametrize("op, shapes", [
@@ -112,16 +106,16 @@ def test_a_node_program_depends_on_its_op_and_operand_shapes_alone(op, shapes):
     lowered = []
     for _ in range(2):
         lowering.node_program.cache_clear()  # emit it again, from other values
-        lowered.append(lowering.lower_node(node, [rand_tensor(rng, s) for s in shapes], SCHEME))
+        lowered.append(lowering.lower_node(node, [rand_tensor(rng, s) for s in shapes]))
     one, two = lowered
     assert (one.program, one.stores) == (two.program, two.stores)
-    assert one.operand_keys != two.operand_keys
+    assert one.operand_blobs != two.operand_blobs
     assert (one.program, one.stores) == lowering.node_program(op, tuple(shapes))
 
 
 def test_unsupported_op_rejected():
     with pytest.raises(lowering.LoweringError):
-        lowering.lower_node(ml.GraphNode(0, "input", shape=(1,)), [], SCHEME)
+        lowering.lower_node(ml.GraphNode(0, "input", shape=(1,)), [])
 
 
 def test_execute_via_vm_matches_native_sample():
@@ -182,11 +176,9 @@ def test_matmul_trace_witness_sizes():
     a = rand_tensor(rng, (2, 3))
     b = rand_tensor(rng, (3, 2))
     node = ml.GraphNode(2, "matmul", (0, 1))
-    lowered = lowering.lower_node(node, [a, b], SCHEME)
+    lowered = lowering.lower_node(node, [a, b])
     oracle = fpvm.PreimageOracle(SCHEME)
-    for blob in lowered.preimages.values():
-        oracle.put(blob)
-    trace = fpvm.run_trace(lowering.node_initial_state(lowered, SCHEME), oracle)
+    trace = fpvm.run_trace(lowering.node_initial_state(lowered, oracle), oracle)
     max_size = 0
     for k in range(len(trace)):
         w = fpvm.gen_step_witness(trace.state_at(k), oracle)
@@ -227,11 +219,9 @@ def test_store_map_names_the_step_that_stores_each_element():
                 assert fpvm.find_store_step(trace, pc) == reference_store_step(trace, addr)
 
             operands = [run.outputs[i] for i in node.input_ids]
-            node_lowered = lowering.lower_node(node, operands, SCHEME)
+            node_lowered = lowering.lower_node(node, operands)
             oracle = fpvm.PreimageOracle(SCHEME)
-            for blob in node_lowered.preimages.values():
-                oracle.put(blob)
-            node_trace = fpvm.run_trace(lowering.node_initial_state(node_lowered, SCHEME), oracle)
+            node_trace = fpvm.run_trace(lowering.node_initial_state(node_lowered, oracle), oracle)
             payload = fpvm.OUTPUT_BASE + 4 + 4 * len(run.outputs[node.id].shape)
             assert [addr for _, addr in node_lowered.stores] == [
                 payload + 4 * e for e in range(len(run.outputs[node.id].data))]

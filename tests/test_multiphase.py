@@ -10,7 +10,7 @@ import pytest
 
 from opml import dispute, fpvm, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
-from opml.hashing import get_scheme, scheme_names
+from opml.hashing import HashScheme, get_scheme, scheme_names
 from opml.multiphase import (
     EntranceBundle,
     ExitBundle,
@@ -83,6 +83,21 @@ def test_entrance_state_builds_each_region_once(monkeypatch):
     monkeypatch.setattr(merkle, "region_root", lambda *a, **kw: pytest.fail("region_root called"))
     build_entrance_state(run, 2, SCHEME)
     assert callers == ["load_program"] * 3
+
+
+def test_entrance_state_hashes_each_operand_blob_once(monkeypatch):
+    """The oracle's `put` keys each operand; nothing else hashes its blob."""
+    run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
+                       rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
+    blobs = [ml.tensor_blob(run.outputs[i]) for i in run.graph.nodes[2].input_ids]
+    hashed = []
+    digest = HashScheme.digest
+    monkeypatch.setattr(HashScheme, "digest",
+                        lambda scheme, data: hashed.append(data) or digest(scheme, data))
+    m0, oracle, _, _ = build_entrance_state(run, 2, SCHEME)
+    assert [hashed.count(blob) for blob in blobs] == [1] * len(blobs)
+    keys = fpvm.read_bytes(m0.memory, fpvm.INPUT_BASE, 32 * len(blobs))
+    assert [oracle.get(keys[32 * i : 32 * i + 32]) for i in range(len(blobs))] == blobs
 
 
 def test_entrance_rejects_tampering():
