@@ -273,7 +273,7 @@ def load_program(
 
     Each image is built bottom-up as its region's subtree and spliced in;
     the memory equals writing the images leaf by leaf with `write_bytes`.
-    Raises merkle.RangeError, before hashing anything, when an image does
+    Raises merkle.RangeError, before building anything, when an image does
     not fit its region.
     """
     regions = (
