@@ -1,6 +1,7 @@
 """Dual execution paths: VM-lowered node programs must reproduce the native
 engine byte for byte, with bounded witnesses along the way."""
 
+import hashlib
 import random
 
 import pytest
@@ -62,6 +63,63 @@ def test_kernel_words_predicts_each_emitted_kernel():
             lowering._emit_kernel(words, node.op, [fpvm.HEAP_BASE] * len(node.input_ids),
                                   operand_shapes, fpvm.OUTPUT_BASE)
             assert len(words) - 5 == lowering.kernel_words(node.op, operand_shapes)
+
+
+def program_digest(program: bytes, stores) -> str:
+    """sha256 of a program's bytes and the repr of its store map."""
+    return hashlib.sha256(program + repr(stores).encode()).hexdigest()
+
+
+#: Pinned node programs over a grid of shapes: matmul with one and two rows
+#: and an inner dimension of 1, bias_add on rank-1 and rank-2 operands, and
+#: argmax over a single element.
+NODE_PROGRAM_DIGESTS = [
+    ("matmul", ((1, 1), (1, 1)), "3b37fbd423790f375c28ce3958c8ccb60b2d641367ac4c1643332fc9b97660de"),
+    ("matmul", ((1, 1), (1, 3)), "4a778f38663501fa2e3a3bdf1a8cd297e4eaec4d57b7cf41635d5009c30930d2"),
+    ("matmul", ((2, 1), (1, 2)), "fc4ed2ed5afd18367a266916e86a1818f2d6a2deac0a80afad673664ffc4301d"),
+    ("matmul", ((1, 3), (3, 2)), "d5f54e10c92a4ef09c21377d13d0c271f4123d7f79097bf3e7cf90d9ebeeec59"),
+    ("matmul", ((2, 3), (3, 4)), "32862b506fc174285d5bcfbf8b7f3db69b0a84b0655ded60a6dcedae56217f83"),
+    ("bias_add", ((5,), (5,)), "eccb4989537fdff3614e87b04996355a2b2ca8cf300e5150e033e61552e68be0"),
+    ("bias_add", ((1, 3), (3,)), "f9a818bcb05f4b77bfcdf082210a83273fa88d5b977e408af3eb612d66eaae55"),
+    ("bias_add", ((2, 5), (5,)), "21f0bb88888680184edcda0ffd84d34cf262795358a3e3cda852e4eea4d15a47"),
+    ("relu", ((1,),), "0ca9d8f7f1e8dfbde655bbe20bd1a445ca5c045c40ee74860ca6f86a77344011"),
+    ("relu", ((4,),), "2df4898b5b2ea86e151d8e437bf5a20909273aeecaa99c09f69d7ae8f61d5d14"),
+    ("relu", ((3, 2),), "9d7bdb55ddec95975abc80de190d7a8e84a838fcffcb7466c5b0b74045956c5d"),
+    ("argmax", ((1,),), "dea6712052139df2e61e9812701b9359fbdb85f3ae95098bc67a8efe98320757"),
+    ("argmax", ((1, 1),), "d99efb4b87bb93b4218ba0d3bb278763d91616227fcec1c8384a48c0f532f492"),
+    ("argmax", ((1, 7),), "2265228d4599980879881e44263dabee85248292f4a07d207c328c1215d547b8"),
+]
+
+
+@pytest.mark.parametrize("op, shapes, digest", NODE_PROGRAM_DIGESTS)
+def test_node_program_is_pinned(op, shapes, digest):
+    lowering.node_program.cache_clear()
+    assert program_digest(*lowering.node_program(op, shapes)) == digest
+
+
+#: Pinned whole-graph programs: the fixture models, then the seeded
+#: in-(2 in)-10 MLPs at in = 16, 32 and 64, each without and with argmax.
+GRAPH_PROGRAM_DIGESTS = {
+    "matmul-2x3x2": "7e43858fe78733928d7795a53475e64edb578bb68ff3805c98765b7eb5b79413",
+    "mlp-4-6-3": "70f5a7036dad7294ba6a1feb22bff434f83a8807f11cf6ef907ceb732cd5840c",
+    "mlp-argmax-3-5-4": "9b52801df23c582726091f9ed2fbef521ab976ff7ade16995cfbc351d60afeb4",
+    "mlp-16": "18dbc884833179495191b419529b1e673a418d673aa5d01c2001efc24c1d5765",
+    "mlp-16-argmax": "f1caf9007cd9fc727762e1ab64740ca6c48933ac94b6eb348beca830f0071858",
+    "mlp-32": "21efd88379480ec8a343a3b2b722a9f5f78b39d68458e37a6c65f008e3a5d979",
+    "mlp-32-argmax": "b4c74e184baeb48c3639d0e6a2dd68e3b09ad66a1b04f4da2735509810267870",
+    "mlp-64": "7115fb4c474ed8ad321ede5d7ed3690a39e731221e93c92d52ae2fe27e38f5c7",
+    "mlp-64-argmax": "2e34a33945ad67562490ad9b8313ec777f4c3e633e15294333f04170cbe4c8dc",
+}
+
+
+def test_graph_programs_are_pinned():
+    graphs = {name: graph for name, graph, _ in fixture_models()}
+    for width in (16, 32, 64):
+        graphs[f"mlp-{width}"] = build_mlp(1, width, 2 * width, 10)
+        graphs[f"mlp-{width}-argmax"] = build_mlp(1, width, 2 * width, 10, with_argmax=True)
+    lowered = {name: lowering.lower_graph(graph) for name, graph in graphs.items()}
+    assert {name: program_digest(lg.program, lg.stores) for name, lg in lowered.items()} == (
+        GRAPH_PROGRAM_DIGESTS)
 
 
 def test_matmul_node_output_region_bytes():
