@@ -13,6 +13,11 @@ Two targets share the same unrolled kernels:
   memory regions, intermediates live on the heap, and the final output is
   serialized to the output region. This is the single-phase target.
 
+Every kernel is stamped from pre-encoded templates (`_stencil`): their
+fixed instruction words are encoded once, and `_stamp` copies them per
+element and patches in the addresses. `kernel_words` reads each kernel's
+size from the same templates.
+
 The matmul kernel cannot keep a 64-bit accumulator in 32-bit registers, so
 it accumulates the high part (MULFX, products shifted by 16) and the low
 16-bit remainders (MUL + AND) separately and recombines at the end:
@@ -47,79 +52,64 @@ class LoweringError(ValueError):
 _MASK_REG = 13
 
 
-def _li(words: list[int], rd: int, value: int) -> None:
-    words.append(encode("LI", rd=rd))
-    words.append(value & 0xFFFFFFFF)
+def _stencil(*code) -> tuple[int | None, ...]:
+    """Encode `code` once. Each entry is the arguments of an `encode` call
+    (op, rd, rs, rt, imm), or None for a word left as a hole; an LI's
+    immediate is a hole too. `_stamp` patches the holes."""
+    words = []
+    for args in code:
+        words.append(None if args is None else encode(*args))
+        if args is not None and args[0] == "LI":
+            words.append(None)
+    return tuple(words)
 
 
-def _store(words: list[int], stores: list[tuple[int, int]], addr: int, rt: int, rs: int) -> None:
-    """Store register rt to `addr` through rs, and record (pc of the SW, addr)."""
-    _li(words, rs, addr)
-    stores.append((4 * len(words), addr))
-    words.append(encode("SW", rt=rt, rs=rs, imm=0))
+def _stamp(words: list[int], stencil, *columns) -> range:
+    """Append one copy of `stencil` per row of `columns`, the k-th copy's
+    i-th hole patched with columns[i][k]; returns the pc of each copy's
+    last word, where a kernel's store sits."""
+    start, size = len(words), len(stencil)
+    words += stencil * len(columns[0])
+    holes = [i for i, word in enumerate(stencil) if word is None]
+    for hole, column in zip(holes, columns, strict=True):
+        words[start + hole :: size] = column
+    return range(4 * (start + size - 1), 4 * len(words), 4 * size)
 
 
-def _emit_matmul(words, stores, a_base, b_base, dst_base, r, n, p):
-    for i in range(r):
-        for j in range(p):
-            words.append(encode("ADD", rd=3, rs=0, rt=0))
-            words.append(encode("ADD", rd=4, rs=0, rt=0))
-            for h in range(n):
-                _li(words, 1, a_base + 4 * (i * n + h))
-                words.append(encode("LW", rd=1, rs=1, imm=0))
-                _li(words, 2, b_base + 4 * (h * p + j))
-                words.append(encode("LW", rd=2, rs=2, imm=0))
-                words.append(encode("MULFX", rd=5, rs=1, rt=2))
-                words.append(encode("ADD", rd=3, rs=3, rt=5))
-                words.append(encode("MUL", rd=5, rs=1, rt=2))
-                words.append(encode("AND", rd=5, rs=5, rt=_MASK_REG))
-                words.append(encode("ADD", rd=4, rs=4, rt=5))
-            words.append(encode("SRA", rd=4, rs=4, imm=16))
-            words.append(encode("ADD", rd=3, rs=3, rt=4))
-            _store(words, stores, dst_base + 4 * (i * p + j), 3, 1)
+def _elements(base: int, count: int, stride: int = 4) -> range:
+    return range(base, base + stride * count, stride)
 
 
-def _emit_bias_add(words, stores, x_base, b_base, dst_base, count, width):
-    for e in range(count):
-        _li(words, 1, x_base + 4 * e)
-        words.append(encode("LW", rd=1, rs=1, imm=0))
-        _li(words, 2, b_base + 4 * (e % width))
-        words.append(encode("LW", rd=2, rs=2, imm=0))
-        words.append(encode("ADD", rd=3, rs=1, rt=2))
-        _store(words, stores, dst_base + 4 * e, 3, 2)
-
-
-def _emit_relu(words, stores, x_base, dst_base, count):
-    for e in range(count):
-        _li(words, 1, x_base + 4 * e)
-        words.append(encode("LW", rd=2, rs=1, imm=0))
-        words.append(encode("ADD", rd=3, rs=0, rt=0))
-        words.append(encode("BLT", rs=2, rt=0, imm=1))  # negative: keep zero
-        words.append(encode("ADD", rd=3, rs=2, rt=0))
-        _store(words, stores, dst_base + 4 * e, 3, 1)
-
-
-def _emit_argmax(words, stores, x_base, count, dst_base):
-    _li(words, 1, x_base)
-    words.append(encode("LW", rd=3, rs=1, imm=0))  # best value
-    words.append(encode("ADD", rd=4, rs=0, rt=0))  # best index
-    for e in range(1, count):
-        _li(words, 1, x_base + 4 * e)
-        words.append(encode("LW", rd=1, rs=1, imm=0))
-        words.append(encode("BLT", rs=3, rt=1, imm=1))  # strictly greater wins
-        words.append(encode("BEQ", rs=0, rt=0, imm=3))
-        words.append(encode("ADD", rd=3, rs=1, rt=0))
-        _li(words, 4, e)
-    _store(words, stores, dst_base, 4, 1)
+_PRELUDE = _stencil(("LI", _MASK_REG))
+# matmul, per output element: open, one MAC per inner index, close (store).
+_MAC_OPEN = _stencil(("ADD", 3), ("ADD", 4))
+_MAC = _stencil(("LI", 1), ("LW", 1, 1), ("LI", 2), ("LW", 2, 2), ("MULFX", 5, 1, 2),
+                ("ADD", 3, 3, 5), ("MUL", 5, 1, 2), ("AND", 5, 5, _MASK_REG), ("ADD", 4, 4, 5))
+_MAC_CLOSE = _stencil(("SRA", 4, 4, 0, 16), ("ADD", 3, 3, 4), ("LI", 1), ("SW", 0, 1, 3))
+_BIAS_ADD = _stencil(("LI", 1), ("LW", 1, 1), ("LI", 2), ("LW", 2, 2), ("ADD", 3, 1, 2),
+                     ("LI", 2), ("SW", 0, 2, 3))
+_RELU = _stencil(("LI", 1), ("LW", 2, 1), ("ADD", 3),
+                 ("BLT", 0, 2, 0, 1),  # negative: keep zero
+                 ("ADD", 3, 2), ("LI", 1), ("SW", 0, 1, 3))
+_ARGMAX_OPEN = _stencil(("LI", 1), ("LW", 3, 1), ("ADD", 4))  # best value, best index
+_ARGMAX_STEP = _stencil(("LI", 1), ("LW", 1, 1),
+                        ("BLT", 0, 3, 1, 1), ("BEQ", 0, 0, 0, 3),  # strictly greater wins
+                        ("ADD", 3, 1), ("LI", 4))
+_ARGMAX_CLOSE = _stencil(("LI", 1), ("SW", 0, 1, 4))
+_HEADER = _stencil(("LI", 1), ("LI", 2), ("SW", 0, 1, 2))  # region base, rank
+_HEADER_DIM = _stencil(("LI", 2), None)  # dim d's SW carries its offset, 4 * (1 + d)
+# Copy an operand's 32-byte key from the input region into the oracle-key
+# field, then pull its blob chunk by chunk into its oracle-value slot.
+_KEY_COPY = _stencil(("LI", 1), ("LI", 2), *(insn for w in range(8) for insn in (
+    ("LW", 3, 1, 0, 4 * w), ("SW", 0, 2, 3, 4 * w))))
+_FETCH = _stencil(("LI", 4), ("LI", 7), ("PREIMAGE", 7, 4))
+_COPY = _stencil(("LI", 1), ("LW", 2, 1), ("LI", 1), ("SW", 0, 1, 2))
 
 
 def _emit_header(words, region_base, shape):
-    _li(words, 1, region_base)
-    _li(words, 2, len(shape))
-    words.append(encode("SW", rt=2, rs=1, imm=0))
-    for d, dim in enumerate(shape):
-        _li(words, 2, dim)
-        words.append(encode("SW", rt=2, rs=1, imm=4 * (1 + d)))
+    _stamp(words, _HEADER, (region_base,), (len(shape),))
+    sws = [encode("SW", rt=2, rs=1, imm=4 * d) for d in range(1, len(shape) + 1)]
+    _stamp(words, _HEADER_DIM, shape, sws)
 
 
 def _payload_offset(rank: int) -> int:
@@ -128,12 +118,15 @@ def _payload_offset(rank: int) -> int:
 
 
 def kernel_words(op: str, operand_shapes) -> int:
-    """Words `_emit_kernel` emits for `op` on operands of these shapes."""
+    """Words `_emit_kernel` emits for `op` on operands of these shapes,
+    counted from the stencils it stamps."""
     count = math.prod(operand_shapes[0])
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
-        return r * p * (11 * n + 7)
-    return {"bias_add": 10 * count, "relu": 9 * count, "argmax": 8 * count - 1}.get(op, 0)
+        return r * p * (len(_MAC_OPEN) + n * len(_MAC) + len(_MAC_CLOSE))
+    if op == "argmax":
+        return len(_ARGMAX_OPEN) + (count - 1) * len(_ARGMAX_STEP) + len(_ARGMAX_CLOSE)
+    return count * len({"bias_add": _BIAS_ADD, "relu": _RELU}.get(op, ()))
 
 
 def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tuple[int, int]]:
@@ -142,18 +135,27 @@ def _emit_kernel(words, op, operand_bases, operand_shapes, dst_base) -> list[tup
     before emitting anything when the program would outgrow its region."""
     if len(words) + kernel_words(op, operand_shapes) > fpvm.PROGRAM_WORDS:
         raise merkle.RangeError(f"program exceeds the {fpvm.PROGRAM_WORDS}-word program region")
-    stores: list[tuple[int, int]] = []
     x, count = operand_bases[0], math.prod(operand_shapes[0])
     if op == "matmul":
         (r, n), (_, p) = operand_shapes
-        _emit_matmul(words, stores, x, operand_bases[1], dst_base, r, n, p)
+        pcs, count = [], r * p
+        for i in range(r):
+            for j in range(p):
+                words += _MAC_OPEN
+                _stamp(words, _MAC, _elements(x + 4 * i * n, n),
+                       _elements(operand_bases[1] + 4 * j, n, 4 * p))
+                pcs += _stamp(words, _MAC_CLOSE, (dst_base + 4 * (i * p + j),))
     elif op == "bias_add":
-        _emit_bias_add(words, stores, x, operand_bases[1], dst_base, count, operand_shapes[1][0])
+        width = operand_shapes[1][0]
+        bias = list(_elements(operand_bases[1], width)) * (count // width)
+        pcs = _stamp(words, _BIAS_ADD, _elements(x, count), bias, _elements(dst_base, count))
     elif op == "relu":
-        _emit_relu(words, stores, x, dst_base, count)
-    elif op == "argmax":
-        _emit_argmax(words, stores, x, count, dst_base)
-    return stores
+        pcs = _stamp(words, _RELU, _elements(x, count), _elements(dst_base, count))
+    else:  # argmax
+        _stamp(words, _ARGMAX_OPEN, (x,))
+        _stamp(words, _ARGMAX_STEP, _elements(x + 4, count - 1), range(1, count))
+        pcs, count = _stamp(words, _ARGMAX_CLOSE, (dst_base,)), 1
+    return list(zip(pcs, _elements(dst_base, count)))
 
 
 def store_fault(
@@ -186,24 +188,15 @@ def node_program(
     out_shape = ml.op_shape(op, operand_shapes)
 
     words: list[int] = []
-    _li(words, _MASK_REG, 0xFFFF)
+    _stamp(words, _PRELUDE, (0xFFFF,))
 
     payload_bases, slot = [], 0
     for oi, shape in enumerate(operand_shapes):
-        # Copy the operand's 32-byte key from the input region into the
-        # oracle-key field, then pull its blob (`ml.tensor_blob`: u32 length,
-        # rank, dims, payload) chunk by chunk into its oracle-value slot.
-        _li(words, 1, INPUT_BASE + 32 * oi)
-        _li(words, 2, ORACLE_KEY_BASE)
-        for w in range(8):
-            words.append(encode("LW", rd=3, rs=1, imm=4 * w))
-            words.append(encode("SW", rt=3, rs=2, imm=4 * w))
+        # The operand's blob is `ml.tensor_blob`: u32 length, rank, dims, payload.
+        _stamp(words, _KEY_COPY, (INPUT_BASE + 32 * oi,), (ORACLE_KEY_BASE,))
         head = 4 + _payload_offset(len(shape))
         n_chunks = -(-(head + 4 * math.prod(shape)) // 32)
-        for ci in range(n_chunks):
-            _li(words, 4, ci)
-            _li(words, 7, slot // 32 + ci)
-            words.append(encode("PREIMAGE", rd=7, rs=4))
+        _stamp(words, _FETCH, range(n_chunks), _elements(slot // 32, n_chunks, 1))
         payload_bases.append(ORACLE_VALUE_BASE + slot + head)
         slot += 32 * n_chunks
 
@@ -335,7 +328,7 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
         return HEAP_BASE + heap_offsets[node_id]
 
     words: list[int] = []
-    _li(words, _MASK_REG, 0xFFFF)
+    _stamp(words, _PRELUDE, (0xFFFF,))
     stores: dict[int, list[tuple[int, int]]] = {}
     for node in graph.nodes:
         if node.op not in ml.COMPUTED_OPS:
@@ -351,13 +344,9 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
     if out_node.op not in ml.COMPUTED_OPS:
         raise LoweringError("output node must be a computed node")
     _emit_header(words, OUTPUT_BASE, out_shape)
-    src = HEAP_BASE + heap_offsets[graph.output_id]
-    dst = OUTPUT_BASE + _payload_offset(len(out_shape))
-    for e in range(math.prod(out_shape)):
-        _li(words, 1, src + 4 * e)
-        words.append(encode("LW", rd=2, rs=1, imm=0))
-        _li(words, 1, dst + 4 * e)
-        words.append(encode("SW", rt=2, rs=1, imm=0))
+    count = math.prod(out_shape)
+    _stamp(words, _COPY, _elements(HEAP_BASE + heap_offsets[graph.output_id], count),
+           _elements(OUTPUT_BASE + _payload_offset(len(out_shape)), count))
     words.append(encode("HALT"))
     return LoweredGraph(fpvm.assemble(words), model_blob, stores)
 

@@ -85,6 +85,26 @@ def test_run_dump_trace(capsys, model_files, tmp_path):
         "c2cfb8025ad6516e0cb7d252c4afca834a0af70f2e7ea1874c22c32738a7b66a")
 
 
+@pytest.mark.parametrize("case", ["committed", "mlp-32"])
+def test_run_prints_the_same_claim_with_and_without_a_trace(capsys, monkeypatch, tmp_path, case):
+    """`opml run` builds a trace only for --dump-trace; the claim it prints
+    is the same either way."""
+    monkeypatch.setattr(fpvm, "run_trace", None)  # restored for the --dump-trace run
+    if case == "committed":
+        model, inp = os.path.join(DATA, "mlp.opml"), os.path.join(DATA, "mlp-input.tensor")
+    else:
+        model, inp = str(tmp_path / "model.opml"), tmp_path / "input.tensor"
+        ml.save_model(build_mlp(1, 32, 64, 10), model)
+        inp.write_bytes(ml.serialize_tensor(rand_tensor(random.Random(1), (1, 32))))
+    code, plain, _ = run_cli(capsys, "run", "--model", model, "--input", str(inp))
+    assert code == 0
+    monkeypatch.undo()
+    code, traced, _ = run_cli(capsys, "run", "--model", model, "--input", str(inp),
+                              "--dump-trace", str(tmp_path / "trace.txt"))
+    assert code == 0
+    assert plain == traced
+
+
 def test_run_zero_dimension_tensor_exits_3(capsys, model_files, tmp_path):
     model, _, _, _ = model_files
     bad = tmp_path / "zero.tensor"
@@ -195,10 +215,12 @@ def test_model_that_does_not_fit_exits_3_on_load(capsys, tmp_path, monkeypatch, 
     assert err.startswith("error:") and (inp if case == "input" else model) in err
 
 
-def test_run_step_budget_exits_2(capsys, monkeypatch, model_files):
+@pytest.mark.parametrize("traced", [False, True], ids=["run", "dump-trace"])
+def test_run_step_budget_exits_2(capsys, monkeypatch, model_files, tmp_path, traced):
     model, inp, _, _ = model_files
     monkeypatch.setattr(fpvm, "MAX_STEPS", 1)
-    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp)
+    dump = ["--dump-trace", str(tmp_path / "trace.txt")] if traced else []
+    code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp, *dump)
     assert (code, out, err) == (2, "", "error: no HALT within 1 steps\n")
 
 
