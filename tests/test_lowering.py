@@ -111,6 +111,21 @@ GRAPH_PROGRAM_DIGESTS = {
     "mlp-64-argmax": "2e34a33945ad67562490ad9b8313ec777f4c3e633e15294333f04170cbe4c8dc",
 }
 
+#: Pinned model blobs of the same graphs: each constant serialized and padded
+#: to 32 bytes, in node order. An argmax adds no constant, so it leaves the
+#: blob as it is.
+GRAPH_MODEL_BLOB_DIGESTS = {
+    "matmul-2x3x2": "e325c4480df8416087211fc373ef5fb099b6094744027743237f976651809fb7",
+    "mlp-4-6-3": "b1878101a10a3e2619fc10a9d5c99a2ca49733ce707a7e1dbc437d323db73331",
+    "mlp-argmax-3-5-4": "30a35c235f516aca02fcdccc0d17692c238e18e3cbf94bdf574617f281692b7a",
+    "mlp-16": "3a74fbc1f65a97e63c91eecb714df487f01fb94862ac465d6c32185a87e46b69",
+    "mlp-16-argmax": "3a74fbc1f65a97e63c91eecb714df487f01fb94862ac465d6c32185a87e46b69",
+    "mlp-32": "f177f11bd9d46b8104bf94c30ad29902cff0b5dd14a10bbfe9fc1bcef149b4f0",
+    "mlp-32-argmax": "f177f11bd9d46b8104bf94c30ad29902cff0b5dd14a10bbfe9fc1bcef149b4f0",
+    "mlp-64": "c901f759b57fafd45ad6cfcfeeff19b11856188b0e788dd6d20b7e1b720ad0a9",
+    "mlp-64-argmax": "c901f759b57fafd45ad6cfcfeeff19b11856188b0e788dd6d20b7e1b720ad0a9",
+}
+
 
 def test_graph_programs_are_pinned():
     graphs = {name: graph for name, graph, _ in fixture_models()}
@@ -120,6 +135,8 @@ def test_graph_programs_are_pinned():
     lowered = {name: lowering.lower_graph(graph) for name, graph in graphs.items()}
     assert {name: program_digest(lg.program, lg.stores) for name, lg in lowered.items()} == (
         GRAPH_PROGRAM_DIGESTS)
+    assert {name: hashlib.sha256(lg.model_blob).hexdigest() for name, lg in lowered.items()} == (
+        GRAPH_MODEL_BLOB_DIGESTS)
 
 
 def test_matmul_node_output_region_bytes():
