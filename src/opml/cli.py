@@ -13,7 +13,8 @@ through named streams derived from that one seed. Exit codes: 0 success,
 dispute option the game does not use, or a VM run that reaches
 fpvm.MAX_STEPS without HALT, a guard that no program opml builds can
 reach), 3 I/O or parse failure (including a model whose shapes do not
-fit together or its input, checked on load, a model whose program would
+fit together or its input, or with a matmul inner dimension over
+ml.MAX_INNER_DIM, checked on load, a model whose program would
 not fit the program region, checked before it is built, and an output path
 that cannot be written), 4 internal invariant violation (a dual-path
 mismatch, or a dispute move outside the protocol, which the game's own
@@ -181,11 +182,7 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
     native = native_run.output
-    if args.dump_trace:  # only the dump reads the steps in between; the claim needs the end
-        trace = fpvm.run_trace(state0)
-        final, steps = trace.states[-1], len(trace)
-    else:
-        final, steps = fpvm.run(state0)
+    final, steps = fpvm.run(state0)
     vm_out = lowering.read_output_tensor(final)
     if vm_out != native:
         print("internal error: native and VM outputs diverged", file=sys.stderr)
@@ -196,7 +193,7 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
             fh.write(ml.serialize_tensor(native))
     if args.dump_trace:
         with open(args.dump_trace, "w") as fh:
-            for i, state in enumerate(trace.walk()):
+            for i, state in enumerate(fpvm.run_trace(state0).walk()):
                 fh.write(f"{i}, {state.pc:#010x}, {fpvm.state_root(state).hex()}\n")
 
     print(f"hash={scheme.name}")

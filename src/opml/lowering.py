@@ -25,7 +25,8 @@ it accumulates the high part (MULFX, products shifted by 16) and the low
     (sum prod) asr 16  ==  sum(prod asr 16) + (sum(prod & 0xFFFF) asr 16)
 
 holds exactly because the remainders are non-negative and their sum stays
-below 2**31 for inner dimensions under 2**15. Modulo 2**32 the recombined
+below 2**31 for inner dimensions of at most 2**15 (`ml.MAX_INNER_DIM`, which
+`ml.op_shape` enforces). Modulo 2**32 the recombined
 value equals the native engine's wrapped 64-bit result, so both paths stay
 bit-identical.
 """
@@ -294,61 +295,39 @@ class LoweredGraph:
 
 
 def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
-    """Compile the whole computation into one program (no lazy loading):
-    input and constants are read in place, intermediates go to the heap,
-    and the output node's serialized tensor lands in the output region."""
+    """Compile the whole computation into one program (no lazy loading) in
+    one pass over the nodes: the input and constants are read in place,
+    each intermediate gets the next heap slot, and the output node's
+    serialized tensor lands in the output region (see docs/formats.md)."""
     shapes = graph.infer_shapes()
-
-    const_offsets: dict[int, int] = {}
-    model_parts: list[bytes] = []
-    off = 0
-    for node in graph.nodes:
-        if node.op == "const":
-            blob = ml.serialize_tensor(node.params)
-            const_offsets[node.id] = off
-            padded = blob + b"\x00" * (-len(blob) % 32)
-            model_parts.append(padded)
-            off += len(padded)
-    model_blob = b"".join(model_parts)
-
-    heap_offsets: dict[int, int] = {}
-    off = 0
-    for node in graph.nodes:
-        if node.op not in ml.COMPUTED_OPS:
-            continue
-        heap_offsets[node.id] = off
-        off += 32 * -(-(4 * math.prod(shapes[node.id])) // 32)
-
-    def payload_base(node_id: int) -> int:
-        node = graph.nodes[node_id]
-        if node.op == "input":
-            return INPUT_BASE + _payload_offset(len(shapes[node_id]))
-        if node.op == "const":
-            return MODEL_BASE + const_offsets[node_id] + _payload_offset(len(shapes[node_id]))
-        return HEAP_BASE + heap_offsets[node_id]
-
+    model_blob, bases, heap = bytearray(), [], HEAP_BASE  # bases[i]: node i's payload address
     words: list[int] = []
     _stamp(words, _PRELUDE, (0xFFFF,))
     stores: dict[int, list[tuple[int, int]]] = {}
     for node in graph.nodes:
-        if node.op not in ml.COMPUTED_OPS:
-            continue
-        operand_bases = [payload_base(i) for i in node.input_ids]
-        operand_shapes = [shapes[i] for i in node.input_ids]
-        stores[node.id] = _emit_kernel(words, node.op, operand_bases, operand_shapes,
-                                       HEAP_BASE + heap_offsets[node.id])
+        shape = shapes[node.id]
+        if node.op == "input":
+            bases.append(INPUT_BASE + _payload_offset(len(shape)))
+        elif node.op == "const":
+            bases.append(MODEL_BASE + len(model_blob) + _payload_offset(len(shape)))
+            model_blob += ml.serialize_tensor(node.params)
+            model_blob += bytes(-len(model_blob) % 32)
+        else:
+            bases.append(heap)
+            heap += 32 * -(-(4 * math.prod(shape)) // 32)
+            stores[node.id] = _emit_kernel(words, node.op, [bases[i] for i in node.input_ids],
+                                           [shapes[i] for i in node.input_ids], bases[node.id])
 
     # Serialize the designated output into the output region.
     out_shape = shapes[graph.output_id]
-    out_node = graph.nodes[graph.output_id]
-    if out_node.op not in ml.COMPUTED_OPS:
+    if graph.nodes[graph.output_id].op not in ml.COMPUTED_OPS:
         raise LoweringError("output node must be a computed node")
     _emit_header(words, OUTPUT_BASE, out_shape)
     count = math.prod(out_shape)
-    _stamp(words, _COPY, _elements(HEAP_BASE + heap_offsets[graph.output_id], count),
+    _stamp(words, _COPY, _elements(bases[graph.output_id], count),
            _elements(OUTPUT_BASE + _payload_offset(len(out_shape)), count))
     words.append(encode("HALT"))
-    return LoweredGraph(fpvm.assemble(words), model_blob, stores)
+    return LoweredGraph(fpvm.assemble(words), bytes(model_blob), stores)
 
 
 def graph_fault_to_step_fault(

@@ -39,6 +39,11 @@ TENSOR_REGION_LEVEL = 19
 COMPUTED_OPS = ("matmul", "bias_add", "relu", "argmax")
 OPS = ("input", "const") + COMPUTED_OPS
 
+#: Largest matmul inner dimension n: the VM kernel sums the low 16 bits of
+#: n products in one 32-bit register, which holds n * 0xFFFF only while
+#: n <= 2**15 (see `lowering`). Past it, the VM and native outputs differ.
+MAX_INNER_DIM = 2**15
+
 
 class QuantizationRangeError(ValueError):
     """Value outside the representable Q15.16 range; never silently wrapped."""
@@ -288,6 +293,8 @@ def op_shape(op: str, operand_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
         a, b = operand_shapes
         if len(a) != 2 or len(b) != 2 or a[1] != b[0]:
             raise ShapeError(f"matmul {a} x {b}")
+        if a[1] > MAX_INNER_DIM:
+            raise ShapeError(f"matmul {a} x {b}: inner dimension over {MAX_INNER_DIM}")
         return (a[0], b[1])
     if op == "bias_add":
         x, b = operand_shapes

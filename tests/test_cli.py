@@ -179,10 +179,25 @@ def test_fault_node_without_a_computation_exits_2(capsys, protocol, node, messag
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _worst_case_matmul_files(tmp_path, n):
+    """A (1, n) x (n, 1) matmul of raw 0xFFFF inputs and raw 1 weights: the
+    low 16-bit remainders the VM kernel sums are all 0xFFFF."""
+    graph = ml.CompGraph([ml.GraphNode(0, "input", shape=(1, n)),
+                          ml.GraphNode(1, "const", params=ml.FixedTensor((n, 1), (1,) * n)),
+                          ml.GraphNode(2, "matmul", (0, 1))], output_id=2)
+    model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
+    ml.save_model(graph, str(model))
+    inp.write_bytes(ml.serialize_tensor(ml.FixedTensor((1, n), (0xFFFF,) * n)))
+    return str(model), str(inp)
+
+
 def _misfit_model_files(tmp_path, case):
     """A model and input that parse but do not fit: operand shapes that
     clash, a bias added over a rank-0 input, which has no last dimension,
-    an uncomputed output node, or an input of the wrong shape."""
+    a matmul one past the inner-dimension bound, an uncomputed output node,
+    or an input of the wrong shape."""
+    if case == "inner-dim":
+        return _worst_case_matmul_files(tmp_path, ml.MAX_INNER_DIM + 1)
     rows = 4 if case == "matmul" else 3
     nodes = [ml.GraphNode(0, "input", shape=(1, 3)),
              ml.GraphNode(1, "const", params=ml.FixedTensor((rows, 2), tuple(range(2 * rows)))),
@@ -201,7 +216,7 @@ def _misfit_model_files(tmp_path, case):
     return str(model), str(inp)
 
 
-@pytest.mark.parametrize("case", ["matmul", "rank-0", "output", "input"])
+@pytest.mark.parametrize("case", ["matmul", "rank-0", "inner-dim", "output", "input"])
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["dispute", "--protocol", "single"],
@@ -213,6 +228,16 @@ def test_model_that_does_not_fit_exits_3_on_load(capsys, tmp_path, monkeypatch, 
     code, out, err = run_cli(capsys, *argv, "--model", model, "--input", inp)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and (inp if case == "input" else model) in err
+
+
+def test_matmul_at_the_inner_dimension_bound_runs_the_same_on_the_vm(capsys, tmp_path):
+    """At n = MAX_INNER_DIM the remainders' sum still fits 31 bits, so the
+    claim's VM output equals the native one (else `run` exits 4)."""
+    model, inp = _worst_case_matmul_files(tmp_path, ml.MAX_INNER_DIM)
+    out_path = tmp_path / "out.tensor"
+    code, _, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert ml.deserialize_tensor(out_path.read_bytes())[0].data == (32767,)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["run", "dump-trace"])

@@ -103,6 +103,15 @@ def test_matmul_shape_error():
         ml.matmul_fx(ml.quantize([[1.0, 2.0]]), ml.quantize([[1.0, 2.0]]))
 
 
+def test_matmul_inner_dimension_is_bounded():
+    """The VM kernel's low accumulator holds n * 0xFFFF only up to
+    n = MAX_INNER_DIM, so the shape rule rejects anything wider."""
+    n = ml.MAX_INNER_DIM
+    assert ml.op_shape("matmul", [(1, n), (n, 2)]) == (1, 2)
+    with pytest.raises(ml.ShapeError, match="inner dimension over 32768"):
+        ml.op_shape("matmul", [(1, n + 1), (n + 1, 2)])
+
+
 def test_bias_over_a_rank_0_tensor_is_a_shape_error():
     """A rank-0 tensor has no last dimension for a bias to broadcast over."""
     scalar, bias = ml.FixedTensor((), (1 << 16,)), ml.FixedTensor((1,), (5,))
