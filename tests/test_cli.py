@@ -752,6 +752,23 @@ def test_hash_scheme_selection(capsys, model_files, monkeypatch):
     assert code == 2 and "nonesuch" in err
 
 
+#: sha256 of `opml run` stdout on the committed model and input, per scheme.
+RUN_STDOUT_DIGESTS = {
+    "sha256": "a407e18c8bae2fbd08350f185c0fd76768331c35c3a30a1367b55e1671adde62",
+    "blake2b": "c37c429a43ec67c41cda8b6a20688feed818c3035d21efb5ab45ed60c8b7a68b",
+    "sha3": "f4107419dcd29a0cf5caff2a96189ce956dc1c5043513a2d01cfe7d5ca22816c",
+}
+
+
+@pytest.mark.parametrize("scheme_name", sorted(RUN_STDOUT_DIGESTS))
+def test_run_stdout_is_pinned(capsys, monkeypatch, scheme_name):
+    monkeypatch.setenv("OPML_HASH", scheme_name)
+    code, out, _ = run_cli(capsys, "run", "--model", os.path.join(DATA, "mlp.opml"),
+                           "--input", os.path.join(DATA, "mlp-input.tensor"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_STDOUT_DIGESTS[scheme_name]
+
+
 def test_verify_witness_roundtrip(capsys, model_files, tmp_path):
     model, inp, _, _ = model_files
     bundle = tmp_path / "w.bin"

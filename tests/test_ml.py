@@ -1,6 +1,7 @@
 """Fixed-point engine: quantization, kernels vs a big-integer oracle,
 graph execution and state commitments, model file round-trips."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from opml import ml
 from opml.hashing import get_scheme
 
-from fixtures import build_mlp, rand_tensor
+from fixtures import build_mlp, fixture_models, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -245,6 +246,31 @@ def test_golden_mlp_output_digest():
     x = rand_tensor(random.Random(1), (1, 4))
     out, _ = ml.execute_native(graph, x)
     assert SCHEME.digest(ml.serialize_tensor(out)).hex() == GOLDEN_MLP_OUTPUT_DIGEST
+
+
+#: sha256 over the concatenated graph-state commitments of each fixture
+#: model, under each hash scheme.
+GRAPH_COMMITMENT_DIGESTS = {
+    ("sha256", "matmul-2x3x2"): "6269e8d018a55b544b4680c20468f95f4b9a5c3b67108d2ce313783b49d09d5b",
+    ("sha256", "mlp-4-6-3"): "3c3e4437aef49337c4b7daf00e73efcf8ca93e93d84b6e85955970a3b752ffcf",
+    ("sha256", "mlp-argmax-3-5-4"): "2d6cc4f7936301022c72135685dd5917a5eb9b6a92a455f3777bdc43a957ccba",
+    ("blake2b", "matmul-2x3x2"): "9b262c6e4f5a2ba048b50781af704b65f1eecd7c6451dabb0e55223b56bb597e",
+    ("blake2b", "mlp-4-6-3"): "d5399c3d461e119b444c941447d3e867196f26a7bc6fea4ce7e24fac19a69959",
+    ("blake2b", "mlp-argmax-3-5-4"): "629971137658537989ebba6a5e72ca67d7dd4a1a8ee85ecdd50192c9623068b3",
+    ("sha3", "matmul-2x3x2"): "9698cb27512cdfb6d43eff3dc41b332c660bcc64d627dad90e286a2ae4e8928b",
+    ("sha3", "mlp-4-6-3"): "fe65bbe2cfaa6fe909e013cff1966210d08b979a635b939eabccfd7c799e77b9",
+    ("sha3", "mlp-argmax-3-5-4"): "0b94b5852a72cb401246a737a09f4a5ac648ac54df009cfb6ff9f28f073beb8e",
+}
+
+
+def test_graph_commitments_are_pinned():
+    got = {}
+    for scheme_name in ("sha256", "blake2b", "sha3"):
+        scheme = get_scheme(scheme_name)
+        for name, graph, x in fixture_models():
+            commitments = ml.run_graph(graph, x, scheme=scheme).commitments
+            got[scheme_name, name] = hashlib.sha256(b"".join(commitments)).hexdigest()
+    assert got == GRAPH_COMMITMENT_DIGESTS
 
 
 GOLDEN_MODEL_DIGEST = "b2cb2727db7e18a1cd3bcb096dc749cffc08bc9c80fcc3799c54fd37a90e2fc6"
