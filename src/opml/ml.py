@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from . import merkle
+from . import fpvm, merkle
 from .hashing import GRAPH_STATE_PREFIX, HashScheme
 from .wire import ParseError, Reader
 
@@ -28,11 +28,6 @@ FRAC = 16
 SCALE = 1 << FRAC
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
-
-#: Region level used for tensor-image commitments (matches the VM's output
-#: region, so a node-output commitment and the VM output subtree root are
-#: directly comparable).
-TENSOR_REGION_LEVEL = 19
 
 #: The ops a node computes, as opposed to the graph inputs and constants it
 #: is given: only these lower to VM code and can be faulted or disputed.
@@ -215,9 +210,10 @@ def tensor_key(t: FixedTensor, scheme: HashScheme) -> bytes:
 
 
 def tensor_region_root(t: FixedTensor, scheme: HashScheme) -> bytes:
-    """Commitment to the tensor as a memory-region image (what a VM's output
-    region holding exactly this tensor hashes to)."""
-    return merkle.region_root(serialize_tensor(t), TENSOR_REGION_LEVEL, scheme)
+    """Commitment to the tensor as a memory-region image: what a VM's output
+    region holding exactly this tensor hashes to, so a node-output commitment
+    and the VM output subtree root are directly comparable."""
+    return merkle.region_root(serialize_tensor(t), fpvm.OUTPUT_LEVEL, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +384,9 @@ _EMPTY_ENTRY = (b"\x00" * 32, b"\x00" * 32)
 
 @dataclass(frozen=True)
 class GraphState:
-    """Inference state: a commitment to the input, the model and the node
-    outputs computed so far.
+    """Inference state: the input, the model and the node outputs computed
+    so far. It is the full preimage of its commitment, so opening a state
+    means handing over the state itself.
 
     `entries[j]` is (preimage key, region root) of node j's serialized
     output, or zero pairs while uncomputed. The commitment hashes the full
@@ -400,20 +397,13 @@ class GraphState:
     model_digest: bytes
     input_key: bytes
     entries: tuple[tuple[bytes, bytes], ...]
-    commitment: bytes
 
-    @staticmethod
-    def commit(
-        model_digest: bytes,
-        input_key: bytes,
-        entries: tuple[tuple[bytes, bytes], ...],
-        scheme: HashScheme,
-    ) -> bytes:
+    def commitment(self, scheme: HashScheme) -> bytes:
         acc = bytearray(GRAPH_STATE_PREFIX)
-        acc += struct.pack("<I", len(entries))
-        acc += model_digest
-        acc += input_key
-        for key, oroot in entries:
+        acc += struct.pack("<I", len(self.entries))
+        acc += self.model_digest
+        acc += self.input_key
+        for key, oroot in self.entries:
             acc += key
             acc += oroot
         return scheme.digest(bytes(acc))
@@ -422,9 +412,7 @@ class GraphState:
         """The state after node `node_id` computed `out`."""
         entries = list(self.entries)
         entries[node_id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
-        snapshot = tuple(entries)
-        return GraphState(self.model_digest, self.input_key, snapshot,
-                          GraphState.commit(self.model_digest, self.input_key, snapshot, scheme))
+        return GraphState(self.model_digest, self.input_key, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -453,10 +441,7 @@ class GraphRun:
     graph: CompGraph
     outputs: list[FixedTensor]
     states: list[GraphState]
-
-    @property
-    def commitments(self) -> list[bytes]:
-        return [s.commitment for s in self.states]
+    commitments: list[bytes]
 
     @property
     def output(self) -> FixedTensor:
@@ -469,7 +454,7 @@ class GraphRun:
         return self.states[min(index, len(self.states) - 1)]
 
     def root_at(self, index: int) -> bytes:
-        return self.state_at(index).commitment
+        return self.commitments[min(index, len(self.commitments) - 1)]
 
 
 def _compute_node(node: GraphNode, operands: list[FixedTensor], input_tensor: FixedTensor) -> FixedTensor:
@@ -519,11 +504,8 @@ def run_graph(
 ) -> GraphRun:
     """Node-by-node execution producing the n+1 graph states."""
     outputs = _node_outputs(graph, input_tensor, fault)
-    model_digest = graph.model_digest(scheme)
-    input_key = tensor_key(input_tensor, scheme)
-    entries = (_EMPTY_ENTRY,) * len(graph.nodes)
-    states = [GraphState(model_digest, input_key, entries,
-                         GraphState.commit(model_digest, input_key, entries, scheme))]
+    states = [GraphState(graph.model_digest(scheme), tensor_key(input_tensor, scheme),
+                         (_EMPTY_ENTRY,) * len(graph.nodes))]
     for node, out in zip(graph.nodes, outputs):
         states.append(states[-1].advance(node.id, out, scheme))
-    return GraphRun(graph, outputs, states)
+    return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states])

@@ -37,25 +37,12 @@ class PhaseConfig:
 
 
 @dataclass(frozen=True)
-class FieldOpening:
-    """Full preimage of a graph-state commitment: header plus the per-node
-    (key, output-root) entries. O(n) but tiny at node granularity."""
-
-    model_digest: bytes
-    input_key: bytes
-    entries: tuple[tuple[bytes, bytes], ...]
-
-    def commitment(self, scheme: HashScheme) -> bytes:
-        return ml.GraphState.commit(self.model_digest, self.input_key, self.entries, scheme)
-
-
-@dataclass(frozen=True)
 class EntranceBundle:
     s_prev_root: bytes  # agreed phase-1 state before the disputed node
     m0_root: bytes  # claimed initial VM memory root for phase 2
     node_id: int
     operand_keys_root: bytes  # input-region subtree root holding the keys
-    opening: FieldOpening  # proves the operand keys against s_prev_root
+    opening: ml.GraphState  # proves the operand keys against s_prev_root
     program_root: bytes
     model_root: bytes
 
@@ -69,7 +56,7 @@ class ExitBundle:
     output_proof: merkle.MerkleProof  # p_o against the memory root
     node_id: int
     node_output_root: bytes  # r_v claimed in the phase-1 state
-    opening: FieldOpening  # proves r_v against s_post_root
+    opening: ml.GraphState  # proves r_v against s_post_root
 
 
 @functools.lru_cache(maxsize=128)
@@ -98,13 +85,12 @@ def build_entrance_state(
     lowered = lowering.lower_node(node, operands)
     oracle = fpvm.PreimageOracle(scheme)
     m0 = lowering.node_initial_state(lowered, oracle)
-    s_prev = run.states[node_id]
     bundle = EntranceBundle(
-        s_prev_root=s_prev.commitment,
+        s_prev_root=run.commitments[node_id],
         m0_root=m0.memory.root(),
         node_id=node_id,
         operand_keys_root=m0.memory.subtree_root(fpvm.INPUT_BASE, fpvm.INPUT_LEVEL),
-        opening=FieldOpening(s_prev.model_digest, s_prev.input_key, s_prev.entries),
+        opening=run.states[node_id],
         program_root=m0.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL),
         model_root=scheme.zero_hashes[fpvm.MODEL_LEVEL],
     )
@@ -171,12 +157,12 @@ def public_next_root(
     node its params, and past the last node the state is its own fixpoint.
     None for a computed node, which needs a VM game."""
     if node_id >= len(graph.nodes):
-        return state.commitment
+        return state.commitment(scheme)
     node = graph.nodes[node_id]
     if node.op == "input":
-        return state.advance(node_id, input_tensor, scheme).commitment
+        return state.advance(node_id, input_tensor, scheme).commitment(scheme)
     if node.op == "const":
-        return state.advance(node_id, node.params, scheme).commitment
+        return state.advance(node_id, node.params, scheme).commitment(scheme)
     return None
 
 
@@ -185,14 +171,14 @@ def build_exit_bundle(run: ml.GraphRun, node_id: int, final_state: fpvm.VmState)
     s_post = run.states[node_id + 1]
     fields = final_state.fields()
     return ExitBundle(
-        s_post_root=s_post.commitment,
+        s_post_root=run.commitments[node_id + 1],
         final_state_root=fields.state_root(final_state.scheme),
         vm_fields=fields,
         output_region_root=final_state.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL),
         output_proof=final_state.memory.prove(fpvm.OUTPUT_BASE // 32, fpvm.OUTPUT_LEVEL),
         node_id=node_id,
         node_output_root=s_post.entries[node_id][1],
-        opening=FieldOpening(s_post.model_digest, s_post.input_key, s_post.entries),
+        opening=s_post,
     )
 
 
@@ -309,11 +295,11 @@ def run_two_phase_dispute(
 
     # The submitter opens its state before the pinned node: the agreed one.
     pinned_node = outcome.session.i
-    s_prev = submitter.run.state_at(pinned_node)
-    if s_prev.commitment != outcome.session.agreed_root:
+    if submitter.run.root_at(pinned_node) != outcome.session.agreed_root:
         return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
                        0, pinned_node)
-    public = public_next_root(graph, input_tensor, s_prev, pinned_node, scheme)
+    public = public_next_root(graph, input_tensor, submitter.run.state_at(pinned_node),
+                              pinned_node, scheme)
     if public is not None:
         winner = SUBMITTER if public == sub_actor.claimed_root(pinned_node + 1) else CHALLENGER
         return verdict(winner, "next state recomputed from public data", phase1_rounds, 0,

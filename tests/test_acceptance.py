@@ -281,8 +281,7 @@ def test_criterion_5_entrance_exit_checks():
         bad_entries = list(bundle.opening.entries)
         slot = rng.randrange(node_id)
         bad_entries[slot] = (rng.randbytes(32), bad_entries[slot][1])
-        mutants.append(replace(bundle, opening=multiphase.FieldOpening(
-            bundle.opening.model_digest, bundle.opening.input_key, tuple(bad_entries))))
+        mutants.append(replace(bundle, opening=replace(bundle.opening, entries=tuple(bad_entries))))
         mutants.append(replace(bundle, node_id=(node_id + 1) % len(graph.nodes)))
 
         for mutant in mutants:

@@ -14,7 +14,6 @@ from opml.hashing import HashScheme, get_scheme, scheme_names
 from opml.multiphase import (
     EntranceBundle,
     ExitBundle,
-    FieldOpening,
     PhaseConfig,
     build_entrance_state,
     build_exit_bundle,
@@ -122,8 +121,8 @@ def test_entrance_rejects_tampering():
     # opening that does not hash to the agreed state
     fake_entries = list(bundle.opening.entries)
     fake_entries[0] = (SCHEME.digest(b"x"), SCHEME.digest(b"y"))
-    rejects.append(("opening does not match the agreed state", replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake_entries)))))
+    rejects.append(("opening does not match the agreed state", replace(bundle, opening=replace(
+        bundle.opening, entries=tuple(fake_entries)))))
     # wrong node id (field address in the agreed state)
     rejects.append(("operand entry empty in the agreed state", replace(bundle, node_id=4)))
     # node with no lowering
@@ -132,8 +131,8 @@ def test_entrance_rejects_tampering():
     rejects.append(("node id out of range", replace(bundle, node_id=len(graph.nodes))))
     rejects.append(("node id out of range", replace(bundle, node_id=-1)))
     # opening one entry short of the graph
-    rejects.append(("opening has wrong arity", replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, bundle.opening.entries[:-1]))))
+    rejects.append(("opening has wrong arity", replace(bundle, opening=replace(
+        bundle.opening, entries=bundle.opening.entries[:-1]))))
 
     for i, (reason, bad) in enumerate(rejects):
         assert entrance_check(bad, graph, SCHEME) == (False, reason), f"mutation {i}"
@@ -148,12 +147,9 @@ def test_entrance_from_tampered_state_rejected():
     # rejects it; with the honest agreed root, the opening fails outright.
     _, _, bundle, _ = build_entrance_state(corrupt, 2, SCHEME)
     honest = ml.run_graph(graph, x, scheme=SCHEME)
-    assert bundle.s_prev_root != honest.states[2].commitment
-    honest_opening = FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key,
-        honest.states[2].entries,
-    )
-    mixed = replace(bundle, s_prev_root=honest.states[2].commitment)
+    assert bundle.s_prev_root != honest.commitments[2]
+    honest_opening = replace(bundle.opening, entries=honest.states[2].entries)
+    mixed = replace(bundle, s_prev_root=honest.commitments[2])
     ok, _ = entrance_check(mixed, graph, SCHEME)
     assert not ok  # corrupted opening vs honest root
     mixed2 = replace(mixed, opening=honest_opening)
@@ -189,14 +185,17 @@ def test_exit_rejects_mismatches():
     # proof for the wrong region (input instead of output)
     wrong_proof = final.memory.prove(fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL)
     rejects.append(("output proof aimed at the wrong field", replace(bundle, output_proof=wrong_proof)))
+    # r_o that the output proof does not place under the memory root
+    rejects.append(("output field proof invalid",
+                    replace(bundle, output_region_root=SCHEME.digest(b"forged"))))
     # r_v tampered
     rejects.append(("node output field mismatch",
                     replace(bundle, node_output_root=SCHEME.digest(b"claim"))))
     # opening not matching the phase-1 root
     fake = list(bundle.opening.entries)
     fake[2] = (fake[2][0], SCHEME.digest(b"other"))
-    rejects.append(("opening does not match the claimed state", replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, tuple(fake)))))
+    rejects.append(("opening does not match the claimed state", replace(bundle, opening=replace(
+        bundle.opening, entries=tuple(fake)))))
     # vm fields not opening the final state root
     bad_fields = fpvm.VmFields(bundle.vm_fields.pc + 4, bundle.vm_fields.regs,
                                bundle.vm_fields.exited, bundle.vm_fields.exit_code,
@@ -206,8 +205,8 @@ def test_exit_rejects_mismatches():
     rejects.append(("node id out of range", replace(bundle, node_id=len(graph.nodes))))
     rejects.append(("node id out of range", replace(bundle, node_id=-1)))
     # opening one entry short of the graph
-    rejects.append(("opening has wrong arity", replace(bundle, opening=FieldOpening(
-        bundle.opening.model_digest, bundle.opening.input_key, bundle.opening.entries[:-1]))))
+    rejects.append(("opening has wrong arity", replace(bundle, opening=replace(
+        bundle.opening, entries=bundle.opening.entries[:-1]))))
 
     for i, (reason, bad) in enumerate(rejects):
         assert exit_check(bad, graph, SCHEME) == (False, reason), f"mutation {i}"
@@ -506,7 +505,7 @@ def test_public_pins_are_recomputed_from_public_data():
     x = rand_tensor(random.Random(85), (1, 3))
     run = ml.run_graph(graph, x, scheme=SCHEME)
     for node in graph.nodes:
-        want = run.states[node.id + 1].commitment if node.op in ("input", "const") else None
+        want = run.commitments[node.id + 1] if node.op in ("input", "const") else None
         assert public_next_root(graph, x, run.states[node.id], node.id, SCHEME) == want
     for past in (len(graph.nodes), len(graph.nodes) + 3):
         assert public_next_root(graph, x, run.state_at(past), past, SCHEME) == run.root_at(past)
