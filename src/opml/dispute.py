@@ -235,12 +235,15 @@ def emulate_span(
     preimages: fpvm.PreimageOracle | None,
     scheme: HashScheme,
 ) -> tuple[bytes | None, str]:
-    """Re-execute a chain of steps from witnesses; None on any invalid link."""
-    current = pre_root
+    """Re-execute a chain of steps from witnesses; None on any invalid link.
+
+    The steps share one set of accepted Merkle proofs, so each distinct proof
+    is verified once; verdicts and reasons are those of lone steps."""
+    current, proven = pre_root, set()
     for n, witness in enumerate(witnesses):
         verdict = fpvm.verify_step(
             current, b"\x00" * 32, witness, preimage_chunk_check=True,
-            preimages=preimages, scheme=scheme,
+            preimages=preimages, scheme=scheme, proven=proven,
         )
         if not verdict.witness_ok:
             return None, f"step {n + 1}: {verdict.reason}"
@@ -362,12 +365,14 @@ class VmTraceActor(BisectionActor):
     ) -> list[fpvm.StepWitness] | None:
         """Witnesses of the `count` steps from `start_index`, walked from the
         trace and generated under its oracle, ending early after the first
-        one of an exited machine: the rest is its fixpoint."""
+        one of an exited machine: the rest is its fixpoint. The steps share
+        one dict of opened leaves by (memory root, leaf base), so each leaf is
+        proven once per root; each witness equals a lone `gen_step_witness`."""
         if self._silent(round_no):
             return None
-        out = []
+        out, proofs = [], {}
         for state in islice(self.roots.walk(start_index), count):
-            out.append(fpvm.gen_step_witness(state, self.roots.oracle))
+            out.append(fpvm.gen_step_witness(state, self.roots.oracle, proofs))
             if state.exited:
                 break
         return out

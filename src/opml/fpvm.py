@@ -414,28 +414,34 @@ class _TreeMemory:
 
 
 class _RecordingMemory:
-    """Witness view: executes on the tree and records every leaf read (once,
-    in access order), the leaf write and the preimage chunk, each with its
-    proof against the pre-state memory root."""
+    """Witness view: records every leaf read (once, in access order), the
+    leaf write and the preimage chunk, each with its proof against the
+    pre-state memory root, from `proofs` keyed by (memory root, leaf base)."""
 
-    __slots__ = ("tree", "oracle", "reads", "writes", "preimage_chunk")
+    __slots__ = ("tree", "oracle", "root", "proofs", "reads", "writes", "preimage_chunk")
 
-    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
-        self.tree = tree
-        self.oracle = oracle
+    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, root: bytes,
+                 proofs: dict):
+        self.tree, self.oracle, self.root, self.proofs = tree, oracle, root, proofs
         self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
         self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
         self.preimage_chunk: PreimageChunk | None = None
 
+    def _open(self, base: int) -> tuple[bytes, merkle.MerkleProof]:
+        key = (self.root, base)
+        if key not in self.proofs:
+            self.proofs[key] = (self.tree.get_leaf(base >> 5), self.tree.prove(base >> 5))
+        return self.proofs[key]
+
     def read_leaf(self, base: int, miss: str) -> bytes:
-        leaf = self.tree.get_leaf(base >> 5)
+        leaf, proof = self._open(base)
         if all(addr != base for addr, _, _ in self.reads):
-            self.reads.append((base, leaf, self.tree.prove(base >> 5)))
+            self.reads.append((base, leaf, proof))
         return leaf
 
     def old_leaf(self, base: int) -> bytes:
         # A store's old leaf goes into its write record, not a read record.
-        return self.tree.get_leaf(base >> 5)
+        return self._open(base)[0]
 
     def chunk(self, key: bytes, index: int) -> bytes:
         if self.oracle is None:
@@ -446,7 +452,8 @@ class _RecordingMemory:
     def put_leaf(self, base: int, leaf: bytes) -> None:
         # Recorded, not applied: nothing reads memory after the write, and
         # the proof must be against the pre-state root.
-        self.writes.append((base, self.old_leaf(base), leaf, self.tree.prove(base >> 5)))
+        old, proof = self._open(base)
+        self.writes.append((base, old, leaf, proof))
 
 
 class _Rejected(Exception):
@@ -718,15 +725,20 @@ class StepWitness:
         return witness
 
 
-def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:
+def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None,
+                     proofs: dict | None = None) -> StepWitness:
     """Witness for the step about to execute from `state` (pre-state).
 
-    An exited state does not step, so its witness is the fields alone."""
+    An exited state does not step, so its witness is the fields alone.
+    `proofs` maps (memory root, leaf base) to (leaf, proof); a caller that
+    witnesses many states shares one dict. The witness is the same either way."""
+    fields = state.fields()
     if state.exited:
-        return StepWitness(state.fields())
-    mem = _RecordingMemory(state.memory, oracle)
+        return StepWitness(fields)
+    mem = _RecordingMemory(state.memory, oracle, fields.memory_root,
+                           {} if proofs is None else proofs)
     _execute(state.pc, state.regs, mem)
-    return StepWitness(state.fields(), mem.reads, mem.writes, mem.preimage_chunk)
+    return StepWitness(fields, mem.reads, mem.writes, mem.preimage_chunk)
 
 
 @dataclass(frozen=True)
@@ -743,6 +755,15 @@ def _reject(reason: str) -> Verdict:
     return Verdict(False, reason, None, False)
 
 
+def _proof_holds(root: bytes, claimed: bytes, proof: merkle.MerkleProof,
+                 proven: set[tuple], scheme: HashScheme) -> bool:
+    """`merkle.verify`, run once per key in `proven`, which holds accepted proofs only."""
+    key = (root, claimed, proof.leaf_index, proof.subtree_level, tuple(proof.siblings))
+    if key not in proven and merkle.verify(root, claimed, proof, scheme):
+        proven.add(key)
+    return key in proven
+
+
 def verify_step(
     pre_root: bytes,
     claimed_post_root: bytes,
@@ -751,6 +772,7 @@ def verify_step(
     preimages: PreimageOracle | None = None,
     *,
     scheme: HashScheme,
+    proven: set[tuple] | None = None,
 ) -> Verdict:
     """Contract-side one-step check: O(1) work, no tree ever materialized.
 
@@ -758,7 +780,10 @@ def verify_step(
     out against the witnessed memory root, and re-executing the fetched
     instruction over the witnessed leaves lands exactly on
     `claimed_post_root`. All inputs are treated as hostile.
+    Each proof is checked through `proven`, the proofs already accepted
+    under `scheme`, which a chain of steps shares; the verdict is the same.
     """
+    proven = set() if proven is None else proven
     f = witness.pre_fields
     if (len(f.regs) != 16 or f.regs[0] != 0 or not 0 <= f.pc <= MASK32
             or not all(0 <= r <= MASK32 for r in f.regs) or not 0 <= f.exit_code <= 0xFF):
@@ -781,7 +806,7 @@ def verify_step(
             return _reject("read-proof-wrong-slot")
         if addr in leaves:
             return _reject("duplicate-read")
-        if not merkle.verify(f.memory_root, scheme.leaf_hash(leaf), proof, scheme):
+        if not _proof_holds(f.memory_root, scheme.leaf_hash(leaf), proof, proven, scheme):
             return _reject("read-proof-invalid")
         leaves[addr] = leaf
 
@@ -810,7 +835,7 @@ def verify_step(
             return _reject("write-record-wrong-slot")
         if proof.leaf_index != base // 32 or proof.subtree_level != 0:
             return _reject("write-proof-wrong-slot")
-        if not merkle.verify(f.memory_root, scheme.leaf_hash(old), proof, scheme):
+        if not _proof_holds(f.memory_root, scheme.leaf_hash(old), proof, proven, scheme):
             return _reject("write-proof-invalid")
         if new != computed_new:
             return _reject("write-value-mismatch")

@@ -2,12 +2,14 @@
 
 import inspect
 import random
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opml import dispute, fpvm
+from opml import cli, dispute, fpvm, lowering, merkle, ml
 from opml.dispute import (
     ActorStrategy,
     ChainSim,
@@ -24,6 +26,8 @@ from opml.dispute import (
     synthetic_program,
 )
 from opml.hashing import get_scheme
+
+from fixtures import rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -417,3 +421,128 @@ def test_submitter_that_posts_the_disputed_root_concedes():
     assert chain.transcript[-1] == {"event": "verdict", "winner": "challenger", "reason": reason,
                                     "pinned_node": None, "pinned_step": 1, "rounds": 8}
     assert chain.balances["bob"] == 900 + 100 + 50 and chain.burned == 50
+
+
+def _load_store_trace(scheme):
+    """LI r1, HEAP_BASE; LW r2, [r1]; SW r2, [r1]; HALT. The LW stores
+    nothing, so the LW and SW steps share a pre-state memory root, and both
+    fetch from program leaf 0; the SW writes the leaf the LW read."""
+    program = fpvm.assemble([fpvm.encode("LI", rd=1), fpvm.HEAP_BASE, fpvm.encode("LW", rd=2, rs=1),
+                             fpvm.encode("SW", rt=2, rs=1), fpvm.encode("HALT")])
+    return fpvm.run_trace(fpvm.load_program(program, scheme=scheme))
+
+
+def _flip_sibling(proof):
+    siblings = list(proof.siblings)
+    siblings[3] = bytes([siblings[3][0] ^ 1]) + siblings[3][1:]
+    return replace(proof, siblings=siblings)
+
+
+@pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
+def test_span_memo_keeps_every_rejection(scheme_name):
+    """Within one arbitration, a proof of a leaf already proven under the
+    same root, with one sibling flipped, is rejected with the reason a lone
+    step gives: the memo keys the siblings too, and holds accepted proofs
+    only."""
+    scheme = get_scheme(scheme_name)
+    trace = _load_store_trace(scheme)
+    load, store = fpvm.gen_step_witness(trace.state_at(1)), fpvm.gen_step_witness(trace.state_at(2))
+    assert load.pre_fields.memory_root == store.pre_fields.memory_root
+    (fetch, _, fetch_proof), (heap, heap_leaf, heap_proof) = load.mem_reads
+    (_, _, store_fetch_proof), = store.mem_reads
+    (addr, old, new, write_proof), = store.mem_writes
+    assert (addr, old, write_proof) == (heap, heap_leaf, heap_proof) and store_fetch_proof == fetch_proof
+
+    bad_read = replace(store, mem_reads=[(fetch, store.mem_reads[0][1], _flip_sibling(fetch_proof))])
+    bad_write = replace(store, mem_writes=[(addr, old, new, _flip_sibling(write_proof))])
+    assert dispute.emulate_span(trace.root_at(1), [load, store], None, scheme) == (trace.root_at(3), "")
+    for bad, reason in ((bad_read, "read-proof-invalid"), (bad_write, "write-proof-invalid")):
+        assert dispute.emulate_span(trace.root_at(1), [load, bad], None, scheme) == (None, f"step 2: {reason}")
+        proven = set()
+        assert fpvm.verify_step(trace.root_at(1), trace.root_at(2), load, scheme=scheme, proven=proven).accepted
+        accepted = set(proven)
+        for _ in range(2):  # the same bad proof, given twice, is rejected both times
+            verdict = fpvm.verify_step(trace.root_at(2), trace.root_at(3), bad, scheme=scheme, proven=proven)
+            assert (verdict.accepted, verdict.witness_ok, verdict.reason) == (False, False, reason)
+            assert proven == accepted
+
+
+def _memo_traces(scheme):
+    """A 5000-step synthetic trace, its fork at a store step and a matmul
+    node trace, each with the start of a window to witness from it."""
+    honest = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(2), 5000), scheme=scheme))
+    store_step = next(n for n, state in enumerate(honest.walk(600), start=601)
+                      if fpvm.gen_step_witness(state).mem_writes)
+    fork = honest.fork(fpvm.StepFault(store_step, dispute.SCRATCH_FAULT_LEAF, 0))
+    rng = random.Random(3)
+    lowered = lowering.lower_node(ml.GraphNode(2, "matmul", (0, 1)),
+                                  [rand_tensor(rng, (1, 6)), rand_tensor(rng, (6, 3))])
+    oracle = fpvm.PreimageOracle(scheme)
+    node = fpvm.run_trace(lowering.node_initial_state(lowered, oracle), oracle)
+    return [(honest, 7), (fork, store_step - 100), (node, 0)]
+
+
+@pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
+def test_memoised_witnesses_equal_lone_witnesses(scheme_name):
+    """`witnesses` shares one proof memo over its window; every witness
+    equals, field by field and in bytes, the one a lone `gen_step_witness`
+    makes. The windows cross snapshots, stores, a fork's faulted step and
+    a node's PREIMAGE steps."""
+    for trace, start in _memo_traces(get_scheme(scheme_name)):
+        actor = dispute.VmTraceActor("bob", trace, ActorStrategy(), trace.states[0].scheme)
+        memoised = actor.witnesses(start, 4096)
+        lone = [fpvm.gen_step_witness(state, trace.oracle)
+                for state in islice(trace.walk(start), len(memoised))]
+        assert memoised == lone
+        assert [w.to_bytes() for w in memoised] == [w.to_bytes() for w in lone]
+        assert any(w.mem_writes for w in memoised)
+        if trace.oracle is not None:
+            assert any(w.preimage_chunk for w in memoised) and memoised[-1].pre_fields.exited
+        else:
+            assert len(memoised) == 4096
+
+
+def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
+    """The m = 4096 synthetic game: its arbitration recomputes one root per
+    distinct accepted proof plus one per write step, and its witnesses walk
+    one proof per distinct (memory root, leaf)."""
+    monkeypatch.delenv("OPML_HASH", raising=False)
+    calls = {"recompute_root": 0, "prove": 0}
+    spans, proves = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def spied(fn, name, out):
+        def wrapper(*args):
+            before = calls[name]
+            result = fn(*args)
+            out.append((args, calls[name] - before))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(merkle, "recompute_root", counted("recompute_root", merkle.recompute_root))
+    monkeypatch.setattr(merkle.MemTree, "prove", counted("prove", merkle.MemTree.prove))
+    monkeypatch.setattr(dispute, "emulate_span", spied(dispute.emulate_span, "recompute_root", spans))
+    monkeypatch.setattr(dispute.VmTraceActor, "witnesses",
+                        spied(dispute.VmTraceActor.witnesses, "prove", proves))
+    argv = ["dispute", "--synthetic-n", "5000", "--strategy", "fault", "--k", "3", "--m", "4096",
+            "--seed", "2"]
+    assert cli.main(argv) == 0
+
+    ((_, ws, _, scheme), recomputes), = spans
+    (_, witness_proves), = proves
+    records = [(w.pre_fields.memory_root, addr, leaf, proof)
+               for w in ws for addr, leaf, proof in w.mem_reads]
+    records += [(w.pre_fields.memory_root, addr, old, proof)
+                for w in ws for addr, old, _new, proof in w.mem_writes]
+    keys = {(root, scheme.leaf_hash(leaf), proof.leaf_index, proof.subtree_level, tuple(proof.siblings))
+            for root, _, leaf, proof in records}
+    writes = sum(1 for w in ws if w.mem_writes)
+    assert len(ws) == 4096 and writes > 0
+    assert recomputes == len(keys) + writes
+    assert witness_proves == len({(root, addr) for root, addr, _, _ in records})
+    assert len(keys) < len(records)
