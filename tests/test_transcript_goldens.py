@@ -68,6 +68,16 @@ def _model_scenarios():
         for fault in (None, "node5")
         for protocol in ("single", "two-phase")
         for faulty in ("submitter", "challenger")
+    ] + [
+        # A later wrong round leaves a span past the node trace's end, where
+        # a wrong-midpoint party without a VM fault posts junk roots.
+        (f"{_MODEL_NAME}-wrong-midpoint-node{node_id}-k{k}-round{wrong_round}"
+         "-two-phase-challenger",
+         ["--model", "MODEL", "--input", "INPUT", "--protocol", "two-phase",
+          "--strategy", "wrong-midpoint", "--faulty", "challenger",
+          "--fault-node", str(node_id), "--k", str(k), "--m", "4",
+          "--wrong-round", str(wrong_round), "--seed", "3"])
+        for node_id, k, wrong_round in ((4, 3, 2), (5, 3, 3), (10, 2, 2))
     ]
 
 
@@ -136,6 +146,9 @@ GOLDENS = {
     "mlp-argmax-3-5-4-random-node5-single-challenger": "c6c5f0f9974bbe47d69e766fc2640fa0e27cfa88917bcdf265975a136a0c0ea5",
     "mlp-argmax-3-5-4-random-node5-two-phase-submitter": "e35ce26bf48426f0717eb4d8645c55b0b202a7819c8cf508efd72cf7bd7d40f7",
     "mlp-argmax-3-5-4-random-node5-two-phase-challenger": "134cbccb6869a87e0a6e34e0c5f6238cd13b96153bc2a48bcc89212bd54a356f",
+    "mlp-argmax-3-5-4-wrong-midpoint-node4-k3-round2-two-phase-challenger": "43d5c2336b15cae1a83602ddc74bcad7bebd6c0d100765df2b34fd2706c10298",
+    "mlp-argmax-3-5-4-wrong-midpoint-node5-k3-round3-two-phase-challenger": "cf7e0bd44dbe5c13283547cf0a83050edf733fd2fa5fb91078d37c48569e4e9e",
+    "mlp-argmax-3-5-4-wrong-midpoint-node10-k2-round2-two-phase-challenger": "99de90e63d9620637624a6b8095b927dc19bedd56ed9b0fd18aebe1856aac7f7",
 }
 
 
