@@ -480,8 +480,9 @@ def run_dispute(
 
     Both parties must hold stakes in `chain`; the loser's stake is slashed
     (half to the winner, half burned) and a missed move forfeits. With
-    settle=False the verdict is returned without touching stakes (used when
-    this game is the inner phase of a larger one). Witnesses are checked
+    settle=False no stake moves (the inner phase of a larger game, which
+    settles the stakes itself); either way the claim's dispute is closed and
+    the verdict logged. Witnesses are checked
     under the submitter's hash scheme, against `oracle`, the arbiter's
     preimage store. Rounds are logged as phase 2, the VM phase, in a
     single-phase game too.
@@ -520,14 +521,15 @@ def run_dispute(
 def settle_verdict(winner, reason, chain, claim, submitter, challenger, rounds, pinned_step,
                    pinned_node=None, slash=True) -> None:
     """Close a game, single- or two-phase: unless it is an inner phase
-    (slash=False), slash the loser's stake to the winner and close the
-    dispute; then log the verdict record to the chain's transcript."""
+    (slash=False), slash the loser's stake to the winner; either way close
+    the claim's dispute and log the verdict record to the chain's
+    transcript."""
     if slash:
         winner_id = submitter.party_id if winner == SUBMITTER else challenger.party_id
         loser_id = challenger.party_id if winner == SUBMITTER else submitter.party_id
         chain.slash(loser_id, winner_id)
         chain.release(winner_id)
-        chain.close_dispute(claim.claim_id)
+    chain.close_dispute(claim.claim_id)
     chain.transcript.append({
         "event": "verdict", "winner": winner, "reason": reason,
         "pinned_node": pinned_node, "pinned_step": pinned_step, "rounds": rounds,

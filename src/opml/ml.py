@@ -433,7 +433,8 @@ class GraphFault:
 
 @dataclass
 class GraphRun:
-    """One party's full execution record: outputs, states, commitments.
+    """One party's full execution record: outputs, states, commitments, and
+    the fault it ran under (None for an honest run).
 
     As a root sequence, its last index is the node count and roots past it
     are the final commitment (the fixpoint)."""
@@ -442,6 +443,7 @@ class GraphRun:
     outputs: list[FixedTensor]
     states: list[GraphState]
     commitments: list[bytes]
+    fault: GraphFault | None = None
 
     @property
     def output(self) -> FixedTensor:
@@ -508,4 +510,4 @@ def run_graph(
                          (_EMPTY_ENTRY,) * len(graph.nodes))]
     for node, out in zip(graph.nodes, outputs):
         states.append(states[-1].advance(node.id, out, scheme))
-    return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states])
+    return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states], fault)

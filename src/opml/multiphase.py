@@ -118,8 +118,6 @@ def entrance_check(
         return False, "opening does not match the agreed state"
     keys = []
     for dep in node.input_ids:
-        if dep >= bundle.node_id:
-            return False, "operand not computed before the disputed node"
         key = bundle.opening.entries[dep][0]
         if key == b"\x00" * 32:
             return False, "operand entry empty in the agreed state"
@@ -210,16 +208,6 @@ def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> t
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwoPhaseParty:
-    """A participant: execution record plus how it plays each phase."""
-
-    party_id: str
-    run: ml.GraphRun
-    graph_fault: ml.GraphFault | None = None
-    strategy: dispute.ActorStrategy = dispute.ActorStrategy()
-
-
 def make_party(
     party_id: str,
     graph: ml.CompGraph,
@@ -228,9 +216,12 @@ def make_party(
     strategy: dispute.ActorStrategy = dispute.ActorStrategy(),
     *,
     scheme: HashScheme,
-) -> TwoPhaseParty:
+) -> dispute.BisectionActor:
+    """A participant: a bisection actor over its `ml.GraphRun` under
+    `graph_fault`, which `roots.fault` keeps. Its strategy plays both
+    phases."""
     run = ml.run_graph(graph, input_tensor, fault=graph_fault, scheme=scheme)
-    return TwoPhaseParty(party_id, run, graph_fault, strategy)
+    return dispute.BisectionActor(party_id, run, strategy, scheme)
 
 
 @dataclass
@@ -244,18 +235,19 @@ class TwoPhaseResult:
 
 
 def _phase2_trace(
-    party: TwoPhaseParty,
+    party: dispute.BisectionActor,
     node_id: int,
     honest_trace: fpvm.Trace,
     lowered: lowering.LoweredNode,
 ) -> fpvm.Trace:
     """The VM trace this party defends for the pinned node.
 
-    An honest party plays the honest node trace. A party faulting this node
-    forks it at the one store that writes the faulted element, so its VM
-    trace ends in exactly the output it committed to in phase 1.
+    An honest party plays the honest node trace. A party whose graph run
+    (`party.roots`) faults this node forks it at the one store that writes
+    the faulted element, so its VM trace ends in exactly the output it
+    committed to in phase 1.
     """
-    fault = party.graph_fault
+    fault = party.roots.fault
     if fault is None or fault.node_id != node_id:
         return honest_trace
     return honest_trace.fork(
@@ -265,8 +257,8 @@ def _phase2_trace(
 def run_two_phase_dispute(
     graph: ml.CompGraph,
     input_tensor: ml.FixedTensor,
-    submitter: TwoPhaseParty,
-    challenger: TwoPhaseParty,
+    submitter: dispute.BisectionActor,
+    challenger: dispute.BisectionActor,
     cfg: PhaseConfig,
     chain: ChainSim,
     *,
@@ -276,11 +268,7 @@ def run_two_phase_dispute(
     data or entrance check, VM dispute, m-step arbitration and exit check;
     then settlement. Every move, check and verdict is logged to the chain's
     transcript."""
-    sub_actor = dispute.BisectionActor(submitter.party_id, submitter.run, submitter.strategy,
-                                       scheme)
-    chal_actor = dispute.BisectionActor(challenger.party_id, challenger.run, challenger.strategy,
-                                        scheme)
-    claim = Claim.posted_by(sub_actor, cfg.k_phase1, 1)
+    claim = Claim.posted_by(submitter, cfg.k_phase1, 1)
 
     def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
                 pinned_node: int | None = None, pinned_step: int | None = None) -> TwoPhaseResult:
@@ -288,25 +276,25 @@ def run_two_phase_dispute(
                                p1_rounds + p2_rounds, pinned_step, pinned_node)
         return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step, reason)
 
-    outcome = dispute.open_game(claim, sub_actor, chal_actor, cfg.k_phase1, 1, chain, phase=1)
+    outcome = dispute.open_game(claim, submitter, challenger, cfg.k_phase1, 1, chain, phase=1)
     phase1_rounds = outcome.session.round
     if outcome.forfeit_winner is not None:
         return verdict(outcome.forfeit_winner, outcome.reason, phase1_rounds)
 
     # The submitter opens its state before the pinned node: the agreed one.
     pinned_node = outcome.session.i
-    if submitter.run.root_at(pinned_node) != outcome.session.agreed_root:
+    if submitter.roots.root_at(pinned_node) != outcome.session.agreed_root:
         return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
                        0, pinned_node)
-    public = public_next_root(graph, input_tensor, submitter.run.state_at(pinned_node),
+    public = public_next_root(graph, input_tensor, submitter.roots.state_at(pinned_node),
                               pinned_node, scheme)
     if public is not None:
-        winner = SUBMITTER if public == sub_actor.claimed_root(pinned_node + 1) else CHALLENGER
+        winner = SUBMITTER if public == submitter.claimed_root(pinned_node + 1) else CHALLENGER
         return verdict(winner, "next state recomputed from public data", phase1_rounds, 0,
                        pinned_node)
 
     # Entrance: the submitter supplies the descent evidence.
-    m0, oracle, bundle, lowered = build_entrance_state(submitter.run, pinned_node, scheme)
+    m0, oracle, bundle, lowered = build_entrance_state(submitter.roots, pinned_node, scheme)
     ok, why = entrance_check(bundle, graph, scheme)
     chain.transcript.append({"phase": "transition", "check": "entrance", "accepted": ok,
                              "reason": why})
@@ -318,6 +306,8 @@ def run_two_phase_dispute(
     sub_trace = _phase2_trace(submitter, pinned_node, honest_trace, lowered)
     chal_trace = _phase2_trace(challenger, pinned_node, honest_trace, lowered)
 
+    # The node fault is in the forked trace, not the strategy: a wrong-midpoint
+    # party whose strategy has no fault posts junk past its trace's end.
     sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
     chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)
     inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, claim_id=claim.claim_id + 1)
@@ -325,13 +315,12 @@ def run_two_phase_dispute(
         inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
         oracle=oracle, settle=False,
     )
-    chain.close_dispute(inner_claim.claim_id)
     winner, reason = inner.winner, inner.reason
 
     # Exit: the phase-2 winner reconciles its VM result with its phase-1 claim.
     winner_party = submitter if winner == SUBMITTER else challenger
     winner_trace = sub_trace if winner == SUBMITTER else chal_trace
-    exit_bundle = build_exit_bundle(winner_party.run, pinned_node, winner_trace.states[-1])
+    exit_bundle = build_exit_bundle(winner_party.roots, pinned_node, winner_trace.states[-1])
     ok, why = exit_check(exit_bundle, graph, scheme)
     chain.transcript.append({"phase": "transition", "check": "exit", "accepted": ok,
                              "reason": why})

@@ -385,6 +385,30 @@ def test_settle_challenge_period():
     assert settle_challenge_period(chain, claim, 50) == "Confirmed"
 
 
+def test_an_inner_game_moves_no_stake_but_logs_its_verdict_and_closes_its_claim():
+    """With settle=False the enclosing game settles the stakes, but the
+    inner game still logs its verdict and closes its own claim."""
+    honest_trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(13), 16),
+                                                    scheme=SCHEME))
+    submitter = build_trace_actor("alice", honest_trace,
+                                  ActorStrategy(kind="fault", fault=scratch_fault(5)))
+    challenger = build_trace_actor("bob", honest_trace, ActorStrategy(kind="honest"))
+    claim = Claim.posted_by(submitter, 1, 1, claim_id=13)
+    chain = ChainSim()
+    for party in ("alice", "bob"):
+        chain.deposit(party, 1000)
+        chain.stake(party, 100)
+    balances, stakes = dict(chain.balances), dict(chain.stakes)
+    result = run_dispute(claim, submitter, challenger, chain=chain, settle=False)
+    assert result.winner == "challenger"
+    assert chain.transcript[-1] == {
+        "event": "verdict", "winner": "challenger", "reason": result.reason,
+        "pinned_node": None, "pinned_step": 5, "rounds": result.rounds,
+    }
+    assert (chain.balances, chain.stakes, chain.burned) == (balances, stakes, 0)
+    assert claim.claim_id not in chain.open_disputes
+
+
 def test_transcript_structure():
     result, chain = make_game(14, 8, ActorStrategy(kind="fault", fault=scratch_fault(2)),
                               ActorStrategy(kind="honest"))

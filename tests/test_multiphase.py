@@ -278,7 +278,7 @@ def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
     x = rand_tensor(random.Random(67), (1, 3))
     sub = make_party("alice", graph, x, scheme=SCHEME)
     chal = make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 1, 4), scheme=SCHEME)
-    m0, oracle, _, _ = build_entrance_state(sub.run, 2, SCHEME)
+    m0, oracle, _, _ = build_entrance_state(sub.roots, 2, SCHEME)
     n = len(fpvm.run_trace(m0, oracle))
     monkeypatch.setattr(fpvm, "MAX_STEPS", n - 1)
     with pytest.raises(fpvm.BudgetExceededError) as exc:
