@@ -31,6 +31,7 @@ sha256) on each invocation and passed to the command; an unknown name exits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -339,9 +340,10 @@ def _run_two_phase(scenario, scheme, chain) -> multiphase.TwoPhaseResult:
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
     faulty_submitter = scenario["faulty"] == "submitter"
-    submitter = multiphase.make_party("submitter", graph, input_tensor, scheme=scheme,
+    honest_run = ml.run_graph(graph, input_tensor, scheme=scheme)
+    submitter = multiphase.make_party("submitter", honest_run,
                                       **(adversary if faulty_submitter else {}))
-    challenger = multiphase.make_party("challenger", graph, input_tensor, scheme=scheme,
+    challenger = multiphase.make_party("challenger", honest_run,
                                        **({} if faulty_submitter else adversary))
     cfg = multiphase.PhaseConfig(k_phase1=scenario["k"], k_phase2=scenario["k"],
                                  m=scenario["m"])
@@ -522,7 +524,10 @@ def cmd_verify_witness(args, _scheme: hashing.HashScheme) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `opml` parser, built once per process: every default it holds is
+    immutable, so one parser serves every `main` call."""
     parser = argparse.ArgumentParser(prog="opml", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -532,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input", required=True)
     p_run.add_argument("--out")
     p_run.add_argument("--dump-trace")
-    p_run.set_defaults(fn=cmd_run)
 
     p_disp = sub.add_parser("dispute", help="play a dispute game")
     p_disp.add_argument("--config")
@@ -542,13 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 type=int if opt.kind is int else str,
                                 choices=None if opt.kind in (int, str) else opt.kind,
                                 help="used by " + ", ".join(opt.games) + " games")
-    p_disp.set_defaults(fn=cmd_dispute)
 
     p_sec = sub.add_parser("security", help="trust-model probabilities (CSV)")
     p_sec.add_argument("--p", type=float, required=True)
     p_sec.add_argument("--m", required=True, help="validator count or range a:b")
     p_sec.add_argument("--f", type=float, default=0.5)
-    p_sec.set_defaults(fn=cmd_security)
 
     p_eco = sub.add_parser("economics", help="incentive analysis")
     eco_sub = p_eco.add_subparsers(dest="kind", required=True)
@@ -558,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--L", type=float, required=True)
     p_eq.add_argument("--B", type=float, required=True)
     p_eq.add_argument("--S", type=float, required=True)
-    p_eq.set_defaults(fn=cmd_economics)
     p_att = eco_sub.add_parser("attention")
     p_att.add_argument("--r", type=float, required=True)
     p_att.add_argument("--t", type=float, required=True)
@@ -569,25 +570,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--lazy-fraction", type=float, default=0.0)
     p_att.add_argument("--penalty", type=int, default=10)
     p_att.add_argument("--seed", type=int, default=0)
-    p_att.set_defaults(fn=cmd_economics)
 
     p_vw = sub.add_parser("verify-witness", help="offline one-step verification")
     p_vw.add_argument("--file", required=True)
     p_vw.add_argument("--skip-preimage-check", action="store_true")
-    p_vw.set_defaults(fn=cmd_verify_witness)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `opml` command and return its exit code; a usage error exits
+    2 through argparse. Each call reads OPML_HASH again, and the handler is
+    looked up by command name when it runs (`cmd_run` for `run`,
+    `cmd_verify_witness` for `verify-witness`), so a wrapper put on a
+    `cmd_*` function after the first call still sees every later one."""
     try:
         scheme = hashing.get_scheme(os.environ.get("OPML_HASH", "sha256"))
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args, scheme)
+        return handler(args, scheme)
     except (ConfigError, fpvm.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -107,7 +107,7 @@ def quantize(values) -> FixedTensor:
     """
     shape, flat = _flatten(values)
     if shape == ():
-        shape, flat = (1,), flat
+        shape = (1,)
     limit = 1 << (31 - FRAC)
     raw = []
     for v in flat:
@@ -410,8 +410,12 @@ class GraphState:
 
     def advance(self, node_id: int, out: FixedTensor, scheme: HashScheme) -> GraphState:
         """The state after node `node_id` computed `out`."""
+        return self.with_entry(node_id, (tensor_key(out, scheme), tensor_region_root(out, scheme)))
+
+    def with_entry(self, node_id: int, entry: tuple[bytes, bytes]) -> GraphState:
+        """The state with node `node_id`'s (key, region root) entry set."""
         entries = list(self.entries)
-        entries[node_id] = (tensor_key(out, scheme), tensor_region_root(out, scheme))
+        entries[node_id] = entry
         return GraphState(self.model_digest, self.input_key, tuple(entries))
 
 
@@ -433,8 +437,10 @@ class GraphFault:
 
 @dataclass
 class GraphRun:
-    """One party's full execution record: outputs, states, commitments, and
-    the fault it ran under (None for an honest run).
+    """One party's full execution record: outputs, states, the commitments
+    hashed under `scheme`, and the fault it ran under (None for an honest
+    run). `run_graph` builds the honest run and `fork` a faulted one from
+    it, under the honest run's scheme.
 
     As a root sequence, its last index is the node count and roots past it
     are the final commitment (the fixpoint)."""
@@ -443,6 +449,7 @@ class GraphRun:
     outputs: list[FixedTensor]
     states: list[GraphState]
     commitments: list[bytes]
+    scheme: HashScheme
     fault: GraphFault | None = None
 
     @property
@@ -458,56 +465,80 @@ class GraphRun:
     def root_at(self, index: int) -> bytes:
         return self.commitments[min(index, len(self.commitments) - 1)]
 
+    def fork(self, fault: GraphFault) -> GraphRun:
+        """This honest run with `fault` applied to its node's output, at any
+        node, input and const included; downstream nodes compute from the
+        corrupted value. The outputs, states and commitments before that
+        node are this run's own. A later node whose operands are all the
+        honest outputs, or whose output comes out equal to the honest one (a
+        ReLU masking the flip), keeps the honest output and its (key, region
+        root) entry without hashing it again."""
+        if self.fault is not None:
+            raise ValueError("only an honest run forks")
+        start, honest = fault.node_id, self.outputs
+        if not 0 <= start < len(honest):
+            raise ValueError(f"fault node {start} outside the graph's nodes 0..{len(honest) - 1}")
+        outputs = honest[:start]
+        states = self.states[: start + 1]
+        for node in self.graph.nodes[start:]:
+            out = kept = honest[node.id]
+            if node.id == start:
+                out = fault.apply(kept)
+            elif any(outputs[i] is not honest[i] for i in node.input_ids):
+                out = _apply_op(node.op, [outputs[i] for i in node.input_ids])
+                out = kept if out == kept else out
+            if out is kept:
+                entry = self.states[node.id + 1].entries[node.id]
+                states.append(states[-1].with_entry(node.id, entry))
+            else:
+                states.append(states[-1].advance(node.id, out, self.scheme))
+            outputs.append(out)
+        commitments = self.commitments[: start + 1]
+        commitments += [state.commitment(self.scheme) for state in states[start + 1 :]]
+        return GraphRun(self.graph, outputs, states, commitments, self.scheme, fault)
 
-def _compute_node(node: GraphNode, operands: list[FixedTensor], input_tensor: FixedTensor) -> FixedTensor:
-    if node.op == "input":
-        if input_tensor.shape != tuple(node.shape):
-            raise ShapeError(f"input {input_tensor.shape} != declared {tuple(node.shape)}")
-        return input_tensor
-    if node.op == "const":
-        return node.params
-    if node.op == "matmul":
+
+def _apply_op(op: str, operands: list[FixedTensor]) -> FixedTensor:
+    """The output of a computed op on its operands."""
+    if op == "matmul":
         return matmul_fx(*operands)
-    if node.op == "bias_add":
+    if op == "bias_add":
         return bias_add_fx(*operands)
-    if node.op == "relu":
+    if op == "relu":
         return relu_fx(*operands)
-    if node.op == "argmax":
+    if op == "argmax":
         return FixedTensor((1,), (argmax(operands[0]),))
-    raise ShapeError(f"unknown op {node.op}")
+    raise ShapeError(f"unknown op {op}")
 
 
-def _node_outputs(
-    graph: CompGraph, input_tensor: FixedTensor, fault: GraphFault | None
-) -> list[FixedTensor]:
+def _node_outputs(graph: CompGraph, input_tensor: FixedTensor) -> list[FixedTensor]:
     graph.infer_shapes()
     outputs: list[FixedTensor] = []
     for node in graph.nodes:
-        out = _compute_node(node, [outputs[i] for i in node.input_ids], input_tensor)
-        if fault is not None and fault.node_id == node.id:
-            out = fault.apply(out)
-        outputs.append(out)
+        if node.op == "input":
+            if input_tensor.shape != tuple(node.shape):
+                raise ShapeError(f"input {input_tensor.shape} != declared {tuple(node.shape)}")
+            outputs.append(input_tensor)
+        elif node.op == "const":
+            outputs.append(node.params)
+        else:
+            outputs.append(_apply_op(node.op, [outputs[i] for i in node.input_ids]))
     return outputs
 
 
 def execute_native(graph: CompGraph, input_tensor: FixedTensor) -> tuple[FixedTensor, list[FixedTensor]]:
     """Fast path: the graph output and every node's output, hashing nothing.
     `run_graph` adds the per-node commitments."""
-    outputs = _node_outputs(graph, input_tensor, None)
+    outputs = _node_outputs(graph, input_tensor)
     return outputs[graph.output_id], outputs
 
 
-def run_graph(
-    graph: CompGraph,
-    input_tensor: FixedTensor,
-    fault: GraphFault | None = None,
-    *,
-    scheme: HashScheme,
-) -> GraphRun:
-    """Node-by-node execution producing the n+1 graph states."""
-    outputs = _node_outputs(graph, input_tensor, fault)
+def run_graph(graph: CompGraph, input_tensor: FixedTensor, *, scheme: HashScheme) -> GraphRun:
+    """The honest node-by-node execution: its n+1 graph states and their
+    commitments under `scheme`. A faulted run is `fork`ed from it."""
+    outputs = _node_outputs(graph, input_tensor)
     states = [GraphState(graph.model_digest(scheme), tensor_key(input_tensor, scheme),
                          (_EMPTY_ENTRY,) * len(graph.nodes))]
     for node, out in zip(graph.nodes, outputs):
         states.append(states[-1].advance(node.id, out, scheme))
-    return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states], fault)
+    return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states], scheme)

@@ -210,18 +210,15 @@ def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> t
 
 def make_party(
     party_id: str,
-    graph: ml.CompGraph,
-    input_tensor: ml.FixedTensor,
+    honest_run: ml.GraphRun,
     graph_fault: ml.GraphFault | None = None,
     strategy: dispute.ActorStrategy = dispute.ActorStrategy(),
-    *,
-    scheme: HashScheme,
 ) -> dispute.BisectionActor:
-    """A participant: a bisection actor over its `ml.GraphRun` under
-    `graph_fault`, which `roots.fault` keeps. Its strategy plays both
-    phases."""
-    run = ml.run_graph(graph, input_tensor, fault=graph_fault, scheme=scheme)
-    return dispute.BisectionActor(party_id, run, strategy, scheme)
+    """A participant: a bisection actor over the honest run, or over its
+    fork at `graph_fault`, which `roots.fault` keeps. It commits under the
+    run's scheme, and its strategy plays both phases."""
+    run = honest_run if graph_fault is None else honest_run.fork(graph_fault)
+    return dispute.BisectionActor(party_id, run, strategy, run.scheme)
 
 
 @dataclass

@@ -71,6 +71,7 @@ def _single_phase_game(rng):
 
 def _two_phase_game(rng):
     graph, x = random_small_mlp(rng)
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     shapes = graph.infer_shapes()
     computable = [node.id for node in graph.nodes if node.op not in ("input", "const")]
     node_id = rng.choice(computable)
@@ -83,9 +84,9 @@ def _two_phase_game(rng):
     m = rng.choice([1, 1, 2])
 
     submitter = multiphase.make_party(
-        "sub", graph, x, graph_fault=fault if faulty_submitter else None, scheme=SCHEME)
+        "sub", honest, graph_fault=fault if faulty_submitter else None)
     challenger = multiphase.make_party(
-        "chal", graph, x, graph_fault=None if faulty_submitter else fault, scheme=SCHEME)
+        "chal", honest, graph_fault=None if faulty_submitter else fault)
     chain = _fresh_chain("sub", "chal")
     total = chain.total()
     result = multiphase.run_two_phase_dispute(

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -650,6 +652,53 @@ def test_dispute_has_no_challenge_period_flag(capsys):
         main(["dispute", "--synthetic-n", "8", "--challenge-period", "100"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --challenge-period" in capsys.readouterr().err
+
+
+def test_one_process_answers_each_command_as_a_fresh_process_does(capsys, monkeypatch):
+    """`main` parses every call with one parser: a run, a two-phase game,
+    a security table and a bad argv, called in turn in this process, print
+    and exit as each does in a process of its own."""
+    monkeypatch.delenv("OPML_HASH", raising=False)
+    model, inp = os.path.join(DATA, "mlp.opml"), os.path.join(DATA, "mlp-input.tensor")
+    run = ["run", "--model", model, "--input", inp]
+    argvs = [run,
+             ["dispute", "--model", model, "--input", inp, "--protocol", "two-phase",
+              "--faulty", "challenger", "--fault-node", "7"],
+             ["security", "--p", "0.5", "--m", "1:5"],
+             ["dispute", "--synthetic-n", "8", "--challenge-period", "100"],
+             run]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "OPML_HASH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "opml.cli", *argv], capture_output=True,
+                              text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_calls_the_command_function_it_finds_when_it_runs(capsys, monkeypatch):
+    """A wrapper put on a `cmd_*` function after the parser was built still
+    runs: `main` looks the handler up by command name on each call."""
+    assert run_cli(capsys, "security", "--p", "0.5", "--m", "3")[0] == 0
+    calls = []
+    real = cli.cmd_security
+    monkeypatch.setattr(cli, "cmd_security", lambda args, scheme: calls.append(args.m)
+                        or real(args, scheme))
+    code, out, _ = run_cli(capsys, "security", "--p", "0.5", "--m", "4")
+    assert (code, calls) == (0, ["4"])
+    assert out.splitlines()[1].startswith("0.5,4,")
 
 
 #: A value each game-specific option accepts, for the table-driven tests.

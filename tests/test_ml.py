@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opml import ml
-from opml.hashing import get_scheme
+from opml.hashing import GRAPH_STATE_PREFIX, HashScheme, get_scheme, scheme_names
 
 from fixtures import build_mlp, fixture_models, rand_tensor
 
@@ -45,6 +45,7 @@ def oracle_matmul(a_shape, a_data, b_shape, b_data):
 def test_quantize_examples():
     assert ml.quantize([1.0]).data == (65536,)
     assert ml.quantize([-0.5]).data == (-32768,)
+    assert ml.quantize(0.5) == ml.quantize([0.5])  # a scalar is a one-element tensor
     # 0.3 * 65536 = 19660.8 -> rounds away from zero to 19661
     t = ml.quantize([0.3])
     assert t.data == (19661,)
@@ -199,7 +200,7 @@ def test_fault_changes_only_downstream_commitments():
     honest = ml.run_graph(graph, x, scheme=SCHEME)
     for target in (2, 4, 5):
         fault = ml.GraphFault(node_id=target, element=0, bit=3)
-        corrupt = ml.run_graph(graph, x, fault=fault, scheme=SCHEME)
+        corrupt = honest.fork(fault)
         same = [h == c for h, c in zip(honest.commitments, corrupt.commitments)]
         assert all(same[: target + 1])
         assert not any(same[target + 1 :])
@@ -214,8 +215,112 @@ def test_commitment_sensitive_to_any_output_byte():
         node_id = rng.randrange(len(graph.nodes))
         numel = len(honest.outputs[node_id].data)
         fault = ml.GraphFault(node_id, rng.randrange(numel), rng.randrange(32))
-        corrupt = ml.run_graph(graph, x, fault=fault, scheme=SCHEME)
+        corrupt = honest.fork(fault)
         assert corrupt.commitments[-1] != honest.commitments[-1]
+
+
+def _faulted_outputs(graph, x, fault):
+    """Every node's output under `fault`, recomputed by the native kernels."""
+    outputs = []
+    for node in graph.nodes:
+        operands = [outputs[i] for i in node.input_ids]
+        if node.op == "input":
+            out = x
+        elif node.op == "const":
+            out = node.params
+        elif node.op == "matmul":
+            out = ml.matmul_fx(*operands)
+        elif node.op == "bias_add":
+            out = ml.bias_add_fx(*operands)
+        elif node.op == "relu":
+            out = ml.relu_fx(*operands)
+        else:
+            out = ml.FixedTensor((1,), (ml.argmax(operands[0]),))
+        outputs.append(fault.apply(out) if node.id == fault.node_id else out)
+    return outputs
+
+
+def _assert_fork_is_the_faulted_run(honest, fork, x, fault, scheme):
+    start = fault.node_id
+    assert (fork.fault, fork.scheme, fork.graph) == (fault, scheme, honest.graph)
+    assert fork.outputs == _faulted_outputs(honest.graph, x, fault)
+    assert all(f is h for f, h in zip(fork.states[: start + 1], honest.states[: start + 1]))
+    assert len(fork.states) == len(honest.states)
+    for j, out in enumerate(fork.outputs):
+        assert fork.states[j + 1] == fork.states[j].advance(j, out, scheme)
+    assert fork.commitments == [state.commitment(scheme) for state in fork.states]
+
+
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_a_fork_at_every_node_is_the_faulted_run(scheme_name):
+    """Forks at every node of the fixture models, input, consts and argmax
+    included, a few (element, bit) each."""
+    scheme = get_scheme(scheme_name)
+    rng = random.Random(41)
+    for _, graph, x in fixture_models():
+        honest = ml.run_graph(graph, x, scheme=scheme)
+        for node in graph.nodes:
+            numel = len(honest.outputs[node.id].data)
+            for element, bit in ((0, 0), (numel - 1, 31), (rng.randrange(numel), rng.randrange(32))):
+                fault = ml.GraphFault(node.id, element, bit)
+                _assert_fork_is_the_faulted_run(honest, honest.fork(fault), x, fault, scheme)
+        with pytest.raises(ValueError, match="outside the graph"):
+            honest.fork(ml.GraphFault(len(graph.nodes), 0))
+        with pytest.raises(ValueError, match="only an honest run forks"):
+            honest.fork(ml.GraphFault(0, 0)).fork(ml.GraphFault(0, 0))
+
+
+def _counting_scheme():
+    """A sha256 scheme that logs every hash input made after its zero-hash
+    table is built."""
+    calls = []
+    scheme = HashScheme("sha256", lambda data: calls.append(data) or hashlib.sha256(data).digest())
+    calls.clear()
+    return scheme, calls
+
+
+def _entry_and_commitment_hashes(fork, node_id, calls):
+    """The hash inputs of node `node_id`'s entry and of every commitment after it."""
+    calls.clear()
+    ml.tensor_key(fork.outputs[node_id], fork.scheme)
+    ml.tensor_region_root(fork.outputs[node_id], fork.scheme)
+    for state in fork.states[node_id + 1 :]:
+        state.commitment(fork.scheme)
+    return list(calls)
+
+
+def test_a_fork_at_the_last_node_hashes_its_entry_and_the_last_state_only():
+    scheme, calls = _counting_scheme()
+    for _, graph, x in fixture_models():
+        honest = ml.run_graph(graph, x, scheme=scheme)
+        last = len(graph.nodes) - 1
+        calls.clear()
+        fork = honest.fork(ml.GraphFault(last, 0, 0))
+        made = list(calls)
+        assert sum(data[:1] == GRAPH_STATE_PREFIX for data in made) == 1
+        assert made == _entry_and_commitment_hashes(fork, last, calls)
+
+
+def test_a_relu_masked_flip_keeps_the_honest_entries_downstream():
+    """A flip that leaves a negative pre-activation negative is masked by the
+    ReLU: from there on the fork holds the honest outputs and entries, and
+    hashes only the flipped node's entry and the states from it on."""
+    scheme, calls = _counting_scheme()
+    graph = build_mlp(seed=12, in_dim=4, hidden=6, out_dim=3)
+    x = rand_tensor(random.Random(101), (1, 4))
+    honest = ml.run_graph(graph, x, scheme=scheme)
+    assert [graph.nodes[i].op for i in (4, 5)] == ["bias_add", "relu"]
+    element = next(i for i, v in enumerate(honest.outputs[4].data) if v < 0)
+    fault = ml.GraphFault(4, element, 0)
+    calls.clear()
+    fork = honest.fork(fault)
+    made = list(calls)
+    _assert_fork_is_the_faulted_run(honest, fork, x, fault, scheme)
+    assert fork.outputs[4] != honest.outputs[4]
+    assert all(fork.outputs[j] is honest.outputs[j] for j in range(5, len(graph.nodes)))
+    assert all(fork.states[j + 1].entries[j] is honest.states[j + 1].entries[j]
+               for j in range(5, len(graph.nodes)))
+    assert made == _entry_and_commitment_hashes(fork, 4, calls)
 
 
 def test_model_roundtrip_and_parse_errors(tmp_path):

@@ -141,12 +141,12 @@ def test_entrance_rejects_tampering():
 def test_entrance_from_tampered_state_rejected():
     graph = build_mlp(seed=63, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(64), (1, 3))
-    corrupt = ml.run_graph(graph, x, fault=ml.GraphFault(1, 0, 2), scheme=SCHEME)
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+    corrupt = honest.fork(ml.GraphFault(1, 0, 2))
     # build from the corrupted record: the opening self-verifies against the
     # corrupted state root, so the engine-level agreement check is what
     # rejects it; with the honest agreed root, the opening fails outright.
     _, _, bundle, _ = build_entrance_state(corrupt, 2, SCHEME)
-    honest = ml.run_graph(graph, x, scheme=SCHEME)
     assert bundle.s_prev_root != honest.commitments[2]
     honest_opening = replace(bundle.opening, entries=honest.states[2].entries)
     mixed = replace(bundle, s_prev_root=honest.commitments[2])
@@ -257,13 +257,14 @@ def test_registered_program_root_is_the_entrance_program_root(scheme_name):
 def test_two_phase_fault_pins_node_and_challenger_wins():
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(67), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=2, element=1, bit=4)
     chain = fresh_chain("alice", "bob")
     total = chain.total()
     result = run_two_phase_dispute(
         graph, x,
-        make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
-        make_party("bob", graph, x, scheme=SCHEME),
+        make_party("alice", honest, graph_fault=fault),
+        make_party("bob", honest),
         PhaseConfig(), chain, scheme=SCHEME,
     )
     assert result.winner == "challenger"
@@ -276,8 +277,9 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
 def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(67), (1, 3))
-    sub = make_party("alice", graph, x, scheme=SCHEME)
-    chal = make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 1, 4), scheme=SCHEME)
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+    sub = make_party("alice", honest)
+    chal = make_party("bob", honest, graph_fault=ml.GraphFault(2, 1, 4))
     m0, oracle, _, _ = build_entrance_state(sub.roots, 2, SCHEME)
     n = len(fpvm.run_trace(m0, oracle))
     monkeypatch.setattr(fpvm, "MAX_STEPS", n - 1)
@@ -291,8 +293,9 @@ def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
 def test_two_phase_game_refuses_an_unstaked_party(unstaked):
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(67), (1, 3))
-    sub = make_party("alice", graph, x, scheme=SCHEME)
-    chal = make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 1, 4), scheme=SCHEME)
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+    sub = make_party("alice", honest)
+    chal = make_party("bob", honest, graph_fault=ml.GraphFault(2, 1, 4))
     chain = fresh_chain(*({"alice", "bob"} - {unstaked}))
     chain.deposit(unstaked, 1000)
     with pytest.raises(dispute.ProtocolViolation, match=f"^{unstaked} is not staked$"):
@@ -303,12 +306,13 @@ def test_two_phase_game_refuses_an_unstaked_party(unstaked):
 def test_two_phase_honest_submitter_wins():
     graph = build_mlp(seed=68, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(69), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=4, element=0, bit=7)
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
-        make_party("alice", graph, x, scheme=SCHEME),
-        make_party("bob", graph, x, graph_fault=fault, scheme=SCHEME),
+        make_party("alice", honest),
+        make_party("bob", honest, graph_fault=fault),
         PhaseConfig(k_phase1=2, k_phase2=2), chain, scheme=SCHEME,
     )
     assert result.winner == "submitter"
@@ -320,6 +324,7 @@ def test_single_and_two_phase_agree_on_every_fault():
     rng = random.Random(70)
     graph = build_mlp(seed=71, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(72), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     lowered = lowering.lower_graph(graph)
     state0 = lowered.initial_state(x, SCHEME)
     honest_trace = fpvm.run_trace(state0, None)
@@ -335,8 +340,8 @@ def test_single_and_two_phase_agree_on_every_fault():
 
         # two-phase game
         chain = fresh_chain("alice", "bob")
-        sub = make_party("alice", graph, x, graph_fault=fault if faulty_submitter else None, scheme=SCHEME)
-        chal = make_party("bob", graph, x, graph_fault=None if faulty_submitter else fault, scheme=SCHEME)
+        sub = make_party("alice", honest, graph_fault=fault if faulty_submitter else None)
+        chal = make_party("bob", honest, graph_fault=None if faulty_submitter else fault)
         two = run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
 
         # single-phase game over the whole lowered computation
@@ -360,6 +365,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
     the inner game trivially but fails the exit reconciliation and loses."""
     graph = build_mlp(seed=75, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(76), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=2, element=0, bit=5)
 
     # both parties play an honest VM trace regardless of their graph claims
@@ -368,8 +374,8 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
-        make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
-        make_party("bob", graph, x, scheme=SCHEME),
+        make_party("alice", honest, graph_fault=fault),
+        make_party("bob", honest),
         PhaseConfig(), chain, scheme=SCHEME,
     )
     assert result.winner == "challenger"
@@ -382,6 +388,7 @@ def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
     when the submitter's phase-1 claim is honest."""
     graph = build_mlp(seed=75, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(76), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     real = multiphase.build_entrance_state
 
     def flipped_m0_root(run, node_id, scheme):
@@ -394,8 +401,8 @@ def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
     chain = fresh_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
-        make_party("alice", graph, x, scheme=SCHEME),
-        make_party("bob", graph, x, graph_fault=ml.GraphFault(2, 0, 5), scheme=SCHEME),
+        make_party("alice", honest),
+        make_party("bob", honest, graph_fault=ml.GraphFault(2, 0, 5)),
         PhaseConfig(), chain, scheme=SCHEME,
     )
     assert (result.winner, result.pinned_node, result.pinned_step, result.phase2_rounds) == (
@@ -413,13 +420,14 @@ def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
 def test_phase_counts_against_bound():
     graph = build_mlp(seed=73, in_dim=4, hidden=6, out_dim=3)
     x = rand_tensor(random.Random(74), (1, 4))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=7, element=0, bit=1)
     for k1, k2, m in [(1, 1, 1), (2, 3, 2), (3, 2, 4)]:
         chain = fresh_chain("alice", "bob")
         result = run_two_phase_dispute(
             graph, x,
-            make_party("alice", graph, x, graph_fault=fault, scheme=SCHEME),
-            make_party("bob", graph, x, scheme=SCHEME),
+            make_party("alice", honest, graph_fault=fault),
+            make_party("bob", honest),
             PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, scheme=SCHEME,
         )
         assert result.winner == "challenger"
@@ -453,10 +461,11 @@ def play_two_phase(graph, x, adversary_side, strategy, fault=None, cfg=PhaseConf
     """One two-phase game between an honest party and an adversary that
     plays `strategy` from a record carrying `fault`."""
     honest_side = "challenger" if adversary_side == "submitter" else "submitter"
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
     parties = {
-        adversary_side: make_party(adversary_side, graph, x, graph_fault=fault,
-                                   strategy=strategy, scheme=SCHEME),
-        honest_side: make_party(honest_side, graph, x, scheme=SCHEME),
+        adversary_side: make_party(adversary_side, honest, graph_fault=fault,
+                                   strategy=strategy),
+        honest_side: make_party(honest_side, honest),
     }
     chain = fresh_chain("submitter", "challenger")
     total = chain.total()
