@@ -12,13 +12,13 @@ through named streams derived from that one seed. Exit codes: 0 success,
 2 usage or configuration (including an out-of-range analytics parameter, a
 dispute option the game does not use, or a VM run that reaches
 fpvm.MAX_STEPS without HALT, a guard that no program opml builds can
-reach), 3 I/O or parse failure (including a model whose shapes do not
-fit together or its input, or with a matmul inner dimension over
-ml.MAX_INNER_DIM, checked on load, a model whose program would
-not fit the program region, checked before it is built, and an output path
-that cannot be written), 4 internal invariant violation (a dual-path
-mismatch, or a dispute move outside the protocol, which the game's own
-actors never make, is a bug, never a user error).
+reach), 3 I/O or parse failure (including a model ml.CompGraph rejects as
+the file loads: shapes that do not fit, a matmul inner dimension over
+ml.MAX_INNER_DIM or an output node that computes nothing; an input that
+does not fit the model; a program too large for its region, checked before
+it is built; and an output path that cannot be written), 4 internal
+invariant violation (a dual-path mismatch, or a dispute move outside the
+protocol, which the game's own actors never make, is a bug, not a user error).
 
 `opml dispute` plays its game on a fresh chain simulation and writes, to
 --transcript, the scenario record followed by the chain's transcript.
@@ -65,27 +65,19 @@ def _read_file(path: str) -> bytes:
 
 
 def _load_model(path: str) -> ml.CompGraph:
-    """A model the VM can run: its shapes fit node by node and its output
-    node computes something."""
+    """A model the VM can run: `ml.CompGraph` checks, as the file loads,
+    that its shapes fit node by node and its output node computes something."""
     try:
-        graph = ml.load_model_bytes(_read_file(path))
-        graph.infer_shapes()
+        return ml.load_model_bytes(_read_file(path))
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
-    if graph.nodes[graph.output_id].op not in ml.COMPUTED_OPS:
-        raise IoError(f"{path}: output node must be a computed node")
-    return graph
 
 
 def _load_tensor(path: str) -> ml.FixedTensor:
-    data = _read_file(path)
     try:
-        tensor, offset = ml.deserialize_tensor(data)
-        if offset != len(data):
-            raise ml.ModelParseError(offset, "trailing bytes after tensor")
+        return ml.deserialize_tensor(_read_file(path))
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
-    return tensor
 
 
 def _load_model_and_input(model_path: str, input_path: str) -> tuple[ml.CompGraph, ml.FixedTensor]:
@@ -112,8 +104,8 @@ class Option(NamedTuple):
 
 #: Every `opml dispute` option, declared once for its flag and its config
 #: key. The flag is the key with "." written as "-"; `phases`, a
-#: config-file alias of `protocol`, has no flag. A two-phase game accepts
-#: `witness.out` and writes no bundle.
+#: config-file alias of `protocol`, has no flag. Only a single-phase game,
+#: synthetic or on a model, writes a witness bundle to `witness.out`.
 DISPUTE_OPTIONS = {
     "model": Option(str, None, MODEL_GAMES),
     "input": Option(str, None, MODEL_GAMES),
@@ -136,7 +128,7 @@ DISPUTE_OPTIONS = {
     "wrong.round": Option(int, 1, EVERY_GAME, lo=1),
     "seed": Option(int, 0, EVERY_GAME, lo=0, hi=2**64 - 1),
     "transcript": Option(str, None, EVERY_GAME),
-    "witness.out": Option(str, None, EVERY_GAME),
+    "witness.out": Option(str, None, (SYNTHETIC, SINGLE)),
 }
 
 

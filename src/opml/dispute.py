@@ -174,6 +174,8 @@ def interaction_count_bound(n_steps: int, m: int, k: int) -> int:
 
 def padded_length(n_steps: int, k: int, m: int = 1) -> int:
     """Dispute span: n rounded up to m * (k+1)**r via the post-HALT fixpoint."""
+    if k < 1 or m < 1:
+        raise ValueError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     segments = -(-n_steps // m)
     return m * (k + 1) ** exact_log_ceil(segments, k + 1)
 

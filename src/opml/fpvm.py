@@ -273,17 +273,14 @@ def load_program(
 
     Each image is built bottom-up as its region's subtree and spliced in;
     the memory equals writing the images leaf by leaf with `write_bytes`.
-    Raises merkle.RangeError, before building anything, when an image does
-    not fit its region.
+    Raises merkle.RangeError (from `merkle.build_region`), before hashing
+    anything, when an image does not fit its region.
     """
     regions = (
         (PROGRAM_BASE, PROGRAM_LEVEL, program),
         (INPUT_BASE, INPUT_LEVEL, input_blob),
         (MODEL_BASE, MODEL_LEVEL, model_blob),
     )
-    for base, level, image in regions:
-        if len(image) > 32 << level:
-            raise merkle.RangeError(f"{len(image)}-byte image exceeds the region at {base:#x}")
     tree = merkle.MemTree(scheme)
     for base, level, image in regions:
         tree = tree.splice(base // 32, level, merkle.build_region(image, level))

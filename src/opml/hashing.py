@@ -55,9 +55,6 @@ class HashScheme:
     def node_hash(self, left: bytes, right: bytes) -> bytes:
         return self._fn(left + right)
 
-    def __repr__(self) -> str:
-        return f"HashScheme({self.name!r})"
-
 
 def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()

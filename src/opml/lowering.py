@@ -249,8 +249,7 @@ def read_output_tensor(state: fpvm.VmState) -> ml.FixedTensor:
     rank = int.from_bytes(header, "little")
     dims = struct.unpack(f"<{rank}I", fpvm.read_bytes(state.memory, OUTPUT_BASE + 4, 4 * rank))
     size = _payload_offset(rank) + 4 * math.prod(dims)
-    tensor, _ = ml.deserialize_tensor(fpvm.read_bytes(state.memory, OUTPUT_BASE, size))
-    return tensor
+    return ml.deserialize_tensor(fpvm.read_bytes(state.memory, OUTPUT_BASE, size))
 
 
 def execute_via_vm(
@@ -262,19 +261,11 @@ def execute_via_vm(
     system's core determinism contract.
     """
     oracle = fpvm.PreimageOracle(scheme)
-    outputs: list[ml.FixedTensor] = []
-    for node in graph.nodes:
-        if node.op == "input":
-            if input_tensor.shape != tuple(node.shape):
-                raise ml.ShapeError("input shape mismatch")
-            outputs.append(input_tensor)
-            continue
-        if node.op == "const":
-            outputs.append(node.params)
-            continue
-        operands = [outputs[i] for i in node.input_ids]
-        outputs.append(run_lowered_node(lower_node(node, operands), oracle))
-    return outputs[graph.output_id]
+
+    def run_node(node, operands):
+        return run_lowered_node(lower_node(node, operands), oracle)
+
+    return ml._node_outputs(graph, input_tensor, run_node)[graph.output_id]
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +311,6 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
 
     # Serialize the designated output into the output region.
     out_shape = shapes[graph.output_id]
-    if graph.nodes[graph.output_id].op not in ml.COMPUTED_OPS:
-        raise LoweringError("output node must be a computed node")
     _emit_header(words, OUTPUT_BASE, out_shape)
     count = math.prod(out_shape)
     _stamp(words, _COPY, _elements(bases[graph.output_id], count),

@@ -180,9 +180,11 @@ class MerkleProof:
         return cls(index, level, [r.take(32, "proof siblings") for _ in range(count)])
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["MerkleProof", int]:
-        r = Reader(data, offset)
-        return cls.read(r), r.offset
+    def from_bytes(cls, data: bytes) -> "MerkleProof":
+        r = Reader(data)
+        proof = cls.read(r)
+        r.end("proof")
+        return proof
 
 
 def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) -> bool:

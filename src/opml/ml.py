@@ -185,9 +185,12 @@ def serialize_tensor(t: FixedTensor) -> bytes:
     return out
 
 
-def deserialize_tensor(data: bytes) -> tuple[FixedTensor, int]:
+def deserialize_tensor(data: bytes) -> FixedTensor:
+    """The tensor `data` holds, with no byte after it."""
     r = Reader(data)
-    return _read_tensor(r), r.offset
+    tensor = _read_tensor(r)
+    r.end("tensor")
+    return tensor
 
 
 def _read_tensor(r: Reader) -> FixedTensor:
@@ -244,6 +247,9 @@ class GraphNode:
 
 @dataclass
 class CompGraph:
+    """A graph both engines can run: building one checks its nodes, that its
+    shapes fit node by node and that its output node computes something."""
+
     nodes: list[GraphNode]
     output_id: int
 
@@ -262,6 +268,9 @@ class CompGraph:
             raise ShapeError("bad output node")
         if len(self.input_ids) != 1:
             raise ShapeError("exactly one input node is supported")
+        self.infer_shapes()
+        if self.nodes[self.output_id].op not in COMPUTED_OPS:
+            raise ShapeError("output node must be a computed node")
 
     @property
     def input_ids(self) -> list[int]:
@@ -299,9 +308,7 @@ def op_shape(op: str, operand_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
         return x
     if op == "relu":
         return operand_shapes[0]
-    if op == "argmax":
-        return (1,)
-    raise ShapeError(f"unknown op {op!r}")
+    return (1,)  # argmax; `GraphNode.validate` and `node_program` reject any other op
 
 
 _OP_CODES = {op: i for i, op in enumerate(OPS)}
@@ -485,7 +492,7 @@ class GraphRun:
             if node.id == start:
                 out = fault.apply(kept)
             elif any(outputs[i] is not honest[i] for i in node.input_ids):
-                out = _apply_op(node.op, [outputs[i] for i in node.input_ids])
+                out = _apply_op(node, [outputs[i] for i in node.input_ids])
                 out = kept if out == kept else out
             if out is kept:
                 entry = self.states[node.id + 1].entries[node.id]
@@ -498,21 +505,21 @@ class GraphRun:
         return GraphRun(self.graph, outputs, states, commitments, self.scheme, fault)
 
 
-def _apply_op(op: str, operands: list[FixedTensor]) -> FixedTensor:
-    """The output of a computed op on its operands."""
-    if op == "matmul":
+def _apply_op(node: GraphNode, operands: list[FixedTensor]) -> FixedTensor:
+    """The output of a computed node on its operands."""
+    if node.op == "matmul":
         return matmul_fx(*operands)
-    if op == "bias_add":
+    if node.op == "bias_add":
         return bias_add_fx(*operands)
-    if op == "relu":
+    if node.op == "relu":
         return relu_fx(*operands)
-    if op == "argmax":
-        return FixedTensor((1,), (argmax(operands[0]),))
-    raise ShapeError(f"unknown op {op}")
+    return FixedTensor((1,), (argmax(operands[0]),))  # argmax, the last computed op
 
 
-def _node_outputs(graph: CompGraph, input_tensor: FixedTensor) -> list[FixedTensor]:
-    graph.infer_shapes()
+def _node_outputs(graph: CompGraph, input_tensor: FixedTensor,
+                  compute=_apply_op) -> list[FixedTensor]:
+    """Every node's output, in node order; `compute(node, operands)` gives
+    a computed node's (`_apply_op` natively, a VM run in `lowering`)."""
     outputs: list[FixedTensor] = []
     for node in graph.nodes:
         if node.op == "input":
@@ -522,7 +529,7 @@ def _node_outputs(graph: CompGraph, input_tensor: FixedTensor) -> list[FixedTens
         elif node.op == "const":
             outputs.append(node.params)
         else:
-            outputs.append(_apply_op(node.op, [outputs[i] for i in node.input_ids]))
+            outputs.append(compute(node, [outputs[i] for i in node.input_ids]))
     return outputs
 
 

@@ -32,8 +32,8 @@ class PhaseConfig:
     m: int = 1  # steps the simulated contract re-executes at the base
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("arbitration span must be >= 1")
+        if min(self.k_phase1, self.k_phase2, self.m) < 1:
+            raise ValueError("k_phase1, k_phase2 and m must each be >= 1")
 
 
 @dataclass(frozen=True)

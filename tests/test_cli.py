@@ -181,12 +181,20 @@ def test_fault_node_without_a_computation_exits_2(capsys, protocol, node, messag
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _unchecked_graph(nodes, output_id) -> ml.CompGraph:
+    """A graph that skips `CompGraph`'s checks, to write a model file that
+    only the loader rejects."""
+    graph = object.__new__(ml.CompGraph)
+    graph.nodes, graph.output_id = nodes, output_id
+    return graph
+
+
 def _worst_case_matmul_files(tmp_path, n):
     """A (1, n) x (n, 1) matmul of raw 0xFFFF inputs and raw 1 weights: the
     low 16-bit remainders the VM kernel sums are all 0xFFFF."""
-    graph = ml.CompGraph([ml.GraphNode(0, "input", shape=(1, n)),
-                          ml.GraphNode(1, "const", params=ml.FixedTensor((n, 1), (1,) * n)),
-                          ml.GraphNode(2, "matmul", (0, 1))], output_id=2)
+    graph = _unchecked_graph([ml.GraphNode(0, "input", shape=(1, n)),
+                              ml.GraphNode(1, "const", params=ml.FixedTensor((n, 1), (1,) * n)),
+                              ml.GraphNode(2, "matmul", (0, 1))], output_id=2)
     model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
     ml.save_model(graph, str(model))
     inp.write_bytes(ml.serialize_tensor(ml.FixedTensor((1, n), (0xFFFF,) * n)))
@@ -211,7 +219,7 @@ def _misfit_model_files(tmp_path, case):
                  ml.GraphNode(1, "const", params=ml.FixedTensor((1,), (5,))),
                  ml.GraphNode(2, "bias_add", (0, 1))]
         x = ml.FixedTensor((), (1 << 16,))
-    graph = ml.CompGraph(nodes, output_id=1 if case == "output" else 2)
+    graph = _unchecked_graph(nodes, output_id=1 if case == "output" else 2)
     model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
     ml.save_model(graph, str(model))
     inp.write_bytes(ml.serialize_tensor(x))
@@ -239,7 +247,7 @@ def test_matmul_at_the_inner_dimension_bound_runs_the_same_on_the_vm(capsys, tmp
     out_path = tmp_path / "out.tensor"
     code, _, err = run_cli(capsys, "run", "--model", model, "--input", inp, "--out", str(out_path))
     assert (code, err) == (0, "")
-    assert ml.deserialize_tensor(out_path.read_bytes())[0].data == (32767,)
+    assert ml.deserialize_tensor(out_path.read_bytes()).data == (32767,)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["run", "dump-trace"])
@@ -589,6 +597,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["dispute", "--protocol", "two-phase", "--synthetic-n", "40",
      "--model", os.path.join(DATA, "mlp.opml"), "--input", os.path.join(DATA, "mlp-input.tensor"),
      "--fault-node", "2"],
+    ["dispute", "--protocol", "two-phase", "--model", os.path.join(DATA, "mlp.opml")],
     ["dispute", "--model", os.path.join(DATA, "mlp.opml"),
      "--input", os.path.join(DATA, "mlp-input.tensor"), "--fault-step", "7", "--fault-bit", "3"],
     ["dispute", "--synthetic-n", "40", "--fault-step", "7", "--fault-bit", "3"],
@@ -603,7 +612,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
         "fault-step-past-the-trace", "fault-step-zero", "synthetic-fault-step-zero",
         "config-misspelt-strategy", "fault-node-and-fault-step", "synthetic-fault-node",
         "synthetic-fault-element", "synthetic-with-model", "two-phase-with-synthetic-n",
-        "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint",
+        "two-phase-without-input", "fault-bit-with-fault-step", "synthetic-fault-bit", "wrong-round-without-wrong-midpoint",
         "wrong-round-below-1", "silent-after-negative", "synthetic-n-past-the-program-region"])
 def test_out_of_range_argument_exits_2_before_any_output(capsys, tmp_path, argv):
     config = tmp_path / "scenario.cfg"
@@ -704,7 +713,7 @@ def test_main_calls_the_command_function_it_finds_when_it_runs(capsys, monkeypat
 #: A value each game-specific option accepts, for the table-driven tests.
 _VALUES = {"model": os.path.join(DATA, "mlp.opml"), "input": os.path.join(DATA, "mlp-input.tensor"),
            "synthetic.n": "40", "fault.node": "2", "fault.step": "5", "fault.element": "1",
-           "fault.bit": "1"}
+           "fault.bit": "1", "witness.out": "w.bin"}
 _GAMES = {cli.SYNTHETIC: "synthetic.n = 40\n",
           cli.SINGLE: f"model = {_VALUES['model']}\ninput = {_VALUES['input']}\n",
           cli.TWO_PHASE: f"protocol = two-phase\nmodel = {_VALUES['model']}\n"

@@ -159,6 +159,39 @@ def test_drive_rounds_reads_the_roots_from_the_session():
         "session", "submitter", "challenger", "stop_span", "chain", "phase"]
 
 
+@pytest.mark.parametrize("k, m", [(0, 1), (1, 0)])
+def test_a_game_with_k_or_m_below_1_raises_instead_of_hanging(k, m):
+    """k = 0 made the padding search multiply by 1 forever."""
+    with pytest.raises(ValueError, match=f"need k >= 1 and m >= 1, got k={k}, m={m}"):
+        padded_length(10, k, m)
+    trace = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(3), 10), scheme=SCHEME))
+    with pytest.raises(ValueError, match="need k >= 1"):
+        Claim.posted_by(build_trace_actor("alice", trace, ActorStrategy()), k, m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: checkpoints(0, 1, 1), "span must cover at least 2 steps"),
+    (lambda: checkpoints(0, 8, 0), "need at least one checkpoint"),
+    (lambda: interaction_count_bound(1, 2, 1), "need n >= m >= 1"),
+    (lambda: Claim(b"", b"", 0), "trace_len must be >= 1"),
+    (lambda: synthetic_program(random.Random(1), 1), "need at least 2 steps"),
+    (lambda: build_trace_actor("alice", None, ActorStrategy(kind="fault")),
+     "fault strategy needs a fault"),
+], ids=["span-of-1", "no-checkpoint", "m-past-n", "empty-claim", "one-step-program",
+        "fault-without-target"])
+def test_a_value_outside_the_game_geometry_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_penalty_past_the_balance_raises_and_moves_nothing():
+    chain = ChainSim()
+    chain.deposit("alice", 5)
+    with pytest.raises(ProtocolViolation, match="alice cannot pay penalty 6"):
+        chain.penalize("alice", 6, "bob")
+    assert (chain.balances, chain.burned) == ({"alice": 5}, 0)
+
+
 def test_interaction_bound_values():
     assert interaction_count_bound(1024, 1, 1) == 10
     assert interaction_count_bound(1024, 4, 3) == 4

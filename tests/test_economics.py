@@ -210,6 +210,8 @@ def test_premature_accusation_rejected():
     chain.deposit("lazy", 100)
     with pytest.raises(PrematureAccusationError):
         rnd.accuse(lazy, chain, 10)
+    with pytest.raises(PrematureAccusationError, match="before the reveal"):
+        rnd.accept()
     rnd.reveal()
     with pytest.raises(PrematureAccusationError):
         rnd.accuse(lazy, chain, 10)  # revealed but not yet accepted

@@ -216,6 +216,17 @@ def test_preimage_missing_key_raises():
     st = boot(encode("PREIMAGE", rd=1, rs=2), encode("HALT"))
     with pytest.raises(fpvm.MissingPreimageError):
         run(st, PreimageOracle(SCHEME))
+    with pytest.raises(fpvm.MissingPreimageError, match="no oracle attached"):
+        run(st)
+    with pytest.raises(fpvm.MissingPreimageError, match="witness generation needs the oracle"):
+        gen_step_witness(st)
+
+
+def test_encode_and_write_bytes_reject_what_the_vm_cannot_hold():
+    with pytest.raises(ValueError, match="immediate 2048 out of 12-bit signed range"):
+        encode("ADD", imm=0x800)
+    with pytest.raises(merkle.AlignmentError, match="not leaf aligned"):
+        fpvm.write_bytes(merkle.MemTree(SCHEME), 4, b"x")
 
 
 def test_preimage_out_of_region_traps_and_verifies():

@@ -202,6 +202,18 @@ def test_execute_via_vm_matches_native_sample():
         assert via_vm == native
 
 
+def test_execute_via_vm_rejects_an_input_of_the_wrong_shape():
+    graph = build_mlp(seed=44, in_dim=3, hidden=4, out_dim=2)
+    with pytest.raises(ml.ShapeError, match=r"input \(1, 4\) != declared \(1, 3\)"):
+        lowering.execute_via_vm(graph, rand_tensor(random.Random(45), (1, 4)), scheme=SCHEME)
+
+
+def test_a_node_program_that_traps_is_a_lowering_error():
+    trapping = lowering.LoweredNode(fpvm.assemble([fpvm.encode("HALT", imm=3)]), [], ())
+    with pytest.raises(lowering.LoweringError, match="trapped with code 3"):
+        lowering.run_lowered_node(trapping, fpvm.PreimageOracle(SCHEME))
+
+
 def test_input_argmax_graph_via_vm():
     graph = ml.CompGraph(
         [ml.GraphNode(0, "input", shape=(1, 4)), ml.GraphNode(1, "argmax", (0,))], 1

@@ -114,8 +114,17 @@ def test_write_zero_to_absent_leaf_keeps_root():
 
 
 def test_out_of_range_index_rejected():
+    tree = merkle.MemTree(SCHEME)
     with pytest.raises(merkle.RangeError):
-        merkle.MemTree(SCHEME).update_leaf(merkle.NUM_LEAVES, b"\x01" * 32)
+        tree.update_leaf(merkle.NUM_LEAVES, b"\x01" * 32)
+    with pytest.raises(merkle.RangeError, match="leaf index"):
+        tree.get_leaf(merkle.NUM_LEAVES)
+    with pytest.raises(merkle.RangeError, match="leaf index"):
+        tree.prove(-1)
+    with pytest.raises(merkle.RangeError, match="subtree level 28"):
+        tree.prove(0, TREE_DEPTH + 1)
+    with pytest.raises(ValueError, match="leaf must be 32 bytes, got 31"):
+        tree.update_leaf(0, b"\x01" * 31)
 
 
 def test_prove_verify_roundtrip_and_size():
@@ -265,9 +274,7 @@ def test_proof_serialization_roundtrip():
     tree = merkle.MemTree(SCHEME).update_leaf(77, rand_leaf(rng))
     proof = tree.prove(77)
     blob = proof.to_bytes()
-    back, off = merkle.MerkleProof.from_bytes(blob)
-    assert off == len(blob)
-    assert back == proof
+    assert merkle.MerkleProof.from_bytes(blob) == proof
 
 
 def eager_levels(leaves: dict[int, bytes], scheme) -> tuple[list[dict[int, bytes]], list[bytes]]:

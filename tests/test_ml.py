@@ -57,7 +57,25 @@ def test_quantize_range_errors():
         ml.quantize([32768.0])
     with pytest.raises(ml.QuantizationRangeError):
         ml.quantize([-40000.0])
+    with pytest.raises(ml.QuantizationRangeError, match="rounds outside int32"):
+        ml.quantize([32767.99999999])  # inside the open bound, but rounds to 2**31
     ml.quantize([32767.0])  # inside the open bound
+
+
+@pytest.mark.parametrize("values, message", [([], "empty tensor"), ([[1.0], [1.0, 2.0]], "ragged")])
+def test_quantize_rejects_an_empty_or_ragged_nesting(values, message):
+    with pytest.raises(ml.ShapeError, match=message):
+        ml.quantize(values)
+
+
+@pytest.mark.parametrize("shape, data, error, message", [
+    ((2, 0), (), ml.ShapeError, "bad dimension 0"),
+    ((2,), (1,), ml.ShapeError, r"1 values for shape \(2,\)"),
+    ((1,), (ml.INT32_MAX + 1,), ml.QuantizationRangeError, "outside int32"),
+])
+def test_a_tensor_checks_its_shape_and_values_as_it_is_built(shape, data, error, message):
+    with pytest.raises(error, match=message):
+        ml.FixedTensor(shape, data)
 
 
 @given(st.lists(st.floats(-1000, 1000), min_size=1, max_size=20))
@@ -103,6 +121,28 @@ def test_matmul_extreme_values_match_oracle():
 def test_matmul_shape_error():
     with pytest.raises(ml.ShapeError):
         ml.matmul_fx(ml.quantize([[1.0, 2.0]]), ml.quantize([[1.0, 2.0]]))
+    with pytest.raises(ml.ShapeError, match="rank-2"):
+        ml.matmul_fx(ml.quantize([1.0]), ml.quantize([[1.0]]))
+
+
+def _matmul_nodes(rows):
+    return [ml.GraphNode(0, "input", shape=(1, 3)),
+            ml.GraphNode(1, "const", params=ml.FixedTensor((rows, 2), tuple(range(2 * rows)))),
+            ml.GraphNode(2, "matmul", (0, 1))]
+
+
+@pytest.mark.parametrize("nodes, output_id, message", [
+    (_matmul_nodes(4), 2, r"matmul \(1, 3\) x \(4, 2\)"),
+    (_matmul_nodes(3), 1, "output node must be a computed node"),
+    ([ml.GraphNode(0, "input", shape=(1,)), ml.GraphNode(1, "conv", (0,))], 1, "unknown op 'conv'"),
+    ([ml.GraphNode(0, "input", shape=(1,)), ml.GraphNode(1, "const")], 0, "const node without payload"),
+    ([ml.GraphNode(0, "input")], 0, "input node without declared shape"),
+    ([ml.GraphNode(1, "input", shape=(1,))], 0, "node ids must equal topological positions"),
+], ids=["clashing-shapes", "const-output", "unknown-op", "const-without-payload",
+        "input-without-shape", "id-not-position"])
+def test_a_graph_that_cannot_run_is_rejected_as_it_is_built(nodes, output_id, message):
+    with pytest.raises(ml.ShapeError, match=message):
+        ml.CompGraph(nodes, output_id)
 
 
 def test_matmul_inner_dimension_is_bounded():
@@ -164,9 +204,7 @@ def test_tensor_serialization_roundtrip():
     rng = random.Random(32)
     t = rand_tensor(rng, (3, 4))
     blob = ml.serialize_tensor(t)
-    back, off = ml.deserialize_tensor(blob)
-    assert off == len(blob)
-    assert back == t
+    assert ml.deserialize_tensor(blob) == t
 
 
 def test_execute_native_commitment_count_and_determinism():

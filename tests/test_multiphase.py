@@ -289,6 +289,12 @@ def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
     assert exc.value.steps == exc.value.state.step_count == n - 1
 
 
+@pytest.mark.parametrize("field", ["k_phase1", "k_phase2", "m"])
+def test_a_phase_config_below_1_raises_before_any_phase(field):
+    with pytest.raises(ValueError, match="k_phase1, k_phase2 and m must each be >= 1"):
+        PhaseConfig(**{field: 0})
+
+
 @pytest.mark.parametrize("unstaked", ["alice", "bob"])
 def test_two_phase_game_refuses_an_unstaked_party(unstaked):
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)

@@ -1,8 +1,8 @@
 """Byte-identity goldens for `opml dispute`.
 
-Each scenario runs `opml dispute --transcript --witness-out` in-process and
-pins one sha256 over its exit code, stdout, transcript and witness bundle
-(absent for two-phase games). A change that claims to leave dispute
+Each scenario runs `opml dispute --transcript` in-process, with
+`--witness-out` in a single-phase game, and pins one sha256 over its exit
+code, stdout, transcript and witness bundle (a two-phase game has none). A change that claims to leave dispute
 behaviour alone, such as a faster tree or interpreter, must keep every
 digest. After an intended change of behaviour, print the new table with
 `PYTHONPATH=src python tests/test_transcript_goldens.py` and paste it below.
@@ -164,8 +164,10 @@ def scenario_digest(workdir: Path, argv: list[str]) -> str:
         path.unlink(missing_ok=True)
     argv = [{"MODEL": str(model), "INPUT": str(inp)}.get(a, a) for a in argv]
     stdout = io.StringIO()
+    if "two-phase" not in argv:
+        argv += ["--witness-out", str(witness)]
     with contextlib.redirect_stdout(stdout):
-        code = main(["dispute", *argv, "--transcript", str(transcript), "--witness-out", str(witness)])
+        code = main(["dispute", *argv, "--transcript", str(transcript)])
     parts = [str(code).encode(), stdout.getvalue().encode()]
     parts += [path.read_bytes() if path.exists() else b"-" for path in (transcript, witness)]
     return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -59,10 +59,12 @@ def test_every_cut_is_a_parse_error_at_an_offset_inside_the_input(blob, parse):
 
 
 @pytest.mark.parametrize("parse, blob", [
+    (ml.deserialize_tensor, ml.serialize_tensor(rand_tensor(random.Random(2), (3,)))),
     (ml.load_model_bytes, ml.save_model_bytes(build_mlp(seed=3, in_dim=2, hidden=2, out_dim=2))),
+    (merkle.MerkleProof.from_bytes, _witness().mem_reads[0][2].to_bytes()),
     (fpvm.StepWitness.from_bytes, _witness().to_bytes()),
     (read_witness_bundle, _bundle(_witness())),
-], ids=["model", "witness", "bundle"])
+], ids=["tensor", "model", "proof", "witness", "bundle"])
 def test_a_trailing_byte_is_a_parse_error_at_its_offset(parse, blob):
     with pytest.raises(wire.ParseError, match="trailing") as exc:
         parse(blob + b"\x00")
