@@ -418,34 +418,26 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
         print(f"check_probability={eq.p_v!r}")
         print(f"interior={eq.interior}")
         return EXIT_OK
-    # attention: inputs are checked up front, so a failure inside the
-    # simulation stays an internal error
+    # attention: a ProtocolViolation (a ValueError) inside the simulation
+    # is no input error, so it stays an internal error
+    report = None
     try:
         best = economics.optimal_attention(args.r, args.t, args.C)
         p_t = args.p_t if args.p_t is not None else best.p_t
         if args.simulate:
-            economics.AttentionParams(args.r, args.t, args.C, p_t=p_t)
+            report = economics.simulate_attention_rounds(
+                rounds=args.simulate,
+                p_t=p_t,
+                n_validators=args.validators,
+                lazy_fraction=args.lazy_fraction,
+                seed=args.seed,
+                penalty=args.penalty,
+                scheme=scheme,
+            )
+    except dispute.ProtocolViolation:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.simulate is not None and args.simulate < 0:
-        raise ConfigError("--simulate must be non-negative")
-    if args.simulate and args.penalty < 0:
-        raise ConfigError("--penalty must be non-negative")
-    if args.simulate and args.validators < 1:
-        raise ConfigError("--validators must be >= 1")
-    if args.simulate and not 0.0 <= args.lazy_fraction <= 1.0:
-        raise ConfigError("--lazy-fraction must be in [0, 1]")
-    report = None
-    if args.simulate:
-        report = economics.simulate_attention_rounds(
-            rounds=args.simulate,
-            p_t=p_t,
-            n_validators=args.validators,
-            lazy_fraction=args.lazy_fraction,
-            seed=args.seed,
-            penalty=args.penalty,
-            scheme=scheme,
-        )
     print(f"deposit={best.G!r}")
     print(f"response_probability={best.p_t!r}")
     print(f"min_cost={best.cost!r}")

@@ -304,7 +304,14 @@ def simulate_attention_rounds(
 ) -> SimulationReport:
     """Repeated lottery rounds with fresh result digests; selection events
     across rounds are independent, so the empirical must-respond rate
-    converges to p_t."""
+    converges to p_t. Raises ValueError on a bad input before drawing."""
+    att = AttentionParams(r=0.001, t=1.0, C=0.001, G=float(penalty), p_t=p_t)
+    for name, value, low in (("rounds", rounds, 0), ("n_validators", n_validators, 1),
+                             ("penalty", penalty, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not 0.0 <= lazy_fraction <= 1.0:  # false for NaN too
+        raise ValueError(f"lazy_fraction must be in [0, 1], got {lazy_fraction!r}")
     chain = chain if chain is not None else ChainSim(challenge_period=1)
     draws = rng_mod.stream(seed, "attention")
     submitter_addr = draws.randbytes(20)
@@ -316,7 +323,6 @@ def simulate_attention_rounds(
         chain.deposit(v.party_id, penalty * rounds)
         validators.append(v)
 
-    att = AttentionParams(r=0.001, t=1.0, C=0.001, G=float(penalty), p_t=p_t)
     selections = penalized = 0
     for _ in range(rounds):
         digest = draws.randbytes(32)

@@ -257,7 +257,7 @@ def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme)
     Each anchor is spliced into an empty tree as a node whose only content
     is its digest, so the tree hashes over it but cannot read through it.
     This is the reconstruction the arbitration side runs when it rebuilds an
-    initial VM memory root from the public program/model digests plus the
+    initial VM memory root from the public program digest plus the
     disputed operand field.
     """
     tree = MemTree(scheme)

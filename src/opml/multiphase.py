@@ -3,16 +3,16 @@
 Phase 1 bisects the sequence of graph-state commitments (one per node) to
 pin a single disputed node. A pin whose next commitment public data settles
 (an input or const node, or a pin past the last node) is ruled at once.
-Otherwise the descent into phase 2 is gated by the entrance check: the
-initial VM memory image for the pinned node must be exactly reconstructible
-from public data (the per-op program, an empty model region) plus the
-operand-key field proven out of the agreed phase-1 state.
+Otherwise the entrance check gates the descent into phase 2: the claimed
+initial VM memory root must be the one rebuilt from the registered program
+of the node's op and operand shapes plus the operand keys opened out of the
+agreed phase-1 state, every other region zero.
 Phase 2 is the ordinary trace dispute over the lowered node program, ending
-in m-step arbitration. The exit check then ties the winner's final VM output
-region back to their phase-1 claim for the node's output.
+in m-step arbitration. The exit check then proves the node output opened
+out of the winner's phase-1 state to be their final VM output region.
 
-Both checks recompute everything from roots, openings and public context;
-they never trust structure supplied by the counterparty.
+A bundle carries the claim it backs and the openings that tie it to public
+data; each check derives every other root itself, never from the bundle.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ class EntranceBundle:
     s_prev_root: bytes  # agreed phase-1 state before the disputed node
     m0_root: bytes  # claimed initial VM memory root for phase 2
     node_id: int
-    operand_keys_root: bytes  # input-region subtree root holding the keys
     opening: ml.GraphState  # proves the operand keys against s_prev_root
-    program_root: bytes
-    model_root: bytes
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,9 @@ class ExitBundle:
     s_post_root: bytes  # winner's phase-1 state after the disputed node
     final_state_root: bytes  # winner's phase-2 final VM state root
     vm_fields: fpvm.VmFields  # opens final_state_root to the memory root
-    output_region_root: bytes  # r_o
-    output_proof: merkle.MerkleProof  # p_o against the memory root
+    output_proof: merkle.MerkleProof  # places the node output under the memory root
     node_id: int
-    node_output_root: bytes  # r_v claimed in the phase-1 state
-    opening: ml.GraphState  # proves r_v against s_post_root
+    opening: ml.GraphState  # proves the node output against s_post_root
 
 
 @functools.lru_cache(maxsize=128)
@@ -89,10 +84,7 @@ def build_entrance_state(
         s_prev_root=run.commitments[node_id],
         m0_root=m0.memory.root(),
         node_id=node_id,
-        operand_keys_root=m0.memory.subtree_root(fpvm.INPUT_BASE, fpvm.INPUT_LEVEL),
         opening=run.states[node_id],
-        program_root=m0.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL),
-        model_root=scheme.zero_hashes[fpvm.MODEL_LEVEL],
     )
     return m0, oracle, bundle, lowered
 
@@ -102,10 +94,10 @@ def entrance_check(
 ) -> tuple[bool, str]:
     """Validate the descent from the agreed phase-1 state into the VM.
 
-    Accepts iff (a) the opening matches the agreed state and yields exactly
-    the claimed operand-key field, and (b) recombining the public program
-    and model roots with that field (all other regions zero) reproduces the
-    claimed initial memory root.
+    Accepts iff the opening matches the agreed state and every operand entry
+    is filled, and the registered program of the node's op and operand shapes
+    plus those operand keys (all other regions zero) give exactly the claimed
+    initial memory root.
     """
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
@@ -122,19 +114,13 @@ def entrance_check(
         if key == b"\x00" * 32:
             return False, "operand entry empty in the agreed state"
         keys.append(key)
-    if merkle.region_root(b"".join(keys), fpvm.INPUT_LEVEL, scheme) != bundle.operand_keys_root:
-        return False, "operand key field mismatch"
     shapes = graph.infer_shapes()
-    operand_shapes = tuple(shapes[i] for i in node.input_ids)
-    if bundle.program_root != node_program_root(node.op, operand_shapes, scheme):
-        return False, "program root not the registered one"
-    if bundle.model_root != scheme.zero_hashes[fpvm.MODEL_LEVEL]:
-        return False, "model field must be empty"
+    program_root = node_program_root(node.op, tuple(shapes[i] for i in node.input_ids), scheme)
+    keys_root = merkle.region_root(b"".join(keys), fpvm.INPUT_LEVEL, scheme)
     rebuilt = merkle.root_from_regions(
         [
-            (fpvm.PROGRAM_BASE // 32, fpvm.PROGRAM_LEVEL, bundle.program_root),
-            (fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL, bundle.operand_keys_root),
-            (fpvm.MODEL_BASE // 32, fpvm.MODEL_LEVEL, bundle.model_root),
+            (fpvm.PROGRAM_BASE // 32, fpvm.PROGRAM_LEVEL, program_root),
+            (fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL, keys_root),
         ],
         scheme,
     )
@@ -166,23 +152,20 @@ def public_next_root(
 
 def build_exit_bundle(run: ml.GraphRun, node_id: int, final_state: fpvm.VmState) -> ExitBundle:
     """Evidence tying the phase-2 final machine to the phase-1 node output."""
-    s_post = run.states[node_id + 1]
     fields = final_state.fields()
     return ExitBundle(
         s_post_root=run.commitments[node_id + 1],
         final_state_root=fields.state_root(final_state.scheme),
         vm_fields=fields,
-        output_region_root=final_state.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL),
         output_proof=final_state.memory.prove(fpvm.OUTPUT_BASE // 32, fpvm.OUTPUT_LEVEL),
         node_id=node_id,
-        node_output_root=s_post.entries[node_id][1],
-        opening=s_post,
+        opening=run.states[node_id + 1],
     )
 
 
 def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> tuple[bool, str]:
-    """Require the VM's output field and the phase-1 node-output field to be
-    one and the same commitment."""
+    """Require the node output in the opened phase-1 state to be the output
+    region under the VM's final memory root."""
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
     if bundle.vm_fields.state_root(scheme) != bundle.final_state_root:
@@ -190,15 +173,12 @@ def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> t
     proof = bundle.output_proof
     if proof.leaf_index != fpvm.OUTPUT_BASE // 32 or proof.subtree_level != fpvm.OUTPUT_LEVEL:
         return False, "output proof aimed at the wrong field"
-    if not merkle.verify(bundle.vm_fields.memory_root, bundle.output_region_root, proof, scheme):
-        return False, "output field proof invalid"
     if len(bundle.opening.entries) != len(graph.nodes):
         return False, "opening has wrong arity"
     if bundle.opening.commitment(scheme) != bundle.s_post_root:
         return False, "opening does not match the claimed state"
-    if bundle.opening.entries[bundle.node_id][1] != bundle.node_output_root:
-        return False, "node output field mismatch"
-    if bundle.output_region_root != bundle.node_output_root:
+    node_output = bundle.opening.entries[bundle.node_id][1]
+    if not merkle.verify(bundle.vm_fields.memory_root, node_output, proof, scheme):
         return False, "vm output differs from the claimed node output"
     return True, ""
 

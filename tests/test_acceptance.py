@@ -259,12 +259,15 @@ def test_criterion_5_entrance_exit_checks():
     graph = build_mlp(seed=21, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(22), (1, 3))
     run = ml.run_graph(graph, x, scheme=SCHEME)
+    shapes = graph.infer_shapes()
+    programs = {i: lowering.node_program(graph.nodes[i].op, tuple(
+        shapes[j] for j in graph.nodes[i].input_ids))[0] for i in (2, 4, 5, 7)}
     rng = random.Random(23)
     accepted = 0
     mutations_rejected = 0
     mutations_total = 0
 
-    for node_id in (2, 4, 5, 7):
+    for node_id in programs:
         m0, oracle, bundle, _ = multiphase.build_entrance_state(run, node_id, SCHEME)
         ok, why = multiphase.entrance_check(bundle, graph, SCHEME)
         assert ok, why
@@ -274,11 +277,23 @@ def test_criterion_5_entrance_exit_checks():
         dirty = m0.memory.update_leaf((fpvm.HEAP_BASE // 32) + rng.randrange(50),
                                       rng.randbytes(32))
         mutants.append(replace(bundle, m0_root=dirty.root()))
-        for field_name in ("s_prev_root", "m0_root", "operand_keys_root",
-                           "program_root", "model_root"):
+        for field_name in ("s_prev_root", "m0_root"):
             flipped = bytearray(getattr(bundle, field_name))
             flipped[rng.randrange(32)] ^= 1 << rng.randrange(8)
             mutants.append(replace(bundle, **{field_name: bytes(flipped)}))
+        # Images of another node's program, a nonzero model leaf, and the
+        # operand keys shifted by one leaf.
+        program = programs[node_id]
+        other_program = programs[rng.choice([i for i in programs if i != node_id])]
+        keys = fpvm.read_bytes(m0.memory, fpvm.INPUT_BASE,
+                               32 * len(graph.nodes[node_id].input_ids))
+        assert fpvm.load_program(program, keys, scheme=SCHEME).memory.root() == bundle.m0_root
+        for image in (
+            fpvm.load_program(other_program, keys, scheme=SCHEME),
+            fpvm.load_program(program, keys, rng.randbytes(32), scheme=SCHEME),
+            fpvm.load_program(program, bytes(32) + keys, scheme=SCHEME),
+        ):
+            mutants.append(replace(bundle, m0_root=image.memory.root()))
         bad_entries = list(bundle.opening.entries)
         slot = rng.randrange(node_id)
         bad_entries[slot] = (rng.randbytes(32), bad_entries[slot][1])
@@ -304,11 +319,17 @@ def test_criterion_5_entrance_exit_checks():
                                    final.memory.update_leaf(leaf, bytes(corrupted_leaf)),
                                    final.exited, final.exit_code)
         exit_mutants.append(multiphase.build_exit_bundle(run, node_id, dirty_state))
-        for field_name in ("s_post_root", "final_state_root", "output_region_root",
-                           "node_output_root"):
+        for field_name in ("s_post_root", "final_state_root"):
             flipped = bytearray(getattr(exit_bundle, field_name))
             flipped[rng.randrange(32)] ^= 1 << rng.randrange(8)
             exit_mutants.append(replace(exit_bundle, **{field_name: bytes(flipped)}))
+        siblings = list(exit_bundle.output_proof.siblings)
+        slot = rng.randrange(len(siblings))
+        flipped = bytearray(siblings[slot])
+        flipped[rng.randrange(32)] ^= 1 << rng.randrange(8)
+        siblings[slot] = bytes(flipped)
+        exit_mutants.append(replace(
+            exit_bundle, output_proof=replace(exit_bundle.output_proof, siblings=siblings)))
         exit_mutants.append(replace(
             exit_bundle,
             output_proof=final.memory.prove(fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL)))

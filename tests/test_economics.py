@@ -226,6 +226,35 @@ def test_simulation_rate_within_band():
     assert report.samples == 4000
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"rounds": -3}, "rounds"),
+    ({"penalty": -10}, "penalty"),
+    ({"n_validators": 0}, "n_validators"),
+    ({"lazy_fraction": 2.0}, "lazy_fraction"),
+    ({"lazy_fraction": -0.1}, "lazy_fraction"),
+    ({"lazy_fraction": float("nan")}, "lazy_fraction"),
+    ({"lazy_fraction": float("inf")}, "lazy_fraction"),
+    ({"p_t": 1.5}, "p_t"),
+], ids=["rounds-negative", "penalty-negative", "validators-zero", "lazy-high", "lazy-negative",
+        "lazy-nan", "lazy-inf", "p-t-high"])
+def test_simulation_rejects_bad_inputs_before_drawing(monkeypatch, bad, match):
+    """A bad input is a plain ValueError, raised before any draw or
+    deposit; a negative penalty never reaches the chain's ProtocolViolation."""
+    monkeypatch.setattr(economics.rng_mod, "stream", lambda *a: pytest.fail("drew"))
+    chain = ChainSim(challenge_period=1)
+    kwargs = {"rounds": 5, "p_t": 0.5, "n_validators": 2, **bad}
+    with pytest.raises(ValueError, match=match) as excinfo:
+        simulate_attention_rounds(**kwargs, chain=chain, scheme=SCHEME)
+    assert excinfo.type is ValueError
+    assert (chain.balances, chain.total()) == ({}, 0)
+
+
+def test_simulation_of_zero_rounds_samples_nothing():
+    report = simulate_attention_rounds(rounds=0, p_t=0.5, n_validators=3, lazy_fraction=1.0,
+                                       scheme=SCHEME)
+    assert (report.samples, report.selections, report.empirical_rate) == (0, 0, 0.0)
+
+
 def test_simulation_conservation_with_lazy_validators():
     chain = ChainSim(challenge_period=1)
     report = simulate_attention_rounds(rounds=500, p_t=0.3, n_validators=3,

@@ -67,8 +67,9 @@ def test_entrance_honest_accepted_and_m0_reproducible():
 
 
 def test_entrance_state_builds_each_region_once(monkeypatch):
-    """The prover reads the program and operand-key roots off the image it
-    has just loaded instead of hashing those regions a second time."""
+    """The prover hashes each region of the image once, as `load_program`
+    builds it: the bundle carries the image's root alone, so no region is
+    hashed a second time for the evidence."""
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
     callers = []
@@ -110,14 +111,19 @@ def test_entrance_rejects_tampering():
     flipped = bytearray(bundle.m0_root)
     flipped[0] ^= 1
     rejects.append(("initial memory root not reconstructible", replace(bundle, m0_root=bytes(flipped))))
-    # wrong program root (not the registered program for this node)
-    rejects.append(("program root not the registered one",
-                    replace(bundle, program_root=SCHEME.digest(b"not-a-program"))))
-    # nonzero model region claimed
-    rejects.append(("model field must be empty", replace(bundle, model_root=SCHEME.digest(b"model"))))
-    # operand key field relocated / recomputed wrongly
-    rejects.append(("operand key field mismatch",
-                    replace(bundle, operand_keys_root=SCHEME.zero_hashes[fpvm.INPUT_LEVEL])))
+    # images the verifier does not rebuild: the program of another op or
+    # shape, a nonzero model leaf, the operand keys shifted by one leaf
+    keys = fpvm.read_bytes(m0.memory, fpvm.INPUT_BASE, 64)
+    assert fpvm.load_program(lowered.program, keys, scheme=SCHEME).memory.root() == bundle.m0_root
+    for program, input_blob, model_blob in (
+        (lowering.node_program("relu", ((1, 4),))[0], keys, b""),
+        (lowering.node_program("matmul", ((1, 3), (3, 5)))[0], keys, b""),
+        (lowered.program, keys, b"\x01"),
+        (lowered.program, b"\x00" * 32 + keys, b""),
+    ):
+        image = fpvm.load_program(program, input_blob, model_blob, scheme=SCHEME)
+        rejects.append(("initial memory root not reconstructible",
+                        replace(bundle, m0_root=image.memory.root())))
     # opening that does not hash to the agreed state
     fake_entries = list(bundle.opening.entries)
     fake_entries[0] = (SCHEME.digest(b"x"), SCHEME.digest(b"y"))
@@ -154,7 +160,7 @@ def test_entrance_from_tampered_state_rejected():
     assert not ok  # corrupted opening vs honest root
     mixed2 = replace(mixed, opening=honest_opening)
     ok, _ = entrance_check(mixed2, graph, SCHEME)
-    assert not ok  # honest opening but corrupted operand field root
+    assert not ok  # honest opening but an image of the corrupted operand keys
 
 
 def exit_fixture(node_id=2, seed=65):
@@ -185,12 +191,11 @@ def test_exit_rejects_mismatches():
     # proof for the wrong region (input instead of output)
     wrong_proof = final.memory.prove(fpvm.INPUT_BASE // 32, fpvm.INPUT_LEVEL)
     rejects.append(("output proof aimed at the wrong field", replace(bundle, output_proof=wrong_proof)))
-    # r_o that the output proof does not place under the memory root
-    rejects.append(("output field proof invalid",
-                    replace(bundle, output_region_root=SCHEME.digest(b"forged"))))
-    # r_v tampered
-    rejects.append(("node output field mismatch",
-                    replace(bundle, node_output_root=SCHEME.digest(b"claim"))))
+    # output proof with one sibling flipped
+    siblings = list(bundle.output_proof.siblings)
+    siblings[3] = bytes([siblings[3][0] ^ 1]) + siblings[3][1:]
+    rejects.append(("vm output differs from the claimed node output",
+                    replace(bundle, output_proof=replace(bundle.output_proof, siblings=siblings))))
     # opening not matching the phase-1 root
     fake = list(bundle.opening.entries)
     fake[2] = (fake[2][0], SCHEME.digest(b"other"))
@@ -236,8 +241,8 @@ def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
 
 @pytest.mark.parametrize("scheme_name", scheme_names())
 def test_registered_program_root_is_the_entrance_program_root(scheme_name):
-    """The registry's root, rebuilt from the op and shapes alone, is the root
-    of the program the prover loads with the real operands."""
+    """The registry's root, rebuilt from the op and shapes alone, is the
+    program region of the image the prover loads with the real operands."""
     scheme = get_scheme(scheme_name)
     checked = 0
     for _, graph, x in fixture_models():
@@ -246,10 +251,10 @@ def test_registered_program_root_is_the_entrance_program_root(scheme_name):
         for node in graph.nodes:
             if node.op in ("input", "const"):
                 continue
-            _, _, bundle, _ = build_entrance_state(run, node.id, scheme)
+            m0, _, _, _ = build_entrance_state(run, node.id, scheme)
             operand_shapes = tuple(shapes[i] for i in node.input_ids)
-            assert bundle.program_root == multiphase.node_program_root(node.op, operand_shapes,
-                                                                       scheme)
+            assert (m0.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL)
+                    == multiphase.node_program_root(node.op, operand_shapes, scheme))
             checked += 1
     assert checked == 12
 
