@@ -279,6 +279,12 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
     )
 
 
+def _by_side(scenario, adversary, honest) -> tuple:
+    """(submitter's, challenger's) arguments: the adversary's for the side
+    the scenario names faulty, the honest ones for the other."""
+    return (adversary, honest) if scenario["faulty"] == "submitter" else (honest, adversary)
+
+
 def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
     streams = rng.stream(scenario["seed"], "fault")
     step, fault = scenario["fault.step"], None
@@ -304,17 +310,13 @@ def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
                           f"steps 1..{len(honest_trace)}")
     strategy = _adversary_strategy(scenario, fault)
 
-    honest = dispute.ActorStrategy(seed=scenario["seed"])
-    faulty_submitter = scenario["faulty"] == "submitter"
-    sub_strategy = strategy if faulty_submitter else honest
-    chal_strategy = honest if faulty_submitter else strategy
+    sub_strategy, chal_strategy = _by_side(scenario, strategy,
+                                           dispute.ActorStrategy(seed=scenario["seed"]))
     submitter = dispute.build_trace_actor("submitter", honest_trace, sub_strategy)
     challenger = dispute.build_trace_actor("challenger", honest_trace, chal_strategy)
 
     claim = dispute.Claim.posted_by(submitter, scenario["k"], scenario["m"])
-    result = dispute.run_dispute(
-        claim, submitter, challenger, k=scenario["k"], chain=chain, m=scenario["m"],
-    )
+    result = dispute.run_dispute(claim, submitter, challenger, chain=chain)
 
     if scenario["witness.out"]:
         step_no = result.pinned_step or 1
@@ -326,17 +328,15 @@ def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
     return result
 
 
-def _run_two_phase(scenario, scheme, chain) -> multiphase.TwoPhaseResult:
+def _run_two_phase(scenario, scheme, chain) -> dispute.DisputeResult:
     graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
     streams = rng.stream(scenario["seed"], "fault")
     adversary = {"graph_fault": _graph_fault(scenario, graph, streams),
                  "strategy": _adversary_strategy(scenario)}
-    faulty_submitter = scenario["faulty"] == "submitter"
+    sub_args, chal_args = _by_side(scenario, adversary, {})
     honest_run = ml.run_graph(graph, input_tensor, scheme=scheme)
-    submitter = multiphase.make_party("submitter", honest_run,
-                                      **(adversary if faulty_submitter else {}))
-    challenger = multiphase.make_party("challenger", honest_run,
-                                       **({} if faulty_submitter else adversary))
+    submitter = multiphase.make_party("submitter", honest_run, **sub_args)
+    challenger = multiphase.make_party("challenger", honest_run, **chal_args)
     cfg = multiphase.PhaseConfig(k_phase1=scenario["k"], k_phase2=scenario["k"],
                                  m=scenario["m"])
     return multiphase.run_two_phase_dispute(
@@ -354,21 +354,15 @@ def cmd_dispute(args, scheme: hashing.HashScheme) -> int:
             result = _run_single(scenario, scheme, chain)
     except merkle.RangeError as exc:  # a program or image too large for its region
         raise IoError(f"{scenario['model']}: {exc}" if scenario["model"] else str(exc)) from exc
-    if scenario["game"] != TWO_PHASE:
-        pinned_node = "-"
-        rounds = result.rounds
-    else:
-        pinned_node = result.pinned_node if result.pinned_node is not None else "-"
-        rounds = result.phase1_rounds + result.phase2_rounds
-    pinned_step = result.pinned_step if result.pinned_step is not None else "-"
     if scenario["transcript"]:
         header = {"event": "scenario", "hash": scheme.name, "seed": scenario["seed"],
                   "protocol": scenario["protocol"], "k": scenario["k"], "m": scenario["m"]}
         with open(scenario["transcript"], "w") as fh:
             for record in [header, *chain.transcript]:
                 fh.write(json.dumps(record) + "\n")
-    print(f"winner={result.winner} rounds={rounds} "
-          f"pinned_node={pinned_node} pinned_step={pinned_step}")
+    shown = {key: "-" if value is None else value for key, value in vars(result).items()}
+    print("winner={winner} rounds={rounds} pinned_node={pinned_node} pinned_step={pinned_step}"
+          .format(**shown))
     return EXIT_OK
 
 
@@ -418,8 +412,6 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
         print(f"check_probability={eq.p_v!r}")
         print(f"interior={eq.interior}")
         return EXIT_OK
-    # attention: a ProtocolViolation (a ValueError) inside the simulation
-    # is no input error, so it stays an internal error
     report = None
     try:
         best = economics.optimal_attention(args.r, args.t, args.C)
@@ -434,8 +426,6 @@ def cmd_economics(args, scheme: hashing.HashScheme) -> int:
                 penalty=args.penalty,
                 scheme=scheme,
             )
-    except dispute.ProtocolViolation:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"deposit={best.G!r}")

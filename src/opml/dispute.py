@@ -19,7 +19,7 @@ in-process chain simulation with exact integer conservation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 from . import fpvm
@@ -34,7 +34,7 @@ DEADLINE_PER_MOVE = 10
 REWARD_BPS = 5000
 
 
-class ProtocolViolation(ValueError):
+class ProtocolViolation(Exception):
     """A move or chain operation outside the protocol. No game catches it:
     the game's own actors never make one, so it is a bug."""
 
@@ -106,10 +106,16 @@ class ChainSim:
 
 @dataclass(frozen=True)
 class Claim:
+    """What a submitter posts: the start and end roots of its sequence of
+    `trace_len` steps, and the game a challenge of it is played under, k
+    checkpoints a round down to an m-step window."""
+
     initial_root: bytes
     final_root: bytes
     trace_len: int
     claim_id: int = 0
+    k: int = 1
+    m: int = 1
 
     def __post_init__(self):
         if self.trace_len < 1:
@@ -118,12 +124,12 @@ class Claim:
     @classmethod
     def posted_by(cls, submitter: BisectionActor, k: int, m: int, claim_id: int = 0) -> Claim:
         """The claim a submitter posts for a game played with k checkpoints
-        down to m steps: the start root of its sequence, and its own claimed
-        root at the end of the padded span, by the rule every later post
-        follows."""
+        down to m steps, which it names: the start root of its sequence, and
+        its own claimed root at the end of the padded span, by the rule
+        every later post follows."""
         n = len(submitter.roots)
         return cls(submitter.roots.root_at(0), submitter.claimed_root(padded_length(n, k, m)),
-                   n, claim_id)
+                   n, claim_id, k, m)
 
 
 def settle_challenge_period(chain: ChainSim, claim: Claim, elapsed: int) -> str:
@@ -307,15 +313,15 @@ class BisectionActor:
     """A party's challenge-response play over its own root sequence.
 
     `roots` is any sequence with `root_at(index)`, which extends past its
-    end by the fixpoint, and `len()`, the index of its last root: a VM
-    `fpvm.Trace` or a graph `ml.GraphRun`.
+    end by the fixpoint, `len()`, the index of its last root, and `scheme`,
+    the hash scheme of its roots: a VM `fpvm.Trace` or a graph
+    `ml.GraphRun`. Junk posts are digests under that scheme too.
     """
 
-    def __init__(self, party_id: str, roots, strategy: ActorStrategy, scheme: HashScheme):
+    def __init__(self, party_id: str, roots, strategy: ActorStrategy):
         self.party_id = party_id
         self.roots = roots
         self.strategy = strategy
-        self.scheme = scheme
         self._rng = random.Random(strategy.seed)
 
     def _silent(self, round_no: int) -> bool:
@@ -329,7 +335,7 @@ class BisectionActor:
             and index >= len(self.roots)
         )
         if junk:
-            return self.scheme.digest(
+            return self.roots.scheme.digest(
                 b"junk" + self.party_id.encode() + index.to_bytes(8, "little")
                 + self.strategy.seed.to_bytes(8, "little")
             )
@@ -340,7 +346,7 @@ class BisectionActor:
             return None
         if self.strategy.kind == "wrong-midpoint" and round_no == self.strategy.wrong_round:
             return [
-                self.scheme.digest(b"wrong" + round_no.to_bytes(4, "little") + idx.to_bytes(8, "little"))
+                self.roots.scheme.digest(b"wrong" + round_no.to_bytes(4, "little") + idx.to_bytes(8, "little"))
                 for idx in indices
             ]
         return [self.claimed_root(idx) for idx in indices]
@@ -380,12 +386,17 @@ class VmTraceActor(BisectionActor):
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisputeResult:
+    """A game's verdict, single- or two-phase, with its fields in the order
+    of the transcript's verdict record. `pinned_node` is None in a
+    single-phase game, `pinned_step` when no step was pinned."""
+
     winner: str
-    rounds: int
-    pinned_step: int | None
     reason: str
+    pinned_node: int | None
+    pinned_step: int | None
+    rounds: int
 
 
 @dataclass
@@ -443,13 +454,11 @@ def open_game(
     claim: Claim,
     submitter: BisectionActor,
     challenger: BisectionActor,
-    k: int,
-    stop_span: int,
     chain: ChainSim,
     phase: int,
 ) -> BisectionOutcome:
-    """Open a dispute on `claim` and play its k-section rounds down to
-    stop_span steps, the claim's padding unit.
+    """Open a dispute on `claim` and play the game it names: k-section
+    rounds down to a span of m steps, the claim's padding unit.
 
     Both parties must hold stakes. The session starts from the claim's
     initial root and the challenger's counterclaim at the padded span end;
@@ -460,45 +469,42 @@ def open_game(
         if chain.stakes.get(party, 0) <= 0:
             raise ProtocolViolation(f"{party} is not staked")
     chain.open_dispute(claim.claim_id)
-    j = padded_length(claim.trace_len, k, stop_span)
-    session = DisputeSession(0, j, k, claim.initial_root, challenger.claimed_root(j))
+    j = padded_length(claim.trace_len, claim.k, claim.m)
+    session = DisputeSession(0, j, claim.k, claim.initial_root, challenger.claimed_root(j))
     if session.challenger_end_claim == claim.final_root:
         return BisectionOutcome(session, SUBMITTER, "challenger has no counterclaim")
-    return drive_rounds(session, submitter, challenger, stop_span, chain, phase)
+    return drive_rounds(session, submitter, challenger, claim.m, chain, phase)
 
 
 def run_dispute(
     claim: Claim,
     submitter: VmTraceActor,
     challenger: VmTraceActor,
-    k: int = 1,
     *,
     chain: ChainSim,
-    m: int = 1,
     oracle: fpvm.PreimageOracle | None = None,
     settle: bool = True,
 ) -> DisputeResult:
-    """Drive a full game: k-section rounds, then m-step arbitration.
+    """Drive the full game the claim names: k-section rounds, then m-step
+    arbitration.
 
     Both parties must hold stakes in `chain`; the loser's stake is slashed
     (half to the winner, half burned) and a missed move forfeits. With
     settle=False no stake moves (the inner phase of a larger game, which
     settles the stakes itself); either way the claim's dispute is closed and
-    the verdict logged. Witnesses are checked
-    under the submitter's hash scheme, against `oracle`, the arbiter's
-    preimage store. Rounds are logged as phase 2, the VM phase, in a
-    single-phase game too.
+    the verdict logged. Witnesses are checked under the hash scheme of the
+    submitter's roots, against `oracle`, the arbiter's preimage store.
+    Rounds are logged as phase 2, the VM phase, in a single-phase game too.
     """
-
-    def verdict(winner: str, reason: str, rounds: int, pinned: int | None = None) -> DisputeResult:
-        settle_verdict(winner, reason, chain, claim, submitter, challenger, rounds, pinned,
-                       slash=settle)
-        return DisputeResult(winner, rounds, pinned, reason)
-
-    outcome = open_game(claim, submitter, challenger, k, m, chain, phase=2)
+    outcome = open_game(claim, submitter, challenger, chain, phase=2)
     session = outcome.session
+
+    def verdict(winner: str, reason: str, pinned: int | None = None) -> DisputeResult:
+        result = DisputeResult(winner, reason, None, pinned, session.round)
+        return settle_verdict(result, chain, claim, submitter, challenger, slash=settle)
+
     if outcome.forfeit_winner is not None:
-        return verdict(outcome.forfeit_winner, outcome.reason, session.round)
+        return verdict(outcome.forfeit_winner, outcome.reason)
 
     # Arbitration over [i, i+j]; pinned step indices are 1-based.
     pinned = session.i + 1
@@ -506,36 +512,35 @@ def run_dispute(
     witnesses = challenger.witnesses(session.i, session.j, arb_round)
     chain.tick(1)
     if witnesses is None:
-        return verdict(SUBMITTER, "challenger missed arbitration", session.round, pinned)
+        return verdict(SUBMITTER, "challenger missed arbitration", pinned)
     if submitter._silent(arb_round):
-        return verdict(CHALLENGER, "submitter missed arbitration", session.round, pinned)
+        return verdict(CHALLENGER, "submitter missed arbitration", pinned)
     submitter_end = submitter.claimed_root(session.i + session.j)
     if submitter_end == session.challenger_end_claim:
         # Posting the value one just disputed concedes the span.
-        return verdict(CHALLENGER, "submitter conceded the disputed span", session.round, pinned)
+        return verdict(CHALLENGER, "submitter conceded the disputed span", pinned)
     winner, why = arbitrate_span(
         session.agreed_root, submitter_end, witnesses, preimages=oracle,
-        scheme=submitter.scheme, span=session.j,
+        scheme=submitter.roots.scheme, span=session.j,
     )
-    return verdict(winner, why, session.round, pinned)
+    return verdict(winner, why, pinned)
 
 
-def settle_verdict(winner, reason, chain, claim, submitter, challenger, rounds, pinned_step,
-                   pinned_node=None, slash=True) -> None:
-    """Close a game, single- or two-phase: unless it is an inner phase
-    (slash=False), slash the loser's stake to the winner; either way close
-    the claim's dispute and log the verdict record to the chain's
-    transcript."""
+def settle_verdict(result: DisputeResult, chain: ChainSim, claim: Claim,
+                   submitter: BisectionActor, challenger: BisectionActor,
+                   slash: bool = True) -> DisputeResult:
+    """Close a game, single- or two-phase, on its verdict `result`: unless
+    it is an inner phase (slash=False), slash the loser's stake to the
+    winner; either way close the claim's dispute, log the verdict record to
+    the chain's transcript, and return `result`."""
     if slash:
-        winner_id = submitter.party_id if winner == SUBMITTER else challenger.party_id
-        loser_id = challenger.party_id if winner == SUBMITTER else submitter.party_id
-        chain.slash(loser_id, winner_id)
-        chain.release(winner_id)
+        winner, loser = ((submitter, challenger) if result.winner == SUBMITTER
+                         else (challenger, submitter))
+        chain.slash(loser.party_id, winner.party_id)
+        chain.release(winner.party_id)
     chain.close_dispute(claim.claim_id)
-    chain.transcript.append({
-        "event": "verdict", "winner": winner, "reason": reason,
-        "pinned_node": pinned_node, "pinned_step": pinned_step, "rounds": rounds,
-    })
+    chain.transcript.append({"event": "verdict", **asdict(result)})
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -590,4 +595,4 @@ def build_trace_actor(
     if strategy.kind == "fault" and strategy.fault is None:
         raise ValueError("fault strategy needs a fault")
     trace = honest_trace if strategy.fault is None else honest_trace.fork(strategy.fault)
-    return VmTraceActor(party_id, trace, strategy, honest_trace.states[0].scheme)
+    return VmTraceActor(party_id, trace, strategy)

@@ -586,6 +586,11 @@ class Trace:
     def __len__(self) -> int:
         return self.states[-1].step_count - self.states[0].step_count
 
+    @property
+    def scheme(self) -> HashScheme:
+        """The hash scheme the trace's states are rooted under."""
+        return self.states[0].scheme
+
     def root_at(self, index: int) -> bytes:
         """State root at `index`, extending past HALT by the exit fixpoint."""
         return state_root(self.state_at(index))

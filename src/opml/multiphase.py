@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from . import dispute, fpvm, lowering, merkle, ml
-from .dispute import CHALLENGER, SUBMITTER, ChainSim, Claim
+from .dispute import CHALLENGER, SUBMITTER, ChainSim, Claim, DisputeResult
 from .hashing import HashScheme
 
 
@@ -198,17 +198,7 @@ def make_party(
     fork at `graph_fault`, which `roots.fault` keeps. It commits under the
     run's scheme, and its strategy plays both phases."""
     run = honest_run if graph_fault is None else honest_run.fork(graph_fault)
-    return dispute.BisectionActor(party_id, run, strategy, run.scheme)
-
-
-@dataclass
-class TwoPhaseResult:
-    winner: str
-    phase1_rounds: int
-    phase2_rounds: int
-    pinned_node: int | None
-    pinned_step: int | None
-    reason: str
+    return dispute.BisectionActor(party_id, run, strategy)
 
 
 def _phase2_trace(
@@ -240,35 +230,33 @@ def run_two_phase_dispute(
     chain: ChainSim,
     *,
     scheme: HashScheme,
-) -> TwoPhaseResult:
+) -> DisputeResult:
     """Full protocol: node-level k-section, then either a ruling from public
     data or entrance check, VM dispute, m-step arbitration and exit check;
     then settlement. Every move, check and verdict is logged to the chain's
-    transcript."""
+    transcript; the verdict's rounds are those of both phases."""
     claim = Claim.posted_by(submitter, cfg.k_phase1, 1)
-
-    def verdict(winner: str, reason: str, p1_rounds: int = 0, p2_rounds: int = 0,
-                pinned_node: int | None = None, pinned_step: int | None = None) -> TwoPhaseResult:
-        dispute.settle_verdict(winner, reason, chain, claim, submitter, challenger,
-                               p1_rounds + p2_rounds, pinned_step, pinned_node)
-        return TwoPhaseResult(winner, p1_rounds, p2_rounds, pinned_node, pinned_step, reason)
-
-    outcome = dispute.open_game(claim, submitter, challenger, cfg.k_phase1, 1, chain, phase=1)
+    outcome = dispute.open_game(claim, submitter, challenger, chain, phase=1)
     phase1_rounds = outcome.session.round
+
+    def verdict(winner: str, reason: str, pinned_node: int | None = None,
+                pinned_step: int | None = None, phase2_rounds: int = 0) -> DisputeResult:
+        result = DisputeResult(winner, reason, pinned_node, pinned_step,
+                               phase1_rounds + phase2_rounds)
+        return dispute.settle_verdict(result, chain, claim, submitter, challenger)
+
     if outcome.forfeit_winner is not None:
-        return verdict(outcome.forfeit_winner, outcome.reason, phase1_rounds)
+        return verdict(outcome.forfeit_winner, outcome.reason)
 
     # The submitter opens its state before the pinned node: the agreed one.
     pinned_node = outcome.session.i
     if submitter.roots.root_at(pinned_node) != outcome.session.agreed_root:
-        return verdict(CHALLENGER, "entrance built from a non-agreed state", phase1_rounds,
-                       0, pinned_node)
+        return verdict(CHALLENGER, "entrance built from a non-agreed state", pinned_node)
     public = public_next_root(graph, input_tensor, submitter.roots.state_at(pinned_node),
                               pinned_node, scheme)
     if public is not None:
         winner = SUBMITTER if public == submitter.claimed_root(pinned_node + 1) else CHALLENGER
-        return verdict(winner, "next state recomputed from public data", phase1_rounds, 0,
-                       pinned_node)
+        return verdict(winner, "next state recomputed from public data", pinned_node)
 
     # Entrance: the submitter supplies the descent evidence.
     m0, oracle, bundle, lowered = build_entrance_state(submitter.roots, pinned_node, scheme)
@@ -276,8 +264,7 @@ def run_two_phase_dispute(
     chain.transcript.append({"phase": "transition", "check": "entrance", "accepted": ok,
                              "reason": why})
     if not ok:
-        return verdict(CHALLENGER, f"entrance check failed: {why}", phase1_rounds, 0,
-                       pinned_node)
+        return verdict(CHALLENGER, f"entrance check failed: {why}", pinned_node)
 
     honest_trace = fpvm.run_trace(m0, oracle)
     sub_trace = _phase2_trace(submitter, pinned_node, honest_trace, lowered)
@@ -285,13 +272,11 @@ def run_two_phase_dispute(
 
     # The node fault is in the forked trace, not the strategy: a wrong-midpoint
     # party whose strategy has no fault posts junk past its trace's end.
-    sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy, scheme)
-    chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy, scheme)
+    sub_vm = dispute.VmTraceActor(submitter.party_id, sub_trace, submitter.strategy)
+    chal_vm = dispute.VmTraceActor(challenger.party_id, chal_trace, challenger.strategy)
     inner_claim = Claim.posted_by(sub_vm, cfg.k_phase2, cfg.m, claim_id=claim.claim_id + 1)
-    inner = dispute.run_dispute(
-        inner_claim, sub_vm, chal_vm, k=cfg.k_phase2, chain=chain, m=cfg.m,
-        oracle=oracle, settle=False,
-    )
+    inner = dispute.run_dispute(inner_claim, sub_vm, chal_vm, chain=chain, oracle=oracle,
+                                settle=False)
     winner, reason = inner.winner, inner.reason
 
     # Exit: the phase-2 winner reconciles its VM result with its phase-1 claim.
@@ -305,4 +290,4 @@ def run_two_phase_dispute(
         winner = CHALLENGER if winner == SUBMITTER else SUBMITTER
         reason = f"exit check failed for the phase-2 winner: {why}"
 
-    return verdict(winner, reason, phase1_rounds, inner.rounds, pinned_node, inner.pinned_step)
+    return verdict(winner, reason, pinned_node, inner.pinned_step, inner.rounds)

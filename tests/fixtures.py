@@ -1,4 +1,5 @@
-"""Seeded model and input builders shared across the test suites."""
+"""Seeded model and input builders shared across the test suites, and a
+reader of two-phase transcripts."""
 
 import random
 
@@ -79,3 +80,13 @@ def fixture_models() -> list[tuple[str, ml.CompGraph, ml.FixedTensor]]:
     g3 = build_mlp(seed=13, in_dim=3, hidden=5, out_dim=4, relu=True, with_argmax=True)
     out.append(("mlp-argmax-3-5-4", g3, rand_tensor(random.Random(102), (1, 3))))
     return out
+
+
+def phase_rounds(chain) -> tuple[int, int]:
+    """(phase-1, phase-2) rounds of the two-phase game last settled on
+    `chain`, read from its verdict records. A game that reaches phase 2
+    logs the inner game's verdict, with the phase-2 rounds, then its exit
+    check, then its own verdict, whose rounds are those of both phases."""
+    *_, inner, check, final = [{}, {}, *chain.transcript]
+    phase2 = inner["rounds"] if check.get("check") == "exit" else 0
+    return final["rounds"] - phase2, phase2

@@ -14,7 +14,7 @@ from opml import dispute, economics, fpvm, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor
 from opml.hashing import get_scheme
 
-from fixtures import build_mlp, fixture_models, rand_tensor, random_small_mlp
+from fixtures import build_mlp, fixture_models, phase_rounds, rand_tensor, random_small_mlp
 
 SCHEME = get_scheme("sha256")
 
@@ -55,7 +55,7 @@ def _single_phase_game(rng):
     claim = Claim.posted_by(submitter, k, m)
     chain = _fresh_chain("sub", "chal")
     total = chain.total()
-    result = dispute.run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)
+    result = dispute.run_dispute(claim, submitter, challenger, chain=chain)
     assert chain.total() == total, "stake conservation violated"
 
     honest_wins = result.winner == ("challenger" if faulty_submitter else "submitter")
@@ -95,7 +95,7 @@ def _two_phase_game(rng):
     assert chain.total() == total, "stake conservation violated"
 
     _round_measurements.append(
-        (result.phase1_rounds, dispute.interaction_count_bound(len(graph.nodes), 1, k1))
+        (phase_rounds(chain)[0], dispute.interaction_count_bound(len(graph.nodes), 1, k1))
     )
     honest_wins = result.winner == ("challenger" if faulty_submitter else "submitter")
     if honest_wins and faulty_submitter:

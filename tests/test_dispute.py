@@ -215,9 +215,25 @@ def make_game(seed, n, sub_strategy, chal_strategy, k=1, m=1):
     chain.stake("alice", 100)
     chain.stake("bob", 100)
     total_before = chain.total()
-    result = run_dispute(claim, submitter, challenger, k=k, chain=chain, m=m)
+    result = run_dispute(claim, submitter, challenger, chain=chain)
     assert chain.total() == total_before  # exact conservation
     return result, chain
+
+
+def test_a_claim_is_played_under_the_game_it_names():
+    """A claim posted for 3 checkpoints down to 4 steps is played with 3
+    posts in every challenger round and arbitrated over at most 4 steps."""
+    fault = scratch_fault(100)
+    result, chain = make_game(16, 200, ActorStrategy(kind="fault", fault=fault),
+                              ActorStrategy(), k=3, m=4)
+    posts = [r["posted"] for r in chain.transcript if r.get("mover") == "challenger"]
+    assert len(posts) == result.rounds == interaction_count_bound(200, 4, 3)
+    assert all(len(p) == 3 for p in posts)
+    last = [r for r in chain.transcript if r.get("mover") == "submitter"][-1]
+    bounds = [last["i"], *checkpoints(last["i"], last["j"], 3), last["i"] + last["j"]]
+    assert bounds[last["decision"]] - bounds[last["decision"] - 1] <= 4
+    assert result.winner == "challenger"
+    assert fault.step - 3 <= result.pinned_step <= fault.step
 
 
 def test_fault_at_step_5_pinned_exactly():
@@ -464,7 +480,7 @@ def test_submitter_that_posts_the_disputed_root_concedes():
             return 1
 
     honest = fpvm.run_trace(fpvm.load_program(synthetic_program(random.Random(1), 200), scheme=SCHEME))
-    submitter = FirstSegment("alice", honest, ActorStrategy(kind="honest"), SCHEME)
+    submitter = FirstSegment("alice", honest, ActorStrategy(kind="honest"))
     challenger = build_trace_actor(
         "bob", honest, ActorStrategy(kind="fault", fault=fpvm.StepFault(190, dispute.SCRATCH_FAULT_LEAF, 3)))
     claim = Claim.posted_by(submitter, 1, 1, claim_id=1)
@@ -472,7 +488,7 @@ def test_submitter_that_posts_the_disputed_root_concedes():
     for party in ("alice", "bob"):
         chain.deposit(party, 1000)
         chain.stake(party, 100)
-    result = run_dispute(claim, submitter, challenger, k=1, chain=chain, m=1)
+    result = run_dispute(claim, submitter, challenger, chain=chain)
     reason = "submitter conceded the disputed span"
     assert (result.winner, result.rounds, result.pinned_step, result.reason) == ("challenger", 8, 1, reason)
     assert chain.transcript[-1] == {"event": "verdict", "winner": "challenger", "reason": reason,
@@ -546,7 +562,7 @@ def test_memoised_witnesses_equal_lone_witnesses(scheme_name):
     makes. The windows cross snapshots, stores, a fork's faulted step and
     a node's PREIMAGE steps."""
     for trace, start in _memo_traces(get_scheme(scheme_name)):
-        actor = dispute.VmTraceActor("bob", trace, ActorStrategy(), trace.states[0].scheme)
+        actor = dispute.VmTraceActor("bob", trace, ActorStrategy())
         memoised = actor.witnesses(start, 4096)
         lone = [fpvm.gen_step_witness(state, trace.oracle)
                 for state in islice(trace.walk(start), len(memoised))]

@@ -4,7 +4,7 @@ adversarial mutation."""
 import itertools
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -24,7 +24,7 @@ from opml.multiphase import (
     run_two_phase_dispute,
 )
 
-from fixtures import build_matmul_only, build_mlp, fixture_models, rand_tensor
+from fixtures import build_matmul_only, build_mlp, fixture_models, phase_rounds, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -276,7 +276,7 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
     assert result.pinned_node == 2
     assert result.pinned_step is not None
     assert chain.total() == total
-    assert result.phase1_rounds <= interaction_count_bound(len(graph.nodes), 1, 1)
+    assert phase_rounds(chain)[0] <= interaction_count_bound(len(graph.nodes), 1, 1)
 
 
 def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
@@ -362,13 +362,42 @@ def test_single_and_two_phase_agree_on_every_fault():
         chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
         claim = Claim.posted_by(sub_actor, 1, 1, claim_id=trial)
         chain2 = fresh_chain("alice", "bob")
-        single = dispute.run_dispute(claim, sub_actor, chal_actor, k=1, chain=chain2)
+        single = dispute.run_dispute(claim, sub_actor, chal_actor, chain=chain2)
 
         expected = "challenger" if faulty_submitter else "submitter"
         assert two.winner == expected, (trial, two.reason)
         assert single.winner == expected, (trial, single.reason)
         if faulty_submitter:
             assert two.pinned_node == node_id
+
+
+@pytest.mark.parametrize("game", ["single-phase", "ruled-in-phase-1", "phase-2"])
+def test_both_protocols_return_the_verdict_they_log_last(game):
+    """The result of either protocol is its final transcript record; only a
+    game that reaches phase 2 logs the inner game's verdict before it."""
+    graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(67), (1, 3))
+    fault = ml.GraphFault(node_id=2, element=1, bit=4)
+    chain = fresh_chain("alice", "bob")
+    if game == "single-phase":
+        lowered = lowering.lower_graph(graph)
+        trace = fpvm.run_trace(lowered.initial_state(x, SCHEME))
+        step_fault = lowering.graph_fault_to_step_fault(lowered, trace, fault)
+        sub = build_trace_actor("alice", trace, ActorStrategy(kind="fault", fault=step_fault))
+        chal = build_trace_actor("bob", trace, ActorStrategy())
+        result = dispute.run_dispute(Claim.posted_by(sub, 2, 3), sub, chal, chain=chain)
+    else:
+        silent = ActorStrategy(kind="silent", silent_after=0)
+        strategy = silent if game == "ruled-in-phase-1" else ActorStrategy()
+        honest = ml.run_graph(graph, x, scheme=SCHEME)
+        result = run_two_phase_dispute(
+            graph, x, make_party("alice", honest, fault, strategy), make_party("bob", honest),
+            PhaseConfig(), chain, scheme=SCHEME)
+    assert chain.transcript[-1] == {"event": "verdict", **asdict(result)}
+    assert result.winner == "challenger"
+    assert result.pinned_node == (2 if game == "phase-2" else None)
+    verdicts = [r for r in chain.transcript if r.get("event") == "verdict"]
+    assert len(verdicts) == (2 if game == "phase-2" else 1)
 
 
 def test_exit_failure_flips_the_verdict(monkeypatch):
@@ -416,7 +445,7 @@ def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
         make_party("bob", honest, graph_fault=ml.GraphFault(2, 0, 5)),
         PhaseConfig(), chain, scheme=SCHEME,
     )
-    assert (result.winner, result.pinned_node, result.pinned_step, result.phase2_rounds) == (
+    assert (result.winner, result.pinned_node, result.pinned_step, phase_rounds(chain)[1]) == (
         "challenger", 2, None, 0)
     assert result.reason == "entrance check failed: initial memory root not reconstructible"
     assert {"phase": "transition", "check": "entrance", "accepted": False,
@@ -442,9 +471,9 @@ def test_phase_counts_against_bound():
             PhaseConfig(k_phase1=k1, k_phase2=k2, m=m), chain, scheme=SCHEME,
         )
         assert result.winner == "challenger"
-        assert result.phase1_rounds == interaction_count_bound(len(graph.nodes), 1, k1)
+        assert phase_rounds(chain)[0] == interaction_count_bound(len(graph.nodes), 1, k1)
         # phase-2 trace length varies; check against the generic bound shape
-        assert result.phase2_rounds <= interaction_count_bound(60_000, m, k2)
+        assert phase_rounds(chain)[1] <= interaction_count_bound(60_000, m, k2)
 
 
 def test_size_complexity_relation():
@@ -500,7 +529,7 @@ def test_junk_counterclaim_plays_a_game_the_submitter_wins(graph, x):
     node, whatever the node count, and loses the game that follows."""
     strategy = ActorStrategy(kind="wrong-midpoint", wrong_round=1)
     result = play_two_phase(graph, x, "challenger", strategy)
-    assert result.phase1_rounds > 0
+    assert result.rounds > 0
     assert result.winner == "submitter", result.reason
 
 
