@@ -274,17 +274,68 @@ def load_program(
     Each image is built bottom-up as its region's subtree and spliced in;
     the memory equals writing the images leaf by leaf with `write_bytes`.
     Raises merkle.RangeError (from `merkle.build_region`), before hashing
-    anything, when an image does not fit its region.
+    anything, when an image does not fit its region. The program region's
+    digest then comes from `program_root`'s memo: a program loaded before
+    under this scheme is not hashed again, and a new one is hashed here,
+    once.
     """
     regions = (
         (PROGRAM_BASE, PROGRAM_LEVEL, program),
         (INPUT_BASE, INPUT_LEVEL, input_blob),
         (MODEL_BASE, MODEL_LEVEL, model_blob),
     )
+    subtrees = []
+    for _, level, image in regions:  # every size check before any hash
+        subtrees.append(merkle.build_region(image, level))
+    _program_root(program, scheme, subtrees[0])
     tree = merkle.MemTree(scheme)
-    for base, level, image in regions:
-        tree = tree.splice(base // 32, level, merkle.build_region(image, level))
+    for (base, level, _), subtree in zip(regions, subtrees):
+        tree = tree.splice(base // 32, level, subtree)
     return VmState(pc=0, regs=(0,) * 16, memory=tree)
+
+
+def program_root(program: bytes, scheme: HashScheme) -> bytes:
+    """Root of the program region holding `program`, memoised by content.
+
+    A miss builds the region from `program` itself and hashes it, so no
+    caller can put a root in the memo that its program does not give.
+    """
+    return _program_root(program, scheme, None)
+
+
+def _program_root(program: bytes, scheme: HashScheme, region) -> bytes:
+    """`program_root`, given `region`: None, or the `merkle.build_region`
+    subtree of `program` that `load_program` has just built. A miss hashes
+    that subtree instead of building another; a hit gives it the memoised
+    digest as its own, hashing nothing but the key.
+    """
+    key = (scheme.digest(program), PROGRAM_LEVEL, scheme)
+    root = _PROGRAM_ROOTS.get(key)
+    if root is None:
+        if region is None:
+            region = merkle.build_region(program, PROGRAM_LEVEL)
+        root = merkle.subtree_digest(region, PROGRAM_LEVEL, scheme)
+        if len(_PROGRAM_ROOTS) >= _PROGRAM_ROOTS_MAX:
+            del _PROGRAM_ROOTS[next(iter(_PROGRAM_ROOTS))]
+        _PROGRAM_ROOTS[key] = root
+    elif region is not None:
+        merkle.subtree_digest(region, PROGRAM_LEVEL, scheme, root)
+    return root
+
+
+# (program digest, PROGRAM_LEVEL, scheme) -> program-region root. A digest is
+# scheme-specific, and a root depends on the region's level as well as its
+# content, so both are in the key. One entry holds two 32-byte digests and a
+# key tuple, not the program: about 230 bytes (tracemalloc). A hit needs the
+# same program twice in one process. A fresh `opml run` or single-phase
+# `opml dispute` loads one program and misses; in a two-phase game the
+# entrance check hits the pinned node's program its prover loaded. A process
+# that plays many games reuses few programs: 6 distinct keys in the
+# benchmark's `claim` workload (84% of its loads hit), 10 in `dispute-model`
+# (its node programs, 98% hit), and a new one per game in
+# `dispute-synthetic`. 16 entries hold the first two; the oldest goes first.
+_PROGRAM_ROOTS: dict[tuple[bytes, int, HashScheme], bytes] = {}
+_PROGRAM_ROOTS_MAX = 16
 
 
 def assemble(instructions: list[int]) -> bytes:

@@ -13,7 +13,10 @@ keep it in the node. A VM run that writes on every step but opens a
 handful of roots hashes only the paths those roots cover. A whole image is
 loaded bottom-up: `build_region` builds a region's subtree, unhashed like
 any path copy, and `MemTree.splice` hangs it in at its aligned place;
-`region_root` hashes one on its own.
+`region_root` hashes one on its own. The program region is the exception:
+`fpvm.load_program` hands its subtree the digest that `fpvm.program_root`
+keeps for the program's content (`subtree_digest` with `known`), so a
+reloaded program's interior is hashed only where a proof opens a path.
 
 The tree keeps no read cache: `get_leaf` always walks from the root, so
 every version reads alike. A VM run keeps its own cache of the leaves it
@@ -249,6 +252,21 @@ def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
     asking for that region's subtree root.
     """
     return _child_digest(build_region(data, region_level), region_level, scheme)
+
+
+def subtree_digest(
+    subtree, region_level: int, scheme: HashScheme, known: bytes | None = None
+) -> bytes:
+    """Digest of a `build_region` subtree of 2**region_level leaves, kept in it.
+
+    Without `known`, every digest the subtree lacks is hashed and kept in
+    its nodes. With `known`, the caller vouches that it is the subtree's
+    digest: it is kept as the subtree's own, and nothing below is hashed
+    until a proof or root opens a path into it.
+    """
+    if known is not None and subtree.__class__ is _Node:
+        subtree.digest = known
+    return _child_digest(subtree, region_level, scheme)
 
 
 def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:

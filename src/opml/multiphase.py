@@ -17,7 +17,6 @@ data; each check derives every other root itself, never from the bundle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import dispute, fpvm, lowering, merkle, ml
@@ -54,16 +53,16 @@ class ExitBundle:
     opening: ml.GraphState  # proves the node output against s_post_root
 
 
-@functools.lru_cache(maxsize=128)
 def node_program_root(
     op: str, operand_shapes: tuple[tuple[int, ...], ...], scheme: HashScheme
 ) -> bytes:
     """Public registry of lowered-program roots, keyed by op and shapes: the
     root of `lowering.node_program`, which anyone can rebuild from the public
-    model. Pure, so its results are memoised.
+    model. It shares `fpvm.program_root`'s memo with the prover's
+    `load_program`, so a program both sides load is hashed once.
     """
     program, _ = lowering.node_program(op, operand_shapes)
-    return merkle.region_root(program, fpvm.PROGRAM_LEVEL, scheme)
+    return fpvm.program_root(program, scheme)
 
 
 def build_entrance_state(

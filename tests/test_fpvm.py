@@ -28,7 +28,14 @@ from opml.fpvm import (
     step,
     verify_step,
 )
-from opml.hashing import VM_STATE_PREFIX, ZERO_LEAF, HashScheme, get_scheme, scheme_names
+from opml.hashing import (
+    TREE_DEPTH,
+    VM_STATE_PREFIX,
+    ZERO_LEAF,
+    HashScheme,
+    get_scheme,
+    scheme_names,
+)
 
 from fixtures import build_mlp, rand_tensor
 
@@ -910,6 +917,25 @@ def _same_tree(a, b) -> bool:
             and _same_tree(a.left, b.left) and _same_tree(a.right, b.right))
 
 
+def _hash_every_node(node, level: int, scheme: HashScheme) -> None:
+    """Give every node below and at `node` its digest, children first, so a
+    digest already set on a node is kept, not derived from its children."""
+    if isinstance(node, merkle._Node):
+        _hash_every_node(node.left, level - 1, scheme)
+        _hash_every_node(node.right, level - 1, scheme)
+        merkle.subtree_digest(node, level, scheme)
+
+
+def _same_hashed_tree(a: merkle.MemTree, b: merkle.MemTree) -> bool:
+    """`_same_tree` once every node of both trees has its digest. A digest
+    the program-root memo preset on a loaded program region is compared
+    with the one the other tree hashes from its leaves, and so is every
+    digest below it."""
+    for tree in (a, b):
+        _hash_every_node(tree._root, TREE_DEPTH, tree.scheme)
+    return _same_tree(a._root, b._root)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(program=_IMAGE, input_blob=_IMAGE, model_blob=_IMAGE, scheme_name=hst.sampled_from(scheme_names()))
 def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blob, scheme_name):
@@ -922,7 +948,7 @@ def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blo
     for base, _, image in regions:
         ref = fpvm.write_bytes(ref, base, image)
     assert loaded.root() == ref.root()
-    assert _same_tree(loaded._root, ref._root)
+    assert _same_hashed_tree(loaded, ref)
     for base, level, image in regions:
         first = base // 32
         for index in range(first, first + len(image) // 32 + 2):
@@ -934,7 +960,7 @@ def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blo
     for index, leaf in ((fpvm.PROGRAM_BASE // 32 + 1, b"\x01" * 32), (fpvm.INPUT_BASE // 32, ZERO_LEAF)):
         loaded, ref = loaded.update_leaf(index, leaf), ref.update_leaf(index, leaf)
         assert loaded.root() == ref.root()
-        assert _same_tree(loaded._root, ref._root)
+        assert _same_hashed_tree(loaded, ref)
 
 
 def test_load_program_rejects_an_image_larger_than_its_region_before_hashing():
@@ -944,3 +970,85 @@ def test_load_program_rejects_an_image_larger_than_its_region_before_hashing():
     with pytest.raises(merkle.RangeError):
         load_program(b"\x01", bytes((32 << fpvm.INPUT_LEVEL) + 1), scheme=scheme)
     assert calls == []
+
+
+def _program_region_root(state) -> bytes:
+    return state.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL)
+
+
+def test_program_roots_are_memoised_per_scheme(monkeypatch):
+    """Two programs loaded in turn under every scheme, twice: each load's
+    program region has the root a fresh `region_root` of that scheme gives,
+    whatever the memo holds for the other schemes."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    programs = [_random_program(random.Random(seed), 40) for seed in (27, 28)]
+    roots = set()
+    for _ in range(2):
+        for name in scheme_names():
+            scheme = get_scheme(name)
+            for program in programs:
+                want = merkle.region_root(program, fpvm.PROGRAM_LEVEL, scheme)
+                assert _program_region_root(load_program(program, scheme=scheme)) == want
+                assert fpvm.program_root(program, scheme) == want
+                roots.add(want)
+    assert len(roots) == len(programs) * len(scheme_names())
+    assert len(fpvm._PROGRAM_ROOTS) == len(roots)
+
+
+def test_program_root_builds_its_own_region_on_a_miss(monkeypatch):
+    """The public lookup takes no region: a miss hashes the region of the
+    program it is given, and a later load of that program takes that root."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    program = _random_program(random.Random(30), 40)
+    want = merkle.region_root(program, fpvm.PROGRAM_LEVEL, SCHEME)
+    assert fpvm.program_root(program, SCHEME) == want
+    assert _program_region_root(load_program(program, scheme=SCHEME)) == want
+    assert len(fpvm._PROGRAM_ROOTS) == 1
+
+
+def test_program_root_memo_is_keyed_by_region_level(monkeypatch):
+    """The same program in a smaller program region has another root."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    program = _random_program(random.Random(27), 40)
+    for level in (fpvm.PROGRAM_LEVEL, 10, fpvm.PROGRAM_LEVEL):
+        monkeypatch.setattr(fpvm, "PROGRAM_LEVEL", level)
+        want = merkle.region_root(program, level, SCHEME)
+        assert _program_region_root(load_program(program, scheme=SCHEME)) == want
+
+
+def test_a_memo_hit_loads_the_tree_a_miss_loads(monkeypatch):
+    """A reload hashes nothing but the program's memo key, and its tree reads,
+    proves and hashes like the first load's in every region."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    scheme, calls = _counting_scheme()
+    program = _random_program(random.Random(29), 300)
+    images = (program, b"input-blob" * 7, b"model-blob" * 40)
+    miss = load_program(*images, scheme=scheme).memory
+    calls.clear()
+    hit = load_program(*images, scheme=scheme).memory
+    assert calls == [program]
+    assert hit.root() == miss.root()
+    for base, level, image in ((fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL, images[0]),
+                               (fpvm.INPUT_BASE, fpvm.INPUT_LEVEL, images[1]),
+                               (fpvm.MODEL_BASE, fpvm.MODEL_LEVEL, images[2])):
+        first = base // 32
+        assert hit.subtree_root(base, level) == miss.subtree_root(base, level)
+        assert hit.prove(first, level) == miss.prove(first, level)
+        for index in range(first, first + len(image) // 32 + 2):
+            assert hit.get_leaf(index) == miss.get_leaf(index)
+            assert hit.prove(index) == miss.prove(index)
+
+
+def test_program_root_memo_keeps_at_most_its_bound(monkeypatch):
+    """Past the bound the oldest entry goes; a program loaded again after
+    its entry went is hashed again, to the same root."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS_MAX", 3)
+    programs = [prog(encode("LI", rd=1), seed, encode("HALT")) for seed in range(5)]
+    for program in programs:
+        load_program(program, scheme=SCHEME)
+        assert len(fpvm._PROGRAM_ROOTS) <= 3
+    assert [key[0] for key in fpvm._PROGRAM_ROOTS] == [SCHEME.digest(p) for p in programs[2:]]
+    want = merkle.region_root(programs[0], fpvm.PROGRAM_LEVEL, SCHEME)
+    assert _program_region_root(load_program(programs[0], scheme=SCHEME)) == want
+    assert len(fpvm._PROGRAM_ROOTS) == 3

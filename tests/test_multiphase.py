@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from opml import dispute, fpvm, lowering, merkle, ml, multiphase
+from opml import dispute, fpvm, hashing, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
 from opml.hashing import HashScheme, get_scheme, scheme_names
 from opml.multiphase import (
@@ -67,9 +67,10 @@ def test_entrance_honest_accepted_and_m0_reproducible():
 
 
 def test_entrance_state_builds_each_region_once(monkeypatch):
-    """The prover hashes each region of the image once, as `load_program`
-    builds it: the bundle carries the image's root alone, so no region is
-    hashed a second time for the evidence."""
+    """The prover builds each region of the image once, in `load_program`,
+    which hashes it or, for the program region, takes its digest from
+    `fpvm.program_root`'s memo: the bundle carries the image's root alone,
+    so no region is built or hashed a second time for the evidence."""
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
     callers = []
@@ -83,6 +84,42 @@ def test_entrance_state_builds_each_region_once(monkeypatch):
     monkeypatch.setattr(merkle, "region_root", lambda *a, **kw: pytest.fail("region_root called"))
     build_entrance_state(run, 2, SCHEME)
     assert callers == ["load_program"] * 3
+
+
+class _NodeCountingScheme(HashScheme):
+    """sha256 that counts its node hashes after its zero-hash table."""
+
+    nodes = 0
+
+    def __init__(self):
+        super().__init__("sha256", get_scheme("sha256").digest)
+        self.nodes = 0
+
+    def node_hash(self, left: bytes, right: bytes) -> bytes:
+        self.nodes += 1
+        return super().node_hash(left, right)
+
+
+def test_entrance_check_hashes_no_program_node_the_prover_hashed(monkeypatch):
+    """The verifier's registered program root is the digest the prover's
+    `load_program` put in the memo: the check hashes only the operand keys'
+    region and the tree over the two region roots."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    scheme = _NodeCountingScheme()
+    run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
+                       rand_tensor(random.Random(63), (1, 3)), scheme=scheme)
+    _, _, bundle, lowered = build_entrance_state(run, 2, scheme)
+    scheme.nodes = 0
+    assert entrance_check(bundle, run.graph, scheme) == (True, "")
+    keys_region = fpvm.INPUT_LEVEL  # two key leaves: one node per level
+    above_regions = hashing.TREE_DEPTH - fpvm.PROGRAM_LEVEL + 1
+    assert scheme.nodes == keys_region + above_regions
+
+    # A verifier with a cold memo hashes the whole program region itself.
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    scheme.nodes = 0
+    assert entrance_check(bundle, run.graph, scheme) == (True, "")
+    assert scheme.nodes > keys_region + above_regions + len(lowered.program) // 32
 
 
 def test_entrance_state_hashes_each_operand_blob_once(monkeypatch):
@@ -221,7 +258,7 @@ def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
     """The entrance image and the registered program root come from the one
     program of the pinned node's op and shapes."""
     lowering.node_program.cache_clear()
-    multiphase.node_program_root.cache_clear()
+    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
     emitted = []
     emit_kernel = lowering._emit_kernel
 

@@ -103,6 +103,16 @@ def test_an_out_of_range_const_index_names_its_own_offset():
     assert exc.value.offset == at
 
 
+@pytest.mark.parametrize("at, value, reason", [(4, ml.MODEL_VERSION + 1, "unsupported version"),
+                                               (6, ml.FRAC - 1, "unsupported frac")])
+def test_a_model_of_another_version_or_scale_names_its_header_field(at, value, reason):
+    blob = bytearray(ml.save_model_bytes(build_mlp(seed=4, in_dim=2, hidden=2, out_dim=2)))
+    struct.pack_into("<H", blob, at, value)
+    with pytest.raises(wire.ParseError, match=reason) as exc:
+        ml.load_model_bytes(bytes(blob))
+    assert exc.value.offset == at
+
+
 def test_model_parse_error_is_the_wire_error():
     assert ml.ModelParseError is wire.ParseError
     assert issubclass(wire.ParseError, ValueError)
