@@ -32,8 +32,11 @@ every accessed leaf with its proof (`gen_step_witness`), and a view that
 serves only the leaves a witness proves (`verify_step`). So the prover and
 the verifier execute the same instruction by construction. The run view
 writes each store through to the persistent tree and keeps the leaves the
-run has touched in a dict, so a run reads each leaf from the tree at most
-once.
+run has read or written in a dict, so a run reads each leaf from the tree
+at most once. A whole run (`run`, `run_trace`, and so a fork's suffix)
+reads the aligned block of 2**READ_BLOCK_LEVEL leaves around a missed leaf
+in one descent (`MemTree.leaf_block`), so it reads each block at most once;
+`step` and the replays of `Trace.walk` read leaf by leaf.
 
 The stepping loop carries pc and registers as locals and builds a `VmState`
 only where one is kept. A trace (`run_trace`) is its snapshots: the first
@@ -84,6 +87,17 @@ MASK32 = 0xFFFF_FFFF
 MAX_STEPS = 10_000_000  # step budget of every run and fork, above any program the region holds
 
 SNAPSHOT_EVERY = 16  # a trace keeps the state after every this many steps
+
+# Level of the aligned leaf blocks a whole run reads, one descent per block
+# (`MemTree.leaf_block`). A 32-leaf block costs about eight single-leaf reads
+# (some 10 us against 1.2 us on CPython 3.11), most of it the walk over the
+# block's own 62 nodes. A lowered program fetches its code and reads its
+# operands in address order, so the rest of a block is read soon after: a
+# seed-1 `claim` op of the benchmark makes 196 block reads where it made
+# 6,202 leaf reads. Levels 4 to 7 ran it about equally fast and level 3
+# slower. A replay runs fewer than SNAPSHOT_EVERY steps, too few to use most
+# of a block, so it reads leaf by leaf.
+READ_BLOCK_LEVEL = 5
 
 # Exit codes for trap states.
 TRAP_BAD_OPCODE = 0xFE
@@ -433,19 +447,27 @@ def _execute(
 class _TreeMemory:
     """Run view: the current memory tree, the leaves this view has read or
     written (by base address) and the host oracle. `put_leaf` writes
-    through to both, so the dict never holds a stale leaf."""
+    through to both, so the dict never holds a stale leaf. A miss reads
+    the leaf alone or, with a `block` level, its whole aligned block of
+    2**block leaves from the current tree, which holds every store of the
+    run, so a block read serves no stale leaf either."""
 
-    __slots__ = ("tree", "oracle", "leaves")
+    __slots__ = ("tree", "oracle", "leaves", "block")
 
-    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None):
+    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, block: int | None):
         self.tree = tree
         self.oracle = oracle
         self.leaves: dict[int, bytes] = {}
+        self.block = block
 
     def read_leaf(self, base: int, miss: str) -> bytes:
         leaf = self.leaves.get(base)
         if leaf is None:
-            leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
+            if self.block is None:
+                leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
+            else:
+                self.tree.leaf_block(base >> 5, self.block, self.leaves)
+                leaf = self.leaves[base]
         return leaf
 
     def old_leaf(self, base: int) -> bytes:
@@ -558,7 +580,8 @@ class _WitnessMemory:
         raise _Rejected("missing-write-record")
 
 
-def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float, every: int):
+def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float, every: int,
+                block: int | None = None):
     """Steps from `state` to the exited state over one run view, yielding
     the states whose `step_count` is a multiple of `every`, the exited one,
     and the one at `max_steps` before the budget error below. The loop
@@ -567,9 +590,10 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting. `run`
-    and `run_trace` pass MAX_STEPS; `step` and the replay of a block
-    between two snapshots pass no bound."""
-    mem = _TreeMemory(state.memory, oracle)
+    and `run_trace` pass MAX_STEPS and READ_BLOCK_LEVEL as `block`, the
+    level of the leaf blocks the run view reads; `step` and the replay
+    between two snapshots pass no bound and read leaf by leaf."""
+    mem = _TreeMemory(state.memory, oracle, block)
     pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
     while not exited:
         if n >= max_steps:
@@ -592,7 +616,7 @@ def run(state: VmState, oracle: PreimageOracle | None = None) -> tuple[VmState, 
     budget is MAX_STEPS, read on each call and counted by `step_count`, as
     in `_successors`."""
     final = state
-    for final in _successors(state, oracle, MAX_STEPS, every=MAX_STEPS):  # one block
+    for final in _successors(state, oracle, MAX_STEPS, MAX_STEPS, READ_BLOCK_LEVEL):  # one yield
         pass
     return final, final.step_count - state.step_count
 
@@ -702,7 +726,7 @@ def run_trace(state: VmState, oracle: PreimageOracle | None = None) -> Trace:
     """Execute to HALT keeping the snapshots. The budget is MAX_STEPS, as
     in `run`."""
     states = [state]
-    states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY)
+    states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY, READ_BLOCK_LEVEL)
     return Trace(states, oracle)
 
 

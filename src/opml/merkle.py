@@ -18,9 +18,11 @@ any path copy, and `MemTree.splice` hangs it in at its aligned place;
 keeps for the program's content (`subtree_digest` with `known`), so a
 reloaded program's interior is hashed only where a proof opens a path.
 
-The tree keeps no read cache: `get_leaf` always walks from the root, so
-every version reads alike. A VM run keeps its own cache of the leaves it
-has touched (`fpvm._TreeMemory`).
+The tree keeps no read cache: `get_leaf` walks from the root to one leaf,
+and `leaf_block` walks once to an aligned block of leaves and reads them
+all, so every version reads alike. A VM run keeps its own cache of the
+leaves it has read or written (`fpvm._TreeMemory`): a whole run fills it a
+block at a time, and a single step or a replay leaf by leaf.
 """
 
 from __future__ import annotations
@@ -106,6 +108,26 @@ class MemTree:
                 break
             node = node.right if (index >> level) & 1 else node.left
         return ZERO_LEAF if node is None else node
+
+    def leaf_block(self, index: int, level: int, out: dict[int, bytes]) -> None:
+        """Put every leaf of the aligned block of 2**level leaves that holds
+        `index` into `out`, keyed by base address (32 * leaf index), an
+        absent leaf as ZERO_LEAF: what `get_leaf` reads for each of them, in
+        one descent from the root. Hashes nothing."""
+        if not 0 <= index < NUM_LEAVES:
+            raise RangeError(f"leaf index {index} out of range")
+        node = self._root
+        for depth in range(TREE_DEPTH - 1, level - 1, -1):
+            if node is None:
+                break
+            node = node.right if (index >> depth) & 1 else node.left
+        nodes = [node]
+        for _ in range(level):
+            nodes = [child for parent in nodes
+                     for child in ((None, None) if parent is None else (parent.left, parent.right))]
+        base = (index >> level << level) * 32
+        for offset, leaf in enumerate(nodes):
+            out[base + 32 * offset] = ZERO_LEAF if leaf is None else leaf
 
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
         """Return a new tree with `leaf` written at `index`; self reads the

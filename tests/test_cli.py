@@ -240,6 +240,74 @@ def test_model_that_does_not_fit_exits_3_on_load(capsys, tmp_path, monkeypatch, 
     assert err.startswith("error:") and (inp if case == "input" else model) in err
 
 
+def _rejected_argv(tmp_path, case) -> list[str]:
+    """A command whose input fails exactly the check that `case` names."""
+    model, inp = tmp_path / "m.opml", tmp_path / "x.tensor"
+    inp.write_bytes(ml.serialize_tensor(ml.FixedTensor((1, 3), (1, 2, 3))))
+    x = ml.GraphNode(0, "input", shape=(1, 3))
+    graphs = {
+        "node-arity": ([x, ml.GraphNode(1, "relu", (0, 0))], 1),
+        "node-order": ([x, ml.GraphNode(1, "relu", (1,))], 1),
+        "output-node": ([x, ml.GraphNode(1, "relu", (0,))], 2),
+        "two-inputs": ([x, ml.GraphNode(1, "input", shape=(1, 3)),
+                        ml.GraphNode(2, "bias_add", (0, 1))], 2),
+    }
+    if case in graphs:
+        ml.save_model(_unchecked_graph(*graphs[case]), str(model))
+    else:
+        blob = bytearray(ml.save_model_bytes(build_mlp(seed=4, in_dim=3, hidden=2, out_dim=2)))
+        if case == "op-code":
+            blob[16] = 0xEE  # the first node record's op code, after the 16-byte header
+        model.write_bytes(blob)
+    if case == "tensor-rank":
+        inp.write_bytes(struct.pack("<I", 9) + bytes(36))
+    config, bundle = tmp_path / "scenario.cfg", tmp_path / "w.bin"
+    config.write_text("synthetic.n = 40\nstrategy fault\n")
+    bundle.write_bytes(b"OPMX" + bytes(60))
+    return {
+        "config-line": ["dispute", "--config", str(config)],
+        "witness-magic": ["verify-witness", "--file", str(bundle)],
+        "security-m": ["security", "--p", "0.5", "--m", "0"],
+        "security-f": ["security", "--p", "0.5", "--m", "3", "--f", "1"],
+        "equilibrium-R": ["economics", "equilibrium", "--C", "1", "--R", "-1", "--L", "0",
+                          "--B", "0", "--S", "0"],
+    }.get(case, ["run", "--model", str(model), "--input", str(inp)])
+
+
+@pytest.mark.parametrize("case, code, reason", [
+    ("config-line", 2, "scenario.cfg:2: expected key=value"),
+    ("witness-magic", 3, "bad witness bundle magic"),
+    ("security-m", 2, "m must be >= 1"),
+    ("security-f", 2, "f must be in (0, 1)"),
+    ("equilibrium-R", 2, "R must be non-negative"),
+    ("tensor-rank", 3, "unreasonable rank 9"),
+    ("node-arity", 3, "relu takes 1 inputs"),
+    ("node-order", 3, "node 1 depends on non-preceding 1"),
+    ("output-node", 3, "bad output node"),
+    ("two-inputs", 3, "exactly one input node is supported"),
+    ("op-code", 3, "unknown op code 238"),
+])
+def test_each_input_check_exits_with_its_reason(capsys, tmp_path, case, code, reason):
+    """Checks of a config line, a witness bundle, the analytics parameters,
+    a tensor and a model, each reached by a file or flag built to fail it,
+    not only by a seeded fuzz example."""
+    got, out, err = run_cli(capsys, *_rejected_argv(tmp_path, case))
+    assert (got, out) == (code, "")
+    assert err.startswith("error:") and reason in err
+
+
+def test_phases_in_a_config_is_the_protocol_unless_a_protocol_is_given(capsys, tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("phases = 2\n")
+    game = ["--model", os.path.join(DATA, "mlp.opml"), "--input",
+            os.path.join(DATA, "mlp-input.tensor"), "--fault-node", "5", "--k", "3", "--m", "4"]
+    two_phase = run_cli(capsys, "dispute", "--protocol", "two-phase", *game)
+    single = run_cli(capsys, "dispute", "--protocol", "single", *game)
+    assert two_phase[0] == single[0] == 0 and two_phase != single
+    assert run_cli(capsys, "dispute", "--config", str(config), *game) == two_phase
+    assert run_cli(capsys, "dispute", "--config", str(config), "--protocol", "single", *game) == single
+
+
 def test_matmul_at_the_inner_dimension_bound_runs_the_same_on_the_vm(capsys, tmp_path):
     """At n = MAX_INNER_DIM the remainders' sum still fits 31 bits, so the
     claim's VM output equals the native one (else `run` exits 4)."""

@@ -276,18 +276,28 @@ def test_run_trace_matches_folding_step():
 
 @pytest.mark.parametrize("case", ["mlp", "synthetic"])
 def test_a_run_reads_each_leaf_from_the_tree_once(monkeypatch, case):
-    """The run view serves every later read of a leaf from its own dict."""
+    """The run view serves every later read of a leaf from its own dict: a
+    whole run reads each aligned block once, and reads no leaf alone that
+    a block read has served."""
     if case == "mlp":
         graph = build_mlp(seed=13, in_dim=3, hidden=5, out_dim=4)
         state = lowering.lower_graph(graph).initial_state(rand_tensor(random.Random(13), (1, 3)), SCHEME)
     else:
         state = load_program(_random_program(random.Random(27), 400), scheme=SCHEME)
-    indices = []
-    real = merkle.MemTree.get_leaf
+    reads = []  # (first leaf, leaf count) of each read from the tree
+    real_leaf, real_block = merkle.MemTree.get_leaf, merkle.MemTree.leaf_block
+
+    def leaf_block(tree, index, level, out):
+        reads.append((index >> level << level, 1 << level))
+        return real_block(tree, index, level, out)
+
     monkeypatch.setattr(merkle.MemTree, "get_leaf",
-                        lambda tree, index: indices.append(index) or real(tree, index))
+                        lambda tree, index: reads.append((index, 1)) or real_leaf(tree, index))
+    monkeypatch.setattr(merkle.MemTree, "leaf_block", leaf_block)
     run_trace(state)
-    assert indices and len(indices) == len(set(indices))
+    assert reads and {count for _, count in reads} == {1 << fpvm.READ_BLOCK_LEVEL}
+    served = [first + i for first, count in reads for i in range(count)]
+    assert len(served) == len(set(served))
 
 
 def _counting_scheme() -> tuple[HashScheme, list[bytes]]:
@@ -825,12 +835,81 @@ def test_fork_is_held_to_the_step_budget_in_total(monkeypatch):
     assert len(forked) == n and forked.states[-1].exited
 
 
-def _folded(state) -> list:
+def _folded(state, oracle=None) -> list:
     """Reference: every state from `state` to the exited one, one `step` each."""
     states = [state]
     while not states[-1].exited:
-        states.append(step(states[-1]))
+        states.append(step(states[-1], oracle))
     return states
+
+
+def _whole_runs_read_like_single_steps(state, oracle=None) -> fpvm.VmState:
+    """`run`'s final state and every `run_trace` snapshot, which read memory
+    a block at a time, against the state that folding `step`, which reads
+    leaf by leaf, reaches in as many steps. Returns the final state."""
+    folded = _folded(state, oracle)
+    final, steps = run(state, oracle)
+    trace = run_trace(state, oracle)
+    assert steps == len(trace) == len(folded) - 1
+    for got in [*trace.states, final]:
+        want = folded[got.step_count - state.step_count]
+        assert (got.pc, got.regs, got.exited, got.exit_code, state_root(got)) == (
+            want.pc, want.regs, want.exited, want.exit_code, state_root(want))
+    return final
+
+
+def test_a_block_read_after_a_store_serves_the_stored_leaf():
+    """Stores into a block, then loads of its other leaves and of the
+    stored one: a SW, a PREIMAGE, which writes its leaf without reading
+    it, and a store-heavy random program over one heap block."""
+    final = _whole_runs_read_like_single_steps(boot(
+        encode("LI", rd=1), HEAP_BASE + 0x40,
+        encode("LI", rd=2), 0x12345678,
+        encode("SW", rs=1, rt=2),
+        encode("LW", rd=3, rs=1, imm=0x20),
+        encode("LW", rd=4, rs=1),
+        encode("HALT"),
+    ))
+    assert final.regs[3:5] == (0, 0x12345678)
+
+    oracle = PreimageOracle(SCHEME)
+    key = oracle.put(bytes(range(1, 65)))
+    state = boot(
+        encode("LI", rd=1), 1,
+        encode("PREIMAGE", rd=1, rs=0),  # chunk 0 into oracle-value leaf 1
+        encode("LI", rd=5), ORACLE_VALUE_BASE,
+        encode("LW", rd=3, rs=5),
+        encode("LW", rd=4, rs=5, imm=0x20),
+        encode("HALT"),
+    )
+    state.memory = fpvm.write_bytes(state.memory, ORACLE_KEY_BASE, key)
+    final = _whole_runs_read_like_single_steps(state, oracle)
+    assert final.regs[3:5] == (0, struct.unpack("<I", bytes(range(1, 5)))[0])
+
+    _whole_runs_read_like_single_steps(load_program(_random_program(random.Random(33), 2000),
+                                                    scheme=SCHEME))
+
+
+def test_a_block_read_serves_code_the_program_rewrote():
+    """A program that stores over two of its own instructions before they
+    run: one in the block it is executing, one in the next block, which no
+    fetch has read yet. Each runs as rewritten."""
+    nop = encode("ADD")  # r0 <- r0 + r0 changes nothing
+    words = [nop] * 300
+    words[0:10] = [
+        encode("LI", rd=1), encode("ADD", rd=5, rs=1, rt=1),
+        encode("LI", rd=2), 4 * 40,
+        encode("SW", rs=2, rt=1),  # word 40 <- ADD r5, r1, r1
+        encode("LI", rd=3), encode("SUB", rd=6, rs=0, rt=1),
+        encode("LI", rd=4), 4 * 280,
+        encode("SW", rs=4, rt=3),  # word 280 <- SUB r6, r0, r1
+    ]
+    assert 4 * 280 >> 5 >> fpvm.READ_BLOCK_LEVEL == 1  # word 280 is in the second block
+    words[40] = words[280] = encode("HALT", imm=1)
+    words[299] = encode("HALT", imm=2)
+    final = _whole_runs_read_like_single_steps(boot(*words))
+    r1 = final.regs[1]
+    assert (final.exit_code, final.regs[5], final.regs[6]) == (2, 2 * r1 & 0xFFFFFFFF, -r1 & 0xFFFFFFFF)
 
 
 def test_checkpointed_trace_answers_every_index_like_folding_step():

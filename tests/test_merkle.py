@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opml import merkle
-from opml.hashing import TREE_DEPTH, ZERO_LEAF, get_scheme, scheme_names
+from opml.hashing import TREE_DEPTH, ZERO_LEAF, HashScheme, get_scheme, scheme_names
 
 SCHEME = get_scheme("sha256")
 
@@ -125,6 +125,37 @@ def test_out_of_range_index_rejected():
         tree.prove(0, TREE_DEPTH + 1)
     with pytest.raises(ValueError, match="leaf must be 32 bytes, got 31"):
         tree.update_leaf(0, b"\x01" * 31)
+    for index in (merkle.NUM_LEAVES, -1):
+        with pytest.raises(merkle.RangeError, match="leaf index"):
+            tree.leaf_block(index, 5, {})
+
+
+def test_a_block_read_holds_what_get_leaf_reads_and_hashes_nothing():
+    """Trees built by `update_leaf`, by `build_region` + `splice` (zero
+    leaves inside the region included) and the empty tree; blocks inside
+    written and absent subtrees and the last block of the address space, at
+    levels 0 to 6 and from indices inside a block as well as at its start."""
+    calls: list[bytes] = []
+    scheme = HashScheme("sha256", lambda data: calls.append(data) or h(data))
+    calls.clear()
+    rng = random.Random(32)
+    updated = merkle.MemTree(scheme)
+    for _ in range(200):
+        updated = updated.update_leaf(rng.randrange(4096), rand_leaf(rng))
+    image = [rand_leaf(rng) for _ in range(300)]
+    image[50:60] = [ZERO_LEAF] * 10
+    spliced = merkle.MemTree(scheme).splice(4096, 10, merkle.build_region(b"".join(image), 10))
+    last = merkle.NUM_LEAVES - 1
+    trees = [merkle.MemTree(scheme), updated, spliced, updated.update_leaf(last, rand_leaf(rng))]
+    indices = [0, 5, 31, 33, 4095, 4096 + 17, 4096 + 55, 4096 + 299, 4096 + 1023, 1 << 20, last]
+    for tree in trees:
+        for index in indices:
+            for level in (0, 1, 3, 5, 6):
+                out: dict[int, bytes] = {}
+                tree.leaf_block(index, level, out)
+                first = index >> level << level
+                assert out == {32 * i: tree.get_leaf(i) for i in range(first, first + (1 << level))}
+    assert calls == []
 
 
 def test_prove_verify_roundtrip_and_size():
