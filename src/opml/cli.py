@@ -117,7 +117,8 @@ DISPUTE_OPTIONS = {
     # Programs opml builds branch only forward, so none runs more steps than
     # its 2^23-word region holds words: a wider window arbitrates nothing more.
     "m": Option(int, 1, EVERY_GAME, lo=1, hi=fpvm.PROGRAM_WORDS),
-    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=fpvm.PROGRAM_WORDS - 1),
+    # An n-step synthetic program takes up to 2n - 1 words (an LI takes two).
+    "synthetic.n": Option(int, None, (SYNTHETIC,), lo=2, hi=(fpvm.PROGRAM_WORDS + 1) // 2),
     "fault.node": Option(int, None, MODEL_GAMES),
     "fault.step": Option(int, None, (SYNTHETIC, SINGLE)),
     "fault.element": Option(int, None, MODEL_GAMES),

@@ -31,12 +31,14 @@ over one of three memory views, which serve whole leaves only: the run view
 every accessed leaf with its proof (`gen_step_witness`), and a view that
 serves only the leaves a witness proves (`verify_step`). So the prover and
 the verifier execute the same instruction by construction. The run view
-writes each store through to the persistent tree and keeps the leaves the
-run has read or written in a dict, so a run reads each leaf from the tree
-at most once. A whole run (`run`, `run_trace`, and so a fork's suffix)
-reads the aligned block of 2**READ_BLOCK_LEVEL leaves around a missed leaf
-in one descent (`MemTree.leaf_block`), so it reads each block at most once;
-`step` and the replays of `Trace.walk` read leaf by leaf.
+keeps the leaves the run has read or written in a dict, so a run reads
+each leaf from its starting tree at most once, and writes no store to a
+tree: each state it yields carries a `MemTree.with_writes` version of the
+one before, which is built only if a root, a proof or a read needs it. A
+whole run (`run`, `run_trace`, and so a fork's suffix) reads the aligned
+block of 2**READ_BLOCK_LEVEL leaves around a missed leaf in one descent
+(`MemTree.leaf_block`), so it reads each block at most once; `step` and the
+replays of `Trace.walk` read leaf by leaf.
 
 The stepping loop carries pc and registers as locals and builds a `VmState`
 only where one is kept. A trace (`run_trace`) is its snapshots: the first
@@ -445,28 +447,30 @@ def _execute(
 
 
 class _TreeMemory:
-    """Run view: the current memory tree, the leaves this view has read or
-    written (by base address) and the host oracle. `put_leaf` writes
-    through to both, so the dict never holds a stale leaf. A miss reads
-    the leaf alone or, with a `block` level, its whole aligned block of
-    2**block leaves from the current tree, which holds every store of the
-    run, so a block read serves no stale leaf either."""
+    """Run view: the run's starting tree, the leaves this view has read or
+    written (by base address), the writes since the last `seal` (by leaf
+    index), the last sealed tree and the host oracle. `put_leaf` writes to
+    both dicts and to no tree. As the leaf dict holds every leaf the run
+    wrote, a miss is a leaf the run never wrote, and the starting tree still
+    holds it: a miss reads the leaf alone or, with a `block` level, the
+    leaves of its aligned block of 2**block leaves that the dict lacks."""
 
-    __slots__ = ("tree", "oracle", "leaves", "block")
+    __slots__ = ("start", "tree", "oracle", "leaves", "writes", "block")
 
     def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, block: int | None):
-        self.tree = tree
+        self.start = self.tree = tree
         self.oracle = oracle
         self.leaves: dict[int, bytes] = {}
+        self.writes: dict[int, bytes] = {}
         self.block = block
 
     def read_leaf(self, base: int, miss: str) -> bytes:
         leaf = self.leaves.get(base)
         if leaf is None:
             if self.block is None:
-                leaf = self.leaves[base] = self.tree.get_leaf(base >> 5)
+                leaf = self.leaves[base] = self.start.get_leaf(base >> 5)
             else:
-                self.tree.leaf_block(base >> 5, self.block, self.leaves)
+                self.start.leaf_block(base >> 5, self.block, self.leaves)
                 leaf = self.leaves[base]
         return leaf
 
@@ -479,8 +483,15 @@ class _TreeMemory:
         return self.oracle.chunk(key, index)
 
     def put_leaf(self, base: int, leaf: bytes) -> None:
-        self.tree = self.tree.update_leaf(base >> 5, leaf)
         self.leaves[base] = leaf
+        self.writes[base >> 5] = leaf
+
+    def seal(self) -> merkle.MemTree:
+        """The memory now: the last sealed tree with the writes since, as an
+        O(1) `MemTree.with_writes` version that no one has built yet."""
+        self.tree = self.tree.with_writes(self.writes)
+        self.writes = {}
+        return self.tree
 
 
 class _RecordingMemory:
@@ -586,7 +597,8 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     the states whose `step_count` is a multiple of `every`, the exited one,
     and the one at `max_steps` before the budget error below. The loop
     carries pc, registers and flags as locals and builds a VmState only for
-    a state it yields.
+    a state it yields, whose memory is the view's `seal`: no store reaches
+    a tree until something reads that state's memory.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting. `run`
@@ -597,13 +609,13 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
     while not exited:
         if n >= max_steps:
-            raise BudgetExceededError(VmState(pc, regs, mem.tree, exited, exit_code, n), max_steps)
+            raise BudgetExceededError(VmState(pc, regs, mem.seal(), exited, exit_code, n), max_steps)
         for done in range(1, min(every - n % every, max_steps - n) + 1):
             pc, regs, exited, exit_code = _execute(pc, regs, mem)
             if exited:
                 break
         n += done
-        yield VmState(pc, regs, mem.tree, exited, exit_code, n)
+        yield VmState(pc, regs, mem.seal(), exited, exit_code, n)
 
 
 def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
@@ -644,10 +656,12 @@ class Trace:
 
     `states` holds the first state, every state whose `step_count` is a
     multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
-    faulted state. Snapshots share memory structurally. Any other state is
-    rebuilt by `walk`, which replays from the snapshot before it through the
-    same stepping loop as the run; nothing replayed is kept, and nothing is
-    kept per step.
+    faulted state. Snapshots share memory structurally, and a snapshot's
+    tree is built only when a root, a proof or a replay first reads it
+    (`MemTree.with_writes`); until then it holds only the leaves written
+    since the snapshot before. Any other state is rebuilt by `walk`, which
+    replays from the snapshot before it through the same stepping loop as
+    the run; nothing replayed is kept, and nothing is kept per step.
 
     State roots are hashed only when asked for, and the trace keeps none:
     a snapshot's memory tree keeps the digests it has hashed, so asking

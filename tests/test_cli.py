@@ -672,7 +672,7 @@ def test_analytics_range_error_exits_2_before_any_output(capsys, argv):
     ["dispute", "--synthetic-n", "40", "--wrong-round", "2"],
     ["dispute", "--synthetic-n", "40", "--strategy", "wrong-midpoint", "--wrong-round", "-5"],
     ["dispute", "--synthetic-n", "40", "--strategy", "silent", "--silent-after", "-1"],
-    ["dispute", "--synthetic-n", "8388608", "--strategy", "fault"],
+    ["dispute", "--synthetic-n", "4194305", "--strategy", "fault"],
 ], ids=["simulate-negative", "validators-negative", "validators-zero", "lazy-fraction-high",
         "lazy-fraction-negative", "security-empty-m-range",
         "challenge-period-config", "fault-strategy-without-target", "equilibrium-sum-overflow",

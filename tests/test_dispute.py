@@ -184,6 +184,16 @@ def test_a_value_outside_the_game_geometry_raises(call, message):
         call()
 
 
+def test_a_synthetic_program_of_n_steps_is_at_most_2n_minus_1_words():
+    """An LI takes two words and any other step one, so n steps take n + 1
+    (the first step is an LI) to 2n - 1 words: `synthetic.n` is bounded by
+    (fpvm.PROGRAM_WORDS + 1) // 2 for its program to fit the region."""
+    for seed in range(40):
+        for n in (2, 3, 4, 5, 8, 13, 40):
+            words = len(synthetic_program(random.Random(seed), n)) // 4
+            assert n + 1 <= words <= 2 * n - 1
+
+
 def test_a_penalty_past_the_balance_raises_and_moves_nothing():
     chain = ChainSim()
     chain.deposit("alice", 5)

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import random
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -326,20 +327,24 @@ def test_trace_roots_are_hashed_on_demand():
     assert _state_hashes(calls) == state_hashes + 2  # root_at hashes it again: a trace keeps no roots
 
 
-def test_run_trace_hashes_nothing(monkeypatch):
-    """A store copies its tree path without hashing it; the last root then
-    hashes each path the run wrote once, not once per store."""
+def _written_leaves(trace) -> set[int]:
+    """Index of each leaf a store of `trace` writes, from the write record of
+    each step's witness."""
+    return {addr // 32 for state in trace.walk() if not state.exited
+            for addr, *_ in gen_step_witness(state, trace.oracle).mem_writes}
+
+
+def test_run_trace_hashes_nothing():
+    """A run writes no store to a tree and hashes nothing; the last root
+    then hashes each path the run wrote once, not once per store."""
     program = _random_program(random.Random(26), 600)
+    written = _written_leaves(run_trace(load_program(program, scheme=SCHEME)))
+    assert len(written) > 20  # store-heavy: the program writes many distinct leaves
     scheme, calls = _counting_scheme()
     state = load_program(program, scheme=scheme)
-    written = set()
-    real_update = merkle.MemTree.update_leaf
-    monkeypatch.setattr(merkle.MemTree, "update_leaf",
-                        lambda tree, index, leaf: written.add(index) or real_update(tree, index, leaf))
     calls.clear()
     trace = run_trace(state)
     assert calls == [] and len(trace) == 600
-    assert len(written) > 20  # store-heavy: the program writes many distinct leaves
 
     final = trace.state_at(len(trace))
     leaves = {i // 32: program[i : i + 32].ljust(32, b"\x00") for i in range(0, len(program), 32)}
@@ -351,6 +356,69 @@ def test_run_trace_hashes_nothing(monkeypatch):
                               memory_root).state_root(SCHEME)
     assert trace.root_at(len(trace)) == reference
     assert len(calls) <= 27 * len(written) + 1
+
+
+def test_run_trace_makes_no_tree_node(monkeypatch):
+    """`run_trace` neither copies a path nor calls `update_leaf`: it makes no
+    `merkle._Node` at all. Its first root query builds the nodes."""
+    made = []
+    for cls in (merkle._Node, merkle._OwnedNode):
+        monkeypatch.setattr(cls, "__init__", lambda node, *args, init=cls.__init__:
+                            made.append(node) or init(node, *args))
+    state = load_program(_random_program(random.Random(35), 800), scheme=SCHEME)
+    made.clear()
+    trace = run_trace(state)
+    assert made == [] and len(trace) == 800
+    trace.root_at(400)
+    assert made
+
+
+def test_snapshots_built_in_any_order_equal_the_eagerly_stepped_states():
+    """Each snapshot of a store-heavy trace, built newest first or in a
+    shuffled order, equals the state folding `step` reaches from state 0,
+    each state built as soon as it is stepped to: in roots, in every leaf
+    of the written block and the code, and in the proofs of those leaves."""
+    program = _random_program(random.Random(36), 700)
+    state0 = load_program(program, scheme=SCHEME)
+    eager = [state0]
+    while not eager[-1].exited:
+        eager.append(step(eager[-1]))
+        eager[-1].memory.root()
+    heap, code = HEAP_BASE // 32, range(0, (len(program) + 31) // 32)
+    orders = [list(range(len(run_trace(state0).states) - 1, -1, -1))]
+    orders.append(random.Random(37).sample(orders[0], len(orders[0])))
+    for order in orders:
+        trace = run_trace(state0)
+        for i in order:
+            got = trace.states[i]
+            want = eager[got.step_count]
+            assert state_root(got) == state_root(want)
+            blocks = [{}, {}]
+            got.memory.leaf_block(heap, 5, blocks[0])
+            want.memory.leaf_block(heap, 5, blocks[1])
+            assert blocks[0] == blocks[1]
+            for index in [*range(heap, heap + 32), *code]:
+                assert got.memory.get_leaf(index) == want.memory.get_leaf(index)
+                assert got.memory.prove(index) == want.memory.prove(index)
+
+
+def test_a_trace_holds_under_120_bytes_per_step():
+    """What a 20k-step store-heavy trace holds, measured by tracemalloc as
+    the bytes freed when it is dropped (so the process-wide decode memo,
+    which a longer run cannot grow past its bound, is not counted): its
+    snapshots, each with its registers and the leaves written since the
+    one before, not a tree path per store."""
+    state = load_program(_random_program(random.Random(38), 20_000), scheme=SCHEME)
+    tracemalloc.start()
+    try:
+        trace = run_trace(state)
+        steps, held = len(trace), tracemalloc.get_traced_memory()[0]
+        del trace
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert steps == 20_000 and held / steps <= 120
 
 
 def _random_program(rng: random.Random, n_steps: int) -> bytes:

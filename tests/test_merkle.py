@@ -155,6 +155,11 @@ def test_a_block_read_holds_what_get_leaf_reads_and_hashes_nothing():
                 tree.leaf_block(index, level, out)
                 first = index >> level << level
                 assert out == {32 * i: tree.get_leaf(i) for i in range(first, first + (1 << level))}
+    # Entries `out` already holds are kept, whatever the tree reads there.
+    kept = {32 * 4096: b"kept", 32 * (4096 + 31): ZERO_LEAF, 32 * 99: b"outside the block"}
+    out = dict(kept)
+    spliced.leaf_block(4096 + 7, 5, out)
+    assert out == {**{32 * i: spliced.get_leaf(i) for i in range(4096, 4096 + 32)}, **kept}
     assert calls == []
 
 
@@ -326,16 +331,22 @@ def eager_levels(leaves: dict[int, bytes], scheme) -> tuple[list[dict[int, bytes
 
 _INDEX = st.sampled_from([0, 1, 2, 3, 31, 32, 1 << 20, (1 << 26) + 5, merkle.NUM_LEAVES - 1]) | st.integers(0, 63)
 _VALUE = st.sampled_from([ZERO_LEAF, b"\x01" * 32]) | st.binary(min_size=32, max_size=32)
-_OPS = st.lists(st.tuples(st.sampled_from(["update", "update-latest", "get", "check"]),
-                          st.integers(0, 1 << 16), _INDEX, _VALUE), max_size=40)
+_WRITES = st.lists(st.tuples(_INDEX, _VALUE), max_size=6)  # repeated indices: the last one counts
+_OPS = st.lists(st.tuples(st.sampled_from(["update", "update-latest", "writes", "writes-latest",
+                                           "get", "check"]),
+                          st.integers(0, 1 << 16), _INDEX, _VALUE, _WRITES), max_size=40)
 
 
 @given(ops=_OPS, scheme_name=st.sampled_from(scheme_names()))
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
-    """Updates and reads on any version, superseded ones and one updated
-    twice included, against a dict model per version; roots, proofs and
-    subtree roots, asked for at any point, against `eager_levels`."""
+    """Updates, `with_writes` versions and reads on any version, superseded
+    ones and one updated twice included, against a dict model per version;
+    roots, proofs and subtree roots, asked for at any point, against
+    `eager_levels`. A read or a hash builds a pending version, so versions
+    are built in any order: newer before older, and after a newer version
+    of them was made or built. Every version is checked again at the end,
+    newest first."""
     scheme = get_scheme(scheme_name)
     versions = [(merkle.MemTree(scheme), {})]
 
@@ -348,10 +359,12 @@ def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
         base = index >> level << level
         assert tree.subtree_root(base * 32, level) == levels[level].get(index >> level, zeros[level])
 
-    for kind, pick, index, value in ops:
-        tree, model = versions[-1] if kind == "update-latest" else versions[pick % len(versions)]
+    for kind, pick, index, value, writes in ops:
+        tree, model = versions[-1] if kind.endswith("-latest") else versions[pick % len(versions)]
         if kind.startswith("update"):
             versions.append((tree.update_leaf(index, value), {**model, index: value}))
+        elif kind.startswith("writes"):
+            versions.append((tree.with_writes(dict(writes)), {**model, **dict(writes)}))
         elif kind == "get":
             assert tree.get_leaf(index) == model.get(index, ZERO_LEAF)
         else:
@@ -360,7 +373,62 @@ def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
         tree, model = versions[1]
         for value in (b"\x02" * 32, ZERO_LEAF):
             versions.append((tree.update_leaf(3, value), {**model, 3: value}))
-    for tree, model in versions:
+    for tree, model in reversed(versions):
         for index in {*model, 0, 5}:
             assert tree.get_leaf(index) == model.get(index, ZERO_LEAF)
         check(tree, model, max(model, default=7))
+
+
+def shape(node):
+    """A tree's nodes and leaves without their digests, all-zero subtrees None."""
+    return node if node is None or isinstance(node, bytes) else (shape(node.left), shape(node.right))
+
+
+def test_pending_versions_build_in_any_order_like_leaf_by_leaf_updates():
+    """A chain of `with_writes` versions, built newest first, oldest next and
+    a superseded branch last, reads, proves and hashes as `update_leaf`
+    applied write by write. A build hashes nothing. Zero writes collapse
+    their paths, also between owned writes of one build; a built version
+    still updates persistently; no version changes its base or the writes
+    it was given."""
+    calls: list[bytes] = []
+    scheme = HashScheme("sha256", lambda data: calls.append(data) or h(data))
+    rng = random.Random(34)
+    leaves = {i: rand_leaf(rng) for i in (0, 1, 6, 7, 1 << 20, merkle.NUM_LEAVES - 1)}
+    base = merkle.MemTree(scheme)
+    for index, leaf in leaves.items():
+        base = base.update_leaf(index, leaf)
+    base_root = base.root()
+    steps = [
+        {6: rand_leaf(rng), 1 << 20: ZERO_LEAF, 2: rand_leaf(rng)},
+        {6: rand_leaf(rng), 7: ZERO_LEAF, 0: ZERO_LEAF, 1: rand_leaf(rng), 3: ZERO_LEAF},
+        {6: ZERO_LEAF, 1: ZERO_LEAF, 2: ZERO_LEAF, 17: rand_leaf(rng)},  # leaves 0-15 empty
+    ]
+    given = [dict(writes) for writes in steps]
+    eager, lazy = [base], [base]
+    for writes in steps:
+        tree = eager[-1]
+        for index, leaf in writes.items():
+            tree = tree.update_leaf(index, leaf)
+        eager.append(tree)
+        lazy.append(lazy[-1].with_writes(writes))
+    assert lazy[1].with_writes({}) is lazy[1]
+    branch = {7: rand_leaf(rng), 2: rand_leaf(rng)}
+    superseded = lazy[1].with_writes(dict(branch))
+    superseded_eager = eager[1].update_leaf(7, branch[7]).update_leaf(2, branch[2])
+    assert [version._root for version in lazy[1:]] == [None] * 3  # pending: nothing built
+    calls.clear()
+    assert lazy[3].get_leaf(6) == ZERO_LEAF and calls == []  # a build hashes nothing
+    for i in (3, 1, 2):
+        assert shape(lazy[i]._top()) == shape(eager[i]._top())  # all-zero subtrees are None in both
+        assert lazy[i].root() == eager[i].root()
+        for index in {*leaves, 2, 3, 17, 1 << 19}:
+            assert lazy[i].get_leaf(index) == eager[i].get_leaf(index)
+            assert lazy[i].prove(index) == eager[i].prove(index)
+        assert lazy[i].subtree_root(0, 4) == eager[i].subtree_root(0, 4)
+    assert lazy[3].subtree_root(0, 4) == scheme.zero_hashes[4]
+    assert superseded.root() == superseded_eager.root()
+    assert base.root() == base_root and steps == given
+    after = lazy[1].update_leaf(1, ZERO_LEAF).with_writes({1: b"\x03" * 32})
+    assert after.root() == eager[1].update_leaf(1, b"\x03" * 32).root()
+    assert lazy[1].root() == eager[1].root()
