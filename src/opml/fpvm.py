@@ -40,14 +40,15 @@ block of 2**READ_BLOCK_LEVEL leaves around a missed leaf in one descent
 (`MemTree.leaf_block`), so it reads each block at most once; `step` and the
 replays of `Trace.walk` read leaf by leaf.
 
-The stepping loop carries pc and registers as locals and builds a `VmState`
-only where one is kept. A trace (`run_trace`) is its snapshots: the first
-state, every SNAPSHOT_EVERY-th and the final one, and nothing per step. Any
-other state is rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from
-the snapshot before it, through the same loop (`Trace.walk`), and nothing
-replayed is kept. `run` keeps no snapshots. A faulty trace is a fork of the
-honest one (`Trace.fork`): it shares the honest snapshots before the fault
-step and runs only the rest.
+The stepping loop carries pc as a local and the registers as one list that
+`_execute` changes in place, and builds a `VmState`, with a tuple copy of
+the registers, only where one is kept. A trace (`run_trace`) is its
+snapshots: the first state, every SNAPSHOT_EVERY-th and the final one, and
+nothing per step. Any other state is rebuilt by replaying at most
+SNAPSHOT_EVERY - 1 steps from the snapshot before it, through the same loop
+(`Trace.walk`), and nothing replayed is kept. `run` keeps no snapshots. A
+faulty trace is a fork of the honest one (`Trace.fork`): it shares the
+honest snapshots before the fault step and runs only the rest.
 """
 
 from __future__ import annotations
@@ -368,10 +369,12 @@ _unpack_word = struct.Struct("<I").unpack_from
 
 
 def _execute(
-    pc: int, regs: tuple[int, ...], mem: _TreeMemory | _RecordingMemory | _WitnessMemory
-) -> tuple[int, tuple[int, ...], bool, int]:
-    """The step semantics: (pc, regs, exited, exit_code) after the
-    instruction at `pc`, touching memory only through the view `mem`.
+    pc: int, regs: list[int], mem: _TreeMemory | _RecordingMemory | _WitnessMemory
+) -> tuple[int, bool, int]:
+    """The step semantics: (pc, exited, exit_code) after the instruction at
+    `pc`, touching memory only through the view `mem`. The register list
+    `regs` is written in place, at most one register and as the step's last
+    act, so a raise leaves it untouched too.
 
     A view serves whole leaves by base address: it reads one
     (`read_leaf(base, miss)`, where `miss` is the reject reason the
@@ -387,7 +390,7 @@ def _execute(
     instruction that writes a register falls through to one masked write.
     """
     if pc & 3:
-        return pc, regs, True, TRAP_BAD_PC
+        return pc, True, TRAP_BAD_PC
     word = _unpack_word(mem.read_leaf(pc & ~31, "missing-fetch-leaf"), pc & 31)[0]
     op, rd, rs, rt, imm = _SPLIT.get(word) or _split(word)
     next_pc = (pc + 4) & MASK32
@@ -399,7 +402,7 @@ def _execute(
     elif op == 0x02:  # LW
         addr = (regs[rs] + imm) & MASK32
         if addr & 3:
-            return pc, regs, True, TRAP_BAD_ALIGN
+            return pc, True, TRAP_BAD_ALIGN
         value = _unpack_word(mem.read_leaf(addr & ~31, "missing-load-leaf"), addr & 31)[0]
     elif op == 0x13:  # MULFX: signed 64-bit product, arithmetic shift
         a, b = regs[rs], regs[rt]
@@ -411,10 +414,10 @@ def _execute(
     elif op == 0x03:  # SW
         addr = (regs[rs] + imm) & MASK32
         if addr & 3:
-            return pc, regs, True, TRAP_BAD_ALIGN
+            return pc, True, TRAP_BAD_ALIGN
         base = addr & ~31
         mem.put_leaf(base, _with_word(mem.old_leaf(base), addr, regs[rt]))
-        return next_pc, regs, False, 0
+        return next_pc, False, 0
     elif op == 0x11:  # SUB
         value = regs[rs] - regs[rt]
     elif op == 0x14:  # SRA
@@ -422,11 +425,11 @@ def _execute(
     elif op == 0x20:  # BEQ
         if regs[rs] == regs[rt]:
             next_pc = (pc + 4 + 4 * imm) & MASK32
-        return next_pc, regs, False, 0
+        return next_pc, False, 0
     elif op == 0x21:  # BLT
         if sign32(regs[rs]) < sign32(regs[rt]):
             next_pc = (pc + 4 + 4 * imm) & MASK32
-        return next_pc, regs, False, 0
+        return next_pc, False, 0
     elif op == 0x22:  # JMP
         value = pc + 4
         next_pc = (regs[rs] + 4 * imm) & MASK32
@@ -434,16 +437,16 @@ def _execute(
         key = mem.read_leaf(ORACLE_KEY_BASE, "missing-key-leaf")
         value_chunk = mem.chunk(key, regs[rs])
         if regs[rd] >= _ORACLE_VALUE_LEAVES:
-            return pc, regs, True, TRAP_BAD_REGION
+            return pc, True, TRAP_BAD_REGION
         mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[rd], value_chunk)
-        return next_pc, regs, False, 0
+        return next_pc, False, 0
     elif op == 0x3F:  # HALT
-        return pc, regs, True, imm & 0xFF
+        return pc, True, imm & 0xFF
     else:
-        return pc, regs, True, TRAP_BAD_OPCODE
+        return pc, True, TRAP_BAD_OPCODE
     if rd:  # r0 is hardwired to zero
-        regs = regs[:rd] + (value & MASK32,) + regs[rd + 1:]
-    return next_pc, regs, False, 0
+        regs[rd] = value & MASK32
+    return next_pc, False, 0
 
 
 class _TreeMemory:
@@ -596,9 +599,13 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     """Steps from `state` to the exited state over one run view, yielding
     the states whose `step_count` is a multiple of `every`, the exited one,
     and the one at `max_steps` before the budget error below. The loop
-    carries pc, registers and flags as locals and builds a VmState only for
-    a state it yields, whose memory is the view's `seal`: no store reaches
-    a tree until something reads that state's memory.
+    carries pc and flags as locals and the registers as one list, which
+    `_execute` changes in place, and builds a VmState only for a state it
+    yields. Its registers are a tuple of the list's values, the state
+    before's own tuple when they equal it: a witness window keeps thousands
+    of states, and a store or a branch writes no register. Its memory is
+    the view's `seal`, so no store reaches a tree until something reads
+    that state's memory.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting. `run`
@@ -606,16 +613,20 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
     level of the leaf blocks the run view reads; `step` and the replay
     between two snapshots pass no bound and read leaf by leaf."""
     mem = _TreeMemory(state.memory, oracle, block)
-    pc, regs, exited, exit_code, n = state.pc, state.regs, state.exited, state.exit_code, state.step_count
+    kept, regs = state.regs, list(state.regs)
+    pc, exited, exit_code, n = state.pc, state.exited, state.exit_code, state.step_count
     while not exited:
         if n >= max_steps:
-            raise BudgetExceededError(VmState(pc, regs, mem.seal(), exited, exit_code, n), max_steps)
+            raise BudgetExceededError(VmState(pc, tuple(regs), mem.seal(), exited, exit_code, n),
+                                      max_steps)
         for done in range(1, min(every - n % every, max_steps - n) + 1):
-            pc, regs, exited, exit_code = _execute(pc, regs, mem)
+            pc, exited, exit_code = _execute(pc, regs, mem)
             if exited:
                 break
         n += done
-        yield VmState(pc, regs, mem.seal(), exited, exit_code, n)
+        if kept != (now := tuple(regs)):
+            kept = now
+        yield VmState(pc, kept, mem.seal(), exited, exit_code, n)
 
 
 def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:
@@ -828,7 +839,7 @@ def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None,
         return StepWitness(fields)
     mem = _RecordingMemory(state.memory, oracle, fields.memory_root,
                            {} if proofs is None else proofs)
-    _execute(state.pc, state.regs, mem)
+    _execute(state.pc, list(state.regs), mem)
     return StepWitness(fields, mem.reads, mem.writes, mem.preimage_chunk)
 
 
@@ -902,8 +913,9 @@ def verify_step(
         leaves[addr] = leaf
 
     mem = _WitnessMemory(leaves, witness, preimages, preimage_chunk_check)
+    regs = list(f.regs)
     try:
-        pc, regs, exited, exit_code = _execute(f.pc, f.regs, mem)
+        pc, exited, exit_code = _execute(f.pc, regs, mem)
     except _Rejected as exc:
         return _reject(str(exc))
 
@@ -932,7 +944,7 @@ def verify_step(
             return _reject("write-value-mismatch")
         post_mem_root = merkle.recompute_root(scheme.leaf_hash(computed_new), proof, scheme)
 
-    post_root = VmFields(pc, regs, exited, exit_code, post_mem_root).state_root(scheme)
+    post_root = VmFields(pc, tuple(regs), exited, exit_code, post_mem_root).state_root(scheme)
     if post_root != claimed_post_root:
         return Verdict(False, "post-root-mismatch", post_root, True)
     return Verdict(True, "", post_root, True)

@@ -764,7 +764,10 @@ _PROGRAMS = hst.builds(lambda body, end: _program_words(body + [end]),
 def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int | None]:
     """verify_step(root(s), root(step(s)), gen_step_witness(s)) accepts and
     recomputes root(step(s)) at every state reached; returns the opcodes
-    executed (None for an unknown one) and the exit code."""
+    executed (None for an unknown one) and the exit code. No view changes
+    the registers it is given: the witness and the parsed witness keep
+    their own register tuples, and a step that exits (a trap or HALT)
+    keeps the pre-state's registers."""
     oracle = PreimageOracle(SCHEME)
     state = boot(*words)
     state.memory = fpvm.write_bytes(state.memory, ORACLE_KEY_BASE, oracle.put(_PREIMAGE_VALUE))
@@ -775,12 +778,20 @@ def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int 
         if state.pc % 4 == 0:
             word = struct.unpack("<I", fpvm.read_bytes(state.memory, state.pc, 4))[0]
             ops.add(_OPNAMES.get(word >> 24))
+        pre_regs = state.regs
         post = step(state, oracle)
-        blob = gen_step_witness(state, oracle).to_bytes()
-        verdict = verify_step(state_root(state), state_root(post), fpvm.StepWitness.from_bytes(blob),
+        witness = gen_step_witness(state, oracle)
+        parsed = fpvm.StepWitness.from_bytes(witness.to_bytes())
+        parsed_regs = parsed.pre_fields.regs
+        verdict = verify_step(state_root(state), state_root(post), parsed,
                               preimages=oracle, scheme=SCHEME)
         assert verdict.accepted, verdict.reason
         assert verdict.recomputed_post == state_root(post)
+        assert witness.pre_fields.regs is state.regs is pre_regs
+        assert parsed.pre_fields.regs is parsed_regs and parsed_regs == pre_regs
+        assert type(post.regs) is tuple
+        if post.exited:
+            assert post.regs == pre_regs
         state = post
     return ops, state.exit_code if state.exited else None
 
@@ -908,6 +919,7 @@ def _folded(state, oracle=None) -> list:
     states = [state]
     while not states[-1].exited:
         states.append(step(states[-1], oracle))
+    assert all(type(s.regs) is tuple for s in states)
     return states
 
 
@@ -921,6 +933,7 @@ def _whole_runs_read_like_single_steps(state, oracle=None) -> fpvm.VmState:
     assert steps == len(trace) == len(folded) - 1
     for got in [*trace.states, final]:
         want = folded[got.step_count - state.step_count]
+        assert type(got.regs) is tuple
         assert (got.pc, got.regs, got.exited, got.exit_code, state_root(got)) == (
             want.pc, want.regs, want.exited, want.exit_code, state_root(want))
     return final
@@ -1021,6 +1034,28 @@ def test_a_trace_queried_at_every_index_keeps_only_its_snapshots():
     assert live_states() - before == len(trace.states) < len(trace)
 
 
+def test_each_state_a_run_gives_out_holds_its_own_registers():
+    """A run keeps one register list and gives each state it yields a tuple
+    of it, shared with the state before when no register changed. Kept all
+    at once, the states a walk yields from mid-block and the snapshots of a
+    fork's suffix each hold the registers that folding `step` reaches at
+    their own index, not the run's last ones."""
+    state0 = load_program(_random_program(random.Random(34), 300), scheme=SCHEME)
+    folded = _folded(state0)
+    trace = run_trace(state0)
+    start = fpvm.SNAPSHOT_EVERY + 5
+    walked = list(trace.walk(start))
+    assert all(type(s.regs) is tuple for s in walked)
+    assert [s.regs for s in walked] == [s.regs for s in folded[start:]]
+    assert len({s.regs for s in walked}) > 1
+    assert all(a.regs is b.regs for a, b in zip(folded, folded[1:]) if a.regs == b.regs)
+    fault = StepFault(step=start, leaf_index=HEAP_BASE // 32, bit=1)
+    reference = _faulted_from_scratch(state0, fault)
+    suffix = [s for s in trace.fork(fault).states if s.step_count >= start]
+    assert len(suffix) > 2 and all(type(s.regs) is tuple for s in suffix)
+    assert [s.regs for s in suffix] == [reference[s.step_count].regs for s in suffix]
+
+
 @pytest.mark.parametrize("budget", [1, fpvm.SNAPSHOT_EVERY, 2 * fpvm.SNAPSHOT_EVERY + 5])
 def test_budget_running_out_mid_block_reports_the_state_reached(monkeypatch, budget):
     state0 = load_program(_random_program(random.Random(30), 200), scheme=SCHEME)
@@ -1031,6 +1066,7 @@ def test_budget_running_out_mid_block_reports_the_state_reached(monkeypatch, bud
             runner(state0)
         assert exc.value.steps == budget
         assert exc.value.state.step_count == budget
+        assert type(exc.value.state.regs) is tuple and exc.value.state.regs == want.regs
         assert state_root(exc.value.state) == state_root(want)
 
 
