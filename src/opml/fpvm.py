@@ -40,15 +40,22 @@ block of 2**READ_BLOCK_LEVEL leaves around a missed leaf in one descent
 (`MemTree.leaf_block`), so it reads each block at most once; `step` and the
 replays of `Trace.walk` read leaf by leaf.
 
-The stepping loop carries pc as a local and the registers as one list that
-`_execute` changes in place, and builds a `VmState`, with a tuple copy of
-the registers, only where one is kept. A trace (`run_trace`) is its
-snapshots: the first state, every SNAPSHOT_EVERY-th and the final one, and
-nothing per step. Any other state is rebuilt by replaying at most
-SNAPSHOT_EVERY - 1 steps from the snapshot before it, through the same loop
-(`Trace.walk`), and nothing replayed is kept. `run` keeps no snapshots. A
-faulty trace is a fork of the honest one (`Trace.fork`): it shares the
-honest snapshots before the fault step and runs only the rest.
+One `_execute` call runs a block of steps: a whole run's blocks end at its
+snapshots or its exit, while `step`, the replays of `Trace.walk`,
+`gen_step_witness` and `verify_step` run one step a call. A block reads its
+fetches and LI immediates from the last leaf it read code from, until a SW
+or a PREIMAGE, which may overwrite that leaf. A raise leaves the raising
+step unapplied and the earlier steps of its block applied, and the stepping
+loop drops its registers on any raise. That loop carries pc as a local and
+the registers as one list that `_execute` changes in place, and builds a
+`VmState`, with a tuple copy of the registers, only where one is kept. A
+trace (`run_trace`) is its snapshots: the first state, every
+SNAPSHOT_EVERY-th and the final one, and nothing per step. Any other state
+is rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot
+before it, through the same loop (`Trace.walk`), and nothing replayed is
+kept. `run` keeps no snapshots. A faulty trace is a fork of the honest one
+(`Trace.fork`): it shares the honest snapshots before the fault step and
+runs only the rest.
 """
 
 from __future__ import annotations
@@ -369,12 +376,14 @@ _unpack_word = struct.Struct("<I").unpack_from
 
 
 def _execute(
-    pc: int, regs: list[int], mem: _TreeMemory | _RecordingMemory | _WitnessMemory
-) -> tuple[int, bool, int]:
-    """The step semantics: (pc, exited, exit_code) after the instruction at
-    `pc`, touching memory only through the view `mem`. The register list
-    `regs` is written in place, at most one register and as the step's last
-    act, so a raise leaves it untouched too.
+    pc: int, regs: list[int], mem: _TreeMemory | _RecordingMemory | _WitnessMemory, limit: int = 1
+) -> tuple[int, bool, int, int]:
+    """The step semantics: (pc, exited, exit_code, steps) after a block of
+    up to `limit` steps from `pc`, touching memory only through the view
+    `mem`; `steps` falls short of `limit` only when a trap or HALT, which
+    it counts, exits. The register list `regs` is written in place, at most
+    one register per step and as the step's last act, so a raise leaves
+    the raising step unapplied and the earlier steps of the block applied.
 
     A view serves whole leaves by base address: it reads one
     (`read_leaf(base, miss)`, where `miss` is the reject reason the
@@ -385,68 +394,82 @@ def _execute(
     is always the step's last memory access. Traps leave pc and regs
     unchanged.
 
-    The opcode tests run in the order of a lowered MLP's opcode mix (LI, ADD
-    and LW about 22% of steps each, MULFX, MUL and AND 11% each); every
-    instruction that writes a register falls through to one masked write.
+    A fetch or an LI immediate in the leaf the block last read code from
+    (`code`, at `code_base`) reads that copy, not the view, until a SW or a
+    PREIMAGE, either of which may overwrite it: a lowered program runs
+    straight through, eight words a leaf. The opcode tests run in the
+    order of a lowered MLP's opcode mix (LI, ADD and LW about 22% of steps
+    each, MULFX, MUL and AND 11% each); every instruction that writes a
+    register falls through to one masked write.
     """
-    if pc & 3:
-        return pc, True, TRAP_BAD_PC
-    word = _unpack_word(mem.read_leaf(pc & ~31, "missing-fetch-leaf"), pc & 31)[0]
-    op, rd, rs, rt, imm = _SPLIT.get(word) or _split(word)
-    next_pc = (pc + 4) & MASK32
-    if op == 0x01:  # LI
-        value = _unpack_word(mem.read_leaf(next_pc & ~31, "missing-li-leaf"), next_pc & 31)[0]
-        next_pc = (pc + 8) & MASK32
-    elif op == 0x10:  # ADD
-        value = regs[rs] + regs[rt]
-    elif op == 0x02:  # LW
-        addr = (regs[rs] + imm) & MASK32
-        if addr & 3:
-            return pc, True, TRAP_BAD_ALIGN
-        value = _unpack_word(mem.read_leaf(addr & ~31, "missing-load-leaf"), addr & 31)[0]
-    elif op == 0x13:  # MULFX: signed 64-bit product, arithmetic shift
-        a, b = regs[rs], regs[rt]
-        value = ((a - ((a & 0x8000_0000) << 1)) * (b - ((b & 0x8000_0000) << 1))) >> MULFX_SHIFT
-    elif op == 0x12:  # MUL
-        value = regs[rs] * regs[rt]
-    elif op == 0x15:  # AND
-        value = regs[rs] & regs[rt]
-    elif op == 0x03:  # SW
-        addr = (regs[rs] + imm) & MASK32
-        if addr & 3:
-            return pc, True, TRAP_BAD_ALIGN
-        base = addr & ~31
-        mem.put_leaf(base, _with_word(mem.old_leaf(base), addr, regs[rt]))
-        return next_pc, False, 0
-    elif op == 0x11:  # SUB
-        value = regs[rs] - regs[rt]
-    elif op == 0x14:  # SRA
-        value = sign32(regs[rs]) >> (imm & 31)
-    elif op == 0x20:  # BEQ
-        if regs[rs] == regs[rt]:
-            next_pc = (pc + 4 + 4 * imm) & MASK32
-        return next_pc, False, 0
-    elif op == 0x21:  # BLT
-        if sign32(regs[rs]) < sign32(regs[rt]):
-            next_pc = (pc + 4 + 4 * imm) & MASK32
-        return next_pc, False, 0
-    elif op == 0x22:  # JMP
-        value = pc + 4
-        next_pc = (regs[rs] + 4 * imm) & MASK32
-    elif op == 0x30:  # PREIMAGE
-        key = mem.read_leaf(ORACLE_KEY_BASE, "missing-key-leaf")
-        value_chunk = mem.chunk(key, regs[rs])
-        if regs[rd] >= _ORACLE_VALUE_LEAVES:
-            return pc, True, TRAP_BAD_REGION
-        mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[rd], value_chunk)
-        return next_pc, False, 0
-    elif op == 0x3F:  # HALT
-        return pc, True, imm & 0xFF
-    else:
-        return pc, True, TRAP_BAD_OPCODE
-    if rd:  # r0 is hardwired to zero
-        regs[rd] = value & MASK32
-    return next_pc, False, 0
+    # No method is bound to a local and no range is built: at limit=1, the
+    # block of a witness, a verifier or a replay, either costs more than it saves.
+    code_base, steps = -1, 0
+    while steps < limit:
+        steps += 1
+        if pc & 3:
+            return pc, True, TRAP_BAD_PC, steps
+        if pc & ~31 != code_base:
+            code, code_base = mem.read_leaf(pc & ~31, "missing-fetch-leaf"), pc & ~31
+        word = _unpack_word(code, pc & 31)[0]
+        op, rd, rs, rt, imm = _SPLIT.get(word) or _split(word)
+        next_pc = (pc + 4) & MASK32
+        if op == 0x01:  # LI
+            if next_pc & ~31 != code_base:
+                code, code_base = mem.read_leaf(next_pc & ~31, "missing-li-leaf"), next_pc & ~31
+            value = _unpack_word(code, next_pc & 31)[0]
+            next_pc = (pc + 8) & MASK32
+        elif op == 0x10:  # ADD
+            value = regs[rs] + regs[rt]
+        elif op == 0x02:  # LW
+            addr = (regs[rs] + imm) & MASK32
+            if addr & 3:
+                return pc, True, TRAP_BAD_ALIGN, steps
+            value = _unpack_word(mem.read_leaf(addr & ~31, "missing-load-leaf"), addr & 31)[0]
+        elif op == 0x13:  # MULFX: signed 64-bit product, arithmetic shift
+            a, b = regs[rs], regs[rt]
+            value = ((a - ((a & 0x8000_0000) << 1)) * (b - ((b & 0x8000_0000) << 1))) >> MULFX_SHIFT
+        elif op == 0x12:  # MUL
+            value = regs[rs] * regs[rt]
+        elif op == 0x15:  # AND
+            value = regs[rs] & regs[rt]
+        elif op == 0x03:  # SW
+            addr = (regs[rs] + imm) & MASK32
+            if addr & 3:
+                return pc, True, TRAP_BAD_ALIGN, steps
+            base = addr & ~31
+            mem.put_leaf(base, _with_word(mem.old_leaf(base), addr, regs[rt]))
+            pc, code_base = next_pc, -1
+            continue
+        elif op == 0x11:  # SUB
+            value = regs[rs] - regs[rt]
+        elif op == 0x14:  # SRA
+            value = sign32(regs[rs]) >> (imm & 31)
+        elif op == 0x20:  # BEQ
+            pc = (pc + 4 + 4 * imm) & MASK32 if regs[rs] == regs[rt] else next_pc
+            continue
+        elif op == 0x21:  # BLT
+            pc = (pc + 4 + 4 * imm) & MASK32 if sign32(regs[rs]) < sign32(regs[rt]) else next_pc
+            continue
+        elif op == 0x22:  # JMP
+            value = pc + 4
+            next_pc = (regs[rs] + 4 * imm) & MASK32
+        elif op == 0x30:  # PREIMAGE
+            key = mem.read_leaf(ORACLE_KEY_BASE, "missing-key-leaf")
+            value_chunk = mem.chunk(key, regs[rs])
+            if regs[rd] >= _ORACLE_VALUE_LEAVES:
+                return pc, True, TRAP_BAD_REGION, steps
+            mem.put_leaf(ORACLE_VALUE_BASE + 32 * regs[rd], value_chunk)
+            pc, code_base = next_pc, -1
+            continue
+        elif op == 0x3F:  # HALT
+            return pc, True, imm & 0xFF, steps
+        else:
+            return pc, True, TRAP_BAD_OPCODE, steps
+        if rd:  # r0 is hardwired to zero
+            regs[rd] = value & MASK32
+        pc = next_pc
+    return pc, False, 0, limit
 
 
 class _TreeMemory:
@@ -598,14 +621,17 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
                 block: int | None = None):
     """Steps from `state` to the exited state over one run view, yielding
     the states whose `step_count` is a multiple of `every`, the exited one,
-    and the one at `max_steps` before the budget error below. The loop
+    and the one at `max_steps` before the budget error below. Each state it
+    yields is one `_execute` call, for the steps up to that state. The loop
     carries pc and flags as locals and the registers as one list, which
     `_execute` changes in place, and builds a VmState only for a state it
     yields. Its registers are a tuple of the list's values, the state
     before's own tuple when they equal it: a witness window keeps thousands
     of states, and a store or a branch writes no register. Its memory is
     the view's `seal`, so no store reaches a tree until something reads
-    that state's memory.
+    that state's memory. A raise (a missing preimage) ends the run, and its
+    register list and view, which may hold earlier steps of the raising
+    call, are dropped with it.
 
     Raises BudgetExceededError at a state that has made `max_steps` steps
     (`step_count`, counted from step 0 of its run) without exiting. `run`
@@ -619,10 +645,7 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
         if n >= max_steps:
             raise BudgetExceededError(VmState(pc, tuple(regs), mem.seal(), exited, exit_code, n),
                                       max_steps)
-        for done in range(1, min(every - n % every, max_steps - n) + 1):
-            pc, exited, exit_code = _execute(pc, regs, mem)
-            if exited:
-                break
+        pc, exited, exit_code, done = _execute(pc, regs, mem, min(every - n % every, max_steps - n))
         n += done
         if kept != (now := tuple(regs)):
             kept = now
@@ -915,7 +938,7 @@ def verify_step(
     mem = _WitnessMemory(leaves, witness, preimages, preimage_chunk_check)
     regs = list(f.regs)
     try:
-        pc, exited, exit_code = _execute(f.pc, regs, mem)
+        pc, exited, exit_code, _ = _execute(f.pc, regs, mem)
     except _Rejected as exc:
         return _reject(str(exc))
 

@@ -358,13 +358,14 @@ def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch, 
     walks = []  # [states yielded, steps replayed], one per walk
     live = []  # the walk whose replay is running
 
-    def counting(pc, regs, mem):
+    def counting(pc, regs, mem, limit=1):
+        out = real_execute(pc, regs, mem, limit)
         if type(mem) is fpvm._TreeMemory:
             if live:
-                live[-1][1] += 1
+                live[-1][1] += out[3]
             else:
-                run_steps[0] += 1
-        return real_execute(pc, regs, mem)
+                run_steps[0] += out[3]
+        return out
 
     def walk(trace, start=0):
         record = [0, 0]

@@ -802,26 +802,44 @@ def test_prover_verifier_agree_on_generated_programs(words):
     _assert_agreement(words)
 
 
+# A body that runs every opcode but HALT, and each way to end it with the
+# exit code it gives: HALT and every trap.
+_EVERY_OPCODE = [("alu", op, 1, 2, 3) for op in _ALU_OPS] + [
+    ("sra", 4, 1, 3), ("li", 2, 0x8000_0001, True), ("SW", 2, 8, 12), ("LW", 5, 8, 12),
+    ("SW", 0, 0, 0), ("branch", "BEQ", 0, 0, 2), ("branch", "BLT", 2, 0, 1), ("jmp", 6, 2),
+    ("preimage", 1, 3), ("preimage", _ORACLE_VALUE_LEAVES - 1, 9),
+]
+_EVERY_EXIT = {
+    ("halt", 7): 7,
+    ("raw", 0x99 << 24): fpvm.TRAP_BAD_OPCODE,
+    ("LW", 1, 8, 2): fpvm.TRAP_BAD_ALIGN,
+    ("SW", 1, 8, -3): fpvm.TRAP_BAD_ALIGN,
+    ("jmp-to", 3, 0x1002): fpvm.TRAP_BAD_PC,
+    ("preimage", _ORACLE_VALUE_LEAVES, 0): fpvm.TRAP_BAD_REGION,
+}
+
+
 def test_agreement_generator_reaches_every_opcode_and_trap():
-    body = [("alu", op, 1, 2, 3) for op in _ALU_OPS] + [
-        ("sra", 4, 1, 3), ("li", 2, 0x8000_0001, True), ("SW", 2, 8, 12), ("LW", 5, 8, 12),
-        ("SW", 0, 0, 0), ("branch", "BEQ", 0, 0, 2), ("branch", "BLT", 2, 0, 1), ("jmp", 6, 2),
-        ("preimage", 1, 3), ("preimage", _ORACLE_VALUE_LEAVES - 1, 9),
-    ]
-    ends = {
-        ("halt", 7): 7,
-        ("raw", 0x99 << 24): fpvm.TRAP_BAD_OPCODE,
-        ("LW", 1, 8, 2): fpvm.TRAP_BAD_ALIGN,
-        ("SW", 1, 8, -3): fpvm.TRAP_BAD_ALIGN,
-        ("jmp-to", 3, 0x1002): fpvm.TRAP_BAD_PC,
-        ("preimage", _ORACLE_VALUE_LEAVES, 0): fpvm.TRAP_BAD_REGION,
-    }
     seen = set()
-    for end, code in ends.items():
-        ops, exit_code = _assert_agreement(_program_words(body + [end]))
+    for end, code in _EVERY_EXIT.items():
+        ops, exit_code = _assert_agreement(_program_words(_EVERY_OPCODE + [end]))
         assert exit_code == code
         seen |= ops
     assert seen == set(fpvm.OPCODES) | {None}
+
+
+def test_an_exit_inside_a_block_ends_whole_runs_where_single_steps_do():
+    """HALT and each trap, run by `run` and `run_trace` at a step that ends
+    no snapshot block, stop them at the step count, exit code and root
+    that folding `step` reaches."""
+    oracle = PreimageOracle(SCHEME)
+    key = oracle.put(_PREIMAGE_VALUE)
+    for end, code in _EVERY_EXIT.items():
+        state = boot(*_program_words(_EVERY_OPCODE + [end]))
+        state.memory = fpvm.write_bytes(state.memory, ORACLE_KEY_BASE, key)
+        final = _whole_runs_read_like_single_steps(state, oracle)
+        assert final.exited and final.exit_code == code
+        assert final.step_count % fpvm.SNAPSHOT_EVERY
 
 
 def test_preimage_fetched_from_the_oracle_key_leaf():
@@ -991,6 +1009,43 @@ def test_a_block_read_serves_code_the_program_rewrote():
     final = _whole_runs_read_like_single_steps(boot(*words))
     r1 = final.regs[1]
     assert (final.exit_code, final.regs[5], final.regs[6]) == (2, 2 * r1 & 0xFFFFFFFF, -r1 & 0xFFFFFFFF)
+
+
+def test_a_block_fetches_what_a_store_wrote_over_the_leaf_it_runs():
+    """A block reuses the leaf it last fetched from, so a store into that
+    leaf must reach the block's next fetch: a SW over the next instruction,
+    a SW over the next LI's immediate, and a PREIMAGE, run from the
+    oracle-value region, over the leaf it runs from. Each word runs as
+    stored."""
+    final = _whole_runs_read_like_single_steps(boot(
+        encode("LI", rd=1), encode("ADD", rd=5, rs=1, rt=1),
+        encode("SW", rs=0, rt=1, imm=12),  # word 3 <- ADD r5, r1, r1
+        NOP,
+        encode("HALT"),
+    ))
+    assert final.regs[5] == 2 * final.regs[1] & 0xFFFFFFFF
+
+    final = _whole_runs_read_like_single_steps(boot(
+        encode("LI", rd=1), 0x12345678,
+        encode("SW", rs=0, rt=1, imm=16),  # word 4, the immediate of the LI below
+        encode("LI", rd=2), 0,
+        encode("HALT"),
+    ))
+    assert final.regs[2] == 0x12345678
+
+    old_code = prog(encode("PREIMAGE", rd=7, rs=8), encode("HALT", imm=1))  # chunk 0
+    new_code = prog(NOP, encode("ADD", rd=3, rs=8, rt=8), encode("HALT", imm=2))  # chunk 1
+    oracle = PreimageOracle(SCHEME)
+    key = oracle.put(old_code.ljust(32, b"\x00") + new_code)
+    state = boot(
+        encode("PREIMAGE", rd=7, rs=0),  # chunk 0 into oracle-value leaf r7 = 0
+        encode("LI", rd=8), 1,
+        encode("LI", rd=6), ORACLE_VALUE_BASE,
+        encode("JMP", rs=6),  # runs chunk 0, whose PREIMAGE puts chunk 1 over it
+    )
+    state.memory = fpvm.write_bytes(state.memory, ORACLE_KEY_BASE, key)
+    final = _whole_runs_read_like_single_steps(state, oracle)
+    assert (final.exit_code, final.regs[3]) == (2, 2)
 
 
 def test_checkpointed_trace_answers_every_index_like_folding_step():
