@@ -5,27 +5,21 @@ memory word group, so the leaves cover addresses 0 .. 2**32 - 1. Absent
 leaves read as all zeros, and all-zero subtrees collapse to memoized digests,
 so a tree touching a few pages stays small.
 
-Updates are persistent: `update_leaf` copies the 27-node path and shares
-everything else, so any snapshot can be kept in O(1) while a successor
-version evolves. A batch of writes can wait: `with_writes` is an O(1)
-version that reads as its base plus a dict of leaf writes, and the first
-method that reads or hashes it builds it. The build merges the pending
-writes of its chain of unbuilt versions, newest value per leaf, and applies
-them under one owner token: a path node this build made is changed in place
-by its later leaves, and any other node is copied as `update_leaf` copies
-it. So a VM run that yields many states builds only those that something
-reads, each once, and copies a node at most once per build. Digests are
-lazy: a copied node is built without one, and `root`, `prove` and
+Updates are persistent: one writer, `_set`, copies each written path once
+and shares the rest, so a snapshot is kept in O(1). `with_writes` makes an
+O(1) version that reads as its base plus a dict of leaf writes; the first
+method that reads or hashes it merges the pending writes of its chain of
+unbuilt versions, newest value per leaf, and builds them with one `_set`
+call. Digests are lazy: a copied node has none, and `root`, `prove` and
 `subtree_root` hash a missing digest on first use and keep it in the node.
-No build hashes, so no kept digest goes stale. A VM run that writes on
-every step but opens a handful of roots hashes only the paths those roots
-cover. A whole image is loaded bottom-up: `build_region` builds a region's
-subtree, unhashed like any path copy, and `MemTree.splice` hangs it in at
-its aligned place; `region_root` hashes one on its own. The program region
-is the exception: `fpvm.load_program` hands its subtree the digest that
-`fpvm.program_root` keeps for the program's content (`subtree_digest` with
-`known`), so a reloaded program's interior is hashed only where a proof
-opens a path.
+No write hashes, and `_set` never changes a node it has returned, so no
+kept digest goes stale. A whole image is loaded bottom-up: `build_region`
+builds a region's subtree, unhashed like any path copy, and
+`MemTree.splice` hangs it in at its aligned place; `region_root` hashes
+one on its own. The program region is the exception: `fpvm.load_program`
+hands its subtree the digest that `fpvm.program_root` keeps for the
+program's content (`subtree_digest` with `known`), so a reloaded program's
+interior is hashed only where a proof opens a path.
 
 The tree keeps no read cache: `get_leaf` walks from the root to one leaf,
 and `leaf_block` walks once to an aligned block of leaves and reads each
@@ -38,6 +32,7 @@ by leaf.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .hashing import HashScheme, TREE_DEPTH, ZERO_LEAF
@@ -58,32 +53,17 @@ class _Node:
     """Internal node; children are _Node, bytes (a leaf value) or None (zero).
 
     `digest` is None until `_child_digest` first needs it and then memoised:
-    a node's children change only while the build that made it runs, which
-    hashes nothing (`_write`), so a stored digest never goes stale.
+    only `_set` and `build_region` make nodes, and neither changes a node
+    once it returns it, so a stored digest never goes stale.
     An anchor of `root_from_regions` is a _Node with only a preset digest,
     at any level, the leaf level included."""
 
     __slots__ = ("digest", "left", "right")
-    owner = None  # no build owns a plain node (see _OwnedNode)
 
     def __init__(self, left, right):
         self.digest = None
         self.left = left
         self.right = right
-
-
-class _OwnedNode(_Node):
-    """A node that a build of a pending `MemTree` made (`_write`), with the
-    build's token as `owner`. Only such nodes pay for the slot: a tree
-    holds far more nodes that `build_region` or a path copy made."""
-
-    __slots__ = ("owner",)
-
-    def __init__(self, left, right, owner):
-        self.digest = None
-        self.left = left
-        self.right = right
-        self.owner = owner
 
 
 def _child_digest(child, level: int, scheme: HashScheme) -> bytes:
@@ -97,49 +77,29 @@ def _child_digest(child, level: int, scheme: HashScheme) -> bytes:
     return child.digest
 
 
-def _set(node, level: int, index: int, subtree, stop: int):
+def _set(node, level: int, items: list, stop: int):
     """Copy of the level-`level` `node` with its level-`stop` descendant over
-    `index` replaced by `subtree`. The copied path nodes get no digest."""
+    each `(index, subtree)` of `items` replaced by that subtree. `items` is
+    sorted by index, each index once, and all of them lie under `node`.
+    Each node on a written path is copied once, without a digest, and a
+    copy left with no child is None."""
     if level == stop:
-        return subtree
+        return items[0][1]
     left = node.left if node is not None else None
     right = node.right if node is not None else None
-    if (index >> (level - 1)) & 1:
-        right = _set(right, level - 1, index, subtree, stop)
+    level -= 1
+    last = items[-1][0]
+    if not (last >> level) & 1:
+        left = _set(left, level, items, stop)
+    elif (items[0][0] >> level) & 1:
+        right = _set(right, level, items, stop)
     else:
-        left = _set(left, level - 1, index, subtree, stop)
+        cut = bisect_left(items, (last >> level << level,))  # the first index on the right
+        left = _set(left, level, items[:cut], stop)
+        right = _set(right, level, items[cut:], stop)
     if left is None and right is None:
         return None
     return _Node(left, right)
-
-
-def _write(root, index: int, leaf: bytes, owner):
-    """`root`, a level-TREE_DEPTH node or None, with the non-zero `leaf` at
-    `index`. A node on the path that `owner` owns is changed in place, and
-    any other one is replaced by a copy that `owner` owns. Only the build
-    that holds `owner` may pass it, and it hashes nothing until it is done,
-    so no node it changes has a digest yet."""
-    if root is None:
-        root = _OwnedNode(None, None, owner)
-    elif root.owner is not owner:
-        root = _OwnedNode(root.left, root.right, owner)
-    node = root
-    for level in range(TREE_DEPTH - 1, 0, -1):
-        right = (index >> level) & 1
-        child = node.right if right else node.left
-        if child is None or child.owner is not owner:
-            child = (_OwnedNode(None, None, owner) if child is None
-                     else _OwnedNode(child.left, child.right, owner))
-            if right:
-                node.right = child
-            else:
-                node.left = child
-        node = child
-    if index & 1:
-        node.right = leaf
-    else:
-        node.left = leaf
-    return root
 
 
 class MemTree:
@@ -175,25 +135,20 @@ class MemTree:
 
         The build walks up to the nearest built version, merges the pending
         writes of the chain oldest first, so each leaf is written once with
-        its newest value, applies them under a fresh owner token
-        (`_write`), and drops the base and the writes. A ZERO_LEAF write is
-        a plain path copy (`_set`), as its path may collapse."""
+        its newest value, copies their paths in one `_set` call, and drops
+        the base and the writes."""
         if self._base is None:
             return self._root
         chain, built = [], self
         while built._base is not None:
             chain.append(built)
             built = built._base
-        node = built._root
         writes: dict[int, bytes] = {}
         for version in reversed(chain):
             writes.update(version._writes)
-        owner = object()
-        for index, leaf in writes.items():
-            if leaf == ZERO_LEAF:
-                node = _set(node, TREE_DEPTH, index, None, 0)
-            else:
-                node = _write(node, index, leaf, owner)
+        items = [(index, None if leaf == ZERO_LEAF else leaf)
+                 for index, leaf in sorted(writes.items())]
+        node = _set(built._root, TREE_DEPTH, items, 0)
         self._root, self._base, self._writes = node, None, None
         return node
 
@@ -239,14 +194,14 @@ class MemTree:
             raise RangeError(f"leaf index {index} out of range")
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
-        new_root = _set(self._top(), TREE_DEPTH, index, None if leaf == ZERO_LEAF else leaf, 0)
+        new_root = _set(self._top(), TREE_DEPTH, [(index, None if leaf == ZERO_LEAF else leaf)], 0)
         return MemTree(self.scheme, new_root)
 
     def splice(self, index: int, level: int, subtree) -> "MemTree":
         """Return a new tree with the region of 2**level leaves at `index`
         replaced by `subtree` (from `build_region`); self is unchanged."""
         self._check_aligned(index, level)
-        return MemTree(self.scheme, _set(self._top(), TREE_DEPTH, index, subtree, level))
+        return MemTree(self.scheme, _set(self._top(), TREE_DEPTH, [(index, subtree)], level))
 
     def prove(self, index: int, subtree_level: int = 0) -> "MerkleProof":
         """Membership proof for the subtree of 2**subtree_level leaves at `index`."""

@@ -68,24 +68,47 @@ def test_two_single_leaf_writes_differ():
     assert b.root() == oracle_single_leaf_root(5, b.get_leaf(5))
 
 
-@given(st.lists(st.tuples(st.integers(0, 1000), st.binary(min_size=32, max_size=32)), max_size=20))
-@settings(max_examples=50, deadline=None)
-def test_root_independent_of_insertion_order(writes):
-    tree_fwd = merkle.MemTree(SCHEME)
+def _order_cases(count: int, seed: int):
+    """`count` lists of up to 20 (index, leaf) writes, indices in 0-1000:
+    about half repeat an earlier index and a quarter write ZERO_LEAF."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        writes: list[tuple[int, bytes]] = []
+        for _ in range(rng.randint(0, 20)):
+            index = rng.choice(writes)[0] if writes and rng.random() < 0.5 else rng.randint(0, 1000)
+            writes.append((index, ZERO_LEAF if rng.random() < 0.25 else rand_leaf(rng)))
+        yield writes
+
+
+def tree_of(writes) -> merkle.MemTree:
+    tree = merkle.MemTree(SCHEME)
     for idx, leaf in writes:
-        tree_fwd = tree_fwd.update_leaf(idx, leaf)
-    tree_rev = merkle.MemTree(SCHEME)
-    final = {}
-    for idx, leaf in writes:
-        final[idx] = leaf
-    for idx, leaf in sorted(final.items(), reverse=True):
-        tree_rev = tree_rev.update_leaf(idx, leaf)
-    # forward insertion keeps stale values overwritten; rebuild to compare
-    tree_fwd2 = merkle.MemTree(SCHEME)
-    for idx, leaf in final.items():
-        tree_fwd2 = tree_fwd2.update_leaf(idx, leaf)
-    assert tree_fwd2.root() == tree_rev.root()
-    assert tree_fwd.root() == tree_fwd2.root()
+        tree = tree.update_leaf(idx, leaf)
+    return tree
+
+
+def test_root_independent_of_insertion_order():
+    for writes in _order_cases(60, 71):
+        tree_fwd = tree_of(writes)
+        tree_rev = merkle.MemTree(SCHEME)
+        final = {}
+        for idx, leaf in writes:
+            final[idx] = leaf
+        for idx, leaf in sorted(final.items(), reverse=True):
+            tree_rev = tree_rev.update_leaf(idx, leaf)
+        # forward insertion keeps stale values overwritten; rebuild to compare
+        tree_fwd2 = merkle.MemTree(SCHEME)
+        for idx, leaf in final.items():
+            tree_fwd2 = tree_fwd2.update_leaf(idx, leaf)
+        assert tree_fwd2.root() == tree_rev.root()
+        assert tree_fwd.root() == tree_fwd2.root()
+        # The same writes as one pending version, built by one `_set` call over
+        # all of them, on an empty tree and on the tree of the first half.
+        half = len(writes) // 2
+        for base, batch in ((merkle.MemTree(SCHEME), writes), (tree_of(writes[:half]), writes[half:])):
+            batched = base.with_writes(dict(batch))
+            assert shape(batched._top()) == shape(tree_fwd._top())
+            assert batched.root() == tree_fwd.root()
 
 
 def test_update_is_persistent():
@@ -388,7 +411,7 @@ def test_pending_versions_build_in_any_order_like_leaf_by_leaf_updates():
     """A chain of `with_writes` versions, built newest first, oldest next and
     a superseded branch last, reads, proves and hashes as `update_leaf`
     applied write by write. A build hashes nothing. Zero writes collapse
-    their paths, also between owned writes of one build; a built version
+    their paths, also next to non-zero writes of one build; a built version
     still updates persistently; no version changes its base or the writes
     it was given."""
     calls: list[bytes] = []
