@@ -297,10 +297,9 @@ def arbitrate_span(
 @dataclass(frozen=True)
 class ActorStrategy:
     """How a party plays: honestly, from a corrupted re-execution, with a
-    bad checkpoint round, going silent, or posting random junk.
-
-    A fault composes with any kind: a silent or wrong-midpoint party
-    still needs a corrupted trace to have something to claim."""
+    bad checkpoint round, going silent, or posting random junk. A fault
+    composes with any kind: a silent or wrong-midpoint party still needs a
+    corrupted trace to have something to claim."""
 
     kind: str = "honest"  # honest | fault | wrong-midpoint | silent | random
     fault: fpvm.StepFault | None = None
@@ -371,11 +370,10 @@ class VmTraceActor(BisectionActor):
     def witnesses(
         self, start_index: int, count: int, round_no: int = 0
     ) -> list[fpvm.StepWitness] | None:
-        """Witnesses of the `count` steps from `start_index`, walked from the
-        trace and generated under its oracle, ending early after the first
-        one of an exited machine: the rest is its fixpoint. The steps share
-        one dict of opened leaves by (memory root, leaf base), so each leaf is
-        proven once per root; each witness equals a lone `gen_step_witness`."""
+        """Witnesses of the `count` steps from `start_index`, under the
+        trace's oracle and through one `gen_step_witness` proofs dict,
+        ending early after the first one of an exited machine: the rest is
+        its fixpoint."""
         if self._silent(round_no):
             return None
         out, proofs = [], {}
@@ -417,12 +415,8 @@ def drive_rounds(
     phase: int,
 ) -> BisectionOutcome:
     """Run k-section rounds until the span is at most stop_span wide, logging
-    each move to the chain's transcript.
-
-    A missed move forfeits the game. A move outside the protocol can only
-    come from a bug in an actor, so `bisection_round`'s ProtocolViolation
-    propagates.
-    """
+    each move to the chain's transcript. A missed move forfeits the game;
+    `bisection_round`'s ProtocolViolation propagates."""
     while session.j > stop_span:
         round_no = session.round + 1
         indices = checkpoints(session.i, session.j, session.k_checkpoints)
@@ -457,14 +451,11 @@ def open_game(
     chain: ChainSim,
     phase: int,
 ) -> BisectionOutcome:
-    """Open a dispute on `claim` and play the game it names: k-section
-    rounds down to a span of m steps, the claim's padding unit.
-
-    Both parties must hold stakes. The session starts from the claim's
-    initial root and the challenger's counterclaim at the padded span end;
-    a challenger whose counterclaim is the claimed final root has none and
-    forfeits.
-    """
+    """Open a dispute on `claim` between staked parties and play its
+    k-section rounds down to a span of m steps, the claim's padding unit.
+    The session starts from the claim's initial root and the challenger's
+    counterclaim at the padded span end; a challenger whose counterclaim is
+    the claimed final root has none and forfeits."""
     for party in (submitter.party_id, challenger.party_id):
         if chain.stakes.get(party, 0) <= 0:
             raise ProtocolViolation(f"{party} is not staked")
@@ -486,15 +477,11 @@ def run_dispute(
     settle: bool = True,
 ) -> DisputeResult:
     """Drive the full game the claim names: k-section rounds, then m-step
-    arbitration.
-
-    Both parties must hold stakes in `chain`; the loser's stake is slashed
-    (half to the winner, half burned) and a missed move forfeits. With
-    settle=False no stake moves (the inner phase of a larger game, which
-    settles the stakes itself); either way the claim's dispute is closed and
-    the verdict logged. Witnesses are checked under the hash scheme of the
-    submitter's roots, against `oracle`, the arbiter's preimage store.
-    Rounds are logged as phase 2, the VM phase, in a single-phase game too.
+    arbitration, settled by `settle_verdict` (slashing unless settle=False,
+    the inner phase of a larger game). Witnesses are checked under the hash
+    scheme of the submitter's roots, against `oracle`, the arbiter's
+    preimage store. Rounds are logged as phase 2, the VM phase, in a
+    single-phase game too.
     """
     outcome = open_game(claim, submitter, challenger, chain, phase=2)
     session = outcome.session
@@ -587,11 +574,7 @@ def build_trace_actor(
     strategy: ActorStrategy,
 ) -> VmTraceActor:
     """The party holding the trace it believes in: the honest trace, or its
-    fork at the strategy's fault.
-
-    Any strategy kind may carry a fault: a silent or wrong-midpoint party
-    still needs a corrupted trace to have a counterclaim to defend.
-    """
+    fork at the strategy's fault, which any kind may carry (`ActorStrategy`)."""
     if strategy.kind == "fault" and strategy.fault is None:
         raise ValueError("fault strategy needs a fault")
     trace = honest_trace if strategy.fault is None else honest_trace.fork(strategy.fault)

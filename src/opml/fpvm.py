@@ -7,55 +7,25 @@ root, so two parties can dispute an execution by comparing roots, and a
 single disputed step can be re-executed by a verifier that holds nothing but
 the pre-state root and a small witness.
 
-Instruction set (14 opcodes, all arithmetic two's-complement wrapping):
+The 14-opcode instruction set, its encoding and its trap codes are
+specified in docs/formats.md. Unknown opcodes and misaligned accesses trap
+(exit with a trap code), never raise: hostile programs must still be
+arbitrable.
 
-  LI rd           rd <- next 32-bit word, pc += 8
-  LW rd, rs, imm  rd <- mem32[rs + imm]         (4-byte aligned, else trap)
-  SW rt, rs, imm  mem32[rs + imm] <- rt
-  ADD/SUB/MUL/AND rd, rs, rt
-  MULFX rd, rs, rt   rd <- wrap32((rs * rt) asr 16), signed 64-bit product
-  SRA rd, rs, imm    rd <- signed rs >> (imm & 31)
-  BEQ rs, rt, imm    pc-relative branch, offset in words from pc+4
-  BLT rs, rt, imm    signed less-than branch
-  JMP rd, rs, imm    rd <- pc+4; pc <- rs + imm*4
-  PREIMAGE rd, rs    load 32-byte chunk regs[rs] of the preimage keyed at
-                     the oracle-key field into oracle-value leaf regs[rd]
-  HALT imm           exited <- true, exit_code <- imm & 0xFF
+The step semantics, word access included, live only in `_execute`, which
+runs over one of three memory views of whole leaves: the run view
+(`_TreeMemory`, behind `step`, `run` and `run_trace`), the witness view
+(`_RecordingMemory`, behind `gen_step_witness`) and the verifier view
+(`_WitnessMemory`, behind `verify_step`). So the prover and the verifier
+execute the same instruction by construction.
 
-Unknown opcodes and misaligned accesses trap (exit with a trap code),
-never raise: hostile programs must still be arbitrable.
-
-The step semantics, word access included, live only in `_execute`. It runs
-over one of three memory views, which serve whole leaves only: the run view
-(`_successors`, behind `step`, `run` and `run_trace`), a view that records
-every accessed leaf with its proof (`gen_step_witness`), and a view that
-serves only the leaves a witness proves (`verify_step`). So the prover and
-the verifier execute the same instruction by construction. The run view
-keeps the leaves the run has read or written in a dict, so a run reads
-each leaf from its starting tree at most once, and writes no store to a
-tree: each state it yields carries a `MemTree.with_writes` version of the
-one before, which is built only if a root, a proof or a read needs it. A
-whole run (`run`, `run_trace`, and so a fork's suffix) reads the aligned
-block of 2**READ_BLOCK_LEVEL leaves around a missed leaf in one descent
-(`MemTree.leaf_block`), so it reads each block at most once; `step` and the
-replays of `Trace.walk` read leaf by leaf.
-
-One `_execute` call runs a block of steps: a whole run's blocks end at its
-snapshots or its exit, while `step`, the replays of `Trace.walk`,
-`gen_step_witness` and `verify_step` run one step a call. A block reads its
-fetches and LI immediates from the last leaf it read code from, until a SW
-or a PREIMAGE, which may overwrite that leaf. A raise leaves the raising
-step unapplied and the earlier steps of its block applied, and the stepping
-loop drops its registers on any raise. That loop carries pc as a local and
-the registers as one list that `_execute` changes in place, and builds a
-`VmState`, with a tuple copy of the registers, only where one is kept. A
-trace (`run_trace`) is its snapshots: the first state, every
-SNAPSHOT_EVERY-th and the final one, and nothing per step. Any other state
-is rebuilt by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot
-before it, through the same loop (`Trace.walk`), and nothing replayed is
-kept. `run` keeps no snapshots. A faulty trace is a fork of the honest one
-(`Trace.fork`): it shares the honest snapshots before the fault step and
-runs only the rest.
+A run reads each leaf from its starting tree at most once and writes no
+store to a tree: each state it yields carries a `MemTree.with_writes`
+version of the one before, built only when a root, a proof or a read needs
+it (`_TreeMemory.seal`). A whole run (`run`, `run_trace`, a fork's suffix)
+reads the aligned block of 2**READ_BLOCK_LEVEL leaves around a missed leaf
+in one descent; `step` and a trace's replays, too short to use a block,
+read leaf by leaf.
 """
 
 from __future__ import annotations
@@ -96,17 +66,11 @@ MASK32 = 0xFFFF_FFFF
 
 MAX_STEPS = 10_000_000  # step budget of every run and fork, above any program the region holds
 
-SNAPSHOT_EVERY = 16  # a trace keeps the state after every this many steps
+SNAPSHOT_EVERY = 16  # step spacing of a `Trace`'s snapshots
 
-# Level of the aligned leaf blocks a whole run reads, one descent per block
-# (`MemTree.leaf_block`). A 32-leaf block costs about eight single-leaf reads
-# (some 10 us against 1.2 us on CPython 3.11), most of it the walk over the
-# block's own 62 nodes. A lowered program fetches its code and reads its
-# operands in address order, so the rest of a block is read soon after: a
-# seed-1 `claim` op of the benchmark makes 196 block reads where it made
-# 6,202 leaf reads. Levels 4 to 7 ran it about equally fast and level 3
-# slower. A replay runs fewer than SNAPSHOT_EVERY steps, too few to use most
-# of a block, so it reads leaf by leaf.
+# Level of the leaf blocks a whole run reads (`MemTree.leaf_block`). A block
+# costs about eight single-leaf reads, and a lowered program reads its code
+# and operands in address order, so it soon uses the rest of the block.
 READ_BLOCK_LEVEL = 5
 
 # Exit codes for trap states.
@@ -170,12 +134,9 @@ def encode(op: str, rd: int = 0, rs: int = 0, rt: int = 0, imm: int = 0) -> int:
 
 
 def _split(word: int) -> tuple[int, int, int, int, int]:
-    """(opcode, rd, rs, rt, imm) of an instruction word, memoised in `_SPLIT`.
-
-    The memo is cleared when full. Splitting is pure, so a hit is safe even
-    when a program rewrites its own code. A lowered MLP executes 24 distinct
-    instruction words and a synthetic dispute program a few thousand, well
-    under the bound."""
+    """(opcode, rd, rs, rt, imm) of an instruction word, memoised in
+    `_SPLIT`, which is cleared when full. Splitting is pure, so a hit is
+    safe even when a program rewrites its own code."""
     if len(_SPLIT) >= _SPLIT_MAX:
         _SPLIT.clear()
     fields = _SPLIT[word] = (word >> 24, (word >> 20) & 0xF, (word >> 16) & 0xF,
@@ -293,16 +254,11 @@ def load_program(
     *,
     scheme: HashScheme,
 ) -> VmState:
-    """Fresh machine with code, input and model images in their regions.
-
-    Each image is built bottom-up as its region's subtree and spliced in;
+    """Fresh machine with code, input and model images in their regions:
     the memory equals writing the images leaf by leaf with `write_bytes`.
-    Raises merkle.RangeError (from `merkle.build_region`), before hashing
-    anything, when an image does not fit its region. The program region's
-    digest then comes from `program_root`'s memo: a program loaded before
-    under this scheme is not hashed again, and a new one is hashed here,
-    once.
-    """
+    Raises merkle.RangeError, before hashing anything, when an image does
+    not fit its region. The program region's digest comes from
+    `program_root`'s memo, so a process hashes each program once."""
     regions = (
         (PROGRAM_BASE, PROGRAM_LEVEL, program),
         (INPUT_BASE, INPUT_LEVEL, input_blob),
@@ -320,19 +276,15 @@ def load_program(
 
 def program_root(program: bytes, scheme: HashScheme) -> bytes:
     """Root of the program region holding `program`, memoised by content.
-
-    A miss builds the region from `program` itself and hashes it, so no
-    caller can put a root in the memo that its program does not give.
-    """
+    A miss hashes the region built from `program` itself, so no caller can
+    put a root in the memo that its program does not give."""
     return _program_root(program, scheme, None)
 
 
 def _program_root(program: bytes, scheme: HashScheme, region) -> bytes:
     """`program_root`, given `region`: None, or the `merkle.build_region`
-    subtree of `program` that `load_program` has just built. A miss hashes
-    that subtree instead of building another; a hit gives it the memoised
-    digest as its own, hashing nothing but the key.
-    """
+    subtree of `program` that `load_program` has just built, which a miss
+    hashes and a hit gives the memoised digest as its own."""
     key = (scheme.digest(program), PROGRAM_LEVEL, scheme)
     root = _PROGRAM_ROOTS.get(key)
     if root is None:
@@ -347,17 +299,8 @@ def _program_root(program: bytes, scheme: HashScheme, region) -> bytes:
     return root
 
 
-# (program digest, PROGRAM_LEVEL, scheme) -> program-region root. A digest is
-# scheme-specific, and a root depends on the region's level as well as its
-# content, so both are in the key. One entry holds two 32-byte digests and a
-# key tuple, not the program: about 230 bytes (tracemalloc). A hit needs the
-# same program twice in one process. A fresh `opml run` or single-phase
-# `opml dispute` loads one program and misses; in a two-phase game the
-# entrance check hits the pinned node's program its prover loaded. A process
-# that plays many games reuses few programs: 6 distinct keys in the
-# benchmark's `claim` workload (84% of its loads hit), 10 in `dispute-model`
-# (its node programs, 98% hit), and a new one per game in
-# `dispute-synthetic`. 16 entries hold the first two; the oldest goes first.
+# (program digest, PROGRAM_LEVEL, scheme) -> program-region root, oldest out
+# first: a two-phase game's entrance check reloads a program its prover loaded.
 _PROGRAM_ROOTS: dict[tuple[bytes, int, HashScheme], bytes] = {}
 _PROGRAM_ROOTS_MAX = 16
 
@@ -381,26 +324,21 @@ def _execute(
     """The step semantics: (pc, exited, exit_code, steps) after a block of
     up to `limit` steps from `pc`, touching memory only through the view
     `mem`; `steps` falls short of `limit` only when a trap or HALT, which
-    it counts, exits. The register list `regs` is written in place, at most
-    one register per step and as the step's last act, so a raise leaves
-    the raising step unapplied and the earlier steps of the block applied.
+    it counts, exits. Traps leave pc and regs unchanged. The register list
+    `regs` is written in place, at most one register per step and as the
+    step's last act, so a raise leaves the raising step unapplied and the
+    earlier steps of the block applied.
 
-    A view serves whole leaves by base address: it reads one
-    (`read_leaf(base, miss)`, where `miss` is the reject reason the
-    witness-backed view gives when it does not hold that leaf), gives the
-    leaf a store overwrites (`old_leaf`, carried in the witness's write
-    record, not as a read), writes one (`put_leaf`) and fetches a preimage
-    chunk (`chunk`). Words are read and stored here, within leaves. A write
-    is always the step's last memory access. Traps leave pc and regs
-    unchanged.
+    A view serves whole leaves by base address: `read_leaf(base, miss)`,
+    where `miss` is the verifier view's reject reason for a leaf it lacks;
+    `old_leaf`, the leaf a store overwrites, which a witness carries in its
+    write record; `put_leaf`, always the step's last memory access; and a
+    preimage `chunk`.
 
-    A fetch or an LI immediate in the leaf the block last read code from
-    (`code`, at `code_base`) reads that copy, not the view, until a SW or a
-    PREIMAGE, either of which may overwrite it: a lowered program runs
-    straight through, eight words a leaf. The opcode tests run in the
-    order of a lowered MLP's opcode mix (LI, ADD and LW about 22% of steps
-    each, MULFX, MUL and AND 11% each); every instruction that writes a
-    register falls through to one masked write.
+    A fetch or an LI immediate reads the leaf the block last read code
+    from (`code`), not the view, until a SW or a PREIMAGE, which may
+    overwrite it. The opcode tests run in order of their frequency in a
+    lowered MLP.
     """
     # No method is bound to a local and no range is built: at limit=1, the
     # block of a witness, a verifier or a replay, either costs more than it saves.
@@ -473,13 +411,11 @@ def _execute(
 
 
 class _TreeMemory:
-    """Run view: the run's starting tree, the leaves this view has read or
-    written (by base address), the writes since the last `seal` (by leaf
-    index), the last sealed tree and the host oracle. `put_leaf` writes to
-    both dicts and to no tree. As the leaf dict holds every leaf the run
-    wrote, a miss is a leaf the run never wrote, and the starting tree still
-    holds it: a miss reads the leaf alone or, with a `block` level, the
-    leaves of its aligned block of 2**block leaves that the dict lacks."""
+    """Run view: `leaves` holds every leaf the run has read or written, by
+    base address, and `writes` the writes since the last `seal`, by leaf
+    index. A miss in `leaves` is a leaf the run never wrote, so `start`,
+    the run's starting tree, still holds it; with a `block` level, a miss
+    reads the leaves of its block that `leaves` lacks."""
 
     __slots__ = ("start", "tree", "oracle", "leaves", "writes", "block")
 
@@ -513,8 +449,7 @@ class _TreeMemory:
         self.writes[base >> 5] = leaf
 
     def seal(self) -> merkle.MemTree:
-        """The memory now: the last sealed tree with the writes since, as an
-        O(1) `MemTree.with_writes` version that no one has built yet."""
+        """The memory now: the last sealed tree with the writes since."""
         self.tree = self.tree.with_writes(self.writes)
         self.writes = {}
         return self.tree
@@ -619,25 +554,18 @@ class _WitnessMemory:
 
 def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float, every: int,
                 block: int | None = None):
-    """Steps from `state` to the exited state over one run view, yielding
-    the states whose `step_count` is a multiple of `every`, the exited one,
-    and the one at `max_steps` before the budget error below. Each state it
-    yields is one `_execute` call, for the steps up to that state. The loop
-    carries pc and flags as locals and the registers as one list, which
-    `_execute` changes in place, and builds a VmState only for a state it
-    yields. Its registers are a tuple of the list's values, the state
-    before's own tuple when they equal it: a witness window keeps thousands
-    of states, and a store or a branch writes no register. Its memory is
-    the view's `seal`, so no store reaches a tree until something reads
-    that state's memory. A raise (a missing preimage) ends the run, and its
-    register list and view, which may hold earlier steps of the raising
-    call, are dropped with it.
+    """Steps from `state` to the exited state over one run view, reading
+    blocks of level `block`, and yields the states whose `step_count` is a
+    multiple of `every`, the one at `max_steps` and the exited one, each
+    after one `_execute` call. Raises BudgetExceededError at a state that
+    has made `max_steps` steps (`step_count`, counted from step 0 of its
+    run) without exiting.
 
-    Raises BudgetExceededError at a state that has made `max_steps` steps
-    (`step_count`, counted from step 0 of its run) without exiting. `run`
-    and `run_trace` pass MAX_STEPS and READ_BLOCK_LEVEL as `block`, the
-    level of the leaf blocks the run view reads; `step` and the replay
-    between two snapshots pass no bound and read leaf by leaf."""
+    The loop keeps the registers in one list that `_execute` writes in
+    place, and gives a yielded state a tuple of its values, the state
+    before's tuple when they are equal: a witness window keeps thousands of
+    states, and a store or a branch writes no register. A raise drops the
+    list and the view with the run."""
     mem = _TreeMemory(state.memory, oracle, block)
     kept, regs = state.regs, list(state.regs)
     pc, exited, exit_code, n = state.pc, state.exited, state.exit_code, state.step_count
@@ -690,16 +618,10 @@ class Trace:
 
     `states` holds the first state, every state whose `step_count` is a
     multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
-    faulted state. Snapshots share memory structurally, and a snapshot's
-    tree is built only when a root, a proof or a replay first reads it
-    (`MemTree.with_writes`); until then it holds only the leaves written
-    since the snapshot before. Any other state is rebuilt by `walk`, which
-    replays from the snapshot before it through the same stepping loop as
-    the run; nothing replayed is kept, and nothing is kept per step.
-
-    State roots are hashed only when asked for, and the trace keeps none:
-    a snapshot's memory tree keeps the digests it has hashed, so asking
-    again costs one state hash and a replay of under SNAPSHOT_EVERY steps.
+    faulted state. `walk` rebuilds any other state by replaying at most
+    SNAPSHOT_EVERY - 1 steps from the snapshot before it, and keeps
+    nothing it replays. The trace keeps no state roots: a snapshot's tree
+    keeps the digests it has hashed.
     """
 
     def __init__(self, states: list[VmState], oracle: PreimageOracle | None = None):
@@ -723,12 +645,8 @@ class Trace:
         return next(self.walk(index))
 
     def walk(self, start: int = 0) -> Iterator[VmState]:
-        """Every state from `start` (clamped to `len`) to the final one.
-
-        Replays from the snapshot at or before `start`, block by block,
-        restarting at each snapshot, so a fork's faulted snapshot stays in
-        force. Yielding m states replays at most m + SNAPSHOT_EVERY - 1
-        steps, and nothing replayed is kept."""
+        """Every state from `start` (clamped to `len`) to the final one,
+        each snapshot as kept, so a fork's faulted state stays in force."""
         states = self.states
         target = states[0].step_count + min(start, len(self))
         for j in range(bisect_right(states, target, key=_step_count) - 1, len(states) - 1):
@@ -757,9 +675,9 @@ _step_count = attrgetter("step_count")
 
 
 def find_store_step(trace: Trace, pc: int) -> int:
-    """First step (1-based) that executes the instruction at `pc`. Programs
-    opml builds branch only forward, so pc never falls before exit: replay
-    from the last snapshot below `pc`, at most SNAPSHOT_EVERY - 1 steps."""
+    """First step (1-based) that executes the instruction at `pc`, for a
+    trace whose pc never falls before exit, as in the programs opml builds,
+    which branch only forward."""
     states = trace.states
     below = states[max(bisect_left(states, pc, key=attrgetter("pc")) - 1, 0)]
     for state in trace.walk(below.step_count - states[0].step_count):
@@ -771,8 +689,8 @@ def find_store_step(trace: Trace, pc: int) -> int:
 
 
 def run_trace(state: VmState, oracle: PreimageOracle | None = None) -> Trace:
-    """Execute to HALT keeping the snapshots. The budget is MAX_STEPS, as
-    in `run`."""
+    """Execute to HALT keeping a `Trace`'s snapshots. The budget is
+    MAX_STEPS, as in `run`."""
     states = [state]
     states += _successors(state, oracle, MAX_STEPS, SNAPSHOT_EVERY, READ_BLOCK_LEVEL)
     return Trace(states, oracle)
@@ -852,9 +770,8 @@ class StepWitness:
 
 def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None,
                      proofs: dict | None = None) -> StepWitness:
-    """Witness for the step about to execute from `state` (pre-state).
-
-    An exited state does not step, so its witness is the fields alone.
+    """Witness for the step about to execute from `state` (pre-state); an
+    exited state does not step, so its witness is the fields alone.
     `proofs` maps (memory root, leaf base) to (leaf, proof); a caller that
     witnesses many states shares one dict. The witness is the same either way."""
     fields = state.fields()
@@ -904,9 +821,9 @@ def verify_step(
     Accepts iff the witness fields hash to `pre_root`, every proof checks
     out against the witnessed memory root, and re-executing the fetched
     instruction over the witnessed leaves lands exactly on
-    `claimed_post_root`. All inputs are treated as hostile.
-    Each proof is checked through `proven`, the proofs already accepted
-    under `scheme`, which a chain of steps shares; the verdict is the same.
+    `claimed_post_root`. All inputs are treated as hostile. Each proof is
+    checked through `proven`, the proofs already accepted under `scheme`,
+    which a chain of steps shares; the verdict is the same.
     """
     proven = set() if proven is None else proven
     f = witness.pre_fields
@@ -922,7 +839,6 @@ def verify_step(
         post = pre_root
         return Verdict(post == claimed_post_root, "" if post == claimed_post_root else "post-root-mismatch", post, True)
 
-    # Validate read proofs and index them by leaf base address.
     leaves: dict[int, bytes] = {}
     for addr, leaf, proof in witness.mem_reads:
         if addr % 32 != 0 or len(leaf) != 32:

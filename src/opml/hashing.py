@@ -12,8 +12,7 @@ bundles, transcripts). Domain separation:
 
 There is no process-wide default: every component that hashes takes a
 `HashScheme` (from `get_scheme`) from its caller or from an argument that
-already carries one. The `opml` command reads the OPML_HASH environment
-variable (default "sha256") on each invocation and passes that scheme down.
+already carries one; the `opml` command takes it from OPML_HASH.
 """
 
 from __future__ import annotations

@@ -4,11 +4,8 @@ Two targets share the same unrolled kernels:
 
 * per-node programs (`node_program`): operands arrive as preimage keys in
   the input region, get pulled chunk-by-chunk through the oracle (lazy
-  loading), and the serialized result lands in the output region. The
-  program depends on the op and operand shapes alone and is built once per
-  pair; `lower_node` pairs it with a node's operand blobs, and
-  `node_initial_state` keys each blob by putting it into the oracle. This
-  is the program a phase-2 dispute runs over.
+  loading), and the serialized result lands in the output region. This is
+  the program a phase-2 dispute runs over.
 * a whole-graph program (`lower_graph`): input and constants sit in their
   memory regions, intermediates live on the heap, and the final output is
   serialized to the output region. This is the single-phase target.
@@ -170,8 +167,7 @@ def store_fault(
 
 
 # Bounded: a program may take up to 32 MiB, and a long-lived process should
-# not keep every one it has lowered. 16 entries hold all 11 computed nodes
-# (10 distinct keys) of the two models the benchmark's two-phase games fault.
+# not keep every one it has lowered.
 @functools.lru_cache(maxsize=16)
 def node_program(
     op: str, operand_shapes: tuple[tuple[int, ...], ...]
@@ -309,7 +305,6 @@ def lower_graph(graph: ml.CompGraph) -> LoweredGraph:
             stores[node.id] = _emit_kernel(words, node.op, [bases[i] for i in node.input_ids],
                                            [shapes[i] for i in node.input_ids], bases[node.id])
 
-    # Serialize the designated output into the output region.
     out_shape = shapes[graph.output_id]
     _emit_header(words, OUTPUT_BASE, out_shape)
     count = math.prod(out_shape)

@@ -7,26 +7,13 @@ so a tree touching a few pages stays small.
 
 Updates are persistent: one writer, `_set`, copies each written path once
 and shares the rest, so a snapshot is kept in O(1). `with_writes` makes an
-O(1) version that reads as its base plus a dict of leaf writes; the first
-method that reads or hashes it merges the pending writes of its chain of
-unbuilt versions, newest value per leaf, and builds them with one `_set`
-call. Digests are lazy: a copied node has none, and `root`, `prove` and
+O(1) version that the first method to read or hash it builds (`_top`).
+Digests are lazy: a copied node has none, and `root`, `prove` and
 `subtree_root` hash a missing digest on first use and keep it in the node.
-No write hashes, and `_set` never changes a node it has returned, so no
-kept digest goes stale. A whole image is loaded bottom-up: `build_region`
-builds a region's subtree, unhashed like any path copy, and
-`MemTree.splice` hangs it in at its aligned place; `region_root` hashes
-one on its own. The program region is the exception: `fpvm.load_program`
-hands its subtree the digest that `fpvm.program_root` keeps for the
-program's content (`subtree_digest` with `known`), so a reloaded program's
-interior is hashed only where a proof opens a path.
-
-The tree keeps no read cache: `get_leaf` walks from the root to one leaf,
-and `leaf_block` walks once to an aligned block of leaves and reads each
-one its caller's dict lacks, so every version reads alike. A VM run keeps
-its own cache of the leaves it has read or written (`fpvm._TreeMemory`): a
-whole run fills it a block at a time, and a single step or a replay leaf
-by leaf.
+Only `_set` and `build_region` make nodes, and neither changes a node it
+has returned, so no kept digest goes stale. A whole image is loaded
+bottom-up: `build_region` builds a region's subtree and `MemTree.splice`
+hangs it in at its aligned place. The tree keeps no read cache.
 """
 
 from __future__ import annotations
@@ -52,11 +39,9 @@ class AlignmentError(ValueError):
 class _Node:
     """Internal node; children are _Node, bytes (a leaf value) or None (zero).
 
-    `digest` is None until `_child_digest` first needs it and then memoised:
-    only `_set` and `build_region` make nodes, and neither changes a node
-    once it returns it, so a stored digest never goes stale.
-    An anchor of `root_from_regions` is a _Node with only a preset digest,
-    at any level, the leaf level included."""
+    `digest` is None until `_child_digest` first needs it. An anchor of
+    `root_from_regions` is a _Node with only a preset digest, at any level,
+    the leaf level included."""
 
     __slots__ = ("digest", "left", "right")
 
@@ -103,11 +88,9 @@ def _set(node, level: int, items: list, stop: int):
 
 
 class MemTree:
-    """Persistent sparse Merkle tree with a fixed depth of 27 levels.
-
-    A tree is built, with its nodes under `_root`, or pending: a
-    `with_writes` version of `_base` with `_writes` still to apply, which
-    the first method that reads or hashes it builds (`_top`)."""
+    """Persistent sparse Merkle tree with a fixed depth of 27 levels: built,
+    with its nodes under `_root`, or a pending version of `_base` with
+    `_writes` still to apply."""
 
     __slots__ = ("scheme", "_root", "_base", "_writes")
 
@@ -119,11 +102,10 @@ class MemTree:
 
     def with_writes(self, writes: dict[int, bytes]) -> "MemTree":
         """A version that reads and hashes as self with each leaf of
-        `writes` (leaf index -> 32-byte leaf) written, made in O(1) and
-        built when first read; self reads the same as before. The version
-        keeps `writes`, so the caller must not change it afterwards, and
-        checks neither the indices nor the leaf lengths, which the caller
-        vouches for. No writes give self."""
+        `writes` (leaf index -> 32-byte leaf) written; self reads the same
+        as before. The version keeps `writes`, so the caller must not
+        change it afterwards, and checks neither the indices nor the leaf
+        lengths, which the caller vouches for. No writes give self."""
         if not writes:
             return self
         version = MemTree(self.scheme)
@@ -131,12 +113,9 @@ class MemTree:
         return version
 
     def _top(self):
-        """The root node, after building this version if it is pending.
-
-        The build walks up to the nearest built version, merges the pending
-        writes of the chain oldest first, so each leaf is written once with
-        its newest value, copies their paths in one `_set` call, and drops
-        the base and the writes."""
+        """The root node, after building this version if it is pending: the
+        writes of its chain of pending versions, merged oldest first so each
+        leaf is written once with its newest value, in one `_set` call."""
         if self._base is None:
             return self._root
         chain, built = [], self
@@ -170,8 +149,7 @@ class MemTree:
         2**level leaves that holds `index`, keyed by base address (32 *
         leaf index), an absent leaf as ZERO_LEAF: what `get_leaf` reads for
         it, in one descent from the root. An entry `out` already holds is
-        kept, so a VM run's newer leaves stay (`fpvm._TreeMemory`). Hashes
-        nothing."""
+        kept. Hashes nothing."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         node = self._top()
@@ -208,7 +186,6 @@ class MemTree:
         self._check_aligned(index, subtree_level)
         siblings: list[bytes] = []
         node = self._top()
-        # Walk down from the top, recording the sibling at each branch.
         for level in range(TREE_DEPTH - 1, subtree_level - 1, -1):
             left = node.left if node is not None else None
             right = node.right if node is not None else None
@@ -271,11 +248,8 @@ class MerkleProof:
 
 
 def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) -> bool:
-    """Check that `claimed` is the subtree digest at the proof's position.
-
-    Pure function of its arguments: the proof carries every sibling, so no
-    tree or zero-hash table is consulted.
-    """
+    """Check that `claimed` is the subtree digest at the proof's position,
+    from the proof alone: no tree or zero-hash table is consulted."""
     if len(proof.siblings) != TREE_DEPTH - proof.subtree_level:
         return False
     if not 0 <= proof.leaf_index < NUM_LEAVES:
@@ -301,13 +275,10 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
 
 
 def build_region(data: bytes, region_level: int):
-    """Subtree of a 2**region_level-leaf region holding `data` left-aligned
-    and zero padded, built bottom-up and, like a path `update_leaf` copies,
-    not yet hashed.
-
-    All-zero subtrees stay None, as in a tree built by `update_leaf`.
-    Raises RangeError before building anything when `data` does not fit
-    the region.
+    """Unhashed subtree of a 2**region_level-leaf region holding `data`
+    left-aligned and zero padded, with all-zero subtrees None, as in a tree
+    built by `update_leaf`. Raises RangeError before building anything when
+    `data` does not fit the region.
     """
     if len(data) > 32 << region_level:
         raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
@@ -326,24 +297,19 @@ def build_region(data: bytes, region_level: int):
 
 
 def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
-    """Digest of a 2**region_level-leaf region holding `data` left-aligned, zero padded.
-
-    Equivalent to writing `data` from the region base into an empty tree and
-    asking for that region's subtree root.
-    """
+    """Digest of a 2**region_level-leaf region holding `data` left-aligned,
+    zero padded: that region's `subtree_root` after writing `data` from its
+    base into an empty tree."""
     return _child_digest(build_region(data, region_level), region_level, scheme)
 
 
 def subtree_digest(
     subtree, region_level: int, scheme: HashScheme, known: bytes | None = None
 ) -> bytes:
-    """Digest of a `build_region` subtree of 2**region_level leaves, kept in it.
-
-    Without `known`, every digest the subtree lacks is hashed and kept in
-    its nodes. With `known`, the caller vouches that it is the subtree's
-    digest: it is kept as the subtree's own, and nothing below is hashed
-    until a proof or root opens a path into it.
-    """
+    """Digest of a `build_region` subtree of 2**region_level leaves, kept in
+    it. Without `known`, every digest the subtree lacks is hashed and kept.
+    With `known`, which the caller vouches is the subtree's digest, nothing
+    below is hashed until a proof or root opens a path into it."""
     if known is not None and subtree.__class__ is _Node:
         subtree.digest = known
     return _child_digest(subtree, region_level, scheme)
@@ -354,9 +320,6 @@ def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme)
 
     Each anchor is spliced into an empty tree as a node whose only content
     is its digest, so the tree hashes over it but cannot read through it.
-    This is the reconstruction the arbitration side runs when it rebuilds an
-    initial VM memory root from the public program digest plus the
-    disputed operand field.
     """
     tree = MemTree(scheme)
     for leaf_index, level, digest in regions:

@@ -34,9 +34,8 @@ INT32_MAX = (1 << 31) - 1
 COMPUTED_OPS = ("matmul", "bias_add", "relu", "argmax")
 OPS = ("input", "const") + COMPUTED_OPS
 
-#: Largest matmul inner dimension n: the VM kernel sums the low 16 bits of
-#: n products in one 32-bit register, which holds n * 0xFFFF only while
-#: n <= 2**15 (see `lowering`). Past it, the VM and native outputs differ.
+#: Largest matmul inner dimension: past it, the VM kernel's low-part sum
+#: overflows and the VM and native outputs differ (see `lowering`).
 MAX_INNER_DIM = 2**15
 
 

@@ -3,11 +3,8 @@
 Phase 1 bisects the sequence of graph-state commitments (one per node) to
 pin a single disputed node. A pin whose next commitment public data settles
 (an input or const node, or a pin past the last node) is ruled at once.
-Otherwise the entrance check gates the descent into phase 2: the claimed
-initial VM memory root must be the one rebuilt from the registered program
-of the node's op and operand shapes plus the operand keys opened out of the
-agreed phase-1 state, every other region zero.
-Phase 2 is the ordinary trace dispute over the lowered node program, ending
+Otherwise the entrance check (`entrance_check`) gates the descent into
+phase 2, the ordinary trace dispute over the lowered node program, ending
 in m-step arbitration. The exit check then proves the node output opened
 out of the winner's phase-1 state to be their final VM output region.
 
@@ -57,10 +54,8 @@ def node_program_root(
     op: str, operand_shapes: tuple[tuple[int, ...], ...], scheme: HashScheme
 ) -> bytes:
     """Public registry of lowered-program roots, keyed by op and shapes: the
-    root of `lowering.node_program`, which anyone can rebuild from the public
-    model. It shares `fpvm.program_root`'s memo with the prover's
-    `load_program`, so a program both sides load is hashed once.
-    """
+    `fpvm.program_root` of `lowering.node_program`, which anyone can rebuild
+    from the public model."""
     program, _ = lowering.node_program(op, operand_shapes)
     return fpvm.program_root(program, scheme)
 
@@ -68,12 +63,8 @@ def node_program_root(
 def build_entrance_state(
     run: ml.GraphRun, node_id: int, scheme: HashScheme
 ) -> tuple[fpvm.VmState, fpvm.PreimageOracle, EntranceBundle, lowering.LoweredNode]:
-    """Construct the phase-2 initial machine and its entrance evidence.
-
-    The machine holds the node's program, the operand keys in the input
-    region (lazy-loading handles), and nothing else; the oracle carries the
-    operand payloads.
-    """
+    """The phase-2 initial machine (`lowering.node_initial_state`), the
+    oracle holding its operands, and its entrance evidence."""
     node = run.graph.nodes[node_id]
     operands = [run.outputs[i] for i in node.input_ids]
     lowered = lowering.lower_node(node, operands)

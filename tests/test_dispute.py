@@ -3,11 +3,9 @@
 import inspect
 import random
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from opml import cli, dispute, fpvm, lowering, merkle, ml
 from opml.dispute import (
@@ -47,36 +45,49 @@ def test_checkpoints_midpoint_rule():
         assert 0 < p < 5
 
 
-@given(st.integers(0, 10**6), st.integers(2, 4096), st.integers(1, 8))
-@settings(max_examples=200, deadline=None)
-def test_checkpoints_properties(i, j, k):
-    pts = checkpoints(i, j, k)
-    assert pts == sorted(set(pts))
-    assert 1 <= len(pts) <= k
-    for p in pts:
-        assert i < p < i + j
+def _cases(seed, count, ranges):
+    """Every corner of `ranges` (inclusive (lo, hi) pairs), then `count`
+    draws from `random.Random(seed)`, each bound drawn as a small value a
+    quarter of the time so short spans come up as often as long ones."""
+    rng = random.Random(seed)
+    yield from product(*ranges)
+    for _ in range(count):
+        yield tuple(rng.randint(lo, hi if rng.random() < 0.75 else min(hi, lo + 15))
+                    for lo, hi in ranges)
 
 
-@given(st.integers(1, 5000), st.integers(1, 4), st.integers(1, 6))
-@settings(max_examples=200, deadline=None)
-def test_padding_and_bound_consistency(n, k, m):
-    assume(m <= n)  # an arbitration window wider than the trace is no game
-    padded = padded_length(n, k, m)
-    assert padded >= n
-    assert padded % m == 0
-    # narrowing the padded span one segment at a time always takes exactly
-    # the bound's number of rounds, whichever segment is chosen each round
-    rounds = 0
-    span = padded
-    rng = random.Random(n * 31 + k * 7 + m)
-    i = 0
-    while span > m:
-        pts = checkpoints(i, span, k)
-        bounds = [i] + pts + [i + span]
-        seg = rng.randrange(len(bounds) - 1)
-        i, span = bounds[seg], bounds[seg + 1] - bounds[seg]
-        rounds += 1
-    assert rounds == interaction_count_bound(n, m, k)
+def test_checkpoints_properties():
+    for i, j, k in _cases(50, 200, ((0, 10**6), (2, 4096), (1, 8))):
+        pts = checkpoints(i, j, k)
+        assert pts == sorted(set(pts))
+        assert 1 <= len(pts) <= k
+        for p in pts:
+            assert i < p < i + j
+
+
+def test_padding_and_bound_consistency():
+    valid = 0
+    for n, k, m in _cases(60, 220, ((1, 5000), (1, 4), (1, 6))):
+        if m > n:  # an arbitration window wider than the trace is no game
+            continue
+        valid += 1
+        padded = padded_length(n, k, m)
+        assert padded >= n
+        assert padded % m == 0
+        # narrowing the padded span one segment at a time always takes exactly
+        # the bound's number of rounds, whichever segment is chosen each round
+        rounds = 0
+        span = padded
+        rng = random.Random(n * 31 + k * 7 + m)
+        i = 0
+        while span > m:
+            pts = checkpoints(i, span, k)
+            bounds = [i] + pts + [i + span]
+            seg = rng.randrange(len(bounds) - 1)
+            i, span = bounds[seg], bounds[seg + 1] - bounds[seg]
+            rounds += 1
+        assert rounds == interaction_count_bound(n, m, k)
+    assert valid >= 200
 
 
 def test_bisection_round_cases():
