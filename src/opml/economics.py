@@ -93,7 +93,6 @@ def majority_trust_prob(p: float, m: int, f: float) -> float:
     """
     SecurityParams(p, m, f)
     cutoff = -(-Fraction(f).limit_denominator(10**9) * m // 1)  # ceil(f*m), exact
-    cutoff = int(cutoff)
     if m <= _EXACT_LIMIT:
         pf = Fraction(p)  # binary floats convert exactly
         total = sum(
@@ -257,14 +256,14 @@ def attention_round(
     submitter_address: bytes,
     validators: list[Validator],
     result_digest: bytes,
-    att: AttentionParams,
+    p_t: float,
     chain: ChainSim,
     penalty: int,
     scheme: HashScheme,
 ) -> RoundReport:
     """Drive one full round: commit, responses, reveal, accept, accusations."""
     rnd = AttentionRound(submitter_id, submitter_address, result_digest,
-                         selection_threshold(att.p_t), scheme)
+                         selection_threshold(p_t), scheme)
     selected, responded, penalized = [], [], []
     for v in validators:
         if rnd.must_respond(v):
@@ -305,7 +304,8 @@ def simulate_attention_rounds(
     """Repeated lottery rounds with fresh result digests; selection events
     across rounds are independent, so the empirical must-respond rate
     converges to p_t. Raises ValueError on a bad input before drawing."""
-    att = AttentionParams(r=0.001, t=1.0, C=0.001, G=float(penalty), p_t=p_t)
+    if not 0.0 <= p_t <= 1.0:  # false for NaN too
+        raise ValueError("p_t must be in [0, 1]")
     for name, value, low in (("rounds", rounds, 0), ("n_validators", n_validators, 1),
                              ("penalty", penalty, 0)):
         if value < low:
@@ -327,7 +327,7 @@ def simulate_attention_rounds(
     for _ in range(rounds):
         digest = draws.randbytes(32)
         report = attention_round("submitter", submitter_addr, validators,
-                                 digest, att, chain, penalty, scheme)
+                                 digest, p_t, chain, penalty, scheme)
         selections += len(report.selected)
         penalized += len(report.penalized)
         for v in validators:  # laziness redrawn each round

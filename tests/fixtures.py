@@ -1,9 +1,44 @@
-"""Seeded model and input builders shared across the test suites, and a
-reader of two-phase transcripts."""
+"""Seeded model and input builders shared across the test suites, the
+integer draw of the seeded property tests, a hash-counting scheme, a
+staked chain, and a reader of two-phase transcripts."""
 
+import hashlib
 import random
 
 from opml import ml
+from opml.dispute import ChainSim
+from opml.hashing import HashScheme
+
+
+def draw_int(rng: random.Random, lo: int, hi: int) -> int:
+    """An int in [lo, hi]: an end of the range one draw in eight, one of
+    the 16 in-range values from the one nearest zero upwards one in four,
+    else uniform."""
+    roll = rng.random()
+    if roll < 1 / 8:
+        return lo if roll < 1 / 16 else hi
+    if roll < 3 / 8:
+        small = min(max(lo, 0), hi)
+        return rng.randint(small, min(hi, small + 15))
+    return rng.randint(lo, hi)
+
+
+def counting_scheme() -> tuple[HashScheme, list[bytes]]:
+    """A sha256 scheme that logs every hash input made after its zero-hash
+    table is built."""
+    calls: list[bytes] = []
+    scheme = HashScheme("sha256", lambda data: calls.append(data) or hashlib.sha256(data).digest())
+    calls.clear()
+    return scheme, calls
+
+
+def staked_chain(*parties: str) -> ChainSim:
+    """A chain on which each party has deposited 1000 and staked 100 of it."""
+    chain = ChainSim()
+    for p in parties:
+        chain.deposit(p, 1000)
+        chain.stake(p, 100)
+    return chain
 
 
 def rand_values(rng: random.Random, shape, lo=-2.0, hi=2.0):

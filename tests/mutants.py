@@ -30,8 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FPVM, MERKLE = "src/opml/fpvm.py", "src/opml/merkle.py"
-IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
-                                ".perfbench", ".benchmarks")
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench", ".benchmarks")
 TIMEOUT_S = 900
 
 #: (name, file, old, new): replace the one occurrence of `old` in `file`.

@@ -14,20 +14,12 @@ from opml import dispute, economics, fpvm, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor
 from opml.hashing import get_scheme
 
-from fixtures import build_mlp, fixture_models, phase_rounds, rand_tensor, random_small_mlp
+from fixtures import build_mlp, fixture_models, phase_rounds, rand_tensor, random_small_mlp, staked_chain
 
 SCHEME = get_scheme("sha256")
 
 #: (measured rounds, expected rounds) pairs collected from responsive games.
 _round_measurements: list[tuple[int, int]] = []
-
-
-def _fresh_chain(*parties):
-    chain = ChainSim()
-    for p in parties:
-        chain.deposit(p, 1000)
-        chain.stake(p, 100)
-    return chain
 
 
 def _single_phase_game(rng):
@@ -53,7 +45,7 @@ def _single_phase_game(rng):
     challenger = build_trace_actor("chal", honest_trace, honest if faulty_submitter else adversary)
     # the posted claim is whatever the submitter asserts, junk included
     claim = Claim.posted_by(submitter, k, m)
-    chain = _fresh_chain("sub", "chal")
+    chain = staked_chain("sub", "chal")
     total = chain.total()
     result = dispute.run_dispute(claim, submitter, challenger, chain=chain)
     assert chain.total() == total, "stake conservation violated"
@@ -87,7 +79,7 @@ def _two_phase_game(rng):
         "sub", honest, graph_fault=fault if faulty_submitter else None)
     challenger = multiphase.make_party(
         "chal", honest, graph_fault=None if faulty_submitter else fault)
-    chain = _fresh_chain("sub", "chal")
+    chain = staked_chain("sub", "chal")
     total = chain.total()
     result = multiphase.run_two_phase_dispute(
         graph, x, submitter, challenger,

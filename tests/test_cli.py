@@ -604,6 +604,18 @@ def test_economics_attention_simulation(capsys):
     assert "empirical_rate=" in out
 
 
+def test_attention_simulation_with_a_penalty_above_float_range_is_exact(capsys):
+    """Every validator is selected and lazy, so each of the 6 samples pays
+    the whole penalty and half of it, rounded up, is burned."""
+    penalty = 10**400
+    code, out, _ = run_cli(capsys, "economics", "attention", "--r", "1", "--t", "1", "--C", "1",
+                           "--p-t", "1", "--lazy-fraction", "1", "--validators", "2",
+                           "--simulate", "3", "--penalty", str(penalty))
+    assert code == 0
+    assert out.splitlines()[-1] == (f"rounds=3 samples=6 selected=6 empirical_rate=1.0 "
+                                    f"penalized=6 burned={6 * (penalty - penalty // 2)}")
+
+
 @pytest.mark.parametrize("argv", [
     ["security", "--p", "2", "--m", "3"],
     ["economics", "attention", "--r", "0", "--t", "1", "--C", "1"],

@@ -25,7 +25,7 @@ from opml.dispute import (
 )
 from opml.hashing import get_scheme
 
-from fixtures import rand_tensor
+from fixtures import draw_int, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -47,13 +47,11 @@ def test_checkpoints_midpoint_rule():
 
 def _cases(seed, count, ranges):
     """Every corner of `ranges` (inclusive (lo, hi) pairs), then `count`
-    draws from `random.Random(seed)`, each bound drawn as a small value a
-    quarter of the time so short spans come up as often as long ones."""
+    draws from `random.Random(seed)`, each value by `draw_int`."""
     rng = random.Random(seed)
     yield from product(*ranges)
     for _ in range(count):
-        yield tuple(rng.randint(lo, hi if rng.random() < 0.75 else min(hi, lo + 15))
-                    for lo, hi in ranges)
+        yield tuple(draw_int(rng, lo, hi) for lo, hi in ranges)
 
 
 def test_checkpoints_properties():

@@ -135,6 +135,12 @@ def test_attention_utilities_boundaries():
     assert below[0] - below[1] < 0
 
 
+def test_attention_params_reject_a_response_probability_outside_0_1():
+    for p_t in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^p_t must be in \[0, 1\]$"):
+            AttentionParams(0.001, 1, 1, G=10, p_t=p_t)
+
+
 def test_dominance_when_condition_holds():
     rng = random.Random(81)
     for _ in range(300):
@@ -184,14 +190,13 @@ def test_attention_round_flow_and_burn():
     chain.deposit("lazy", 100)
     chain.deposit("diligent", 100)
     rng = random.Random(82)
-    att = AttentionParams(0.001, 1, 0.001, G=10, p_t=1.0)  # always selected
     validators = [
         Validator("diligent", rng.randbytes(20), computed=True),
         Validator("lazy", rng.randbytes(20), computed=False),
     ]
     total = chain.total()
     report = attention_round("submitter", rng.randbytes(20), validators,
-                             rng.randbytes(32), att, chain, penalty=10, scheme=SCHEME)
+                             rng.randbytes(32), 1.0, chain, penalty=10, scheme=SCHEME)  # always selected
     assert set(report.selected) == {"diligent", "lazy"}
     assert report.responded == ["diligent"]
     assert report.penalized == ["lazy"]

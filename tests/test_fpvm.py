@@ -1,7 +1,6 @@
 """MiniVM semantics, determinism, witnesses and the one-step verifier."""
 
 import gc
-import hashlib
 import inspect
 import random
 import struct
@@ -9,8 +8,6 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from opml import fpvm, lowering, merkle
 from opml.fpvm import (
@@ -38,7 +35,7 @@ from opml.hashing import (
     scheme_names,
 )
 
-from fixtures import build_mlp, rand_tensor
+from fixtures import build_mlp, counting_scheme, draw_int, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -317,22 +314,13 @@ def test_a_run_reads_each_leaf_from_the_tree_once(monkeypatch, case):
     assert len(served) == len(set(served))
 
 
-def _counting_scheme() -> tuple[HashScheme, list[bytes]]:
-    """A sha256 scheme that logs every hash input made after its zero-hash
-    table is built."""
-    calls: list[bytes] = []
-    scheme = HashScheme("sha256", lambda data: calls.append(data) or hashlib.sha256(data).digest())
-    calls.clear()
-    return scheme, calls
-
-
 def _state_hashes(calls: list[bytes]) -> int:
     # Node inputs are 64 bytes and may start with any byte; state inputs are not.
     return sum(1 for data in calls if len(data) != 64 and data[:1] == VM_STATE_PREFIX)
 
 
 def test_trace_roots_are_hashed_on_demand():
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     trace = run_trace(load_program(_random_program(random.Random(25), 50), scheme=scheme))
     assert _state_hashes(calls) == 0  # run_trace itself hashes no state root
     for i in range(len(trace) + 1):
@@ -356,7 +344,7 @@ def test_run_trace_hashes_nothing():
     program = _random_program(random.Random(26), 600)
     written = _written_leaves(run_trace(load_program(program, scheme=SCHEME)))
     assert len(written) > 20  # store-heavy: the program writes many distinct leaves
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     state = load_program(program, scheme=scheme)
     calls.clear()
     trace = run_trace(state)
@@ -709,7 +697,6 @@ def test_verify_step_reject_reasons(reason, scenario, mutate, opts):
 
 # Generated programs for the prover/verifier agreement property. r8 holds
 # the heap pointer; r9-r11 are scratch for the jump and PREIMAGE blocks.
-_REG = hst.integers(0, 7)
 _ALU_OPS = ["ADD", "SUB", "MUL", "MULFX", "AND"]
 _ORACLE_VALUE_LEAVES = (fpvm.MODEL_BASE - ORACLE_VALUE_BASE) // 32
 _PREIMAGE_VALUE = bytes(range(200))  # 7 chunks, the last one zero padded
@@ -753,27 +740,45 @@ def _program_words(blocks) -> list[int]:
 
 
 _OPNAMES = {code: name for name, code in fpvm.OPCODES.items()}  # by a word's top byte
-_BODY_BLOCKS = hst.one_of(
-    hst.tuples(hst.just("alu"), hst.sampled_from(_ALU_OPS), _REG, _REG, _REG),
-    hst.tuples(hst.just("sra"), _REG, _REG, hst.integers(-0x800, 0x7FF)),
-    hst.tuples(hst.just("li"), _REG, hst.integers(0, fpvm.MASK32), hst.booleans()),
-    hst.tuples(hst.sampled_from(["LW", "SW"]), _REG, hst.sampled_from([8, 8, 8, 0]),
-               hst.integers(-16, 127).map(lambda k: 4 * k)),
-    hst.tuples(hst.just("branch"), hst.sampled_from(["BEQ", "BLT"]), _REG, _REG, hst.integers(0, 3)),
-    hst.tuples(hst.just("jmp"), _REG, hst.integers(0, 3)),
-    hst.tuples(hst.just("preimage"), hst.sampled_from([0, 1, 7, _ORACLE_VALUE_LEAVES - 1]),
-               hst.integers(0, 8)),
-)
-_END_BLOCKS = hst.one_of(
-    hst.tuples(hst.just("halt"), hst.integers(-0x800, 0x7FF)),
-    hst.tuples(hst.just("raw"), hst.integers(0, fpvm.MASK32).filter(lambda w: w >> 24 not in _OPNAMES)),
-    hst.tuples(hst.sampled_from(["LW", "SW"]), _REG, hst.just(8),
-               hst.integers(-0x800, 0x7FF).filter(lambda imm: imm % 4)),
-    hst.tuples(hst.just("jmp-to"), _REG, hst.integers(0, fpvm.MASK32).filter(lambda t: t % 4)),
-    hst.tuples(hst.just("preimage"), hst.integers(_ORACLE_VALUE_LEAVES, fpvm.MASK32), hst.integers(0, 8)),
-)
-_PROGRAMS = hst.builds(lambda body, end: _program_words(body + [end]),
-                       hst.lists(_BODY_BLOCKS, min_size=4, max_size=24), _END_BLOCKS)
+
+
+def _reg(rng: random.Random) -> int:
+    return rng.randint(0, 7)
+
+
+def _draw_int_where(rng: random.Random, lo: int, hi: int, keep) -> int:
+    """`draw_int(rng, lo, hi)`, drawn again until `keep` accepts it."""
+    value = draw_int(rng, lo, hi)
+    while not keep(value):
+        value = draw_int(rng, lo, hi)
+    return value
+
+
+# One draw per block kind, each kind as likely as the others. An end block
+# ends the run: HALT, an unknown opcode, a misaligned LW or SW, a jump to a
+# misaligned pc, or a PREIMAGE outside the oracle-value region.
+_BODY_BLOCKS = [
+    lambda rng: ("alu", rng.choice(_ALU_OPS), _reg(rng), _reg(rng), _reg(rng)),
+    lambda rng: ("sra", _reg(rng), _reg(rng), draw_int(rng, -0x800, 0x7FF)),
+    lambda rng: ("li", _reg(rng), draw_int(rng, 0, fpvm.MASK32), rng.random() < 0.5),
+    lambda rng: (rng.choice(("LW", "SW")), _reg(rng), rng.choice((8, 8, 8, 0)), 4 * draw_int(rng, -16, 127)),
+    lambda rng: ("branch", rng.choice(("BEQ", "BLT")), _reg(rng), _reg(rng), draw_int(rng, 0, 3)),
+    lambda rng: ("jmp", _reg(rng), draw_int(rng, 0, 3)),
+    lambda rng: ("preimage", rng.choice((0, 1, 7, _ORACLE_VALUE_LEAVES - 1)), draw_int(rng, 0, 8)),
+]
+_END_BLOCKS = [
+    lambda rng: ("halt", draw_int(rng, -0x800, 0x7FF)),
+    lambda rng: ("raw", _draw_int_where(rng, 0, fpvm.MASK32, lambda w: w >> 24 not in _OPNAMES)),
+    lambda rng: (rng.choice(("LW", "SW")), _reg(rng), 8, _draw_int_where(rng, -0x800, 0x7FF, lambda imm: imm % 4)),
+    lambda rng: ("jmp-to", _reg(rng), _draw_int_where(rng, 0, fpvm.MASK32, lambda t: t % 4)),
+    lambda rng: ("preimage", draw_int(rng, _ORACLE_VALUE_LEAVES, fpvm.MASK32), draw_int(rng, 0, 8)),
+]
+
+
+def _generated_program(rng: random.Random) -> list[int]:
+    """4 to 24 body blocks, then one block that ends the run."""
+    body = [rng.choice(_BODY_BLOCKS)(rng) for _ in range(draw_int(rng, 4, 24))]
+    return _program_words(body + [rng.choice(_END_BLOCKS)(rng)])
 
 
 def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int | None]:
@@ -811,10 +816,10 @@ def _assert_agreement(words: list[int], max_steps: int = 400) -> tuple[set, int 
     return ops, state.exit_code if state.exited else None
 
 
-@given(_PROGRAMS)
-@settings(derandomize=True, max_examples=100, deadline=None)
-def test_prover_verifier_agree_on_generated_programs(words):
-    _assert_agreement(words)
+def test_prover_verifier_agree_on_generated_programs():
+    rng = random.Random(21)
+    for _ in range(100):
+        _assert_agreement(_generated_program(rng))
 
 
 # A body that runs every opcode but HALT, and each way to end it with the
@@ -1155,11 +1160,11 @@ def test_load_program_golden_root():
 GOLDEN_BOOT_ROOT = "18f91adae8d17a5accf04f639d014832dca7c9e2d5dfd9f536a29bd7def17199"
 
 
-# Images for the loader equivalence property: whole leaves, some all zero,
-# then a cut of up to 31 bytes so lengths need not be multiples of 32.
-_LEAF = hst.one_of(hst.just(ZERO_LEAF), hst.binary(min_size=32, max_size=32))
-_IMAGE = hst.builds(lambda leaves, cut: b"".join(leaves)[: max(0, 32 * len(leaves) - cut)],
-                    hst.lists(_LEAF, max_size=9), hst.integers(0, 31))
+def _image(rng: random.Random) -> bytes:
+    """Up to 9 whole leaves, half of them all zero, then a cut of up to 31
+    bytes so that lengths need not be multiples of 32."""
+    leaves = [ZERO_LEAF if rng.random() < 0.5 else rng.randbytes(32) for _ in range(draw_int(rng, 0, 9))]
+    return b"".join(leaves)[: max(0, 32 * len(leaves) - draw_int(rng, 0, 31))]
 
 
 def _same_tree(a, b) -> bool:
@@ -1189,10 +1194,7 @@ def _same_hashed_tree(a: merkle.MemTree, b: merkle.MemTree) -> bool:
     return _same_tree(a._root, b._root)
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(program=_IMAGE, input_blob=_IMAGE, model_blob=_IMAGE, scheme_name=hst.sampled_from(scheme_names()))
-def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blob, scheme_name):
-    scheme = get_scheme(scheme_name)
+def _load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blob, scheme) -> None:
     regions = ((fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL, program),
                (fpvm.INPUT_BASE, fpvm.INPUT_LEVEL, input_blob),
                (fpvm.MODEL_BASE, fpvm.MODEL_LEVEL, model_blob))
@@ -1216,8 +1218,15 @@ def test_load_program_matches_leaf_by_leaf_writes(program, input_blob, model_blo
         assert _same_hashed_tree(loaded, ref)
 
 
+def test_load_program_matches_leaf_by_leaf_writes():
+    rng = random.Random(22)
+    for _ in range(80):
+        _load_program_matches_leaf_by_leaf_writes(_image(rng), _image(rng), _image(rng),
+                                                  get_scheme(rng.choice(scheme_names())))
+
+
 def test_load_program_rejects_an_image_larger_than_its_region_before_hashing():
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     with pytest.raises(merkle.RangeError):
         load_program(bytes((32 << fpvm.PROGRAM_LEVEL) + 4), scheme=scheme)
     with pytest.raises(merkle.RangeError):
@@ -1273,7 +1282,7 @@ def test_a_memo_hit_loads_the_tree_a_miss_loads(monkeypatch):
     """A reload hashes nothing but the program's memo key, and its tree reads,
     proves and hashes like the first load's in every region."""
     monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     program = _random_program(random.Random(29), 300)
     images = (program, b"input-blob" * 7, b"model-blob" * 40)
     miss = load_program(*images, scheme=scheme).memory

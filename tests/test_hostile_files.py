@@ -4,7 +4,12 @@ to a well-formed file and runs `opml` in-process; it must end in a
 documented exit code (0, 2 or 3), never in an exception. A second fuzz
 draws the numeric arguments of the other subcommands; those cases may also
 end in 4, an internal error. A third plays `opml dispute` scenarios drawn
-from `cli.DISPUTE_OPTIONS`."""
+from `cli.DISPUTE_OPTIONS`.
+
+Each fuzz draws a fixed number of cases from its own `random.Random`
+seed, integers through `fixtures.draw_int` (an end of the range one draw
+in eight), so every run plays the same cases whatever else the source
+tree holds."""
 
 import contextlib
 import copy
@@ -12,15 +17,15 @@ import io
 import math
 import os
 import random
+import struct
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from opml import cli, ml
 from opml.cli import main
 
-from fixtures import build_mlp, rand_tensor
+from fixtures import build_mlp, draw_int, rand_tensor
 
 MODEL = build_mlp(seed=90, in_dim=3, hidden=4, out_dim=2)
 
@@ -77,12 +82,13 @@ def originals(tmp_path_factory):
     return work, files
 
 
-_MUTATION = hst.one_of(
-    hst.tuples(hst.just("flip"), hst.integers(0, 1 << 16), hst.integers(0, 7)),
-    hst.tuples(hst.just("truncate"), hst.integers(0, 1 << 16)),
-    hst.tuples(hst.just("splice"), hst.integers(0, 1 << 16), hst.integers(0, 1 << 16),
-               hst.integers(1, 16)),
-)
+#: A bit flip, a truncation or a splice, each as likely; `_mutate` takes
+#: offsets modulo the file's length.
+_FILE_MUTATIONS = [
+    lambda rng: ("flip", draw_int(rng, 0, 1 << 16), draw_int(rng, 0, 7)),
+    lambda rng: ("truncate", draw_int(rng, 0, 1 << 16)),
+    lambda rng: ("splice", draw_int(rng, 0, 1 << 16), draw_int(rng, 0, 1 << 16), draw_int(rng, 1, 16)),
+]
 
 
 def _mutate(data: bytes, ops) -> bytes:
@@ -100,65 +106,104 @@ def _mutate(data: bytes, ops) -> bytes:
     return bytes(buf)
 
 
-@given(target=hst.sampled_from(sorted(COMMANDS)), ops=hst.lists(_MUTATION, min_size=1, max_size=3))
-@settings(derandomize=True, max_examples=200, deadline=None)
-def test_hostile_file_ends_in_a_documented_exit_code(originals, target, ops):
+def test_hostile_file_ends_in_a_documented_exit_code(originals):
     work, files = originals
-    for name, data in files.items():
-        (work / name).write_bytes(_mutate(data, ops) if name == target else data)
-    with _inside(work):
-        code, _, err = _call(COMMANDS[target])
-    assert code in (0, 2, 3), (target, ops, err)
+    rng = random.Random(11)
+    for _ in range(200):
+        target = rng.choice(sorted(COMMANDS))
+        ops = [rng.choice(_FILE_MUTATIONS)(rng) for _ in range(draw_int(rng, 1, 3))]
+        for name, data in files.items():
+            (work / name).write_bytes(_mutate(data, ops) if name == target else data)
+        with _inside(work):
+            code, _, err = _call(COMMANDS[target])
+        assert code in (0, 2, 3), (target, ops, err)
 
 
-_INT = hst.integers(-(1 << 40), 1 << 40)
-_FLOAT = (hst.floats(0.0, 4.0) | hst.floats(allow_nan=True, allow_infinity=True)
-          | hst.sampled_from([math.nan, math.inf, -math.inf]))
 _ECONOMICS_FLOATS = {"--C", "--R", "--L", "--B", "--S", "--r", "--t", "--p-t", "--lazy-fraction"}
+#: Doubles that 64 random bits seldom give.
+_EDGE_FLOATS = (0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+                1.7976931348623157e308, -1.7976931348623157e308)
+#: Ints above float range: `float()` of one raises OverflowError.
+_HUGE = (10**309, 10**400, -(10**400))
+
+
+def _float(rng: random.Random) -> float:
+    """In [0, 4] a third of the time, NaN or an infinity a third, else any
+    double: an edge value or 64 random bits."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((0.0, 4.0)) if rng.random() < 1 / 8 else rng.uniform(0.0, 4.0)
+    if kind == 1:
+        return rng.choice((math.nan, math.inf, -math.inf))
+    return rng.choice(_EDGE_FLOATS) if rng.random() < 0.5 else struct.unpack("<d", rng.randbytes(8))[0]
 
 
 def _small(hi: int):
     """A value in 1..hi half the time, else an out-of-range one; the cap
     keeps every case short."""
-    return hst.integers(1, hi) | hst.sampled_from([-(1 << 40), -1, 0])
+    return lambda rng: draw_int(rng, 1, hi) if rng.random() < 0.5 else rng.choice((-(1 << 40), -1, 0))
 
 
-def _argv(base: list[str], required: dict, optional: dict):
-    return hst.fixed_dictionaries(required, optional=optional).map(
-        lambda flags: base + [f"{flag}={value}" for flag, value in flags.items()])
+def _int(rng: random.Random) -> int:
+    return draw_int(rng, -(1 << 40), 1 << 40)
 
 
-_ARGV = hst.one_of(
-    _argv(["run", "--model", "model.opml", "--input", "input.tensor"], {}, {}),
-    _argv(["security"],
-          {"--p": _FLOAT, "--m": _small(100_000) | hst.tuples(_small(100), _small(100)).map(
-              lambda r: f"{r[0]}:{r[1]}")},
-          {"--f": _FLOAT}),
-    _argv(["economics", "equilibrium"],
-          {flag: _FLOAT for flag in ("--C", "--R", "--L", "--B", "--S")}, {}),
-    _argv(["economics", "attention"], {"--r": _FLOAT, "--t": _FLOAT, "--C": _FLOAT},
-          {"--p-t": _FLOAT, "--simulate": _small(40), "--validators": _small(6),
-           "--lazy-fraction": _FLOAT, "--penalty": _small(100), "--seed": _INT}),
-)
+def _or_huge(draw):
+    """`draw`, or one time in four an int above float range."""
+    return lambda rng: rng.choice(_HUGE) if rng.random() < 1 / 4 else draw(rng)
 
 
-@given(argv=_ARGV)
-@settings(derandomize=True, max_examples=200, deadline=None)
-def test_numeric_arguments_end_in_a_documented_exit_code(originals, argv):
+def _m(rng: random.Random) -> str:
+    """A committee size, or a size:threshold pair."""
+    return str(_small(100_000)(rng)) if rng.random() < 0.5 else f"{_small(100)(rng)}:{_small(100)(rng)}"
+
+
+#: (command, required flags, optional flags), each flag with its draw.
+_NUMERIC_COMMANDS = [
+    (["run", "--model", "model.opml", "--input", "input.tensor"], {}, {}),
+    (["security"], {"--p": _float, "--m": _m}, {"--f": _float}),
+    (["economics", "equilibrium"], {flag: _float for flag in ("--C", "--R", "--L", "--B", "--S")}, {}),
+    (["economics", "attention"], {"--r": _float, "--t": _float, "--C": _float},
+     {"--p-t": _float, "--simulate": _small(40), "--validators": _small(6), "--lazy-fraction": _float,
+      "--penalty": _or_huge(_small(100)), "--seed": _or_huge(_int)}),
+]
+
+
+def _numeric_argv(rng: random.Random) -> list[str]:
+    """A command, each as likely, with its required flags and each optional
+    flag half the time."""
+    base, required, optional = rng.choice(_NUMERIC_COMMANDS)
+    flags = {**required, **{flag: draw for flag, draw in optional.items() if rng.random() < 0.5}}
+    return base + [f"{flag}={draw(rng)}" for flag, draw in flags.items()]
+
+
+def _numeric_cases(rng: random.Random, count: int):
+    """`economics attention` with each pair of ends of the --penalty and
+    --seed draws, on float flags that pass every check and --simulate and
+    --validators at their caps; then `count` drawn argument lists."""
+    for penalty, seed in product((1, 100, *_HUGE), (-(1 << 40), 1 << 40, *_HUGE)):
+        yield ["economics", "attention", "--r=1.0", "--t=1.0", "--C=1.0", "--simulate=40",
+               "--validators=6", f"--penalty={penalty}", f"--seed={seed}"]
+    for _ in range(count):
+        yield _numeric_argv(rng)
+
+
+def test_numeric_arguments_end_in_a_documented_exit_code(originals):
     work, files = originals
-    for name, data in files.items():
-        (work / name).write_bytes(data)
-    with _inside(work):
-        try:
-            code, out, err = _call(argv)
-        except SystemExit as exc:  # argparse rejects the value
-            code, out, err = exc.code, "", ""
-    assert code in (0, 2, 3, 4), (argv, err)
-    flags = dict(arg.split("=", 1) for arg in argv if "=" in arg)
-    if argv[0] == "economics" and any(not math.isfinite(float(value))
-                                      for flag, value in flags.items()
-                                      if flag in _ECONOMICS_FLOATS):
-        assert (code, out) == (2, ""), (argv, err)
+    for argv in _numeric_cases(random.Random(12), 200):
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        with _inside(work):
+            try:
+                code, out, err = _call(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code, out, err = exc.code, "", ""
+        assert code in (0, 2, 3, 4), (argv, err)
+        flags = dict(arg.split("=", 1) for arg in argv if "=" in arg)
+        if argv[0] == "economics" and any(not math.isfinite(float(value))
+                                          for flag, value in flags.items()
+                                          if flag in _ECONOMICS_FLOATS):
+            assert (code, out) == (2, ""), (argv, err)
 
 
 #: The files the path options name, inside the work dir.
@@ -169,43 +214,42 @@ _CAPS = {"k": 8, "m": 64}  # keep each game short
 _INT_BOUND = 1 << 40
 
 
-def _valid(key: str, game: str, n: int):
+def _valid(rng: random.Random, key: str, game: str, n: int):
     """A value `key` accepts in `game` (on an n-step program if synthetic):
     inside its range or among its choices. An integer without a bound may
     be anything within 2^40; a fault target names a computed node or a
     step of the honest trace."""
     opt = cli.DISPUTE_OPTIONS[key]
     if key in _PATHS:
-        return hst.just(_PATHS[key])
+        return _PATHS[key]
     if isinstance(opt.kind, tuple):
-        return hst.sampled_from(opt.kind)
+        return rng.choice(opt.kind)
     if key == "synthetic.n":
-        return hst.just(n)
+        return n
     if key == "fault.node":
-        return hst.sampled_from(_COMPUTED_NODES)
+        return rng.choice(_COMPUTED_NODES)
     if key == "fault.step":  # the model's honest trace is longer than 100 steps
-        return hst.integers(1, n if game == cli.SYNTHETIC else 100)
-    return hst.integers(max(opt.lo, -_INT_BOUND), min(opt.hi, _CAPS.get(key, _INT_BOUND)))
+        return draw_int(rng, 1, n if game == cli.SYNTHETIC else 100)
+    return draw_int(rng, max(opt.lo, -_INT_BOUND), min(opt.hi, _CAPS.get(key, _INT_BOUND)))
 
 
 # Mostly unmutated, so that most examples play a game to its verdict.
 _MUTATIONS = ["range", "unused", "choice", "contradict"] + [None] * 8
 
 
-@hst.composite
-def _dispute_case(draw):
+def _dispute_case(rng: random.Random):
     """(argv, config text, mutation): one game, a valid value for every
     option that game uses, each given as a flag or a config line, then at
     most one mutation that must make the game exit 2."""
-    game = draw(hst.sampled_from(cli.EVERY_GAME))
-    n = draw(hst.integers(2, 300))
+    game = rng.choice(cli.EVERY_GAME)
+    n = draw_int(rng, 2, 300)
     used = [key for key, opt in cli.DISPUTE_OPTIONS.items()
             if game in opt.games and key not in ("protocol", "phases")]
-    given = draw(hst.fixed_dictionaries({key: _valid(key, game, n) for key in used}))
-    if game == cli.TWO_PHASE or draw(hst.booleans()):
+    given = {key: _valid(rng, key, game, n) for key in used}
+    if game == cli.TWO_PHASE or rng.random() < 0.5:
         two = game == cli.TWO_PHASE
-        given.update(draw(hst.sampled_from([{"protocol": cli.TWO_PHASE if two else cli.SINGLE},
-                                            {"phases": "2" if two else "1"}])))
+        given.update(rng.choice([{"protocol": cli.TWO_PHASE if two else cli.SINGLE},
+                                 {"phases": "2" if two else "1"}]))
     # The rules that tie options together: at most one fault target (one
     # is needed for the fault strategy on a model), fault.element and
     # fault.bit only with fault.node, wrong.round only with wrong-midpoint.
@@ -213,30 +257,29 @@ def _dispute_case(draw):
     if given["strategy"] != "fault" or game == cli.SYNTHETIC:
         targets.append(None)
     keep = {"fault.node": ("fault.node", "fault.element", "fault.bit"), "fault.step": ("fault.step",),
-            None: ()}[draw(hst.sampled_from(targets))]
+            None: ()}[rng.choice(targets)]
     for key in ("fault.node", "fault.step", "fault.element", "fault.bit"):
         if key not in keep:
             given.pop(key, None)
     if given["strategy"] != "wrong-midpoint":
         del given["wrong.round"]
 
-    mutation = draw(hst.sampled_from(_MUTATIONS))
+    mutation = rng.choice(_MUTATIONS)
     if mutation == "range":
-        key = draw(hst.sampled_from([key for key in used if cli.DISPUTE_OPTIONS[key].kind is int
-                                     and math.isfinite(cli.DISPUTE_OPTIONS[key].lo)]))
+        key = rng.choice([key for key in used if cli.DISPUTE_OPTIONS[key].kind is int
+                          and math.isfinite(cli.DISPUTE_OPTIONS[key].lo)])
         opt = cli.DISPUTE_OPTIONS[key]
-        given[key] = draw(hst.sampled_from([v for v in (opt.lo - 1, opt.hi + 1) if math.isfinite(v)]))
+        given[key] = rng.choice([v for v in (opt.lo - 1, opt.hi + 1) if math.isfinite(v)])
     elif mutation == "unused":
-        key = draw(hst.sampled_from([key for key, opt in cli.DISPUTE_OPTIONS.items()
-                                     if game not in opt.games]))
-        given[key] = draw(_valid(key, game, n))
+        key = rng.choice([key for key, opt in cli.DISPUTE_OPTIONS.items() if game not in opt.games])
+        given[key] = _valid(rng, key, game, n)
     elif mutation == "choice":
-        given[draw(hst.sampled_from([key for key, opt in cli.DISPUTE_OPTIONS.items()
-                                     if isinstance(opt.kind, tuple)]))] = "fualt"
+        given[rng.choice([key for key, opt in cli.DISPUTE_OPTIONS.items()
+                          if isinstance(opt.kind, tuple)])] = "fualt"
     elif mutation == "contradict":
         rules = ["wrong.round"] + (["fault.element"] if game != cli.SYNTHETIC else []) + (
             ["fault.step"] if game == cli.SINGLE else [])
-        rule = draw(hst.sampled_from(rules))
+        rule = rng.choice(rules)
         if rule == "wrong.round":
             given["wrong.round"] = 1
             if given.get("strategy") == "wrong-midpoint":
@@ -249,7 +292,7 @@ def _dispute_case(draw):
 
     flags, lines = [], []
     for key, value in given.items():
-        if key == "phases" or draw(hst.booleans()):
+        if key == "phases" or rng.random() < 0.5:
             lines.append(f"{key} = {value}\n")
         else:
             flags.append(f"--{key.replace('.', '-')}={value}")
@@ -260,12 +303,10 @@ def test_dispute_scenarios_end_in_a_documented_exit_code(originals):
     """A valid scenario plays to a verdict or exits 2; a mutated one exits 2
     with no output; neither ever raises. Most valid ones reach a verdict."""
     work, files = originals
+    rng = random.Random(13)
     verdicts = []
-
-    @given(case=_dispute_case())
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    def play(case):
-        argv, config, mutation = case
+    for _ in range(200):
+        argv, config, mutation = _dispute_case(rng)
         for name, data in files.items():
             (work / name).write_bytes(data)
         (work / "fuzz.cfg").write_text(config)
@@ -279,8 +320,6 @@ def test_dispute_scenarios_end_in_a_documented_exit_code(originals):
         else:
             assert (code, out) == (2, ""), (mutation, argv, config, err)
         verdicts.append(out.startswith("winner="))
-
-    play()
     assert sum(verdicts) >= 100, (sum(verdicts), len(verdicts))
 
 

@@ -8,11 +8,11 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opml import merkle
-from opml.hashing import TREE_DEPTH, ZERO_LEAF, HashScheme, get_scheme, scheme_names
+from opml.hashing import TREE_DEPTH, ZERO_LEAF, get_scheme, scheme_names
+
+from fixtures import counting_scheme, draw_int
 
 SCHEME = get_scheme("sha256")
 
@@ -158,9 +158,7 @@ def test_a_block_read_holds_what_get_leaf_reads_and_hashes_nothing():
     leaves inside the region included) and the empty tree; blocks inside
     written and absent subtrees and the last block of the address space, at
     levels 0 to 6 and from indices inside a block as well as at its start."""
-    calls: list[bytes] = []
-    scheme = HashScheme("sha256", lambda data: calls.append(data) or h(data))
-    calls.clear()
+    scheme, calls = counting_scheme()
     rng = random.Random(32)
     updated = merkle.MemTree(scheme)
     for _ in range(200):
@@ -352,17 +350,27 @@ def eager_levels(leaves: dict[int, bytes], scheme) -> tuple[list[dict[int, bytes
     return levels, zeros
 
 
-_INDEX = st.sampled_from([0, 1, 2, 3, 31, 32, 1 << 20, (1 << 26) + 5, merkle.NUM_LEAVES - 1]) | st.integers(0, 63)
-_VALUE = st.sampled_from([ZERO_LEAF, b"\x01" * 32]) | st.binary(min_size=32, max_size=32)
-_WRITES = st.lists(st.tuples(_INDEX, _VALUE), max_size=6)  # repeated indices: the last one counts
-_OPS = st.lists(st.tuples(st.sampled_from(["update", "update-latest", "writes", "writes-latest",
-                                           "get", "check"]),
-                          st.integers(0, 1 << 16), _INDEX, _VALUE, _WRITES), max_size=40)
+_CORNER_INDICES = (0, 1, 2, 3, 31, 32, 1 << 20, (1 << 26) + 5, merkle.NUM_LEAVES - 1)
+_KINDS = ("update", "update-latest", "writes", "writes-latest", "get", "check")
 
 
-@given(ops=_OPS, scheme_name=st.sampled_from(scheme_names()))
-@settings(derandomize=True, max_examples=120, deadline=None)
-def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
+def _index(rng: random.Random) -> int:
+    return rng.choice(_CORNER_INDICES) if rng.random() < 0.5 else draw_int(rng, 0, 63)
+
+
+def _value(rng: random.Random) -> bytes:
+    return rng.choice((ZERO_LEAF, b"\x01" * 32)) if rng.random() < 0.5 else rand_leaf(rng)
+
+
+def _ops(rng: random.Random) -> list:
+    """Up to 40 (kind, pick, index, value, writes) tuples; `writes` holds up
+    to 6 pairs, where a repeated index counts its last value."""
+    return [(rng.choice(_KINDS), draw_int(rng, 0, 1 << 16), _index(rng), _value(rng),
+             [(_index(rng), _value(rng)) for _ in range(draw_int(rng, 0, 6))])
+            for _ in range(draw_int(rng, 0, 40))]
+
+
+def _versions_match_eager_trees(ops, scheme) -> None:
     """Updates, `with_writes` versions and reads on any version, superseded
     ones and one updated twice included, against a dict model per version;
     roots, proofs and subtree roots, asked for at any point, against
@@ -370,7 +378,6 @@ def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
     are built in any order: newer before older, and after a newer version
     of them was made or built. Every version is checked again at the end,
     newest first."""
-    scheme = get_scheme(scheme_name)
     versions = [(merkle.MemTree(scheme), {})]
 
     def check(tree, model, index):
@@ -402,6 +409,12 @@ def test_every_version_reads_and_hashes_like_an_eager_tree(ops, scheme_name):
         check(tree, model, max(model, default=7))
 
 
+def test_every_version_reads_and_hashes_like_an_eager_tree():
+    rng = random.Random(31)
+    for _ in range(120):
+        _versions_match_eager_trees(_ops(rng), get_scheme(rng.choice(scheme_names())))
+
+
 def shape(node):
     """A tree's nodes and leaves without their digests, all-zero subtrees None."""
     return node if node is None or isinstance(node, bytes) else (shape(node.left), shape(node.right))
@@ -414,8 +427,7 @@ def test_pending_versions_build_in_any_order_like_leaf_by_leaf_updates():
     their paths, also next to non-zero writes of one build; a built version
     still updates persistently; no version changes its base or the writes
     it was given."""
-    calls: list[bytes] = []
-    scheme = HashScheme("sha256", lambda data: calls.append(data) or h(data))
+    scheme, calls = counting_scheme()
     rng = random.Random(34)
     leaves = {i: rand_leaf(rng) for i in (0, 1, 6, 7, 1 << 20, merkle.NUM_LEAVES - 1)}
     base = merkle.MemTree(scheme)

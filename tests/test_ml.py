@@ -7,9 +7,9 @@ import random
 import pytest
 
 from opml import ml
-from opml.hashing import GRAPH_STATE_PREFIX, HashScheme, get_scheme, scheme_names
+from opml.hashing import GRAPH_STATE_PREFIX, get_scheme, scheme_names
 
-from fixtures import build_mlp, fixture_models, rand_tensor
+from fixtures import build_mlp, counting_scheme, fixture_models, rand_tensor
 
 SCHEME = get_scheme("sha256")
 
@@ -313,15 +313,6 @@ def test_a_fork_at_every_node_is_the_faulted_run(scheme_name):
             honest.fork(ml.GraphFault(0, 0)).fork(ml.GraphFault(0, 0))
 
 
-def _counting_scheme():
-    """A sha256 scheme that logs every hash input made after its zero-hash
-    table is built."""
-    calls = []
-    scheme = HashScheme("sha256", lambda data: calls.append(data) or hashlib.sha256(data).digest())
-    calls.clear()
-    return scheme, calls
-
-
 def _entry_and_commitment_hashes(fork, node_id, calls):
     """The hash inputs of node `node_id`'s entry and of every commitment after it."""
     calls.clear()
@@ -333,7 +324,7 @@ def _entry_and_commitment_hashes(fork, node_id, calls):
 
 
 def test_a_fork_at_the_last_node_hashes_its_entry_and_the_last_state_only():
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     for _, graph, x in fixture_models():
         honest = ml.run_graph(graph, x, scheme=scheme)
         last = len(graph.nodes) - 1
@@ -348,7 +339,7 @@ def test_a_relu_masked_flip_keeps_the_honest_entries_downstream():
     """A flip that leaves a negative pre-activation negative is masked by the
     ReLU: from there on the fork holds the honest outputs and entries, and
     hashes only the flipped node's entry and the states from it on."""
-    scheme, calls = _counting_scheme()
+    scheme, calls = counting_scheme()
     graph = build_mlp(seed=12, in_dim=4, hidden=6, out_dim=3)
     x = rand_tensor(random.Random(101), (1, 4))
     honest = ml.run_graph(graph, x, scheme=scheme)

@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from opml import dispute, fpvm, hashing, lowering, merkle, ml, multiphase
-from opml.dispute import ActorStrategy, ChainSim, Claim, build_trace_actor, interaction_count_bound
+from opml.dispute import ActorStrategy, Claim, build_trace_actor, interaction_count_bound
 from opml.hashing import HashScheme, get_scheme, scheme_names
 from opml.multiphase import (
     EntranceBundle,
@@ -24,17 +24,9 @@ from opml.multiphase import (
     run_two_phase_dispute,
 )
 
-from fixtures import build_matmul_only, build_mlp, fixture_models, phase_rounds, rand_tensor
+from fixtures import build_matmul_only, build_mlp, fixture_models, phase_rounds, rand_tensor, staked_chain
 
 SCHEME = get_scheme("sha256")
-
-
-def fresh_chain(*parties):
-    chain = ChainSim()
-    for p in parties:
-        chain.deposit(p, 1000)
-        chain.stake(p, 100)
-    return chain
 
 
 def test_phase1_commitments_shape():
@@ -301,7 +293,7 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
     x = rand_tensor(random.Random(67), (1, 3))
     honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=2, element=1, bit=4)
-    chain = fresh_chain("alice", "bob")
+    chain = staked_chain("alice", "bob")
     total = chain.total()
     result = run_two_phase_dispute(
         graph, x,
@@ -326,7 +318,7 @@ def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
     n = len(fpvm.run_trace(m0, oracle))
     monkeypatch.setattr(fpvm, "MAX_STEPS", n - 1)
     with pytest.raises(fpvm.BudgetExceededError) as exc:
-        run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), fresh_chain("alice", "bob"),
+        run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), staked_chain("alice", "bob"),
                               scheme=SCHEME)
     assert exc.value.steps == exc.value.state.step_count == n - 1
 
@@ -344,7 +336,7 @@ def test_two_phase_game_refuses_an_unstaked_party(unstaked):
     honest = ml.run_graph(graph, x, scheme=SCHEME)
     sub = make_party("alice", honest)
     chal = make_party("bob", honest, graph_fault=ml.GraphFault(2, 1, 4))
-    chain = fresh_chain(*({"alice", "bob"} - {unstaked}))
+    chain = staked_chain(*({"alice", "bob"} - {unstaked}))
     chain.deposit(unstaked, 1000)
     with pytest.raises(dispute.ProtocolViolation, match=f"^{unstaked} is not staked$"):
         run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
@@ -356,7 +348,7 @@ def test_two_phase_honest_submitter_wins():
     x = rand_tensor(random.Random(69), (1, 3))
     honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=4, element=0, bit=7)
-    chain = fresh_chain("alice", "bob")
+    chain = staked_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
         make_party("alice", honest),
@@ -387,7 +379,7 @@ def test_single_and_two_phase_agree_on_every_fault():
         faulty_submitter = rng.random() < 0.5
 
         # two-phase game
-        chain = fresh_chain("alice", "bob")
+        chain = staked_chain("alice", "bob")
         sub = make_party("alice", honest, graph_fault=fault if faulty_submitter else None)
         chal = make_party("bob", honest, graph_fault=None if faulty_submitter else fault)
         two = run_two_phase_dispute(graph, x, sub, chal, PhaseConfig(), chain, scheme=SCHEME)
@@ -398,7 +390,7 @@ def test_single_and_two_phase_agree_on_every_fault():
         sub_actor = build_trace_actor("alice", honest_trace, strat_fault if faulty_submitter else ActorStrategy())
         chal_actor = build_trace_actor("bob", honest_trace, ActorStrategy() if faulty_submitter else strat_fault)
         claim = Claim.posted_by(sub_actor, 1, 1, claim_id=trial)
-        chain2 = fresh_chain("alice", "bob")
+        chain2 = staked_chain("alice", "bob")
         single = dispute.run_dispute(claim, sub_actor, chal_actor, chain=chain2)
 
         expected = "challenger" if faulty_submitter else "submitter"
@@ -415,7 +407,7 @@ def test_both_protocols_return_the_verdict_they_log_last(game):
     graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
     x = rand_tensor(random.Random(67), (1, 3))
     fault = ml.GraphFault(node_id=2, element=1, bit=4)
-    chain = fresh_chain("alice", "bob")
+    chain = staked_chain("alice", "bob")
     if game == "single-phase":
         lowered = lowering.lower_graph(graph)
         trace = fpvm.run_trace(lowered.initial_state(x, SCHEME))
@@ -448,7 +440,7 @@ def test_exit_failure_flips_the_verdict(monkeypatch):
     # both parties play an honest VM trace regardless of their graph claims
     monkeypatch.setattr(multiphase, "_phase2_trace",
                         lambda party, node_id, honest_trace, lowered: honest_trace)
-    chain = fresh_chain("alice", "bob")
+    chain = staked_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
         make_party("alice", honest, graph_fault=fault),
@@ -475,7 +467,7 @@ def test_entrance_failure_loses_the_game_for_the_submitter(monkeypatch):
 
     monkeypatch.setattr(multiphase, "build_entrance_state", flipped_m0_root)
     monkeypatch.setattr(fpvm, "run_trace", lambda *a: pytest.fail("a VM trace was run"))
-    chain = fresh_chain("alice", "bob")
+    chain = staked_chain("alice", "bob")
     result = run_two_phase_dispute(
         graph, x,
         make_party("alice", honest),
@@ -500,7 +492,7 @@ def test_phase_counts_against_bound():
     honest = ml.run_graph(graph, x, scheme=SCHEME)
     fault = ml.GraphFault(node_id=7, element=0, bit=1)
     for k1, k2, m in [(1, 1, 1), (2, 3, 2), (3, 2, 4)]:
-        chain = fresh_chain("alice", "bob")
+        chain = staked_chain("alice", "bob")
         result = run_two_phase_dispute(
             graph, x,
             make_party("alice", honest, graph_fault=fault),
@@ -544,7 +536,7 @@ def play_two_phase(graph, x, adversary_side, strategy, fault=None, cfg=PhaseConf
                                    strategy=strategy),
         honest_side: make_party(honest_side, honest),
     }
-    chain = fresh_chain("submitter", "challenger")
+    chain = staked_chain("submitter", "challenger")
     total = chain.total()
     result = run_two_phase_dispute(graph, x, parties["submitter"], parties["challenger"], cfg,
                                    chain, scheme=SCHEME)
@@ -580,7 +572,7 @@ def test_random_submitter_loses_both_protocols():
     sub_actor = build_trace_actor("submitter", honest_trace, strategy)
     chal_actor = build_trace_actor("challenger", honest_trace, ActorStrategy())
     single = dispute.run_dispute(Claim.posted_by(sub_actor, 1, 1), sub_actor, chal_actor,
-                                 chain=fresh_chain("submitter", "challenger"))
+                                 chain=staked_chain("submitter", "challenger"))
     assert (two.winner, single.winner) == ("challenger", "challenger"), (two.reason, single.reason)
 
 
