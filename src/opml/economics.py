@@ -256,14 +256,14 @@ def attention_round(
     submitter_address: bytes,
     validators: list[Validator],
     result_digest: bytes,
-    p_t: float,
+    threshold: int,
     chain: ChainSim,
     penalty: int,
     scheme: HashScheme,
 ) -> RoundReport:
-    """Drive one full round: commit, responses, reveal, accept, accusations."""
-    rnd = AttentionRound(submitter_id, submitter_address, result_digest,
-                         selection_threshold(p_t), scheme)
+    """Drive one full round, selecting below `threshold` (`selection_threshold`):
+    commit, responses, reveal, accept, accusations."""
+    rnd = AttentionRound(submitter_id, submitter_address, result_digest, threshold, scheme)
     selected, responded, penalized = [], [], []
     for v in validators:
         if rnd.must_respond(v):
@@ -324,10 +324,11 @@ def simulate_attention_rounds(
         validators.append(v)
 
     selections = penalized = 0
+    threshold = selection_threshold(p_t)
     for _ in range(rounds):
         digest = draws.randbytes(32)
         report = attention_round("submitter", submitter_addr, validators,
-                                 digest, p_t, chain, penalty, scheme)
+                                 digest, threshold, chain, penalty, scheme)
         selections += len(report.selected)
         penalized += len(report.penalized)
         for v in validators:  # laziness redrawn each round

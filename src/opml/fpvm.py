@@ -256,46 +256,43 @@ def load_program(
 ) -> VmState:
     """Fresh machine with code, input and model images in their regions:
     the memory equals writing the images leaf by leaf with `write_bytes`.
+    Each region is one `merkle.region` image, hashed when a root needs it.
     Raises merkle.RangeError, before hashing anything, when an image does
-    not fit its region. The program region's digest comes from
+    not fit its region. The program image's digest comes from
     `program_root`'s memo, so a process hashes each program once."""
     regions = (
         (PROGRAM_BASE, PROGRAM_LEVEL, program),
         (INPUT_BASE, INPUT_LEVEL, input_blob),
         (MODEL_BASE, MODEL_LEVEL, model_blob),
     )
-    subtrees = []
+    images = []
     for _, level, image in regions:  # every size check before any hash
-        subtrees.append(merkle.build_region(image, level))
-    _program_root(program, scheme, subtrees[0])
+        images.append(merkle.region(image, level, scheme))
+    if images[0] is not None:
+        images[0].digest = _memo_root(program, scheme, lambda: images[0].digest)
     tree = merkle.MemTree(scheme)
-    for (base, level, _), subtree in zip(regions, subtrees):
-        tree = tree.splice(base // 32, level, subtree)
+    for (base, level, _), image in zip(regions, images):
+        tree = tree.splice(base // 32, level, image)
     return VmState(pc=0, regs=(0,) * 16, memory=tree)
 
 
 def program_root(program: bytes, scheme: HashScheme) -> bytes:
     """Root of the program region holding `program`, memoised by content.
-    A miss hashes the region built from `program` itself, so no caller can
-    put a root in the memo that its program does not give."""
-    return _program_root(program, scheme, None)
+    A miss hashes the region of `program` itself, so no caller can put a
+    root in the memo that its program does not give."""
+    return _memo_root(program, scheme, lambda: merkle.region_root(program, PROGRAM_LEVEL, scheme))
 
 
-def _program_root(program: bytes, scheme: HashScheme, region) -> bytes:
-    """`program_root`, given `region`: None, or the `merkle.build_region`
-    subtree of `program` that `load_program` has just built, which a miss
-    hashes and a hit gives the memoised digest as its own."""
+def _memo_root(program: bytes, scheme: HashScheme, hash_region) -> bytes:
+    """`program`'s root from the memo; a miss memoises `hash_region()`, the
+    digest of the program region holding `program`."""
     key = (scheme.digest(program), PROGRAM_LEVEL, scheme)
     root = _PROGRAM_ROOTS.get(key)
     if root is None:
-        if region is None:
-            region = merkle.build_region(program, PROGRAM_LEVEL)
-        root = merkle.subtree_digest(region, PROGRAM_LEVEL, scheme)
+        root = hash_region()
         if len(_PROGRAM_ROOTS) >= _PROGRAM_ROOTS_MAX:
             del _PROGRAM_ROOTS[next(iter(_PROGRAM_ROOTS))]
         _PROGRAM_ROOTS[key] = root
-    elif region is not None:
-        merkle.subtree_digest(region, PROGRAM_LEVEL, scheme, root)
     return root
 
 

@@ -10,10 +10,11 @@ and shares the rest, so a snapshot is kept in O(1). `with_writes` makes an
 O(1) version that the first method to read or hash it builds (`_top`).
 Digests are lazy: a copied node has none, and `root`, `prove` and
 `subtree_root` hash a missing digest on first use and keep it in the node.
-Only `_set` and `build_region` make nodes, and neither changes a node it
-has returned, so no kept digest goes stale. A whole image is loaded
-bottom-up: `build_region` builds a region's subtree and `MemTree.splice`
-hangs it in at its aligned place. The tree keeps no read cache.
+A whole image is loaded as one node, `region`'s `_Image`, which is hashed
+level by level and read from its bytes, and builds its nodes once, when a
+proof or a write first opens it. Only `_set` and that build make nodes, and
+neither changes a node it has returned, so no kept digest goes stale. The
+tree keeps no read cache.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .wire import Reader
 
 NUM_LEAVES = 1 << TREE_DEPTH
 
+#: Lowest level whose digests an `_Image` keeps when hashed, so a proof
+#: into its built nodes hashes at most one 2**KEEP_LEVEL-leaf block per path.
+KEEP_LEVEL = 5
+
 
 class RangeError(ValueError):
     """Leaf index outside the fixed address space."""
@@ -37,7 +42,7 @@ class AlignmentError(ValueError):
 
 
 class _Node:
-    """Internal node; children are _Node, bytes (a leaf value) or None (zero).
+    """Internal node; children are _Node, _Image, bytes (a leaf) or None (zero).
 
     `digest` is None until `_child_digest` first needs it. An anchor of
     `root_from_regions` is a _Node with only a preset digest, at any level,
@@ -137,33 +142,29 @@ class MemTree:
     def get_leaf(self, index: int) -> bytes:
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
-        node = self._top()
-        for level in range(TREE_DEPTH - 1, -1, -1):
-            if node is None:
-                break
+        node, level = self._top(), TREE_DEPTH
+        while node.__class__ is _Node:
+            level -= 1
             node = node.right if (index >> level) & 1 else node.left
+        if node.__class__ is _Image:
+            return node.leaves(index & ((1 << level) - 1), 1)[0]
         return ZERO_LEAF if node is None else node
 
     def leaf_block(self, index: int, level: int, out: dict[int, bytes]) -> None:
         """Put into `out` each leaf it lacks of the aligned block of
         2**level leaves that holds `index`, keyed by base address (32 *
         leaf index), an absent leaf as ZERO_LEAF: what `get_leaf` reads for
-        it, in one descent from the root. An entry `out` already holds is
-        kept. Hashes nothing."""
+        it, in one descent from the root, slicing an image's bytes. An entry
+        `out` already holds is kept. Hashes nothing and builds no image."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
-        node = self._top()
-        for depth in range(TREE_DEPTH - 1, level - 1, -1):
-            if node is None:
-                break
+        node, depth = self._top(), TREE_DEPTH
+        while depth > level and node.__class__ is _Node:
+            depth -= 1
             node = node.right if (index >> depth) & 1 else node.left
-        nodes = [node]
-        for _ in range(level):
-            nodes = [child for parent in nodes
-                     for child in ((None, None) if parent is None else (parent.left, parent.right))]
-        base = (index >> level << level) * 32
-        for offset, leaf in enumerate(nodes):
-            out.setdefault(base + 32 * offset, ZERO_LEAF if leaf is None else leaf)
+        first = index >> level << level
+        for offset, leaf in enumerate(_block(node, level, first & ((1 << depth) - 1))):
+            out.setdefault(32 * (first + offset), leaf)
 
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
         """Return a new tree with `leaf` written at `index`; self reads the
@@ -177,7 +178,7 @@ class MemTree:
 
     def splice(self, index: int, level: int, subtree) -> "MemTree":
         """Return a new tree with the region of 2**level leaves at `index`
-        replaced by `subtree` (from `build_region`); self is unchanged."""
+        replaced by `subtree` (from `region`); self is unchanged."""
         self._check_aligned(index, level)
         return MemTree(self.scheme, _set(self._top(), TREE_DEPTH, [(index, subtree)], level))
 
@@ -274,45 +275,105 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
     return acc
 
 
-def build_region(data: bytes, region_level: int):
-    """Unhashed subtree of a 2**region_level-leaf region holding `data`
-    left-aligned and zero padded, with all-zero subtrees None, as in a tree
-    built by `update_leaf`. Raises RangeError before building anything when
-    `data` does not fit the region.
-    """
-    if len(data) > 32 << region_level:
-        raise RangeError(f"{len(data)} bytes exceed region of level {region_level}")
-    nodes = []
-    for i in range(0, len(data), 32):
-        leaf = data[i : i + 32].ljust(32, b"\x00")
-        nodes.append(None if leaf == ZERO_LEAF else leaf)
-    if not nodes:
+def region(data: bytes, level: int, scheme: HashScheme):
+    """Subtree of a 2**level-leaf region holding `data` left-aligned and zero
+    padded, for `MemTree.splice`: None when it is all zero, the leaf at
+    level 0, else an `_Image`, which hashes nothing yet. Raises RangeError
+    when `data` does not fit the region."""
+    if len(data) > 32 << level:
+        raise RangeError(f"{len(data)} bytes exceed region of level {level}")
+    if data.count(0) == len(data):
         return None
-    for level in range(region_level):
-        if len(nodes) % 2:
-            nodes.append(None)
-        nodes = [None if left is None and right is None else _Node(left, right)
-                 for left, right in zip(nodes[::2], nodes[1::2])]
-    return nodes[0]
+    return _Image(data, level, scheme) if level else data.ljust(32, b"\x00")
 
 
 def region_root(data: bytes, region_level: int, scheme: HashScheme) -> bytes:
     """Digest of a 2**region_level-leaf region holding `data` left-aligned,
     zero padded: that region's `subtree_root` after writing `data` from its
-    base into an empty tree."""
-    return _child_digest(build_region(data, region_level), region_level, scheme)
+    base into an empty tree, hashed with no node made."""
+    return _child_digest(region(data, region_level, scheme), region_level, scheme)
 
 
-def subtree_digest(
-    subtree, region_level: int, scheme: HashScheme, known: bytes | None = None
-) -> bytes:
-    """Digest of a `build_region` subtree of 2**region_level leaves, kept in
-    it. Without `known`, every digest the subtree lacks is hashed and kept.
-    With `known`, which the caller vouches is the subtree's digest, nothing
-    below is hashed until a proof or root opens a path into it."""
-    if known is not None and subtree.__class__ is _Node:
-        subtree.digest = known
-    return _child_digest(subtree, region_level, scheme)
+def _pairs(items: list, join) -> list:
+    """Subtrees (None if all zero) paired into the level above by `join`."""
+    if len(items) % 2:
+        items.append(None)
+    return [None if left is None and right is None else join(left, right)
+            for left, right in zip(items[::2], items[1::2])]
+
+
+def _block(node, level: int, first: int = 0) -> list[bytes]:
+    """The 2**level leaves under `node` from its leaf `first`, absent ones
+    ZERO_LEAF; `first` is nonzero only for an image or None."""
+    if node.__class__ is _Node:
+        return _block(node.left, level - 1) + _block(node.right, level - 1)
+    if node.__class__ is _Image:
+        return node.leaves(first, 1 << level)
+    return [ZERO_LEAF] * (1 << level) if node is None else [node]
+
+
+class _Image:
+    """A nonzero region of 2**level leaves, level >= 1, holding `data`, as
+    one node. Its `digest` is preset by a caller who vouches for it, or
+    hashed from `data` level by level with the calls `_child_digest` makes
+    over the region's nodes, keeping the digests from KEEP_LEVEL up. The
+    first read of `left` or `right` builds its nodes as `update_leaf`
+    writes would, once and in place, with the kept digests preset, so
+    every version that shares the image sees one tree."""
+
+    __slots__ = ("data", "level", "scheme", "_digest", "_kept", "_children")
+
+    def __init__(self, data: bytes, level: int, scheme: HashScheme):
+        self.data, self.level, self.scheme = data, level, scheme
+        self._digest = self._kept = self._children = None
+
+    @property
+    def digest(self) -> bytes:
+        if self._digest is None and self._children is not None:  # built before hashed
+            self._digest = self.scheme.node_hash(
+                *(_child_digest(child, self.level - 1, self.scheme) for child in self._children))
+        elif self._digest is None:
+            scheme, node_hash, self._kept = self.scheme, self.scheme.node_hash, []
+            digests = [None if leaf == ZERO_LEAF else scheme.leaf_hash(leaf) for leaf in self.leaves()]
+            for level, zero in enumerate(scheme.zero_hashes[: self.level]):
+                if level >= KEEP_LEVEL:
+                    self._kept.append(digests)
+                digests = _pairs(digests, lambda left, right: node_hash(left or zero, right or zero))
+            self._digest = digests[0]
+        return self._digest
+
+    @digest.setter
+    def digest(self, digest: bytes) -> None:
+        self._digest = digest
+
+    @property
+    def left(self):
+        return (self._children or self._build())[0]
+
+    @property
+    def right(self):
+        return (self._children or self._build())[1]
+
+    def _build(self) -> tuple:
+        nodes = [None if leaf == ZERO_LEAF else leaf for leaf in self.leaves()]
+        kept, self._kept = self._kept, None
+        for level in range(1, self.level):
+            nodes = _pairs(nodes, _Node)
+            for node, digest in zip(nodes, kept[level - KEEP_LEVEL] if kept and level >= KEEP_LEVEL else ()):
+                if node is not None:
+                    node.digest = digest
+        self._children = (*nodes, None)[:2]
+        return self._children
+
+    def leaves(self, first: int = 0, count: int | None = None) -> list[bytes]:
+        """The `count` leaves from the image's leaf `first`, ZERO_LEAF past
+        its data; by default every leaf its data reaches into."""
+        count = -(-len(self.data) // 32) if count is None else count
+        chunk = self.data[32 * first : 32 * (first + count)]
+        leaves = [chunk[i : i + 32] for i in range(0, len(chunk), 32)]
+        if len(chunk) % 32:
+            leaves[-1] = leaves[-1].ljust(32, b"\x00")
+        return leaves + [ZERO_LEAF] * (count - len(leaves))
 
 
 def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:

@@ -73,9 +73,8 @@ MUTANTS = [
     ("budget-error-register-list", FPVM, "BudgetExceededError(VmState(pc, tuple(regs),",
      "BudgetExceededError(VmState(pc, regs,"),
     # The one tree writer and its pending versions.
-    ("leaf-block-overwrites-out", MERKLE,
-     "out.setdefault(base + 32 * offset, ZERO_LEAF if leaf is None else leaf)",
-     "out[base + 32 * offset] = ZERO_LEAF if leaf is None else leaf"),
+    ("leaf-block-overwrites-out", MERKLE, "out.setdefault(32 * (first + offset), leaf)",
+     "out[32 * (first + offset)] = leaf"),
     ("top-merges-newest-first", MERKLE, "for version in reversed(chain):",
      "for version in chain:"),
     ("top-writes-unsorted", MERKLE, "for index, leaf in sorted(writes.items())]",
@@ -91,6 +90,21 @@ MUTANTS = [
      "bisect_left(items, (items[0][0] >> level << level,))"),
     ("set-all-right-only-for-one-item", MERKLE, "elif (items[0][0] >> level) & 1:",
      "elif len(items) == 1:"),
+    # The region image: its reads, its level-order hash and its one build.
+    ("image-slice-start-off-by-one-leaf", MERKLE, "chunk = self.data[32 * first :",
+     "chunk = self.data[32 * first + 32 :"),
+    ("image-kept-digests-one-level-off", MERKLE, "kept[level - KEEP_LEVEL] if",
+     "kept[level - KEEP_LEVEL - 1] if"),
+    ("image-last-leaf-unpadded", MERKLE,
+     "        if len(chunk) % 32:\n            leaves[-1] = leaves[-1].ljust(32, b\"\\x00\")\n", ""),
+    ("image-hashes-zero-leaves", MERKLE,
+     "digests = [None if leaf == ZERO_LEAF else scheme.leaf_hash(leaf) for",
+     "digests = [scheme.leaf_hash(leaf) for"),
+    ("image-rebuilt-on-each-access", MERKLE, "return (self._children or self._build())[0]",
+     "return self._build()[0]"),
+    ("image-hash-ignores-its-nodes", MERKLE,
+     "if self._digest is None and self._children is not None:", "if False:"),
+    ("all-zero-region-as-image", MERKLE, "if data.count(0) == len(data):", "if not data:"),
 ]
 
 

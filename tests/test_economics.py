@@ -196,7 +196,8 @@ def test_attention_round_flow_and_burn():
     ]
     total = chain.total()
     report = attention_round("submitter", rng.randbytes(20), validators,
-                             rng.randbytes(32), 1.0, chain, penalty=10, scheme=SCHEME)  # always selected
+                             rng.randbytes(32), selection_threshold(1.0), chain, penalty=10,
+                             scheme=SCHEME)  # always selected
     assert set(report.selected) == {"diligent", "lazy"}
     assert report.responded == ["diligent"]
     assert report.penalized == ["lazy"]
@@ -252,6 +253,20 @@ def test_simulation_rejects_bad_inputs_before_drawing(monkeypatch, bad, match):
         simulate_attention_rounds(**kwargs, chain=chain, scheme=SCHEME)
     assert excinfo.type is ValueError
     assert (chain.balances, chain.total()) == ({}, 0)
+
+
+def test_a_simulation_computes_its_selection_threshold_once(monkeypatch):
+    """One threshold serves every round, and the report is the one pinned
+    when each round computed its own."""
+    calls = []
+    threshold = economics.selection_threshold
+    monkeypatch.setattr(economics, "selection_threshold",
+                        lambda p_t: calls.append(p_t) or threshold(p_t))
+    report = simulate_attention_rounds(rounds=300, p_t=0.3, n_validators=3, lazy_fraction=0.5,
+                                       seed=6, penalty=10, scheme=SCHEME)
+    assert calls == [0.3]
+    assert report == economics.SimulationReport(rounds=300, samples=900, selections=279,
+                                                penalized=141, empirical_rate=0.31, burned=705)
 
 
 def test_simulation_of_zero_rounds_samples_nothing():

@@ -1168,25 +1168,29 @@ def _image(rng: random.Random) -> bytes:
 
 
 def _same_tree(a, b) -> bool:
-    """Same nodes, digests and leaves, with all-zero subtrees None in both."""
+    """Same nodes, digests and leaves, with all-zero subtrees None in both;
+    an image in `a` compares by the nodes it builds."""
     if a is None or b is None or isinstance(a, bytes):
         return a == b
-    return (isinstance(b, merkle._Node) and a.digest == b.digest
-            and _same_tree(a.left, b.left) and _same_tree(a.right, b.right))
+    return (isinstance(a, (merkle._Node, merkle._Image)) and isinstance(b, merkle._Node)
+            and a.digest == b.digest and _same_tree(a.left, b.left) and _same_tree(a.right, b.right))
 
 
 def _hash_every_node(node, level: int, scheme: HashScheme) -> None:
-    """Give every node below and at `node` its digest, children first, so a
-    digest already set on a node is kept, not derived from its children."""
-    if isinstance(node, merkle._Node):
+    """Build every image's nodes and give every node below and at `node`
+    its digest, children first, so a digest already set on a node is kept,
+    not derived from its children."""
+    if isinstance(node, (merkle._Node, merkle._Image)):
         _hash_every_node(node.left, level - 1, scheme)
         _hash_every_node(node.right, level - 1, scheme)
-        merkle.subtree_digest(node, level, scheme)
+        merkle._child_digest(node, level, scheme)
 
 
 def _same_hashed_tree(a: merkle.MemTree, b: merkle.MemTree) -> bool:
-    """`_same_tree` once every node of both trees has its digest. A digest
-    the program-root memo preset on a loaded program region is compared
+    """`_same_tree` once every image of both trees has built its nodes and
+    every node has its digest, since every proof sees those nodes. A digest
+    the program-root memo preset on a loaded program region, or one an
+    image kept from its hash and preset on the node it built, is compared
     with the one the other tree hashes from its leaves, and so is every
     digest below it."""
     for tree in (a, b):

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from opml import merkle
-from opml.hashing import TREE_DEPTH, ZERO_LEAF, get_scheme, scheme_names
+from opml import fpvm, merkle
+from opml.hashing import TREE_DEPTH, ZERO_LEAF, HashScheme, get_scheme, scheme_names
 
 from fixtures import counting_scheme, draw_int
 
@@ -154,7 +154,7 @@ def test_out_of_range_index_rejected():
 
 
 def test_a_block_read_holds_what_get_leaf_reads_and_hashes_nothing():
-    """Trees built by `update_leaf`, by `build_region` + `splice` (zero
+    """Trees built by `update_leaf`, by a `region` image + `splice` (zero
     leaves inside the region included) and the empty tree; blocks inside
     written and absent subtrees and the last block of the address space, at
     levels 0 to 6 and from indices inside a block as well as at its start."""
@@ -165,7 +165,7 @@ def test_a_block_read_holds_what_get_leaf_reads_and_hashes_nothing():
         updated = updated.update_leaf(rng.randrange(4096), rand_leaf(rng))
     image = [rand_leaf(rng) for _ in range(300)]
     image[50:60] = [ZERO_LEAF] * 10
-    spliced = merkle.MemTree(scheme).splice(4096, 10, merkle.build_region(b"".join(image), 10))
+    spliced = merkle.MemTree(scheme).splice(4096, 10, merkle.region(b"".join(image), 10, scheme))
     last = merkle.NUM_LEAVES - 1
     trees = [merkle.MemTree(scheme), updated, spliced, updated.update_leaf(last, rand_leaf(rng))]
     indices = [0, 5, 31, 33, 4095, 4096 + 17, 4096 + 55, 4096 + 299, 4096 + 1023, 1 << 20, last]
@@ -467,3 +467,119 @@ def test_pending_versions_build_in_any_order_like_leaf_by_leaf_updates():
     after = lazy[1].update_leaf(1, ZERO_LEAF).with_writes({1: b"\x03" * 32})
     assert after.root() == eager[1].update_leaf(1, b"\x03" * 32).root()
     assert lazy[1].root() == eager[1].root()
+
+
+def _image_case(rng: random.Random) -> tuple[bytes, int, int]:
+    """(data, level, base leaf index) of a region image: up to 2**level
+    whole leaves, at levels on both sides of KEEP_LEVEL, all random, all
+    zero, with trailing zero leaves or half zero, then a cut of up to 31
+    bytes; at the first, the second, a random or the last aligned place."""
+    level = draw_int(rng, 1, 8)
+    count, kind = draw_int(rng, 0, 1 << level), rng.choice(("random", "zero", "trailing", "half"))
+    leaves = [ZERO_LEAF if kind == "zero" or (kind == "trailing" and 2 * i >= count)
+              or (kind == "half" and rng.random() < 0.5) else rand_leaf(rng) for i in range(count)]
+    data = b"".join(leaves)[: max(0, 32 * count - draw_int(rng, 0, 31))]
+    slots = 1 << (TREE_DEPTH - level)
+    return data, level, rng.choice((0, 1, rng.randrange(slots), slots - 1)) << level
+
+
+def _logged(name: str):
+    """Scheme `name`, logging every hash input made after its zero table."""
+    calls: list[bytes] = []
+    scheme = HashScheme(name, lambda data: calls.append(data) or get_scheme(name).digest(data))
+    calls.clear()
+    return scheme, calls
+
+
+def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name: str,
+                                       hash_first: bool) -> None:
+    """A `region` image spliced in at `base` against the same bytes written
+    leaf by leaf, next to one leaf just past the region: reads hash nothing
+    and build no image; every root, subtree root and proof is equal; a root
+    makes the same hash calls; a proof into a hashed image hashes at most
+    one 2**KEEP_LEVEL-leaf block per path beyond the other tree's calls,
+    and nothing more when repeated. `hash_first` hashes the image before
+    any write into it, else after (a built image hashes through its
+    nodes). Then writes by `update_leaf`, `with_writes` and a `StepFault`
+    make versions that share the image's one build, each equal to its
+    leaf-by-leaf twin, with the unwritten trees unchanged."""
+    (scheme, log), (ref_scheme, ref_log) = _logged(name), _logged(name)
+    n, end = -(-len(data) // 32), base + (1 << level)
+    image = merkle.region(data, level, scheme)
+    neighbour = end % merkle.NUM_LEAVES
+    tree = merkle.MemTree(scheme).update_leaf(neighbour, b"\x07" * 32).splice(base, level, image)
+    ref = merkle.MemTree(ref_scheme).update_leaf(neighbour, b"\x07" * 32)
+    for i in range(n):
+        ref = ref.update_leaf(base + i, data[32 * i : 32 * i + 32].ljust(32, b"\x00"))
+    assert (image is None) == (data.count(0) == len(data))
+    last = base + max(n - 1, 0)  # a block at a low level straddles the data's end here
+    inside = base + (base * 7 + 3) % (n or 1 << level)  # in the data when there is any
+    probe = [base, last, inside, end - 1]
+
+    def reads(a, b):
+        for index in {*range(max(base - 1, 0), min(base + n + 2, merkle.NUM_LEAVES)), *probe}:
+            assert a.get_leaf(index) == b.get_leaf(index)
+        for block in {0, 1, 3, level - 1, level, level + 1, level + 3}:
+            for index in probe:
+                out, ref_out = {}, {}
+                a.leaf_block(index, block, out)
+                b.leaf_block(index, block, ref_out)
+                assert out == ref_out
+
+    def roots(a, b, same_calls: bool):
+        log.clear(), ref_log.clear()
+        assert a.root() == b.root()
+        for above in (level, level + 1, level + 4):
+            at = base >> above << above
+            assert a.subtree_root(32 * at, above) == b.subtree_root(32 * at, above)
+        assert not same_calls or sorted(log) == sorted(ref_log)
+
+    def proofs(a, b, repeat: bool):
+        log.clear(), ref_log.clear()
+        for index in probe:
+            assert a.prove(index) == b.prove(index)
+        for sub in {1, 4, level - 1} & set(range(level + 1)):
+            assert a.prove(base, sub) == b.prove(base, sub)
+            assert a.subtree_root(32 * base, sub) == b.subtree_root(32 * base, sub)
+        blocks = {index >> merkle.KEEP_LEVEL for index in probe}
+        assert 0 <= len(log) - len(ref_log) <= (0 if repeat else len(blocks) << (merkle.KEEP_LEVEL + 1))
+
+    log.clear(), ref_log.clear()
+    reads(tree, ref)
+    assert log == ref_log == [] and (image is None or image._children is None)
+    if hash_first:
+        roots(tree, ref, same_calls=True)
+        proofs(tree, ref, repeat=False)
+        proofs(tree, ref, repeat=True)
+    new = b"\x05" * 32
+    versions = [(tree.update_leaf(last, new), ref.update_leaf(last, new)),
+                (tree.update_leaf(base, ZERO_LEAF), ref.update_leaf(base, ZERO_LEAF))]
+    writes = {inside: new, end - 1: b"\x06" * 32, neighbour: ZERO_LEAF}
+    versions.append((tree.with_writes(dict(writes)), ref.with_writes(dict(writes))))
+    built = image._children if image is not None else None
+    for a, b in versions:
+        reads(a, b)
+        roots(a, b, same_calls=not hash_first)
+        if image is not None:
+            built = built or image._children
+            assert image._children is built  # one build, shared by every version
+    fault = fpvm.StepFault(step=1, leaf_index=inside, bit=last % 256)
+    versions.append(tuple(fault.apply(fpvm.VmState(pc=0, regs=(0,) * 16, memory=t)).memory
+                          for t in (tree, ref)))
+    roots(*versions[-1], same_calls=not hash_first)
+    roots(tree, ref, same_calls=not hash_first)
+    for a, b in versions:
+        reads(a, b)
+        proofs(a, b, repeat=False)
+    reads(tree, ref)
+    proofs(tree, ref, repeat=False)
+
+
+def test_a_region_image_reads_proves_and_hashes_like_leaf_by_leaf_writes():
+    rng = random.Random(41)
+    cases = [(b"", 3, 8), (ZERO_LEAF * 3, 6, 64), (rand_leaf(rng) + ZERO_LEAF * 40, 6, 0),
+             (rand_leaf(rng)[:5], 1, merkle.NUM_LEAVES - 2)]
+    cases += [_image_case(rng) for _ in range(40)]
+    for data, level, base in cases:
+        for name in scheme_names():
+            _image_matches_leaf_by_leaf_writes(data, level, base, name, hash_first=rng.random() < 0.5)

@@ -59,20 +59,21 @@ def test_entrance_honest_accepted_and_m0_reproducible():
 
 
 def test_entrance_state_builds_each_region_once(monkeypatch):
-    """The prover builds each region of the image once, in `load_program`,
-    which hashes it or, for the program region, takes its digest from
-    `fpvm.program_root`'s memo: the bundle carries the image's root alone,
-    so no region is built or hashed a second time for the evidence."""
+    """The prover makes each region's image once, in `load_program`, which
+    hashes it when a root needs it or, for the program region, takes its
+    digest from `fpvm.program_root`'s memo: the bundle carries the image's
+    root alone, so no region is made or hashed a second time for the
+    evidence."""
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
     callers = []
-    build_region = merkle.build_region
+    region = merkle.region
 
     def spy(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
-        return build_region(*args, **kwargs)
+        return region(*args, **kwargs)
 
-    monkeypatch.setattr(merkle, "build_region", spy)
+    monkeypatch.setattr(merkle, "region", spy)
     monkeypatch.setattr(merkle, "region_root", lambda *a, **kw: pytest.fail("region_root called"))
     build_entrance_state(run, 2, SCHEME)
     assert callers == ["load_program"] * 3
