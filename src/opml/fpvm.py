@@ -258,8 +258,9 @@ def load_program(
     the memory equals writing the images leaf by leaf with `write_bytes`.
     Each region is one `merkle.region` image, hashed when a root needs it.
     Raises merkle.RangeError, before hashing anything, when an image does
-    not fit its region. The program image's digest comes from
-    `program_root`'s memo, so a process hashes each program once."""
+    not fit its region. The program image's root comes from
+    `program_root`'s memo, but a hit presets none of the digests an image
+    keeps, so the first proof into it hashes the region again."""
     regions = (
         (PROGRAM_BASE, PROGRAM_LEVEL, program),
         (INPUT_BASE, INPUT_LEVEL, input_blob),

@@ -6,15 +6,15 @@ leaves read as all zeros, and all-zero subtrees collapse to memoized digests,
 so a tree touching a few pages stays small.
 
 Updates are persistent: one writer, `_set`, copies each written path once
-and shares the rest, so a snapshot is kept in O(1). `with_writes` makes an
-O(1) version that the first method to read or hash it builds (`_top`).
-Digests are lazy: a copied node has none, and `root`, `prove` and
-`subtree_root` hash a missing digest on first use and keep it in the node.
-A whole image is loaded as one node, `region`'s `_Image`, which is hashed
-level by level and read from its bytes, and builds its nodes once, when a
-proof or a write first opens it. Only `_set` and that build make nodes, and
-neither changes a node it has returned, so no kept digest goes stale. The
-tree keeps no read cache.
+and shares the rest, so a snapshot is kept in O(1). `with_writes` and
+`update_leaf` make an O(1) version that the first method to read or hash it
+builds (`_top`). Digests are lazy: a copied node has none, and `root`,
+`prove` and `subtree_root` hash a missing digest on first use and keep it in
+the node. A whole image is loaded as one node, `region`'s `_Image`, which is
+hashed level by level and read from its bytes, and builds its nodes once,
+when a proof or a write first opens it. Only `_set` and that build make
+nodes, and neither changes a node it has returned, so no kept digest goes
+stale. The tree keeps no read cache.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ class AlignmentError(ValueError):
 class _Node:
     """Internal node; children are _Node, _Image, bytes (a leaf) or None (zero).
 
-    `digest` is None until `_child_digest` first needs it. An anchor of
-    `root_from_regions` is a _Node with only a preset digest, at any level,
-    the leaf level included."""
+    `digest` is None until `_child_digest` first needs it."""
 
     __slots__ = ("digest", "left", "right")
 
@@ -60,7 +58,7 @@ def _child_digest(child, level: int, scheme: HashScheme) -> bytes:
     if child is None:
         return scheme.zero_hashes[level]
     if level == 0:
-        return child.digest if child.__class__ is _Node else scheme.leaf_hash(child)
+        return scheme.leaf_hash(child)
     if child.digest is None:
         child.digest = scheme.node_hash(_child_digest(child.left, level - 1, scheme),
                                         _child_digest(child.right, level - 1, scheme))
@@ -167,14 +165,13 @@ class MemTree:
             out.setdefault(32 * (first + offset), leaf)
 
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
-        """Return a new tree with `leaf` written at `index`; self reads the
-        same as before."""
+        """The `with_writes` version with `leaf` written at `index`, after
+        checking both; self reads the same as before."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
-        new_root = _set(self._top(), TREE_DEPTH, [(index, None if leaf == ZERO_LEAF else leaf)], 0)
-        return MemTree(self.scheme, new_root)
+        return self.with_writes({index: leaf})
 
     def splice(self, index: int, level: int, subtree) -> "MemTree":
         """Return a new tree with the region of 2**level leaves at `index`
@@ -377,14 +374,14 @@ class _Image:
 
 
 def root_from_regions(regions: list[tuple[int, int, bytes]], scheme: HashScheme) -> bytes:
-    """Full-tree root given (leaf_index, level, digest) subtree anchors, rest zero.
-
-    Each anchor is spliced into an empty tree as a node whose only content
-    is its digest, so the tree hashes over it but cannot read through it.
-    """
-    tree = MemTree(scheme)
-    for leaf_index, level, digest in regions:
-        anchor = _Node(None, None)
-        anchor.digest = digest
-        tree = tree.splice(leaf_index, level, anchor)
-    return tree.root()
+    """Full-tree root given (leaf_index, level, digest) subtree anchors, rest
+    zero. The anchors must be aligned and disjoint, as the entrance check's
+    two are; they are not checked. Hashed bottom-up over their paths alone,
+    one `node_hash` per distinct ancestor, with no node made."""
+    digests: dict[int, bytes] = {}
+    for level, zero in enumerate(scheme.zero_hashes):
+        digests.update((index >> level, digest) for index, at, digest in regions if at == level)
+        if level < TREE_DEPTH:
+            digests = {i: scheme.node_hash(digests.get(2 * i, zero), digests.get(2 * i + 1, zero))
+                       for i in {j >> 1 for j in digests}}
+    return digests.get(0, scheme.zero_hashes[TREE_DEPTH])

@@ -109,8 +109,9 @@ def test_bisection_round_validations():
                              challenger_end_claim=b"\xbb" * 32)
     with pytest.raises(ProtocolViolation):
         bisection_round(session, [(3, b"\x00" * 32)], 1)  # wrong index
-    with pytest.raises(ProtocolViolation):
-        bisection_round(session, [(4, b"\x00" * 32)], 5)  # out of range
+    for choice in (0, 3, 5):  # two segments: choices 1 and 2 only
+        with pytest.raises(ProtocolViolation, match=f"segment choice {choice} out of range"):
+            bisection_round(session, [(4, b"\x00" * 32)], choice)
     done = DisputeSession(i=3, j=1, k_checkpoints=1, agreed_root=b"\xaa" * 32,
                           challenger_end_claim=b"\xbb" * 32)
     with pytest.raises(ProtocolViolation):

@@ -326,6 +326,66 @@ def test_root_from_regions_reconstructs():
     assert merkle.root_from_regions([], SCHEME) == merkle.MemTree(SCHEME).root()
 
 
+def _disjoint_anchors(rng: random.Random) -> list[tuple[int, int, bytes]]:
+    """Up to 12 aligned (leaf_index, level, digest) anchors at levels 0-27,
+    no two overlapping, often near each other so they share ancestors."""
+    anchors: list[tuple[int, int, bytes]] = []
+    for _ in range(draw_int(rng, 0, 12)):
+        level = draw_int(rng, 0, TREE_DEPTH)
+        index = _index(rng) if rng.random() < 0.5 else draw_int(rng, 0, 1 << 12)
+        index = index >> level << level
+        if all(index >> max(level, other) != at >> max(level, other) for at, other, _ in anchors):
+            anchors.append((index, level, rng.randbytes(32)))
+    return anchors
+
+
+def anchored_root(anchors, digest, zeros, level: int = TREE_DEPTH, index: int = 0) -> bytes:
+    """Independent reference: the digest of the subtree of 2**level leaves
+    at `index` (counted in such subtrees), hashed top-down by `digest`."""
+    under = [anchor for anchor in anchors if anchor[0] >> level == index]
+    if not under:
+        return zeros[level]
+    if under[0][1] == level:  # the anchors are disjoint, so this one is alone here
+        return under[0][2]
+    return digest(anchored_root(under, digest, zeros, level - 1, 2 * index)
+                  + anchored_root(under, digest, zeros, level - 1, 2 * index + 1))
+
+
+def test_root_from_regions_matches_a_top_down_reference_and_hashes_each_ancestor_once():
+    """Random disjoint anchors at every level under every scheme: the root
+    is the reference's, and the only hash calls are one `node_hash` per
+    distinct ancestor of the anchors, the same inputs the reference hashes."""
+    rng = random.Random(42)
+    for _ in range(150):
+        name = rng.choice(scheme_names())
+        (scheme, log), ref = _logged(name), get_scheme(name)
+        anchors = _disjoint_anchors(rng)
+        ref_log: list[bytes] = []
+        reference = anchored_root(anchors, lambda data: ref_log.append(data) or ref.digest(data),
+                                  eager_levels({}, ref)[1])
+        assert merkle.root_from_regions(anchors, scheme) == reference
+        ancestors = {(k, at >> k) for at, level, _ in anchors for k in range(level + 1, TREE_DEPTH + 1)}
+        assert len(log) == len(ancestors) and sorted(log) == sorted(ref_log)
+
+
+def test_an_update_leaf_version_makes_no_node_until_it_is_read(monkeypatch):
+    """`update_leaf` checks its arguments and returns a pending version: it
+    makes no `_Node` and hashes nothing. The first read builds the newest
+    version once, one node per level of its one written path."""
+    made = []
+    monkeypatch.setattr(merkle._Node, "__init__", lambda node, *args, init=merkle._Node.__init__:
+                        made.append(node) or init(node, *args))
+    scheme, calls = counting_scheme()
+    leaf = b"\x02" * 32
+    base = merkle.MemTree(scheme).update_leaf(5, b"\x01" * 32)
+    tree = base.update_leaf(9, leaf).update_leaf(5, ZERO_LEAF)
+    assert made == [] and calls == [] and tree._root is None and base._root is None
+    assert tree.get_leaf(9) == leaf and tree.get_leaf(5) == ZERO_LEAF
+    assert len(made) == TREE_DEPTH and calls == []
+    assert tree.root() == oracle_single_leaf_root(9, leaf) and len(made) == TREE_DEPTH
+    assert base.get_leaf(5) == b"\x01" * 32 and base.get_leaf(9) == ZERO_LEAF
+
+
 def test_proof_serialization_roundtrip():
     rng = random.Random(11)
     tree = merkle.MemTree(SCHEME).update_leaf(77, rand_leaf(rng))

@@ -93,6 +93,19 @@ def test_a_witness_in_a_bundle_reports_offsets_into_the_bundle():
     assert exc.value.offset == flag_at
 
 
+def test_a_witness_ends_where_its_length_field_says_not_where_the_bundle_does():
+    """A length field one byte short cuts the witness's last field inside
+    the witness, though the bundle's own fields follow it."""
+    witness = _witness()
+    blob = witness.to_bytes()
+    bundle = bytearray(_bundle(witness))
+    at = bundle.index(blob) - 4
+    struct.pack_into("<I", bundle, at, len(blob) - 1)
+    with pytest.raises(wire.ParseError, match="truncated") as exc:
+        read_witness_bundle(bytes(bundle))
+    assert at + 4 <= exc.value.offset < at + 4 + len(blob) - 1
+
+
 def test_an_out_of_range_const_index_names_its_own_offset():
     blob = bytearray(ml.save_model_bytes(build_mlp(seed=4, in_dim=2, hidden=2, out_dim=2)))
     at = 16 + 2 + 4 + 4 * 2 + 2  # header, the input node's record, node 1's op and arity
