@@ -256,51 +256,44 @@ def load_program(
 ) -> VmState:
     """Fresh machine with code, input and model images in their regions:
     the memory equals writing the images leaf by leaf with `write_bytes`.
-    Each region is one `merkle.region` image, hashed when a root needs it.
+    Each region is one `merkle.region` image, hashed when a root needs it;
+    the program's is `program_image`'s, shared by every tree that loads it.
     Raises merkle.RangeError, before hashing anything, when an image does
-    not fit its region. The program image's root comes from
-    `program_root`'s memo, but a hit presets none of the digests an image
-    keeps, so the first proof into it hashes the region again."""
+    not fit its region."""
     regions = (
-        (PROGRAM_BASE, PROGRAM_LEVEL, program),
-        (INPUT_BASE, INPUT_LEVEL, input_blob),
-        (MODEL_BASE, MODEL_LEVEL, model_blob),
+        (INPUT_BASE, INPUT_LEVEL, merkle.region(input_blob, INPUT_LEVEL, scheme)),
+        (MODEL_BASE, MODEL_LEVEL, merkle.region(model_blob, MODEL_LEVEL, scheme)),
+        (PROGRAM_BASE, PROGRAM_LEVEL, program_image(program, scheme)),
     )
-    images = []
-    for _, level, image in regions:  # every size check before any hash
-        images.append(merkle.region(image, level, scheme))
-    if images[0] is not None:
-        images[0].digest = _memo_root(program, scheme, lambda: images[0].digest)
     tree = merkle.MemTree(scheme)
-    for (base, level, _), image in zip(regions, images):
+    for base, level, image in regions:
         tree = tree.splice(base // 32, level, image)
     return VmState(pc=0, regs=(0,) * 16, memory=tree)
 
 
 def program_root(program: bytes, scheme: HashScheme) -> bytes:
-    """Root of the program region holding `program`, memoised by content.
-    A miss hashes the region of `program` itself, so no caller can put a
-    root in the memo that its program does not give."""
-    return _memo_root(program, scheme, lambda: merkle.region_root(program, PROGRAM_LEVEL, scheme))
+    """Root of the program region holding `program`: `program_image`'s digest."""
+    return merkle._child_digest(program_image(program, scheme), PROGRAM_LEVEL, scheme)
 
 
-def _memo_root(program: bytes, scheme: HashScheme, hash_region) -> bytes:
-    """`program`'s root from the memo; a miss memoises `hash_region()`, the
-    digest of the program region holding `program`."""
+def program_image(program: bytes, scheme: HashScheme) -> merkle._Image | None:
+    """The program region holding `program` as a `merkle.region` image,
+    memoised by content, so a reload shares the image, its kept digests
+    and its built nodes. The size check comes before the memo key's hash."""
+    image = merkle.region(program, PROGRAM_LEVEL, scheme)
     key = (scheme.digest(program), PROGRAM_LEVEL, scheme)
-    root = _PROGRAM_ROOTS.get(key)
-    if root is None:
-        root = hash_region()
-        if len(_PROGRAM_ROOTS) >= _PROGRAM_ROOTS_MAX:
-            del _PROGRAM_ROOTS[next(iter(_PROGRAM_ROOTS))]
-        _PROGRAM_ROOTS[key] = root
-    return root
+    if key in _PROGRAM_IMAGES:
+        return _PROGRAM_IMAGES[key]
+    if len(_PROGRAM_IMAGES) >= _PROGRAM_IMAGES_MAX:
+        del _PROGRAM_IMAGES[next(iter(_PROGRAM_IMAGES))]
+    _PROGRAM_IMAGES[key] = image
+    return image
 
 
-# (program digest, PROGRAM_LEVEL, scheme) -> program-region root, oldest out
+# (program digest, PROGRAM_LEVEL, scheme) -> program-region image, oldest out
 # first: a two-phase game's entrance check reloads a program its prover loaded.
-_PROGRAM_ROOTS: dict[tuple[bytes, int, HashScheme], bytes] = {}
-_PROGRAM_ROOTS_MAX = 16
+_PROGRAM_IMAGES: dict[tuple[bytes, int, HashScheme], merkle._Image | None] = {}
+_PROGRAM_IMAGES_MAX = 16
 
 
 def assemble(instructions: list[int]) -> bytes:

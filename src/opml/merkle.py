@@ -11,10 +11,10 @@ and shares the rest, so a snapshot is kept in O(1). `with_writes` and
 builds (`_top`). Digests are lazy: a copied node has none, and `root`,
 `prove` and `subtree_root` hash a missing digest on first use and keep it in
 the node. A whole image is loaded as one node, `region`'s `_Image`, which is
-hashed level by level and read from its bytes, and builds its nodes once,
+hashed from its bytes alone and read from them, and builds its nodes once,
 when a proof or a write first opens it. Only `_set` and that build make
 nodes, and neither changes a node it has returned, so no kept digest goes
-stale. The tree keeps no read cache.
+stale and trees may share an image. The tree keeps no read cache.
 """
 
 from __future__ import annotations
@@ -311,12 +311,12 @@ def _block(node, level: int, first: int = 0) -> list[bytes]:
 
 class _Image:
     """A nonzero region of 2**level leaves, level >= 1, holding `data`, as
-    one node. Its `digest` is preset by a caller who vouches for it, or
-    hashed from `data` level by level with the calls `_child_digest` makes
-    over the region's nodes, keeping the digests from KEEP_LEVEL up. The
-    first read of `left` or `right` builds its nodes as `update_leaf`
-    writes would, once and in place, with the kept digests preset, so
-    every version that shares the image sees one tree."""
+    one node. Its `digest` is hashed from `data` a 2**KEEP_LEVEL-leaf block
+    at a time, then level by level, with the calls `_child_digest` makes
+    over its nodes, keeping the digests from KEEP_LEVEL up; nothing else
+    sets it. The first read of `left` or `right` builds its nodes as
+    `update_leaf` writes would, once and in place, with the kept digests
+    preset, so every tree and version sharing the image sees one tree."""
 
     __slots__ = ("data", "level", "scheme", "_digest", "_kept", "_children")
 
@@ -330,18 +330,23 @@ class _Image:
             self._digest = self.scheme.node_hash(
                 *(_child_digest(child, self.level - 1, self.scheme) for child in self._children))
         elif self._digest is None:
-            scheme, node_hash, self._kept = self.scheme, self.scheme.node_hash, []
-            digests = [None if leaf == ZERO_LEAF else scheme.leaf_hash(leaf) for leaf in self.leaves()]
-            for level, zero in enumerate(scheme.zero_hashes[: self.level]):
-                if level >= KEEP_LEVEL:
-                    self._kept.append(digests)
-                digests = _pairs(digests, lambda left, right: node_hash(left or zero, right or zero))
-            self._digest = digests[0]
+            scheme, low, blocks, self._kept = self.scheme, min(KEEP_LEVEL, self.level), [], []
+            for first in range(0, -(-len(self.data) // 32), 1 << low):
+                leaves = self.leaves(first, 1 << low)
+                digests = [None if leaf == ZERO_LEAF else scheme.leaf_hash(leaf) for leaf in leaves]
+                blocks += self._hash_up(digests, 0, low)
+            self._digest = self._hash_up(blocks, low, self.level)[0]
         return self._digest
 
-    @digest.setter
-    def digest(self, digest: bytes) -> None:
-        self._digest = digest
+    def _hash_up(self, digests: list, low: int, top: int) -> list:
+        """`digests` at level `low`, None if all zero, paired up to `top`; kept from KEEP_LEVEL."""
+        node_hash = self.scheme.node_hash
+        for level in range(low, top):
+            if level >= KEEP_LEVEL:
+                self._kept.append(digests)
+            zero = self.scheme.zero_hashes[level]
+            digests = _pairs(digests, lambda left, right: node_hash(left or zero, right or zero))
+        return digests
 
     @property
     def left(self):

@@ -8,8 +8,8 @@ and writes every stdout, output tensor, trace dump, transcript and witness
 bundle into OUTDIR. Outputs that must agree are compared byte for byte: a
 traced run with an untraced one, under each hash scheme. Then this process
 serves several commands through one `opml.cli.main`, with warm memos and
-OPML_HASH switched between them, and each stdout must equal that of the
-same command in a fresh process.
+OPML_HASH switched between them, and each stdout and witness bundle must
+equal that of the same command in a fresh process.
 
 Exits 1 on any mismatch and as soon as a command exits non-zero. Run it
 under two PYTHONHASHSEED values and `diff -r` the two directories: a result
@@ -29,15 +29,20 @@ SRC = str(ROOT / "src")
 DATA = ["--model", "tests/data/mlp.opml", "--input", "tests/data/mlp-input.tensor"]
 TWO_PHASE_7 = ["dispute", *DATA, "--protocol", "two-phase", "--faulty", "challenger",
                "--fault-node", "7"]
-#: (stdout file, OPML_HASH, argv) of the commands one process serves in turn.
+SINGLE_9 = ["dispute", *DATA, "--fault-node", "9", "--k", "2", "--m", "4"]
+#: (stdout file, OPML_HASH, argv) of the commands one process serves in turn;
+#: `{out}` in an argument stands for OUTDIR.
 ONE_PROCESS = [
     ("run", "sha256", ["run", *DATA]),
     ("run-blake2b", "blake2b", ["run", *DATA]),
     ("run-sha3", "sha3", ["run", *DATA]),
     ("run-again", "sha256", ["run", *DATA]),
+    ("single-9", "sha256", [*SINGLE_9, "--witness-out", "{out}/one-process-w-single-9.bin"]),
     ("two-phase-7", "sha256", TWO_PHASE_7),
     ("security", "sha256", ["security", "--p", "0.5", "--m", "1:5"]),
     ("two-phase-7-again", "sha256", TWO_PHASE_7),
+    ("single-9-again", "sha256",
+     [*SINGLE_9, "--witness-out", "{out}/one-process-w-single-9-again.bin"]),
 ]
 
 
@@ -110,25 +115,30 @@ def main(out: Path) -> int:
          "wrong-midpoint", "--k", "1024", "--seed", "6", "--transcript",
          at("synthetic-wrong.jsonl"), "--witness-out", at("w-wrong.bin"))
 
-    # One process serves several commands with one parser and warm
-    # program-root memos, switching OPML_HASH between them.
+    # One process serves several commands with one parser and a warm memo
+    # of program images, which its games have proved into, switching
+    # OPML_HASH between them.
     sys.path.insert(0, SRC)
     from opml.cli import main as opml_main
 
     for name, scheme, argv in ONE_PROCESS:
         os.environ["OPML_HASH"] = scheme
         with open(at(f"one-process-{name}.txt"), "w") as fh, contextlib.redirect_stdout(fh):
-            code = opml_main(argv)
+            code = opml_main([arg.format(out=out) for arg in argv])
         if code != 0:
             sys.exit(f"one process: {name} exited {code}")
 
     opml("fresh-run.txt", "run", *DATA)
     opml("fresh-two-phase-7.txt", *TWO_PHASE_7)
     opml("fresh-security.txt", "security", "--p", "0.5", "--m", "1:5")
-    for name in ("run", "two-phase-7", "security"):
+    opml("fresh-single-9.txt", *SINGLE_9, "--witness-out", at("fresh-w-single-9.bin"))
+    for name in ("run", "two-phase-7", "security", "single-9"):
         same(f"one-process-{name}.txt", f"fresh-{name}.txt")
     same("one-process-run-again.txt", "fresh-run.txt")
     same("one-process-two-phase-7-again.txt", "fresh-two-phase-7.txt")
+    same("one-process-single-9-again.txt", "fresh-single-9.txt")
+    for name in ("single-9", "single-9-again"):
+        same(f"one-process-w-{name}.bin", "fresh-w-single-9.bin")
     for scheme in ("blake2b", "sha3"):
         same(f"one-process-run-{scheme}.txt", f"run-{scheme}-untraced.txt")
 

@@ -42,6 +42,8 @@ TIMEOUT_S = 900
 MEMORY_CAP = 512 << 20
 #: The child's exit code when pytest itself breaks down on a MemoryError:
 #: at the cap that happens where pytest reports, which may print nothing.
+#: When the MemoryError breaks a pytest hook instead, pytest exits 3 and
+#: prints it as an internal error; both count as hitting the cap.
 CAPPED_EXIT = 86
 CHILD = f"""import os, sys, pytest
 try:
@@ -130,6 +132,17 @@ MUTANTS = [
     ("image-hash-ignores-its-nodes", MERKLE,
      "if self._digest is None and self._children is not None:", "if False:"),
     ("all-zero-region-as-image", MERKLE, "if data.count(0) == len(data):", "if not data:"),
+    # The memo of program images that every load of a program shares.
+    ("program-memo-key-without-scheme", FPVM,
+     "key = (scheme.digest(program), PROGRAM_LEVEL, scheme)",
+     "key = (scheme.digest(program), PROGRAM_LEVEL)"),
+    ("program-memo-key-without-level", FPVM,
+     "key = (scheme.digest(program), PROGRAM_LEVEL, scheme)",
+     "key = (scheme.digest(program), scheme)"),
+    ("program-memo-evicts-newest", FPVM, "del _PROGRAM_IMAGES[next(iter(_PROGRAM_IMAGES))]",
+     "del _PROGRAM_IMAGES[next(reversed(_PROGRAM_IMAGES))]"),
+    ("program-memo-miss-stores-nothing", FPVM, "    _PROGRAM_IMAGES[key] = image\n", ""),
+    ("program-memo-hit-gives-a-fresh-image", FPVM, "return _PROGRAM_IMAGES[key]", "return image"),
     # The root over anchors, hashed along their paths, and the checked write.
     ("anchor-siblings-swapped", MERKLE,
      "scheme.node_hash(digests.get(2 * i, zero), digests.get(2 * i + 1, zero))",
@@ -222,7 +235,8 @@ def run_suite(edit: tuple[str, str, str] | None) -> tuple[bool, str, float]:
     if proc.returncode == 0:
         return True, "", seconds
     capped = f"hit the {MEMORY_CAP >> 20} MiB memory cap"
-    if proc.returncode == CAPPED_EXIT or proc.returncode < 0:  # a failed allocation may abort
+    internal = proc.returncode == 3 and "MemoryError" in proc.stdout  # pytest's hooks broke
+    if proc.returncode == CAPPED_EXIT or proc.returncode < 0 or internal:  # or an abort
         return False, f"{capped} (exit {proc.returncode})", seconds
     if proc.returncode not in (1, 2):  # 1: a test failed, 2: collection or import error
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")

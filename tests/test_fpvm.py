@@ -27,6 +27,7 @@ from opml.fpvm import (
     verify_step,
 )
 from opml.hashing import (
+    LEAF_PREFIX,
     TREE_DEPTH,
     VM_STATE_PREFIX,
     ZERO_LEAF,
@@ -1189,8 +1190,7 @@ def _hash_every_node(node, level: int, scheme: HashScheme) -> None:
 def _same_hashed_tree(a: merkle.MemTree, b: merkle.MemTree) -> bool:
     """`_same_tree` once every image of both trees has built its nodes and
     every node has its digest, since every proof sees those nodes. A digest
-    the program-root memo preset on a loaded program region, or one an
-    image kept from its hash and preset on the node it built, is compared
+    an image kept from its hash and preset on the node it built is compared
     with the one the other tree hashes from its leaves, and so is every
     digest below it."""
     for tree in (a, b):
@@ -1246,7 +1246,7 @@ def test_program_roots_are_memoised_per_scheme(monkeypatch):
     """Two programs loaded in turn under every scheme, twice: each load's
     program region has the root a fresh `region_root` of that scheme gives,
     whatever the memo holds for the other schemes."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     programs = [_random_program(random.Random(seed), 40) for seed in (27, 28)]
     roots = set()
     for _ in range(2):
@@ -1258,23 +1258,23 @@ def test_program_roots_are_memoised_per_scheme(monkeypatch):
                 assert fpvm.program_root(program, scheme) == want
                 roots.add(want)
     assert len(roots) == len(programs) * len(scheme_names())
-    assert len(fpvm._PROGRAM_ROOTS) == len(roots)
+    assert len(fpvm._PROGRAM_IMAGES) == len(roots)
 
 
 def test_program_root_builds_its_own_region_on_a_miss(monkeypatch):
     """The public lookup takes no region: a miss hashes the region of the
     program it is given, and a later load of that program takes that root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     program = _random_program(random.Random(30), 40)
     want = merkle.region_root(program, fpvm.PROGRAM_LEVEL, SCHEME)
     assert fpvm.program_root(program, SCHEME) == want
     assert _program_region_root(load_program(program, scheme=SCHEME)) == want
-    assert len(fpvm._PROGRAM_ROOTS) == 1
+    assert len(fpvm._PROGRAM_IMAGES) == 1
 
 
 def test_program_root_memo_is_keyed_by_region_level(monkeypatch):
     """The same program in a smaller program region has another root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     program = _random_program(random.Random(27), 40)
     for level in (fpvm.PROGRAM_LEVEL, 10, fpvm.PROGRAM_LEVEL):
         monkeypatch.setattr(fpvm, "PROGRAM_LEVEL", level)
@@ -1285,7 +1285,7 @@ def test_program_root_memo_is_keyed_by_region_level(monkeypatch):
 def test_a_memo_hit_loads_the_tree_a_miss_loads(monkeypatch):
     """A reload hashes nothing but the program's memo key, and its tree reads,
     proves and hashes like the first load's in every region."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     scheme, calls = counting_scheme()
     program = _random_program(random.Random(29), 300)
     images = (program, b"input-blob" * 7, b"model-blob" * 40)
@@ -1305,16 +1305,59 @@ def test_a_memo_hit_loads_the_tree_a_miss_loads(monkeypatch):
             assert hit.prove(index) == miss.prove(index)
 
 
+def _program_region_node(tree: merkle.MemTree):
+    """The node that covers the program region of `tree`."""
+    node, index = tree._top(), fpvm.PROGRAM_BASE // 32
+    for level in range(TREE_DEPTH - 1, fpvm.PROGRAM_LEVEL - 1, -1):
+        node = node.right if (index >> level) & 1 else node.left
+    return node
+
+
+def test_a_memo_hit_shares_the_image_a_proof_built(monkeypatch):
+    """A reload splices the very image the first load put in the memo, with
+    the nodes a proof into it built and the digests they keep, so the same
+    proof on the reload hashes nothing. (The proof opens a pair of leaves:
+    a leaf's digest is never kept, so a leaf sibling is hashed each time.)"""
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    scheme, calls = counting_scheme()
+    program = _random_program(random.Random(31), 300)
+    first = load_program(program, scheme=scheme).memory
+    root = first.root()
+    index = fpvm.PROGRAM_BASE // 32 + 36
+    proof = first.prove(index, 1)
+    again = load_program(program, scheme=scheme).memory
+    assert _program_region_node(again) is _program_region_node(first)
+    assert _program_region_node(again) is fpvm.program_image(program, scheme)
+    calls.clear()
+    assert again.prove(index, 1) == proof
+    assert calls == []
+    assert again.root() == root
+
+
+def test_program_images_are_memoised_per_scheme_object(monkeypatch):
+    """Two schemes with one digest function keep one image each, and each
+    image hashes under the scheme it was loaded with."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    program = _random_program(random.Random(32), 40)
+    plain = load_program(program, scheme=SCHEME).memory
+    scheme, calls = counting_scheme()
+    counted = load_program(program, scheme=scheme).memory
+    assert _program_region_node(counted).scheme is scheme
+    assert counted.root() == plain.root()
+    assert LEAF_PREFIX + program[:32] in calls
+    assert len(fpvm._PROGRAM_IMAGES) == 2
+
+
 def test_program_root_memo_keeps_at_most_its_bound(monkeypatch):
     """Past the bound the oldest entry goes; a program loaded again after
     its entry went is hashed again, to the same root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS_MAX", 3)
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES_MAX", 3)
     programs = [prog(encode("LI", rd=1), seed, encode("HALT")) for seed in range(5)]
     for program in programs:
         load_program(program, scheme=SCHEME)
-        assert len(fpvm._PROGRAM_ROOTS) <= 3
-    assert [key[0] for key in fpvm._PROGRAM_ROOTS] == [SCHEME.digest(p) for p in programs[2:]]
+        assert len(fpvm._PROGRAM_IMAGES) <= 3
+    assert [key[0] for key in fpvm._PROGRAM_IMAGES] == [SCHEME.digest(p) for p in programs[2:]]
     want = merkle.region_root(programs[0], fpvm.PROGRAM_LEVEL, SCHEME)
     assert _program_region_root(load_program(programs[0], scheme=SCHEME)) == want
-    assert len(fpvm._PROGRAM_ROOTS) == 3
+    assert len(fpvm._PROGRAM_IMAGES) == 3

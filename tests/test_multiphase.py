@@ -2,13 +2,14 @@
 adversarial mutation."""
 
 import itertools
+import os
 import random
 import sys
 from dataclasses import asdict, replace
 
 import pytest
 
-from opml import dispute, fpvm, hashing, lowering, merkle, ml, multiphase
+from opml import cli, dispute, fpvm, hashing, lowering, merkle, ml, multiphase
 from opml.dispute import ActorStrategy, Claim, build_trace_actor, interaction_count_bound
 from opml.hashing import HashScheme, get_scheme, scheme_names
 from opml.multiphase import (
@@ -59,11 +60,10 @@ def test_entrance_honest_accepted_and_m0_reproducible():
 
 
 def test_entrance_state_builds_each_region_once(monkeypatch):
-    """The prover makes each region's image once, in `load_program`, which
-    hashes it when a root needs it or, for the program region, takes its
-    digest from `fpvm.program_root`'s memo: the bundle carries the image's
-    root alone, so no region is made or hashed a second time for the
-    evidence."""
+    """The prover makes each region's image once, in `load_program` or, for
+    the program region, in the `fpvm.program_image` it calls, and hashes it
+    when a root needs it: the bundle carries the image's root alone, so no
+    region is made or hashed a second time for the evidence."""
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
     callers = []
@@ -76,7 +76,7 @@ def test_entrance_state_builds_each_region_once(monkeypatch):
     monkeypatch.setattr(merkle, "region", spy)
     monkeypatch.setattr(merkle, "region_root", lambda *a, **kw: pytest.fail("region_root called"))
     build_entrance_state(run, 2, SCHEME)
-    assert callers == ["load_program"] * 3
+    assert callers == ["load_program", "load_program", "program_image"]
 
 
 class _NodeCountingScheme(HashScheme):
@@ -94,10 +94,11 @@ class _NodeCountingScheme(HashScheme):
 
 
 def test_entrance_check_hashes_no_program_node_the_prover_hashed(monkeypatch):
-    """The verifier's registered program root is the digest the prover's
-    `load_program` put in the memo: the check hashes only the operand keys'
-    region and the tree over the two region roots."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    """The verifier's registered program root is the digest of the image the
+    prover's `load_program` put in `fpvm.program_image`'s memo: the check
+    hashes only the operand keys' region and the tree over the two region
+    roots."""
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     scheme = _NodeCountingScheme()
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=scheme)
@@ -109,7 +110,7 @@ def test_entrance_check_hashes_no_program_node_the_prover_hashed(monkeypatch):
     assert scheme.nodes == keys_region + above_regions
 
     # A verifier with a cold memo hashes the whole program region itself.
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     scheme.nodes = 0
     assert entrance_check(bundle, run.graph, scheme) == (True, "")
     assert scheme.nodes > keys_region + above_regions + len(lowered.program) // 32
@@ -251,7 +252,7 @@ def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
     """The entrance image and the registered program root come from the one
     program of the pinned node's op and shapes."""
     lowering.node_program.cache_clear()
-    monkeypatch.setattr(fpvm, "_PROGRAM_ROOTS", {})
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
     emitted = []
     emit_kernel = lowering._emit_kernel
 
@@ -267,6 +268,74 @@ def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
     assert (result.winner, result.pinned_node) == ("challenger", 2)
     assert result.pinned_step is not None
     assert emitted == [("matmul", ((1, 3), (3, 4)))]
+
+
+def _record_witnesses(monkeypatch) -> list:
+    """The list that gets the `to_bytes()` of each batch of arbitration
+    witnesses any `VmTraceActor` gives from now on (None for a silent one)."""
+    recorded = []
+    witnesses = dispute.VmTraceActor.witnesses
+
+    def spy(actor, *args, **kwargs):
+        out = witnesses(actor, *args, **kwargs)
+        recorded.append(None if out is None else [w.to_bytes() for w in out])
+        return out
+
+    monkeypatch.setattr(dispute.VmTraceActor, "witnesses", spy)
+    return recorded
+
+
+def test_a_two_phase_game_plays_the_same_with_the_program_memo_cold_or_warm(monkeypatch):
+    """Results do not depend on `fpvm.program_image`'s memo: each node's
+    fault game plays the same with the memo cleared and again on the
+    images the first game loaded, proved into and left in the memo."""
+    recorded = _record_witnesses(monkeypatch)
+    _, graph, x = fixture_models()[2]
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+
+    def play(node_id):
+        recorded.clear()
+        chain = staked_chain("submitter", "challenger")
+        fault = ml.GraphFault(node_id=node_id, element=0, bit=4)
+        result = run_two_phase_dispute(
+            graph, x, make_party("submitter", honest, graph_fault=fault),
+            make_party("challenger", honest), PhaseConfig(), chain, scheme=SCHEME)
+        return result, chain.transcript, list(recorded)
+
+    arbitrated = 0
+    for node in graph.nodes:
+        if node.op in ("input", "const"):
+            continue
+        monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+        cold = play(node.id)
+        images = dict(fpvm._PROGRAM_IMAGES)
+        assert images and play(node.id) == cold
+        assert fpvm._PROGRAM_IMAGES == images  # the warm game hit the memo alone
+        arbitrated += bool(cold[2])
+    assert arbitrated == 6
+
+
+def test_a_single_phase_model_game_plays_the_same_with_the_program_memo_cold_or_warm(
+        monkeypatch, capsys, tmp_path):
+    """Results do not depend on `fpvm.program_image`'s memo: a single-phase
+    game on the committed model prints, logs, arbitrates and writes its
+    `gen_step_witness` bundle the same with the memo cleared and warm."""
+    recorded = _record_witnesses(monkeypatch)
+    monkeypatch.delenv("OPML_HASH", raising=False)
+    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    data = os.path.join(os.path.dirname(__file__), "data")
+    argv = ["dispute", "--model", os.path.join(data, "mlp.opml"),
+            "--input", os.path.join(data, "mlp-input.tensor"),
+            "--fault-node", "9", "--k", "2", "--m", "4"]
+    plays = []
+    for name in ("cold", "warm"):
+        recorded.clear()
+        bundle, transcript = tmp_path / f"{name}.bin", tmp_path / f"{name}.jsonl"
+        assert cli.main([*argv, "--witness-out", str(bundle), "--transcript", str(transcript)]) == 0
+        plays.append((capsys.readouterr().out, bundle.read_bytes(), transcript.read_bytes(),
+                      list(recorded)))
+    assert len(fpvm._PROGRAM_IMAGES) == 1
+    assert plays[0][3] and plays[1] == plays[0]
 
 
 @pytest.mark.parametrize("scheme_name", scheme_names())
