@@ -275,8 +275,8 @@ def _graph_fault(scenario, graph, streams) -> ml.GraphFault | None:
     bit = scenario["fault.bit"]
     return ml.GraphFault(
         node_id=node_id,
-        element=element if element is not None else streams.randrange(numel),
-        bit=bit if bit is not None else streams.randrange(32),
+        element=element if element is not None else rng.below(streams, numel),
+        bit=bit if bit is not None else rng.below(streams, 32),
     )
 
 
@@ -294,7 +294,7 @@ def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
         program = dispute.synthetic_program(rng.stream(scenario["seed"], "program"), n)
         honest_trace = fpvm.run_trace(fpvm.load_program(program, scheme=scheme))
         if step is None and scenario["strategy"] == "fault":
-            step = streams.randrange(1, n + 1)
+            step = 1 + rng.below(streams, n)
     else:
         graph, input_tensor = _load_model_and_input(scenario["model"], scenario["input"])
         lowered = lowering.lower_graph(graph)
@@ -303,7 +303,7 @@ def _run_single(scenario, scheme, chain) -> dispute.DisputeResult:
         if gfault is not None:
             fault = lowering.graph_fault_to_step_fault(lowered, honest_trace, gfault)
     if fault is None:  # the bit is drawn even when unused, so each seed keeps its draws
-        bit = streams.randrange(256)
+        bit = rng.below(streams, 256)
         if step is not None:
             fault = fpvm.StepFault(step, dispute.SCRATCH_FAULT_LEAF, bit)
     if fault is not None and not 1 <= fault.step <= len(honest_trace):

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import islice
 
-from . import fpvm
+from . import fpvm, rng
 from .hashing import HashScheme
 
 SUBMITTER = "submitter"
@@ -356,7 +355,7 @@ class BisectionActor:
         if self._silent(round_no):
             return None
         if self.strategy.kind == "random":
-            return self._rng.randrange(1, len(posts) + 2)
+            return 1 + rng.below(self._rng, len(posts) + 1)
         for t, (idx, claimed) in enumerate(posts, start=1):
             if self.claimed_root(idx) != claimed:
                 return t
@@ -371,17 +370,10 @@ class VmTraceActor(BisectionActor):
         self, start_index: int, count: int, round_no: int = 0
     ) -> list[fpvm.StepWitness] | None:
         """Witnesses of the `count` steps from `start_index`, under the
-        trace's oracle and through one `gen_step_witness` proofs dict,
-        ending early after the first one of an exited machine: the rest is
-        its fixpoint."""
+        trace's oracle, from `fpvm.Trace.witnesses`."""
         if self._silent(round_no):
             return None
-        out, proofs = [], {}
-        for state in islice(self.roots.walk(start_index), count):
-            out.append(fpvm.gen_step_witness(state, self.roots.oracle, proofs))
-            if state.exited:
-                break
-        return out
+        return self.roots.witnesses(start_index, count)
 
 
 @dataclass(frozen=True)
@@ -538,32 +530,37 @@ def settle_verdict(result: DisputeResult, chain: ChainSim, claim: Claim,
 #: here never feeds back into execution, so corrupted traces stay divergent.
 SCRATCH_FAULT_LEAF = (fpvm.HEAP_BASE + 0x10_0000) // 32
 
-_ALU = ["ADD", "SUB", "MUL", "MULFX", "AND"]
+
+def _field(shift: int, values) -> list[int]:
+    """The bits each value of an instruction field puts into its word."""
+    return [value << shift for value in values]
 
 
-def synthetic_program(rng: random.Random, n_steps: int) -> bytes:
-    """Straight-line program executing exactly n_steps (including HALT)."""
+_RD, _RS, _RT = _field(20, range(1, 8)), _field(16, range(8)), _field(12, range(8))
+_OFFSET = [4 * word for word in range(256)]  # a word offset from r8, in the imm field
+_ALU = _field(24, (fpvm.OPCODES[op] for op in ("ADD", "SUB", "MUL", "MULFX", "AND")))
+#: A synthetic instruction by its kind, a draw below 10: its base word, the
+#: fields drawn into it in order, and whether a drawn 32-bit word follows it.
+_SYNTHETIC = ([(0, (_ALU, _RD, _RS, _RT), False)] * 4
+              + [(fpvm.encode("LI"), (_RD,), True)] * 2
+              + [(fpvm.encode("SRA"), (_RD, _RS, _field(0, range(32))), False)]
+              + [(fpvm.encode("SW", rs=8), (_RT, _OFFSET), False)] * 2
+              + [(fpvm.encode("LW", rs=8), (_RD, _OFFSET), False)])
+
+
+def synthetic_program(r: random.Random, n_steps: int) -> bytes:
+    """Straight-line program executing exactly n_steps (including HALT):
+    each instruction's kind, then its fields, drawn by `rng.below`."""
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    words = [fpvm.encode("LI", rd=8), fpvm.HEAP_BASE]
+    words, bits = [fpvm.encode("LI", rd=8), fpvm.HEAP_BASE], r.getrandbits
     for _ in range(n_steps - 2):
-        kind = rng.randrange(10)
-        if kind < 4:
-            words.append(fpvm.encode(
-                rng.choice(_ALU),
-                rd=rng.randrange(1, 8), rs=rng.randrange(0, 8), rt=rng.randrange(0, 8),
-            ))
-        elif kind < 6:
-            words += [fpvm.encode("LI", rd=rng.randrange(1, 8)), rng.getrandbits(32)]
-        elif kind == 6:
-            words.append(fpvm.encode("SRA", rd=rng.randrange(1, 8),
-                                     rs=rng.randrange(0, 8), imm=rng.randrange(0, 32)))
-        elif kind < 9:
-            words.append(fpvm.encode("SW", rt=rng.randrange(0, 8), rs=8,
-                                     imm=4 * rng.randrange(0, 256)))
-        else:
-            words.append(fpvm.encode("LW", rd=rng.randrange(1, 8), rs=8,
-                                     imm=4 * rng.randrange(0, 256)))
+        word, fields, immediate = _SYNTHETIC[rng.below(r, 10)]
+        for values in fields:
+            word |= values[rng.below(r, len(values))]
+        words.append(word)
+        if immediate:
+            words.append(bits(32))
     words.append(fpvm.encode("HALT"))
     return fpvm.assemble(words)
 

@@ -15,9 +15,9 @@ arbitrable.
 The step semantics, word access included, live only in `_execute`, which
 runs over one of three memory views of whole leaves: the run view
 (`_TreeMemory`, behind `step`, `run` and `run_trace`), the witness view
-(`_RecordingMemory`, behind `gen_step_witness`) and the verifier view
-(`_WitnessMemory`, behind `verify_step`). So the prover and the verifier
-execute the same instruction by construction.
+(`_WindowMemory`, behind `Trace.witnesses` and `gen_step_witness`) and the
+verifier view (`_WitnessMemory`, behind `verify_step`). So the prover and
+the verifier execute the same instruction by construction.
 
 A run reads each leaf from its starting tree at most once and writes no
 store to a tree: each state it yields carries a `MemTree.with_writes`
@@ -310,7 +310,7 @@ _unpack_word = struct.Struct("<I").unpack_from
 
 
 def _execute(
-    pc: int, regs: list[int], mem: _TreeMemory | _RecordingMemory | _WitnessMemory, limit: int = 1
+    pc: int, regs: list[int], mem: _TreeMemory | _WindowMemory | _WitnessMemory, limit: int = 1
 ) -> tuple[int, bool, int, int]:
     """The step semantics: (pc, exited, exit_code, steps) after a block of
     up to `limit` steps from `pc`, touching memory only through the view
@@ -446,25 +446,64 @@ class _TreeMemory:
         return self.tree
 
 
-class _RecordingMemory:
-    """Witness view: records every leaf read (once, in access order), the
-    leaf write and the preimage chunk, each with its proof against the
-    pre-state memory root, from `proofs` keyed by (memory root, leaf base)."""
+class _WindowMemory:
+    """Witness view of a window of steps from the memory `start`: records
+    each step's leaf reads (once, in access order), its leaf write and its
+    preimage chunk, each with its proof against the step's pre-state memory
+    root, which `begin` returns.
 
-    __slots__ = ("tree", "oracle", "root", "proofs", "reads", "writes", "preimage_chunk")
+    `opened` holds, by base, each leaf the window has opened as it is now,
+    with `start`'s proof of it: one `get_leaf` and one `MemTree.prove` per
+    leaf. A proof is those siblings, each one on a written path replaced by
+    the digest `digests` holds for it by (level, index). A write is hashed
+    up along its own write proof, as `verify_step` does, only when the next
+    step begins, so the window's last write hashes nothing."""
 
-    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, root: bytes,
-                 proofs: dict):
-        self.tree, self.oracle, self.root, self.proofs = tree, oracle, root, proofs
-        self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
+    __slots__ = ("start", "oracle", "opened", "digests", "root", "proofs", "reads", "writes",
+                 "preimage_chunk")
+
+    def __init__(self, start: merkle.MemTree, oracle: PreimageOracle | None):
+        self.start, self.oracle = start, oracle
+        self.opened: dict[int, tuple[bytes, merkle.MerkleProof]] = {}
+        self.digests: dict[tuple[int, int], bytes] = {}
+        self.root = start.root()
+        self.proofs: dict[int, tuple[bytes, merkle.MerkleProof]] = {}  # base -> against `root`
         self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
+
+    def begin(self) -> bytes:
+        """The memory root before the next step, after committing the last
+        step's write; starts the step's records afresh."""
+        if self.writes:
+            (base, _old, leaf, proof), = self.writes
+            scheme, index = self.start.scheme, base >> 5
+            self.opened[base] = (leaf, self.opened[base][1])
+            digest = self.digests[(0, index)] = scheme.leaf_hash(leaf)
+            for level, sibling in enumerate(proof.siblings, 1):
+                if (index >> (level - 1)) & 1:
+                    digest = scheme.node_hash(sibling, digest)
+                else:
+                    digest = scheme.node_hash(digest, sibling)
+                self.digests[(level, index >> level)] = digest
+            self.root, self.proofs = digest, {}
+        self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
+        self.writes = []
         self.preimage_chunk: PreimageChunk | None = None
+        return self.root
 
     def _open(self, base: int) -> tuple[bytes, merkle.MerkleProof]:
-        key = (self.root, base)
-        if key not in self.proofs:
-            self.proofs[key] = (self.tree.get_leaf(base >> 5), self.tree.prove(base >> 5))
-        return self.proofs[key]
+        opened = self.proofs.get(base)
+        if opened is None:
+            index = base >> 5
+            opened = self.opened.get(base)
+            if opened is None:
+                opened = self.opened[base] = (self.start.get_leaf(index), self.start.prove(index))
+            if self.digests:
+                leaf, proof = opened
+                siblings = [self.digests.get((level, (index >> level) ^ 1), sibling)
+                            for level, sibling in enumerate(proof.siblings)]
+                opened = (leaf, merkle.MerkleProof(index, 0, siblings))
+            self.proofs[base] = opened
+        return opened
 
     def read_leaf(self, base: int, miss: str) -> bytes:
         leaf, proof = self._open(base)
@@ -483,8 +522,8 @@ class _RecordingMemory:
         return self.preimage_chunk.data
 
     def put_leaf(self, base: int, leaf: bytes) -> None:
-        # Recorded, not applied: nothing reads memory after the write, and
-        # the proof must be against the pre-state root.
+        # Recorded, not applied: the proof must be against the pre-state
+        # root, and `begin` applies it.
         old, proof = self._open(base)
         self.writes.append((base, old, leaf, proof))
 
@@ -609,15 +648,20 @@ class Trace:
 
     `states` holds the first state, every state whose `step_count` is a
     multiple of SNAPSHOT_EVERY, and the final state; a fork also keeps its
-    faulted state. `walk` rebuilds any other state by replaying at most
-    SNAPSHOT_EVERY - 1 steps from the snapshot before it, and keeps
-    nothing it replays. The trace keeps no state roots: a snapshot's tree
-    keeps the digests it has hashed.
+    faulted state, whose `step_count` is in `seams`: the kept states that
+    no step from the state before reaches. `walk` rebuilds any other state
+    by replaying at most SNAPSHOT_EVERY - 1 steps from the snapshot before
+    it, and keeps nothing it replays; `witnesses` runs a window of steps
+    from one such state over one witness view, restarted at each seam. The
+    trace keeps no state roots: a snapshot's tree keeps the digests it has
+    hashed.
     """
 
-    def __init__(self, states: list[VmState], oracle: PreimageOracle | None = None):
+    def __init__(self, states: list[VmState], oracle: PreimageOracle | None = None,
+                 seams: tuple[int, ...] = ()):
         self.states = states
         self.oracle = oracle
+        self.seams = seams
 
     def __len__(self) -> int:
         return self.states[-1].step_count - self.states[0].step_count
@@ -648,6 +692,31 @@ class Trace:
                     yield state
         yield states[-1]
 
+    def witnesses(self, start: int, count: int) -> list[StepWitness]:
+        """Witnesses of the `count` steps from `start` (clamped to `len`),
+        the states `walk(start)` yields, ending early after the first one
+        of an exited machine: the rest is its fixpoint. One sequence of
+        one-step `_execute` calls over one `_WindowMemory`, which restarts
+        from the kept state at a seam."""
+        state = next(self.walk(start))
+        first, out = state.step_count, []
+        for n in range(first, min(first + count, self.states[-1].step_count + 1)):
+            if n in self.seams:
+                state = self.states[bisect_left(self.states, n, key=_step_count)]
+            if state.step_count == n:  # the window's first state or a seam's
+                mem = _WindowMemory(state.memory, self.oracle)
+                pc, regs, kept, exited, exit_code = (state.pc, list(state.regs), state.regs,
+                                                     state.exited, state.exit_code)
+            elif kept != (now := tuple(regs)):
+                kept = now
+            fields = VmFields(pc, kept, exited, exit_code, mem.begin())
+            if exited:
+                out.append(StepWitness(fields))
+                break
+            pc, exited, exit_code, _ = _execute(pc, regs, mem)
+            out.append(StepWitness(fields, mem.reads, mem.writes, mem.preimage_chunk))
+        return out
+
     def fork(self, fault: StepFault) -> Trace:
         """This trace with `fault` injected: its own snapshots before
         `fault.step`, then a run of the rest under its oracle. The fork is
@@ -659,7 +728,9 @@ class Trace:
         corrupted = fault.apply(step(self.state_at(fault.step - 1), self.oracle))
         suffix = run_trace(corrupted, self.oracle)
         shared = bisect_left(self.states, corrupted.step_count, key=_step_count)
-        return Trace(self.states[:shared] + suffix.states, self.oracle)
+        seams = tuple(seam for seam in self.seams if seam < corrupted.step_count)
+        return Trace(self.states[:shared] + suffix.states, self.oracle,
+                     (*seams, corrupted.step_count))
 
 
 _step_count = attrgetter("step_count")
@@ -759,19 +830,11 @@ class StepWitness:
         return witness
 
 
-def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None,
-                     proofs: dict | None = None) -> StepWitness:
-    """Witness for the step about to execute from `state` (pre-state); an
-    exited state does not step, so its witness is the fields alone.
-    `proofs` maps (memory root, leaf base) to (leaf, proof); a caller that
-    witnesses many states shares one dict. The witness is the same either way."""
-    fields = state.fields()
-    if state.exited:
-        return StepWitness(fields)
-    mem = _RecordingMemory(state.memory, oracle, fields.memory_root,
-                           {} if proofs is None else proofs)
-    _execute(state.pc, list(state.regs), mem)
-    return StepWitness(fields, mem.reads, mem.writes, mem.preimage_chunk)
+def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:
+    """Witness for the step about to execute from `state` (pre-state), the
+    window of one step from it; an exited state does not step, so its
+    witness is the fields alone."""
+    return Trace([state], oracle).witnesses(0, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,19 @@ MUTANTS = [
      "        self.leaves[base] = leaf\n        self.writes[base >> 5] = leaf\n",
      "        self.writes[base >> 5] = leaf\n"),
     ("yield-register-list", FPVM, "yield VmState(pc, kept,", "yield VmState(pc, regs,"),
-    ("stale-register-tuple", FPVM, "            kept = now\n", "            now = kept\n"),
+    ("stale-register-tuple", FPVM, "\n            kept = now\n", "\n            now = kept\n"),
     ("budget-error-register-list", FPVM, "BudgetExceededError(VmState(pc, tuple(regs),",
      "BudgetExceededError(VmState(pc, regs,"),
+    # The witness view of a window: its proofs, its commit and its seams.
+    ("window-sibling-from-own-path", FPVM, "self.digests.get((level, (index >> level) ^ 1), sibling)",
+     "self.digests.get((level, index >> level), sibling)"),
+    ("window-commit-keeps-proofs", FPVM, "self.root, self.proofs = digest, {}", "self.root = digest"),
+    ("window-commit-drops-leaf", FPVM, "            self.opened[base] = (leaf, self.opened[base][1])\n", ""),
+    ("window-commit-skips-level-0", FPVM, "digest = self.digests[(0, index)] = scheme.leaf_hash(leaf)",
+     "digest = scheme.leaf_hash(leaf)"),
+    ("window-ignores-seams", FPVM, "            if n in self.seams:\n", "            if False:\n"),
+    ("fork-drops-earlier-seams", FPVM,
+     "seams = tuple(seam for seam in self.seams if seam < corrupted.step_count)", "seams = ()"),
     # The one tree writer and its pending versions.
     ("leaf-block-overwrites-out", MERKLE, "out.setdefault(32 * (first + offset), leaf)",
      "out[32 * (first + offset)] = leaf"),

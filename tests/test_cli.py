@@ -350,11 +350,11 @@ def test_dispute_fork_step_budget_exits_2(capsys, monkeypatch, fault_step):
 def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch, m):
     """n honest steps, then only the faulty party's fork: the faulted step
     and the n - s steps after it. Every other run-view step is a replay in
-    `Trace.walk`: fewer than SNAPSHOT_EVERY for a root or state query, which
-    takes one state, and at most j + SNAPSHOT_EVERY - 1 for a walk that
-    yields j states, as the m witnesses of the arbitration do."""
+    `Trace.walk` for a root or state query, which yields one state after
+    fewer than SNAPSHOT_EVERY steps; the arbitration's m witnesses are m
+    one-step `_execute` calls over the witness view, with no replay."""
     real_execute, real_walk = fpvm._execute, fpvm.Trace.walk
-    run_steps = [0]
+    run_steps, window_steps = [0], []
     walks = []  # [states yielded, steps replayed], one per walk
     live = []  # the walk whose replay is running
 
@@ -365,6 +365,8 @@ def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch, 
                 live[-1][1] += out[3]
             else:
                 run_steps[0] += out[3]
+        elif type(mem) is fpvm._WindowMemory:
+            window_steps.append(out[3])
         return out
 
     def walk(trace, start=0):
@@ -387,9 +389,9 @@ def test_single_phase_dispute_runs_the_honest_program_once(capsys, monkeypatch, 
                            "--faulty", "challenger", "--m", str(m))
     assert code == 0 and "winner=submitter" in out
     assert run_steps[0] == 2 * n - s + 1
-    assert max(yielded for yielded, _ in walks) == m
-    assert all(replayed < fpvm.SNAPSHOT_EVERY for yielded, replayed in walks if yielded == 1)
-    assert all(replayed <= yielded + fpvm.SNAPSHOT_EVERY - 1 for yielded, replayed in walks)
+    assert window_steps == [1] * m
+    assert walks and all(yielded == 1 and replayed < fpvm.SNAPSHOT_EVERY
+                         for yielded, replayed in walks)
 
 
 def test_dispute_single_fault_step(capsys, model_files, tmp_path):
@@ -476,15 +478,25 @@ def test_dispute_two_phase_rejects_a_vm_fault_step(capsys, model_files):
 
 def test_arbitration_witnesses_stop_at_halt(capsys, monkeypatch):
     """A window far wider than the trace: witnesses stop at the first exited
-    state instead of covering the padded span."""
-    calls = []
-    real = fpvm.gen_step_witness
-    monkeypatch.setattr(fpvm, "gen_step_witness",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    state instead of covering the padded span, so the window steps at most
+    the trace's 40 steps and the exited state is witnessed by its fields."""
+    steps, windows = [], []
+    real_execute, real_witnesses = fpvm._execute, fpvm.Trace.witnesses
+
+    def counting(pc, regs, mem, limit=1):
+        if type(mem) is fpvm._WindowMemory:
+            steps.append(limit)
+        return real_execute(pc, regs, mem, limit)
+
+    monkeypatch.setattr(fpvm, "_execute", counting)
+    monkeypatch.setattr(fpvm.Trace, "witnesses",
+                        lambda *args: windows.append(real_witnesses(*args)) or windows[-1])
     code, out, _ = run_cli(capsys, "dispute", "--synthetic-n", "40", "--strategy", "fault",
                            "--seed", "3", "--m", "20000")
     assert code == 0 and out.startswith("winner=challenger rounds=0 ")
-    assert 0 < len(calls) <= 41
+    (witnesses,) = windows
+    assert 0 < len(steps) <= 41 and steps == [1] * (len(witnesses) - 1)
+    assert witnesses[-1].pre_fields.exited and len(witnesses) <= 41
 
 
 def test_challenger_silent_at_arbitration_loses(capsys):

@@ -577,10 +577,10 @@ def _memo_traces(scheme):
 
 @pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
 def test_memoised_witnesses_equal_lone_witnesses(scheme_name):
-    """`witnesses` shares one proof memo over its window; every witness
+    """`witnesses` runs its window over one witness view; every witness
     equals, field by field and in bytes, the one a lone `gen_step_witness`
-    makes. The windows cross snapshots, stores, a fork's faulted step and
-    a node's PREIMAGE steps."""
+    makes from the state `walk` yields. The windows cross snapshots,
+    stores, a fork's faulted step and a node's PREIMAGE steps."""
     for trace, start in _memo_traces(get_scheme(scheme_name)):
         actor = dispute.VmTraceActor("bob", trace, ActorStrategy())
         memoised = actor.witnesses(start, 4096)
@@ -595,10 +595,83 @@ def test_memoised_witnesses_equal_lone_witnesses(scheme_name):
             assert len(memoised) == 4096
 
 
+def _window_trace(scheme):
+    """A trace under an oracle whose stores write one heap leaf twice, then
+    its sibling, read each beside the other's new leaf, write the first
+    back to all zeros and read a leaf under the written pair; a PREIMAGE
+    step writes a chunk that a load reads back. Its fork flips a bit of the
+    sibling leaf after the sibling's store, and a later load reads it."""
+    e, heap = fpvm.encode, fpvm.HEAP_BASE
+    program = fpvm.assemble([
+        e("LI", rd=8), heap, e("LI", rd=1), 0x1234_5678,
+        e("SW", rt=1, rs=8, imm=0), e("SW", rt=1, rs=8, imm=4), e("SW", rt=1, rs=8, imm=32),
+        e("LW", rd=2, rs=8, imm=0), e("SW", rt=0, rs=8, imm=0), e("SW", rt=0, rs=8, imm=4),
+        e("LW", rd=3, rs=8, imm=32), e("LW", rd=4, rs=8, imm=64),
+        *[e("ADD", rd=10, rs=10, rt=3)] * 4,
+        e("LI", rd=9), fpvm.ORACLE_VALUE_BASE, e("LI", rd=5), 1, e("PREIMAGE", rd=6, rs=5),
+        e("LW", rd=7, rs=9, imm=0), e("SW", rt=7, rs=8, imm=32), e("LW", rd=11, rs=8, imm=32),
+        e("HALT"),
+    ])
+    oracle = fpvm.PreimageOracle(scheme)
+    state = fpvm.load_program(program, scheme=scheme)
+    state.memory = fpvm.write_bytes(state.memory, fpvm.ORACLE_KEY_BASE,
+                                    oracle.put(bytes(range(40)) * 2))
+    trace = fpvm.run_trace(state, oracle)
+    return trace, trace.fork(fpvm.StepFault(5, heap // 32 + 1, 3))
+
+
+def _check_window(trace, start, count, scheme):
+    """Each witness of the window opens the state root the trace holds,
+    equals a lone witness, and each run of it between seams chains under
+    `emulate_span` to the root of a step from the state before its end."""
+    ws = trace.witnesses(start, count)
+    assert ws == [fpvm.gen_step_witness(state, trace.oracle)
+                  for state in islice(trace.walk(start), len(ws))]
+    for t, witness in enumerate(ws):
+        assert witness.pre_fields.state_root(scheme) == trace.root_at(start + t)
+    cuts = [0, *(seam - start for seam in trace.seams if start < seam < start + len(ws)), len(ws)]
+    for a, b in zip(cuts, cuts[1:]):
+        end = fpvm.state_root(fpvm.step(trace.state_at(start + b - 1), trace.oracle))
+        assert dispute.emulate_span(trace.root_at(start + a), ws[a:b], trace.oracle, scheme) == (end, "")
+    return ws
+
+
+@pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
+def test_window_witnesses_hold_at_every_edge(scheme_name):
+    """Windows over stores to one leaf and to its sibling, a leaf written
+    back to zeros, a PREIMAGE write, and a fork's faulted state: one that
+    starts on it, one that ends just before it, one whose last witness is
+    of it, and one across it; a fork of that fork; and windows of a few
+    widths from every start."""
+    scheme = get_scheme(scheme_name)
+    trace, fork = _window_trace(scheme)
+    (seam,) = fork.seams
+    assert seam == 5 and len(trace) == len(fork) == 21
+    whole = _check_window(trace, 0, 64, scheme)
+    assert len(whole) == 22 and whole[-1].pre_fields.exited
+    written = [w.mem_writes[0] for w in whole if w.mem_writes]
+    assert [addr - fpvm.HEAP_BASE for addr, *_ in written if addr >= fpvm.HEAP_BASE] == [0, 0, 32, 0, 0, 32]
+    assert any(new == bytes(32) for _, _, new, _ in written)
+    assert any(w.preimage_chunk for w in whole)
+    assert fork.witnesses(0, 64)[seam].pre_fields.state_root(scheme) != whole[seam].pre_fields.state_root(scheme)
+    assert fork.witnesses(0, 64)[9].pre_fields.regs != whole[9].pre_fields.regs  # r3 read the flip
+    for start, count in ((seam, 64), (seam - 3, 3), (seam - 3, 4), (seam - 3, 12), (0, seam + 1)):
+        _check_window(fork, start, count, scheme)
+    twice = fork.fork(fpvm.StepFault(9, fpvm.HEAP_BASE // 32 + 2, 1))  # a load reads it next
+    assert twice.seams == (seam, 9)
+    assert twice.witnesses(0, 64)[10].pre_fields.regs != fork.witnesses(0, 64)[10].pre_fields.regs
+    for chosen in (trace, fork, twice):
+        for start in range(len(chosen) + 2):
+            for count in (1, 2, 5):
+                _check_window(chosen, start, count, scheme)
+
+
 def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
     """The m = 4096 synthetic game: its arbitration recomputes one root per
-    distinct accepted proof plus one per write step, and its witnesses walk
-    one proof per distinct (memory root, leaf)."""
+    distinct accepted proof plus one per write step, and its witnesses make
+    one `MemTree.prove` per leaf opened from each start tree of the window:
+    its first state's, and each seam's it crosses. That is far fewer than
+    the distinct (memory root, leaf) pairs the witnesses hold."""
     monkeypatch.delenv("OPML_HASH", raising=False)
     calls = {"recompute_root": 0, "prove": 0}
     spans, proves = [], []
@@ -627,7 +700,8 @@ def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
     assert cli.main(argv) == 0
 
     ((_, ws, _, scheme), recomputes), = spans
-    (_, witness_proves), = proves
+    ((actor, start, *_), witness_proves), = proves
+    first = actor.roots.states[0].step_count + start
     records = [(w.pre_fields.memory_root, addr, leaf, proof)
                for w in ws for addr, leaf, proof in w.mem_reads]
     records += [(w.pre_fields.memory_root, addr, old, proof)
@@ -637,5 +711,8 @@ def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
     writes = sum(1 for w in ws if w.mem_writes)
     assert len(ws) == 4096 and writes > 0
     assert recomputes == len(keys) + writes
-    assert witness_proves == len({(root, addr) for root, addr, _, _ in records})
+    views = [sum(first < seam <= first + t for seam in actor.roots.seams) for t in range(len(ws))]
+    opened = {(views[t], addr) for t, w in enumerate(ws)
+              for addr, *_ in (*w.mem_reads, *w.mem_writes)}
+    assert witness_proves == len(opened) < len({(root, addr) for root, addr, _, _ in records})
     assert len(keys) < len(records)
