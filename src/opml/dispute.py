@@ -59,6 +59,8 @@ class ChainSim:
         self.burned = 0
         self.challenge_period = challenge_period
         self.open_disputes: set[int] = set()
+        #: The challenger's root at the padded span end of each game opened, by claim id.
+        self.counterclaims: dict[int, bytes] = {}
         self.transcript: list[dict] = []
 
     def total(self) -> int:
@@ -244,13 +246,16 @@ def emulate_span(
 ) -> tuple[bytes | None, str]:
     """Re-execute a chain of steps from witnesses; None on any invalid link.
 
-    The steps share one set of accepted Merkle proofs, so each distinct proof
-    is verified once; verdicts and reasons are those of lone steps."""
-    current, proven = pre_root, set()
+    The steps are checked as one `fpvm.StepChain`: a step's pre-state that
+    the step before computed is not hashed again, and a Merkle proof equal
+    to one the chain accepted, made current through the paths it wrote
+    since, is not verified again. Verdicts and reasons are those of lone
+    steps."""
+    current, chain = pre_root, fpvm.StepChain(scheme)
     for n, witness in enumerate(witnesses):
         verdict = fpvm.verify_step(
             current, b"\x00" * 32, witness, preimage_chunk_check=True,
-            preimages=preimages, scheme=scheme, proven=proven,
+            preimages=preimages, scheme=scheme, chain=chain,
         )
         if not verdict.witness_ok:
             return None, f"step {n + 1}: {verdict.reason}"
@@ -446,14 +451,16 @@ def open_game(
     """Open a dispute on `claim` between staked parties and play its
     k-section rounds down to a span of m steps, the claim's padding unit.
     The session starts from the claim's initial root and the challenger's
-    counterclaim at the padded span end; a challenger whose counterclaim is
-    the claimed final root has none and forfeits."""
+    counterclaim at the padded span end, which the chain keeps
+    (`ChainSim.counterclaims`); a challenger whose counterclaim is the
+    claimed final root has none and forfeits."""
     for party in (submitter.party_id, challenger.party_id):
         if chain.stakes.get(party, 0) <= 0:
             raise ProtocolViolation(f"{party} is not staked")
     chain.open_dispute(claim.claim_id)
     j = padded_length(claim.trace_len, claim.k, claim.m)
     session = DisputeSession(0, j, claim.k, claim.initial_root, challenger.claimed_root(j))
+    chain.counterclaims[claim.claim_id] = session.challenger_end_claim
     if session.challenger_end_claim == claim.final_root:
         return BisectionOutcome(session, SUBMITTER, "challenger has no counterclaim")
     return drive_rounds(session, submitter, challenger, claim.m, chain, phase)

@@ -17,7 +17,13 @@ runs over one of three memory views of whole leaves: the run view
 (`_TreeMemory`, behind `step`, `run` and `run_trace`), the witness view
 (`_WindowMemory`, behind `Trace.witnesses` and `gen_step_witness`) and the
 verifier view (`_WitnessMemory`, behind `verify_step`). So the prover and
-the verifier execute the same instruction by construction.
+the verifier execute the same instruction by construction. The witness
+view and the verifier keep their proofs in one `merkle.KeptProofs`, which
+makes a kept proof current through the paths written since, so they also
+agree on every proof by construction. `verify_step` checks a step alone or
+as the next link of a `StepChain`, as `dispute.emulate_span` checks a
+window: a pre-state the chain computed and a proof it kept are not hashed
+again.
 
 A run reads each leaf from its starting tree at most once and writes no
 store to a tree: each state it yields carries a `MemTree.with_writes`
@@ -452,58 +458,35 @@ class _WindowMemory:
     preimage chunk, each with its proof against the step's pre-state memory
     root, which `begin` returns.
 
-    `opened` holds, by base, each leaf the window has opened as it is now,
-    with `start`'s proof of it: one `get_leaf` and one `MemTree.prove` per
-    leaf. A proof is those siblings, each one on a written path replaced by
-    the digest `digests` holds for it by (level, index). A write is hashed
-    up along its own write proof, as `verify_step` does, only when the next
-    step begins, so the window's last write hashes nothing."""
+    `proofs` keeps each leaf the window has opened as it is now, with
+    `start`'s proof of it: one `get_leaf` and one `MemTree.prove` per leaf,
+    made current through the paths the window has written, as the verifier
+    makes its accepted proofs current (`merkle.KeptProofs`). A write is
+    hashed up along its own proof only when the next step begins, so the
+    window's last write hashes nothing."""
 
-    __slots__ = ("start", "oracle", "opened", "digests", "root", "proofs", "reads", "writes",
-                 "preimage_chunk")
+    __slots__ = ("start", "oracle", "proofs", "reads", "writes", "preimage_chunk")
 
     def __init__(self, start: merkle.MemTree, oracle: PreimageOracle | None):
         self.start, self.oracle = start, oracle
-        self.opened: dict[int, tuple[bytes, merkle.MerkleProof]] = {}
-        self.digests: dict[tuple[int, int], bytes] = {}
-        self.root = start.root()
-        self.proofs: dict[int, tuple[bytes, merkle.MerkleProof]] = {}  # base -> against `root`
+        self.proofs = merkle.KeptProofs(start.root(), start.scheme)
         self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
 
     def begin(self) -> bytes:
         """The memory root before the next step, after committing the last
         step's write; starts the step's records afresh."""
         if self.writes:
-            (base, _old, leaf, proof), = self.writes
-            scheme, index = self.start.scheme, base >> 5
-            self.opened[base] = (leaf, self.opened[base][1])
-            digest = self.digests[(0, index)] = scheme.leaf_hash(leaf)
-            for level, sibling in enumerate(proof.siblings, 1):
-                if (index >> (level - 1)) & 1:
-                    digest = scheme.node_hash(sibling, digest)
-                else:
-                    digest = scheme.node_hash(digest, sibling)
-                self.digests[(level, index >> level)] = digest
-            self.root, self.proofs = digest, {}
+            (base, _old, leaf, _proof), = self.writes
+            self.proofs.write(base >> 5, leaf)
         self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
         self.writes = []
         self.preimage_chunk: PreimageChunk | None = None
-        return self.root
+        return self.proofs.root
 
     def _open(self, base: int) -> tuple[bytes, merkle.MerkleProof]:
-        opened = self.proofs.get(base)
-        if opened is None:
-            index = base >> 5
-            opened = self.opened.get(base)
-            if opened is None:
-                opened = self.opened[base] = (self.start.get_leaf(index), self.start.prove(index))
-            if self.digests:
-                leaf, proof = opened
-                siblings = [self.digests.get((level, (index >> level) ^ 1), sibling)
-                            for level, sibling in enumerate(proof.siblings)]
-                opened = (leaf, merkle.MerkleProof(index, 0, siblings))
-            self.proofs[base] = opened
-        return opened
+        index = base >> 5
+        return (self.proofs.current(index)
+                or self.proofs.keep(self.start.get_leaf(index), self.start.prove(index)))
 
     def read_leaf(self, base: int, miss: str) -> bytes:
         leaf, proof = self._open(base)
@@ -851,13 +834,18 @@ def _reject(reason: str) -> Verdict:
     return Verdict(False, reason, None, False)
 
 
-def _proof_holds(root: bytes, claimed: bytes, proof: merkle.MerkleProof,
-                 proven: set[tuple], scheme: HashScheme) -> bool:
-    """`merkle.verify`, run once per key in `proven`, which holds accepted proofs only."""
-    key = (root, claimed, proof.leaf_index, proof.subtree_level, tuple(proof.siblings))
-    if key not in proven and merkle.verify(root, claimed, proof, scheme):
-        proven.add(key)
-    return key in proven
+class StepChain:
+    """What a chain of verified steps carries from one step to the next,
+    under one hash scheme: the fields and state root the last step computed,
+    and the Merkle proofs accepted under the memory root (`proofs`)."""
+
+    __slots__ = ("scheme", "fields", "root", "proofs")
+
+    def __init__(self, scheme: HashScheme):
+        self.scheme = scheme
+        self.fields: VmFields | None = None
+        self.root: bytes | None = None
+        self.proofs: merkle.KeptProofs | None = None
 
 
 def verify_step(
@@ -868,31 +856,44 @@ def verify_step(
     preimages: PreimageOracle | None = None,
     *,
     scheme: HashScheme,
-    proven: set[tuple] | None = None,
+    chain: StepChain | None = None,
 ) -> Verdict:
     """Contract-side one-step check: O(1) work, no tree ever materialized.
 
     Accepts iff the witness fields hash to `pre_root`, every proof checks
     out against the witnessed memory root, and re-executing the fetched
     instruction over the witnessed leaves lands exactly on
-    `claimed_post_root`. All inputs are treated as hostile. Each proof is
-    checked through `proven`, the proofs already accepted under `scheme`,
-    which a chain of steps shares; the verdict is the same.
+    `claimed_post_root`. All inputs are treated as hostile.
+
+    A step is checked as the next link of `chain`, by default a new one, so
+    alone. Pre fields and a pre root equal to those the chain's last step
+    computed pass their checks unhashed. Proofs go through the chain's
+    `merkle.KeptProofs`, which a memory root other than the chain's
+    restarts: a record equal to a kept proof made current is accepted
+    unhashed, and a write hashes its path once. The verdict is that of the
+    step alone.
     """
-    proven = set() if proven is None else proven
+    chain = StepChain(scheme) if chain is None else chain
+    if chain.scheme is not scheme:
+        raise ValueError(f"a chain kept under {chain.scheme.name} checks no {scheme.name} step")
     f = witness.pre_fields
-    if (len(f.regs) != 16 or f.regs[0] != 0 or not 0 <= f.pc <= MASK32
-            or not all(0 <= r <= MASK32 for r in f.regs) or not 0 <= f.exit_code <= 0xFF):
-        return _reject("bad-register-file")
-    if f.state_root(scheme) != pre_root:
-        return _reject("pre-fields-mismatch")
+    if f != chain.fields or pre_root != chain.root:  # else the chain computed both
+        if (len(f.regs) != 16 or f.regs[0] != 0 or not 0 <= f.pc <= MASK32
+                or not all(0 <= r <= MASK32 for r in f.regs) or not 0 <= f.exit_code <= 0xFF):
+            return _reject("bad-register-file")
+        if f.state_root(scheme) != pre_root:
+            return _reject("pre-fields-mismatch")
 
     if f.exited:
         if witness.mem_reads or witness.mem_writes or witness.preimage_chunk:
             return _reject("witness-not-minimal")
+        chain.fields, chain.root = f, pre_root
         post = pre_root
         return Verdict(post == claimed_post_root, "" if post == claimed_post_root else "post-root-mismatch", post, True)
 
+    proofs = chain.proofs
+    if proofs is None or proofs.root != f.memory_root:
+        proofs = chain.proofs = merkle.KeptProofs(f.memory_root, scheme)
     leaves: dict[int, bytes] = {}
     for addr, leaf, proof in witness.mem_reads:
         if addr % 32 != 0 or len(leaf) != 32:
@@ -901,7 +902,7 @@ def verify_step(
             return _reject("read-proof-wrong-slot")
         if addr in leaves:
             return _reject("duplicate-read")
-        if not _proof_holds(f.memory_root, scheme.leaf_hash(leaf), proof, proven, scheme):
+        if not proofs.holds(leaf, proof):
             return _reject("read-proof-invalid")
         leaves[addr] = leaf
 
@@ -931,13 +932,15 @@ def verify_step(
             return _reject("write-record-wrong-slot")
         if proof.leaf_index != base // 32 or proof.subtree_level != 0:
             return _reject("write-proof-wrong-slot")
-        if not _proof_holds(f.memory_root, scheme.leaf_hash(old), proof, proven, scheme):
+        if not proofs.holds(old, proof):
             return _reject("write-proof-invalid")
         if new != computed_new:
             return _reject("write-value-mismatch")
-        post_mem_root = merkle.recompute_root(scheme.leaf_hash(computed_new), proof, scheme)
+        post_mem_root = proofs.write(base // 32, computed_new)
 
-    post_root = VmFields(pc, tuple(regs), exited, exit_code, post_mem_root).state_root(scheme)
+    post = VmFields(pc, tuple(regs), exited, exit_code, post_mem_root)
+    post_root = chain.root = post.state_root(scheme)
+    chain.fields = post
     if post_root != claimed_post_root:
         return Verdict(False, "post-root-mismatch", post_root, True)
     return Verdict(True, "", post_root, True)

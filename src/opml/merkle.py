@@ -15,6 +15,10 @@ hashed from its bytes alone and read from them, and builds its nodes once,
 when a proof or a write first opens it. Only `_set` and that build make
 nodes, and neither changes a node it has returned, so no kept digest goes
 stale and trees may share an image. The tree keeps no read cache.
+
+`KeptProofs` keeps leaf proofs without a tree and moves its root by hashing
+each written path once: the witness view of a window and the verifier's
+chain of steps share it.
 """
 
 from __future__ import annotations
@@ -270,6 +274,74 @@ def recompute_root(new_leaf_digest: bytes, proof: MerkleProof, scheme: HashSchem
             acc = scheme.node_hash(acc, sibling)
         index >>= 1
     return acc
+
+
+class KeptProofs:
+    """Leaf proofs kept by leaf index under a memory root that moves only by
+    `write`, with no tree: each keeps its leaf as it is now and its level-0
+    proof under `root` or an earlier root of the chain. `current` makes a
+    kept proof one under `root` by replacing each sibling on a path written
+    since with the digest `write` recorded for it, and caches it until the
+    next write. The recorded digests are one per node ever written, newest
+    only, so every recorded digest is that node's digest under `root`."""
+
+    __slots__ = ("root", "scheme", "_kept", "_written", "_current")
+
+    def __init__(self, root: bytes, scheme: HashScheme):
+        self.root, self.scheme = root, scheme
+        self._kept: dict[int, tuple[bytes, MerkleProof]] = {}
+        self._written: list[dict[int, bytes]] = [{} for _ in range(TREE_DEPTH)]  # by level
+        self._current: dict[int, tuple[bytes, MerkleProof]] = {}  # under `root`
+
+    def keep(self, leaf: bytes, proof: MerkleProof) -> tuple[bytes, MerkleProof]:
+        """Keep `leaf` with its level-0 `proof` under `root`, or under an
+        earlier root of the chain, as a start tree's proof is; returns
+        them made current."""
+        self._kept[proof.leaf_index] = (leaf, proof)
+        self._current.pop(proof.leaf_index, None)
+        return self.current(proof.leaf_index)
+
+    def current(self, index: int) -> tuple[bytes, MerkleProof] | None:
+        """The kept leaf at `index` and its proof under `root`; None when
+        no proof of it is kept."""
+        opened = self._current.get(index)
+        if opened is None:
+            opened = self._kept.get(index)
+            if opened is not None and self._written[0]:
+                leaf, proof = opened
+                siblings = [written.get((index >> level) ^ 1, sibling) for level, (written, sibling)
+                            in enumerate(zip(self._written, proof.siblings))]
+                opened = self._current[index] = (leaf, MerkleProof(index, 0, siblings))
+        return opened
+
+    def holds(self, leaf: bytes, proof: MerkleProof) -> bool:
+        """`verify` of a 32-byte `leaf` under `root` by its level-0 `proof`:
+        true with no hash when the leaf and the siblings equal the kept
+        ones, else checked alone, and kept, current, once it holds."""
+        kept = self.current(proof.leaf_index)
+        if kept is not None and kept[0] == leaf and kept[1].siblings == proof.siblings:
+            return True
+        if not verify(self.root, self.scheme.leaf_hash(leaf), proof, self.scheme):
+            return False
+        self._kept[proof.leaf_index] = self._current[proof.leaf_index] = (leaf, proof)
+        return True
+
+    def write(self, index: int, leaf: bytes) -> bytes:
+        """Write `leaf` at `index`, whose proof is kept: hash its path once,
+        from that proof, record each digest on it, and return the new root."""
+        _old, proof = self.current(index)
+        node_hash, written = self.scheme.node_hash, self._written
+        digest = self.scheme.leaf_hash(leaf)
+        for level, sibling in enumerate(proof.siblings):
+            written[level][index >> level] = digest
+            if (index >> level) & 1:
+                digest = node_hash(sibling, digest)
+            else:
+                digest = node_hash(digest, sibling)
+        self.root = digest
+        self._kept[index] = (leaf, proof)
+        self._current = {index: (leaf, proof)}
+        return digest
 
 
 def region(data: bytes, level: int, scheme: HashScheme):

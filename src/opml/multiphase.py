@@ -6,7 +6,8 @@ pin a single disputed node. A pin whose next commitment public data settles
 Otherwise the entrance check (`entrance_check`) gates the descent into
 phase 2, the ordinary trace dispute over the lowered node program, ending
 in m-step arbitration. The exit check then proves the node output opened
-out of the winner's phase-1 state to be their final VM output region.
+out of the winner's phase-1 state to be the output region of the final VM
+state whose root the winner posted in phase 2.
 
 A bundle carries the claim it backs and the openings that tie it to public
 data; each check derives every other root itself, never from the bundle.
@@ -153,11 +154,16 @@ def build_exit_bundle(run: ml.GraphRun, node_id: int, final_state: fpvm.VmState)
     )
 
 
-def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme) -> tuple[bool, str]:
-    """Require the node output in the opened phase-1 state to be the output
-    region under the VM's final memory root."""
+def exit_check(bundle: ExitBundle, graph: ml.CompGraph, scheme: HashScheme,
+               posted_root: bytes) -> tuple[bool, str]:
+    """Require the bundle's final state root to be `posted_root`, the
+    phase-2 end root its author posted on chain, and the node output in the
+    opened phase-1 state to be the output region under that state's final
+    memory root."""
     if not 0 <= bundle.node_id < len(graph.nodes):
         return False, "node id out of range"
+    if bundle.final_state_root != posted_root:
+        return False, "final state root is not the posted end root"
     if bundle.vm_fields.state_root(scheme) != bundle.final_state_root:
         return False, "vm fields do not open the final state root"
     proof = bundle.output_proof
@@ -272,8 +278,10 @@ def run_two_phase_dispute(
     # Exit: the phase-2 winner reconciles its VM result with its phase-1 claim.
     winner_party = submitter if winner == SUBMITTER else challenger
     winner_trace = sub_trace if winner == SUBMITTER else chal_trace
+    posted_root = (inner_claim.final_root if winner == SUBMITTER
+                   else chain.counterclaims[inner_claim.claim_id])
     exit_bundle = build_exit_bundle(winner_party.roots, pinned_node, winner_trace.states[-1])
-    ok, why = exit_check(exit_bundle, graph, scheme)
+    ok, why = exit_check(exit_bundle, graph, scheme, posted_root)
     chain.transcript.append({"phase": "transition", "check": "exit", "accepted": ok,
                              "reason": why})
     if not ok:

@@ -96,13 +96,26 @@ MUTANTS = [
     ("stale-register-tuple", FPVM, "\n            kept = now\n", "\n            now = kept\n"),
     ("budget-error-register-list", FPVM, "BudgetExceededError(VmState(pc, tuple(regs),",
      "BudgetExceededError(VmState(pc, regs,"),
-    # The witness view of a window: its proofs, its commit and its seams.
-    ("window-sibling-from-own-path", FPVM, "self.digests.get((level, (index >> level) ^ 1), sibling)",
-     "self.digests.get((level, index >> level), sibling)"),
-    ("window-commit-keeps-proofs", FPVM, "self.root, self.proofs = digest, {}", "self.root = digest"),
-    ("window-commit-drops-leaf", FPVM, "            self.opened[base] = (leaf, self.opened[base][1])\n", ""),
-    ("window-commit-skips-level-0", FPVM, "digest = self.digests[(0, index)] = scheme.leaf_hash(leaf)",
-     "digest = scheme.leaf_hash(leaf)"),
+    # The kept proofs the witness view and the verifier's chain share: made
+    # current through the written paths, and hashed up once per write.
+    ("kept-sibling-from-own-path", MERKLE, "written.get((index >> level) ^ 1, sibling)",
+     "written.get(index >> level, sibling)"),
+    ("kept-cache-survives-write", MERKLE, "self._current = {index: (leaf, proof)}",
+     "self._current[index] = (leaf, proof)"),
+    ("kept-write-drops-leaf", MERKLE, "        self._kept[index] = (leaf, proof)\n", ""),
+    ("kept-write-skips-level-0", MERKLE, "            written[level][index >> level] = digest\n",
+     "            if level:\n                written[level][index >> level] = digest\n"),
+    ("kept-hit-ignores-leaf", MERKLE,
+     "if kept is not None and kept[0] == leaf and kept[1].siblings == proof.siblings:",
+     "if kept is not None and kept[1].siblings == proof.siblings:"),
+    # The verifier's chain: its pre-state skip and its memory root.
+    ("chain-skip-checks-fields-only", FPVM, "if f != chain.fields or pre_root != chain.root:",
+     "if f != chain.fields:"),
+    ("chain-skip-checks-root-only", FPVM, "if f != chain.fields or pre_root != chain.root:",
+     "if pre_root != chain.root:"),
+    ("chain-keeps-proofs-across-roots", FPVM,
+     "if proofs is None or proofs.root != f.memory_root:", "if proofs is None:"),
+    # The witness view's seams.
     ("window-ignores-seams", FPVM, "            if n in self.seams:\n", "            if False:\n"),
     ("fork-drops-earlier-seams", FPVM,
      "seams = tuple(seam for seam in self.seams if seam < corrupted.step_count)", "seams = ()"),
@@ -193,6 +206,11 @@ MUTANTS = [
     ("exit-any-output-field", MULTIPHASE,
      "if proof.leaf_index != fpvm.OUTPUT_BASE // 32 or proof.subtree_level != fpvm.OUTPUT_LEVEL:",
      "if False:"),
+    ("exit-ignores-posted-root", MULTIPHASE, "if bundle.final_state_root != posted_root:",
+     "if False:"),
+    ("exit-challenger-root-not-posted", MULTIPHASE,
+     "else chain.counterclaims[inner_claim.claim_id])",
+     "else chal_trace.root_at(len(chal_trace)))"),
     ("exit-fields-unopened", MULTIPHASE,
      "if bundle.vm_fields.state_root(scheme) != bundle.final_state_root:", "if False:"),
     ("entrance-from-any-state", MULTIPHASE,

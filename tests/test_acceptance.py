@@ -299,7 +299,7 @@ def test_criterion_5_entrance_exit_checks():
 
         final, _ = fpvm.run(m0, oracle)
         exit_bundle = multiphase.build_exit_bundle(run, node_id, final)
-        ok, why = multiphase.exit_check(exit_bundle, graph, SCHEME)
+        ok, why = multiphase.exit_check(exit_bundle, graph, SCHEME, fpvm.state_root(final))
         assert ok, why
         accepted += 1
 
@@ -328,7 +328,7 @@ def test_criterion_5_entrance_exit_checks():
 
         for mutant in exit_mutants:
             mutations_total += 1
-            ok, _ = multiphase.exit_check(mutant, graph, SCHEME)
+            ok, _ = multiphase.exit_check(mutant, graph, SCHEME, mutant.final_state_root)
             mutations_rejected += not ok
 
     assert mutations_rejected == mutations_total

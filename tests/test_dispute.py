@@ -533,10 +533,10 @@ def _flip_sibling(proof):
 
 @pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
 def test_span_memo_keeps_every_rejection(scheme_name):
-    """Within one arbitration, a proof of a leaf already proven under the
-    same root, with one sibling flipped, is rejected with the reason a lone
-    step gives: the memo keys the siblings too, and holds accepted proofs
-    only."""
+    """Within one arbitration, a proof of a leaf the chain has accepted
+    under the same root, with one sibling flipped, is rejected with the
+    reason a lone step gives, and given twice is rejected both times: the
+    chain compares the siblings too, and keeps accepted proofs only."""
     scheme = get_scheme(scheme_name)
     trace = _load_store_trace(scheme)
     load, store = fpvm.gen_step_witness(trace.state_at(1)), fpvm.gen_step_witness(trace.state_at(2))
@@ -551,13 +551,26 @@ def test_span_memo_keeps_every_rejection(scheme_name):
     assert dispute.emulate_span(trace.root_at(1), [load, store], None, scheme) == (trace.root_at(3), "")
     for bad, reason in ((bad_read, "read-proof-invalid"), (bad_write, "write-proof-invalid")):
         assert dispute.emulate_span(trace.root_at(1), [load, bad], None, scheme) == (None, f"step 2: {reason}")
-        proven = set()
-        assert fpvm.verify_step(trace.root_at(1), trace.root_at(2), load, scheme=scheme, proven=proven).accepted
-        accepted = set(proven)
+        chain = fpvm.StepChain(scheme)
+        assert fpvm.verify_step(trace.root_at(1), trace.root_at(2), load, scheme=scheme, chain=chain).accepted
+        kept = {base: chain.proofs.current(base // 32) for base in (fetch, heap)}
+        assert kept == {fetch: (load.mem_reads[0][1], fetch_proof), heap: (heap_leaf, heap_proof)}
         for _ in range(2):  # the same bad proof, given twice, is rejected both times
-            verdict = fpvm.verify_step(trace.root_at(2), trace.root_at(3), bad, scheme=scheme, proven=proven)
+            verdict = fpvm.verify_step(trace.root_at(2), trace.root_at(3), bad, scheme=scheme, chain=chain)
             assert (verdict.accepted, verdict.witness_ok, verdict.reason) == (False, False, reason)
-            assert proven == accepted
+            assert {base: chain.proofs.current(base // 32) for base in (fetch, heap)} == kept
+        verdict = fpvm.verify_step(trace.root_at(2), trace.root_at(3), store, scheme=scheme, chain=chain)
+        assert verdict == fpvm.Verdict(True, "", trace.root_at(3), True)
+
+
+def test_step_chain_is_kept_under_one_scheme():
+    """A chain checks steps under the scheme it was made for, whose roots
+    it holds; a step under another scheme raises instead of reusing them."""
+    trace = _load_store_trace(SCHEME)
+    load = fpvm.gen_step_witness(trace.state_at(1))
+    chain = fpvm.StepChain(get_scheme("sha3"))
+    with pytest.raises(ValueError, match="sha3"):
+        fpvm.verify_step(trace.root_at(1), trace.root_at(2), load, scheme=SCHEME, chain=chain)
 
 
 def _memo_traces(scheme):
@@ -666,14 +679,115 @@ def test_window_witnesses_hold_at_every_edge(scheme_name):
                 _check_window(chosen, start, count, scheme)
 
 
+def _lone_checks(trace, start, ws, scheme):
+    """Each witness of `ws`, the window of `trace` from `start`, verifies
+    alone with a fresh `verify_step`, from the root of the state it was
+    made from to the root of the step from it, both taken from the trace's
+    trees: before a seam, that step is not the kept state after it."""
+    walked = trace.walk(start)
+    state = next(walked)
+    for witness in ws:
+        after = next(walked, state)  # an exited state is its own successor
+        post = fpvm.state_root(fpvm.step(state, trace.oracle) if after.step_count in trace.seams
+                               else after)
+        verdict = fpvm.verify_step(fpvm.state_root(state), post, witness, preimages=trace.oracle,
+                                   scheme=scheme)
+        assert verdict == fpvm.Verdict(True, "", post, True)
+        state = after
+
+
+@pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
+def test_window_witnesses_verify_alone(scheme_name):
+    """The proofs a window's witness view makes current through the paths
+    it wrote (`merkle.KeptProofs`, which the verifier's chain shares) each
+    hold on their own: every witness of the windows `_memo_traces` and
+    `_window_trace` give verifies alone."""
+    scheme = get_scheme(scheme_name)
+    windows = [(trace, start, 4096) for trace, start in _memo_traces(scheme)]
+    trace, fork = _window_trace(scheme)
+    windows += [(chosen, 0, 64) for chosen in (trace, fork)] + [(fork, fork.seams[0] - 3, 12)]
+    for trace, start, count in windows:
+        ws = trace.witnesses(start, count)
+        assert any(w.mem_writes for w in ws)
+        _lone_checks(trace, start, ws, scheme)
+
+
+def _flip(proof, level):
+    siblings = list(proof.siblings)
+    siblings[level] = bytes([siblings[level][0] ^ 1]) + siblings[level][1:]
+    return replace(proof, siblings=siblings)
+
+
+@pytest.mark.parametrize("scheme_name", ["sha256", "blake2b", "sha3"])
+def test_chain_verdicts_equal_lone_verdicts(scheme_name):
+    """Over the window of `_window_trace`, each step checked as the next
+    link of one `fpvm.StepChain` gets the verdict it gets alone, step by
+    step, when one link is hostile: a proof valid only under the root
+    before a store, a sibling flipped at the level a store patched, a
+    record carrying a leaf's bytes from before a store, pre fields one
+    register off the chain's, registers given as a list, a pre root that
+    is not the chain's, and pre fields opening a memory root that is not
+    the chain's."""
+    scheme = get_scheme(scheme_name)
+    trace, _ = _window_trace(scheme)
+    ws = trace.witnesses(0, 64)
+    roots = [trace.root_at(t) for t in range(len(ws) + 1)]
+    links = [(roots[t], roots[t + 1], w) for t, w in enumerate(ws)]
+    heap = fpvm.HEAP_BASE
+    # Steps 2 and 3 store to heap leaf 0, step 4 to its sibling leaf 1,
+    # step 5 loads leaf 0 and step 6 stores to it again.
+    assert [w.mem_writes[0][0] if w.mem_writes else None for w in ws[2:7]] == [heap, heap, heap + 32, None, heap]
+    _, (_, leaf, proof) = ws[5].mem_reads
+    (_, old, new, write_proof), = ws[6].mem_writes
+    stale = trace.state_at(4).memory.prove(heap // 32)
+    fresh = trace.state_at(2).memory.get_leaf(heap // 32)
+    assert stale != proof and fresh != leaf == old
+
+    def with_fields(witness, **changes):
+        fields = replace(witness.pre_fields, **changes)
+        return fields.state_root(scheme), replace(witness, pre_fields=fields)
+
+    def reads(t, record):
+        return replace(ws[t], mem_reads=[ws[t].mem_reads[0], record])
+
+    regs = list(ws[8].pre_fields.regs)
+    regs[1] ^= 1
+    _, off_by_one = with_fields(ws[8], regs=tuple(regs))
+    moved_root, moved = with_fields(ws[5], memory_root=ws[4].pre_fields.memory_root)
+    variants = [  # (step, pre root, witness, its reason alone)
+        (5, roots[5], reads(5, (heap, leaf, stale)), "read-proof-invalid"),
+        (6, roots[6], replace(ws[6], mem_writes=[(heap, old, new, stale)]), "write-proof-invalid"),
+        (5, roots[5], reads(5, (heap, leaf, _flip(proof, 0))), "read-proof-invalid"),
+        (6, roots[6], replace(ws[6], mem_writes=[(heap, old, new, _flip(write_proof, 0))]),
+         "write-proof-invalid"),
+        (5, roots[5], reads(5, (heap, fresh, proof)), "read-proof-invalid"),
+        (6, roots[6], replace(ws[6], mem_writes=[(heap, fresh, new, write_proof)]),
+         "write-proof-invalid"),
+        (8, roots[8], off_by_one, "pre-fields-mismatch"),
+        (8, roots[8], with_fields(ws[8], regs=list(ws[8].pre_fields.regs))[1], ""),
+        (9, roots[8], ws[9], "pre-fields-mismatch"),
+        (5, moved_root, moved, "read-proof-invalid"),
+    ]
+    for t, pre_root, witness, reason in variants:
+        hostile = links[:t] + [(pre_root, roots[t + 1], witness)] + links[t + 1:]
+        chain = fpvm.StepChain(scheme)
+        for n, (pre, post, w) in enumerate(hostile):
+            lone = fpvm.verify_step(pre, post, w, preimages=trace.oracle, scheme=scheme)
+            chained = fpvm.verify_step(pre, post, w, preimages=trace.oracle, scheme=scheme, chain=chain)
+            assert chained == lone, (t, reason, n)
+            assert lone.accepted == (n != t or not reason) and (n != t or lone.reason == reason)
+
+
 def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
-    """The m = 4096 synthetic game: its arbitration recomputes one root per
-    distinct accepted proof plus one per write step, and its witnesses make
-    one `MemTree.prove` per leaf opened from each start tree of the window:
-    its first state's, and each seam's it crosses. That is far fewer than
-    the distinct (memory root, leaf) pairs the witnesses hold."""
+    """The m = 4096 synthetic game: its arbitration verifies in full only
+    the proofs its chain has not kept, and hashes one path per write step,
+    fewer than a root per distinct (root, leaf, proof) record plus one per
+    write step; its witnesses make one `MemTree.prove` per leaf opened from
+    each start tree of the window: its first state's, and each seam's it
+    crosses. That is far fewer than the distinct (memory root, leaf) pairs
+    the witnesses hold."""
     monkeypatch.delenv("OPML_HASH", raising=False)
-    calls = {"recompute_root": 0, "prove": 0}
+    calls = {"verify": 0, "recompute_root": 0, "write": 0, "prove": 0}
     spans, proves = [], []
 
     def counted(name, fn):
@@ -682,25 +796,28 @@ def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def spied(fn, name, out):
+    def spied(fn, names, out):
         def wrapper(*args):
-            before = calls[name]
+            before = [calls[name] for name in names]
             result = fn(*args)
-            out.append((args, calls[name] - before))
+            out.append((args, [calls[name] - n for name, n in zip(names, before)]))
             return result
         return wrapper
 
+    monkeypatch.setattr(merkle, "verify", counted("verify", merkle.verify))
     monkeypatch.setattr(merkle, "recompute_root", counted("recompute_root", merkle.recompute_root))
+    monkeypatch.setattr(merkle.KeptProofs, "write", counted("write", merkle.KeptProofs.write))
     monkeypatch.setattr(merkle.MemTree, "prove", counted("prove", merkle.MemTree.prove))
-    monkeypatch.setattr(dispute, "emulate_span", spied(dispute.emulate_span, "recompute_root", spans))
+    monkeypatch.setattr(dispute, "emulate_span",
+                        spied(dispute.emulate_span, ("verify", "recompute_root", "write"), spans))
     monkeypatch.setattr(dispute.VmTraceActor, "witnesses",
-                        spied(dispute.VmTraceActor.witnesses, "prove", proves))
+                        spied(dispute.VmTraceActor.witnesses, ("prove",), proves))
     argv = ["dispute", "--synthetic-n", "5000", "--strategy", "fault", "--k", "3", "--m", "4096",
             "--seed", "2"]
     assert cli.main(argv) == 0
 
-    ((_, ws, _, scheme), recomputes), = spans
-    ((actor, start, *_), witness_proves), = proves
+    ((_, ws, _, scheme), (verifies, recomputes, paths)), = spans
+    ((actor, start, *_), (witness_proves,)), = proves
     first = actor.roots.states[0].step_count + start
     records = [(w.pre_fields.memory_root, addr, leaf, proof)
                for w in ws for addr, leaf, proof in w.mem_reads]
@@ -710,7 +827,8 @@ def test_arbitration_does_the_work_of_its_distinct_proofs(monkeypatch):
             for root, _, leaf, proof in records}
     writes = sum(1 for w in ws if w.mem_writes)
     assert len(ws) == 4096 and writes > 0
-    assert recomputes == len(keys) + writes
+    assert (verifies, recomputes, paths, writes, len(keys)) == (648, 648, 835, 835, 2313)
+    assert verifies + paths < len(keys) + writes
     views = [sum(first < seam <= first + t for seam in actor.roots.seams) for t in range(len(ws))]
     opened = {(views[t], addr) for t, w in enumerate(ws)
               for addr, *_ in (*w.mem_reads, *w.mem_writes)}

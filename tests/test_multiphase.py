@@ -205,8 +205,22 @@ def exit_fixture(node_id=2, seed=65):
 
 def test_exit_honest_accepted():
     graph, run, final, bundle = exit_fixture()
-    ok, why = exit_check(bundle, graph, SCHEME)
+    ok, why = exit_check(bundle, graph, SCHEME, fpvm.state_root(final))
     assert ok, why
+
+
+def test_exit_rejects_a_root_the_winner_never_posted():
+    """A bundle whose fields, output proof and opening are all consistent is
+    still rejected when its final state root is not the phase-2 end root
+    its author posted: here the root of the machine one step before HALT."""
+    graph, run, final, bundle = exit_fixture()
+    m0, oracle, _, _ = build_entrance_state(run, 2, SCHEME)
+    trace = fpvm.run_trace(m0, oracle)
+    posted = trace.root_at(len(trace) - 1)
+    assert posted != bundle.final_state_root == fpvm.state_root(final)
+    reason = "final state root is not the posted end root"
+    assert exit_check(bundle, graph, SCHEME, posted) == (False, reason)
+    assert exit_check(bundle, graph, SCHEME, bytes(32)) == (False, reason)
 
 
 def test_exit_rejects_mismatches():
@@ -244,8 +258,8 @@ def test_exit_rejects_mismatches():
     rejects.append(("opening has wrong arity", replace(bundle, opening=replace(
         bundle.opening, entries=bundle.opening.entries[:-1]))))
 
-    for i, (reason, bad) in enumerate(rejects):
-        assert exit_check(bad, graph, SCHEME) == (False, reason), f"mutation {i}"
+    for i, (reason, bad) in enumerate(rejects):  # each posted by its own author
+        assert exit_check(bad, graph, SCHEME, bad.final_state_root) == (False, reason), f"mutation {i}"
 
 
 def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
@@ -376,6 +390,27 @@ def test_two_phase_fault_pins_node_and_challenger_wins():
     assert result.pinned_step is not None
     assert chain.total() == total
     assert phase_rounds(chain)[0] <= interaction_count_bound(len(graph.nodes), 1, 1)
+
+
+def test_exit_holds_the_challenger_to_its_posted_counterclaim():
+    """A challenger that replays the honest node trace but posted junk as
+    its phase-2 counterclaim wins the arbitration, then fails the exit
+    check: its final state root is not the root it posted. The same game
+    with an honest challenger passes it."""
+    graph = build_mlp(seed=66, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(67), (1, 3))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+    fault = ml.GraphFault(node_id=2, element=1, bit=4)
+    exits = []
+    for strategy in (ActorStrategy(kind="wrong-midpoint", wrong_round=99), ActorStrategy()):
+        chain = staked_chain("alice", "bob")
+        result = run_two_phase_dispute(graph, x, make_party("alice", honest, graph_fault=fault),
+                                       make_party("bob", honest, strategy=strategy), PhaseConfig(),
+                                       chain, scheme=SCHEME)
+        (check,) = [record for record in chain.transcript if record.get("check") == "exit"]
+        exits.append((result.winner, result.pinned_node, check["accepted"], check["reason"]))
+    reason = "final state root is not the posted end root"
+    assert exits == [("submitter", 2, False, reason), ("challenger", 2, True, "")]
 
 
 def test_two_phase_node_trace_is_held_to_the_step_budget(monkeypatch):
