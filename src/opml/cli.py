@@ -573,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except (IoError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:  # a constant line: the handler allocates as little as it can
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_IO
     except (dispute.ProtocolViolation, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -36,6 +36,7 @@ read leaf by leaf.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from bisect import bisect_left, bisect_right
@@ -262,14 +263,14 @@ def load_program(
 ) -> VmState:
     """Fresh machine with code, input and model images in their regions:
     the memory equals writing the images leaf by leaf with `write_bytes`.
-    Each region is one `merkle.region` image, hashed when a root needs it;
-    the program's is `program_image`'s, shared by every tree that loads it.
-    Raises merkle.RangeError, before hashing anything, when an image does
-    not fit its region."""
+    Each region is one `merkle.region` image, hashed when a root needs it
+    and opened one path at a time; the program's is `program_image`'s,
+    shared by every tree that loads it. Raises merkle.RangeError, before
+    hashing anything, when an image does not fit its region."""
     regions = (
         (INPUT_BASE, INPUT_LEVEL, merkle.region(input_blob, INPUT_LEVEL, scheme)),
         (MODEL_BASE, MODEL_LEVEL, merkle.region(model_blob, MODEL_LEVEL, scheme)),
-        (PROGRAM_BASE, PROGRAM_LEVEL, program_image(program, scheme)),
+        (PROGRAM_BASE, PROGRAM_LEVEL, program_image(program, PROGRAM_LEVEL, scheme)),
     )
     tree = merkle.MemTree(scheme)
     for base, level, image in regions:
@@ -279,27 +280,17 @@ def load_program(
 
 def program_root(program: bytes, scheme: HashScheme) -> bytes:
     """Root of the program region holding `program`: `program_image`'s digest."""
-    return merkle._child_digest(program_image(program, scheme), PROGRAM_LEVEL, scheme)
+    return merkle._child_digest(program_image(program, PROGRAM_LEVEL, scheme), PROGRAM_LEVEL, scheme)
 
 
-def program_image(program: bytes, scheme: HashScheme) -> merkle._Image | None:
-    """The program region holding `program` as a `merkle.region` image,
-    memoised by content, so a reload shares the image, its kept digests
-    and its built nodes. The size check comes before the memo key's hash."""
-    image = merkle.region(program, PROGRAM_LEVEL, scheme)
-    key = (scheme.digest(program), PROGRAM_LEVEL, scheme)
-    if key in _PROGRAM_IMAGES:
-        return _PROGRAM_IMAGES[key]
-    if len(_PROGRAM_IMAGES) >= _PROGRAM_IMAGES_MAX:
-        del _PROGRAM_IMAGES[next(iter(_PROGRAM_IMAGES))]
-    _PROGRAM_IMAGES[key] = image
-    return image
-
-
-# (program digest, PROGRAM_LEVEL, scheme) -> program-region image, oldest out
-# first: a two-phase game's entrance check reloads a program its prover loaded.
-_PROGRAM_IMAGES: dict[tuple[bytes, int, HashScheme], merkle._Image | None] = {}
-_PROGRAM_IMAGES_MAX = 16
+@functools.lru_cache(maxsize=16)
+def program_image(program: bytes, level: int, scheme: HashScheme) -> merkle._Image | None:
+    """The region of 2**level leaves holding `program` as a `merkle.region`
+    image, memoised on its arguments so a reload shares the image, its kept
+    digests and the paths proofs opened: a two-phase entrance check reloads
+    the program its prover loaded. A lowered program is the bytes object
+    `lowering.node_program` memoises, so the two memos hold one copy."""
+    return merkle.region(program, level, scheme)
 
 
 def assemble(instructions: list[int]) -> bytes:

@@ -11,10 +11,11 @@ and shares the rest, so a snapshot is kept in O(1). `with_writes` and
 builds (`_top`). Digests are lazy: a copied node has none, and `root`,
 `prove` and `subtree_root` hash a missing digest on first use and keep it in
 the node. A whole image is loaded as one node, `region`'s `_Image`, which is
-hashed from its bytes alone and read from them, and builds its nodes once,
-when a proof or a write first opens it. Only `_set` and that build make
-nodes, and neither changes a node it has returned, so no kept digest goes
-stale and trees may share an image. The tree keeps no read cache.
+hashed from its bytes alone and read from them, and opened one path at a
+time by the proofs and writes that descend into it, each half made once.
+Only `_set` and an opening make nodes, and neither changes a node it has
+returned, so no kept digest goes stale and trees may share an image. The
+tree keeps no read cache.
 
 `KeptProofs` keeps leaf proofs without a tree and moves its root by hashing
 each written path once: the witness view of a window and the verifier's
@@ -33,7 +34,7 @@ from .wire import Reader
 NUM_LEAVES = 1 << TREE_DEPTH
 
 #: Lowest level whose digests an `_Image` keeps when hashed, so a proof
-#: into its built nodes hashes at most one 2**KEEP_LEVEL-leaf block per path.
+#: into it hashes at most one 2**KEEP_LEVEL-leaf block per path.
 KEEP_LEVEL = 5
 
 
@@ -148,16 +149,14 @@ class MemTree:
         while node.__class__ is _Node:
             level -= 1
             node = node.right if (index >> level) & 1 else node.left
-        if node.__class__ is _Image:
-            return node.leaves(index & ((1 << level) - 1), 1)[0]
-        return ZERO_LEAF if node is None else node
+        return _block(node, 0, index & ((1 << level) - 1))[0]
 
     def leaf_block(self, index: int, level: int, out: dict[int, bytes]) -> None:
         """Put into `out` each leaf it lacks of the aligned block of
         2**level leaves that holds `index`, keyed by base address (32 *
         leaf index), an absent leaf as ZERO_LEAF: what `get_leaf` reads for
         it, in one descent from the root, slicing an image's bytes. An entry
-        `out` already holds is kept. Hashes nothing and builds no image."""
+        `out` already holds is kept. Hashes nothing and opens no image."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         node, depth = self._top(), TREE_DEPTH
@@ -382,23 +381,26 @@ def _block(node, level: int, first: int = 0) -> list[bytes]:
 
 
 class _Image:
-    """A nonzero region of 2**level leaves, level >= 1, holding `data`, as
-    one node. Its `digest` is hashed from `data` a 2**KEEP_LEVEL-leaf block
-    at a time, then level by level, with the calls `_child_digest` makes
-    over its nodes, keeping the digests from KEEP_LEVEL up; nothing else
-    sets it. The first read of `left` or `right` builds its nodes as
-    `update_leaf` writes would, once and in place, with the kept digests
-    preset, so every tree and version sharing the image sees one tree."""
+    """A nonzero region of 2**level leaves, level >= 1, holding `data` from
+    its leaf `first`, as one node. A region's `digest` is hashed from
+    `data` a 2**KEEP_LEVEL-leaf block at a time, then level by level, with
+    the calls `_child_digest` makes over its nodes, keeping the digests
+    from KEEP_LEVEL up in one table indexed from leaf 0. The first read of
+    `left` or `right` makes both halves once, as `update_leaf` writes
+    would: above KEEP_LEVEL an `_Image` over the same `data` with its
+    digest from the table, below it `_Node`s, at KEEP_LEVEL with the kept
+    digest preset. An image above KEEP_LEVEL is hashed before it is first
+    opened, so every tree and version sharing it sees one tree."""
 
-    __slots__ = ("data", "level", "scheme", "_digest", "_kept", "_children")
+    __slots__ = ("data", "level", "scheme", "first", "_digest", "_kept", "_children")
 
-    def __init__(self, data: bytes, level: int, scheme: HashScheme):
-        self.data, self.level, self.scheme = data, level, scheme
-        self._digest = self._kept = self._children = None
+    def __init__(self, data: bytes, level: int, scheme: HashScheme, first=0, digest=None, kept=None):
+        self.data, self.level, self.scheme, self.first = data, level, scheme, first
+        self._digest, self._kept, self._children = digest, kept, None
 
     @property
     def digest(self) -> bytes:
-        if self._digest is None and self._children is not None:  # built before hashed
+        if self._digest is None and self._children is not None:  # opened before hashed: level <= KEEP_LEVEL
             self._digest = self.scheme.node_hash(
                 *(_child_digest(child, self.level - 1, self.scheme) for child in self._children))
         elif self._digest is None:
@@ -422,28 +424,33 @@ class _Image:
 
     @property
     def left(self):
-        return (self._children or self._build())[0]
+        return (self._children or self._open())[0]
 
     @property
     def right(self):
-        return (self._children or self._build())[1]
+        return (self._children or self._open())[1]
 
-    def _build(self) -> tuple:
-        nodes = [None if leaf == ZERO_LEAF else leaf for leaf in self.leaves()]
-        kept, self._kept = self._kept, None
-        for level in range(1, self.level):
-            nodes = _pairs(nodes, _Node)
-            for node, digest in zip(nodes, kept[level - KEEP_LEVEL] if kept and level >= KEEP_LEVEL else ()):
-                if node is not None:
-                    node.digest = digest
-        self._children = (*nodes, None)[:2]
+    def _open(self) -> tuple:
+        level, halves = self.level - 1, [None, None]
+        if level <= KEEP_LEVEL:
+            halves = [None if leaf == ZERO_LEAF else leaf for leaf in self.leaves(0, 1 << self.level)]
+            for _ in range(level):
+                halves = _pairs(halves, _Node)
+        if level >= KEEP_LEVEL:
+            self.digest  # hashed, keeping its table, before it is first opened
+            index = self.first >> level
+            for side, digest in enumerate(self._kept[level - KEEP_LEVEL][index : index + 2]):
+                if level > KEEP_LEVEL and digest is not None:
+                    halves[side] = _Image(self.data, level, self.scheme, self.first + (side << level),
+                                          digest, self._kept)
+                elif halves[side] is not None:
+                    halves[side].digest = digest
+        self._children = tuple(halves)
         return self._children
 
-    def leaves(self, first: int = 0, count: int | None = None) -> list[bytes]:
-        """The `count` leaves from the image's leaf `first`, ZERO_LEAF past
-        its data; by default every leaf its data reaches into."""
-        count = -(-len(self.data) // 32) if count is None else count
-        chunk = self.data[32 * first : 32 * (first + count)]
+    def leaves(self, first: int, count: int) -> list[bytes]:
+        """The `count` leaves from the image's leaf `first`, ZERO_LEAF past its data."""
+        chunk = self.data[32 * (self.first + first) : 32 * (self.first + first + count)]
         leaves = [chunk[i : i + 32] for i in range(0, len(chunk), 32)]
         if len(chunk) % 32:
             leaves[-1] = leaves[-1].ljust(32, b"\x00")

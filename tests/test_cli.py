@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -756,6 +757,14 @@ def test_dispute_has_no_challenge_period_flag(capsys):
     assert "unrecognized arguments: --challenge-period" in capsys.readouterr().err
 
 
+def _fresh_process_env() -> dict[str, str]:
+    """This environment without OPML_HASH, importing this checkout's opml."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "OPML_HASH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_one_process_answers_each_command_as_a_fresh_process_does(capsys, monkeypatch):
     """`main` parses every call with one parser: a run, a two-phase game,
     a security table and a bad argv, called in turn in this process, print
@@ -777,9 +786,7 @@ def test_one_process_answers_each_command_as_a_fresh_process_does(capsys, monkey
             code = exc.code
         captured = capsys.readouterr()
         in_process.append((code, captured.out, captured.err))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {key: value for key, value in os.environ.items() if key != "OPML_HASH"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _fresh_process_env()
     fresh = []
     for argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "opml.cli", *argv], capture_output=True,
@@ -788,6 +795,36 @@ def test_one_process_answers_each_command_as_a_fresh_process_does(capsys, monkey
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
     assert cli.build_parser() is cli.build_parser()
+
+
+#: An address space a synthetic game of 2,000,100 steps outgrows.
+OUT_OF_MEMORY_CAP = 150 << 20
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (OUT_OF_MEMORY_CAP, OUT_OF_MEMORY_CAP))
+
+
+def test_a_game_that_runs_out_of_memory_exits_3_with_one_line():
+    """Under a 150 MiB address-space cap, set in the child alone, a valid
+    synthetic game of 2,000,100 steps runs out of memory: `opml` exits 3
+    with one `error: out of memory` line and no traceback."""
+    env = _fresh_process_env()
+    argv = ["dispute", "--synthetic-n", "2000100", "--strategy", "fault", "--fault-step", "5",
+            "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "opml.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=_cap_address_space, timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, "error: out of memory\n")
+    assert "Traceback" not in proc.stdout
+
+
+def test_a_memory_error_in_a_command_exits_3_with_one_line(capsys, monkeypatch):
+    """`main` turns a MemoryError raised in a command into the same exit and line."""
+    def exhausted(args, scheme):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli, "cmd_security", exhausted)
+    assert run_cli(capsys, "security", "--p", "0.5", "--m", "3") == (3, "", "error: out of memory\n")
 
 
 def test_main_calls_the_command_function_it_finds_when_it_runs(capsys, monkeypatch):

@@ -1242,11 +1242,11 @@ def _program_region_root(state) -> bytes:
     return state.memory.subtree_root(fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL)
 
 
-def test_program_roots_are_memoised_per_scheme(monkeypatch):
+def test_program_roots_are_memoised_per_scheme():
     """Two programs loaded in turn under every scheme, twice: each load's
     program region has the root a fresh `region_root` of that scheme gives,
     whatever the memo holds for the other schemes."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     programs = [_random_program(random.Random(seed), 40) for seed in (27, 28)]
     roots = set()
     for _ in range(2):
@@ -1258,41 +1258,45 @@ def test_program_roots_are_memoised_per_scheme(monkeypatch):
                 assert fpvm.program_root(program, scheme) == want
                 roots.add(want)
     assert len(roots) == len(programs) * len(scheme_names())
-    assert len(fpvm._PROGRAM_IMAGES) == len(roots)
+    info = fpvm.program_image.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(roots), 3 * len(roots), len(roots))
 
 
-def test_program_root_builds_its_own_region_on_a_miss(monkeypatch):
+def test_program_root_builds_its_own_region_on_a_miss():
     """The public lookup takes no region: a miss hashes the region of the
     program it is given, and a later load of that program takes that root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     program = _random_program(random.Random(30), 40)
     want = merkle.region_root(program, fpvm.PROGRAM_LEVEL, SCHEME)
     assert fpvm.program_root(program, SCHEME) == want
     assert _program_region_root(load_program(program, scheme=SCHEME)) == want
-    assert len(fpvm._PROGRAM_IMAGES) == 1
+    info = fpvm.program_image.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_program_root_memo_is_keyed_by_region_level(monkeypatch):
     """The same program in a smaller program region has another root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     program = _random_program(random.Random(27), 40)
     for level in (fpvm.PROGRAM_LEVEL, 10, fpvm.PROGRAM_LEVEL):
         monkeypatch.setattr(fpvm, "PROGRAM_LEVEL", level)
         want = merkle.region_root(program, level, SCHEME)
         assert _program_region_root(load_program(program, scheme=SCHEME)) == want
+    info = fpvm.program_image.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
-def test_a_memo_hit_loads_the_tree_a_miss_loads(monkeypatch):
-    """A reload hashes nothing but the program's memo key, and its tree reads,
-    proves and hashes like the first load's in every region."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+def test_a_memo_hit_loads_the_tree_a_miss_loads():
+    """A reload hashes nothing, and its tree reads, proves and hashes like
+    the first load's in every region."""
+    fpvm.program_image.cache_clear()
     scheme, calls = counting_scheme()
     program = _random_program(random.Random(29), 300)
     images = (program, b"input-blob" * 7, b"model-blob" * 40)
     miss = load_program(*images, scheme=scheme).memory
     calls.clear()
     hit = load_program(*images, scheme=scheme).memory
-    assert calls == [program]
+    assert calls == []
     assert hit.root() == miss.root()
     for base, level, image in ((fpvm.PROGRAM_BASE, fpvm.PROGRAM_LEVEL, images[0]),
                                (fpvm.INPUT_BASE, fpvm.INPUT_LEVEL, images[1]),
@@ -1313,12 +1317,12 @@ def _program_region_node(tree: merkle.MemTree):
     return node
 
 
-def test_a_memo_hit_shares_the_image_a_proof_built(monkeypatch):
+def test_a_memo_hit_shares_the_image_a_proof_built():
     """A reload splices the very image the first load put in the memo, with
-    the nodes a proof into it built and the digests they keep, so the same
+    the path a proof into it opened and the digests it keeps, so the same
     proof on the reload hashes nothing. (The proof opens a pair of leaves:
     a leaf's digest is never kept, so a leaf sibling is hashed each time.)"""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     scheme, calls = counting_scheme()
     program = _random_program(random.Random(31), 300)
     first = load_program(program, scheme=scheme).memory
@@ -1327,17 +1331,17 @@ def test_a_memo_hit_shares_the_image_a_proof_built(monkeypatch):
     proof = first.prove(index, 1)
     again = load_program(program, scheme=scheme).memory
     assert _program_region_node(again) is _program_region_node(first)
-    assert _program_region_node(again) is fpvm.program_image(program, scheme)
+    assert _program_region_node(again) is fpvm.program_image(program, fpvm.PROGRAM_LEVEL, scheme)
     calls.clear()
     assert again.prove(index, 1) == proof
     assert calls == []
     assert again.root() == root
 
 
-def test_program_images_are_memoised_per_scheme_object(monkeypatch):
+def test_program_images_are_memoised_per_scheme_object():
     """Two schemes with one digest function keep one image each, and each
     image hashes under the scheme it was loaded with."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     program = _random_program(random.Random(32), 40)
     plain = load_program(program, scheme=SCHEME).memory
     scheme, calls = counting_scheme()
@@ -1345,19 +1349,24 @@ def test_program_images_are_memoised_per_scheme_object(monkeypatch):
     assert _program_region_node(counted).scheme is scheme
     assert counted.root() == plain.root()
     assert LEAF_PREFIX + program[:32] in calls
-    assert len(fpvm._PROGRAM_IMAGES) == 2
+    assert fpvm.program_image.cache_info().currsize == 2
 
 
-def test_program_root_memo_keeps_at_most_its_bound(monkeypatch):
-    """Past the bound the oldest entry goes; a program loaded again after
-    its entry went is hashed again, to the same root."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES_MAX", 3)
-    programs = [prog(encode("LI", rd=1), seed, encode("HALT")) for seed in range(5)]
-    for program in programs:
-        load_program(program, scheme=SCHEME)
-        assert len(fpvm._PROGRAM_IMAGES) <= 3
-    assert [key[0] for key in fpvm._PROGRAM_IMAGES] == [SCHEME.digest(p) for p in programs[2:]]
-    want = merkle.region_root(programs[0], fpvm.PROGRAM_LEVEL, SCHEME)
-    assert _program_region_root(load_program(programs[0], scheme=SCHEME)) == want
-    assert len(fpvm._PROGRAM_IMAGES) == 3
+def test_program_root_memo_keeps_at_most_its_bound():
+    """The memo keeps 16 images: a 17th program evicts the one used least
+    recently, not the first one loaded, and every other program still hits;
+    the evicted one then loads a new image to the same root."""
+    fpvm.program_image.cache_clear()
+    programs = [prog(encode("LI", rd=1), seed, encode("HALT")) for seed in range(17)]
+    images = [_program_region_node(load_program(program, scheme=SCHEME).memory) for program in programs[:16]]
+    assert _program_region_node(load_program(programs[0], scheme=SCHEME).memory) is images[0]
+    load_program(programs[16], scheme=SCHEME)
+    info = fpvm.program_image.cache_info()
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (17, 1, 16, 16)
+    for program, image in zip([programs[0], *programs[2:16]], [images[0], *images[2:]]):
+        assert _program_region_node(load_program(program, scheme=SCHEME).memory) is image
+    assert fpvm.program_image.cache_info().misses == 17
+    reloaded = load_program(programs[1], scheme=SCHEME)
+    assert _program_region_node(reloaded.memory) is not images[1]
+    assert _program_region_root(reloaded) == merkle.region_root(programs[1], fpvm.PROGRAM_LEVEL, SCHEME)
+    assert fpvm.program_image.cache_info().misses == 18

@@ -555,14 +555,19 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
                                        hash_first: bool) -> None:
     """A `region` image spliced in at `base` against the same bytes written
     leaf by leaf, next to one leaf just past the region: reads hash nothing
-    and build no image; every root, subtree root and proof is equal; a root
+    and open no image; every root, subtree root and proof is equal; a root
     makes the same hash calls; a proof into a hashed image hashes at most
     one 2**KEEP_LEVEL-leaf block per path beyond the other tree's calls,
     and nothing more when repeated. `hash_first` hashes the image before
-    any write into it, else after (a built image hashes through its
-    nodes). Then writes by `update_leaf`, `with_writes` and a `StepFault`
-    make versions that share the image's one build, each equal to its
-    leaf-by-leaf twin, with the unwritten trees unchanged."""
+    any write into it, else after. Then writes by `update_leaf`,
+    `with_writes` and a `StepFault` make versions that share the image's
+    one opening, each equal to its leaf-by-leaf twin, with the unwritten
+    trees unchanged. Building a version hashes nothing, except that the
+    first write into an unhashed image above KEEP_LEVEL makes exactly the
+    calls of its `region_root`. A version's root then makes the other
+    tree's calls, or at most one block more per written path where the
+    image was hashed from its bytes (an image at KEEP_LEVEL or below
+    opened before it is hashed hashes through its nodes)."""
     (scheme, log), (ref_scheme, ref_log) = _logged(name), _logged(name)
     n, end = -(-len(data) // 32), base + (1 << level)
     image = merkle.region(data, level, scheme)
@@ -586,13 +591,18 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
                 b.leaf_block(index, block, ref_out)
                 assert out == ref_out
 
-    def roots(a, b, same_calls: bool):
+    def roots(a, b, paths: int | None):
+        """Equal roots, with the same calls when `paths` is None, else at
+        most one block more per written path."""
         log.clear(), ref_log.clear()
         assert a.root() == b.root()
         for above in (level, level + 1, level + 4):
             at = base >> above << above
             assert a.subtree_root(32 * at, above) == b.subtree_root(32 * at, above)
-        assert not same_calls or sorted(log) == sorted(ref_log)
+        if paths is None:
+            assert sorted(log) == sorted(ref_log)
+        else:
+            assert len(log) <= len(ref_log) + (paths << (merkle.KEEP_LEVEL + 1))
 
     def proofs(a, b, repeat: bool):
         log.clear(), ref_log.clear()
@@ -608,7 +618,7 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
     reads(tree, ref)
     assert log == ref_log == [] and (image is None or image._children is None)
     if hash_first:
-        roots(tree, ref, same_calls=True)
+        roots(tree, ref, None)
         proofs(tree, ref, repeat=False)
         proofs(tree, ref, repeat=True)
     new = b"\x05" * 32
@@ -616,18 +626,28 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
                 (tree.update_leaf(base, ZERO_LEAF), ref.update_leaf(base, ZERO_LEAF))]
     writes = {inside: new, end - 1: b"\x06" * 32, neighbour: ZERO_LEAF}
     versions.append((tree.with_writes(dict(writes)), ref.with_writes(dict(writes))))
+    hashed_whole = image is not None and level > merkle.KEEP_LEVEL
+    if hashed_whole and not hash_first:
+        region_scheme, opening = _logged(name)
+        merkle.region_root(data, level, region_scheme)
+    else:
+        opening = []
+    exact = not (hash_first or hashed_whole)
     built = image._children if image is not None else None
-    for a, b in versions:
-        reads(a, b)
-        roots(a, b, same_calls=not hash_first)
+    for (a, b), paths in zip(versions, (1, 1, len(writes))):
+        log.clear()
+        reads(a, b)  # builds both versions
+        assert sorted(log) == sorted(opening)
+        opening = []
+        roots(a, b, None if exact else paths)
         if image is not None:
             built = built or image._children
-            assert image._children is built  # one build, shared by every version
+            assert image._children is built  # one opening, shared by every version
     fault = fpvm.StepFault(step=1, leaf_index=inside, bit=last % 256)
     versions.append(tuple(fault.apply(fpvm.VmState(pc=0, regs=(0,) * 16, memory=t)).memory
                           for t in (tree, ref)))
-    roots(*versions[-1], same_calls=not hash_first)
-    roots(tree, ref, same_calls=not hash_first)
+    roots(*versions[-1], None if exact else 1)
+    roots(tree, ref, None if exact else 0)
     for a, b in versions:
         reads(a, b)
         proofs(a, b, repeat=False)
@@ -643,3 +663,48 @@ def test_a_region_image_reads_proves_and_hashes_like_leaf_by_leaf_writes():
     for data, level, base in cases:
         for name in scheme_names():
             _image_matches_leaf_by_leaf_writes(data, level, base, name, hash_first=rng.random() < 0.5)
+
+
+def _opened(node) -> tuple[int, int]:
+    """(images, nodes) reachable from `node` through what is already made,
+    without opening an image."""
+    images = nodes = 0
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, merkle._Image):
+            images += 1
+            todo += node._children or ()
+        elif isinstance(node, merkle._Node):
+            nodes += 1
+            todo += (node.left, node.right)
+    return images, nodes
+
+
+def test_a_proof_opens_a_large_image_along_its_path_alone():
+    """After the root, a proof into a 100,003-leaf program region opens it
+    one path at a time: one image per half on the path above KEEP_LEVEL and
+    one 2**KEEP_LEVEL-leaf block of `_Node`s on each side of the path, with
+    at most one block hashed. The same proof again hashes nothing, and a
+    proof of another pair in the block hashes that pair and its path."""
+    rng = random.Random(47)
+    data = rng.randbytes(32 * 100_003)
+    scheme, calls = counting_scheme()
+    image = merkle.region(data, fpvm.PROGRAM_LEVEL, scheme)
+    tree = merkle.MemTree(scheme).splice(0, fpvm.PROGRAM_LEVEL, image)
+    root = tree.root()
+    index = rng.randrange(100_003) & ~1
+    calls.clear()
+    proof = tree.prove(index, 1)
+    assert 0 < len(calls) < 1 << (merkle.KEEP_LEVEL + 1)
+    assert merkle.verify(root, scheme.node_hash(*(scheme.leaf_hash(data[32 * i : 32 * i + 32])
+                                                 for i in (index, index + 1))), proof, scheme)
+    opened = _opened(image)
+    assert opened[0] <= 2 * (fpvm.PROGRAM_LEVEL - merkle.KEEP_LEVEL)
+    assert opened[1] <= 2 * ((1 << merkle.KEEP_LEVEL) - 1)
+    calls.clear()
+    assert tree.prove(index, 1) == proof and calls == []
+    other = index ^ (1 << (merkle.KEEP_LEVEL - 1))  # the pair's mirror in its block
+    assert tree.prove(other, 1).siblings[merkle.KEEP_LEVEL - 1:] == proof.siblings[merkle.KEEP_LEVEL - 1:]
+    assert len(calls) == 2 + merkle.KEEP_LEVEL - 1
+    assert _opened(image) == opened

@@ -64,6 +64,7 @@ def test_entrance_state_builds_each_region_once(monkeypatch):
     the program region, in the `fpvm.program_image` it calls, and hashes it
     when a root needs it: the bundle carries the image's root alone, so no
     region is made or hashed a second time for the evidence."""
+    fpvm.program_image.cache_clear()
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=SCHEME)
     callers = []
@@ -93,12 +94,12 @@ class _NodeCountingScheme(HashScheme):
         return super().node_hash(left, right)
 
 
-def test_entrance_check_hashes_no_program_node_the_prover_hashed(monkeypatch):
+def test_entrance_check_hashes_no_program_node_the_prover_hashed():
     """The verifier's registered program root is the digest of the image the
     prover's `load_program` put in `fpvm.program_image`'s memo: the check
     hashes only the operand keys' region and the tree over the two region
     roots."""
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     scheme = _NodeCountingScheme()
     run = ml.run_graph(build_mlp(seed=62, in_dim=3, hidden=4, out_dim=2),
                        rand_tensor(random.Random(63), (1, 3)), scheme=scheme)
@@ -110,7 +111,7 @@ def test_entrance_check_hashes_no_program_node_the_prover_hashed(monkeypatch):
     assert scheme.nodes == keys_region + above_regions
 
     # A verifier with a cold memo hashes the whole program region itself.
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     scheme.nodes = 0
     assert entrance_check(bundle, run.graph, scheme) == (True, "")
     assert scheme.nodes > keys_region + above_regions + len(lowered.program) // 32
@@ -266,7 +267,7 @@ def test_a_cold_two_phase_game_emits_the_pinned_kernel_once(monkeypatch):
     """The entrance image and the registered program root come from the one
     program of the pinned node's op and shapes."""
     lowering.node_program.cache_clear()
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     emitted = []
     emit_kernel = lowering._emit_kernel
 
@@ -320,11 +321,12 @@ def test_a_two_phase_game_plays_the_same_with_the_program_memo_cold_or_warm(monk
     for node in graph.nodes:
         if node.op in ("input", "const"):
             continue
-        monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+        fpvm.program_image.cache_clear()
         cold = play(node.id)
-        images = dict(fpvm._PROGRAM_IMAGES)
-        assert images and play(node.id) == cold
-        assert fpvm._PROGRAM_IMAGES == images  # the warm game hit the memo alone
+        info = fpvm.program_image.cache_info()
+        assert info.currsize and play(node.id) == cold
+        warm = fpvm.program_image.cache_info()  # the warm game hit the memo alone
+        assert (warm.misses, warm.currsize) == (info.misses, info.currsize) and warm.hits > info.hits
         arbitrated += bool(cold[2])
     assert arbitrated == 6
 
@@ -336,7 +338,7 @@ def test_a_single_phase_model_game_plays_the_same_with_the_program_memo_cold_or_
     `gen_step_witness` bundle the same with the memo cleared and warm."""
     recorded = _record_witnesses(monkeypatch)
     monkeypatch.delenv("OPML_HASH", raising=False)
-    monkeypatch.setattr(fpvm, "_PROGRAM_IMAGES", {})
+    fpvm.program_image.cache_clear()
     data = os.path.join(os.path.dirname(__file__), "data")
     argv = ["dispute", "--model", os.path.join(data, "mlp.opml"),
             "--input", os.path.join(data, "mlp-input.tensor"),
@@ -348,7 +350,8 @@ def test_a_single_phase_model_game_plays_the_same_with_the_program_memo_cold_or_
         assert cli.main([*argv, "--witness-out", str(bundle), "--transcript", str(transcript)]) == 0
         plays.append((capsys.readouterr().out, bundle.read_bytes(), transcript.read_bytes(),
                       list(recorded)))
-    assert len(fpvm._PROGRAM_IMAGES) == 1
+    info = fpvm.program_image.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits
     assert plays[0][3] and plays[1] == plays[0]
 
 
