@@ -193,7 +193,7 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
     print(f"hash={scheme.name}")
     print(f"input_digest={scheme.digest(ml.serialize_tensor(input_tensor)).hex()}")
     print(f"output_digest={scheme.digest(ml.serialize_tensor(native)).hex()}")
-    print(f"output_region_root={ml.tensor_region_root(native, scheme).hex()}")
+    print(f"output_region_root={native_run.states[-1].entries[graph.output_id][1].hex()}")
     print(f"trace_len={steps}")
     print(f"final_state_root={fpvm.state_root(final).hex()}")
     print(f"graph_commitment={native_run.commitments[-1].hex()}")

@@ -218,6 +218,30 @@ def tensor_region_root(t: FixedTensor, scheme: HashScheme) -> bytes:
     return merkle.region_root(serialize_tensor(t), fpvm.OUTPUT_LEVEL, scheme)
 
 
+#: Region roots of const payloads by (preimage key, scheme): a model's
+#: constants are public data that every game on it commits to alike. At most
+#: `_CONST_ROOTS_MAX` 32-byte roots, oldest out first, and no payload. A key
+#: is as exact as the preimage oracle, which serves values by the same digest.
+_CONST_ROOTS: dict[tuple[bytes, HashScheme], bytes] = {}
+_CONST_ROOTS_MAX = 256
+
+
+def const_entry(t: FixedTensor, scheme: HashScheme) -> tuple[bytes, bytes]:
+    """A const node's (preimage key, region root) graph-state entry, as
+    `GraphState.advance` makes it, from one `tensor_blob` (a u32 length, then
+    the payload): the key is hashed on every call, and the region root comes
+    from `_CONST_ROOTS`, hashed only on a miss."""
+    blob = tensor_blob(t)
+    key = scheme.digest(blob)
+    slot = key, scheme
+    root = _CONST_ROOTS.get(slot)
+    if root is None:
+        if len(_CONST_ROOTS) >= _CONST_ROOTS_MAX:
+            del _CONST_ROOTS[next(iter(_CONST_ROOTS))]
+        root = _CONST_ROOTS[slot] = merkle.region_root(blob[4:], fpvm.OUTPUT_LEVEL, scheme)
+    return key, root
+
+
 # ---------------------------------------------------------------------------
 # Computation graph
 # ---------------------------------------------------------------------------
@@ -395,7 +419,9 @@ class GraphState:
     means handing over the state itself.
 
     `entries[j]` is (preimage key, region root) of node j's serialized
-    output, or zero pairs while uncomputed. The commitment hashes the full
+    output, or zero pairs while uncomputed. A const node's entry is the
+    model's own: `run_graph` takes it from `const_entry`, whose memo keeps at
+    most `_CONST_ROOTS_MAX` region roots by key. The commitment hashes the full
     entry vector plus the model digest and input key, so it moves exactly
     when some node output byte moves.
     """
@@ -541,10 +567,14 @@ def execute_native(graph: CompGraph, input_tensor: FixedTensor) -> tuple[FixedTe
 
 def run_graph(graph: CompGraph, input_tensor: FixedTensor, *, scheme: HashScheme) -> GraphRun:
     """The honest node-by-node execution: its n+1 graph states and their
-    commitments under `scheme`. A faulted run is `fork`ed from it."""
+    commitments under `scheme`, each const node's entry from `const_entry`'s
+    bounded memo. A faulted run is `fork`ed from it."""
     outputs = _node_outputs(graph, input_tensor)
     states = [GraphState(graph.model_digest(scheme), tensor_key(input_tensor, scheme),
                          (_EMPTY_ENTRY,) * len(graph.nodes))]
     for node, out in zip(graph.nodes, outputs):
-        states.append(states[-1].advance(node.id, out, scheme))
+        if node.op == "const":
+            states.append(states[-1].with_entry(node.id, const_entry(out, scheme)))
+        else:
+            states.append(states[-1].advance(node.id, out, scheme))
     return GraphRun(graph, outputs, states, [s.commitment(scheme) for s in states], scheme)

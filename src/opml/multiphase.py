@@ -137,7 +137,7 @@ def public_next_root(
     if node.op == "input":
         return state.advance(node_id, input_tensor, scheme).commitment(scheme)
     if node.op == "const":
-        return state.advance(node_id, node.params, scheme).commitment(scheme)
+        return state.with_entry(node_id, ml.const_entry(node.params, scheme)).commitment(scheme)
     return None
 
 

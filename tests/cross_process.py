@@ -40,6 +40,7 @@ ONE_PROCESS = [
     ("single-9", "sha256", [*SINGLE_9, "--witness-out", "{out}/one-process-w-single-9.bin"]),
     ("two-phase-7", "sha256", TWO_PHASE_7),
     ("security", "sha256", ["security", "--p", "0.5", "--m", "1:5"]),
+    ("two-phase-7-blake2b", "blake2b", TWO_PHASE_7),
     ("two-phase-7-again", "sha256", TWO_PHASE_7),
     ("single-9-again", "sha256",
      [*SINGLE_9, "--witness-out", "{out}/one-process-w-single-9-again.bin"]),
@@ -136,6 +137,9 @@ def main(out: Path) -> int:
         same(f"one-process-{name}.txt", f"fresh-{name}.txt")
     same("one-process-run-again.txt", "fresh-run.txt")
     same("one-process-two-phase-7-again.txt", "fresh-two-phase-7.txt")
+    # A game's stdout names no digest, so a game under blake2b, after memos
+    # warmed under sha256, must print what a fresh sha256 process does.
+    same("one-process-two-phase-7-blake2b.txt", "fresh-two-phase-7.txt")
     same("one-process-single-9-again.txt", "fresh-single-9.txt")
     for name in ("single-9", "single-9-again"):
         same(f"one-process-w-{name}.bin", "fresh-w-single-9.bin")

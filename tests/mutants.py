@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FPVM, MERKLE = "src/opml/fpvm.py", "src/opml/merkle.py"
 DISPUTE, MULTIPHASE, WIRE = "src/opml/dispute.py", "src/opml/multiphase.py", "src/opml/wire.py"
+ML = "src/opml/ml.py"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench", ".benchmarks")
 TIMEOUT_S = 900
 #: Address space of one child pytest: about five times the unmutated
@@ -176,6 +177,14 @@ MUTANTS = [
      "    program_image.cache_clear, program_image.cache_info = memo.cache_clear, memo.cache_info\n"
      "    return program_image\n\n\n"
      "@_level_blind\n@functools.lru_cache(maxsize=16)\ndef program_image("),
+    # The memo of const region roots: keyed by the preimage key, bounded,
+    # and the one source of a const entry, in a run and at a public pin.
+    ("const-memo-keyed-by-length", ML, "slot = key, scheme", "slot = len(blob), scheme"),
+    ("const-memo-never-evicts", ML, "            del _CONST_ROOTS[next(iter(_CONST_ROOTS))]\n",
+     "            pass\n"),
+    ("const-entry-halves-swapped", ML, "    return key, root\n", "    return root, key\n"),
+    ("const-pin-takes-input-entry", MULTIPHASE, "ml.const_entry(node.params, scheme)",
+     "ml.const_entry(input_tensor, scheme)"),
     # The root over anchors, hashed along their paths, and the checked write.
     ("anchor-siblings-swapped", MERKLE,
      "scheme.node_hash(digests.get(2 * i, zero), digests.get(2 * i + 1, zero))",

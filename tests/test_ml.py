@@ -357,6 +357,100 @@ def test_a_relu_masked_flip_keeps_the_honest_entries_downstream():
     assert made == _entry_and_commitment_hashes(fork, 4, calls)
 
 
+def _fresh_entry(t, scheme):
+    return ml.tensor_key(t, scheme), ml.tensor_region_root(t, scheme)
+
+
+def _const_ids(graph):
+    return [node.id for node in graph.nodes if node.op == "const"]
+
+
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_a_warm_const_memo_gives_the_states_of_a_cold_one(scheme_name):
+    """Every fixture model, run with the const memo cleared and then warm,
+    gives the states and commitments of a run that hashes every entry."""
+    scheme = get_scheme(scheme_name)
+    for _, graph, x in fixture_models():
+        ml._CONST_ROOTS.clear()
+        cold = ml.run_graph(graph, x, scheme=scheme)
+        warm = ml.run_graph(graph, x, scheme=scheme)
+        states = cold.states[:1]
+        for node, out in zip(graph.nodes, cold.outputs):
+            states.append(states[-1].advance(node.id, out, scheme))
+        assert cold.states == warm.states == states
+        assert cold.commitments == warm.commitments == [s.commitment(scheme) for s in states]
+
+
+def test_models_one_const_bit_apart_share_only_the_equal_const_entries():
+    """Two models whose node-3 bias differs in one bit: the bias entries
+    differ and each is the fresh entry of its own payload, whichever model
+    warmed the memo; every other const entry is equal."""
+    graph = build_mlp(seed=21)
+    x = rand_tensor(random.Random(22), (1, 4))
+    flipped = ml.GraphFault(3, 1, 5).apply(graph.nodes[3].params)
+    other = ml.CompGraph([ml.GraphNode(n.id, n.op, n.input_ids, flipped if n.id == 3 else n.params,
+                                       n.shape) for n in graph.nodes], graph.output_id)
+    for first, second in ((graph, other), (other, graph)):
+        ml._CONST_ROOTS.clear()
+        runs = {id(g): ml.run_graph(g, x, scheme=SCHEME) for g in (first, second)}
+        a, b = runs[id(graph)], runs[id(other)]
+        for j in _const_ids(graph):
+            entry_a, entry_b = a.states[-1].entries[j], b.states[-1].entries[j]
+            assert entry_a == _fresh_entry(graph.nodes[j].params, SCHEME)
+            assert entry_b == _fresh_entry(other.nodes[j].params, SCHEME)
+            if j == 3:
+                assert entry_a[0] != entry_b[0] and entry_a[1] != entry_b[1]
+            else:
+                assert entry_a == entry_b
+
+
+def test_a_second_run_hashes_no_leaf_of_a_const_payload():
+    scheme, calls = counting_scheme()
+    graph = build_mlp(seed=23, in_dim=5, hidden=7, out_dim=3)
+    x = rand_tensor(random.Random(24), (1, 5))
+    first = ml.run_graph(graph, x, scheme=scheme)
+    const_leaves = set()
+    for j in _const_ids(graph):
+        payload = ml.serialize_tensor(graph.nodes[j].params)
+        const_leaves.update(b"\x00" + payload[i : i + 32].ljust(32, b"\x00")
+                            for i in range(0, len(payload), 32))
+    assert const_leaves & set(calls)  # the first run hashed them
+    calls.clear()
+    second = ml.run_graph(graph, x, scheme=scheme)
+    assert not const_leaves & set(calls)
+    assert second.states == first.states and second.commitments == first.commitments
+
+
+def test_the_const_memo_keeps_at_most_its_bound():
+    """More distinct consts than the bound: the memo stays at the bound, the
+    first const is evicted and its entry comes back equal."""
+    tensors = [ml.FixedTensor((2,), (i, -i)) for i in range(ml._CONST_ROOTS_MAX + 3)]
+    ml._CONST_ROOTS.clear()
+    entries = [ml.const_entry(t, SCHEME) for t in tensors]
+    assert len(ml._CONST_ROOTS) == ml._CONST_ROOTS_MAX
+    assert entries == [_fresh_entry(t, SCHEME) for t in tensors]
+    assert (entries[0][0], SCHEME) not in ml._CONST_ROOTS
+    assert (entries[-1][0], SCHEME) in ml._CONST_ROOTS
+    assert ml.const_entry(tensors[0], SCHEME) == entries[0]
+    assert len(ml._CONST_ROOTS) == ml._CONST_ROOTS_MAX
+    assert (entries[0][0], SCHEME) in ml._CONST_ROOTS
+    assert (entries[3][0], SCHEME) not in ml._CONST_ROOTS  # the oldest went next
+    assert (entries[4][0], SCHEME) in ml._CONST_ROOTS
+
+
+def test_a_fork_at_a_const_hashes_its_entry_fresh_and_leaves_the_memo_alone():
+    graph = build_mlp(seed=25)
+    x = rand_tensor(random.Random(26), (1, 4))
+    honest = ml.run_graph(graph, x, scheme=SCHEME)
+    for j in _const_ids(graph):
+        memo = dict(ml._CONST_ROOTS)
+        fork = honest.fork(ml.GraphFault(j, 0, 7))
+        assert ml._CONST_ROOTS == memo
+        entry = fork.states[j + 1].entries[j]
+        assert entry == _fresh_entry(fork.outputs[j], SCHEME) != honest.states[j + 1].entries[j]
+        assert (entry[0], SCHEME) not in ml._CONST_ROOTS
+
+
 def test_model_roundtrip_and_parse_errors(tmp_path):
     graph = build_mlp(seed=9, with_argmax=True)
     path = tmp_path / "model.opml"

@@ -697,6 +697,22 @@ def test_public_pins_are_recomputed_from_public_data():
         assert public_next_root(graph, x, run.state_at(past), past, SCHEME) == run.root_at(past)
 
 
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_a_const_pin_is_ruled_as_advance_commits_with_the_memo_cold_or_warm(scheme_name):
+    scheme = get_scheme(scheme_name)
+    graph = build_mlp(seed=88, in_dim=3, hidden=4, out_dim=2)
+    x = rand_tensor(random.Random(89), (1, 3))
+    run = ml.run_graph(graph, x, scheme=scheme)
+    for node in graph.nodes:
+        if node.op == "const":
+            state = run.states[node.id]
+            want = state.advance(node.id, node.params, scheme).commitment(scheme)
+            ml._CONST_ROOTS.clear()
+            cold = public_next_root(graph, x, state, node.id, scheme)
+            warm = public_next_root(graph, x, state, node.id, scheme)
+            assert cold == warm == want == run.commitments[node.id + 1]
+
+
 KINDS = ("honest", "fault", "wrong-midpoint", "silent", "random")
 
 
