@@ -31,7 +31,7 @@ version of the one before, built only when a root, a proof or a read needs
 it (`_TreeMemory.seal`). A whole run (`run`, `run_trace`, a fork's suffix)
 reads the aligned block of 2**READ_BLOCK_LEVEL leaves around a missed leaf
 in one descent; `step` and a trace's replays, too short to use a block,
-read leaf by leaf.
+read a block of one leaf.
 """
 
 from __future__ import annotations
@@ -402,12 +402,12 @@ class _TreeMemory:
     """Run view: `leaves` holds every leaf the run has read or written, by
     base address, and `writes` the writes since the last `seal`, by leaf
     index. A miss in `leaves` is a leaf the run never wrote, so `start`,
-    the run's starting tree, still holds it; with a `block` level, a miss
-    reads the leaves of its block that `leaves` lacks."""
+    the run's starting tree, still holds it: a miss reads the leaves that
+    `leaves` lacks of its aligned block of 2**`block` leaves."""
 
     __slots__ = ("start", "tree", "oracle", "leaves", "writes", "block")
 
-    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, block: int | None):
+    def __init__(self, tree: merkle.MemTree, oracle: PreimageOracle | None, block: int):
         self.start = self.tree = tree
         self.oracle = oracle
         self.leaves: dict[int, bytes] = {}
@@ -417,11 +417,8 @@ class _TreeMemory:
     def read_leaf(self, base: int, miss: str) -> bytes:
         leaf = self.leaves.get(base)
         if leaf is None:
-            if self.block is None:
-                leaf = self.leaves[base] = self.start.get_leaf(base >> 5)
-            else:
-                self.start.leaf_block(base >> 5, self.block, self.leaves)
-                leaf = self.leaves[base]
+            self.start.leaf_block(base >> 5, self.block, self.leaves)
+            leaf = self.leaves[base]
         return leaf
 
     def old_leaf(self, base: int) -> bytes:
@@ -557,21 +554,19 @@ class _WitnessMemory:
 
 
 def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float, every: int,
-                block: int | None = None):
+                block: int = 0):
     """Steps from `state` to the exited state over one run view, reading
-    blocks of level `block`, and yields the states whose `step_count` is a
-    multiple of `every`, the one at `max_steps` and the exited one, each
-    after one `_execute` call. Raises BudgetExceededError at a state that
-    has made `max_steps` steps (`step_count`, counted from step 0 of its
-    run) without exiting.
+    blocks of level `block` (one leaf for `step` and replays), and yields
+    the states whose `step_count` is a multiple of `every`, the one at
+    `max_steps` and the exited one, each after one `_execute` call. Raises
+    BudgetExceededError at a state that has made `max_steps` steps
+    (`step_count`, counted from step 0 of its run) without exiting.
 
     The loop keeps the registers in one list that `_execute` writes in
-    place, and gives a yielded state a tuple of its values, the state
-    before's tuple when they are equal: a witness window keeps thousands of
-    states, and a store or a branch writes no register. A raise drops the
-    list and the view with the run."""
+    place, and gives a yielded state a tuple of its values. A raise drops
+    the list and the view with the run."""
     mem = _TreeMemory(state.memory, oracle, block)
-    kept, regs = state.regs, list(state.regs)
+    regs = list(state.regs)
     pc, exited, exit_code, n = state.pc, state.exited, state.exit_code, state.step_count
     while not exited:
         if n >= max_steps:
@@ -579,9 +574,7 @@ def _successors(state: VmState, oracle: PreimageOracle | None, max_steps: float,
                                       max_steps)
         pc, exited, exit_code, done = _execute(pc, regs, mem, min(every - n % every, max_steps - n))
         n += done
-        if kept != (now := tuple(regs)):
-            kept = now
-        yield VmState(pc, kept, mem.seal(), exited, exit_code, n)
+        yield VmState(pc, tuple(regs), mem.seal(), exited, exit_code, n)
 
 
 def step(state: VmState, oracle: PreimageOracle | None = None) -> VmState:

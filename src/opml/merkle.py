@@ -143,20 +143,16 @@ class MemTree:
         return _child_digest(self._top(), TREE_DEPTH, self.scheme)
 
     def get_leaf(self, index: int) -> bytes:
-        if not 0 <= index < NUM_LEAVES:
-            raise RangeError(f"leaf index {index} out of range")
-        node, level = self._top(), TREE_DEPTH
-        while node.__class__ is _Node:
-            level -= 1
-            node = node.right if (index >> level) & 1 else node.left
-        return _block(node, 0, index & ((1 << level) - 1))[0]
+        out: dict[int, bytes] = {}
+        self.leaf_block(index, 0, out)
+        return out[32 * index]
 
     def leaf_block(self, index: int, level: int, out: dict[int, bytes]) -> None:
         """Put into `out` each leaf it lacks of the aligned block of
         2**level leaves that holds `index`, keyed by base address (32 *
-        leaf index), an absent leaf as ZERO_LEAF: what `get_leaf` reads for
-        it, in one descent from the root, slicing an image's bytes. An entry
-        `out` already holds is kept. Hashes nothing and opens no image."""
+        leaf index), an absent leaf as ZERO_LEAF, in one descent from the
+        root, slicing an image's bytes; `get_leaf` is its one-leaf case. An
+        entry `out` already holds is kept. Hashes nothing and opens no image."""
         if not 0 <= index < NUM_LEAVES:
             raise RangeError(f"leaf index {index} out of range")
         node, depth = self._top(), TREE_DEPTH
@@ -389,7 +385,7 @@ class _Image:
     `left` or `right` makes both halves once, as `update_leaf` writes
     would: above KEEP_LEVEL an `_Image` over the same `data` with its
     digest from the table, below it `_Node`s, at KEEP_LEVEL with the kept
-    digest preset. An image above KEEP_LEVEL is hashed before it is first
+    digest preset. An image is hashed from `data` before it is first
     opened, so every tree and version sharing it sees one tree."""
 
     __slots__ = ("data", "level", "scheme", "first", "_digest", "_kept", "_children")
@@ -400,10 +396,7 @@ class _Image:
 
     @property
     def digest(self) -> bytes:
-        if self._digest is None and self._children is not None:  # opened before hashed: level <= KEEP_LEVEL
-            self._digest = self.scheme.node_hash(
-                *(_child_digest(child, self.level - 1, self.scheme) for child in self._children))
-        elif self._digest is None:
+        if self._digest is None:
             scheme, low, blocks, self._kept = self.scheme, min(KEEP_LEVEL, self.level), [], []
             for first in range(0, -(-len(self.data) // 32), 1 << low):
                 leaves = self.leaves(first, 1 << low)
@@ -431,13 +424,13 @@ class _Image:
         return (self._children or self._open())[1]
 
     def _open(self) -> tuple:
+        self.digest  # hashed, keeping its table, before it is first opened
         level, halves = self.level - 1, [None, None]
         if level <= KEEP_LEVEL:
             halves = [None if leaf == ZERO_LEAF else leaf for leaf in self.leaves(0, 1 << self.level)]
             for _ in range(level):
                 halves = _pairs(halves, _Node)
         if level >= KEEP_LEVEL:
-            self.digest  # hashed, keeping its table, before it is first opened
             index = self.first >> level
             for side, digest in enumerate(self._kept[level - KEEP_LEVEL][index : index + 2]):
                 if level > KEEP_LEVEL and digest is not None:

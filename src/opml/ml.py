@@ -228,17 +228,16 @@ _CONST_ROOTS_MAX = 256
 
 def const_entry(t: FixedTensor, scheme: HashScheme) -> tuple[bytes, bytes]:
     """A const node's (preimage key, region root) graph-state entry, as
-    `GraphState.advance` makes it, from one `tensor_blob` (a u32 length, then
-    the payload): the key is hashed on every call, and the region root comes
-    from `_CONST_ROOTS`, hashed only on a miss."""
-    blob = tensor_blob(t)
-    key = scheme.digest(blob)
+    `GraphState.advance` makes it: the `tensor_key` is hashed on every call,
+    and the `tensor_region_root` comes from `_CONST_ROOTS`, hashed only on a
+    miss."""
+    key = tensor_key(t, scheme)
     slot = key, scheme
     root = _CONST_ROOTS.get(slot)
     if root is None:
         if len(_CONST_ROOTS) >= _CONST_ROOTS_MAX:
             del _CONST_ROOTS[next(iter(_CONST_ROOTS))]
-        root = _CONST_ROOTS[slot] = merkle.region_root(blob[4:], fpvm.OUTPUT_LEVEL, scheme)
+        root = _CONST_ROOTS[slot] = tensor_region_root(t, scheme)
     return key, root
 
 

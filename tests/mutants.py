@@ -93,8 +93,7 @@ MUTANTS = [
     ("put-leaf-skips-leaf-dict", FPVM,
      "        self.leaves[base] = leaf\n        self.writes[base >> 5] = leaf\n",
      "        self.writes[base >> 5] = leaf\n"),
-    ("yield-register-list", FPVM, "yield VmState(pc, kept,", "yield VmState(pc, regs,"),
-    ("stale-register-tuple", FPVM, "\n            kept = now\n", "\n            now = kept\n"),
+    ("yield-register-list", FPVM, "yield VmState(pc, tuple(regs),", "yield VmState(pc, regs,"),
     ("budget-error-register-list", FPVM, "BudgetExceededError(VmState(pc, tuple(regs),",
      "BudgetExceededError(VmState(pc, regs,"),
     # The kept proofs the witness view and the verifier's chain share: made
@@ -126,6 +125,9 @@ MUTANTS = [
     # Fetches wrong code, so a run heads for MAX_STEPS: killed at the memory cap.
     ("leaf-block-from-image-start", MERKLE, "_block(node, level, first & ((1 << depth) - 1))",
      "_block(node, level, 0)"),
+    ("get-leaf-reads-pair-mirror", MERKLE,
+     "self.leaf_block(index, 0, out)\n        return out[32 * index]",
+     "self.leaf_block(index, 1, out)\n        return out[32 * (index ^ 1)]"),
     ("top-merges-newest-first", MERKLE, "for version in reversed(chain):",
      "for version in chain:"),
     ("top-writes-unsorted", MERKLE, "for index, leaf in sorted(writes.items())]",
@@ -150,8 +152,8 @@ MUTANTS = [
     ("image-hashes-zero-leaves", MERKLE,
      "digests = [None if leaf == ZERO_LEAF else scheme.leaf_hash(leaf) for",
      "digests = [scheme.leaf_hash(leaf) for"),
-    ("image-hash-ignores-its-nodes", MERKLE,
-     "if self._digest is None and self._children is not None:", "if False:"),
+    ("image-opened-before-hashed", MERKLE,
+     "        self.digest  # hashed, keeping its table, before it is first opened\n", ""),
     ("image-right-half-at-left-offset", MERKLE, "self.first + (side << level),", "self.first,"),
     ("image-kept-row-one-level-off", MERKLE, "self._kept[level - KEEP_LEVEL][index",
      "self._kept[level - KEEP_LEVEL - 1][index"),
@@ -179,7 +181,12 @@ MUTANTS = [
      "@_level_blind\n@functools.lru_cache(maxsize=16)\ndef program_image("),
     # The memo of const region roots: keyed by the preimage key, bounded,
     # and the one source of a const entry, in a run and at a public pin.
-    ("const-memo-keyed-by-length", ML, "slot = key, scheme", "slot = len(blob), scheme"),
+    ("const-memo-keyed-by-length", ML, "slot = key, scheme",
+     "slot = len(serialize_tensor(t)), scheme"),
+    ("const-key-without-length-prefix", ML, "key = tensor_key(t, scheme)",
+     "key = scheme.digest(serialize_tensor(t))"),
+    ("const-root-over-length-prefix", ML, "= tensor_region_root(t, scheme)",
+     "= merkle.region_root(tensor_blob(t), fpvm.OUTPUT_LEVEL, scheme)"),
     ("const-memo-never-evicts", ML, "            del _CONST_ROOTS[next(iter(_CONST_ROOTS))]\n",
      "            pass\n"),
     ("const-entry-halves-swapped", ML, "    return key, root\n", "    return root, key\n"),

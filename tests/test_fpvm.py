@@ -293,26 +293,31 @@ def test_run_trace_matches_folding_step():
 def test_a_run_reads_each_leaf_from_the_tree_once(monkeypatch, case):
     """The run view serves every later read of a leaf from its own dict: a
     whole run reads each aligned block once, and reads no leaf alone that
-    a block read has served."""
+    a block read has served. `step` and a trace's replays read one leaf
+    per miss, through `leaf_block` too."""
     if case == "mlp":
         graph = build_mlp(seed=13, in_dim=3, hidden=5, out_dim=4)
         state = lowering.lower_graph(graph).initial_state(rand_tensor(random.Random(13), (1, 3)), SCHEME)
     else:
         state = load_program(_random_program(random.Random(27), 400), scheme=SCHEME)
-    reads = []  # (first leaf, leaf count) of each read from the tree
-    real_leaf, real_block = merkle.MemTree.get_leaf, merkle.MemTree.leaf_block
+    reads = []  # (first leaf, leaf count) of each read from the tree, `get_leaf`'s too
+    real_block = merkle.MemTree.leaf_block
 
     def leaf_block(tree, index, level, out):
         reads.append((index >> level << level, 1 << level))
         return real_block(tree, index, level, out)
 
-    monkeypatch.setattr(merkle.MemTree, "get_leaf",
-                        lambda tree, index: reads.append((index, 1)) or real_leaf(tree, index))
     monkeypatch.setattr(merkle.MemTree, "leaf_block", leaf_block)
-    run_trace(state)
+    trace = run_trace(state)
     assert reads and {count for _, count in reads} == {1 << fpvm.READ_BLOCK_LEVEL}
     served = [first + i for first, count in reads for i in range(count)]
     assert len(served) == len(set(served))
+    reads.clear()
+    step(state)
+    assert reads and {count for _, count in reads} == {1} and len(reads) == len(set(reads))
+    reads.clear()
+    assert list(trace.walk())[-1] is trace.states[-1]
+    assert reads and {count for _, count in reads} == {1}
 
 
 def _state_hashes(calls: list[bytes]) -> int:
@@ -1112,10 +1117,9 @@ def test_a_trace_queried_at_every_index_keeps_only_its_snapshots():
 
 def test_each_state_a_run_gives_out_holds_its_own_registers():
     """A run keeps one register list and gives each state it yields a tuple
-    of it, shared with the state before when no register changed. Kept all
-    at once, the states a walk yields from mid-block and the snapshots of a
-    fork's suffix each hold the registers that folding `step` reaches at
-    their own index, not the run's last ones."""
+    of it. Kept all at once, the states a walk yields from mid-block and
+    the snapshots of a fork's suffix each hold the registers that folding
+    `step` reaches at their own index, not the run's last ones."""
     state0 = load_program(_random_program(random.Random(34), 300), scheme=SCHEME)
     folded = _folded(state0)
     trace = run_trace(state0)
@@ -1124,7 +1128,6 @@ def test_each_state_a_run_gives_out_holds_its_own_registers():
     assert all(type(s.regs) is tuple for s in walked)
     assert [s.regs for s in walked] == [s.regs for s in folded[start:]]
     assert len({s.regs for s in walked}) > 1
-    assert all(a.regs is b.regs for a, b in zip(folded, folded[1:]) if a.regs == b.regs)
     fault = StepFault(step=start, leaf_index=HEAP_BASE // 32, bit=1)
     reference = _faulted_from_scratch(state0, fault)
     suffix = [s for s in trace.fork(fault).states if s.step_count >= start]

@@ -563,11 +563,10 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
     `with_writes` and a `StepFault` make versions that share the image's
     one opening, each equal to its leaf-by-leaf twin, with the unwritten
     trees unchanged. Building a version hashes nothing, except that the
-    first write into an unhashed image above KEEP_LEVEL makes exactly the
-    calls of its `region_root`. A version's root then makes the other
-    tree's calls, or at most one block more per written path where the
-    image was hashed from its bytes (an image at KEEP_LEVEL or below
-    opened before it is hashed hashes through its nodes)."""
+    first write into an unhashed image makes exactly the calls of its
+    `region_root`. A version's root then makes the other tree's calls, or
+    at most one block more per written path where the image was hashed
+    from its bytes."""
     (scheme, log), (ref_scheme, ref_log) = _logged(name), _logged(name)
     n, end = -(-len(data) // 32), base + (1 << level)
     image = merkle.region(data, level, scheme)
@@ -626,13 +625,12 @@ def _image_matches_leaf_by_leaf_writes(data: bytes, level: int, base: int, name:
                 (tree.update_leaf(base, ZERO_LEAF), ref.update_leaf(base, ZERO_LEAF))]
     writes = {inside: new, end - 1: b"\x06" * 32, neighbour: ZERO_LEAF}
     versions.append((tree.with_writes(dict(writes)), ref.with_writes(dict(writes))))
-    hashed_whole = image is not None and level > merkle.KEEP_LEVEL
-    if hashed_whole and not hash_first:
+    if image is not None and not hash_first:
         region_scheme, opening = _logged(name)
         merkle.region_root(data, level, region_scheme)
     else:
         opening = []
-    exact = not (hash_first or hashed_whole)
+    exact = image is None and not hash_first
     built = image._children if image is not None else None
     for (a, b), paths in zip(versions, (1, 1, len(writes))):
         log.clear()
