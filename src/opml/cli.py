@@ -64,25 +64,19 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
-def _load_model(path: str) -> ml.CompGraph:
-    """A model the VM can run: `ml.CompGraph` checks, as the file loads,
-    that its shapes fit node by node and its output node computes something."""
+def _load(path: str, parse):
+    """`parse` of the file at `path`, its parse or shape error an IoError.
+    A model the VM can run: `ml.CompGraph` checks, as the file loads, that
+    its shapes fit node by node and its output node computes something."""
     try:
-        return ml.load_model_bytes(_read_file(path))
-    except (ml.ModelParseError, ml.ShapeError) as exc:
-        raise IoError(f"{path}: {exc}") from exc
-
-
-def _load_tensor(path: str) -> ml.FixedTensor:
-    try:
-        return ml.deserialize_tensor(_read_file(path))
+        return parse(_read_file(path))
     except (ml.ModelParseError, ml.ShapeError) as exc:
         raise IoError(f"{path}: {exc}") from exc
 
 
 def _load_model_and_input(model_path: str, input_path: str) -> tuple[ml.CompGraph, ml.FixedTensor]:
-    graph = _load_model(model_path)
-    input_tensor = _load_tensor(input_path)
+    graph = _load(model_path, ml.load_model_bytes)
+    input_tensor = _load(input_path, ml.deserialize_tensor)
     declared = tuple(graph.nodes[graph.input_ids[0]].shape)
     if input_tensor.shape != declared:
         raise IoError(f"{input_path}: shape {input_tensor.shape} != declared {declared}")
@@ -466,9 +460,7 @@ def read_witness_bundle(data: bytes):
         raise wire.ParseError(0, "bad witness bundle magic")
     scheme_name = r.take(r.u8("scheme name"), "scheme name").decode()
     pre_root, claimed = r.take(32, "pre root"), r.take(32, "claimed post root")
-    inner = r.part(r.u32("witness length"), "witness")
-    witness = fpvm.StepWitness.read(inner)
-    inner.end("witness")
+    witness = r.part(r.u32("witness length"), "witness").whole(fpvm.StepWitness.read, "witness")
     preimages = [r.take(r.u32("preimage"), "preimage") for _ in range(r.u32("preimage count"))]
     r.end("witness bundle")
     return scheme_name, pre_root, claimed, witness, preimages

@@ -20,10 +20,11 @@ verifier view (`_WitnessMemory`, behind `verify_step`). So the prover and
 the verifier execute the same instruction by construction. The witness
 view and the verifier keep their proofs in one `merkle.KeptProofs`, which
 makes a kept proof current through the paths written since, so they also
-agree on every proof by construction. `verify_step` checks a step alone or
-as the next link of a `StepChain`, as `dispute.emulate_span` checks a
-window: a pre-state the chain computed and a proof it kept are not hashed
-again.
+agree on every proof by construction; both apply a step's store at the
+same point, as soon as it is recorded or checked. `verify_step` checks a
+step alone or as the next link of a `StepChain`, as `dispute.emulate_span`
+checks a window: a pre-state the chain computed and a proof it kept are
+not hashed again.
 
 A run reads each leaf from its starting tree at most once and writes no
 store to a tree: each state it yields carries a `MemTree.with_writes`
@@ -449,9 +450,9 @@ class _WindowMemory:
     `proofs` keeps each leaf the window has opened as it is now, with
     `start`'s proof of it: one `get_leaf` and one `MemTree.prove` per leaf,
     made current through the paths the window has written, as the verifier
-    makes its accepted proofs current (`merkle.KeptProofs`). A write is
-    hashed up along its own proof only when the next step begins, so the
-    window's last write hashes nothing."""
+    makes its accepted proofs current (`merkle.KeptProofs`). A store is
+    recorded with its pre-state leaf and proof and applied at once, hashed
+    up along that proof, as `verify_step` applies the write it checked."""
 
     __slots__ = ("start", "oracle", "proofs", "reads", "writes", "preimage_chunk")
 
@@ -461,11 +462,8 @@ class _WindowMemory:
         self.writes: list[tuple[int, bytes, bytes, merkle.MerkleProof]] = []
 
     def begin(self) -> bytes:
-        """The memory root before the next step, after committing the last
-        step's write; starts the step's records afresh."""
-        if self.writes:
-            (base, _old, leaf, _proof), = self.writes
-            self.proofs.write(base >> 5, leaf)
+        """The memory root before the next step, every earlier store
+        applied; starts the step's records afresh."""
         self.reads: list[tuple[int, bytes, merkle.MerkleProof]] = []
         self.writes = []
         self.preimage_chunk: PreimageChunk | None = None
@@ -493,10 +491,11 @@ class _WindowMemory:
         return self.preimage_chunk.data
 
     def put_leaf(self, base: int, leaf: bytes) -> None:
-        # Recorded, not applied: the proof must be against the pre-state
-        # root, and `begin` applies it.
+        # Recorded against the pre-state root, then applied: this is the
+        # step's last memory access, so none of its reads sees the write.
         old, proof = self._open(base)
         self.writes.append((base, old, leaf, proof))
+        self.proofs.write(base >> 5, leaf)
 
 
 class _Rejected(Exception):
@@ -791,10 +790,7 @@ class StepWitness:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StepWitness":
-        r = Reader(data)
-        witness = cls.read(r)
-        r.end("witness")
-        return witness
+        return Reader(data).whole(cls.read, "witness")
 
 
 def gen_step_witness(state: VmState, oracle: PreimageOracle | None = None) -> StepWitness:

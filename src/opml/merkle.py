@@ -238,10 +238,7 @@ class MerkleProof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MerkleProof":
-        r = Reader(data)
-        proof = cls.read(r)
-        r.end("proof")
-        return proof
+        return Reader(data).whole(cls.read, "proof")
 
 
 def verify(root: bytes, claimed: bytes, proof: MerkleProof, scheme: HashScheme) -> bool:

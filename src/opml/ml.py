@@ -186,10 +186,7 @@ def serialize_tensor(t: FixedTensor) -> bytes:
 
 def deserialize_tensor(data: bytes) -> FixedTensor:
     """The tensor `data` holds, with no byte after it."""
-    r = Reader(data)
-    tensor = _read_tensor(r)
-    r.end("tensor")
-    return tensor
+    return Reader(data).whole(_read_tensor, "tensor")
 
 
 def _read_tensor(r: Reader) -> FixedTensor:

@@ -3,7 +3,8 @@
 Models, tensors, Merkle proofs, one-step witnesses and witness bundles are
 all parsed through a `Reader`: a field that runs past the end, or a byte
 after the last field, is a `ParseError` naming its offset, never an
-IndexError or a struct.error.
+IndexError or a struct.error. `Reader.whole` is the one whole-record
+parse: a record read, then the check that no byte trails it.
 """
 
 from __future__ import annotations
@@ -52,3 +53,9 @@ class Reader:
     def end(self, what: str) -> None:
         if self.offset != self.stop:
             raise ParseError(self.offset, f"trailing bytes after {what}")
+
+    def whole(self, read, what: str):
+        """`read(self)`, with no byte after it: the one whole-record parse."""
+        record = read(self)
+        self.end(what)
+        return record

@@ -35,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FPVM, MERKLE = "src/opml/fpvm.py", "src/opml/merkle.py"
 DISPUTE, MULTIPHASE, WIRE = "src/opml/dispute.py", "src/opml/multiphase.py", "src/opml/wire.py"
-ML = "src/opml/ml.py"
+ML, CLI = "src/opml/ml.py", "src/opml/cli.py"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench", ".benchmarks")
 TIMEOUT_S = 900
 #: Address space of one child pytest: about five times the unmutated
@@ -115,8 +115,15 @@ MUTANTS = [
      "if pre_root != chain.root:"),
     ("chain-keeps-proofs-across-roots", FPVM,
      "if proofs is None or proofs.root != f.memory_root:", "if proofs is None:"),
-    # The witness view's seams.
+    # The witness view's seams, and its stores: each recorded against the
+    # pre-state, then applied at once, as the verifier applies it.
     ("window-ignores-seams", FPVM, "            if n in self.seams:\n", "            if False:\n"),
+    ("window-store-unapplied", FPVM, "        self.proofs.write(base >> 5, leaf)\n", ""),
+    ("window-store-before-record", FPVM,
+     "        old, proof = self._open(base)\n        self.writes.append((base, old, leaf, proof))\n"
+     "        self.proofs.write(base >> 5, leaf)\n",
+     "        self.proofs.write(base >> 5, leaf)\n        old, proof = self._open(base)\n"
+     "        self.writes.append((base, old, leaf, proof))\n"),
     ("fork-drops-earlier-seams", FPVM,
      "seams = tuple(seam for seam in self.seams if seam < corrupted.step_count)", "seams = ()"),
     # The one tree writer and its pending versions.
@@ -250,6 +257,10 @@ MUTANTS = [
      "if n > self.stop - self.offset + 1:"),
     ("reader-takes-trailing-bytes", WIRE, "if self.offset != self.stop:",
      "if self.offset > self.stop:"),
+    ("whole-skips-end", WIRE, "        record = read(self)\n        self.end(what)\n",
+     "        record = read(self)\n"),
+    ("load-misses-shape-error", CLI, "except (ml.ModelParseError, ml.ShapeError) as exc:",
+     "except ml.ModelParseError as exc:"),
     ("release-keeps-stake", DISPUTE, "amount = self.stakes.pop(party, 0)\n        self.balances",
      "amount = self.stakes.get(party, 0)\n        self.balances"),
     ("stake-keeps-balance", DISPUTE,

@@ -701,6 +701,29 @@ def test_verify_step_reject_reasons(reason, scenario, mutate, opts):
     assert verdict.witness_ok == (reason == "post-root-mismatch")
 
 
+@pytest.mark.parametrize("scenario", ["sw", "preimage"])
+def test_the_witness_view_applies_a_store_as_the_verifier_does(scenario):
+    """The witness view records a store against the pre-state and applies
+    it at once, so its memory root after the step is the step's, and the
+    one the verifier's chain holds after accepting the step's witness. The
+    PREIMAGE writes an oracle-value slot that no read of its step opens."""
+    pre, oracle, witness = _scenario(scenario)
+    mem = fpvm._WindowMemory(pre.memory, oracle)
+    assert mem.begin() == pre.memory.root()
+    fpvm._execute(pre.pc, list(pre.regs), mem)
+    (base, old, _new, proof), = mem.writes
+    assert (old, proof.leaf_index) == (pre.memory.get_leaf(base // 32), base // 32)
+    assert merkle.verify(pre.memory.root(), SCHEME.leaf_hash(old), proof, SCHEME)
+    post = step(pre, oracle)
+    assert mem.proofs.root == post.memory.root()
+
+    chain = fpvm.StepChain(SCHEME)
+    verdict = verify_step(state_root(pre), state_root(post), witness,
+                          preimages=oracle, scheme=SCHEME, chain=chain)
+    assert verdict.accepted, verdict.reason
+    assert mem.proofs.root == chain.proofs.root
+
+
 # Generated programs for the prover/verifier agreement property. r8 holds
 # the heap pointer; r9-r11 are scratch for the jump and PREIMAGE blocks.
 _ALU_OPS = ["ADD", "SUB", "MUL", "MULFX", "AND"]
