@@ -128,14 +128,15 @@ DISPUTE_OPTIONS = {
 
 
 def read_config(path: str) -> dict[str, object]:
-    """Flat key=value lines with keys from DISPUTE_OPTIONS, each value
-    converted and checked as its flag's is; blank lines and #-comments
+    """Flat key=value lines, each key from DISPUTE_OPTIONS given once and its
+    value converted and checked as its flag's is; blank lines and #-comments
     ignored."""
     try:
         text = _read_file(path).decode()
     except UnicodeDecodeError as exc:
         raise IoError(f"{path}: not UTF-8 text: {exc}") from exc
     out: dict[str, object] = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -145,6 +146,8 @@ def read_config(path: str) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DISPUTE_OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key} given again (first on line {first[key]})")
         kind = DISPUTE_OPTIONS[key].kind
         try:
             out[key] = int(value) if kind is int else value
@@ -170,9 +173,9 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
 
     native_run = ml.run_graph(graph, input_tensor, scheme=scheme)
     native = native_run.output
+    output_root = native_run.states[-1].entries[graph.output_id][1]
     final, steps = fpvm.run(state0)
-    vm_out = lowering.read_output_tensor(final)
-    if vm_out != native:
+    if final.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL) != output_root:
         print("internal error: native and VM outputs diverged", file=sys.stderr)
         return EXIT_INTERNAL
 
@@ -187,7 +190,7 @@ def cmd_run(args, scheme: hashing.HashScheme) -> int:
     print(f"hash={scheme.name}")
     print(f"input_digest={scheme.digest(ml.serialize_tensor(input_tensor)).hex()}")
     print(f"output_digest={scheme.digest(ml.serialize_tensor(native)).hex()}")
-    print(f"output_region_root={native_run.states[-1].entries[graph.output_id][1].hex()}")
+    print(f"output_region_root={output_root.hex()}")
     print(f"trace_len={steps}")
     print(f"final_state_root={fpvm.state_root(final).hex()}")
     print(f"graph_commitment={native_run.commitments[-1].hex()}")

@@ -166,8 +166,7 @@ class MemTree:
     def update_leaf(self, index: int, leaf: bytes) -> "MemTree":
         """The `with_writes` version with `leaf` written at `index`, after
         checking both; self reads the same as before."""
-        if not 0 <= index < NUM_LEAVES:
-            raise RangeError(f"leaf index {index} out of range")
+        self._check_aligned(index, 0)
         if len(leaf) != 32:
             raise ValueError(f"leaf must be 32 bytes, got {len(leaf)}")
         return self.with_writes({index: leaf})

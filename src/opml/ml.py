@@ -405,7 +405,7 @@ def load_model(path: str) -> CompGraph:
 # Execution with per-node state commitments
 # ---------------------------------------------------------------------------
 
-_EMPTY_ENTRY = (b"\x00" * 32, b"\x00" * 32)
+EMPTY_ENTRY = (b"\x00" * 32, b"\x00" * 32)  # a node not computed yet: zero key and root
 
 
 @dataclass(frozen=True)
@@ -567,7 +567,7 @@ def run_graph(graph: CompGraph, input_tensor: FixedTensor, *, scheme: HashScheme
     bounded memo. A faulted run is `fork`ed from it."""
     outputs = _node_outputs(graph, input_tensor)
     states = [GraphState(graph.model_digest(scheme), tensor_key(input_tensor, scheme),
-                         (_EMPTY_ENTRY,) * len(graph.nodes))]
+                         (EMPTY_ENTRY,) * len(graph.nodes))]
     for node, out in zip(graph.nodes, outputs):
         if node.op == "const":
             states.append(states[-1].with_entry(node.id, const_entry(out, scheme)))

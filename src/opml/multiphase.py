@@ -99,12 +99,9 @@ def entrance_check(
         return False, "opening has wrong arity"
     if bundle.opening.commitment(scheme) != bundle.s_prev_root:
         return False, "opening does not match the agreed state"
-    keys = []
-    for dep in node.input_ids:
-        key = bundle.opening.entries[dep][0]
-        if key == b"\x00" * 32:
-            return False, "operand entry empty in the agreed state"
-        keys.append(key)
+    keys = [bundle.opening.entries[dep][0] for dep in node.input_ids]
+    if ml.EMPTY_ENTRY[0] in keys:
+        return False, "operand entry empty in the agreed state"
     shapes = graph.infer_shapes()
     program_root = node_program_root(node.op, tuple(shapes[i] for i in node.input_ids), scheme)
     keys_root = merkle.region_root(b"".join(keys), fpvm.INPUT_LEVEL, scheme)

@@ -17,7 +17,8 @@ The unmutated copy must pass. A mutant is killed when its run fails, runs
 out of time or hits the memory cap, and survives when it passes. Exits 1 on
 a survivor, on an edit that does not match exactly once, or when the
 unmutated copy fails; prints each mutant's time and the first test that
-failed, or why the run stopped.
+failed (or the test module that did not import, with its exception), or why
+the run stopped.
 """
 
 from __future__ import annotations
@@ -208,9 +209,7 @@ MUTANTS = [
     ("anchor-at-every-level-above", MERKLE, "for index, at, digest in regions if at == level)",
      "for index, at, digest in regions if at <= level)"),
     ("anchor-root-one-level-short", MERKLE, "if level < TREE_DEPTH:", "if level < TREE_DEPTH - 1:"),
-    ("update-leaf-unchecked-index", MERKLE,
-     "            raise RangeError(f\"leaf index {index} out of range\")\n        if len(leaf) != 32:",
-     "            pass\n        if len(leaf) != 32:"),
+    ("update-leaf-unchecked-index", MERKLE, "        self._check_aligned(index, 0)\n", ""),
     ("update-leaf-unchecked-length", MERKLE, "if len(leaf) != 32:", "if False:"),
     # The verdicts: arbitration, the segment guard, the challenge period and
     # the checkpoints, then the entrance and exit checks of the two-phase game.
@@ -227,7 +226,7 @@ MUTANTS = [
     ("segment-choice-one-past", DISPUTE, "1 <= submitter_response <= n_segments:",
      "1 <= submitter_response <= n_segments + 1:"),
     ("slash-pays-whole-stake", DISPUTE, "reward = amount * REWARD_BPS // 10_000", "reward = amount"),
-    ("entrance-takes-empty-operand", MULTIPHASE, 'if key == b"\\x00" * 32:', "if False:"),
+    ("entrance-takes-empty-operand", MULTIPHASE, "if ml.EMPTY_ENTRY[0] in keys:", "if False:"),
     ("entrance-any-arity", MULTIPHASE,
      '"node has no phase-2 computation"\n    if len(bundle.opening.entries) != len(graph.nodes):',
      '"node has no phase-2 computation"\n    if False:'),
@@ -259,6 +258,11 @@ MUTANTS = [
      "if self.offset > self.stop:"),
     ("whole-skips-end", WIRE, "        record = read(self)\n        self.end(what)\n",
      "        record = read(self)\n"),
+    # The claim's one check: the VM's output region is the one the native
+    # output commits to, the exit check's rule.
+    ("run-skips-output-check", CLI,
+     "if final.memory.subtree_root(fpvm.OUTPUT_BASE, fpvm.OUTPUT_LEVEL) != output_root:",
+     "if False:"),
     ("load-misses-shape-error", CLI, "except (ml.ModelParseError, ml.ShapeError) as exc:",
      "except ml.ModelParseError as exc:"),
     ("release-keeps-stake", DISPUTE, "amount = self.stakes.pop(party, 0)\n        self.balances",
@@ -305,9 +309,13 @@ def run_suite(edit: tuple[str, str, str] | None) -> tuple[bool, str, float]:
         return False, f"{capped} (exit {proc.returncode})", seconds
     if proc.returncode not in (1, 2):  # 1: a test failed, 2: collection or import error
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
-    why = failed.group(1) if failed else (proc.stdout.strip() or proc.stderr.strip()
-                                          or "no output").splitlines()[-1]
+    # A failed test by its id; an error (a test module that broke collection)
+    # with the exception pytest prints after " - ".
+    failed = re.search(r"^FAILED (\S+)|^ERROR (.+)", proc.stdout, re.M)
+    if failed:
+        why = failed[1] or failed[2]
+    else:
+        why = (proc.stdout.strip() or proc.stderr.strip() or "no output").splitlines()[-1]
     return False, f"{why}, which {capped}" if "MemoryError" in proc.stdout else why, seconds
 
 

@@ -163,10 +163,26 @@ def test_oversized_program_exits_3_before_it_is_built(capsys, tmp_path, monkeypa
     assert err.startswith(f"error: {model}: ") and "exceeds" in err
 
 
-def test_run_exits_4_when_the_vm_output_diverges(capsys, model_files, monkeypatch):
-    model, inp, _, _ = model_files
-    monkeypatch.setattr(lowering, "read_output_tensor",
-                        lambda state: ml.FixedTensor((1,), (12345,)))
+@pytest.mark.parametrize("leaf, bit", [(0, 96), (0, 3), (1, 0)],
+                         ids=["payload", "rank-word", "past-the-tensor"])
+def test_run_exits_4_when_the_vm_output_diverges(capsys, model_files, monkeypatch, leaf, bit):
+    """One bit of the VM's final output region flipped: in the (1, 2)
+    output's payload, in its rank word (rank 10, which no tensor parse
+    accepts) or in the leaf past its 20 serialized bytes. Each leaves the
+    region the native output commits to, so each is a divergence."""
+    model, inp, graph, _ = model_files
+    assert graph.infer_shapes()[graph.output_id] == (1, 2)
+    run = fpvm.run
+
+    def run_then_flip(state, oracle=None):
+        final, steps = run(state, oracle)
+        index = fpvm.OUTPUT_BASE // 32 + leaf
+        word = bytearray(final.memory.get_leaf(index))
+        word[bit // 8] ^= 1 << bit % 8
+        final.memory = final.memory.update_leaf(index, bytes(word))
+        return final, steps
+
+    monkeypatch.setattr(fpvm, "run", run_then_flip)
     code, out, err = run_cli(capsys, "run", "--model", model, "--input", inp)
     assert (code, out) == (4, "")
     assert err.startswith("internal error:") and "diverged" in err
@@ -264,9 +280,12 @@ def _rejected_argv(tmp_path, case) -> list[str]:
         inp.write_bytes(struct.pack("<I", 9) + bytes(36))
     config, bundle = tmp_path / "scenario.cfg", tmp_path / "w.bin"
     config.write_text("synthetic.n = 40\nstrategy fault\n")
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("synthetic.n = 40\nk = 3\nk = 1\nstrategy = fault\nseed = 5\n")
     bundle.write_bytes(b"OPMX" + bytes(60))
     return {
         "config-line": ["dispute", "--config", str(config)],
+        "config-twice": ["dispute", "--config", str(twice)],
         "witness-magic": ["verify-witness", "--file", str(bundle)],
         "security-m": ["security", "--p", "0.5", "--m", "0"],
         "security-f": ["security", "--p", "0.5", "--m", "3", "--f", "1"],
@@ -277,6 +296,7 @@ def _rejected_argv(tmp_path, case) -> list[str]:
 
 @pytest.mark.parametrize("case, code, reason", [
     ("config-line", 2, "scenario.cfg:2: expected key=value"),
+    ("config-twice", 2, "twice.cfg:3: k given again (first on line 2)"),
     ("witness-magic", 3, "bad witness bundle magic"),
     ("security-m", 2, "m must be >= 1"),
     ("security-f", 2, "f must be in (0, 1)"),
